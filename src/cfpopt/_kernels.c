@@ -11,6 +11,7 @@
  * is updated in place.
  */
 
+#include <math.h>
 #include <stdint.h>
 
 static double row_dot(const double *a, const double *x, int64_t n)
@@ -34,13 +35,20 @@ static void row_add(double *x, double coef, const double *a, int64_t n)
 }
 
 /* One cyclic pass of relaxed projections onto lo_i <= A_i . x <= hi_i.
- * Stores the largest violation seen in *maxv and returns the number of rows
- * whose violation exceeded tol (each of which moved x). */
+ * Returns the number of rows whose violation exceeded tol (each of which
+ * moved x) and stores the largest violation seen in out[0].
+ *
+ * A moved row steps x by -coef * h, where h . y <= beta is its violated side
+ * (h = A_i, beta = hi_i above the slab; h = -A_i, beta = -lo_i below it).
+ * For the emptiness test of the caller (feasibility.py), the pass stores the
+ * sums of coef * (beta + tol), coef * (|beta| + tol) and coef * |h| over the
+ * moved rows in out[1], out[2] and out[3]. */
 int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
                        const double *norm2, double *x, int64_t m, int64_t n,
-                       double lam, double tol, double *maxv)
+                       double lam, double tol, double *out)
 {
     double vmax = 0.0;
+    double b = 0.0, size = 0.0, steps = 0.0;
     int64_t moves = 0;
     for (int64_t i = 0; i < m; i++) {
         const double *a = A + i * n;
@@ -53,13 +61,23 @@ int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
         if (v > tol) {
             moves++;
             double coef = lam * v / norm2[i];
-            if (over >= under)
+            double beta;
+            if (over >= under) {
                 row_sub(x, coef, a, n);
-            else
+                beta = hi[i];
+            } else {
                 row_add(x, coef, a, n);
+                beta = -lo[i];
+            }
+            b += coef * (beta + tol);
+            size += coef * (fabs(beta) + tol);
+            steps += coef * sqrt(norm2[i]);
         }
     }
-    *maxv = vmax;
+    out[0] = vmax;
+    out[1] = b;
+    out[2] = size;
+    out[3] = steps;
     return moves;
 }
 

@@ -7,7 +7,9 @@ the same row-by-row arithmetic:
 
 * ``cspm_sweep``: one full cyclic pass of relaxed projections onto the slabs
   ``lo_i <= A_i . x <= hi_i``; returns the largest violation seen and the
-  number of rows that moved ``x``.
+  number of rows that moved ``x``; with ``step_sums=True`` also the sums
+  over the moved rows that the emptiness test of :mod:`cfpopt.feasibility`
+  aggregates (see ``_cspm_sweep_numpy``).
 * ``art3_pass``: one pass of the automatic-relaxation rule over a work queue
   of row indices (reflect when the overshoot is at most the interval width,
   project onto the midline hyperplane when it is larger); returns the indices
@@ -24,8 +26,10 @@ Backends:
   ``_CFLAGS``: ``-O2 -ffp-contract=off``, no fast-math) into
   ``${XDG_CACHE_HOME:-~/.cache}/cfpopt/``, under a file name keyed by a hash
   of the source and the flags, and loads it with cffi in ABI mode
-  (``ffi.dlopen``; no setuptools, no C parser at load time).  Later
-  processes load the cached library.  The wrappers accept only C-contiguous
+  (``ffi.dlopen``; no setuptools, and the C parser only ever runs in a
+  child process that writes cffi's module for the declarations).  Later
+  processes load the cached library; a build deletes the libraries of other
+  source versions from the cache.  The wrappers accept only C-contiguous
   float64 arrays (int64 for the queue), and ``x`` must be writable.
 * ``numpy`` is the reference the tests hold ``c`` to, and the fallback.
 
@@ -42,9 +46,11 @@ from __future__ import annotations
 
 import contextlib
 import importlib.util
+import math
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
 import warnings
 import zlib
@@ -65,12 +71,16 @@ __all__ = [
 _BACKENDS = ("c", "numpy")
 _SOURCE = Path(__file__).with_name("_kernels.c")
 # no -ffast-math or -march=native: they would let the compiler fuse or
-# reorder the floating-point operations the numpy twin performs one by one
-_CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
+# reorder the floating-point operations the numpy twin performs one by one.
+# -fno-math-errno lets sqrt compile to the instruction, with no libm call;
+# -falign-loops=32 keeps the short row loops' speed independent of where they
+# land in the library (unaligned, a 60-column sweep ran 20% slower on a Xeon)
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-falign-loops=32",
+           "-std=c99", "-fPIC", "-shared")
 _CDEF = """
 int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
                        const double *norm2, double *x, int64_t m, int64_t n,
-                       double lam, double tol, double *maxv);
+                       double lam, double tol, double *out);
 int64_t cfp_art3_pass(const double *A, const double *lo, const double *hi,
                       const double *norm2, double *x, int64_t m, int64_t n,
                       const int64_t *queue, int64_t nq, double tol, int64_t *kept);
@@ -85,9 +95,18 @@ class CBuildError(BackendUnavailableError):
     """A C compiler is present, but building or loading the kernel library failed."""
 
 
-def _cspm_sweep_numpy(A, lo, hi, norm2, x, lam, tol):
+def _cspm_sweep_numpy(A, lo, hi, norm2, x, lam, tol, step_sums=False):
+    """One relaxed-projection pass over the rows; returns (max violation, moves).
+
+    A moved row steps ``x`` by ``-coef * h``, where ``h . y <= beta`` is its
+    violated side (``h = A_i, beta = hi_i`` above the slab, ``h = -A_i,
+    beta = -lo_i`` below it).  With ``step_sums`` the result gains a third
+    entry: the sums of ``coef * (beta + tol)``, ``coef * (|beta| + tol)`` and
+    ``coef * |h|`` over the moved rows.
+    """
     maxv = 0.0
     moves = 0
+    b = size = steps = 0.0
     for i in range(A.shape[0]):
         r = float(A[i] @ x)
         over = r - hi[i]
@@ -100,8 +119,16 @@ def _cspm_sweep_numpy(A, lo, hi, norm2, x, lam, tol):
             coef = lam * v / norm2[i]
             if over >= under:
                 x -= coef * A[i]
+                beta = hi[i]
             else:
                 x += coef * A[i]
+                beta = -lo[i]
+            if step_sums:
+                b += coef * (beta + tol)
+                size += coef * (abs(beta) + tol)
+                steps += coef * math.sqrt(norm2[i])
+    if step_sums:
+        return maxv, moves, (float(b), float(size), float(steps))
     return maxv, moves
 
 
@@ -155,13 +182,39 @@ def _staged(target: Path):
             os.unlink(tmp)
 
 
+# cffi's out-of-line ABI module is emitted in a child process, so that cffi's
+# C parser (pycparser, about 1.2 MB resident) never loads into the solver
+_EMIT_FFI = """
+import sys, cffi
+ffi = cffi.FFI()
+ffi.cdef(sys.stdin.read())
+ffi.set_source(sys.argv[1], None)
+ffi.emit_python_code(sys.argv[2])
+"""
+
+
+def _run_step(args: list, stdin: bytes, what: str) -> None:
+    proc = subprocess.run(args, input=stdin, capture_output=True)
+    if proc.returncode != 0:
+        raise CBuildError(f"{what} (exit {proc.returncode}):\n" + proc.stderr.decode(errors="replace"))
+
+
+def _prune(cache: Path, keep: tuple[Path, Path]) -> None:
+    """Delete the libraries and ffi modules that other source versions left in the cache."""
+    for path in (*cache.glob("_kernels-*.so"), *cache.glob("_kernels_ffi_*.py")):
+        if path not in keep:
+            with contextlib.suppress(OSError):
+                path.unlink()
+
+
 def _build(cc: str, cffi) -> tuple[Path, Path]:
     """Return the cached library and its ffi module, building them if absent.
 
     Both are keyed by a hash of the C source, the declarations, the flags and
     the cffi version.  The ffi module is cffi's out-of-line ABI form of
     ``_CDEF``: loading it needs no C parser, which keeps the solver process
-    about 1.3 MB smaller than parsing the declarations on every start.
+    about 1.3 MB smaller than parsing the declarations on every start.  A
+    build removes the pairs of every other key from the cache.
     """
     try:
         source = _SOURCE.read_bytes()
@@ -175,18 +228,12 @@ def _build(cc: str, cffi) -> tuple[Path, Path]:
             return lib, mod
         cache.mkdir(parents=True, exist_ok=True)
         with _staged(lib) as tmp:
-            proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, "-x", "c", "-"],
-                                  input=source, capture_output=True)
-            if proc.returncode != 0:
-                raise CBuildError(
-                    f"{cc} failed to build {_SOURCE.name} (exit {proc.returncode}):\n"
-                    + proc.stderr.decode(errors="replace")
-                )
+            _run_step([cc, *_CFLAGS, "-o", tmp, "-x", "c", "-"], source,
+                      f"{cc} failed to build {_SOURCE.name}")
         with _staged(mod) as tmp:
-            ffi = cffi.FFI()
-            ffi.cdef(_CDEF)
-            ffi.set_source(mod.stem, None, compiler_verbose=False)
-            ffi.emit_python_code(tmp)
+            _run_step([sys.executable, "-c", _EMIT_FFI, mod.stem, tmp], _CDEF.encode(),
+                      "emitting the cffi module failed")
+        _prune(cache, (lib, mod))
     except OSError as exc:
         raise CBuildError(f"cannot build the C kernels: {exc}") from exc
     return lib, mod
@@ -224,24 +271,31 @@ def _load_c() -> tuple:
     cc = shutil.which("cc")
     if cc is None:
         raise BackendUnavailableError("the c backend needs a C compiler: no 'cc' on PATH")
-    path, mod = _build(cc, cffi)
-    try:
-        spec = importlib.util.spec_from_file_location(mod.stem, mod)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        ffi = module.ffi
-        lib = ffi.dlopen(str(path))
-    except OSError as exc:
-        raise CBuildError(f"cannot load the C kernels from {path}: {exc}") from exc
+    for attempt in range(2):
+        path, mod = _build(cc, cffi)
+        try:
+            spec = importlib.util.spec_from_file_location(mod.stem, mod)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            ffi = module.ffi
+            lib = ffi.dlopen(str(path))
+            break
+        except OSError as exc:
+            # a build of another source version may have pruned the pair
+            # between the check and the load; build it once more then
+            if attempt or (path.exists() and mod.exists()):
+                raise CBuildError(f"cannot load the C kernels from {path}: {exc}") from exc
     buf = ffi.from_buffer
 
-    def cspm_sweep(A, lo, hi, norm2, x, lam, tol):
+    def cspm_sweep(A, lo, hi, norm2, x, lam, tol, step_sums=False):
         m, n = _check_system(A, lo, hi, norm2, x)
-        maxv = ffi.new("double *")
+        out = ffi.new("double[4]")
         moves = lib.cfp_cspm_sweep(buf("double[]", A), buf("double[]", lo), buf("double[]", hi),
                                    buf("double[]", norm2), buf("double[]", x, require_writable=True),
-                                   m, n, lam, tol, maxv)
-        return maxv[0], moves
+                                   m, n, lam, tol, out)
+        if step_sums:
+            return out[0], moves, (out[1], out[2], out[3])
+        return out[0], moves
 
     def art3_pass(A, lo, hi, norm2, x, queue, tol):
         m, n = _check_system(A, lo, hi, norm2, x)
@@ -333,8 +387,8 @@ def set_backend(name: str) -> None:
     _active, _impls = _resolve(name)
 
 
-def cspm_sweep(A, lo, hi, norm2, x, lam, tol):
-    return _current()[0](A, lo, hi, norm2, x, lam, tol)
+def cspm_sweep(A, lo, hi, norm2, x, lam, tol, step_sums=False):
+    return _current()[0](A, lo, hi, norm2, x, lam, tol, step_sums)
 
 
 def art3_pass(A, lo, hi, norm2, x, queue, tol):

@@ -3,9 +3,19 @@
 All solvers share the same outer contract: cycle over the constraint list in
 order, apply one projection step per violated constraint, and declare the
 point found only when a full pass measures violation <= tol for every
-constraint (sweep soundness).  A consistent system that cannot be certified
-within ``max_sweeps`` full sweeps times out, which callers treat as "no
-feasible point exists" (the time-out rule).
+constraint (sweep soundness).  A system that cannot be certified within
+``max_sweeps`` full sweeps times out, which callers treat as "no feasible
+point exists" (the time-out rule).
+
+Given the problem's bound box, CSPM and POCS can also prove a system empty
+before the time-out.  Every step they take is a relaxed projection off a
+halfspace that holds every tol-feasible point: a violated row's active side,
+or the linearisation of a violated convex constraint at the visit point.
+The running nonnegative combination of all those halfspaces,
+``c . y <= b``, is a Farkas certificate once no point of the tol-widened
+box satisfies it (:class:`_StepAggregate`); the solve then ends with
+``infeasibility_certified``.  ART3+ takes no part: its reflections make the
+certificate's gap stop growing.
 
 Runs of affine constraints are packed into dense arrays and swept by the
 kernels in :mod:`cfpopt._kernels`; any other convex constraint is handled
@@ -14,12 +24,13 @@ through its value/subgradient oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .model import AffineConstraint, ConvexFunction, Counters, Problem, as_vector
+from .model import AffineConstraint, Bounds, ConvexFunction, Counters, Problem, as_vector
 from .projections import Relaxation, ZeroSubgradientError, _NORM2_FLOOR
 
 __all__ = [
@@ -45,11 +56,14 @@ class FeasibilityOutcome:
     """Result of one feasibility attempt.
 
     ``found`` is True when a full sweep certified every constraint within
-    tolerance; otherwise the solver timed out and ``x`` is the last iterate.
-    The counters cover this solve only; ``moves`` counts the projection
-    calls that actually displaced the iterate.  ``infeasibility_certified``
-    marks the one provable no-solution signal: the objective level
-    constraint was violated at a minimizer of the objective.
+    tolerance; otherwise ``x`` is the last iterate, and either the solver
+    timed out or it proved that no point satisfies every constraint within
+    tolerance.  The counters cover this solve only; ``moves`` counts the
+    projection calls that actually displaced the iterate.
+    ``infeasibility_certified`` marks such a proof: the aggregate of the
+    steps taken separates the tol-relaxed constraint set from the bound box
+    (CSPM and POCS with a bound box), or the objective level constraint was
+    violated at a minimizer of the objective.
     """
 
     found: bool
@@ -62,7 +76,7 @@ class FeasibilityOutcome:
 
     @property
     def timed_out(self) -> bool:
-        return not self.found
+        return not (self.found or self.infeasibility_certified)
 
 
 @dataclass(frozen=True)
@@ -142,14 +156,119 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
+# unit roundoff of float64
+_UNIT = 2.0**-53
+# relative slack on the magnitudes behind the emptiness test: some 10^7 times
+# the rounding of the sums it covers, and still far below the gap, which grows
+# with every violated visit
+_CERT_RTOL = 2.0**-30
+
+
+class _StepAggregate:
+    """Running Farkas combination of every step a cyclic solve takes.
+
+    Each step moves x by ``-mu * h`` with ``mu >= 0`` off a halfspace
+    ``h . y <= beta + tol`` that holds every point whose violations are all
+    at most tol: a moved row's violated side (``h = +-a_i``), or a moved
+    oracle constraint's linearisation at the visit point x^, ``xi . y <=
+    xi . x^ - v + tol`` (subgradient inequality).  The sum ``c . y <= b``,
+    with ``c = sum mu h`` and ``b = sum mu (beta + tol)``, then holds on that
+    set too, and the bound rows confine the set to the tol-widened box.  When
+    the minimum of ``c . y`` over the box exceeds ``b`` by more than the
+    rounding margin, the set is empty.
+
+    ``c`` is summed as ``x_in - x_out`` of each sweep (:meth:`begin`,
+    :meth:`end`), so the perturbations a superiorized solve makes between
+    sweeps stay out of it.  ``b`` and the magnitudes the margin needs come
+    from the row kernel's step sums (:meth:`add`) and from
+    :meth:`add_linearization` for the oracle steps.  A column with an
+    infinite bound defeats the test while its ``c_j`` is nonzero.
+    """
+
+    def __init__(self, bounds: Bounds, tol: float):
+        lo, hi = bounds.lo - tol, bounds.hi + tol
+        unbounded = ~(np.isfinite(lo) & np.isfinite(hi))
+        self.unbounded = np.flatnonzero(unbounded) if unbounded.any() else None
+        lo, hi = np.where(unbounded, 0.0, lo), np.where(unbounded, 0.0, hi)
+        n = lo.shape[0]
+        reach = np.maximum(np.abs(lo), np.abs(hi))
+        # one product with [c, |c|] gives the minimum of c . y over the box
+        # (c . mid - |c| . half), sum |c_j| reach_j and |c|_1
+        self.weights = np.zeros((3, 2 * n))
+        self.weights[0, :n] = 0.5 * (lo + hi)
+        self.weights[0, n:] = -0.5 * (hi - lo)
+        self.weights[1, n:] = reach
+        self.weights[2, n:] = 1.0
+        self.reach1 = float(reach.sum())
+        self.reach2 = math.sqrt(float(reach @ reach))
+        self.c_abs_c = np.zeros(2 * n)
+        self.c, self.abs_c = self.c_abs_c[:n], self.c_abs_c[n:]
+        self.tol = tol
+        # sums over all steps of mu (beta + tol), mu (|beta| + tol) and mu |h|;
+        # the middle one takes a bound on |beta| for oracle steps
+        self.b = self.size = self.steps = 0.0
+        self.x0x0 = 0.0
+
+    def begin(self, x: np.ndarray, k: int) -> None:
+        """Open sweep ``k`` (0-based) from ``x``."""
+        if k == 0:
+            self.x0x0 = float(x @ x)
+        self.c += x
+
+    def end(self, x: np.ndarray, moves: int, sweeps: int, found: bool) -> bool:
+        """Close the sweep that led to ``x``; True when the system is proven empty."""
+        self.c -= x
+        return not found and self.empty(x, moves, sweeps)
+
+    def add(self, b: float, size: float, steps: float) -> None:
+        """Count row steps by their sums, as ``cspm_sweep(..., step_sums=True)`` gives them."""
+        self.b += b
+        self.size += size
+        self.steps += steps
+
+    def add_linearization(self, fn: ConvexFunction, x: np.ndarray, v: float, xi: np.ndarray,
+                          norm2: float, mu: float) -> None:
+        """Count an oracle step off ``xi . y <= xi . x - v + tol``.
+
+        That is the subgradient inequality of ``fn`` at the visit point
+        ``x``, where ``fn`` has value ``v > tol`` and subgradient ``xi``.
+        """
+        at = float(xi @ x)
+        # the level constraint's value f(x) - t rounds relative to |t| too
+        size = abs(at) + abs(v) + (abs(fn.t) if isinstance(fn, LevelConstraint) else 0.0)
+        tol = self.tol
+        self.add(mu * (at - v + tol), mu * (size + tol), mu * math.sqrt(norm2))
+
+    def empty(self, x: np.ndarray, moves: int, sweeps: int) -> bool:
+        """True when no point of the tol-widened box satisfies ``c . y <= b``."""
+        c = self.c
+        if self.unbounded is not None and c[self.unbounded].any():
+            return False
+        np.abs(c, out=self.abs_c)
+        low, c_reach, c1 = (self.weights @ self.c_abs_c).tolist()
+        gap = low - self.b
+        if gap <= 0.0:
+            return False
+        xnorm = math.sqrt(max(self.x0x0, float(x @ x)))
+        # the sums, the box minimum and the found test's dot products round
+        # relative to these magnitudes; each x update rounds c by at most a
+        # few units of the coordinates it touches
+        margin = (_CERT_RTOL * (self.size + c_reach + self.steps * max(self.reach2, xnorm))
+                  + 64.0 * _UNIT * (moves + 2 * sweeps) * (xnorm + c1) * self.reach1)
+        return gap > margin
+
+
 class CyclicSweeper:
     """One full cyclic pass of relaxed (subgradient) projections per sweep.
 
     On affine constraints the subgradient projection is the orthogonal
-    projection, so this single sweeper implements both CSPM and POCS.
+    projection, so this single sweeper implements both CSPM and POCS.  Given
+    the bound box (whose rows must be among the constraints), it also keeps
+    the :class:`_StepAggregate` of its steps and sets ``empty`` once that
+    proves the system has no tol-feasible point.
     """
 
-    def __init__(self, constraints, lam, tol: float, counters: Counters):
+    def __init__(self, constraints, lam, tol: float, counters: Counters, bounds: Bounds | None = None):
         self.constraints = list(constraints)
         self.segments = _segment(self.constraints)
         self.relaxation = lam if isinstance(lam, Relaxation) else Relaxation(float(lam))
@@ -158,13 +277,24 @@ class CyclicSweeper:
         self.moves = 0
         self.last_max_violation = np.inf
         self.certified = False
+        self.empty = False
+        self.aggregate = _StepAggregate(bounds, self.tol) if bounds is not None else None
 
     def sweep(self, x: np.ndarray, k: int) -> np.ndarray:
         lam = self.relaxation.at(k)
+        tol = self.tol
+        agg = self.aggregate
+        if agg is not None:
+            agg.begin(x, k)
         maxv = 0.0
         for tag, seg in self.segments:
             if tag == "rows":
-                v, moved = _kernels.cspm_sweep(seg.A, seg.lo, seg.hi, seg.norm2, x, lam, self.tol)
+                if agg is None:
+                    v, moved = _kernels.cspm_sweep(seg.A, seg.lo, seg.hi, seg.norm2, x, lam, tol)
+                else:
+                    v, moved, sums = _kernels.cspm_sweep(seg.A, seg.lo, seg.hi, seg.norm2, x,
+                                                         lam, tol, True)
+                    agg.add(*sums)
                 self.counters.projections += seg.A.shape[0]
                 self.moves += moved
                 if v > maxv:
@@ -175,7 +305,7 @@ class CyclicSweeper:
                 v = fn.value(x)
                 if v > maxv:
                     maxv = v
-                if v > self.tol:
+                if v > tol:
                     xi = fn.subgrad(x)
                     norm2 = float(xi @ xi)
                     if norm2 < _NORM2_FLOOR:
@@ -184,10 +314,15 @@ class CyclicSweeper:
                         )
                         err.constraint = fn
                         raise err
-                    x = x - (lam * v / norm2) * xi
+                    coef = lam * v / norm2
+                    if agg is not None:
+                        agg.add_linearization(fn, x, v, xi, norm2, coef)
+                    x = x - coef * xi
                     self.moves += 1
         self.last_max_violation = maxv
-        self.certified = maxv <= self.tol
+        self.certified = maxv <= tol
+        if agg is not None:
+            self.empty = agg.end(x, self.moves, k + 1, self.certified)
         return x
 
 
@@ -215,6 +350,7 @@ class Art3Sweeper:
         self.moved_since_refill = False
         self.moves = 0
         self.certified = total == 0
+        self.empty = False  # ART3+ never proves a system empty
 
     def sweep(self, x: np.ndarray, k: int) -> np.ndarray:
         if self.queue.shape[0] == 0:
@@ -260,12 +396,17 @@ class Art3Sweeper:
         return x
 
 
-def make_sweeper(kind: str, constraints, lam, tol: float, counters: Counters):
-    """Build the sweeping engine for one CFP solve."""
+def make_sweeper(kind: str, constraints, lam, tol: float, counters: Counters,
+                 bounds: Bounds | None = None):
+    """Build the sweeping engine for one CFP solve.
+
+    ``bounds``, when given, must be the box whose rows are among
+    ``constraints``; CSPM and POCS then test for emptiness after every sweep.
+    """
     if kind in ("cspm", "pocs"):
         if kind == "pocs":
             _require_affine(constraints, "pocs_solve")
-        return CyclicSweeper(constraints, lam, tol, counters)
+        return CyclicSweeper(constraints, lam, tol, counters, bounds)
     if kind == "art3+":
         rows = list(constraints)
         level = None
@@ -302,14 +443,17 @@ def _run(sweeper, x0: np.ndarray, max_sweeps: int, counters: Counters,
         sweeps = k + 1
         if history is not None:
             history.append(x.copy())
-        if sweeper.certified:
-            return FeasibilityOutcome(
-                True, x, sweeps, counters.projections - proj0,
-                counters.obj_evals - obj0, sweeper.moves,
-            )
+        if sweeper.certified or sweeper.empty:
+            break
+    return sweep_outcome(sweeper, x, sweeps, counters, proj0, obj0)
+
+
+def sweep_outcome(sweeper, x: np.ndarray, sweeps: int, counters: Counters,
+                  proj0: int, obj0: int) -> FeasibilityOutcome:
+    """The outcome of a solve whose sweep loop ended after ``sweeps`` sweeps."""
     return FeasibilityOutcome(
-        False, x, sweeps, counters.projections - proj0,
-        counters.obj_evals - obj0, sweeper.moves,
+        bool(sweeper.certified), x, sweeps, counters.projections - proj0,
+        counters.obj_evals - obj0, sweeper.moves, infeasibility_certified=sweeper.empty,
     )
 
 
@@ -404,8 +548,9 @@ def cfp_with_level(problem: Problem, t: float, solver: SolverSpec | str = "cspm"
             return superiorized_solve(
                 solver.kind, constraints, x0, cfg, lam=lam, max_outer=max_sweeps,
                 tol=tol, counters=counters, history=history, max_projections=max_projections,
+                bounds=problem.bounds,
             )
-        sweeper = make_sweeper(solver.kind, constraints, lam, tol, counters)
+        sweeper = make_sweeper(solver.kind, constraints, lam, tol, counters, problem.bounds)
         return _run(sweeper, x0, max_sweeps, counters, history, max_projections)
     except ZeroSubgradientError as err:
         if not isinstance(getattr(err, "constraint", None), LevelConstraint):

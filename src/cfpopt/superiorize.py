@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .feasibility import FeasibilityOutcome, make_sweeper
-from .model import ConvexFunction, Counters, as_vector
+from .feasibility import FeasibilityOutcome, make_sweeper, sweep_outcome
+from .model import Bounds, ConvexFunction, Counters, as_vector
 from .projections import ZeroSubgradientError
 
 __all__ = [
@@ -93,14 +93,18 @@ def superiorized_solve(kind: str, constraints, x0, cfg: SuperiorizationConfig,
                        lam=1.5, max_outer: int = 1000, tol: float = 1e-8,
                        counters: Counters | None = None, history: list | None = None,
                        max_projections: int | None = None,
-                       trace: PerturbationTrace | None = None) -> FeasibilityOutcome:
+                       trace: PerturbationTrace | None = None,
+                       bounds: Bounds | None = None) -> FeasibilityOutcome:
     """Feasibility seeking with interleaved merit perturbations.
 
     Per outer iteration: N accepted perturbation steps, then one sweep of the
     base solver ``kind`` over ``constraints``.  Termination follows the base
     solver's contract: found once a full sweep certifies every constraint
-    within ``tol``, timed out after ``max_outer`` outer iterations.  With
-    ``N=0`` this reproduces the base solver's iterates exactly.
+    within ``tol``, proven empty once the sweeps' steps certify it (CSPM and
+    POCS given the bound box ``bounds``, see :func:`make_sweeper`; the
+    perturbations take no part in the certificate), timed out after
+    ``max_outer`` outer iterations.  With ``N=0`` this reproduces the base
+    solver's iterates exactly.
     """
     if cfg.merit is None and cfg.N > 0:
         raise ValueError("superiorization needs a merit function when N > 0")
@@ -108,7 +112,7 @@ def superiorized_solve(kind: str, constraints, x0, cfg: SuperiorizationConfig,
     x = as_vector(x0).copy()
     proj0 = counters.projections
     obj0 = counters.obj_evals
-    sweeper = make_sweeper(kind, constraints, lam, tol, counters)
+    sweeper = make_sweeper(kind, constraints, lam, tol, counters, bounds)
 
     def merit_value(z: np.ndarray) -> float:
         if cfg.merit_is_objective:
@@ -152,12 +156,6 @@ def superiorized_solve(kind: str, constraints, x0, cfg: SuperiorizationConfig,
         sweeps = k + 1
         if history is not None:
             history.append(x.copy())
-        if sweeper.certified:
-            return FeasibilityOutcome(
-                True, x, sweeps, counters.projections - proj0,
-                counters.obj_evals - obj0, sweeper.moves,
-            )
-    return FeasibilityOutcome(
-        False, x, sweeps, counters.projections - proj0,
-        counters.obj_evals - obj0, sweeper.moves,
-    )
+        if sweeper.certified or sweeper.empty:
+            break
+    return sweep_outcome(sweeper, x, sweeps, counters, proj0, obj0)

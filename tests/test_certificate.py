@@ -1,0 +1,147 @@
+"""The early emptiness certificate of CSPM: sound, fast, and invisible in results.
+
+A cyclic solve given the problem's bound box sums its steps into a Farkas
+combination and stops with ``infeasibility_certified`` once that proves no
+tol-feasible point exists.  These tests hold it to four promises: it never
+fires on a nonempty level set, it fires within a few sweeps on clearly empty
+ones, it never fires without a finite box, and the schemes' results are the
+ones the time-out rule gives, with less work.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cfpopt import feasibility
+from cfpopt.feasibility import LevelConstraint, SolverSpec, cfp_with_level, make_sweeper
+from cfpopt.harness import HarnessConfig, run_variant
+from cfpopt.model import AffineConstraint, Bounds, Counters, Problem, QuadraticFunction
+
+_spec = importlib.util.spec_from_file_location(
+    "make_problems", Path(__file__).parents[1] / "benchmarks" / "make_problems.py")
+make_problems = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_problems)
+
+
+def planted(i):
+    return make_problems.planted_instance(i, 30, 40)
+
+
+SOLVERS = [SolverSpec("cspm"), SolverSpec("cspm", superiorized=True)]
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_never_certifies_a_nonempty_level_set(i):
+    problem, fstar = planted(i)
+    starts = [None, *(np.random.default_rng(s).standard_normal(problem.n) * 3.0 for s in (1, 2))]
+    for t in (fstar, fstar + 1e-6):
+        for solver in SOLVERS:
+            for x0 in starts:
+                out = cfp_with_level(problem, t, solver, x0=x0)
+                assert not out.infeasibility_certified, (t - fstar, solver, out.sweeps)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("tol", [0.0, 1e-8, 1e-4])
+@pytest.mark.parametrize("via", ["rows", "level"])
+def test_never_certifies_a_set_that_is_one_box_vertex(seed, tol, via):
+    # x <= hi (the box) and a . x >= a . hi with a > 0 leave only x = hi: the
+    # aggregate then touches the set at the box minimum, and only the rounding
+    # margin stands between the computed gap and a false certificate.  The
+    # cuts a . x >= a . hi are rows, or the linear objective -a . x at the
+    # level -a . hi, whose linearisations are the cut itself.
+    rng = np.random.default_rng(seed)
+    n = 30
+    hi = rng.uniform(-3.0, 3.0, n) * 10.0 ** rng.uniform(-2.0, 2.0)
+    lo = hi - rng.uniform(0.5, 2.0, n)
+    cuts = rng.uniform(0.1, 1.0, (5, n))
+    if via == "rows":
+        objective, t = QuadraticFunction(np.eye(n), np.zeros(n)), np.inf
+        rows = [AffineConstraint.geq(a, float(a @ hi)) for a in cuts]
+    else:
+        objective, t = QuadraticFunction(np.zeros((n, n)), -cuts[0]), float(-cuts[0] @ hi)
+        rows = []
+    problem = Problem(objective, rows, bounds=Bounds(lo, hi), n=n)
+    out = cfp_with_level(problem, t, "cspm", x0=lo.copy(), tol=tol)
+    assert not out.infeasibility_certified, out.sweeps
+
+
+def test_step_sums_by_hand():
+    # box 0 <= x <= 1 and the level -x/2 <= -1/2, tol 0.1, lam 1.5, from x = 0
+    problem = Problem(QuadraticFunction([[0.0]], [-0.5]), bounds=Bounds([0.0], [1.0]))
+    constraints = [*problem.all_constraints(), LevelConstraint(problem.objective, -0.5)]
+    sweeper = make_sweeper("cspm", constraints, 1.5, 0.1, Counters(), problem.bounds)
+    agg = sweeper.aggregate
+    # sweep 1: the box row holds; the level (v = 0.5, xi = -0.5) steps with
+    # mu = 3 to x = 1.5, off xi . y <= xi . 0 - v + tol
+    x = sweeper.sweep(np.zeros(1), 0)
+    assert x[0] == 1.5
+    assert agg.c[0] == pytest.approx(3 * -0.5)
+    assert agg.b == pytest.approx(3 * (0.0 - 0.5 + 0.1))
+    # sweep 2: the box row (over by 0.5) steps with mu = 0.75 to x = 0.75, off
+    # y <= 1 + tol; the level (v = 0.125) steps with mu = 0.75, off
+    # xi . y <= xi . 0.75 - v + tol
+    x = sweeper.sweep(x, 1)
+    assert agg.c[0] == pytest.approx(3 * -0.5 + 0.75 * 1.0 + 0.75 * -0.5)
+    assert agg.b == pytest.approx(3 * (0.0 - 0.5 + 0.1) + 0.75 * 1.1
+                                  + 0.75 * (-0.375 - 0.125 + 0.1))
+    assert not sweeper.empty
+
+
+def test_certifies_empty_level_sets_within_few_sweeps():
+    for i in range(4):
+        problem, fstar = planted(i)
+        out = cfp_with_level(problem, fstar - 10.0, "cspm")
+        assert out.infeasibility_certified and not out.found
+        assert out.sweeps <= 20, (i, out.sweeps)
+    problem, fstar = planted(0)
+    out = cfp_with_level(problem, fstar - 1.0, "cspm")
+    assert out.infeasibility_certified and out.sweeps <= 200
+
+
+def test_pocs_certifies_an_empty_affine_system():
+    # x_0 + x_1 >= 3 inside the box [0, 1]^2
+    problem = Problem(QuadraticFunction(np.eye(2), np.zeros(2)),
+                      [AffineConstraint.geq([1.0, 1.0], 3.0)],
+                      bounds=Bounds(np.zeros(2), np.ones(2)))
+    out = cfp_with_level(problem, np.inf, "pocs")
+    assert out.infeasibility_certified and not out.found
+    assert out.sweeps < 10
+
+
+@pytest.mark.parametrize("box", ["none", "infinite", "lower only", "upper only"])
+def test_no_finite_box_never_certifies(box):
+    problem, fstar = planted(0)
+    inf = np.full(problem.n, np.inf)
+    bounds = {"none": None, "infinite": Bounds(-inf, inf),
+              "lower only": Bounds(problem.bounds.lo, inf),
+              "upper only": Bounds(-inf, problem.bounds.hi)}[box]
+    unboxed = Problem(problem.objective, problem.constraints, bounds=bounds, n=problem.n)
+    out = cfp_with_level(unboxed, fstar - 10.0, "cspm", max_sweeps=200)
+    assert not out.found and not out.infeasibility_certified
+    assert out.sweeps == 200
+
+
+PLANT_CSPM_VARIANTS = ("ls_cspm", "ls_acc_cspm", "ls_sup_cspm", "bis_cspm", "bis_sup_cspm")
+
+
+def test_results_match_the_time_out_rule(monkeypatch):
+    config = HarnessConfig(max_outer=100)
+    problems = [planted(i) for i in (0, 1)]
+
+    def matrix():
+        return {(p.name, v): run_variant(v, p, config, fstar=fstar)
+                for p, fstar in problems for v in PLANT_CSPM_VARIANTS}
+
+    with_check = matrix()
+    monkeypatch.setattr(feasibility._StepAggregate, "empty", lambda self, x, moves, sweeps: False)
+    time_out_only = matrix()
+    for cell, r in with_check.items():
+        base = time_out_only[cell]
+        assert r.status == base.status, cell
+        assert r.f_hat == base.f_hat, cell  # bitwise, None included
+        assert r.projections <= base.projections, cell
+    assert (sum(r.projections for r in with_check.values())
+            < 0.5 * sum(r.projections for r in time_out_only.values()))

@@ -70,6 +70,29 @@ def test_cspm_backend_agreement(seed, cffi, restore_backend):
 
 
 @needs_cc
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cspm_step_sums_backend_agreement(seed, cffi, restore_backend):
+    rows, x0 = _random_system(seed)
+    A = np.ascontiguousarray([r.a for r in rows])
+    lo, hi = np.array([r.lo for r in rows]), np.array([r.hi for r in rows])
+    norm2 = np.array([r.norm2 for r in rows])
+    results = {}
+    for backend in ("c", "numpy"):
+        _kernels.set_backend(backend)
+        x, passes = x0.copy(), []
+        for _ in range(50):
+            passes.append(_kernels.cspm_sweep(A, lo, hi, norm2, x, 1.5, 1e-8, True))
+        results[backend] = (x, passes)
+    (xa, pa), (xb, pb) = results["c"], results["numpy"]
+    assert [p[1] for p in pa] == [p[1] for p in pb]
+    assert sum(p[1] for p in pa) > 0
+    np.testing.assert_allclose(xa, xb, rtol=0, atol=1e-12)
+    for a, b in zip(pa, pb):
+        assert a[0] == pytest.approx(b[0], rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(a[2], b[2], rtol=1e-12, atol=1e-12)
+
+
+@needs_cc
 @pytest.mark.parametrize("seed", [3, 4])
 def test_art3_backend_agreement(seed, cffi, restore_backend):
     rng = np.random.default_rng(seed)
@@ -159,6 +182,24 @@ def test_env_flag_rejects_unknown():
     assert "CFPOPT_BACKEND" in out.stderr
 
 
+@needs_cc
+def test_c_build_prunes_other_versions_and_skips_the_c_parser(cffi, tmp_path):
+    cache = tmp_path / "cfpopt"
+    cache.mkdir()
+    stale = [cache / "_kernels-0badc0de.so", cache / "_kernels_ffi_0badc0de.py"]
+    for path in (*stale, cache / "notes.txt"):
+        path.write_text("")
+    code = "import sys, cfpopt; print(cfpopt.active_backend(), 'pycparser' in sys.modules)"
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), CFPOPT_BACKEND="c")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["c", "False"]
+    left = sorted(p.name for p in cache.iterdir())
+    assert "notes.txt" in left and not any(p.name in left for p in stale)
+    assert len([n for n in left if n.endswith(".so")]) == 1
+    assert len([n for n in left if n.endswith(".py")]) == 1
+
+
 def test_numpy_kernel_semantics_by_hand():
     # one slab 0 <= x <= 2 from x=5 with lam=1: exact projection to 2
     A = np.array([[1.0]])
@@ -168,6 +209,12 @@ def test_numpy_kernel_semantics_by_hand():
     assert maxv == pytest.approx(3.0)
     assert moves == 1
     assert x == pytest.approx([2.0])
+    # the step sums: mu = 3 off the upper face x <= 2 (beta = 2, |h| = 1),
+    # and mu = 1.5 (lam 0.5) off the lower face -x <= 0 from x = -3
+    _, _, sums = _kernels._cspm_sweep_numpy(A, lo, hi, norm2, np.array([5.0]), 1.0, 1e-8, True)
+    assert sums == pytest.approx((3.0 * (2.0 + 1e-8), 3.0 * (2.0 + 1e-8), 3.0))
+    _, _, sums = _kernels._cspm_sweep_numpy(A, lo, hi, norm2, np.array([-3.0]), 0.5, 1e-8, True)
+    assert sums == pytest.approx((1.5 * 1e-8, 1.5 * 1e-8, 1.5), rel=1e-12, abs=0)
 
 
 def test_art3_pass_reflect_and_midline():
