@@ -95,8 +95,10 @@ class SolverSpec:
 class LevelConstraint(ConvexFunction):
     """The objective level constraint f(x) - t <= 0.
 
-    Evaluations pass through the wrapped objective and are charged to the
-    run's objective-evaluation counter.
+    Given the run's counters, evaluations go through
+    :meth:`Counters.objective`: each objective-oracle call is charged to
+    ``obj_evals``, and a visit at the point of the run's last objective call
+    (a merit test whose step no row then moved) reuses its value.
     """
 
     kind = "level"
@@ -107,9 +109,9 @@ class LevelConstraint(ConvexFunction):
         self.counters = counters
 
     def value(self, x: np.ndarray) -> float:
-        if self.counters is not None:
-            self.counters.obj_evals += 1
-        return self.objective.value(x) - self.t
+        if self.counters is None:
+            return self.objective.value(x) - self.t
+        return self.counters.objective(self.objective, x) - self.t
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         return self.objective.subgrad(x)
@@ -517,8 +519,8 @@ def cfp_with_level(problem: Problem, t: float, solver: SolverSpec | str = "cspm"
 
     The level constraint f(x) - t <= 0 joins the cyclic order as its last
     element; ``t = +inf`` drops it, giving plain feasibility.  Objective
-    evaluations made through the level constraint are charged to
-    ``counters.obj_evals``.
+    oracle calls made through the level constraint are charged to
+    ``counters.obj_evals`` (see :meth:`Counters.objective`).
     """
     if isinstance(solver, str):
         solver = SolverSpec(kind=solver)

@@ -12,7 +12,7 @@ Dense float64 storage throughout; this targets desk-scale problems
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,12 +54,31 @@ class Counters:
 
     ``projections`` counts every projection-operator invocation that evaluates
     a constraint, including no-op returns on already satisfied constraints.
-    ``obj_evals`` counts evaluations of the problem objective, whether direct
-    or through an objective level constraint or a merit test.
+    ``obj_evals`` counts the objective-oracle calls the run makes, whether
+    direct or through an objective level constraint or a merit test.  They
+    all go through :meth:`objective`, which serves a repeat of the last call
+    (the same function at a bitwise-identical point) from a one-entry memo
+    without calling or counting.  The memo is not part of equality or repr.
     """
 
     projections: int = 0
     obj_evals: int = 0
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def objective(self, fn: ConvexFunction, x: np.ndarray) -> float:
+        """``fn.value(x)``, counted in ``obj_evals`` unless it repeats the last call.
+
+        A repeat needs the same function object and an ``x`` of the same
+        dtype, shape and bytes, so an in-place update of ``x`` is recomputed.
+        """
+        key = (x.dtype, x.shape, x.tobytes())
+        memo = self._memo
+        if memo is not None and memo[0] is fn and memo[1] == key:
+            return memo[2]
+        value = fn.value(x)
+        self.obj_evals += 1
+        self._memo = (fn, key, value)
+        return value
 
 
 class ConvexFunction:
@@ -417,9 +436,10 @@ class Problem:
         return self._all
 
     def objective_value(self, x: np.ndarray, counters: Counters | None = None) -> float:
-        if counters is not None:
-            counters.obj_evals += 1
-        return self.objective.value(x)
+        """f(x); given the run's counters, through :meth:`Counters.objective`."""
+        if counters is None:
+            return self.objective.value(x)
+        return counters.objective(self.objective, x)
 
     def objective_subgrad(self, x: np.ndarray) -> np.ndarray:
         return self.objective.subgrad(x)

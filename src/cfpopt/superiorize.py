@@ -115,8 +115,13 @@ def superiorized_solve(kind: str, constraints, x0, cfg: SuperiorizationConfig,
     sweeper = make_sweeper(kind, constraints, lam, tol, counters, bounds)
 
     def merit_value(z: np.ndarray) -> float:
+        """The merit at z; the objective as merit goes through ``counters.objective``.
+
+        So an anchor at the point where the last sweep's level visit left x
+        reuses that visit's objective value instead of calling the oracle again.
+        """
         if cfg.merit_is_objective:
-            counters.obj_evals += 1
+            return counters.objective(cfg.merit, z)
         return cfg.merit.value(z)
 
     ell = -1

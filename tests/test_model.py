@@ -60,6 +60,87 @@ class TestEval:
         assert counters.obj_evals == 2
 
 
+def counting(fn):
+    """Wrap ``fn.value`` in an independent call counter; returns the call list."""
+    calls = []
+    value = fn.value
+
+    def counted(x):
+        calls.append(x.copy())
+        return value(x)
+
+    fn.value = counted
+    return calls
+
+
+class TestObjectiveMemo:
+    def test_repeat_at_the_same_bytes_is_served_without_a_call(self):
+        f = quad_1d()
+        calls = counting(f)
+        counters = Counters()
+        x = np.array([3.0])
+        first = counters.objective(f, x)
+        assert counters.objective(f, x) == first
+        assert counters.objective(f, x.copy()) == first
+        assert len(calls) == counters.obj_evals == 1
+
+    def test_in_place_update_is_recomputed(self):
+        # the C kernel moves x in place, so the array object alone says nothing
+        f = quad_1d()
+        calls = counting(f)
+        counters = Counters()
+        x = np.array([3.0])
+        assert counters.objective(f, x) == -91.0
+        x[0] = 4.0
+        assert counters.objective(f, x) == -84.0
+        assert len(calls) == counters.obj_evals == 2
+
+    def test_signed_zero_misses(self):
+        f = abs_fn()
+        calls = counting(f)
+        counters = Counters()
+        counters.objective(f, np.array([0.0]))
+        counters.objective(f, np.array([-0.0]))
+        assert len(calls) == counters.obj_evals == 2
+
+    def test_equal_bytes_of_another_dtype_miss(self):
+        f = abs_fn()
+        calls = counting(f)
+        counters = Counters()
+        x = np.array([2.5])
+        as_int = x.view(np.int64)
+        assert as_int.tobytes() == x.tobytes()
+        assert counters.objective(f, x) == 2.5
+        assert counters.objective(f, as_int) == float(as_int[0])
+        assert len(calls) == counters.obj_evals == 2
+
+    def test_another_function_at_the_same_point_misses(self):
+        f, g = quad_1d(), quad_1d()
+        f_calls, g_calls = counting(f), counting(g)
+        counters = Counters()
+        x = np.array([1.0])
+        counters.objective(f, x)
+        counters.objective(g, x)
+        counters.objective(f, x)
+        assert (len(f_calls), len(g_calls), counters.obj_evals) == (2, 1, 3)
+
+    def test_runs_sharing_a_problem_share_no_memo(self):
+        p = Problem(quad_1d(), [])
+        calls = counting(p.objective)
+        first, second = Counters(), Counters()
+        x = np.array([1.0])
+        p.objective_value(x, first)
+        p.objective_value(x, second)
+        p.objective_value(x, first)
+        assert (first.obj_evals, second.obj_evals, len(calls)) == (1, 1, 2)
+
+    def test_equality_and_repr_ignore_the_memo(self):
+        used, fresh = Counters(), Counters(obj_evals=1)
+        used.objective(quad_1d(), np.array([1.0]))
+        assert used == fresh
+        assert repr(used) == repr(fresh) == "Counters(projections=0, obj_evals=1)"
+
+
 class TestSubgradient:
     def test_quadratic_gradient(self):
         f = quad_1d()
