@@ -10,9 +10,9 @@ built (or loaded from the cache) before any timing starts; where it cannot
 run, its rows print ``n/a``.
 
 A second table times single ``cspm_sweep`` calls in ns per row, at
-m=120/n=60 and at the ``--m``/``--n`` size, without and with the step sums
-(``step_sums=True``) that the emptiness certificate of
-:mod:`cfpopt.feasibility` reads; ``moved`` is the share of rows that moved x.
+m=120/n=60 and at the ``--m``/``--n`` size; every call also sums the steps
+that the emptiness certificate of :mod:`cfpopt.feasibility` reads.  ``moved``
+is the share of rows that moved x.
 
 Usage:
     python benchmarks/backend_bench.py [--n 400] [--m 600] [--repeats 3]
@@ -57,7 +57,7 @@ def timed(fn, repeats):
     return best, result
 
 
-def kernel_ns_per_row(m, n, seed, repeats, step_sums):
+def kernel_ns_per_row(m, n, seed, repeats):
     """Best ns per row of one ``cspm_sweep`` call, and the share of rows that moved."""
     rows, x0, _z = make_system(m, n, seed)
     A = np.ascontiguousarray([r.a for r in rows])
@@ -71,7 +71,7 @@ def kernel_ns_per_row(m, n, seed, repeats, step_sums):
         t0 = time.perf_counter()
         for _ in range(calls):
             x = x0.copy()
-            moves = _kernels.cspm_sweep(A, lo, hi, norm2, x, 1.5, 1e-8, step_sums)[1]
+            moves = _kernels.cspm_sweep(A, lo, hi, norm2, x, 1.5, 1e-8)[1]
         best = min(best, (time.perf_counter() - t0) / (calls * m))
     return best * 1e9, moves / m
 
@@ -119,7 +119,7 @@ def main():
             print(f"{'':<32}{'speedup':<9}{both[1] / both[0]:>9.1f}x")
 
     print()
-    header = f"{'cspm_sweep kernel':<32}{'backend':<9}{'ns/row':>10}{'+sums':>10}{'moved':>8}"
+    header = f"{'cspm_sweep kernel':<32}{'backend':<9}{'ns/row':>10}{'moved':>8}"
     print(header)
     print("-" * len(header))
     for m, n in ((120, 60), (args.m, args.n)):
@@ -127,9 +127,8 @@ def main():
             if backend not in available:
                 continue
             _kernels.set_backend(backend)
-            plain, moved = kernel_ns_per_row(m, n, args.seed, args.repeats, False)
-            with_sums, _ = kernel_ns_per_row(m, n, args.seed, args.repeats, True)
-            print(f"{f'm={m}, n={n}':<32}{backend:<9}{plain:>10.1f}{with_sums:>10.1f}{moved:>8.0%}")
+            ns, moved = kernel_ns_per_row(m, n, args.seed, args.repeats)
+            print(f"{f'm={m}, n={n}':<32}{backend:<9}{ns:>10.1f}{moved:>8.0%}")
     _kernels.set_backend("auto")
 
 

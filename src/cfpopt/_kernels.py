@@ -6,10 +6,10 @@ row loop is the hot spot on packed affine systems.  Both backends implement
 the same row-by-row arithmetic:
 
 * ``cspm_sweep``: one full cyclic pass of relaxed projections onto the slabs
-  ``lo_i <= A_i . x <= hi_i``; returns the largest violation seen and the
-  number of rows that moved ``x``; with ``step_sums=True`` also the sums
-  over the moved rows that the emptiness test of :mod:`cfpopt.feasibility`
-  aggregates (see ``_cspm_sweep_numpy``).
+  ``lo_i <= A_i . x <= hi_i``; returns the largest violation seen, the
+  number of rows that moved ``x``, and the sums over the moved rows that the
+  emptiness test of :mod:`cfpopt.feasibility` aggregates (see
+  ``_cspm_sweep_numpy``).
 * ``art3_pass``: one pass of the automatic-relaxation rule over a work queue
   of row indices (reflect when the overshoot is at most the interval width,
   project onto the midline hyperplane when it is larger); returns the indices
@@ -95,14 +95,14 @@ class CBuildError(BackendUnavailableError):
     """A C compiler is present, but building or loading the kernel library failed."""
 
 
-def _cspm_sweep_numpy(A, lo, hi, norm2, x, lam, tol, step_sums=False):
-    """One relaxed-projection pass over the rows; returns (max violation, moves).
+def _cspm_sweep_numpy(A, lo, hi, norm2, x, lam, tol):
+    """One relaxed-projection pass over the rows; returns (max violation, moves, sums).
 
     A moved row steps ``x`` by ``-coef * h``, where ``h . y <= beta`` is its
     violated side (``h = A_i, beta = hi_i`` above the slab, ``h = -A_i,
-    beta = -lo_i`` below it).  With ``step_sums`` the result gains a third
-    entry: the sums of ``coef * (beta + tol)``, ``coef * (|beta| + tol)`` and
-    ``coef * |h|`` over the moved rows.
+    beta = -lo_i`` below it).  ``sums`` holds the sums of
+    ``coef * (beta + tol)``, ``coef * (|beta| + tol)`` and ``coef * |h|``
+    over the moved rows.
     """
     maxv = 0.0
     moves = 0
@@ -123,13 +123,10 @@ def _cspm_sweep_numpy(A, lo, hi, norm2, x, lam, tol, step_sums=False):
             else:
                 x += coef * A[i]
                 beta = -lo[i]
-            if step_sums:
-                b += coef * (beta + tol)
-                size += coef * (abs(beta) + tol)
-                steps += coef * math.sqrt(norm2[i])
-    if step_sums:
-        return maxv, moves, (float(b), float(size), float(steps))
-    return maxv, moves
+            b += coef * (beta + tol)
+            size += coef * (abs(beta) + tol)
+            steps += coef * math.sqrt(norm2[i])
+    return maxv, moves, (float(b), float(size), float(steps))
 
 
 def _art3_pass_numpy(A, lo, hi, norm2, x, queue, tol):
@@ -287,15 +284,13 @@ def _load_c() -> tuple:
                 raise CBuildError(f"cannot load the C kernels from {path}: {exc}") from exc
     buf = ffi.from_buffer
 
-    def cspm_sweep(A, lo, hi, norm2, x, lam, tol, step_sums=False):
+    def cspm_sweep(A, lo, hi, norm2, x, lam, tol):
         m, n = _check_system(A, lo, hi, norm2, x)
         out = ffi.new("double[4]")
         moves = lib.cfp_cspm_sweep(buf("double[]", A), buf("double[]", lo), buf("double[]", hi),
                                    buf("double[]", norm2), buf("double[]", x, require_writable=True),
                                    m, n, lam, tol, out)
-        if step_sums:
-            return out[0], moves, (out[1], out[2], out[3])
-        return out[0], moves
+        return out[0], moves, (out[1], out[2], out[3])
 
     def art3_pass(A, lo, hi, norm2, x, queue, tol):
         m, n = _check_system(A, lo, hi, norm2, x)
@@ -387,8 +382,9 @@ def set_backend(name: str) -> None:
     _active, _impls = _resolve(name)
 
 
-def cspm_sweep(A, lo, hi, norm2, x, lam, tol, step_sums=False):
-    return _current()[0](A, lo, hi, norm2, x, lam, tol, step_sums)
+def cspm_sweep(A, lo, hi, norm2, x, lam, tol):
+    """One relaxed-projection pass, in place; returns (max violation, moves, step sums)."""
+    return _current()[0](A, lo, hi, norm2, x, lam, tol)
 
 
 def art3_pass(A, lo, hi, norm2, x, queue, tol):

@@ -151,6 +151,21 @@ def _segment(constraints) -> list[tuple[str, object]]:
     return segments
 
 
+def _violated_subgradient(fn: ConvexFunction, x: np.ndarray, v: float) -> tuple[np.ndarray, float]:
+    """The subgradient ``xi`` and ``xi . xi`` of ``fn`` at ``x``, where it is violated by ``v``.
+
+    A vanishing one raises :class:`ZeroSubgradientError` with ``.constraint``
+    set to ``fn``: no step can reduce the violation there.
+    """
+    xi = fn.subgrad(x)
+    norm2 = float(xi @ xi)
+    if norm2 < _NORM2_FLOOR:
+        err = ZeroSubgradientError(f"violated constraint (value {v}) has zero subgradient")
+        err.constraint = fn
+        raise err
+    return xi, norm2
+
+
 def _check_tol(tol: float) -> float:
     tol = float(tol)
     if not np.isfinite(tol) or tol < 0.0:
@@ -223,7 +238,7 @@ class _StepAggregate:
         return not found and self.empty(x, moves, sweeps)
 
     def add(self, b: float, size: float, steps: float) -> None:
-        """Count row steps by their sums, as ``cspm_sweep(..., step_sums=True)`` gives them."""
+        """Count row steps by their sums, as ``cspm_sweep`` returns them."""
         self.b += b
         self.size += size
         self.steps += steps
@@ -291,11 +306,8 @@ class CyclicSweeper:
         maxv = 0.0
         for tag, seg in self.segments:
             if tag == "rows":
-                if agg is None:
-                    v, moved = _kernels.cspm_sweep(seg.A, seg.lo, seg.hi, seg.norm2, x, lam, tol)
-                else:
-                    v, moved, sums = _kernels.cspm_sweep(seg.A, seg.lo, seg.hi, seg.norm2, x,
-                                                         lam, tol, True)
+                v, moved, sums = _kernels.cspm_sweep(seg.A, seg.lo, seg.hi, seg.norm2, x, lam, tol)
+                if agg is not None:
                     agg.add(*sums)
                 self.counters.projections += seg.A.shape[0]
                 self.moves += moved
@@ -308,14 +320,7 @@ class CyclicSweeper:
                 if v > maxv:
                     maxv = v
                 if v > tol:
-                    xi = fn.subgrad(x)
-                    norm2 = float(xi @ xi)
-                    if norm2 < _NORM2_FLOOR:
-                        err = ZeroSubgradientError(
-                            f"violated constraint (value {v}) has zero subgradient"
-                        )
-                        err.constraint = fn
-                        raise err
+                    xi, norm2 = _violated_subgradient(fn, x, v)
                     coef = lam * v / norm2
                     if agg is not None:
                         agg.add_linearization(fn, x, v, xi, norm2, coef)
@@ -380,12 +385,7 @@ class Art3Sweeper:
             self.counters.projections += 1
             v = self.level.value(x)
             if v > self.tol:
-                xi = self.level.subgrad(x)
-                norm2 = float(xi @ xi)
-                if norm2 < _NORM2_FLOOR:
-                    err = ZeroSubgradientError("violated level constraint has zero subgradient")
-                    err.constraint = self.level
-                    raise err
+                xi, norm2 = _violated_subgradient(self.level, x, v)
                 x = x - (v / norm2) * xi
                 self.moves += 1
                 kept = np.concatenate([kept, np.array([self.n_rows], dtype=np.int64)])
@@ -407,14 +407,14 @@ def make_sweeper(kind: str, constraints, lam, tol: float, counters: Counters,
     """
     if kind in ("cspm", "pocs"):
         if kind == "pocs":
-            _require_affine(constraints, "pocs_solve")
+            _require_affine(constraints, kind)
         return CyclicSweeper(constraints, lam, tol, counters, bounds)
     if kind == "art3+":
         rows = list(constraints)
         level = None
         if rows and isinstance(rows[-1], LevelConstraint):
             level = rows.pop()
-        _require_affine(rows, "art3plus_solve")
+        _require_affine(rows, kind)
         return Art3Sweeper(rows, level, tol, counters)
     raise ValueError(f"unknown feasibility solver {kind!r}")
 
@@ -426,7 +426,17 @@ def _require_affine(constraints, who: str) -> None:
 
 
 def _run(sweeper, x0: np.ndarray, max_sweeps: int, counters: Counters,
-         history: list | None, max_projections: int | None) -> FeasibilityOutcome:
+         history: list | None, max_projections: int | None,
+         before_sweep=None) -> FeasibilityOutcome:
+    """The sweep/time-out loop of every feasibility solve.
+
+    Sweeps until one certifies every constraint within tolerance (found), the
+    sweeper proves the system empty, ``max_sweeps`` sweeps have run, or the
+    solve has made ``max_projections`` projections (checked before each
+    sweep).  ``before_sweep(x, k)``, when given, maps the iterate just before
+    sweep ``k``; superiorization perturbs it there.  A
+    :class:`ZeroSubgradientError` leaves with ``.x`` and ``.sweeps`` set.
+    """
     x = x0.copy()
     proj0 = counters.projections
     obj0 = counters.obj_evals
@@ -436,6 +446,8 @@ def _run(sweeper, x0: np.ndarray, max_sweeps: int, counters: Counters,
     for k in range(max_sweeps):
         if max_projections is not None and counters.projections - proj0 >= max_projections:
             break
+        if before_sweep is not None:
+            x = before_sweep(x, k)
         try:
             x = sweeper.sweep(x, k)
         except ZeroSubgradientError as err:
@@ -447,29 +459,30 @@ def _run(sweeper, x0: np.ndarray, max_sweeps: int, counters: Counters,
             history.append(x.copy())
         if sweeper.certified or sweeper.empty:
             break
-    return sweep_outcome(sweeper, x, sweeps, counters, proj0, obj0)
-
-
-def sweep_outcome(sweeper, x: np.ndarray, sweeps: int, counters: Counters,
-                  proj0: int, obj0: int) -> FeasibilityOutcome:
-    """The outcome of a solve whose sweep loop ended after ``sweeps`` sweeps."""
     return FeasibilityOutcome(
         bool(sweeper.certified), x, sweeps, counters.projections - proj0,
         counters.obj_evals - obj0, sweeper.moves, infeasibility_certified=sweeper.empty,
     )
 
 
+def _solve(kind: str, constraints, x0, lam, max_sweeps: int, tol: float,
+           counters: Counters | None, history: list | None,
+           max_projections: int | None) -> FeasibilityOutcome:
+    constraints = list(constraints)
+    if not constraints:
+        raise ValueError("constraint list must be nonempty")
+    if kind != "cspm":  # make_sweeper lets ART3+ take a trailing level constraint
+        _require_affine(constraints, kind)
+    counters = counters if counters is not None else Counters()
+    sweeper = make_sweeper(kind, constraints, lam, tol, counters)
+    return _run(sweeper, as_vector(x0), max_sweeps, counters, history, max_projections)
+
+
 def cspm_solve(constraints, x0, lam=DEFAULT_RELAXATION, max_sweeps: int = DEFAULT_MAX_SWEEPS,
                tol: float = DEFAULT_FEAS_TOL, counters: Counters | None = None,
                history: list | None = None, max_projections: int | None = None) -> FeasibilityOutcome:
     """Cyclic subgradient projections over general convex constraints."""
-    constraints = list(constraints)
-    if not constraints:
-        raise ValueError("constraint list must be nonempty")
-    counters = counters if counters is not None else Counters()
-    x0 = as_vector(x0)
-    sweeper = CyclicSweeper(constraints, lam, tol, counters)
-    return _run(sweeper, x0, max_sweeps, counters, history, max_projections)
+    return _solve("cspm", constraints, x0, lam, max_sweeps, tol, counters, history, max_projections)
 
 
 def pocs_solve(constraints, x0, lam=DEFAULT_RELAXATION, max_sweeps: int = DEFAULT_MAX_SWEEPS,
@@ -481,14 +494,7 @@ def pocs_solve(constraints, x0, lam=DEFAULT_RELAXATION, max_sweeps: int = DEFAUL
     projection equals the subgradient projection, so the iterates coincide
     with :func:`cspm_solve` on the same system.
     """
-    constraints = list(constraints)
-    if not constraints:
-        raise ValueError("constraint list must be nonempty")
-    _require_affine(constraints, "pocs_solve")
-    counters = counters if counters is not None else Counters()
-    x0 = as_vector(x0)
-    sweeper = CyclicSweeper(constraints, lam, tol, counters)
-    return _run(sweeper, x0, max_sweeps, counters, history, max_projections)
+    return _solve("pocs", constraints, x0, lam, max_sweeps, tol, counters, history, max_projections)
 
 
 def art3plus_solve(constraints, x0, max_sweeps: int = DEFAULT_MAX_SWEEPS,
@@ -501,14 +507,7 @@ def art3plus_solve(constraints, x0, max_sweeps: int = DEFAULT_MAX_SWEEPS,
     always projects onto the hyperplane).  A "sweep" is one pass over the
     current work queue.
     """
-    constraints = list(constraints)
-    if not constraints:
-        raise ValueError("constraint list must be nonempty")
-    _require_affine(constraints, "art3plus_solve")
-    counters = counters if counters is not None else Counters()
-    x0 = as_vector(x0)
-    sweeper = Art3Sweeper(constraints, None, tol, counters)
-    return _run(sweeper, x0, max_sweeps, counters, history, max_projections)
+    return _solve("art3+", constraints, x0, None, max_sweeps, tol, counters, history, max_projections)
 
 
 def cfp_with_level(problem: Problem, t: float, solver: SolverSpec | str = "cspm",

@@ -8,6 +8,11 @@ l is global: it only ever advances, across inner loops and outer iterations
 alike, so the total perturbation budget is finite.  A candidate
 ``z = x + eta_l d`` is accepted when it stays inside the admissible domain
 and does not increase the merit relative to the current outer iterate.
+
+The feasibility algorithm itself is unchanged: a superiorized solve runs the
+base solver's own sweep loop, with the perturbations as its pre-sweep hook.
+Once the step sizes fall below ``_BETA_FLOOR`` no candidate can be tried
+again, so the hook leaves the iterate alone for the rest of the solve.
 """
 
 from __future__ import annotations
@@ -17,9 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .feasibility import FeasibilityOutcome, make_sweeper, sweep_outcome
+from .feasibility import FeasibilityOutcome, _run, make_sweeper
 from .model import Bounds, ConvexFunction, Counters, as_vector
-from .projections import ZeroSubgradientError
 
 __all__ = [
     "SuperiorizationConfig",
@@ -28,8 +32,9 @@ __all__ = [
     "superiorized_solve",
 ]
 
-# candidate step sizes below this are treated as exhausted; the inner loop
-# would otherwise never terminate once no candidate is acceptable
+# candidate step sizes below this are treated as exhausted, for the rest of the
+# solve; the inner loop would otherwise never terminate once no candidate is
+# acceptable
 _BETA_FLOOR = 1e-300
 
 
@@ -97,21 +102,19 @@ def superiorized_solve(kind: str, constraints, x0, cfg: SuperiorizationConfig,
                        bounds: Bounds | None = None) -> FeasibilityOutcome:
     """Feasibility seeking with interleaved merit perturbations.
 
-    Per outer iteration: N accepted perturbation steps, then one sweep of the
-    base solver ``kind`` over ``constraints``.  Termination follows the base
-    solver's contract: found once a full sweep certifies every constraint
-    within ``tol``, proven empty once the sweeps' steps certify it (CSPM and
-    POCS given the bound box ``bounds``, see :func:`make_sweeper`; the
-    perturbations take no part in the certificate), timed out after
-    ``max_outer`` outer iterations.  With ``N=0`` this reproduces the base
-    solver's iterates exactly.
+    The base solver ``kind``'s sweep loop over ``constraints``, with a
+    pre-sweep hook: per outer iteration, N accepted perturbation steps, then
+    one sweep.  Once the global step index passes the step-size floor the
+    hook perturbs no more.  Termination follows the base solver's contract:
+    found once a full sweep certifies every constraint within ``tol``, proven
+    empty once the sweeps' steps certify it (CSPM and POCS given the bound
+    box ``bounds``, see :func:`make_sweeper`; the perturbations take no part
+    in the certificate), timed out after ``max_outer`` outer iterations.
+    With ``N=0`` this reproduces the base solver's iterates exactly.
     """
     if cfg.merit is None and cfg.N > 0:
         raise ValueError("superiorization needs a merit function when N > 0")
     counters = counters if counters is not None else Counters()
-    x = as_vector(x0).copy()
-    proj0 = counters.projections
-    obj0 = counters.obj_evals
     sweeper = make_sweeper(kind, constraints, lam, tol, counters, bounds)
 
     def merit_value(z: np.ndarray) -> float:
@@ -125,42 +128,31 @@ def superiorized_solve(kind: str, constraints, x0, cfg: SuperiorizationConfig,
         return cfg.merit.value(z)
 
     ell = -1
-    sweeps = 0
-    if sweeper.certified:
-        return FeasibilityOutcome(True, x, 0, 0, 0, 0)
-    for k in range(max_outer):
-        if max_projections is not None and counters.projections - proj0 >= max_projections:
-            break
-        if cfg.N > 0:
-            anchor = merit_value(x)
-            exhausted = False
-            for _ in range(cfg.N):
-                d = nonascending_direction(cfg.merit, x)
-                while True:
-                    ell += 1
-                    beta = cfg.a**ell
-                    if beta < _BETA_FLOOR:
-                        exhausted = True
-                        break
-                    z = x + beta * d
-                    if (cfg.domain is None or cfg.domain(z)) and merit_value(z) <= anchor:
-                        if trace is not None:
-                            trace.accepted.append((k, ell, beta, z.copy(), anchor))
-                        x = z
-                        break
+    exhausted = False
+
+    def perturb(x: np.ndarray, k: int) -> np.ndarray:
+        """N accepted merit steps from x before sweep k; none once the step sizes run out."""
+        nonlocal ell, exhausted
+        if exhausted:
+            return x
+        anchor = merit_value(x)
+        for _ in range(cfg.N):
+            d = nonascending_direction(cfg.merit, x)
+            while True:
+                ell += 1
+                beta = cfg.a**ell
+                if beta < _BETA_FLOOR:
+                    exhausted = True
+                    return x
+                z = x + beta * d
+                if (cfg.domain is None or cfg.domain(z)) and merit_value(z) <= anchor:
                     if trace is not None:
-                        trace.rejected += 1
-                if exhausted:
+                        trace.accepted.append((k, ell, beta, z.copy(), anchor))
+                    x = z
                     break
-        try:
-            x = sweeper.sweep(x, k)
-        except ZeroSubgradientError as err:
-            err.x = x
-            err.sweeps = k
-            raise
-        sweeps = k + 1
-        if history is not None:
-            history.append(x.copy())
-        if sweeper.certified or sweeper.empty:
-            break
-    return sweep_outcome(sweeper, x, sweeps, counters, proj0, obj0)
+                if trace is not None:
+                    trace.rejected += 1
+        return x
+
+    return _run(sweeper, as_vector(x0), max_outer, counters, history, max_projections,
+                perturb if cfg.N > 0 else None)

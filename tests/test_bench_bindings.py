@@ -1,0 +1,56 @@
+"""The benchmark's layer tracer still finds, wraps and restores its bindings.
+
+``solvebench/tracing.py`` rebinds cfpopt functions at the names their callers
+look them up by.  A refactor that moves such a call off its name would leave
+``solvebench/run.py --trace 1`` counting nothing (or raise in ``install``).
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cfpopt import feasibility, harness, superiorize
+from cfpopt.feasibility import SolverSpec, cfp_with_level
+from cfpopt.model import AffineConstraint, Bounds, Problem, QuadraticFunction
+
+ROOT = Path(__file__).resolve().parent.parent
+
+BINDINGS = [
+    (superiorize, "make_sweeper"),
+    (superiorize, "superiorized_solve"),
+    (superiorize, "nonascending_direction"),
+    (feasibility, "make_sweeper"),
+    (harness, "level_set_solve"),
+    (harness, "accelerated_level_set_solve"),
+    (harness, "bisection_solve"),
+]
+
+
+@pytest.fixture
+def tracer_class(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    monkeypatch.syspath_prepend(str(ROOT / "solvebench"))
+    from tracing import Tracer
+
+    return Tracer
+
+
+def test_superiorized_solve_is_traced_and_restored(tracer_class):
+    originals = {(owner.__name__, attr): getattr(owner, attr) for owner, attr in BINDINGS}
+    problem = Problem(QuadraticFunction(2.0 * np.eye(2), [-2.0, -2.0]),
+                      [AffineConstraint.leq([1.0, 1.0], 1.0)],
+                      bounds=Bounds([-5.0, -5.0], [5.0, 5.0]))
+    tracer = tracer_class()
+    tracer.install()
+    try:
+        for owner, attr in BINDINGS:
+            assert getattr(owner, attr) is not originals[(owner.__name__, attr)], attr
+        out = cfp_with_level(problem, 0.0, SolverSpec("cspm", superiorized=True), x0=[4.0, 4.0])
+    finally:
+        tracer.uninstall()
+    assert out.found
+    for name in ("superiorize.solve", "superiorize.direction", "feasibility.setup"):
+        assert tracer.calls[name][0] > 0, name
+    for owner, attr in BINDINGS:
+        assert getattr(owner, attr) is originals[(owner.__name__, attr)], attr

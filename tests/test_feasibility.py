@@ -19,6 +19,7 @@ from cfpopt.model import (
     QuadraticFunction,
 )
 from cfpopt.projections import ZeroSubgradientError
+from cfpopt.superiorize import SuperiorizationConfig, superiorized_solve
 
 
 def halfspace_ge1():
@@ -59,9 +60,15 @@ class TestCspm:
         cspm_solve([halfspace_ge1()], [0.0], lam=1.0, counters=counters)
         assert counters.projections == 4
 
-    def test_max_projections_limit_mode(self):
+    @pytest.mark.parametrize("solve", [
+        cspm_solve,
+        lambda cons, x0, max_sweeps, **kw: superiorized_solve(
+            "cspm", cons, x0, SuperiorizationConfig(N=1, merit=QuadraticFunction([[2.0]], [0.0])),
+            max_outer=max_sweeps, **kw),
+    ], ids=["cspm", "superiorized"])
+    def test_max_projections_limit_mode(self, solve):
         cons = [AffineConstraint.leq([1.0], -1.0), AffineConstraint.geq([1.0], 1.0)]
-        out = cspm_solve(cons, [0.0], lam=1.0, max_sweeps=10_000, max_projections=50)
+        out = solve(cons, [0.0], lam=1.0, max_sweeps=10_000, max_projections=50)
         assert not out.found
         assert out.projections <= 50 + len(cons)
 
@@ -207,15 +214,17 @@ class TestCfpWithLevel:
         out = cfp_with_level(p, 0.5, "cspm", x0=[2.0], max_sweeps=300)
         assert not out.found
 
-    def test_level_at_objective_minimum_certifies_infeasibility(self):
+    @pytest.mark.parametrize("solver", ["cspm", SolverSpec("cspm", superiorized=True)],
+                             ids=["cspm", "superiorized"])
+    def test_level_at_objective_minimum_certifies_infeasibility(self, solver):
         # a vanishing objective subgradient at a violated level proves the
         # level set empty; starting at the minimizer of x^2 triggers it
         p = Problem(QuadraticFunction([[2.0]], [0.0]), [AffineConstraint.geq([1.0], -10.0)])
-        out = cfp_with_level(p, -1.0, "cspm", x0=[0.0], lam=1.0)
+        out = cfp_with_level(p, -1.0, solver, x0=[0.0], lam=1.0)
         assert not out.found
         assert out.infeasibility_certified
         # from a generic start the same empty level set times out gracefully
-        out = cfp_with_level(p, -1.0, "cspm", x0=[0.5], lam=1.0, max_sweeps=100)
+        out = cfp_with_level(p, -1.0, solver, x0=[0.5], lam=1.0, max_sweeps=100)
         assert not out.found
 
     def test_art3_solver_with_level(self):

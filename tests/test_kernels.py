@@ -81,7 +81,7 @@ def test_cspm_step_sums_backend_agreement(seed, cffi, restore_backend):
         _kernels.set_backend(backend)
         x, passes = x0.copy(), []
         for _ in range(50):
-            passes.append(_kernels.cspm_sweep(A, lo, hi, norm2, x, 1.5, 1e-8, True))
+            passes.append(_kernels.cspm_sweep(A, lo, hi, norm2, x, 1.5, 1e-8))
         results[backend] = (x, passes)
     (xa, pa), (xb, pb) = results["c"], results["numpy"]
     assert [p[1] for p in pa] == [p[1] for p in pb]
@@ -119,7 +119,7 @@ def test_c_kernels_update_in_place_and_validate(cffi, restore_backend):
     A = np.array([[1.0]])
     lo, hi, norm2 = np.array([0.0]), np.array([2.0]), np.array([1.0])
     x = np.array([5.0])
-    assert _kernels.cspm_sweep(A, lo, hi, norm2, x, 1.0, 1e-8) == (3.0, 1)
+    assert _kernels.cspm_sweep(A, lo, hi, norm2, x, 1.0, 1e-8)[:2] == (3.0, 1)
     assert x[0] == 2.0
     x = np.array([5.0])
     kept = _kernels.art3_pass(A, lo, hi, norm2, x, np.array([0], dtype=np.int64), 1e-8)
@@ -205,15 +205,15 @@ def test_numpy_kernel_semantics_by_hand():
     A = np.array([[1.0]])
     lo, hi, norm2 = np.array([0.0]), np.array([2.0]), np.array([1.0])
     x = np.array([5.0])
-    maxv, moves = _kernels._cspm_sweep_numpy(A, lo, hi, norm2, x, 1.0, 1e-8)
+    maxv, moves, _ = _kernels._cspm_sweep_numpy(A, lo, hi, norm2, x, 1.0, 1e-8)
     assert maxv == pytest.approx(3.0)
     assert moves == 1
     assert x == pytest.approx([2.0])
     # the step sums: mu = 3 off the upper face x <= 2 (beta = 2, |h| = 1),
     # and mu = 1.5 (lam 0.5) off the lower face -x <= 0 from x = -3
-    _, _, sums = _kernels._cspm_sweep_numpy(A, lo, hi, norm2, np.array([5.0]), 1.0, 1e-8, True)
+    _, _, sums = _kernels._cspm_sweep_numpy(A, lo, hi, norm2, np.array([5.0]), 1.0, 1e-8)
     assert sums == pytest.approx((3.0 * (2.0 + 1e-8), 3.0 * (2.0 + 1e-8), 3.0))
-    _, _, sums = _kernels._cspm_sweep_numpy(A, lo, hi, norm2, np.array([-3.0]), 0.5, 1e-8, True)
+    _, _, sums = _kernels._cspm_sweep_numpy(A, lo, hi, norm2, np.array([-3.0]), 0.5, 1e-8)
     assert sums == pytest.approx((1.5 * 1e-8, 1.5 * 1e-8, 1.5), rel=1e-12, abs=0)
 
 

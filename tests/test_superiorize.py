@@ -165,6 +165,31 @@ class TestAlgorithmContract:
         out = superiorized_solve("cspm", self.cfp(), [5.0], cfg, lam=1.0, max_outer=3)
         assert out.found  # exits the dead loop and still sweeps
 
+    def test_perturbation_stops_once_steps_exhausted(self):
+        # the hostile merit along x[0] rejects every candidate while x[1]
+        # cycles between two contradictory rows, so the global step index
+        # passes the floor in the first outer step and the solve times out
+        calls = {"value": 0, "subgrad": 0}
+
+        def value(x):
+            calls["value"] += 1
+            return float(x[0])
+
+        def subgrad(x):
+            calls["subgrad"] += 1
+            return np.array([-1.0, 0.0])
+
+        hostile = CustomFunction(value, subgrad, name="hostile")
+        cons = [AffineConstraint.leq([0.0, 1.0], -1.0), AffineConstraint.geq([0.0, 1.0], 1.0)]
+        trace = PerturbationTrace()
+        out = superiorized_solve("cspm", cons, [0.0, 0.0],
+                                 SuperiorizationConfig(N=1, a=0.5, merit=hostile),
+                                 lam=1.0, max_outer=50, trace=trace)
+        assert out.timed_out and out.sweeps == 50
+        assert not trace.accepted and 0.5 ** (trace.rejected + 1) < 1e-300
+        # one anchor and one direction, in outer step 0 only
+        assert calls == {"value": 1 + trace.rejected, "subgrad": 1}
+
     def test_art3_base_operator(self):
         rows = [AffineConstraint.interval([1.0], 1.0, 4.0)]
         phi = QuadraticFunction([[2.0]], [0.0])
