@@ -10,7 +10,9 @@ feasibility engine and optional superiorization perturbations.
 from ._kernels import active_backend, available_backends, set_backend
 from .feasibility import (
     FeasibilityOutcome,
+    Relaxation,
     SolverSpec,
+    ZeroSubgradientError,
     art3plus_solve,
     cfp_with_level,
     cspm_solve,
@@ -45,15 +47,6 @@ from .model import (
     make_underdose,
     max_violation,
 )
-from .projections import (
-    Relaxation,
-    ZeroSubgradientError,
-    project_box,
-    project_halfspace,
-    project_hyperplane,
-    relax_step,
-    subgradient_project,
-)
 from .qps import ParseDiagnostic, QpsDocument, QpsParseError, load_qps, parse_qps, write_qps
 from .schemes import (
     CASE1,
@@ -65,7 +58,6 @@ from .schemes import (
     SchemeResult,
     accelerated_level_set_solve,
     bisection_solve,
-    classify_termination,
     counterexample_run,
     epsilon_update,
     level_set_solve,

@@ -195,7 +195,11 @@ def _cmd_bench(args) -> int:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
         for vname in variant_names:
-            report = run_variant(vname, problem, config, fstar=fstars.get(problem.name))
+            try:
+                report = run_variant(vname, problem, config, fstar=fstars.get(problem.name))
+            except ValueError as exc:
+                print(f"error: {path}: {vname}: {exc}", file=sys.stderr)
+                return 2
             reports.append(report)
             print(f"{problem.name:<16} {vname:<18} {report.status:<14} "
                   f"f_hat={'-' if report.f_hat is None else f'{report.f_hat:.6g}'}")

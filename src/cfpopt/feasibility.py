@@ -20,6 +20,12 @@ certificate's gap stop growing.
 Runs of affine constraints are packed into dense arrays and swept by the
 kernels in :mod:`cfpopt._kernels`; any other convex constraint is handled
 through its value/subgradient oracle.
+
+This module owns the step rule and its types: one sweep of
+:func:`cspm_solve` over a single set is the relaxed (subgradient)
+projection onto it, :class:`Relaxation` schedules the step length, and
+:class:`ZeroSubgradientError` flags a violated constraint that admits no
+step.
 """
 
 from __future__ import annotations
@@ -31,10 +37,11 @@ import numpy as np
 
 from . import _kernels
 from .model import AffineConstraint, Bounds, ConvexFunction, Counters, Problem, as_vector
-from .projections import Relaxation, ZeroSubgradientError, _NORM2_FLOOR
 
 __all__ = [
     "FeasibilityOutcome",
+    "Relaxation",
+    "ZeroSubgradientError",
     "SolverSpec",
     "cspm_solve",
     "pocs_solve",
@@ -49,6 +56,41 @@ DEFAULT_MAX_SWEEPS = 1000
 DEFAULT_FEAS_TOL = 1e-8
 # over-relaxed step, midpoint of the open interval (1, 2)
 DEFAULT_RELAXATION = 1.5
+# below this squared norm a subgradient is treated as zero (guards Inf steps)
+_NORM2_FLOOR = 1e-300
+
+
+class ZeroSubgradientError(ValueError):
+    """A violated constraint returned a (numerically) zero subgradient.
+
+    For a consistent set this cannot happen: a zero subgradient at x would
+    force c(x) to be a global minimum, contradicting c(x) > 0.
+    """
+
+
+@dataclass(frozen=True)
+class Relaxation:
+    """Relaxation parameter schedule for projection steps.
+
+    A constant value in the open interval (0, 2), or a per-iteration
+    sequence via ``schedule`` (a callable k -> lambda_k, every value again
+    in (0, 2)).
+    """
+
+    lam: float = 1.0
+    schedule: object = None  # optional callable k -> float
+
+    def __post_init__(self):
+        if self.schedule is None and not 0.0 < self.lam < 2.0:
+            raise ValueError(f"relaxation parameter must lie in (0, 2), got {self.lam}")
+
+    def at(self, k: int) -> float:
+        if self.schedule is None:
+            return self.lam
+        lam = float(self.schedule(k))
+        if not 0.0 < lam < 2.0:
+            raise ValueError(f"relaxation schedule produced {lam}, outside (0, 2)")
+        return lam
 
 
 @dataclass
@@ -404,25 +446,23 @@ def make_sweeper(kind: str, constraints, lam, tol: float, counters: Counters,
 
     ``bounds``, when given, must be the box whose rows are among
     ``constraints``; CSPM and POCS then test for emptiness after every sweep.
+    This is the only check of a solver kind against its constraints: POCS
+    and ART3+ take affine rows alone (ART3+ also a trailing level
+    constraint), and anything else raises ``ValueError`` before any sweep.
     """
+    rows = list(constraints)
+    level = None
+    if kind == "art3+" and rows and isinstance(rows[-1], LevelConstraint):
+        level = rows.pop()
+    if kind in ("pocs", "art3+"):
+        for c in rows:
+            if not isinstance(c, AffineConstraint):
+                raise ValueError(f"{kind} requires affine (interval) constraints, got {c!r}")
     if kind in ("cspm", "pocs"):
-        if kind == "pocs":
-            _require_affine(constraints, kind)
-        return CyclicSweeper(constraints, lam, tol, counters, bounds)
+        return CyclicSweeper(rows, lam, tol, counters, bounds)
     if kind == "art3+":
-        rows = list(constraints)
-        level = None
-        if rows and isinstance(rows[-1], LevelConstraint):
-            level = rows.pop()
-        _require_affine(rows, kind)
         return Art3Sweeper(rows, level, tol, counters)
     raise ValueError(f"unknown feasibility solver {kind!r}")
-
-
-def _require_affine(constraints, who: str) -> None:
-    for c in constraints:
-        if not isinstance(c, AffineConstraint):
-            raise ValueError(f"{who} requires affine (interval) constraints, got {c!r}")
 
 
 def _run(sweeper, x0: np.ndarray, max_sweeps: int, counters: Counters,
@@ -471,8 +511,6 @@ def _solve(kind: str, constraints, x0, lam, max_sweeps: int, tol: float,
     constraints = list(constraints)
     if not constraints:
         raise ValueError("constraint list must be nonempty")
-    if kind != "cspm":  # make_sweeper lets ART3+ take a trailing level constraint
-        _require_affine(constraints, kind)
     counters = counters if counters is not None else Counters()
     sweeper = make_sweeper(kind, constraints, lam, tol, counters)
     return _run(sweeper, as_vector(x0), max_sweeps, counters, history, max_projections)

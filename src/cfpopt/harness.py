@@ -2,7 +2,8 @@
 
 Twelve named variants combine a scheme (level set or bisection, plain or
 accelerated) with a feasibility solver (CSPM or ART3+), optionally
-superiorized.  Each (variant, problem) run yields a :class:`RunReport` with
+superiorized; :func:`run_variant` dispatches the scheme through one table,
+``_SCHEMES``.  Each (variant, problem) run yields a :class:`RunReport` with
 the best value found, a quality score against the best known value when one
 is supplied, and the projection / objective-evaluation counters that serve
 as machine-independent complexity measures.
@@ -49,20 +50,32 @@ __all__ = [
 ]
 
 
+# scheme name -> runner(problem, config, keyword arguments); each runner looks
+# its scheme function up by its module-level name at call time, so a rebinding
+# of that name (a tracer's, say) reaches every variant
+_SCHEMES = {
+    "levelset": lambda problem, config, kw: level_set_solve(problem, **kw),
+    "levelset-accelerated": lambda problem, config, kw: accelerated_level_set_solve(
+        problem, accel=config.acceleration(), **kw),
+    "bisection": lambda problem, config, kw: bisection_solve(problem, cfg=config.bisection(), **kw),
+    "bisection-accelerated": lambda problem, config, kw: bisection_solve(
+        problem, cfg=config.bisection(), accel=config.acceleration(), **kw),
+}
+
+
 @dataclass(frozen=True)
 class VariantSpec:
     """One cell of the tested-scheme matrix."""
 
     name: str
-    scheme: str  # levelset | levelset-accelerated | bisection | bisection-accelerated
-    feas_solver: str  # cspm | art3+ | pocs
+    scheme: str  # a key of _SCHEMES
+    feas_solver: str  # a SolverSpec kind: cspm | art3+ | pocs
     superiorized: bool = False
 
     def __post_init__(self):
-        if self.scheme not in ("levelset", "levelset-accelerated", "bisection", "bisection-accelerated"):
+        if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.feas_solver not in ("cspm", "art3+", "pocs"):
-            raise ValueError(f"unknown feasibility solver {self.feas_solver!r}")
+        SolverSpec(kind=self.feas_solver)  # raises on an unknown solver kind
 
 
 def _variant_table() -> dict[str, VariantSpec]:
@@ -168,31 +181,21 @@ def quality_score(f_hat: float, fstar: float) -> float:
     return (f_hat - fstar) / abs(fstar)
 
 
-def _validate_pairing(variant: VariantSpec, problem: Problem) -> None:
-    if variant.feas_solver in ("art3+", "pocs"):
-        for c in problem.all_constraints():
-            if not isinstance(c, AffineConstraint):
-                raise ValueError(
-                    f"variant {variant.name!r} needs affine (interval) constraints, "
-                    f"but problem {problem.name!r} has {c!r}"
-                )
-
-
 def run_variant(variant: VariantSpec | str, problem: Problem,
                 config: HarnessConfig | None = None,
                 fstar: float | None = None, x0=None) -> RunReport:
     """Execute one variant on one problem and report counters and scores.
 
     Deterministic: identical inputs give an identical report apart from the
-    wall-time field.  Raises before any compute when the variant cannot run
-    on the problem's constraint kinds.
+    wall-time field.  Raises ``ValueError`` before any sweep when the
+    variant's feasibility solver cannot take the problem's constraint kinds
+    (see :func:`cfpopt.feasibility.make_sweeper`).
     """
     if isinstance(variant, str):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; choices: {sorted(VARIANTS)}")
         variant = VARIANTS[variant]
     config = config if config is not None else HarnessConfig()
-    _validate_pairing(variant, problem)
 
     spec = SolverSpec(
         kind=variant.feas_solver,
@@ -208,19 +211,11 @@ def run_variant(variant: VariantSpec | str, problem: Problem,
     max_sweeps = config.max_sweeps
     if config.max_projections is not None:
         max_sweeps = max(max_sweeps, config.max_projections)
-    common = dict(solver=spec, x0=x0, lam=config.lam, max_sweeps=max_sweeps,
+    common = dict(solver=spec, x0=x0, rule=rule, lam=config.lam, max_sweeps=max_sweeps,
                   tol=config.feas_tol, max_outer=config.max_outer,
                   max_projections=config.max_projections)
     start = time.perf_counter()
-    if variant.scheme == "levelset":
-        result = level_set_solve(problem, rule=rule, **common)
-    elif variant.scheme == "levelset-accelerated":
-        result = accelerated_level_set_solve(problem, rule=rule, accel=config.acceleration(), **common)
-    elif variant.scheme == "bisection":
-        result = bisection_solve(problem, cfg=config.bisection(), rule=rule, **common)
-    else:
-        result = bisection_solve(problem, cfg=config.bisection(), rule=rule,
-                                 accel=config.acceleration(), **common)
+    result = _SCHEMES[variant.scheme](problem, config, common)
     ms = (time.perf_counter() - start) * 1e3
 
     effective_fstar = fstar if fstar is not None else problem.fstar

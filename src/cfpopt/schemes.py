@@ -44,7 +44,6 @@ __all__ = [
     "AccelerationConfig",
     "BisectionConfig",
     "SchemeResult",
-    "classify_termination",
     "level_set_solve",
     "accelerated_level_set_solve",
     "bisection_solve",
@@ -168,20 +167,6 @@ class SchemeResult:
     @property
     def found_feasible(self) -> bool:
         return self.best_x is not None
-
-
-def classify_termination(trace, last_found: bool, cap_reached: bool = False) -> str:
-    """Map a scheme trajectory onto the termination cases.
-
-    ``trace`` lists the accepted feasible steps; ``last_found`` tells whether
-    the final feasibility attempt succeeded; ``cap_reached`` flags runs that
-    exhausted the outer iteration budget with every attempt succeeding.
-    """
-    if cap_reached and last_found:
-        return ITERATION_CAP
-    if len(trace) == 0:
-        return CASE1
-    return CASE2_OR_3
 
 
 def _perturb(problem: Problem, x: np.ndarray, accel: AccelerationConfig, counters: Counters) -> np.ndarray:

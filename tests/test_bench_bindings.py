@@ -2,7 +2,9 @@
 
 ``solvebench/tracing.py`` rebinds cfpopt functions at the names their callers
 look them up by.  A refactor that moves such a call off its name would leave
-``solvebench/run.py --trace 1`` counting nothing (or raise in ``install``).
+``solvebench/run.py --trace 1`` counting nothing (or raise in ``install``):
+``harness.run_variant``, for one, must look its scheme functions up by their
+module names at call time.
 """
 
 from pathlib import Path
@@ -47,9 +49,13 @@ def test_superiorized_solve_is_traced_and_restored(tracer_class):
         for owner, attr in BINDINGS:
             assert getattr(owner, attr) is not originals[(owner.__name__, attr)], attr
         out = cfp_with_level(problem, 0.0, SolverSpec("cspm", superiorized=True), x0=[4.0, 4.0])
+        # run_variant's scheme table must reach the rebound scheme functions
+        for variant in ("ls_acc_cspm", "bis_cspm"):
+            harness.run_variant(variant, problem, x0=[4.0, 4.0])
     finally:
         tracer.uninstall()
     assert out.found
+    assert tracer.calls["schemes.run"][0] == 2
     for name in ("superiorize.solve", "superiorize.direction", "feasibility.setup"):
         assert tracer.calls[name][0] > 0, name
     for owner, attr in BINDINGS:

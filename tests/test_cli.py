@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from cfpopt import _kernels
@@ -39,8 +40,10 @@ class TestSolve:
             main(["solve", "--builtin", "simple_qp", "--variant", "simplex"])
         assert exc.value.code == 2
 
-    def test_pairing_error_is_input_error(self):
+    def test_pairing_error_is_input_error(self, capsys):
         assert main(["solve", "--builtin", "imrt_small", "--variant", "ls_art3+"]) == 2
+        err = capsys.readouterr().err
+        assert "art3+ requires affine (interval) constraints, got CustomFunction(risk_pnorm_cap)" in err
 
     def test_qps_with_fstar(self, tmp_path, fixtures_dir, capsys):
         rc = main(["solve", "--qps", str(fixtures_dir / "fix_qp1.qps"),
@@ -114,6 +117,31 @@ class TestBench:
     def test_empty_directory_rejected(self, tmp_path):
         rc = main(["bench", "--problems", str(tmp_path), "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_solver_error_is_input_error(self, tmp_path, capsys):
+        # the objective overflows at the first feasible point (x1 >= 1e200)
+        problems = tmp_path / "qps"
+        problems.mkdir()
+        path = problems / "overflow.qps"
+        path.write_text(
+            "NAME          OVERFLOW\n"
+            "ROWS\n"
+            " N  OBJ\n"
+            " G  C1\n"
+            "COLUMNS\n"
+            "    X1        C1        1.0\n"
+            "RHS\n"
+            "    RHS       C1        1e200\n"
+            "QUADOBJ\n"
+            "    X1        X1        1e200\n"
+            "ENDATA\n"
+        )
+        with np.errstate(over="ignore"):
+            rc = main(["bench", "--problems", str(problems), "--variants", "ls_cspm",
+                       "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: ls_cspm: objective is non-finite (inf)" in err
 
     def test_deterministic_csvs(self, tmp_path, fixtures_dir):
         outs = []

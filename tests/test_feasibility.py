@@ -5,6 +5,7 @@ import pytest
 
 from cfpopt.feasibility import (
     SolverSpec,
+    ZeroSubgradientError,
     art3plus_solve,
     cfp_with_level,
     cspm_solve,
@@ -18,7 +19,6 @@ from cfpopt.model import (
     Problem,
     QuadraticFunction,
 )
-from cfpopt.projections import ZeroSubgradientError
 from cfpopt.superiorize import SuperiorizationConfig, superiorized_solve
 
 

@@ -9,10 +9,9 @@ tolerance.
 import numpy as np
 import pytest
 
-from cfpopt.feasibility import cspm_solve
+from cfpopt.feasibility import Relaxation, cspm_solve
 from cfpopt.harness import HarnessConfig, run_variant
 from cfpopt.model import AffineConstraint, Bounds, Problem, QuadraticFunction
-from cfpopt.projections import Relaxation
 from cfpopt.schemes import CASE2_OR_3, BisectionConfig, bisection_solve, level_set_solve
 
 

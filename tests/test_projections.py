@@ -1,16 +1,34 @@
+"""The projection rule, checked through the solver that runs it.
+
+One sweep of :func:`cspm_solve` over a single set, with ``tol=0``, is the
+relaxed projection onto that set: the orthogonal projection for halfspaces,
+hyperplanes and boxes (the box as its coordinate rows), the subgradient
+projection for any other convex constraint.
+"""
+
 import numpy as np
 import pytest
 
-from cfpopt.model import AffineConstraint, Counters, CustomFunction, QuadraticFunction
-from cfpopt.projections import (
-    Relaxation,
-    ZeroSubgradientError,
-    project_box,
-    project_halfspace,
-    project_hyperplane,
-    relax_step,
-    subgradient_project,
-)
+from cfpopt.feasibility import Relaxation, ZeroSubgradientError, cspm_solve
+from cfpopt.model import AffineConstraint, Bounds, Counters, CustomFunction, QuadraticFunction
+
+
+def step(sets, x, lam=1.0, counters=None):
+    """One relaxed projection of ``x`` onto the intersection swept once in order."""
+    sets = sets if isinstance(sets, list) else [sets]
+    return cspm_solve(sets, x, lam=lam, max_sweeps=1, tol=0.0, counters=counters).x
+
+
+def project_halfspace(a, b, x):
+    return step(AffineConstraint.leq(a, b), x)
+
+
+def project_hyperplane(a, b, x):
+    return step(AffineConstraint.eq(a, b), x)
+
+
+def project_box(lo, hi, x):
+    return step(Bounds(lo, hi).to_rows(), x)
 
 
 class TestHalfspace:
@@ -51,7 +69,7 @@ class TestHalfspace:
 
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
-            project_halfspace(np.zeros(2), 0.0, np.ones(2))
+            AffineConstraint.leq(np.zeros(2), 0.0)
 
 
 class TestHyperplane:
@@ -82,57 +100,51 @@ class TestBox:
 
     def test_empty_box_rejected(self):
         with pytest.raises(ValueError):
-            project_box([1.0], [0.0], np.array([0.5]))
+            Bounds([1.0], [0.0])
 
 
 class TestSubgradientProject:
     def test_coincides_with_halfspace_projection(self):
-        # c(x) = x - 1 in canonical halfspace form
-        c = AffineConstraint.leq([1.0], 1.0)
-        out = subgradient_project(c, np.array([3.0]))
+        # c(x) = x - 1 as an oracle, and the same halfspace as a packed row
+        c = CustomFunction(lambda x: float(x[0] - 1.0), lambda x: np.array([1.0]), name="x-1")
+        out = step(c, np.array([3.0]))
         assert out == pytest.approx([1.0])
         np.testing.assert_allclose(out, project_halfspace(np.array([1.0]), 1.0, np.array([3.0])))
 
     def test_quadratic_level_set_hand_value(self):
         # c(x) = ||x||^2 - 1 at (2, 0): c = 3, grad = (4, 0) -> (2,0) - (3/16)(4,0)
         c = QuadraticFunction(2.0 * np.eye(2), np.zeros(2), -1.0)
-        out = subgradient_project(c, np.array([2.0, 0.0]))
+        out = step(c, np.array([2.0, 0.0]))
         np.testing.assert_allclose(out, [1.25, 0.0])
 
     def test_feasible_point_never_moves(self):
         c = QuadraticFunction(2.0 * np.eye(2), np.zeros(2), -1.0)
         x = np.array([0.3, 0.4])
-        assert subgradient_project(c, x) is x
+        out = cspm_solve([c], x, lam=1.0, max_sweeps=1, tol=0.0)
+        assert out.moves == 0
+        np.testing.assert_array_equal(out.x, x)
 
     def test_zero_subgradient_errors(self):
         bad = CustomFunction(lambda x: 1.0, lambda x: np.zeros_like(x), name="bad")
         with pytest.raises(ZeroSubgradientError):
-            subgradient_project(bad, np.zeros(2))
+            step(bad, np.zeros(2))
 
     def test_counter_increments_even_on_noop(self):
         c = AffineConstraint.leq([1.0], 1.0)
         counters = Counters()
-        subgradient_project(c, np.array([0.0]), counters)
-        subgradient_project(c, np.array([3.0]), counters)
+        step(c, np.array([0.0]), counters=counters)
+        step(c, np.array([3.0]), counters=counters)
         assert counters.projections == 2
 
 
 class TestRelaxStep:
-    def test_unrelaxed(self):
-        x, px = np.array([2.0, 0.0]), np.array([1.0, 0.0])
-        np.testing.assert_array_equal(relax_step(x, px, 1.0), px)
-
-    def test_reflection(self):
-        out = relax_step(np.array([2.0, 0.0]), np.array([1.0, 0.0]), 2.0)
-        np.testing.assert_allclose(out, [0.0, 0.0])
-
     def test_halfway(self):
-        assert relax_step(np.array([2.0]), np.array([0.0]), 0.5) == pytest.approx([1.0])
+        assert step(AffineConstraint.leq([1.0], 0.0), np.array([2.0]), lam=0.5) == pytest.approx([1.0])
 
     def test_out_of_range_rejected(self):
-        for lam in (0.0, -0.5, 2.5):
+        for lam in (0.0, -0.5, 2.0, 2.5):
             with pytest.raises(ValueError):
-                relax_step(np.zeros(1), np.ones(1), lam)
+                step(AffineConstraint.leq([1.0], 0.0), np.zeros(1), lam=lam)
 
     def test_relaxation_validation(self):
         with pytest.raises(ValueError):
@@ -155,7 +167,8 @@ class TestOperatorProperties:
             np.testing.assert_allclose(project_hyperplane(a, b, h1), h1, atol=1e-12)
             lo, hi = np.sort(rng.standard_normal((2, 3)), axis=0)
             b1 = project_box(lo, hi, x)
-            np.testing.assert_array_equal(project_box(lo, hi, b1), b1)
+            # a row step sets x_j - (x_j - hi_j), which rounding can leave off hi_j
+            np.testing.assert_allclose(project_box(lo, hi, b1), b1, atol=1e-12)
 
     def test_nonexpansiveness(self):
         rng = np.random.default_rng(6)
@@ -180,7 +193,6 @@ class TestOperatorProperties:
                 continue
             z = rng.standard_normal(3)
             z = 0.9 * z / np.linalg.norm(z)  # feasible reference
-            px = subgradient_project(c, x)
             for lam in (0.5, 1.0, 1.5, 1.9):
-                x_new = relax_step(x, px, lam)
+                x_new = step(c, x, lam=lam)
                 assert np.linalg.norm(x_new - z) <= np.linalg.norm(x - z) + 1e-9

@@ -13,7 +13,6 @@ from cfpopt.schemes import (
     EpsilonRule,
     accelerated_level_set_solve,
     bisection_solve,
-    classify_termination,
     counterexample_run,
     epsilon_update,
     level_set_solve,
@@ -203,19 +202,6 @@ class TestBisection:
         assert abs(res.best_value - 1.0) <= 1e-4
 
 
-class TestClassify:
-    def test_first_failure_is_case1(self):
-        assert classify_termination([], last_found=False) == CASE1
-
-    def test_failure_after_successes(self):
-        trace = [(k, 1.0, 1.0) for k in range(5)]
-        assert classify_termination(trace, last_found=False) == CASE2_OR_3
-
-    def test_cap_reported_distinctly(self):
-        trace = [(k, 1.0, 1.0) for k in range(5)]
-        assert classify_termination(trace, last_found=True, cap_reached=True) == ITERATION_CAP
-
-
 class TestCounterexample:
     def test_paper_start_values(self):
         tr = counterexample_run()
@@ -247,14 +233,16 @@ class TestCounterexample:
 class TestSchemeEdges:
     def test_iteration_cap_flagged(self):
         # multiplicative-only slack on an unconstrained-ish problem never
-        # triggers infeasibility within a small cap
+        # triggers infeasibility within a small cap, and the bisection bracket
+        # cannot close in 5 steps: both schemes report the cap distinctly
         p = Problem(QuadraticFunction([[2.0]], [0.0], -100.0),
                     [AffineConstraint.geq([1.0], -1000.0)])
-        res = level_set_solve(p, x0=[math.sqrt(500.0)],
-                              rule=EpsilonRule(mode="multiplicative", factor=0.1),
-                              max_outer=5)
-        assert res.case == ITERATION_CAP
-        assert res.level_steps == 5
+        for solve in (level_set_solve, bisection_solve):
+            res = solve(p, x0=[math.sqrt(500.0)],
+                        rule=EpsilonRule(mode="multiplicative", factor=0.1),
+                        max_outer=5)
+            assert res.case == ITERATION_CAP, solve.__name__
+            assert res.level_steps == 5, solve.__name__
 
     def test_case2_certificate_via_level_minimum(self):
         # objective minimum inside the feasible set: the scheme walks to it

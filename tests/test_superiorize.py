@@ -155,15 +155,21 @@ class TestAlgorithmContract:
 
     def test_dead_inner_loop_guard(self):
         # a merit whose value grows in every direction candidate except zero
-        # steps: rejects everything, so the step index races to underflow
+        # steps: rejects everything, so the step index races to underflow.
+        # From x = 0 every candidate 0 + 0.5**ell, ell = 0..996, is positive,
+        # so none is a zero step and the loop ends only at the step-size floor
         hostile = CustomFunction(
             lambda x: float(x[0]),
             lambda x: np.array([-1.0]),  # direction +1, but phi increases then
             name="hostile",
         )
         cfg = SuperiorizationConfig(N=1, a=0.5, merit=hostile)
-        out = superiorized_solve("cspm", self.cfp(), [5.0], cfg, lam=1.0, max_outer=3)
+        trace = PerturbationTrace()
+        out = superiorized_solve("cspm", self.cfp(), [0.0], cfg, lam=1.0, max_outer=3,
+                                 trace=trace)
         assert out.found  # exits the dead loop and still sweeps
+        assert trace.accepted == []
+        assert trace.rejected == 997
 
     def test_perturbation_stops_once_steps_exhausted(self):
         # the hostile merit along x[0] rejects every candidate while x[1]
