@@ -9,10 +9,11 @@ rounding noise; the point of the comparison is wall time.  The c library is
 built (or loaded from the cache) before any timing starts; where it cannot
 run, its rows print ``n/a``.
 
-A second table times single ``cspm_sweep`` calls in ns per row, at
-m=120/n=60 and at the ``--m``/``--n`` size; every call also sums the steps
-that the emptiness certificate of :mod:`cfpopt.feasibility` reads.  ``moved``
-is the share of rows that moved x.
+A second table times single ``cspm_sweep`` and ``art3_pass`` calls (the
+latter over a queue of every row) in ns per row, at m=120/n=60 and at the
+``--m``/``--n`` size; every call also sums the steps that the emptiness
+certificate of :mod:`cfpopt.feasibility` reads.  ``moved`` is the share of
+rows that moved x.
 
 Usage:
     python benchmarks/backend_bench.py [--n 400] [--m 600] [--repeats 3]
@@ -57,21 +58,28 @@ def timed(fn, repeats):
     return best, result
 
 
-def kernel_ns_per_row(m, n, seed, repeats):
-    """Best ns per row of one ``cspm_sweep`` call, and the share of rows that moved."""
+def kernel_ns_per_row(kernel, m, n, seed, repeats):
+    """Best ns per row of one ``kernel`` call ('cspm' or 'art3'), and the share of rows that moved."""
     rows, x0, _z = make_system(m, n, seed)
     A = np.ascontiguousarray([r.a for r in rows])
     lo, hi = np.array([r.lo for r in rows]), np.array([r.hi for r in rows])
     norm2 = np.array([r.norm2 for r in rows])
+    queue, sums = np.arange(m, dtype=np.int64), np.zeros(3)
+
+    def call(x):
+        """One pass from x; returns the number of rows that moved."""
+        if kernel == "cspm":
+            return _kernels.cspm_sweep(A, lo, hi, norm2, x, 1.5, 1e-8)[1]
+        return _kernels.art3_pass(A, lo, hi, norm2, x, queue, 1e-8, sums).shape[0]
+
     for _ in range(3):  # start where some rows still move and some hold
-        _kernels.cspm_sweep(A, lo, hi, norm2, x0, 1.5, 1e-8)
+        call(x0)
     calls = max(1, 100_000 // m)
     best, moves = np.inf, 0
     for _ in range(repeats):
         t0 = time.perf_counter()
         for _ in range(calls):
-            x = x0.copy()
-            moves = _kernels.cspm_sweep(A, lo, hi, norm2, x, 1.5, 1e-8)[1]
+            moves = call(x0.copy())
         best = min(best, (time.perf_counter() - t0) / (calls * m))
     return best * 1e9, moves / m
 
@@ -119,16 +127,17 @@ def main():
             print(f"{'':<32}{'speedup':<9}{both[1] / both[0]:>9.1f}x")
 
     print()
-    header = f"{'cspm_sweep kernel':<32}{'backend':<9}{'ns/row':>10}{'moved':>8}"
+    header = f"{'kernel':<32}{'backend':<9}{'ns/row':>10}{'moved':>8}"
     print(header)
     print("-" * len(header))
-    for m, n in ((120, 60), (args.m, args.n)):
-        for backend in ("c", "numpy"):
-            if backend not in available:
-                continue
-            _kernels.set_backend(backend)
-            ns, moved = kernel_ns_per_row(m, n, args.seed, args.repeats)
-            print(f"{f'm={m}, n={n}':<32}{backend:<9}{ns:>10.1f}{moved:>8.0%}")
+    for kernel in ("cspm", "art3"):
+        for m, n in ((120, 60), (args.m, args.n)):
+            for backend in ("c", "numpy"):
+                if backend not in available:
+                    continue
+                _kernels.set_backend(backend)
+                ns, moved = kernel_ns_per_row(kernel, m, n, args.seed, args.repeats)
+                print(f"{f'{kernel} m={m}, n={n}':<32}{backend:<9}{ns:>10.1f}{moved:>8.0%}")
     _kernels.set_backend("auto")
 
 

@@ -83,14 +83,23 @@ int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
 
 /* One ART3+ pass over the row indices in queue[0..nq).  Writes the indices
  * violated at their visit to kept and returns how many there are, or -1,
- * before touching x, when a queue entry is outside [0, m). */
+ * before touching x, when a queue entry is outside [0, m).
+ *
+ * A moved row steps x by -coef * h with coef >= 0 off its violated side
+ * h . y <= beta (h = A_i, beta = hi_i above the interval; h = -A_i,
+ * beta = -lo_i below it), whether it reflects or projects onto the
+ * midline.  As in cfp_cspm_sweep, the pass stores the sums of
+ * coef * (beta + tol), coef * (|beta| + tol) and coef * |h| over the moved
+ * rows in out[0], out[1] and out[2]. */
 int64_t cfp_art3_pass(const double *A, const double *lo, const double *hi,
                       const double *norm2, double *x, int64_t m, int64_t n,
-                      const int64_t *queue, int64_t nq, double tol, int64_t *kept)
+                      const int64_t *queue, int64_t nq, double tol, int64_t *kept,
+                      double *out)
 {
     for (int64_t qi = 0; qi < nq; qi++)
         if (queue[qi] < 0 || queue[qi] >= m)
             return -1;
+    double b = 0.0, size = 0.0, steps = 0.0;
     int64_t nk = 0;
     for (int64_t qi = 0; qi < nq; qi++) {
         int64_t i = queue[qi];
@@ -100,19 +109,27 @@ int64_t cfp_art3_pass(const double *A, const double *lo, const double *hi,
             continue;
         kept[nk++] = i;
         double width = hi[i] - lo[i];
+        double coef, beta;
         if (r > hi[i]) {
             double viol = r - hi[i];
-            if (viol <= width)
-                row_sub(x, 2.0 * viol / norm2[i], a, n); /* reflect across upper face */
-            else
-                row_sub(x, (r - 0.5 * (lo[i] + hi[i])) / norm2[i], a, n); /* midline */
+            /* reflect across the upper face, or project onto the midline */
+            coef = viol <= width ? 2.0 * viol / norm2[i]
+                                 : (r - 0.5 * (lo[i] + hi[i])) / norm2[i];
+            row_sub(x, coef, a, n);
+            beta = hi[i];
         } else {
             double viol = lo[i] - r;
-            if (viol <= width)
-                row_add(x, 2.0 * viol / norm2[i], a, n);
-            else
-                row_sub(x, (r - 0.5 * (lo[i] + hi[i])) / norm2[i], a, n);
+            coef = viol <= width ? 2.0 * viol / norm2[i]
+                                 : (0.5 * (lo[i] + hi[i]) - r) / norm2[i];
+            row_add(x, coef, a, n);
+            beta = -lo[i];
         }
+        b += coef * (beta + tol);
+        size += coef * (fabs(beta) + tol);
+        steps += coef * sqrt(norm2[i]);
     }
+    out[0] = b;
+    out[1] = size;
+    out[2] = steps;
     return nk;
 }

@@ -13,7 +13,9 @@ the same row-by-row arithmetic:
 * ``art3_pass``: one pass of the automatic-relaxation rule over a work queue
   of row indices (reflect when the overshoot is at most the interval width,
   project onto the midline hyperplane when it is larger); returns the indices
-  that were violated at their visit.
+  that were violated at their visit, and writes the same three step sums as
+  ``cspm_sweep`` into the caller's float64 array ``out`` (see
+  ``_art3_pass_numpy``).
 
 Both update ``x`` in place.  The backends differ only in how a row's dot
 product is summed (left to right in C, in numpy's order otherwise), so their
@@ -83,7 +85,8 @@ int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
                        double lam, double tol, double *out);
 int64_t cfp_art3_pass(const double *A, const double *lo, const double *hi,
                       const double *norm2, double *x, int64_t m, int64_t n,
-                      const int64_t *queue, int64_t nq, double tol, int64_t *kept);
+                      const int64_t *queue, int64_t nq, double tol, int64_t *kept,
+                      double *out);
 """
 
 
@@ -129,9 +132,18 @@ def _cspm_sweep_numpy(A, lo, hi, norm2, x, lam, tol):
     return maxv, moves, (float(b), float(size), float(steps))
 
 
-def _art3_pass_numpy(A, lo, hi, norm2, x, queue, tol):
+def _art3_pass_numpy(A, lo, hi, norm2, x, queue, tol, out):
+    """One ART3+ pass over the rows in ``queue``; returns the rows violated at their visit.
+
+    A moved row steps ``x`` by ``-coef * h`` with ``coef >= 0``, reflecting
+    or projecting onto the midline, off its violated side ``h . y <= beta``
+    (``h = A_i, beta = hi_i`` above the interval, ``h = -A_i, beta = -lo_i``
+    below it).  ``out[:3]`` receives the sums of ``coef * (beta + tol)``,
+    ``coef * (|beta| + tol)`` and ``coef * |h|`` over the moved rows.
+    """
     kept = np.empty(queue.shape[0], dtype=np.int64)
     nk = 0
+    b = size = steps = 0.0
     for qi in range(queue.shape[0]):
         i = queue[qi]
         r = float(A[i] @ x)
@@ -142,16 +154,25 @@ def _art3_pass_numpy(A, lo, hi, norm2, x, queue, tol):
         width = hi[i] - lo[i]
         if r > hi[i]:
             viol = r - hi[i]
+            # reflect across the upper face, or project onto the midline
             if viol <= width:
-                x -= (2.0 * viol / norm2[i]) * A[i]  # reflect across upper face
+                coef = 2.0 * viol / norm2[i]
             else:
-                x -= ((r - 0.5 * (lo[i] + hi[i])) / norm2[i]) * A[i]  # midline
+                coef = (r - 0.5 * (lo[i] + hi[i])) / norm2[i]
+            x -= coef * A[i]
+            beta = hi[i]
         else:
             viol = lo[i] - r
             if viol <= width:
-                x += (2.0 * viol / norm2[i]) * A[i]
+                coef = 2.0 * viol / norm2[i]
             else:
-                x -= ((r - 0.5 * (lo[i] + hi[i])) / norm2[i]) * A[i]
+                coef = (0.5 * (lo[i] + hi[i]) - r) / norm2[i]
+            x += coef * A[i]
+            beta = -lo[i]
+        b += coef * (beta + tol)
+        size += coef * (abs(beta) + tol)
+        steps += coef * math.sqrt(norm2[i])
+    out[0], out[1], out[2] = b, size, steps
     return kept[:nk].copy()
 
 
@@ -292,14 +313,18 @@ def _load_c() -> tuple:
                                    m, n, lam, tol, out)
         return out[0], moves, (out[1], out[2], out[3])
 
-    def art3_pass(A, lo, hi, norm2, x, queue, tol):
+    def art3_pass(A, lo, hi, norm2, x, queue, tol, out):
         m, n = _check_system(A, lo, hi, norm2, x)
         _check(queue, "queue", np.int64, 1)
+        _check(out, "out", np.float64, 1)
+        if out.shape[0] < 3 or not out.flags.writeable:
+            raise ValueError("out must be a writable array of at least 3 entries")
         kept = np.empty(queue.shape[0], dtype=np.int64)
         nk = lib.cfp_art3_pass(buf("double[]", A), buf("double[]", lo), buf("double[]", hi),
                                buf("double[]", norm2), buf("double[]", x, require_writable=True),
                                m, n, buf("int64_t[]", queue), queue.shape[0], tol,
-                               buf("int64_t[]", kept, require_writable=True))
+                               buf("int64_t[]", kept, require_writable=True),
+                               buf("double[]", out, require_writable=True))
         if nk < 0:
             raise IndexError(f"queue holds a row index outside [0, {m})")
         return kept[:nk].copy()
@@ -387,8 +412,9 @@ def cspm_sweep(A, lo, hi, norm2, x, lam, tol):
     return _current()[0](A, lo, hi, norm2, x, lam, tol)
 
 
-def art3_pass(A, lo, hi, norm2, x, queue, tol):
-    return _current()[1](A, lo, hi, norm2, x, queue, tol)
+def art3_pass(A, lo, hi, norm2, x, queue, tol, out):
+    """One ART3+ pass over ``queue``, in place; returns the rows kept, step sums in ``out[:3]``."""
+    return _current()[1](A, lo, hi, norm2, x, queue, tol, out)
 
 
 def warmup() -> None:
@@ -403,4 +429,5 @@ def warmup() -> None:
     hi = np.array([1.0, 1.0])
     norm2 = np.array([1.0, 1.0])
     cspm_sweep(A, lo, hi, norm2, np.array([2.0, -1.0]), 1.0, 1e-8)
-    art3_pass(A, lo, hi, norm2, np.array([2.0, -1.0]), np.arange(2, dtype=np.int64), 1e-8)
+    art3_pass(A, lo, hi, norm2, np.array([2.0, -1.0]), np.arange(2, dtype=np.int64), 1e-8,
+              np.zeros(3))

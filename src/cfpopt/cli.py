@@ -19,6 +19,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import _kernels
 from .harness import (
     VARIANTS,
@@ -269,7 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # an objective that overflows is reported by the command's own error line
+    # (a non-finite value); numpy's overflow warning would only come first
+    with np.errstate(over="ignore"):
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -7,15 +7,23 @@ constraint (sweep soundness).  A system that cannot be certified within
 ``max_sweeps`` full sweeps times out, which callers treat as "no feasible
 point exists" (the time-out rule).
 
-Given the problem's bound box, CSPM and POCS can also prove a system empty
-before the time-out.  Every step they take is a relaxed projection off a
-halfspace that holds every tol-feasible point: a violated row's active side,
-or the linearisation of a violated convex constraint at the visit point.
-The running nonnegative combination of all those halfspaces,
-``c . y <= b``, is a Farkas certificate once no point of the tol-widened
-box satisfies it (:class:`_StepAggregate`); the solve then ends with
-``infeasibility_certified``.  ART3+ takes no part: its reflections make the
-certificate's gap stop growing.
+Given the problem's bound box, every solver kind can also prove a system
+empty before the time-out.  Every step a solver takes moves x by ``-mu h``,
+``mu >= 0``, off a halfspace ``h . y <= beta + tol`` that holds every
+tol-feasible point: a violated row's violated side, or the linearisation of
+a violated convex constraint at the visit point.  The running nonnegative
+combination of all those halfspaces, ``c . y <= b``, is a Farkas certificate
+once no point of the tol-widened box satisfies it (:class:`_StepAggregate`);
+the solve then ends with ``infeasibility_certified``.
+
+A step with relaxation lambda off a side violated by ``v`` adds about
+``(lambda - lambda**2 / 2) v**2 / |h|**2`` to the certificate's gap: 0.375
+of ``v**2 / |h|**2`` for CSPM's default lambda = 1.5.  ART3+ mixes three
+steps.  A reflection (lambda = 2) adds only ``-2 tol v / |h|**2``, about
+zero.  A midline projection, taken when the overshoot ``v`` exceeds the
+interval width ``w``, is lambda = 1 + w / (2 v) in (1, 1.5) and adds a
+positive share, and the unrelaxed level visit (lambda = 1) adds
+``v**2 / (2 |xi|**2)``.  So ART3+'s own steps prove its empty level sets.
 
 Runs of affine constraints are packed into dense arrays and swept by the
 kernels in :mod:`cfpopt._kernels`; any other convex constraint is handled
@@ -104,8 +112,8 @@ class FeasibilityOutcome:
     projection calls that actually displaced the iterate.
     ``infeasibility_certified`` marks such a proof: the aggregate of the
     steps taken separates the tol-relaxed constraint set from the bound box
-    (CSPM and POCS with a bound box), or the objective level constraint was
-    violated at a minimizer of the objective.
+    (any solver kind given the bound box), or the objective level constraint
+    was violated at a minimizer of the objective.
     """
 
     found: bool
@@ -224,7 +232,7 @@ _CERT_RTOL = 2.0**-30
 
 
 class _StepAggregate:
-    """Running Farkas combination of every step a cyclic solve takes.
+    """Running Farkas combination of every step a solve takes.
 
     Each step moves x by ``-mu * h`` with ``mu >= 0`` off a halfspace
     ``h . y <= beta + tol`` that holds every point whose violations are all
@@ -239,7 +247,7 @@ class _StepAggregate:
     ``c`` is summed as ``x_in - x_out`` of each sweep (:meth:`begin`,
     :meth:`end`), so the perturbations a superiorized solve makes between
     sweeps stay out of it.  ``b`` and the magnitudes the margin needs come
-    from the row kernel's step sums (:meth:`add`) and from
+    from the row kernels' step sums (:meth:`add`) and from
     :meth:`add_linearization` for the oracle steps.  A column with an
     infinite bound defeats the test while its ``c_j`` is nonzero.
     """
@@ -280,7 +288,7 @@ class _StepAggregate:
         return not found and self.empty(x, moves, sweeps)
 
     def add(self, b: float, size: float, steps: float) -> None:
-        """Count row steps by their sums, as ``cspm_sweep`` returns them."""
+        """Count row steps by their sums, as ``cspm_sweep`` and ``art3_pass`` give them."""
         self.b += b
         self.size += size
         self.steps += steps
@@ -317,34 +325,52 @@ class _StepAggregate:
         return gap > margin
 
 
-class CyclicSweeper:
-    """One full cyclic pass of relaxed (subgradient) projections per sweep.
+class _Sweeper:
+    """The sweep bracket both sweepers share.
 
-    On affine constraints the subgradient projection is the orthogonal
-    projection, so this single sweeper implements both CSPM and POCS.  Given
-    the bound box (whose rows must be among the constraints), it also keeps
-    the :class:`_StepAggregate` of its steps and sets ``empty`` once that
-    proves the system has no tol-feasible point.
+    Given the bound box (whose rows must be among the constraints), a sweeper
+    keeps the :class:`_StepAggregate` of its steps: :meth:`sweep` opens it
+    before each pass, the pass adds its steps, and closing it sets ``empty``
+    once the aggregate proves the system has no tol-feasible point.
+    Subclasses implement the pass as ``_pass(x, k, agg)``, with ``agg`` None
+    when no box was given.
     """
 
-    def __init__(self, constraints, lam, tol: float, counters: Counters, bounds: Bounds | None = None):
-        self.constraints = list(constraints)
-        self.segments = _segment(self.constraints)
-        self.relaxation = lam if isinstance(lam, Relaxation) else Relaxation(float(lam))
+    def __init__(self, tol: float, counters: Counters, bounds: Bounds | None):
         self.tol = _check_tol(tol)
         self.counters = counters
         self.moves = 0
-        self.last_max_violation = np.inf
         self.certified = False
         self.empty = False
         self.aggregate = _StepAggregate(bounds, self.tol) if bounds is not None else None
 
     def sweep(self, x: np.ndarray, k: int) -> np.ndarray:
+        agg = self.aggregate
+        if agg is None:
+            return self._pass(x, k, None)
+        agg.begin(x, k)
+        x = self._pass(x, k, agg)
+        self.empty = agg.end(x, self.moves, k + 1, self.certified)
+        return x
+
+
+class CyclicSweeper(_Sweeper):
+    """One full cyclic pass of relaxed (subgradient) projections per sweep.
+
+    On affine constraints the subgradient projection is the orthogonal
+    projection, so this single sweeper implements both CSPM and POCS.
+    """
+
+    def __init__(self, constraints, lam, tol: float, counters: Counters, bounds: Bounds | None = None):
+        super().__init__(tol, counters, bounds)
+        self.constraints = list(constraints)
+        self.segments = _segment(self.constraints)
+        self.relaxation = lam if isinstance(lam, Relaxation) else Relaxation(float(lam))
+        self.last_max_violation = np.inf
+
+    def _pass(self, x: np.ndarray, k: int, agg: _StepAggregate | None) -> np.ndarray:
         lam = self.relaxation.at(k)
         tol = self.tol
-        agg = self.aggregate
-        if agg is not None:
-            agg.begin(x, k)
         maxv = 0.0
         for tag, seg in self.segments:
             if tag == "rows":
@@ -370,12 +396,10 @@ class CyclicSweeper:
                     self.moves += 1
         self.last_max_violation = maxv
         self.certified = maxv <= tol
-        if agg is not None:
-            self.empty = agg.end(x, self.moves, k + 1, self.certified)
         return x
 
 
-class Art3Sweeper:
+class Art3Sweeper(_Sweeper):
     """ART3+ work-queue passes over interval rows (plus an optional level set).
 
     Each visited row applies the automatic-relaxation rule: overshoot at most
@@ -385,23 +409,26 @@ class Art3Sweeper:
     reloaded.  The point is certified feasible when a pass over the full list
     makes no move.  A non-affine level constraint, when present, rides at the
     end of the queue and is handled by an unrelaxed subgradient projection.
+
+    Every step, reflection and midline projection alike, moves x by a
+    nonnegative multiple of the normal of the violated side, so the steps
+    feed the same :class:`_StepAggregate` as CSPM's.
     """
 
-    def __init__(self, rows: list[AffineConstraint], level: ConvexFunction | None, tol: float, counters: Counters):
+    def __init__(self, rows: list[AffineConstraint], level: ConvexFunction | None, tol: float,
+                 counters: Counters, bounds: Bounds | None = None):
+        super().__init__(tol, counters, bounds)
         self.packed = _Packed.from_rows(rows) if rows else None
         self.n_rows = len(rows)
         self.level = level
-        self.tol = _check_tol(tol)
-        self.counters = counters
         total = self.n_rows + (1 if level is not None else 0)
         self.full = np.arange(total, dtype=np.int64)
         self.queue = self.full.copy()
         self.moved_since_refill = False
-        self.moves = 0
         self.certified = total == 0
-        self.empty = False  # ART3+ never proves a system empty
+        self.sums = np.zeros(3)  # the row kernel's step sums of the last pass
 
-    def sweep(self, x: np.ndarray, k: int) -> np.ndarray:
+    def _pass(self, x: np.ndarray, k: int, agg: _StepAggregate | None) -> np.ndarray:
         if self.queue.shape[0] == 0:
             if not self.moved_since_refill:
                 self.certified = True
@@ -416,8 +443,11 @@ class Art3Sweeper:
 
         if row_queue.shape[0] > 0:
             kept = _kernels.art3_pass(
-                self.packed.A, self.packed.lo, self.packed.hi, self.packed.norm2, x, row_queue, self.tol
+                self.packed.A, self.packed.lo, self.packed.hi, self.packed.norm2, x, row_queue,
+                self.tol, self.sums,
             )
+            if agg is not None:
+                agg.add(*self.sums.tolist())
             self.counters.projections += row_queue.shape[0]
             self.moves += kept.shape[0]
         else:
@@ -428,7 +458,10 @@ class Art3Sweeper:
             v = self.level.value(x)
             if v > self.tol:
                 xi, norm2 = _violated_subgradient(self.level, x, v)
-                x = x - (v / norm2) * xi
+                mu = v / norm2
+                if agg is not None:
+                    agg.add_linearization(self.level, x, v, xi, norm2, mu)
+                x = x - mu * xi
                 self.moves += 1
                 kept = np.concatenate([kept, np.array([self.n_rows], dtype=np.int64)])
 
@@ -445,7 +478,8 @@ def make_sweeper(kind: str, constraints, lam, tol: float, counters: Counters,
     """Build the sweeping engine for one CFP solve.
 
     ``bounds``, when given, must be the box whose rows are among
-    ``constraints``; CSPM and POCS then test for emptiness after every sweep.
+    ``constraints``; every solver kind then tests for emptiness after every
+    sweep.
     This is the only check of a solver kind against its constraints: POCS
     and ART3+ take affine rows alone (ART3+ also a trailing level
     constraint), and anything else raises ``ValueError`` before any sweep.
@@ -461,7 +495,7 @@ def make_sweeper(kind: str, constraints, lam, tol: float, counters: Counters,
     if kind in ("cspm", "pocs"):
         return CyclicSweeper(rows, lam, tol, counters, bounds)
     if kind == "art3+":
-        return Art3Sweeper(rows, level, tol, counters)
+        return Art3Sweeper(rows, level, tol, counters, bounds)
     raise ValueError(f"unknown feasibility solver {kind!r}")
 
 

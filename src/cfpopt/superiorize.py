@@ -107,9 +107,10 @@ def superiorized_solve(kind: str, constraints, x0, cfg: SuperiorizationConfig,
     one sweep.  Once the global step index passes the step-size floor the
     hook perturbs no more.  Termination follows the base solver's contract:
     found once a full sweep certifies every constraint within ``tol``, proven
-    empty once the sweeps' steps certify it (CSPM and POCS given the bound
-    box ``bounds``, see :func:`make_sweeper`; the perturbations take no part
-    in the certificate), timed out after ``max_outer`` outer iterations.
+    empty once the sweeps' steps certify it (every solver kind, given the
+    bound box ``bounds``, see :func:`make_sweeper`; the perturbations take
+    no part in the certificate), timed out after ``max_outer`` outer
+    iterations.
     With ``N=0`` this reproduces the base solver's iterates exactly.
     """
     if cfg.merit is None and cfg.N > 0:

@@ -1,6 +1,6 @@
-"""The early emptiness certificate of CSPM: sound, fast, and invisible in results.
+"""The early emptiness certificate of CSPM and ART3+: sound, fast, and invisible in results.
 
-A cyclic solve given the problem's bound box sums its steps into a Farkas
+A solve given the problem's bound box sums its steps into a Farkas
 combination and stops with ``infeasibility_certified`` once that proves no
 tol-feasible point exists.  These tests hold it to four promises: it never
 fires on a nonempty level set, it fires within a few sweeps on clearly empty
@@ -29,7 +29,8 @@ def planted(i):
     return make_problems.planted_instance(i, 30, 40)
 
 
-SOLVERS = [SolverSpec("cspm"), SolverSpec("cspm", superiorized=True)]
+SOLVERS = [SolverSpec("cspm"), SolverSpec("cspm", superiorized=True),
+           SolverSpec("art3+"), SolverSpec("art3+", superiorized=True)]
 
 
 @pytest.mark.parametrize("i", range(4))
@@ -64,8 +65,9 @@ def test_never_certifies_a_set_that_is_one_box_vertex(seed, tol, via):
         objective, t = QuadraticFunction(np.zeros((n, n)), -cuts[0]), float(-cuts[0] @ hi)
         rows = []
     problem = Problem(objective, rows, bounds=Bounds(lo, hi), n=n)
-    out = cfp_with_level(problem, t, "cspm", x0=lo.copy(), tol=tol)
-    assert not out.infeasibility_certified, out.sweeps
+    for solver in SOLVERS:
+        out = cfp_with_level(problem, t, solver, x0=lo.copy(), tol=tol)
+        assert not out.infeasibility_certified, (solver, out.sweeps)
 
 
 def test_step_sums_by_hand():
@@ -101,6 +103,16 @@ def test_certifies_empty_level_sets_within_few_sweeps():
     assert out.infeasibility_certified and out.sweeps <= 200
 
 
+def test_art3_certifies_empty_level_sets_within_few_sweeps():
+    # the reflections add next to nothing to the gap; the unrelaxed level
+    # visits and the midline projections build it
+    for i in range(4):
+        problem, fstar = planted(i)
+        out = cfp_with_level(problem, fstar - 10.0, "art3+")
+        assert out.infeasibility_certified and not out.found
+        assert out.sweeps <= 20, (i, out.sweeps)
+
+
 def test_pocs_certifies_an_empty_affine_system():
     # x_0 + x_1 >= 3 inside the box [0, 1]^2
     problem = Problem(QuadraticFunction(np.eye(2), np.zeros(2)),
@@ -119,12 +131,14 @@ def test_no_finite_box_never_certifies(box):
               "lower only": Bounds(problem.bounds.lo, inf),
               "upper only": Bounds(-inf, problem.bounds.hi)}[box]
     unboxed = Problem(problem.objective, problem.constraints, bounds=bounds, n=problem.n)
-    out = cfp_with_level(unboxed, fstar - 10.0, "cspm", max_sweeps=200)
-    assert not out.found and not out.infeasibility_certified
-    assert out.sweeps == 200
+    for kind in ("cspm", "art3+"):
+        out = cfp_with_level(unboxed, fstar - 10.0, kind, max_sweeps=200)
+        assert not out.found and not out.infeasibility_certified, kind
+        assert out.sweeps == 200, kind
 
 
-PLANT_CSPM_VARIANTS = ("ls_cspm", "ls_acc_cspm", "ls_sup_cspm", "bis_cspm", "bis_sup_cspm")
+PLANT_VARIANTS = ("ls_cspm", "ls_acc_cspm", "ls_sup_cspm", "bis_cspm", "bis_sup_cspm",
+                  "ls_art3+", "ls_sup_art3+", "bis_art3+", "bis_sup_art3+")
 
 
 def test_results_match_the_time_out_rule(monkeypatch):
@@ -133,7 +147,7 @@ def test_results_match_the_time_out_rule(monkeypatch):
 
     def matrix():
         return {(p.name, v): run_variant(v, p, config, fstar=fstar)
-                for p, fstar in problems for v in PLANT_CSPM_VARIANTS}
+                for p, fstar in problems for v in PLANT_VARIANTS}
 
     with_check = matrix()
     monkeypatch.setattr(feasibility._StepAggregate, "empty", lambda self, x, moves, sweeps: False)

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cfpopt
 from cfpopt import _kernels
 from cfpopt.cli import main
 
@@ -142,6 +147,38 @@ class TestBench:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"error: {path}: ls_cspm: objective is non-finite (inf)" in err
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_overflow_prints_only_the_error_line(self, command, tmp_path):
+        # QUADOBJ 1e200 at the bound x1 >= 1e200: f overflows at the first
+        # feasible point, and numpy's overflow warning must not reach stderr
+        problems = tmp_path / "qps"
+        problems.mkdir()
+        path = problems / "overflow.qps"
+        path.write_text(
+            "NAME          OVERFLOW\n"
+            "ROWS\n"
+            " N  OBJ\n"
+            "COLUMNS\n"
+            "    X1        OBJ       0.0\n"
+            "RHS\n"
+            "BOUNDS\n"
+            " LO BND       X1        1e200\n"
+            "QUADOBJ\n"
+            "    X1        X1        1e200\n"
+            "ENDATA\n"
+        )
+        args = {"solve": ["solve", "--qps", str(path)],
+                "bench": ["bench", "--problems", str(problems), "--out", str(tmp_path / "rep")]}
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cfpopt.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-m", "cfpopt.cli", *args[command],
+                              "--variant" if command == "solve" else "--variants", "ls_cspm"],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 2
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+        assert "objective is non-finite (inf)" in lines[0]
 
     def test_deterministic_csvs(self, tmp_path, fixtures_dir):
         outs = []

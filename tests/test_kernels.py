@@ -114,6 +114,49 @@ def test_art3_backend_agreement(seed, cffi, restore_backend):
 
 
 @needs_cc
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_art3_step_sums_backend_agreement(seed, cffi, restore_backend):
+    # one-sided rows always reflect, equality rows always take the midline,
+    # and slabs do either
+    rows, x0 = _random_system(seed)
+    A = np.ascontiguousarray([r.a for r in rows])
+    lo, hi = np.array([r.lo for r in rows]), np.array([r.hi for r in rows])
+    norm2 = np.array([r.norm2 for r in rows])
+    queue = np.arange(len(rows), dtype=np.int64)
+    results = {}
+    for backend in ("c", "numpy"):
+        _kernels.set_backend(backend)
+        x, passes = x0.copy(), []
+        for _ in range(50):
+            sums = np.zeros(3)
+            kept = _kernels.art3_pass(A, lo, hi, norm2, x, queue, 1e-8, sums)
+            passes.append((list(kept), sums))
+        results[backend] = (x, passes)
+    (xa, pa), (xb, pb) = results["c"], results["numpy"]
+    assert [p[0] for p in pa] == [p[0] for p in pb]
+    assert sum(len(p[0]) for p in pa) > 0
+    np.testing.assert_allclose(xa, xb, rtol=0, atol=1e-12)
+    for a, b in zip(pa, pb):
+        np.testing.assert_allclose(a[1], b[1], rtol=1e-12, atol=1e-12)
+
+
+@needs_cc
+def test_c_art3_pass_validates_the_sums_array(cffi, restore_backend):
+    _kernels.set_backend("c")
+    A = np.array([[1.0]])
+    lo, hi, norm2 = np.array([0.0]), np.array([2.0]), np.array([1.0])
+    queue = np.array([0], dtype=np.int64)
+    frozen = np.zeros(3)
+    frozen.setflags(write=False)
+    for bad, error in ((np.zeros(2), ValueError), (frozen, ValueError),
+                       (np.zeros(3, dtype=np.float32), TypeError)):
+        x = np.array([5.0])
+        with pytest.raises(error):
+            _kernels.art3_pass(A, lo, hi, norm2, x, queue, 1e-8, bad)
+        assert x[0] == 5.0
+
+
+@needs_cc
 def test_c_kernels_update_in_place_and_validate(cffi, restore_backend):
     _kernels.set_backend("c")
     A = np.array([[1.0]])
@@ -121,9 +164,10 @@ def test_c_kernels_update_in_place_and_validate(cffi, restore_backend):
     x = np.array([5.0])
     assert _kernels.cspm_sweep(A, lo, hi, norm2, x, 1.0, 1e-8)[:2] == (3.0, 1)
     assert x[0] == 2.0
-    x = np.array([5.0])
-    kept = _kernels.art3_pass(A, lo, hi, norm2, x, np.array([0], dtype=np.int64), 1e-8)
+    x, sums = np.array([5.0]), np.zeros(3)
+    kept = _kernels.art3_pass(A, lo, hi, norm2, x, np.array([0], dtype=np.int64), 1e-8, sums)
     assert list(kept) == [0] and x[0] == 1.0
+    assert sums == pytest.approx([4.0 * (2.0 + 1e-8), 4.0 * (2.0 + 1e-8), 4.0])
     with pytest.raises(TypeError):
         _kernels.cspm_sweep(A, lo, hi, norm2, np.array([5.0], dtype=np.float32), 1.0, 1e-8)
     I2, ones = np.eye(2), np.ones(2)
@@ -140,7 +184,7 @@ def test_c_kernels_update_in_place_and_validate(cffi, restore_backend):
         _kernels.cspm_sweep(A, lo, hi, norm2, np.array([5.0, 0.0]), 1.0, 1e-8)
     x = np.array([5.0])
     with pytest.raises(IndexError):
-        _kernels.art3_pass(A, lo, hi, norm2, x, np.array([0, 1], dtype=np.int64), 1e-8)
+        _kernels.art3_pass(A, lo, hi, norm2, x, np.array([0, 1], dtype=np.int64), 1e-8, sums)
     assert x[0] == 5.0
 
 
@@ -220,17 +264,72 @@ def test_numpy_kernel_semantics_by_hand():
 def test_art3_pass_reflect_and_midline():
     A = np.array([[1.0]])
     lo, hi, norm2 = np.array([0.0]), np.array([2.0]), np.array([1.0])
+    sums = np.zeros(3)
     # overshoot beyond the width: midline projection to 1
     x = np.array([5.0])
-    kept = _kernels._art3_pass_numpy(A, lo, hi, norm2, x, np.array([0], dtype=np.int64), 1e-8)
+    kept = _kernels._art3_pass_numpy(A, lo, hi, norm2, x, np.array([0], dtype=np.int64), 1e-8,
+                                     sums)
     assert list(kept) == [0]
     assert x == pytest.approx([1.0])
+    assert sums == pytest.approx([4.0 * (2.0 + 1e-8), 4.0 * (2.0 + 1e-8), 4.0])
     # small overshoot: reflect across the upper face
     x = np.array([2.5])
-    _kernels._art3_pass_numpy(A, lo, hi, norm2, x, np.array([0], dtype=np.int64), 1e-8)
+    _kernels._art3_pass_numpy(A, lo, hi, norm2, x, np.array([0], dtype=np.int64), 1e-8, sums)
     assert x == pytest.approx([1.5])
+    assert sums == pytest.approx([1.0 * (2.0 + 1e-8), 1.0 * (2.0 + 1e-8), 1.0])
     # satisfied row is dropped and untouched
     x = np.array([1.0])
-    kept = _kernels._art3_pass_numpy(A, lo, hi, norm2, x, np.array([0], dtype=np.int64), 1e-8)
+    kept = _kernels._art3_pass_numpy(A, lo, hi, norm2, x, np.array([0], dtype=np.int64), 1e-8,
+                                     sums)
     assert kept.shape[0] == 0
     assert x == pytest.approx([1.0])
+    assert list(sums) == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("backend", ["numpy", pytest.param("c", marks=needs_cc)])
+def test_art3_pass_step_sums_by_hand(backend, request, restore_backend):
+    if backend == "c":
+        request.getfixturevalue("cffi")
+    _kernels.set_backend(backend)
+    tol = 1e-8
+    queue = np.array([0], dtype=np.int64)
+
+    def art3(a, lo, hi, x):
+        a = np.array([a])
+        x, sums = np.array(x), np.zeros(3)
+        kept = _kernels.art3_pass(a, np.array([lo]), np.array([hi]), np.array([a[0] @ a[0]]), x,
+                                  queue, tol, sums)
+        assert list(kept) == [0]
+        return x, sums
+
+    # the slab 0 <= 3 y0 + 4 y1 <= 10 (|a| = 5); each step moves x by -coef * h,
+    # h = a off the upper face (beta = 10), h = -a off the lower one (beta = 0)
+    a = [3.0, 4.0]
+    # upper face, over by 5 <= width: reflect, coef = 2 * 5 / 25
+    x, sums = art3(a, 0.0, 10.0, [1.8, 2.4])
+    assert x == pytest.approx([0.6, 0.8])
+    assert sums == pytest.approx([0.4 * (10.0 + tol), 0.4 * (10.0 + tol), 0.4 * 5.0])
+    # upper face, over by 15 > width: midline, coef = (25 - 5) / 25
+    x, sums = art3(a, 0.0, 10.0, [3.0, 4.0])
+    assert x == pytest.approx([0.6, 0.8])
+    assert sums == pytest.approx([0.8 * (10.0 + tol), 0.8 * (10.0 + tol), 0.8 * 5.0])
+    # lower face, under by 5: reflect, coef = 2 * 5 / 25, beta = -lo = 0
+    x, sums = art3(a, 0.0, 10.0, [-0.6, -0.8])
+    assert x == pytest.approx([0.6, 0.8])
+    assert sums == pytest.approx([0.4 * tol, 0.4 * tol, 0.4 * 5.0])
+    # lower face, under by 15: midline, coef = (5 + 15) / 25
+    x, sums = art3(a, 0.0, 10.0, [-1.8, -2.4])
+    assert x == pytest.approx([0.6, 0.8])
+    assert sums == pytest.approx([0.8 * tol, 0.8 * tol, 0.8 * 5.0])
+    # a lower face with beta = -lo < 0: the reflection off 4 <= a . y
+    x, sums = art3(a, 4.0, 10.0, [0.0, 0.0])
+    assert x == pytest.approx([0.96, 1.28])
+    assert sums == pytest.approx([0.32 * (-4.0 + tol), 0.32 * (4.0 + tol), 0.32 * 5.0])
+    # the equality row a . y = 5 always takes the midline: from below with
+    # coef 0.2 off -a . y <= -5, from above with coef 0.8 off a . y <= 5
+    x, sums = art3(a, 5.0, 5.0, [0.0, 0.0])
+    assert x == pytest.approx([0.6, 0.8])
+    assert sums == pytest.approx([0.2 * (-5.0 + tol), 0.2 * (5.0 + tol), 0.2 * 5.0])
+    x, sums = art3(a, 5.0, 5.0, [3.0, 4.0])
+    assert x == pytest.approx([0.6, 0.8])
+    assert sums == pytest.approx([0.8 * (5.0 + tol), 0.8 * (5.0 + tol), 0.8 * 5.0])
