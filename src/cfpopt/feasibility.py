@@ -151,8 +151,6 @@ class LevelConstraint(ConvexFunction):
     (a merit test whose step no row then moved) reuses its value.
     """
 
-    kind = "level"
-
     def __init__(self, objective: ConvexFunction, t: float, counters: Counters | None = None):
         self.objective = objective
         self.t = float(t)
@@ -366,7 +364,6 @@ class CyclicSweeper(_Sweeper):
         self.constraints = list(constraints)
         self.segments = _segment(self.constraints)
         self.relaxation = lam if isinstance(lam, Relaxation) else Relaxation(float(lam))
-        self.last_max_violation = np.inf
 
     def _pass(self, x: np.ndarray, k: int, agg: _StepAggregate | None) -> np.ndarray:
         lam = self.relaxation.at(k)
@@ -394,7 +391,6 @@ class CyclicSweeper(_Sweeper):
                         agg.add_linearization(fn, x, v, xi, norm2, coef)
                     x = x - coef * xi
                     self.moves += 1
-        self.last_max_violation = maxv
         self.certified = maxv <= tol
         return x
 

@@ -89,8 +89,6 @@ class ConvexFunction:
     ``value(y) >= value(x) + <subgrad(x), y - x>`` for all x, y.
     """
 
-    kind: str = "custom"
-
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
 
@@ -103,8 +101,6 @@ class ConvexFunction:
 
 class QuadraticFunction(ConvexFunction):
     """f(x) = 1/2 x'Qx + c'x + constant with Q symmetric PSD."""
-
-    kind = "quadratic"
 
     def __init__(self, Q, c, constant: float = 0.0):
         Q = np.asarray(Q, dtype=np.float64)
@@ -187,10 +183,6 @@ class AffineConstraint(ConvexFunction):
         return cls(a, lo, hi)
 
     @property
-    def kind(self) -> str:  # type: ignore[override]
-        return "affine" if (np.isinf(self.lo) or np.isinf(self.hi)) else "interval-affine"
-
-    @property
     def sense(self) -> str:
         if self.lo == self.hi:
             return "=="
@@ -224,8 +216,6 @@ class CustomFunction(ConvexFunction):
     Convexity of the callables is the caller's responsibility and is not
     verified.
     """
-
-    kind = "custom"
 
     def __init__(self, value_fn, subgrad_fn, name: str = "custom"):
         self._value = value_fn
@@ -288,10 +278,6 @@ class UnderdoseFunction(ConvexFunction):
         self.overdose = overdose
         self.n = model.D.shape[1]
 
-    @property
-    def kind(self) -> str:  # type: ignore[override]
-        return "overdose" if self.overdose else "underdose"
-
     def _shortfall(self, x: np.ndarray) -> np.ndarray:
         d = self.D @ x
         gap = (d - self.R) if self.overdose else (self.R - d)
@@ -318,8 +304,6 @@ class PNormFunction(ConvexFunction):
     is a scaled p-norm of D x, hence convex everywhere, though it is only
     meaningful on the nonnegative dose region.
     """
-
-    kind = "pnorm"
 
     def __init__(self, model: DoseModel):
         if model.p not in (2, 8):

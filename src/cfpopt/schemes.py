@@ -5,8 +5,8 @@ level ``t_k = f(x^k) - eps_k`` after every feasible point until the
 feasibility solver can no longer find one; the last feasible point is then
 an eps-optimal solution.  The bisection scheme instead maintains bounds
 ``[f_lo, f_hi]`` on the optimal value and halves the bracket with one
-feasibility test per step.  An accelerated variant perturbs the iterate
-along the negative objective gradient when consecutive levels stall.
+feasibility test per step.  Both share one acceleration rule: stalled levels
+warm-start the next solve from a negative-gradient shift, never the incumbent.
 
 Termination is classified into three cases: the very first feasibility
 solve already fails (``CASE1``); some later solve fails, certifying the
@@ -95,11 +95,13 @@ def epsilon_update(fx: float, rule: EpsilonRule) -> float:
 class AccelerationConfig:
     """Stall detection and gradient perturbation for the accelerated schemes.
 
-    A stall counter grows whenever consecutive levels differ by at most
-    ``c * eps``; once ``delta / block > s`` the counter resets and the
-    iterate is shifted by ``step_factor`` times the negative objective
-    gradient -- verbatim in non-adaptive mode, with backtracking halving of
-    the step until the objective does not increase in adaptive mode.
+    A stall counter grows whenever the level about to be tested differs from
+    the previous one by at most ``c * eps(f_best)``; once ``delta / block > s``
+    the counter resets and the next solve's warm start is shifted by
+    ``step_factor`` times the negative objective gradient -- verbatim in
+    non-adaptive mode, with backtracking halving of the step until the
+    objective does not increase in adaptive mode.  Levels, brackets and the
+    incumbent only ever come from points a solve found.
     """
 
     c: float = 1.0
@@ -145,19 +147,19 @@ def default_lower_bound(f0: float) -> float:
 class SchemeResult:
     """Outcome of one scheme run.
 
-    ``best_x``/``best_value`` hold the last feasible point and its objective
-    (None in ``CASE1``); ``epsilon`` is the optimality certificate attached
-    to ``CASE2_OR_3`` (the eps of the last accepted step, or gamma for
-    bisection).  ``trace`` records one ``(k, t_k, f(x^k))`` triple per
-    accepted feasible point; ``iterations`` is the index of the last one and
-    ``level_steps`` the number of level-constrained feasibility attempts.
+    ``best_x``/``best_value`` hold the last point a feasibility solve found
+    and its objective (None in ``CASE1``); ``epsilon`` is the optimality
+    certificate, set only in ``CASE2_OR_3`` (the eps of the last accepted
+    step, or gamma for bisection).  ``trace`` records ``(k, t, f)``, the
+    next level and the incumbent value after step ``k`` (a failing level-set
+    step ends the run unrecorded), and ``level_steps`` is the number of
+    level-constrained feasibility attempts.
     """
 
     case: str
     best_x: np.ndarray | None
     best_value: float | None
     epsilon: float | None
-    iterations: int
     level_steps: int
     trace: list[tuple[int, float, float]]
     counters: Counters
@@ -186,58 +188,77 @@ def _perturb(problem: Problem, x: np.ndarray, accel: AccelerationConfig, counter
     return x
 
 
-def _level_engine(problem: Problem, solver, x0, rule: EpsilonRule, accel: AccelerationConfig | None,
-                  lam, max_sweeps: int, tol: float, max_outer: int,
-                  counters: Counters, max_projections: int | None = None) -> SchemeResult:
+def _warm_starts(problem: Problem, accel: AccelerationConfig | None, rule: EpsilonRule,
+                 counters: Counters):
+    """The acceleration rule of :class:`AccelerationConfig` as ``warm_start(t, x, f_best)``:
+    the warm start for testing level ``t``, ``x`` itself unless a stall fires."""
+    prev, delta = None, 0
+
+    def warm_start(t: float, x: np.ndarray, f_best: float) -> np.ndarray:
+        nonlocal prev, delta
+        if accel is None:
+            return x
+        if prev is not None and abs(prev - t) <= accel.c * epsilon_update(f_best, rule):
+            delta += 1
+        prev = t
+        if delta / accel.block <= accel.s:
+            return x
+        delta = 0
+        return _perturb(problem, x, accel, counters)
+
+    return warm_start
+
+
+def _objective(problem: Problem, x: np.ndarray, counters: Counters, where: str) -> float:
+    fx = problem.objective_value(x, counters)
+    if not np.isfinite(fx):
+        raise ValueError(f"objective is non-finite ({fx}) {where}")
+    return fx
+
+
+def _start(problem: Problem, solver, x0, lam, max_sweeps: int, tol: float, counters: Counters,
+           max_projections: int | None):
+    """``(solve, x, f(x))``: the level test ``solve(t, x)`` bound to the run's settings
+    and the first feasible point (None, None when there is none)."""
     if isinstance(solver, str):
         solver = SolverSpec(kind=solver)
     x0 = problem.start_point() if x0 is None else as_vector(x0, problem.n)
 
-    out = cfp_with_level(problem, np.inf, solver, x0, lam=lam, max_sweeps=max_sweeps,
-                         tol=tol, counters=counters, max_projections=max_projections)
-    if not out.found:
-        return SchemeResult(CASE1, None, None, None, -1, 0, [], counters)
+    def solve(t: float, x: np.ndarray):
+        # the level stays the second positional argument: solvebench's tracer reads it there
+        return cfp_with_level(problem, t, solver, x, lam=lam, max_sweeps=max_sweeps, tol=tol,
+                              counters=counters, max_projections=max_projections)
 
-    x = out.x
-    fx = problem.objective_value(x, counters)
-    if not np.isfinite(fx):
-        raise ValueError(f"objective is non-finite ({fx}) at the first feasible point")
+    out = solve(np.inf, x0)
+    if not out.found:
+        return solve, None, None
+    return solve, out.x, _objective(problem, out.x, counters, "at the first feasible point")
+
+
+def _level_engine(problem: Problem, solver, x0, rule: EpsilonRule, accel: AccelerationConfig | None,
+                  lam, max_sweeps: int, tol: float, max_outer: int,
+                  counters: Counters, max_projections: int | None = None) -> SchemeResult:
+    solve, x, fx = _start(problem, solver, x0, lam, max_sweeps, tol, counters, max_projections)
+    if x is None:
+        return SchemeResult(CASE1, None, None, None, 0, [], counters)
+    warm_start = _warm_starts(problem, accel, rule, counters)
     eps = epsilon_update(fx, rule)
     t = fx - eps
-    t_hist = [t]
     trace = [(0, t, fx)]
-    delta = 0
 
     for k in range(1, max_outer + 1):
-        if accel is not None and k >= 2:
-            if abs(t_hist[k - 2] - t_hist[k - 1]) <= accel.c * eps:
-                delta += 1
-            if delta / accel.block > accel.s:
-                delta = 0
-                x = _perturb(problem, x, accel, counters)
-                fx = problem.objective_value(x, counters)
-                if not np.isfinite(fx):
-                    raise ValueError(f"objective is non-finite ({fx}) after perturbation")
-                eps = epsilon_update(fx, rule)
-                t = fx - eps
-                t_hist[k - 1] = t
-
-        out = cfp_with_level(problem, t, solver, x0=x, lam=lam, max_sweeps=max_sweeps,
-                             tol=tol, counters=counters, max_projections=max_projections)
+        out = solve(t, warm_start(t, x, fx))
         if not out.found:
             # the level set became (operationally) infeasible: the previous
             # point carries the eps certificate
-            return SchemeResult(CASE2_OR_3, x, fx, eps, k - 1, k, trace, counters)
+            return SchemeResult(CASE2_OR_3, x, fx, eps, k, trace, counters)
         x = out.x
-        fx = problem.objective_value(x, counters)
-        if not np.isfinite(fx):
-            raise ValueError(f"objective is non-finite ({fx}) at step {k}")
+        fx = _objective(problem, x, counters, f"at step {k}")
         eps = epsilon_update(fx, rule)
         t = fx - eps
-        t_hist.append(t)
         trace.append((k, t, fx))
 
-    return SchemeResult(ITERATION_CAP, x, fx, eps, max_outer, max_outer, trace, counters)
+    return SchemeResult(ITERATION_CAP, x, fx, None, max_outer, trace, counters)
 
 
 def level_set_solve(problem: Problem, solver="cspm", x0=None, rule: EpsilonRule | None = None,
@@ -269,10 +290,10 @@ def accelerated_level_set_solve(problem: Problem, solver="cspm", x0=None,
     """Level-set scheme with stall detection and gradient perturbations.
 
     Identical to :func:`level_set_solve` except that stalled level progress
-    (see :class:`AccelerationConfig`) triggers a negative-gradient shift of
-    the iterate before the next feasibility solve re-establishes
-    feasibility.  With a stall threshold that never fires this reproduces
-    the plain scheme exactly.
+    (see :class:`AccelerationConfig`) warm-starts the next feasibility solve
+    from a negative-gradient shift of the incumbent; the shifted point never
+    becomes the incumbent.  With a stall threshold that never fires this
+    reproduces the plain scheme exactly.
     """
     counters = counters if counters is not None else Counters()
     rule = rule if rule is not None else EpsilonRule()
@@ -295,60 +316,40 @@ def bisection_solve(problem: Problem, solver="cspm", x0=None, cfg: BisectionConf
     stops once ``|f_hi - f_lo| <= gamma``, returning the last feasible point
     as a gamma-optimal solution.  When no lower bound is supplied, a crude
     one is derived from the first feasible value.  The optional acceleration
-    perturbs the warm-start point on stalled brackets; the bracket update
-    itself never changes.
+    (see :class:`AccelerationConfig`) shifts the warm start on stalled
+    brackets; it stays the warm start until a test finds a point, and never
+    becomes the incumbent.
     """
-    if isinstance(solver, str):
-        solver = SolverSpec(kind=solver)
     counters = counters if counters is not None else Counters()
     rule = rule if rule is not None else EpsilonRule()
-    x0 = problem.start_point() if x0 is None else as_vector(x0, problem.n)
-
-    out = cfp_with_level(problem, np.inf, solver, x0, lam=lam, max_sweeps=max_sweeps,
-                         tol=tol, counters=counters, max_projections=max_projections)
-    if not out.found:
-        return SchemeResult(CASE1, None, None, None, -1, 0, [], counters)
-
-    x = out.x
-    f_hi = problem.objective_value(x, counters)
-    if not np.isfinite(f_hi):
-        raise ValueError(f"objective is non-finite ({f_hi}) at the first feasible point")
+    solve, x, f_hi = _start(problem, solver, x0, lam, max_sweeps, tol, counters, max_projections)
+    if x is None:
+        return SchemeResult(CASE1, None, None, None, 0, [], counters)
     cfg = cfg if cfg is not None else BisectionConfig()
     f_lo = cfg.f_lower if cfg.f_lower is not None else default_lower_bound(f_hi)
     gamma = cfg.gamma
 
+    warm_start = _warm_starts(problem, accel, rule, counters)
+    warm = x
     t = 0.5 * (f_lo + f_hi)
-    t_hist = [t]
     trace = [(0, t, f_hi)]
-    delta = 0
     k = 0
     while abs(f_hi - f_lo) > gamma:
         if k >= max_outer:
-            return SchemeResult(ITERATION_CAP, x, f_hi, None, k, k, trace, counters,
+            return SchemeResult(ITERATION_CAP, x, f_hi, None, k, trace, counters,
                                 lower=f_lo, upper=f_hi)
         k += 1
-        if accel is not None and k >= 2:
-            eps = epsilon_update(f_hi, rule)
-            if abs(t_hist[k - 2] - t_hist[k - 1]) <= accel.c * eps:
-                delta += 1
-            if delta / accel.block > accel.s:
-                delta = 0
-                x = _perturb(problem, x, accel, counters)
-
-        out = cfp_with_level(problem, t, solver, x0=x, lam=lam, max_sweeps=max_sweeps,
-                             tol=tol, counters=counters, max_projections=max_projections)
+        warm = warm_start(t, warm, f_hi)
+        out = solve(t, warm)
         if out.found:
-            x = out.x
-            f_hi = problem.objective_value(x, counters)
-            if not np.isfinite(f_hi):
-                raise ValueError(f"objective is non-finite ({f_hi}) at step {k}")
+            x = warm = out.x
+            f_hi = _objective(problem, x, counters, f"at step {k}")
         else:
             f_lo = t
         t = 0.5 * (f_lo + f_hi)
-        t_hist.append(t)
         trace.append((k, t, f_hi))
 
-    return SchemeResult(CASE2_OR_3, x, f_hi, gamma, k, k, trace, counters,
+    return SchemeResult(CASE2_OR_3, x, f_hi, gamma, k, trace, counters,
                         lower=f_lo, upper=f_hi)
 
 

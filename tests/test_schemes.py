@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cfpopt.harness import HarnessConfig, builtin_problems, run_variant
 from cfpopt.model import AffineConstraint, Bounds, Counters, CustomFunction, Problem, QuadraticFunction
 from cfpopt.schemes import (
     CASE1,
@@ -154,6 +155,29 @@ class TestAcceleratedLevelSet:
         assert alpha < 1.9
 
 
+class TestAccelerationIncumbent:
+    """A stall perturbation moves only the warm start: whatever fires, the
+    returned point is one a solve found, feasible, with f(best_x) == f_hat."""
+
+    CONFIGS = [
+        HarnessConfig(accel_c=c, accel_s=0.001, block=block, accel_adaptive=adaptive)
+        for c, block in ((1.0, 10), (10.0, 1))
+        for adaptive in (False, True)
+    ]
+
+    @pytest.mark.parametrize("variant", ["ls_acc_cspm", "ls_acc_sup_cspm",
+                                         "bis_acc_cspm", "bis_acc_sup_cspm"])
+    @pytest.mark.parametrize("config", CONFIGS,
+                             ids=lambda c: f"c{c.accel_c:g}-b{c.block}-adaptive{int(c.accel_adaptive)}")
+    def test_best_x_is_a_found_point(self, variant, config):
+        for name, problem in builtin_problems().items():
+            r = run_variant(variant, problem, config)
+            if r.best_x is None:
+                continue
+            assert problem.max_violation(r.best_x) <= config.feas_tol, name
+            assert problem.objective.value(r.best_x) == r.f_hat, name
+
+
 class TestBisection:
     def test_simple_qp_gamma_optimal(self):
         res = bisection_solve(simple_qp(), x0=[2.0], cfg=BisectionConfig(f_lower=0.0))
@@ -243,6 +267,7 @@ class TestSchemeEdges:
                         max_outer=5)
             assert res.case == ITERATION_CAP, solve.__name__
             assert res.level_steps == 5, solve.__name__
+            assert res.epsilon is None, solve.__name__
 
     def test_case2_certificate_via_level_minimum(self):
         # objective minimum inside the feasible set: the scheme walks to it
