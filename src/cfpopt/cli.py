@@ -193,7 +193,7 @@ def _cmd_bench(args) -> int:
     for path in paths:
         try:
             problem = load_qps(path)
-        except QpsParseError as exc:
+        except (OSError, QpsParseError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
         for vname in variant_names:

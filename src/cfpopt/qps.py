@@ -11,7 +11,22 @@ off-diagonal entry contributes to both symmetric positions), QMATRIX lists
 the full matrix; a ``quad_half=False`` switch drops the 1/2 factor for
 collections using the other convention.  An RHS entry on the objective row
 is the objective constant with its sign flipped.  Default variable bounds
-are ``0 <= x < +inf``.
+are ``0 <= x < +inf``.  Repeated COLUMNS and quadratic entries sum, in file
+order; a repeated RHS, RANGES or BOUNDS entry replaces the earlier one.
+Numeric fields may use Fortran ``D`` exponents; NaN is rejected everywhere,
+and an infinite value everywhere but in BOUNDS, where a lower bound of
+``+inf`` or an upper bound of ``-inf`` is rejected as an empty box.  A
+constraint row whose coefficients are all zero (or absent) is rejected at
+its ROWS line.
+
+The reader works a section at a time, not a line at a time: the text is
+split into lines once, and the data lines of each section are tokenised,
+checked, mapped from names to indices and converted to floats in bulk, a
+block of ``_CHUNK`` lines at a time so that the token lists stay small.  A
+check that fails on a block searches it for the first offending line, so a
+diagnostic names the same line a line-by-line reader would.  COLUMNS and
+quadratic entries are kept as index and value arrays, and ``to_problem``
+sums them into ``A``, ``c`` and ``Q`` with ``np.add.at`` in file order.
 """
 
 from __future__ import annotations
@@ -34,6 +49,8 @@ __all__ = [
 ]
 
 _SECTIONS = ("NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "QUADOBJ", "QMATRIX", "ENDATA")
+_MARKERS = ("'MARKER'", "MARKER")
+_CHUNK = 1024  # data lines tokenised at a time
 
 
 @dataclass(frozen=True)
@@ -57,21 +74,30 @@ class QpsParseError(ValueError):
 
 @dataclass
 class QpsDocument:
-    """Sections of one QPS file, still in name/sparse form."""
+    """Sections of one QPS file, with the entries as index arrays.
+
+    The COLUMNS and quadratic entries are parallel index and value arrays in
+    file order; a COLUMNS entry on the objective row has row index -1, and
+    the others index ``row_order`` and ``col_order``.
+    """
 
     name: str = ""
     objective_row: str | None = None
     row_order: list[str] = field(default_factory=list)
+    row_lines: list[int] = field(default_factory=list)  # ROWS line of each row
     row_sense: dict = field(default_factory=dict)  # row -> 'L' | 'G' | 'E'
     col_order: list[str] = field(default_factory=list)
-    entries: dict = field(default_factory=dict)  # (row, col) -> coefficient
-    obj_coeffs: dict = field(default_factory=dict)  # col -> coefficient
+    entry_rows: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))
+    entry_cols: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))
+    entry_values: np.ndarray = field(default_factory=lambda: np.empty(0))
     rhs: dict = field(default_factory=dict)  # row -> value
     rhs_objective: float = 0.0
     ranges: dict = field(default_factory=dict)  # row -> range value
-    bound_lo: dict = field(default_factory=dict)  # col -> lower (explicit)
-    bound_hi: dict = field(default_factory=dict)  # col -> upper (explicit)
-    quad_entries: list = field(default_factory=list)  # (col, col, value)
+    bound_lo: dict = field(default_factory=dict)  # column index -> lower (explicit)
+    bound_hi: dict = field(default_factory=dict)  # column index -> upper (explicit)
+    quad_rows: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))
+    quad_cols: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))
+    quad_values: np.ndarray = field(default_factory=lambda: np.empty(0))
     quad_section: str | None = None
     warnings: list = field(default_factory=list)
 
@@ -94,40 +120,39 @@ class QpsDocument:
         return (b, b + r) if r >= 0.0 else (b + r, b)
 
     def to_problem(self, quad_half: bool = True, name: str | None = None) -> Problem:
-        n = len(self.col_order)
-        col_index = {c: j for j, c in enumerate(self.col_order)}
-        c = np.zeros(n)
-        for col, v in self.obj_coeffs.items():
-            c[col_index[col]] = v
+        n, m = len(self.col_order), len(self.row_order)
+        # the objective row (index -1) is the last row of A, so that c sums
+        # its entries as the constraint rows do
+        A = np.zeros((m + 1, n))
+        np.add.at(A, (self.entry_rows, self.entry_cols), self.entry_values)
+        i, j, v = self.quad_rows, self.quad_cols, self.quad_values
+        if self.quad_section == "QUADOBJ":
+            # each off-diagonal entry's mirror right after it, so that every
+            # position of Q sums its contributions in file order
+            keep = np.column_stack([np.ones_like(i, dtype=bool), i != j]).ravel()
+            i, j = np.column_stack([i, j]).ravel()[keep], np.column_stack([j, i]).ravel()[keep]
+            v = np.repeat(v, 2)[keep]
         Q = np.zeros((n, n))
-        for c1, c2, v in self.quad_entries:
-            i, j = col_index[c1], col_index[c2]
-            Q[i, j] += v
-            if self.quad_section == "QUADOBJ" and i != j:
-                Q[j, i] += v
+        np.add.at(Q, (i, j), v)
         if not quad_half:
             Q = 2.0 * Q
         if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12):
             raise QpsParseError(ParseDiagnostic(0, self.quad_section or "QUADOBJ",
                                                 "assembled quadratic matrix is not symmetric"))
-        objective = QuadraticFunction(Q, c, constant=-self.rhs_objective)
+        objective = QuadraticFunction(Q, A[m].copy(), constant=-self.rhs_objective)
 
-        constraints = []
-        for row in self.row_order:
-            a = np.zeros(n)
-            for col in self.col_order:
-                v = self.entries.get((row, col))
-                if v is not None:
-                    a[col_index[col]] = v
-            lo, hi = self.interval(row)
-            constraints.append(AffineConstraint(a, lo, hi))
+        empty = np.flatnonzero(~A[:m].any(axis=1))
+        if empty.size:
+            k = empty[0]
+            _fail(self.row_lines[k], "ROWS", f"row {self.row_order[k]!r} has no nonzero coefficient")
+        # copies, so that no row or c is a view that keeps all of A alive
+        constraints = [AffineConstraint(A[k].copy(), *self.interval(row))
+                       for k, row in enumerate(self.row_order)]
 
         lo = np.zeros(n)
         hi = np.full(n, np.inf)
-        for col, v in self.bound_lo.items():
-            lo[col_index[col]] = v
-        for col, v in self.bound_hi.items():
-            hi[col_index[col]] = v
+        lo[list(self.bound_lo)] = list(self.bound_lo.values())
+        hi[list(self.bound_hi)] = list(self.bound_hi.values())
         bounds = Bounds(lo, hi)
 
         return Problem(
@@ -145,159 +170,288 @@ def _fail(line_no: int, section: str, message: str):
     raise QpsParseError(ParseDiagnostic(line_no, section, message))
 
 
-def _num(tok: str, line_no: int, section: str) -> float:
+def _fail_first(section: str, line_of, *faults):
+    """Raise the first of the faults found in a block, if any.
+
+    A fault is ``(entry, rank, message)`` or None: ``entry`` indexes the
+    block's entries (``line_of`` maps it to its line), and ``rank`` orders
+    the checks made on one entry.
+    """
+    found = [f for f in faults if f]
+    if found:
+        entry, _, message = min(found)
+        _fail(line_of[entry], section, message)
+
+
+def _fields(toks):
+    """The 3-token lists ``toks`` as three tuples: first, second and third tokens."""
+    return tuple(zip(*toks)) or ((), (), ())
+
+
+def _truncate(line_of, toks, counts):
+    """Cut ``toks`` before its first line with a token count not in ``counts``.
+
+    Returns the kept lines and the number of the cut line, or None.
+    """
+    if set(map(len, toks)).issubset(counts):
+        return toks, None
+    k = next(k for k, t in enumerate(toks) if len(t) not in counts)
+    return toks[:k], line_of[k]
+
+
+def _pairs(line_of, toks):
+    """The entries of a ``NAME ROW VAL [ROW VAL]`` block as 3-token lists.
+
+    A 5-token line gives two entries, and ``line_of`` becomes the line of
+    each entry.  Entries stop before the first line with another token
+    count, whose number is returned too (see ``_truncate``).
+    """
+    toks, cut = _truncate(line_of, toks, (3, 5))
+    if 5 in map(len, toks):
+        line_of = [line_of[k] for k, t in enumerate(toks) for _ in range(len(t) // 2)]
+        toks = [(t[0], t[p], t[p + 1]) for t in toks for p in range(1, len(t), 2)]
+    return line_of, toks, cut
+
+
+def _first_missing(indices, names, rank: int, what: str):
+    """The fault for the first name that ``indices`` could not resolve."""
+    if None not in indices:
+        return None
+    k = indices.index(None)
+    return k, rank, f"{what} {names[k]!r}"
+
+
+def _numbers(tokens, rank: int, allow_inf: bool = False):
+    """``float`` of each token, and the first fault (see ``_fail_first``).
+
+    A token ``float`` rejects is read again with ``D`` exponents; NaN is a
+    fault, and so is an infinite value unless ``allow_inf``.
+    """
+    fault = None
     try:
-        return float(tok.replace("D", "E").replace("d", "e"))
+        values = list(map(float, tokens))
     except ValueError:
-        _fail(line_no, section, f"malformed numeric field {tok!r}")
+        values = []
+        for tok in tokens:
+            try:
+                values.append(float(tok.replace("D", "E").replace("d", "e")))
+            except ValueError:
+                fault = (len(values), rank, f"malformed numeric field {tok!r}")
+                break
+    values = np.array(values, dtype=np.float64)
+    bad = np.isnan(values) if allow_inf else ~np.isfinite(values)
+    if bad.any():
+        k = int(bad.argmax())
+        fault = (k, rank, f"non-finite numeric field {tokens[k]!r}")
+    return values, fault
+
+
+class _Reader:
+    """One parse: the lines, the document and the name-to-index maps."""
+
+    def __init__(self, text: str):
+        self.lines = text.splitlines()
+        self.comments = "*" in text  # else no line needs the comment test
+        self.doc = QpsDocument()
+        self.rows: dict[str, int] = {}  # row -> index; the objective row -> -1
+        self.cols: dict[str, int] = {}  # column -> index
+        self.marker_rows = False  # a row named like a MARKER keyword
+        self.entries: list[tuple] = []  # (rows, cols, values) per COLUMNS block
+        self.quad: list[tuple] = []  # (rows, cols, values) per quadratic block
+
+    def read(self) -> QpsDocument:
+        lines, doc = self.lines, self.doc
+        section, start = None, 0
+        for i in [i for i, line in enumerate(lines) if line and not line[0].isspace()]:
+            toks = lines[i].split()
+            if toks[0][0] == "*":
+                continue
+            self._section(section, start, i)
+            if section == "ENDATA":
+                _fail(i + 1, "ENDATA", "data after ENDATA")
+            head = toks[0].upper()
+            if head not in _SECTIONS:
+                _fail(i + 1, section or "-", f"unknown section {toks[0]!r}")
+            section, start = head, i + 1
+            if head == "NAME":
+                doc.name = toks[1] if len(toks) > 1 else ""
+            elif head in ("QUADOBJ", "QMATRIX"):
+                doc.quad_section = head
+        self._section(section, start, len(lines))
+
+        if doc.objective_row is None:
+            _fail(0, "ROWS", "no N (objective) row declared")
+        if section != "ENDATA":
+            doc.warnings.append(ParseDiagnostic(0, "ENDATA", "missing ENDATA", "warning"))
+        doc.col_order = list(self.cols)
+        if self.entries:
+            doc.entry_rows, doc.entry_cols, doc.entry_values = map(np.concatenate, zip(*self.entries))
+        if self.quad:
+            doc.quad_rows, doc.quad_cols, doc.quad_values = map(np.concatenate, zip(*self.quad))
+        return doc
+
+    def _section(self, section, start: int, stop: int):
+        """Read the data lines ``lines[start:stop]`` of ``section`` block by block."""
+        handler = _HANDLERS[section]
+        for a in range(start, stop, _CHUNK):
+            b = min(a + _CHUNK, stop)
+            toks = list(map(str.split, self.lines[a:b]))
+            if all(toks) and not self.comments:
+                handler(self, section, range(a + 1, b + 1), toks)
+            else:
+                keep = [k for k, t in enumerate(toks) if t and t[0][0] != "*"]
+                handler(self, section, [a + 1 + k for k in keep], [toks[k] for k in keep])
+
+    def _no_data(self, section, line_of, toks):
+        if toks:
+            if section is None:
+                _fail(line_of[0], "-", "data before any section header")
+            _fail(line_of[0], section, "data after ENDATA" if section == "ENDATA"
+                  else "unexpected data in NAME section")
+
+    def _rows(self, section, line_of, toks):
+        doc = self.doc
+        toks, cut = _truncate(line_of, toks, (2,))
+        for line_no, (sense, row) in zip(line_of, toks):
+            kind = sense.upper()
+            if row in self.rows:
+                _fail(line_no, section, f"duplicate row {row!r}")
+            if kind == "N":
+                if doc.objective_row is not None:
+                    _fail(line_no, section, "duplicate N (objective) row")
+                doc.objective_row = row
+                self.rows[row] = -1
+            elif kind in ("L", "G", "E"):
+                self.rows[row] = len(doc.row_order)
+                doc.row_order.append(row)
+                doc.row_lines.append(line_no)
+                doc.row_sense[row] = kind
+            else:
+                _fail(line_no, section, f"unknown row sense {sense!r}")
+        if cut is not None:
+            _fail(cut, section, f"expected 'SENSE NAME', got {self.lines[cut - 1].strip()!r}")
+        self.marker_rows = any(row.upper() in _MARKERS for row in self.rows)
+
+    def _entries(self, section, line_of, toks):
+        """A COLUMNS block: its entries become index and value arrays."""
+        rows = None
+        if not self.marker_rows and set(map(len, toks)) == {3}:
+            cols, names, values = _fields(toks)
+            rows = list(map(self.rows.get, names))
+        cut = None
+        if rows is None or None in rows:
+            # MARKER lines, two-entry lines or a fault: take the general path
+            markers = [k for k, t in enumerate(toks) if len(t) >= 3 and t[1].upper() in _MARKERS]
+            if markers:
+                self.doc.warnings += [ParseDiagnostic(line_of[k], section, "MARKER line ignored", "warning")
+                                      for k in markers]
+                skip = set(markers)
+                line_of = [ln for k, ln in enumerate(line_of) if k not in skip]
+                toks = [t for k, t in enumerate(toks) if k not in skip]
+            line_of, toks, cut = _pairs(line_of, toks)
+            cols, names, values = _fields(toks)
+            rows = list(map(self.rows.get, names))
+        values, bad_value = _numbers(values, 0)
+        _fail_first(section, line_of, bad_value, _first_missing(rows, names, 1, "undeclared row"))
+        if cut is not None:
+            _fail(cut, section, "expected 'COL ROW VAL [ROW VAL]'")
+        for col in dict.fromkeys(cols):
+            self.cols.setdefault(col, len(self.cols))
+        self.entries.append((np.array(rows, dtype=np.intp),
+                             np.array(list(map(self.cols.__getitem__, cols)), dtype=np.intp), values))
+
+    def _rhs(self, section, line_of, toks):
+        """An RHS or RANGES block: each entry replaces the row's earlier one."""
+        line_of, toks, cut = _pairs(line_of, toks)
+        _, names, values = _fields(toks)
+        values, bad_value = _numbers(values, 0)
+        if section == "RHS":
+            bad_row = _first_missing(list(map(self.rows.get, names)), names, 1, "undeclared row")
+        else:
+            rows = [self.rows.get(row, -1) for row in names]
+            k = rows.index(-1) if -1 in rows else None
+            bad_row = k is not None and (k, 1, f"undeclared or non-constraint row {names[k]!r}")
+        _fail_first(section, line_of, bad_value, bad_row)
+        if cut is not None:
+            _fail(cut, section, f"expected '{'RHS' if section == 'RHS' else 'RNG'}NAME ROW VAL [ROW VAL]'")
+        values = dict(zip(names, values.tolist()))
+        if section == "RANGES":
+            self.doc.ranges.update(values)
+            return
+        self.doc.rhs_objective = values.pop(self.doc.objective_row, self.doc.rhs_objective)
+        self.doc.rhs.update(values)
+
+    def _quad(self, section, line_of, toks):
+        toks, cut = _truncate(line_of, toks, (3,))
+        first, second, values = _fields(toks)
+        rows = list(map(self.cols.get, first))
+        cols = list(map(self.cols.get, second))
+        values, bad_value = _numbers(values, 2)
+        _fail_first(section, line_of, _first_missing(rows, first, 0, "undeclared column"),
+                    _first_missing(cols, second, 1, "undeclared column"), bad_value)
+        if cut is not None:
+            _fail(cut, section, "expected 'COL COL VAL'")
+        self.quad.append((np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), values))
+
+    def _bounds(self, section, line_of, toks):
+        """A BOUNDS block; its entries apply in order, each checked against the box so far."""
+        doc = self.doc
+        kinds = [t[0].upper() for t in toks]
+        # the first line whose type or token count is wrong ends the block
+        stop = len(toks)
+        for k, (kind, t) in enumerate(zip(kinds, toks)):
+            if kind in ("LO", "UP", "FX"):
+                if len(t) != 4:
+                    stop, fault = k, f"{kind} bound expects 'TYPE SET COL VAL'"
+                    break
+            elif kind not in ("FR", "MI", "PL", "BV"):
+                stop, fault = k, f"unknown bound type {t[0]!r}"
+                break
+            elif len(t) < 3:
+                stop, fault = k, f"{kind} bound expects 'TYPE SET COL'"
+                break
+        valued = [k for k in range(stop) if kinds[k] in ("LO", "UP", "FX")]
+        values, bad_value = _numbers([toks[k][3] for k in valued], 0, allow_inf=True)
+        if bad_value:
+            stop, fault = valued[bad_value[0]], bad_value[2]
+        names = [t[2] for t in toks[:stop]]
+        cols = list(map(self.cols.get, names))
+        bad_col = _first_missing(cols, names, 1, "undeclared column")
+        if bad_col:
+            stop, fault = bad_col[0], bad_col[2]
+
+        values = dict(zip(valued, values.tolist()))
+        for k in range(stop):
+            kind, j = kinds[k], cols[k]
+            if kind in ("LO", "FX"):
+                doc.bound_lo[j] = values[k]
+            if kind in ("UP", "FX"):
+                doc.bound_hi[j] = values[k]
+            if kind in ("FR", "MI"):
+                doc.bound_lo[j] = -np.inf
+            if kind in ("FR", "PL"):
+                doc.bound_hi[j] = np.inf
+            if kind == "BV":
+                doc.bound_lo[j], doc.bound_hi[j] = 0.0, 1.0
+                doc.warnings.append(ParseDiagnostic(
+                    line_of[k], section, f"binary bound on {names[k]!r} relaxed to [0, 1]", "warning"))
+            lo, hi = doc.bound_lo.get(j, 0.0), doc.bound_hi.get(j, np.inf)
+            if lo > hi or lo == np.inf or hi == -np.inf:
+                _fail(line_of[k], section, f"inconsistent bounds on {names[k]!r}: [{lo}, {hi}]")
+        if stop < len(toks):
+            _fail(line_of[stop], section, fault)
+
+
+_HANDLERS = {
+    None: _Reader._no_data, "NAME": _Reader._no_data, "ENDATA": _Reader._no_data,
+    "ROWS": _Reader._rows, "COLUMNS": _Reader._entries, "RHS": _Reader._rhs, "RANGES": _Reader._rhs,
+    "BOUNDS": _Reader._bounds, "QUADOBJ": _Reader._quad, "QMATRIX": _Reader._quad,
+}
 
 
 def parse_qps_document(text: str) -> QpsDocument:
     """Parse QPS text into its raw sections (see :class:`QpsDocument`)."""
-    doc = QpsDocument()
-    section = None
-    seen_endata = False
-    declared_rows: set[str] = set()
-    declared_cols: set[str] = set()
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
-        if not line.strip() or line.lstrip().startswith("*"):
-            continue
-        if seen_endata:
-            _fail(line_no, "ENDATA", "data after ENDATA")
-
-        toks = line.split()
-        head = toks[0].upper()
-        if not line[0].isspace() and head in _SECTIONS:
-            section = head
-            if section == "NAME":
-                doc.name = toks[1] if len(toks) > 1 else ""
-            elif section == "ENDATA":
-                seen_endata = True
-            elif section in ("QUADOBJ", "QMATRIX"):
-                doc.quad_section = section
-            continue
-        if not line[0].isspace() and section is None:
-            _fail(line_no, "-", f"unknown section {toks[0]!r}")
-        if section is None:
-            _fail(line_no, "-", "data before any section header")
-        if not line[0].isspace():
-            _fail(line_no, section, f"unknown section {toks[0]!r}")
-
-        if section == "ROWS":
-            if len(toks) != 2:
-                _fail(line_no, section, f"expected 'SENSE NAME', got {line.strip()!r}")
-            sense, row = toks[0].upper(), toks[1]
-            if row in declared_rows or row == doc.objective_row:
-                _fail(line_no, section, f"duplicate row {row!r}")
-            if sense == "N":
-                if doc.objective_row is not None:
-                    _fail(line_no, section, "duplicate N (objective) row")
-                doc.objective_row = row
-            elif sense in ("L", "G", "E"):
-                doc.row_order.append(row)
-                doc.row_sense[row] = sense
-                declared_rows.add(row)
-            else:
-                _fail(line_no, section, f"unknown row sense {toks[0]!r}")
-
-        elif section == "COLUMNS":
-            if len(toks) >= 3 and toks[1].upper() in ("'MARKER'", "MARKER"):
-                doc.warnings.append(ParseDiagnostic(line_no, section, "MARKER line ignored", "warning"))
-                continue
-            if len(toks) not in (3, 5):
-                _fail(line_no, section, "expected 'COL ROW VAL [ROW VAL]'")
-            col = toks[0]
-            if col not in declared_cols:
-                declared_cols.add(col)
-                doc.col_order.append(col)
-            for i in range(1, len(toks), 2):
-                row, v = toks[i], _num(toks[i + 1], line_no, section)
-                if row == doc.objective_row:
-                    doc.obj_coeffs[col] = doc.obj_coeffs.get(col, 0.0) + v
-                elif row in declared_rows:
-                    key = (row, col)
-                    doc.entries[key] = doc.entries.get(key, 0.0) + v
-                else:
-                    _fail(line_no, section, f"undeclared row {row!r}")
-
-        elif section == "RHS":
-            if len(toks) not in (3, 5):
-                _fail(line_no, section, "expected 'RHSNAME ROW VAL [ROW VAL]'")
-            for i in range(1, len(toks), 2):
-                row, v = toks[i], _num(toks[i + 1], line_no, section)
-                if row == doc.objective_row:
-                    doc.rhs_objective = v
-                elif row in declared_rows:
-                    doc.rhs[row] = v
-                else:
-                    _fail(line_no, section, f"undeclared row {row!r}")
-
-        elif section == "RANGES":
-            if len(toks) not in (3, 5):
-                _fail(line_no, section, "expected 'RNGNAME ROW VAL [ROW VAL]'")
-            for i in range(1, len(toks), 2):
-                row, v = toks[i], _num(toks[i + 1], line_no, section)
-                if row not in declared_rows:
-                    _fail(line_no, section, f"undeclared or non-constraint row {row!r}")
-                doc.ranges[row] = v
-
-        elif section == "BOUNDS":
-            kind = toks[0].upper()
-            if kind in ("LO", "UP", "FX"):
-                if len(toks) != 4:
-                    _fail(line_no, section, f"{kind} bound expects 'TYPE SET COL VAL'")
-                col, v = toks[2], _num(toks[3], line_no, section)
-            elif kind in ("FR", "MI", "PL", "BV"):
-                if len(toks) < 3:
-                    _fail(line_no, section, f"{kind} bound expects 'TYPE SET COL'")
-                col, v = toks[2], None
-            else:
-                _fail(line_no, section, f"unknown bound type {toks[0]!r}")
-            if col not in declared_cols:
-                _fail(line_no, section, f"undeclared column {col!r}")
-            if kind == "LO":
-                doc.bound_lo[col] = v
-            elif kind == "UP":
-                doc.bound_hi[col] = v
-            elif kind == "FX":
-                doc.bound_lo[col] = v
-                doc.bound_hi[col] = v
-            elif kind == "FR":
-                doc.bound_lo[col] = -np.inf
-                doc.bound_hi[col] = np.inf
-            elif kind == "MI":
-                doc.bound_lo[col] = -np.inf
-            elif kind == "PL":
-                doc.bound_hi[col] = np.inf
-            elif kind == "BV":
-                doc.bound_lo[col] = 0.0
-                doc.bound_hi[col] = 1.0
-                doc.warnings.append(ParseDiagnostic(
-                    line_no, section, f"binary bound on {col!r} relaxed to [0, 1]", "warning"))
-            lo = doc.bound_lo.get(col, 0.0)
-            hi = doc.bound_hi.get(col, np.inf)
-            if lo > hi:
-                _fail(line_no, section, f"inconsistent bounds on {col!r}: [{lo}, {hi}]")
-
-        elif section in ("QUADOBJ", "QMATRIX"):
-            if len(toks) != 3:
-                _fail(line_no, section, "expected 'COL COL VAL'")
-            c1, c2 = toks[0], toks[1]
-            for col in (c1, c2):
-                if col not in declared_cols:
-                    _fail(line_no, section, f"undeclared column {col!r}")
-            doc.quad_entries.append((c1, c2, _num(toks[2], line_no, section)))
-
-        elif section == "NAME":
-            _fail(line_no, section, "unexpected data in NAME section")
-
-    if doc.objective_row is None:
-        _fail(0, "ROWS", "no N (objective) row declared")
-    if not seen_endata:
-        doc.warnings.append(ParseDiagnostic(0, "ENDATA", "missing ENDATA", "warning"))
-    return doc
+    return _Reader(text).read()
 
 
 def parse_qps(text: str, quad_half: bool = True, name: str | None = None) -> Problem:
@@ -305,10 +459,19 @@ def parse_qps(text: str, quad_half: bool = True, name: str | None = None) -> Pro
     return parse_qps_document(text).to_problem(quad_half=quad_half, name=name)
 
 
+def _read_text(path: Path) -> str:
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise QpsParseError(ParseDiagnostic(data.count(b"\n", 0, exc.start) + 1, "-",
+                                            f"not UTF-8 text: {exc.reason} at byte {exc.start}")) from None
+
+
 def load_qps(path, quad_half: bool = True) -> Problem:
-    """Parse a QPS file; the problem name falls back to the file stem."""
+    """Parse a UTF-8 QPS file; the problem name falls back to the file stem."""
     path = Path(path)
-    doc = parse_qps_document(path.read_text())
+    doc = parse_qps_document(_read_text(path))
     return doc.to_problem(quad_half=quad_half, name=doc.name or path.stem)
 
 

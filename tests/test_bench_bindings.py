@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfpopt import feasibility, harness, superiorize
+from cfpopt import feasibility, harness, qps, superiorize
 from cfpopt.feasibility import SolverSpec, cfp_with_level
 from cfpopt.model import AffineConstraint, Bounds, Problem, QuadraticFunction
 
@@ -26,6 +26,8 @@ BINDINGS = [
     (harness, "level_set_solve"),
     (harness, "accelerated_level_set_solve"),
     (harness, "bisection_solve"),
+    (qps, "parse_qps_document"),
+    (qps.QpsDocument, "to_problem"),
 ]
 
 
@@ -60,3 +62,17 @@ def test_superiorized_solve_is_traced_and_restored(tracer_class):
         assert tracer.calls[name][0] > 0, name
     for owner, attr in BINDINGS:
         assert getattr(owner, attr) is originals[(owner.__name__, attr)], attr
+
+
+def test_load_qps_is_traced(tracer_class, fixtures_dir):
+    path = fixtures_dir / "fix_qp1.qps"
+    tracer = tracer_class()
+    tracer.install()
+    try:
+        problem = qps.load_qps(path)
+    finally:
+        tracer.uninstall()
+    assert problem.name == "FIXQP1"
+    assert tracer.calls["qps.parse"][0] == 1
+    assert tracer.calls["qps.to_problem"][0] == 1
+    assert tracer.count["qps.bytes"] == len(path.read_text())

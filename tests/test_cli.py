@@ -209,3 +209,66 @@ class TestDiag:
         assert "t_0 = 360.0" in out
         assert "levels nonnegative        : True" in out
         assert "slack partial sums <= t_0 : True" in out
+
+
+BAD_QPS_BASE = (
+    "NAME          BAD\n"
+    "ROWS\n"
+    " N  OBJ\n"
+    " L  C1\n"
+    "COLUMNS\n"
+    "    X1        OBJ       -1.0      C1        1.0\n"
+    "    X2        C1        1.0\n"
+    "RHS\n"
+    "    RHS       C1        2.0\n"
+    "BOUNDS\n"
+    " UP BND       X1        4.0\n"
+    "QUADOBJ\n"
+    "    X1        X1        1.0\n"
+    "ENDATA\n"
+)
+
+BAD_QPS = {
+    "empty_row": (BAD_QPS_BASE.replace(" L  C1\n", " L  C1\n G  C2\n").encode(),
+                  "line 5 [ROWS]: row 'C2' has no nonzero coefficient"),
+    "nan_bound": (BAD_QPS_BASE.replace("X1        4.0", "X1        nan").encode(),
+                  "line 11 [BOUNDS]: non-finite numeric field 'nan'"),
+    "nan_coefficient": (BAD_QPS_BASE.replace("X2        C1        1.0", "X2        C1        nan").encode(),
+                        "line 7 [COLUMNS]: non-finite numeric field 'nan'"),
+    "nan_quadratic": (BAD_QPS_BASE.replace("X1        X1        1.0", "X1        X1        nan").encode(),
+                      "line 13 [QUADOBJ]: non-finite numeric field 'nan'"),
+    "inf_rhs": (BAD_QPS_BASE.replace("C1        2.0", "C1        inf").encode(),
+                "line 9 [RHS]: non-finite numeric field 'inf'"),
+    "not_utf8": (BAD_QPS_BASE.replace("BAD", "B\u00c4D").encode("latin-1"),
+                 "line 1 [-]: not UTF-8 text: invalid continuation byte at byte 15"),
+}
+
+
+class TestBadQpsInput:
+    """Input faults end in exit code 2 and one error line, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("case", sorted(BAD_QPS))
+    def test_exit_code_2_with_one_line(self, case, command, tmp_path, capsys):
+        data, message = BAD_QPS[case]
+        problems = tmp_path / "qps"
+        problems.mkdir()
+        path = problems / "bad.qps"
+        path.write_bytes(data)
+        if command == "solve":
+            rc = main(["solve", "--qps", str(path), "--variant", "ls_cspm"])
+        else:
+            rc = main(["bench", "--problems", str(problems), "--variants", "ls_cspm",
+                       "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(message), err
+
+    def test_bench_unreadable_file_is_input_error(self, tmp_path, capsys):
+        problems = tmp_path / "qps"
+        (problems / "dir.qps").mkdir(parents=True)
+        rc = main(["bench", "--problems", str(problems), "--variants", "ls_cspm",
+                   "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {problems / 'dir.qps'}: "), err

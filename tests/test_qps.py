@@ -1,8 +1,16 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cfpopt.model import AffineConstraint, Bounds, Problem, QuadraticFunction
 from cfpopt.qps import QpsParseError, load_qps, parse_qps, parse_qps_document, write_qps
+
+_spec = importlib.util.spec_from_file_location(
+    "make_problems", Path(__file__).parents[1] / "benchmarks" / "make_problems.py")
+make_problems = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_problems)
 
 FIXTURE_QP = """\
 NAME          FIXQP1
@@ -306,3 +314,258 @@ class TestRoundTrip:
         p2 = Problem(CustomFunction(lambda x: 0.0, lambda x: np.zeros(1), name="z"), [], n=1)
         with pytest.raises(ValueError):
             write_qps(p2)
+
+
+def _same_problem(p, q):
+    """Bitwise equality of everything a QPS file carries."""
+    assert p.objective.Q.tobytes() == q.objective.Q.tobytes()
+    assert p.objective.c.tobytes() == q.objective.c.tobytes()
+    assert p.objective.constant == q.objective.constant
+    assert len(p.constraints) == len(q.constraints)
+    for ca, cb in zip(p.constraints, q.constraints):
+        assert ca.a.tobytes() == cb.a.tobytes()
+        assert (ca.lo, ca.hi) == (cb.lo, cb.hi)
+    assert p.bounds.lo.tobytes() == q.bounds.lo.tobytes()
+    assert p.bounds.hi.tobytes() == q.bounds.hi.tobytes()
+    assert (p.var_names, p.row_names) == (q.var_names, q.row_names)
+
+
+def _replace_line(text, line_no, old, new):
+    lines = text.split("\n")
+    assert old in lines[line_no - 1]
+    lines[line_no - 1] = lines[line_no - 1].replace(old, new)
+    return "\n".join(lines)
+
+
+MIXED = """\
+NAME          MIXED
+ROWS
+ N  OBJ
+ L  R1
+ G  R2
+ E  R3
+COLUMNS
+    X1        OBJ       1.5       R1        1.0
+    X1        R2        2.0
+    X2        R1        -1.0      R3        0.5
+    X3        OBJ       -2.0
+    X3        R2        1.0       R3        4.0
+RHS
+    RHS       R1        3.0       R2        -1.0
+    RHS       R3        2.0
+QUADOBJ
+    X1        X1        2.0
+    X3        X1        0.5
+    X3        X3        1.0
+ENDATA
+"""
+
+MIXED_SPLIT = """\
+NAME          MIXED
+ROWS
+ N  OBJ
+ L  R1
+ G  R2
+ E  R3
+COLUMNS
+    X1        OBJ       1.5
+    X1        R1        1.0
+    X1        R2        2.0
+    X2        R1        -1.0
+    X2        R3        0.5
+    X3        OBJ       -2.0
+    X3        R2        1.0
+    X3        R3        4.0
+RHS
+    RHS       R1        3.0
+    RHS       R2        -1.0
+    RHS       R3        2.0
+QUADOBJ
+    X1        X1        2.0
+    X3        X1        0.5
+    X3        X3        1.0
+ENDATA
+"""
+
+
+class TestBulkPath:
+    """The section-at-a-time reader against what each format feature means."""
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_planted_round_trip_is_bitwise(self, i):
+        p, _ = make_problems.planted_instance(i, 120, 160)
+        q = parse_qps(write_qps(p))
+        assert p.objective.Q.tobytes() == q.objective.Q.tobytes()
+        assert p.objective.c.tobytes() == q.objective.c.tobytes()
+        for ca, cb in zip(p.constraints, q.constraints, strict=True):
+            assert ca.a.tobytes() == cb.a.tobytes()
+            assert cb.hi == ca.hi
+            # a slab travels as RHS hi plus RANGES hi - lo: lo comes back as
+            # exactly the value that pair carries
+            slab = np.isfinite(ca.lo) and np.isfinite(ca.hi) and ca.lo != ca.hi
+            assert cb.lo == (ca.hi - (ca.hi - ca.lo) if slab else ca.lo)
+        assert p.bounds.lo.tobytes() == q.bounds.lo.tobytes()
+        assert p.bounds.hi.tobytes() == q.bounds.hi.tobytes()
+
+    def test_two_entry_lines_mixed_with_one_entry_lines(self):
+        p = parse_qps(MIXED)
+        _same_problem(p, parse_qps(MIXED_SPLIT))
+        np.testing.assert_array_equal(p.objective.c, [1.5, 0.0, -2.0])
+        np.testing.assert_array_equal([r.a for r in p.constraints],
+                                      [[1.0, -1.0, 0.0], [2.0, 0.0, 1.0], [0.0, 0.5, 4.0]])
+        assert [(r.lo, r.hi) for r in p.constraints] == [(-np.inf, 3.0), (-1.0, np.inf), (2.0, 2.0)]
+
+    def test_comments_and_blanks_inside_data_sections(self):
+        text = (MIXED.replace("    X2        R1", "* a comment\n\n    X2        R1")
+                .replace("    X3        OBJ", "   * an indented comment\n  \t\n    X3        OBJ")
+                .replace("    X3        X1", "\n*\n    X3        X1"))
+        _same_problem(parse_qps(MIXED), parse_qps(text))
+        # the lines after them keep their numbers
+        bad = text.replace("    X3        X3        1.0", "    X3        X3        1.0x")
+        with pytest.raises(QpsParseError) as exc:
+            parse_qps(bad)
+        assert exc.value.diagnostic.line == bad.splitlines().index("    X3        X3        1.0x") + 1
+
+    def test_duplicates_sum_in_file_order(self):
+        # 1e16 + 1 rounds back to 1e16, so each order of the three entries
+        # gives another sum: ((0 + 1e16) + 1) - 1e16 is 0, (1e16 - 1e16) + 1 is 1
+        text = """\
+NAME          DUP
+ROWS
+ N  OBJ
+ L  R1
+COLUMNS
+    X1        R1        1e16      OBJ       1e16
+    X1        R1        1.0
+    X2        R1        1.0       OBJ       1.0
+    X1        R1        -1e16     OBJ       -1e16
+    X1        OBJ       1.0
+QUADOBJ
+    X2        X1        1e16
+    X1        X2        1.0
+    X2        X1        -1e16
+    X1        X1        1e16
+    X1        X1        1.0
+    X1        X1        -1e16
+ENDATA
+"""
+        p = parse_qps(text)
+        np.testing.assert_array_equal(p.constraints[0].a, [0.0, 1.0])
+        np.testing.assert_array_equal(p.objective.c, [1.0, 1.0])
+        np.testing.assert_array_equal(p.objective.Q, [[0.0, 0.0], [0.0, 0.0]])
+
+        # the reference: one entry at a time, each QUADOBJ mirror right after its entry
+        cols = {"X1": 0, "X2": 1}
+        a, c, Q = np.zeros(2), np.zeros(2), np.zeros((2, 2))
+        section = None
+        for line in text.splitlines():
+            toks = line.split()
+            if not line[0].isspace():
+                section = toks[0]
+                continue
+            if section == "COLUMNS":
+                for row, v in zip(toks[1::2], toks[2::2]):
+                    (c if row == "OBJ" else a)[cols[toks[0]]] += float(v)
+            elif section == "QUADOBJ":
+                i, j = cols[toks[0]], cols[toks[1]]
+                Q[i, j] += float(toks[2])
+                if i != j:
+                    Q[j, i] += float(toks[2])
+        assert p.constraints[0].a.tobytes() == a.tobytes()
+        assert p.objective.c.tobytes() == c.tobytes()
+        assert p.objective.Q.tobytes() == Q.tobytes()
+
+    def test_marker_lines_warn(self):
+        text = MIXED_SPLIT.replace(
+            "    X2        R1", "    MARKER    'MARKER'    'INTORG'\n    X2        R1").replace(
+            "    X3        OBJ", "    M2        MARKER      'INTEND'   extra\n    X3        OBJ")
+        doc = parse_qps_document(text)
+        lines = text.splitlines()
+        assert [(w.line, w.section, w.message) for w in doc.warnings] == [
+            (lines.index("    MARKER    'MARKER'    'INTORG'") + 1, "COLUMNS", "MARKER line ignored"),
+            (lines.index("    M2        MARKER      'INTEND'   extra") + 1, "COLUMNS", "MARKER line ignored"),
+        ]
+        _same_problem(doc.to_problem(), parse_qps(MIXED_SPLIT))
+
+    @pytest.mark.parametrize("field, token, message", [
+        (2, "1.0.0", "malformed numeric field '1.0.0'"),
+        (2, "nan", "non-finite numeric field 'nan'"),
+        (1, "NOPE", "undeclared row 'NOPE'"),
+    ])
+    def test_fault_deep_in_columns_reports_its_line(self, field, token, message):
+        p, _ = make_problems.planted_instance(0, 120, 160)
+        lines = write_qps(p).splitlines()
+        line_no = 9000  # past the first blocks of data lines
+        toks = lines[line_no - 1].split()
+        toks[field] = token
+        lines[line_no - 1] = "    " + "  ".join(toks)
+        with pytest.raises(QpsParseError) as exc:
+            parse_qps("\n".join(lines))
+        d = exc.value.diagnostic
+        assert (d.line, d.section, d.message) == (line_no, "COLUMNS", message)
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("text", [
+        FIXTURE_QP.replace(" L  C1\n", " L  C1\n G  C2\n"),  # no COLUMNS entry
+        FIXTURE_QP.replace(" L  C1\n", " L  C1\n G  C2\n").replace(
+            "    X2        C1        1.0", "    X2        C2        0.0"),  # zeros only
+    ])
+    def test_empty_row_names_its_rows_line(self, text):
+        with pytest.raises(QpsParseError) as exc:
+            parse_qps(text)
+        d = exc.value.diagnostic
+        assert (d.line, d.section, d.message) == (5, "ROWS", "row 'C2' has no nonzero coefficient")
+
+    @pytest.mark.parametrize("line_no, old, new, section", [
+        (6, "-1.0", "nan", "COLUMNS"),
+        (7, "1.0", "-inf", "COLUMNS"),
+        (9, "2.0", "inf", "RHS"),
+        (9, "2.0", "NaN", "RHS"),
+        (11, "1.0", "nan", "QUADOBJ"),
+        (12, "1.0", "1e400", "QUADOBJ"),
+    ])
+    def test_non_finite_rejected(self, line_no, old, new, section):
+        text = _replace_line(FIXTURE_QP, line_no, old, new)
+        with pytest.raises(QpsParseError) as exc:
+            parse_qps(text)
+        d = exc.value.diagnostic
+        assert (d.line, d.section) == (line_no, section)
+        assert d.message == f"non-finite numeric field {new!r}"
+
+    def test_ranges_non_finite_rejected(self, fixtures_dir):
+        text = (fixtures_dir / "fix_rng.qps").read_text().replace("RNG       R2        0.5",
+                                                                  "RNG       R2        inf")
+        with pytest.raises(QpsParseError) as exc:
+            parse_qps(text)
+        assert (exc.value.diagnostic.line, exc.value.diagnostic.section) == (17, "RANGES")
+
+    def test_bounds_take_infinity_but_not_nan(self):
+        text = FIXTURE_QP.replace("QUADOBJ", "BOUNDS\n UP BND       X1        inf\n"
+                                  " LO BND       X2        -Infinity\nQUADOBJ")
+        p = parse_qps(text)
+        np.testing.assert_array_equal(p.bounds.lo, [0.0, -np.inf])
+        np.testing.assert_array_equal(p.bounds.hi, [np.inf, np.inf])
+        with pytest.raises(QpsParseError) as exc:
+            parse_qps(text.replace("X1        inf", "X1        nan"))
+        d = exc.value.diagnostic
+        assert (d.line, d.section, d.message) == (11, "BOUNDS", "non-finite numeric field 'nan'")
+
+    @pytest.mark.parametrize("bound", [" LO BND       X1        inf", " UP BND       X1        -inf",
+                                       " FX BND       X1        Infinity"])
+    def test_bound_that_empties_the_box_rejected(self, bound):
+        text = FIXTURE_QP.replace("QUADOBJ", f"BOUNDS\n MI BND       X1\n{bound}\nQUADOBJ")
+        with pytest.raises(QpsParseError) as exc:
+            parse_qps(text)
+        d = exc.value.diagnostic
+        assert (d.line, d.section) == (12, "BOUNDS")
+        assert d.message.startswith("inconsistent bounds on 'X1'")
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "latin1.qps"
+        path.write_bytes(FIXTURE_QP.replace("X2        C1", "X\u00e9        C1").encode("latin-1"))
+        with pytest.raises(QpsParseError) as exc:
+            load_qps(path)
+        d = exc.value.diagnostic
+        assert (d.line, d.section) == (7, "-")
+        assert d.message.startswith("not UTF-8 text: invalid continuation byte")
