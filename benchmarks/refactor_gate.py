@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Check that the working tree gives the same results as a parent revision.
+
+Usage:
+    python3 benchmarks/refactor_gate.py PARENT_REV
+
+Extracts ``PARENT_REV`` with ``git archive`` into a temporary directory and
+runs the same gate scripts (this tree's ``cells.py`` and ``qps_digest.py``)
+against both sources:
+
+* ``cells.py`` for each workload at seeds 101-103 with its own variants, and
+  at seed 101 with ``all`` variants;
+* ``qps_digest.py`` for each planted workload at seeds 101-110.
+
+Each run prints ``same`` or its first differing cell or digest line, and the
+gate ends with the ``git diff --numstat PARENT_REV -- src`` totals.  The exit
+status is 1 when any output differs, else 0.  The two trees run side by side,
+one process each; the parent gets its own kernel cache directory, so that its
+kernel build does not evict this tree's.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("plant-cspm", "plant-art3", "dose-cspm")
+PLANTED = ("plant-cspm", "plant-art3")
+GATE_SCRIPTS = ("cells.py", "qps_digest.py")
+
+
+def runs() -> list[tuple[str, ...]]:
+    """The gate's script invocations, as ``(script, *arguments)``."""
+    out = [("cells.py", w, str(seed)) for w in WORKLOADS for seed in (101, 102, 103)]
+    out += [("cells.py", w, "101", "all") for w in WORKLOADS]
+    out += [("qps_digest.py", w, str(seed)) for w in PLANTED for seed in range(101, 111)]
+    return out
+
+
+def extract(rev: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    # the same measurement on both sides: only src/ and solvebench/ differ
+    for name in GATE_SCRIPTS:
+        shutil.copy2(ROOT / "benchmarks" / name, dest / "benchmarks" / name)
+
+
+def start(tree: Path, run: tuple[str, ...], env: dict) -> subprocess.Popen:
+    return subprocess.Popen([sys.executable, str(tree / "benchmarks" / run[0]), *run[1:]],
+                            cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+
+
+def output(proc: subprocess.Popen) -> str:
+    out, err = proc.communicate()
+    if proc.returncode != 0:
+        last = (err.strip().splitlines() or [""])[-1]
+        return f"exit {proc.returncode}: {last}\n{out}"
+    return out
+
+
+def first_difference(old: str, new: str) -> str | None:
+    """The first line pair that differs, as ``'- old / + new'``, or None."""
+    a, b = old.splitlines(), new.splitlines()
+    for x, y in zip(a, b):
+        if x != y:
+            return f"- {x.strip()}\n      + {y.strip()}"
+    if len(a) != len(b):
+        return f"{len(a)} lines against {len(b)}"
+    return None
+
+
+def numstat(rev: str) -> tuple[int, int]:
+    text = subprocess.run(["git", "-C", str(ROOT), "diff", "--numstat", rev, "--", "src"],
+                          check=True, capture_output=True, text=True).stdout
+    added = deleted = 0
+    for line in text.splitlines():
+        a, d, _ = line.split("\t", 2)
+        if a != "-":
+            added, deleted = added + int(a), deleted + int(d)
+    return added, deleted
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    rev = argv[0]
+    differs = 0
+    with tempfile.TemporaryDirectory(prefix="cfpopt-gate-") as tmp:
+        parent = Path(tmp) / "parent"
+        parent.mkdir()
+        extract(rev, parent)
+        new_env = dict(os.environ)
+        old_env = dict(os.environ, XDG_CACHE_HOME=str(Path(tmp) / "cache"))
+        for run in runs():
+            old = start(parent, run, old_env)
+            new = start(ROOT, run, new_env)
+            diff = first_difference(output(old), output(new))
+            label = " ".join(run)
+            print(f"{label:<36} {'same' if diff is None else 'DIFFERS: ' + diff}", flush=True)
+            differs += diff is not None
+    added, deleted = numstat(rev)
+    print(f"src/ against {rev}: +{added} -{deleted} (net {added - deleted:+d})")
+    print(f"{differs} of {len(runs())} runs differ")
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

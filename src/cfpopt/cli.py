@@ -37,31 +37,32 @@ _EPSILON_MODES = {"max-floor": "max-floor", "mult": "multiplicative", "const": "
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-sweeps", type=int, default=1000,
+    defaults = HarnessConfig()
+    p.add_argument("--max-sweeps", type=int, default=defaults.max_sweeps,
                    help="sweep budget per feasibility solve (time-out rule)")
-    p.add_argument("--max-projections", type=int, default=None,
+    p.add_argument("--max-projections", type=int, default=defaults.max_projections,
                    help="per-solve projection budget; replaces the sweep cap as the time-out rule")
-    p.add_argument("--feas-tol", type=float, default=1e-8, help="feasibility tolerance")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.5,
+    p.add_argument("--feas-tol", type=float, default=defaults.feas_tol, help="feasibility tolerance")
+    p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
                    help="relaxation parameter in (0, 2)")
-    p.add_argument("--gamma", type=float, default=1e-5, help="bisection bracket tolerance")
-    p.add_argument("--f-lower", type=float, default=None,
+    p.add_argument("--gamma", type=float, default=defaults.gamma, help="bisection bracket tolerance")
+    p.add_argument("--f-lower", type=float, default=defaults.f_lower,
                    help="objective lower bound for bisection (default: derived)")
     p.add_argument("--epsilon-rule", choices=sorted(_EPSILON_MODES), default="max-floor")
-    p.add_argument("--epsilon-factor", type=float, default=0.1)
-    p.add_argument("--epsilon-floor", type=float, default=0.1)
-    p.add_argument("--block", type=int, default=1000, help="stall-counter block size")
-    p.add_argument("--accel-c", type=float, default=1.0)
-    p.add_argument("--accel-s", type=float, default=0.5)
-    p.add_argument("--accel-step", type=float, default=1.9)
+    p.add_argument("--epsilon-factor", type=float, default=defaults.epsilon_factor)
+    p.add_argument("--epsilon-floor", type=float, default=defaults.epsilon_floor)
+    p.add_argument("--block", type=int, default=defaults.block, help="stall-counter block size")
+    p.add_argument("--accel-c", type=float, default=defaults.accel_c)
+    p.add_argument("--accel-s", type=float, default=defaults.accel_s)
+    p.add_argument("--accel-step", type=float, default=defaults.accel_step)
     p.add_argument("--adaptive", action="store_true",
                    help="backtrack the acceleration step until the objective does not increase")
-    p.add_argument("--sup-N", dest="sup_n", type=int, default=1,
+    p.add_argument("--sup-N", dest="sup_n", type=int, default=defaults.sup_n,
                    help="accepted perturbations per outer step in superiorized variants")
-    p.add_argument("--sup-a", dest="sup_a", type=float, default=0.5,
+    p.add_argument("--sup-a", dest="sup_a", type=float, default=defaults.sup_a,
                    help="perturbation step-size kernel in (0, 1)")
-    p.add_argument("--max-outer", type=int, default=10_000, help="outer scheme iteration cap")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--max-outer", type=int, default=defaults.max_outer, help="outer scheme iteration cap")
+    p.add_argument("--seed", type=int, default=defaults.seed,
                    help="seed for the random start point (default: zeros)")
     p.add_argument("--backend", choices=("auto", "c", "numpy"), default=None,
                    help="sweep kernel backend (default: CFPOPT_BACKEND or auto)")

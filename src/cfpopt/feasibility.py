@@ -29,6 +29,13 @@ Runs of affine constraints are packed into dense arrays and swept by the
 kernels in :mod:`cfpopt._kernels`; any other convex constraint is handled
 through its value/subgradient oracle.
 
+The objective level ``f(x) <= t`` of the paper's scheme is a slot of the
+sweeper, not a constraint object: given the objective and a finite level,
+every pass visits it after the constraint list, evaluating ``f`` through the
+run's :meth:`Counters.objective`.  A violated level at a point where the
+objective's subgradient vanishes proves the level set empty (that point
+minimises f), and the pass ends the solve with ``infeasibility_certified``.
+
 This module owns the step rule and its types: one sweep of
 :func:`cspm_solve` over a single set is the relaxed (subgradient)
 projection onto it, :class:`Relaxation` schedules the step length, and
@@ -112,8 +119,8 @@ class FeasibilityOutcome:
     projection calls that actually displaced the iterate.
     ``infeasibility_certified`` marks such a proof: the aggregate of the
     steps taken separates the tol-relaxed constraint set from the bound box
-    (any solver kind given the bound box), or the objective level constraint
-    was violated at a minimizer of the objective.
+    (any solver kind given the bound box), or a level visit found ``f > t``
+    at a minimizer of the objective.
     """
 
     found: bool
@@ -140,29 +147,6 @@ class SolverSpec:
     def __post_init__(self):
         if self.kind not in ("cspm", "pocs", "art3+"):
             raise ValueError(f"unknown feasibility solver {self.kind!r}")
-
-
-class LevelConstraint(ConvexFunction):
-    """The objective level constraint f(x) - t <= 0.
-
-    Given the run's counters, evaluations go through
-    :meth:`Counters.objective`: each objective-oracle call is charged to
-    ``obj_evals``, and a visit at the point of the run's last objective call
-    (a merit test whose step no row then moved) reuses its value.
-    """
-
-    def __init__(self, objective: ConvexFunction, t: float, counters: Counters | None = None):
-        self.objective = objective
-        self.t = float(t)
-        self.counters = counters
-
-    def value(self, x: np.ndarray) -> float:
-        if self.counters is None:
-            return self.objective.value(x) - self.t
-        return self.counters.objective(self.objective, x) - self.t
-
-    def subgrad(self, x: np.ndarray) -> np.ndarray:
-        return self.objective.subgrad(x)
 
 
 @dataclass
@@ -197,21 +181,6 @@ def _segment(constraints) -> list[tuple[str, object]]:
     if run:
         segments.append(("rows", _Packed.from_rows(run)))
     return segments
-
-
-def _violated_subgradient(fn: ConvexFunction, x: np.ndarray, v: float) -> tuple[np.ndarray, float]:
-    """The subgradient ``xi`` and ``xi . xi`` of ``fn`` at ``x``, where it is violated by ``v``.
-
-    A vanishing one raises :class:`ZeroSubgradientError` with ``.constraint``
-    set to ``fn``: no step can reduce the violation there.
-    """
-    xi = fn.subgrad(x)
-    norm2 = float(xi @ xi)
-    if norm2 < _NORM2_FLOOR:
-        err = ZeroSubgradientError(f"violated constraint (value {v}) has zero subgradient")
-        err.constraint = fn
-        raise err
-    return xi, norm2
 
 
 def _check_tol(tol: float) -> float:
@@ -291,16 +260,18 @@ class _StepAggregate:
         self.size += size
         self.steps += steps
 
-    def add_linearization(self, fn: ConvexFunction, x: np.ndarray, v: float, xi: np.ndarray,
-                          norm2: float, mu: float) -> None:
+    def add_linearization(self, x: np.ndarray, v: float, xi: np.ndarray, norm2: float, mu: float,
+                          level: float) -> None:
         """Count an oracle step off ``xi . y <= xi . x - v + tol``.
 
-        That is the subgradient inequality of ``fn`` at the visit point
-        ``x``, where ``fn`` has value ``v > tol`` and subgradient ``xi``.
+        That is the subgradient inequality of the visited function at the
+        visit point ``x``, where it is violated by ``v > tol`` and has
+        subgradient ``xi``.  ``level`` is ``|t|`` for the objective at level
+        t, whose violation ``f(x) - t`` rounds relative to |t| too, and 0 for
+        a constraint.
         """
         at = float(xi @ x)
-        # the level constraint's value f(x) - t rounds relative to |t| too
-        size = abs(at) + abs(v) + (abs(fn.t) if isinstance(fn, LevelConstraint) else 0.0)
+        size = abs(at) + abs(v) + level
         tol = self.tol
         self.add(mu * (at - v + tol), mu * (size + tol), mu * math.sqrt(norm2))
 
@@ -324,7 +295,7 @@ class _StepAggregate:
 
 
 class _Sweeper:
-    """The sweep bracket both sweepers share.
+    """The sweep bracket and the oracle step both sweepers share.
 
     Given the bound box (whose rows must be among the constraints), a sweeper
     keeps the :class:`_StepAggregate` of its steps: :meth:`sweep` opens it
@@ -332,11 +303,18 @@ class _Sweeper:
     once the aggregate proves the system has no tol-feasible point.
     Subclasses implement the pass as ``_pass(x, k, agg)``, with ``agg`` None
     when no box was given.
+
+    ``level`` is the objective when the solve has a finite level ``t``, else
+    None; the passes visit it with :meth:`_visit`, as they do any oracle
+    constraint.
     """
 
-    def __init__(self, tol: float, counters: Counters, bounds: Bounds | None):
+    def __init__(self, tol: float, counters: Counters, bounds: Bounds | None,
+                 objective: ConvexFunction | None, t: float):
         self.tol = _check_tol(tol)
         self.counters = counters
+        self.level = objective if t < np.inf else None
+        self.t = t
         self.moves = 0
         self.certified = False
         self.empty = False
@@ -348,21 +326,53 @@ class _Sweeper:
             return self._pass(x, k, None)
         agg.begin(x, k)
         x = self._pass(x, k, agg)
-        self.empty = agg.end(x, self.moves, k + 1, self.certified)
+        self.empty = agg.end(x, self.moves, k + 1, self.certified) or self.empty
         return x
+
+    def _visit(self, fn: ConvexFunction, x: np.ndarray, lam: float, agg: _StepAggregate | None,
+               level: bool = False) -> tuple[np.ndarray, float]:
+        """Visit ``fn(x) <= 0``, or ``f(x) <= t`` for the objective ``fn`` when ``level``.
+
+        Returns x and the violation v.  When ``v > tol``, x takes the
+        subgradient step ``lam * v / |xi|**2`` along ``-xi``.  A vanishing
+        subgradient allows no step: at the level it makes x a minimiser of
+        f, so the level set is empty and ``empty`` is set; any other
+        constraint raises :class:`ZeroSubgradientError`.
+        """
+        self.counters.projections += 1
+        v = self.counters.objective(fn, x) - self.t if level else fn.value(x)
+        if v > self.tol:
+            xi = fn.subgrad(x)
+            norm2 = float(xi @ xi)
+            if norm2 < _NORM2_FLOOR:
+                if not level:
+                    raise ZeroSubgradientError(f"violated constraint (value {v}) has zero subgradient")
+                self.empty = True
+                return x, v
+            coef = lam * v / norm2
+            if agg is not None:
+                agg.add_linearization(x, v, xi, norm2, coef, abs(self.t) if level else 0.0)
+            x = x - coef * xi
+            self.moves += 1
+        return x, v
 
 
 class CyclicSweeper(_Sweeper):
     """One full cyclic pass of relaxed (subgradient) projections per sweep.
 
     On affine constraints the subgradient projection is the orthogonal
-    projection, so this single sweeper implements both CSPM and POCS.
+    projection, so this single sweeper implements both CSPM and POCS.  The
+    level, when there is one, is the last element of the cycle, relaxed like
+    the rest.
     """
 
-    def __init__(self, constraints, lam, tol: float, counters: Counters, bounds: Bounds | None = None):
-        super().__init__(tol, counters, bounds)
-        self.constraints = list(constraints)
-        self.segments = _segment(self.constraints)
+    def __init__(self, constraints, lam, tol: float, counters: Counters, bounds: Bounds | None = None,
+                 objective: ConvexFunction | None = None, t: float = np.inf):
+        super().__init__(tol, counters, bounds, objective, t)
+        self.segments = _segment(constraints)
+        if self.level is not None:
+            self.segments.append(("level", self.level))
+        self.certified = not self.segments
         self.relaxation = lam if isinstance(lam, Relaxation) else Relaxation(float(lam))
 
     def _pass(self, x: np.ndarray, k: int, agg: _StepAggregate | None) -> np.ndarray:
@@ -379,119 +389,101 @@ class CyclicSweeper(_Sweeper):
                 if v > maxv:
                     maxv = v
             else:
-                fn: ConvexFunction = seg
-                self.counters.projections += 1
-                v = fn.value(x)
+                x, v = self._visit(seg, x, lam, agg, tag == "level")
                 if v > maxv:
                     maxv = v
-                if v > tol:
-                    xi, norm2 = _violated_subgradient(fn, x, v)
-                    coef = lam * v / norm2
-                    if agg is not None:
-                        agg.add_linearization(fn, x, v, xi, norm2, coef)
-                    x = x - coef * xi
-                    self.moves += 1
         self.certified = maxv <= tol
         return x
 
 
 class Art3Sweeper(_Sweeper):
-    """ART3+ work-queue passes over interval rows (plus an optional level set).
+    """ART3+ work-queue passes over interval rows (plus an optional level).
 
     Each visited row applies the automatic-relaxation rule: overshoot at most
     the interval width reflects across the violated face, larger overshoot
     projects onto the midline hyperplane.  Rows found satisfied are dropped
     from the queue; when the queue empties after any move, all rows are
     reloaded.  The point is certified feasible when a pass over the full list
-    makes no move.  A non-affine level constraint, when present, rides at the
-    end of the queue and is handled by an unrelaxed subgradient projection.
+    makes no move.  The level, when there is one, rides at the end of the
+    queue (``level_queued``) and is visited by an unrelaxed subgradient
+    projection.
 
     Every step, reflection and midline projection alike, moves x by a
     nonnegative multiple of the normal of the violated side, so the steps
     feed the same :class:`_StepAggregate` as CSPM's.
     """
 
-    def __init__(self, rows: list[AffineConstraint], level: ConvexFunction | None, tol: float,
-                 counters: Counters, bounds: Bounds | None = None):
-        super().__init__(tol, counters, bounds)
+    def __init__(self, rows: list[AffineConstraint], tol: float, counters: Counters,
+                 bounds: Bounds | None = None, objective: ConvexFunction | None = None,
+                 t: float = np.inf):
+        super().__init__(tol, counters, bounds, objective, t)
         self.packed = _Packed.from_rows(rows) if rows else None
-        self.n_rows = len(rows)
-        self.level = level
-        total = self.n_rows + (1 if level is not None else 0)
-        self.full = np.arange(total, dtype=np.int64)
+        self.full = np.arange(len(rows), dtype=np.int64)
         self.queue = self.full.copy()
+        self.level_queued = self.level is not None
         self.moved_since_refill = False
-        self.certified = total == 0
+        self.certified = not (rows or self.level_queued)
         self.sums = np.zeros(3)  # the row kernel's step sums of the last pass
 
     def _pass(self, x: np.ndarray, k: int, agg: _StepAggregate | None) -> np.ndarray:
-        if self.queue.shape[0] == 0:
+        if self.queue.shape[0] == 0 and not self.level_queued:
             if not self.moved_since_refill:
                 self.certified = True
                 return x
             self.queue = self.full.copy()
+            self.level_queued = self.level is not None
             self.moved_since_refill = False
 
         queue = self.queue
-        # queues are ascending, so the level marker can only sit at the end
-        has_level = self.level is not None and queue[-1] == self.n_rows
-        row_queue = queue[:-1] if has_level else queue
-
-        if row_queue.shape[0] > 0:
+        if queue.shape[0] > 0:
             kept = _kernels.art3_pass(
-                self.packed.A, self.packed.lo, self.packed.hi, self.packed.norm2, x, row_queue,
+                self.packed.A, self.packed.lo, self.packed.hi, self.packed.norm2, x, queue,
                 self.tol, self.sums,
             )
             if agg is not None:
                 agg.add(*self.sums.tolist())
-            self.counters.projections += row_queue.shape[0]
+            self.counters.projections += queue.shape[0]
             self.moves += kept.shape[0]
         else:
-            kept = row_queue
+            kept = queue
 
-        if has_level:
-            self.counters.projections += 1
-            v = self.level.value(x)
-            if v > self.tol:
-                xi, norm2 = _violated_subgradient(self.level, x, v)
-                mu = v / norm2
-                if agg is not None:
-                    agg.add_linearization(self.level, x, v, xi, norm2, mu)
-                x = x - mu * xi
-                self.moves += 1
-                kept = np.concatenate([kept, np.array([self.n_rows], dtype=np.int64)])
+        if self.level_queued:
+            x, v = self._visit(self.level, x, 1.0, agg, level=True)
+            self.level_queued = v > self.tol
 
-        if kept.shape[0] > 0:
+        if kept.shape[0] > 0 or self.level_queued:
             self.moved_since_refill = True
         self.queue = kept
-        if kept.shape[0] == 0 and not self.moved_since_refill:
-            self.certified = True
+        self.certified = not self.moved_since_refill
         return x
 
 
 def make_sweeper(kind: str, constraints, lam, tol: float, counters: Counters,
-                 bounds: Bounds | None = None):
+                 bounds: Bounds | None = None, objective: ConvexFunction | None = None,
+                 t: float = np.inf):
     """Build the sweeping engine for one CFP solve.
 
     ``bounds``, when given, must be the box whose rows are among
     ``constraints``; every solver kind then tests for emptiness after every
-    sweep.
+    sweep.  ``objective`` with a finite level ``t`` gives the sweeper its
+    level slot, ``f(x) <= t``, visited after the constraints on every pass.
     This is the only check of a solver kind against its constraints: POCS
-    and ART3+ take affine rows alone (ART3+ also a trailing level
-    constraint), and anything else raises ``ValueError`` before any sweep.
+    and ART3+ take affine rows alone (any objective as the level), and
+    anything else raises ``ValueError`` before any sweep, as does a level
+    that is NaN or -inf.
     """
+    t = float(t)
+    if np.isnan(t) or t == -np.inf:
+        raise ValueError("level must be finite or +inf")
     rows = list(constraints)
-    level = None
-    if kind == "art3+" and rows and isinstance(rows[-1], LevelConstraint):
-        level = rows.pop()
     if kind in ("pocs", "art3+"):
         for c in rows:
             if not isinstance(c, AffineConstraint):
                 raise ValueError(f"{kind} requires affine (interval) constraints, got {c!r}")
     if kind in ("cspm", "pocs"):
-        return CyclicSweeper(rows, lam, tol, counters, bounds)
+        return CyclicSweeper(rows, lam, tol, counters, bounds, objective, t)
     if kind == "art3+":
-        return Art3Sweeper(rows, level, tol, counters, bounds)
+        return Art3Sweeper(rows, tol, counters, bounds, objective, t)
     raise ValueError(f"unknown feasibility solver {kind!r}")
 
 
@@ -504,8 +496,7 @@ def _run(sweeper, x0: np.ndarray, max_sweeps: int, counters: Counters,
     sweeper proves the system empty, ``max_sweeps`` sweeps have run, or the
     solve has made ``max_projections`` projections (checked before each
     sweep).  ``before_sweep(x, k)``, when given, maps the iterate just before
-    sweep ``k``; superiorization perturbs it there.  A
-    :class:`ZeroSubgradientError` leaves with ``.x`` and ``.sweeps`` set.
+    sweep ``k``; superiorization perturbs it there.
     """
     x = x0.copy()
     proj0 = counters.projections
@@ -518,12 +509,7 @@ def _run(sweeper, x0: np.ndarray, max_sweeps: int, counters: Counters,
             break
         if before_sweep is not None:
             x = before_sweep(x, k)
-        try:
-            x = sweeper.sweep(x, k)
-        except ZeroSubgradientError as err:
-            err.x = x
-            err.sweeps = k
-            raise
+        x = sweeper.sweep(x, k)
         sweeps = k + 1
         if history is not None:
             history.append(x.copy())
@@ -584,50 +570,25 @@ def cfp_with_level(problem: Problem, t: float, solver: SolverSpec | str = "cspm"
                    history: list | None = None, max_projections: int | None = None) -> FeasibilityOutcome:
     """Feasibility of the problem's constraints intersected with {f <= t}.
 
-    The level constraint f(x) - t <= 0 joins the cyclic order as its last
-    element; ``t = +inf`` drops it, giving plain feasibility.  Objective
-    oracle calls made through the level constraint are charged to
+    The sweeper visits the level ``f(x) <= t`` after the problem's
+    constraints on every pass; ``t = +inf`` leaves the level out, giving
+    plain feasibility.  Objective values taken at the level are charged to
     ``counters.obj_evals`` (see :meth:`Counters.objective`).
     """
     if isinstance(solver, str):
         solver = SolverSpec(kind=solver)
-    t = float(t)
-    if np.isnan(t) or t == -np.inf:
-        raise ValueError("level must be finite or +inf")
     counters = counters if counters is not None else Counters()
     x0 = problem.start_point() if x0 is None else as_vector(x0, problem.n)
+    constraints = problem.all_constraints()
+    if solver.superiorized:
+        from . import superiorize
 
-    constraints = list(problem.all_constraints())
-    if np.isfinite(t):
-        constraints.append(LevelConstraint(problem.objective, t, counters))
-    if not constraints:
-        return FeasibilityOutcome(True, x0.copy(), 0, 0, 0, 0)
-
-    proj0 = counters.projections
-    obj0 = counters.obj_evals
-    try:
-        if solver.superiorized:
-            from .superiorize import SuperiorizationConfig, superiorized_solve
-
-            cfg = solver.sup if solver.sup is not None else SuperiorizationConfig()
-            if cfg.merit is None:
-                cfg = cfg.with_merit(problem.objective, merit_is_objective=True)
-            if cfg.domain is None and problem.bounds is not None:
-                cfg = cfg.with_domain(problem.bounds.contains)
-            return superiorized_solve(
-                solver.kind, constraints, x0, cfg, lam=lam, max_outer=max_sweeps,
-                tol=tol, counters=counters, history=history, max_projections=max_projections,
-                bounds=problem.bounds,
-            )
-        sweeper = make_sweeper(solver.kind, constraints, lam, tol, counters, problem.bounds)
-        return _run(sweeper, x0, max_sweeps, counters, history, max_projections)
-    except ZeroSubgradientError as err:
-        if not isinstance(getattr(err, "constraint", None), LevelConstraint):
-            raise
-        # a vanishing objective subgradient at a point violating f <= t means
-        # the minimum of f exceeds t: the level set is provably empty
-        return FeasibilityOutcome(
-            False, getattr(err, "x", x0.copy()), getattr(err, "sweeps", 0),
-            counters.projections - proj0, counters.obj_evals - obj0, 0,
-            infeasibility_certified=True,
+        cfg = solver.sup if solver.sup is not None else superiorize.SuperiorizationConfig()
+        return superiorize.superiorized_solve(
+            solver.kind, constraints, x0, cfg, lam=lam, max_outer=max_sweeps, tol=tol,
+            counters=counters, history=history, max_projections=max_projections,
+            bounds=problem.bounds, objective=problem.objective, t=t,
         )
+    sweeper = make_sweeper(solver.kind, constraints, lam, tol, counters, problem.bounds,
+                           problem.objective, t)
+    return _run(sweeper, x0, max_sweeps, counters, history, max_projections)

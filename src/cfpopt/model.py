@@ -55,8 +55,8 @@ class Counters:
     ``projections`` counts every projection-operator invocation that evaluates
     a constraint, including no-op returns on already satisfied constraints.
     ``obj_evals`` counts the objective-oracle calls the run makes, whether
-    direct or through an objective level constraint or a merit test.  They
-    all go through :meth:`objective`, which serves a repeat of the last call
+    direct, at a sweeper's level visit or in a merit test.  They all go
+    through :meth:`objective`, which serves a repeat of the last call
     (the same function at a bitwise-identical point) from a one-entry memo
     without calling or counting.  The memo is not part of equality or repr.
     """
@@ -418,15 +418,6 @@ class Problem:
     def all_constraints(self) -> tuple[ConvexFunction, ...]:
         """Constraints in cyclic order: the g_i first, then bound rows."""
         return self._all
-
-    def objective_value(self, x: np.ndarray, counters: Counters | None = None) -> float:
-        """f(x); given the run's counters, through :meth:`Counters.objective`."""
-        if counters is None:
-            return self.objective.value(x)
-        return counters.objective(self.objective, x)
-
-    def objective_subgrad(self, x: np.ndarray) -> np.ndarray:
-        return self.objective.subgrad(x)
 
     def max_violation(self, x: np.ndarray) -> float:
         """max_i max(0, g_i(x)) over constraints and bound rows; 0 iff feasible."""

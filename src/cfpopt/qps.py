@@ -83,6 +83,7 @@ class QpsDocument:
 
     name: str = ""
     objective_row: str | None = None
+    objective_line: int = 0  # ROWS line of the objective row
     row_order: list[str] = field(default_factory=list)
     row_lines: list[int] = field(default_factory=list)  # ROWS line of each row
     row_sense: dict = field(default_factory=dict)  # row -> 'L' | 'G' | 'E'
@@ -124,7 +125,16 @@ class QpsDocument:
         # the objective row (index -1) is the last row of A, so that c sums
         # its entries as the constraint rows do
         A = np.zeros((m + 1, n))
-        np.add.at(A, (self.entry_rows, self.entry_cols), self.entry_values)
+        # sums that overflow are rejected below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(A, (self.entry_rows, self.entry_cols), self.entry_values)
+        bad = np.argwhere(~np.isfinite(A))
+        if bad.size:
+            k, j = bad[0]
+            line, row = ((self.row_lines[k], self.row_order[k]) if k < m
+                         else (self.objective_line, self.objective_row))
+            _fail(line, "ROWS", f"entries of row {row!r} in column {self.col_order[j]!r} "
+                  "sum to a non-finite value")
         i, j, v = self.quad_rows, self.quad_cols, self.quad_values
         if self.quad_section == "QUADOBJ":
             # each off-diagonal entry's mirror right after it, so that every
@@ -133,9 +143,15 @@ class QpsDocument:
             i, j = np.column_stack([i, j]).ravel()[keep], np.column_stack([j, i]).ravel()[keep]
             v = np.repeat(v, 2)[keep]
         Q = np.zeros((n, n))
-        np.add.at(Q, (i, j), v)
-        if not quad_half:
-            Q = 2.0 * Q
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(Q, (i, j), v)
+            if not quad_half:
+                Q = 2.0 * Q
+        bad = np.argwhere(~np.isfinite(Q))
+        if bad.size:
+            i, j = bad[0]
+            _fail(0, self.quad_section, f"entries of columns {self.col_order[i]!r} and "
+                  f"{self.col_order[j]!r} sum to a non-finite value")
         if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12):
             raise QpsParseError(ParseDiagnostic(0, self.quad_section or "QUADOBJ",
                                                 "assembled quadratic matrix is not symmetric"))
@@ -320,6 +336,7 @@ class _Reader:
                 if doc.objective_row is not None:
                     _fail(line_no, section, "duplicate N (objective) row")
                 doc.objective_row = row
+                doc.objective_line = line_no
                 self.rows[row] = -1
             elif kind in ("L", "G", "E"):
                 self.rows[row] = len(doc.row_order)

@@ -173,16 +173,16 @@ class SchemeResult:
 
 def _perturb(problem: Problem, x: np.ndarray, accel: AccelerationConfig, counters: Counters) -> np.ndarray:
     """Shift x along the negative objective gradient per the acceleration rule."""
-    g = problem.objective_subgrad(x)
+    g = problem.objective.subgrad(x)
     if float(g @ g) == 0.0:
         return x
     if not accel.adaptive:
         return x - accel.step_factor * g
-    fx = problem.objective_value(x, counters)
+    fx = counters.objective(problem.objective, x)
     alpha = accel.step_factor
     for _ in range(64):
         cand = x - alpha * g
-        if problem.objective_value(cand, counters) <= fx:
+        if counters.objective(problem.objective, cand) <= fx:
             return cand
         alpha *= 0.5
     return x
@@ -210,7 +210,7 @@ def _warm_starts(problem: Problem, accel: AccelerationConfig | None, rule: Epsil
 
 
 def _objective(problem: Problem, x: np.ndarray, counters: Counters, where: str) -> float:
-    fx = problem.objective_value(x, counters)
+    fx = counters.objective(problem.objective, x)
     if not np.isfinite(fx):
         raise ValueError(f"objective is non-finite ({fx}) {where}")
     return fx

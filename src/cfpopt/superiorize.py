@@ -17,12 +17,18 @@ again, so the hook leaves the iterate alone for the rest of the solve.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .feasibility import FeasibilityOutcome, _run, make_sweeper
+from .feasibility import (
+    DEFAULT_FEAS_TOL,
+    DEFAULT_MAX_SWEEPS,
+    DEFAULT_RELAXATION,
+    FeasibilityOutcome,
+    _run,
+    make_sweeper,
+)
 from .model import Bounds, ConvexFunction, Counters, as_vector
 
 __all__ = [
@@ -43,28 +49,21 @@ class SuperiorizationConfig:
     """Knobs of the perturbation engine.
 
     ``N`` accepted perturbations are taken per outer iteration; step sizes
-    are ``a**l`` with ``0 < a < 1``.  ``merit`` defaults to the problem
-    objective at dispatch time and ``domain`` (a membership predicate) to the
-    whole space, or the bound box when the problem has one.
+    are ``a**l`` with ``0 < a < 1``.  ``merit`` defaults to the objective
+    that :func:`superiorized_solve` is given, and ``domain`` (a membership
+    predicate) to its bound box, or the whole space without one.
     """
 
     N: int = 1
     a: float = 0.5
     merit: ConvexFunction | None = None
     domain: object = None  # callable x -> bool
-    merit_is_objective: bool = False
 
     def __post_init__(self):
         if self.N < 0:
             raise ValueError("N must be nonnegative")
         if not 0.0 < self.a < 1.0:
             raise ValueError("step-size kernel a must lie in (0, 1)")
-
-    def with_merit(self, merit: ConvexFunction, merit_is_objective: bool = False) -> "SuperiorizationConfig":
-        return dataclasses.replace(self, merit=merit, merit_is_objective=merit_is_objective)
-
-    def with_domain(self, domain) -> "SuperiorizationConfig":
-        return dataclasses.replace(self, domain=domain)
 
 
 @dataclass
@@ -95,38 +94,46 @@ def nonascending_direction(merit: ConvexFunction, x: np.ndarray) -> np.ndarray:
 
 
 def superiorized_solve(kind: str, constraints, x0, cfg: SuperiorizationConfig,
-                       lam=1.5, max_outer: int = 1000, tol: float = 1e-8,
+                       lam=DEFAULT_RELAXATION, max_outer: int = DEFAULT_MAX_SWEEPS,
+                       tol: float = DEFAULT_FEAS_TOL,
                        counters: Counters | None = None, history: list | None = None,
                        max_projections: int | None = None,
                        trace: PerturbationTrace | None = None,
-                       bounds: Bounds | None = None) -> FeasibilityOutcome:
+                       bounds: Bounds | None = None, objective: ConvexFunction | None = None,
+                       t: float = np.inf) -> FeasibilityOutcome:
     """Feasibility seeking with interleaved merit perturbations.
 
-    The base solver ``kind``'s sweep loop over ``constraints``, with a
-    pre-sweep hook: per outer iteration, N accepted perturbation steps, then
-    one sweep.  Once the global step index passes the step-size floor the
-    hook perturbs no more.  Termination follows the base solver's contract:
-    found once a full sweep certifies every constraint within ``tol``, proven
-    empty once the sweeps' steps certify it (every solver kind, given the
-    bound box ``bounds``, see :func:`make_sweeper`; the perturbations take
-    no part in the certificate), timed out after ``max_outer`` outer
-    iterations.
+    The base solver ``kind``'s sweep loop over ``constraints`` (and the
+    level ``objective(x) <= t`` when ``t`` is finite, see
+    :func:`make_sweeper`), with a pre-sweep hook: per outer iteration, N
+    accepted perturbation steps, then one sweep.  Once the global step index
+    passes the step-size floor the hook perturbs no more.  Termination
+    follows the base solver's contract: found once a full sweep certifies
+    every constraint within ``tol``, proven empty once the sweeps' steps
+    certify it (every solver kind, given the bound box ``bounds``; the
+    perturbations take no part in the certificate), timed out after
+    ``max_outer`` outer iterations.
     With ``N=0`` this reproduces the base solver's iterates exactly.
+
+    The merit is ``cfg.merit``, or else ``objective``; the domain is
+    ``cfg.domain``, or else the box ``bounds``.  When the merit is the
+    objective its values go through ``counters.objective``, so an anchor at
+    the point where the last sweep's level visit left x reuses that visit's
+    value instead of calling the oracle again.
     """
-    if cfg.merit is None and cfg.N > 0:
+    merit = cfg.merit if cfg.merit is not None else objective
+    if merit is None and cfg.N > 0:
         raise ValueError("superiorization needs a merit function when N > 0")
+    domain = cfg.domain
+    if domain is None and bounds is not None:
+        domain = bounds.contains
     counters = counters if counters is not None else Counters()
-    sweeper = make_sweeper(kind, constraints, lam, tol, counters, bounds)
+    sweeper = make_sweeper(kind, constraints, lam, tol, counters, bounds, objective, t)
 
     def merit_value(z: np.ndarray) -> float:
-        """The merit at z; the objective as merit goes through ``counters.objective``.
-
-        So an anchor at the point where the last sweep's level visit left x
-        reuses that visit's objective value instead of calling the oracle again.
-        """
-        if cfg.merit_is_objective:
-            return counters.objective(cfg.merit, z)
-        return cfg.merit.value(z)
+        if merit is objective:
+            return counters.objective(merit, z)
+        return merit.value(z)
 
     ell = -1
     exhausted = False
@@ -138,7 +145,7 @@ def superiorized_solve(kind: str, constraints, x0, cfg: SuperiorizationConfig,
             return x
         anchor = merit_value(x)
         for _ in range(cfg.N):
-            d = nonascending_direction(cfg.merit, x)
+            d = nonascending_direction(merit, x)
             while True:
                 ell += 1
                 beta = cfg.a**ell
@@ -146,7 +153,7 @@ def superiorized_solve(kind: str, constraints, x0, cfg: SuperiorizationConfig,
                     exhausted = True
                     return x
                 z = x + beta * d
-                if (cfg.domain is None or cfg.domain(z)) and merit_value(z) <= anchor:
+                if (domain is None or domain(z)) and merit_value(z) <= anchor:
                     if trace is not None:
                         trace.accepted.append((k, ell, beta, z.copy(), anchor))
                     x = z

@@ -10,7 +10,8 @@ import pytest
 
 import cfpopt
 from cfpopt import _kernels
-from cfpopt.cli import main
+from cfpopt.cli import _config_from, build_parser, main
+from cfpopt.harness import HarnessConfig
 
 
 def _read_rows(path):
@@ -98,6 +99,14 @@ class TestSolve:
         rc = main(["solve", "--qps", "-", "--variant", "ls_cspm"])
         assert rc == 0
         assert "status       : case2-or-3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--builtin", "simple_qp", "--variant", "ls_cspm"],
+    ["bench", "--problems", "qps", "--out", "rep"],
+])
+def test_flag_defaults_are_the_harness_defaults(argv):
+    assert _config_from(build_parser().parse_args(argv)) == HarnessConfig()
 
 
 class TestBench:
@@ -241,6 +250,12 @@ BAD_QPS = {
                 "line 9 [RHS]: non-finite numeric field 'inf'"),
     "not_utf8": (BAD_QPS_BASE.replace("BAD", "B\u00c4D").encode("latin-1"),
                  "line 1 [-]: not UTF-8 text: invalid continuation byte at byte 15"),
+    "overflow_coefficient": (BAD_QPS_BASE.replace("    X2        C1        1.0\n",
+                                                  "    X2        C1        1e308\n" * 2).encode(),
+                             "line 4 [ROWS]: entries of row 'C1' in column 'X2' sum to a non-finite value"),
+    "overflow_quadratic": (BAD_QPS_BASE.replace("    X1        X1        1.0\n",
+                                                "    X2        X2        1e308\n" * 2).encode(),
+                           "line 0 [QUADOBJ]: entries of columns 'X2' and 'X2' sum to a non-finite value"),
 }
 
 

@@ -214,8 +214,10 @@ class TestCfpWithLevel:
         out = cfp_with_level(p, 0.5, "cspm", x0=[2.0], max_sweeps=300)
         assert not out.found
 
-    @pytest.mark.parametrize("solver", ["cspm", SolverSpec("cspm", superiorized=True)],
-                             ids=["cspm", "superiorized"])
+    @pytest.mark.parametrize("solver", [
+        "cspm", SolverSpec("cspm", superiorized=True),
+        "art3+", SolverSpec("art3+", superiorized=True),
+    ], ids=["cspm", "superiorized", "art3+", "superiorized-art3+"])
     def test_level_at_objective_minimum_certifies_infeasibility(self, solver):
         # a vanishing objective subgradient at a violated level proves the
         # level set empty; starting at the minimizer of x^2 triggers it
@@ -226,6 +228,17 @@ class TestCfpWithLevel:
         # from a generic start the same empty level set times out gracefully
         out = cfp_with_level(p, -1.0, solver, x0=[0.5], lam=1.0, max_sweeps=100)
         assert not out.found
+
+    @pytest.mark.parametrize("solver", ["cspm", SolverSpec("cspm", superiorized=True)],
+                             ids=["cspm", "superiorized"])
+    @pytest.mark.parametrize("t", [-1.0, np.inf])
+    def test_zero_subgradient_of_a_constraint_still_raises(self, solver, t):
+        # only the level's vanishing subgradient proves emptiness; a violated
+        # constraint without a subgradient is an error, level or no level
+        bad = CustomFunction(lambda x: 1.0, lambda x: np.zeros_like(x), name="bad")
+        p = Problem(QuadraticFunction([[2.0]], [0.0]), [bad], n=1)
+        with pytest.raises(ZeroSubgradientError):
+            cfp_with_level(p, t, solver, x0=[0.0], lam=1.0)
 
     def test_art3_solver_with_level(self):
         p = Problem(

@@ -55,8 +55,8 @@ class TestEval:
     def test_objective_counter(self):
         p = Problem(quad_1d(), [])
         counters = Counters()
-        p.objective_value(np.array([1.0]), counters)
-        p.objective_value(np.array([2.0]), counters)
+        counters.objective(p.objective, np.array([1.0]))
+        counters.objective(p.objective, np.array([2.0]))
         assert counters.obj_evals == 2
 
 
@@ -129,9 +129,9 @@ class TestObjectiveMemo:
         calls = counting(p.objective)
         first, second = Counters(), Counters()
         x = np.array([1.0])
-        p.objective_value(x, first)
-        p.objective_value(x, second)
-        p.objective_value(x, first)
+        first.objective(p.objective, x)
+        second.objective(p.objective, x)
+        first.objective(p.objective, x)
         assert (first.obj_evals, second.obj_evals, len(calls)) == (1, 1, 2)
 
     def test_equality_and_repr_ignore_the_memo(self):

@@ -1,4 +1,5 @@
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -532,6 +533,30 @@ class TestRejectedInput:
         d = exc.value.diagnostic
         assert (d.line, d.section) == (line_no, section)
         assert d.message == f"non-finite numeric field {new!r}"
+
+    @pytest.mark.parametrize("old, new, quad_half, diagnostic", [
+        ("    X2        C1        1.0\n", "    X2        C1        1e308\n" * 2, True,
+         (4, "ROWS", "entries of row 'C1' in column 'X2' sum to a non-finite value")),
+        ("    X2        C1        1.0\n", "    X2        C1        1e308\n    X2        OBJ       -1e308\n"
+         "    X2        OBJ       -1e308\n", True,
+         (3, "ROWS", "entries of row 'OBJ' in column 'X2' sum to a non-finite value")),
+        ("    X2        X2        1.0\n", "    X2        X2        1e308\n" * 2, True,
+         (0, "QUADOBJ", "entries of columns 'X2' and 'X2' sum to a non-finite value")),
+        ("    X2        X2        1.0\n", "    X1        X2        1e308\n" * 2, True,
+         (0, "QUADOBJ", "entries of columns 'X1' and 'X2' sum to a non-finite value")),
+        ("    X2        X2        1.0\n", "    X2        X2        1e308\n", False,
+         (0, "QUADOBJ", "entries of columns 'X2' and 'X2' sum to a non-finite value")),
+    ], ids=["row", "objective-row", "diagonal", "off-diagonal", "doubled"])
+    def test_sums_that_overflow_rejected(self, old, new, quad_half, diagnostic):
+        # every entry is finite, but duplicates (or the doubling of quad_half=False)
+        # overflow; the sum is rejected at its row, without a numpy warning
+        text = FIXTURE_QP.replace(old, new)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QpsParseError) as exc:
+                parse_qps(text, quad_half=quad_half)
+        d = exc.value.diagnostic
+        assert (d.line, d.section, d.message) == diagnostic
 
     def test_ranges_non_finite_rejected(self, fixtures_dir):
         text = (fixtures_dir / "fix_rng.qps").read_text().replace("RNG       R2        0.5",

@@ -211,6 +211,12 @@ class TestAlgorithmContract:
             superiorized_solve("cspm", self.cfp(), [5.0],
                                SuperiorizationConfig(N=1, a=0.5))
 
+    @pytest.mark.parametrize("t", [np.nan, -np.inf])
+    def test_bad_level_rejected(self, t):
+        with pytest.raises(ValueError, match="level must be finite"):
+            superiorized_solve("cspm", self.cfp(), [5.0], SuperiorizationConfig(N=1, a=0.5),
+                               objective=QuadraticFunction([[2.0]], [0.0]), t=t)
+
 
 class TestThroughCfpWithLevel:
     def test_superiorized_spec_counts_merit_evals(self):
