@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from cfpopt import _kernels
-from cfpopt.feasibility import art3plus_solve, cfp_with_level, cspm_solve
+from cfpopt.feasibility import SolverSpec, art3plus_solve, cfp_with_level, cspm_solve
 from cfpopt.model import AffineConstraint, Problem, QuadraticFunction
 
 
@@ -103,7 +103,7 @@ def main():
         "art3+ (interval rows)": lambda: art3plus_solve(
             rows, x0, max_sweeps=args.max_sweeps),
         "cspm  (rows + quadratic level)": lambda: cfp_with_level(
-            problem, t_level, "cspm", x0=x0, lam=1.5, max_sweeps=args.max_sweeps),
+            problem, t_level, SolverSpec("cspm", lam=1.5, max_sweeps=args.max_sweeps), x0=x0),
     }
 
     print(f"system: m={args.m} rows, n={args.n} vars, "

@@ -10,6 +10,9 @@ against both sources:
 
 * ``cells.py`` for each workload at seeds 101-103 with its own variants, and
   at seed 101 with ``all`` variants;
+* ``cells.py`` with the four accelerated variants on plant-cspm and
+  dose-cspm at seed 101, under the ``accel`` and ``accel-adaptive`` configs,
+  whose stalls fire (the benchmark's own config never perturbs a warm start);
 * ``qps_digest.py`` for each planted workload at seeds 101-110.
 
 Each run prints ``same`` or its first differing cell or digest line, and the
@@ -31,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("plant-cspm", "plant-art3", "dose-cspm")
 PLANTED = ("plant-cspm", "plant-art3")
+ACCELERATED = "ls_acc_cspm,ls_acc_sup_cspm,bis_acc_cspm,bis_acc_sup_cspm"
 GATE_SCRIPTS = ("cells.py", "qps_digest.py")
 
 
@@ -38,6 +42,8 @@ def runs() -> list[tuple[str, ...]]:
     """The gate's script invocations, as ``(script, *arguments)``."""
     out = [("cells.py", w, str(seed)) for w in WORKLOADS for seed in (101, 102, 103)]
     out += [("cells.py", w, "101", "all") for w in WORKLOADS]
+    out += [("cells.py", w, "101", ACCELERATED, cfg) for w in ("plant-cspm", "dose-cspm")
+            for cfg in ("accel", "accel-adaptive")]
     out += [("qps_digest.py", w, str(seed)) for w in PLANTED for seed in range(101, 111)]
     return out
 

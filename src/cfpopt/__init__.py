@@ -10,7 +10,6 @@ feasibility engine and optional superiorization perturbations.
 from ._kernels import active_backend, available_backends, set_backend
 from .feasibility import (
     FeasibilityOutcome,
-    Relaxation,
     SolverSpec,
     ZeroSubgradientError,
     art3plus_solve,

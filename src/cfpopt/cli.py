@@ -112,13 +112,17 @@ def _print_report(r) -> None:
 
 
 def _select_backend(name) -> bool:
-    """Apply ``--backend``; print why and return False when it cannot run here."""
-    if name:
-        try:
+    """Apply ``--backend``, or else resolve ``CFPOPT_BACKEND``; print why and return
+    False when the backend cannot run here."""
+    try:
+        if name:
             _kernels.set_backend(name)
-        except _kernels.BackendUnavailableError as exc:
-            print(f"error: backend {name!r} is unavailable: {exc}", file=sys.stderr)
-            return False
+        else:
+            _kernels.active_backend()
+    except _kernels.BackendUnavailableError as exc:
+        label = repr(name) if name else "named by CFPOPT_BACKEND"
+        print(f"error: backend {label} is unavailable: {exc}", file=sys.stderr)
+        return False
     return True
 
 

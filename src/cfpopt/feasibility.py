@@ -36,11 +36,11 @@ run's :meth:`Counters.objective`.  A violated level at a point where the
 objective's subgradient vanishes proves the level set empty (that point
 minimises f), and the pass ends the solve with ``infeasibility_certified``.
 
-This module owns the step rule and its types: one sweep of
-:func:`cspm_solve` over a single set is the relaxed (subgradient)
-projection onto it, :class:`Relaxation` schedules the step length, and
-:class:`ZeroSubgradientError` flags a violated constraint that admits no
-step.
+This module owns the step rule: one sweep of :func:`cspm_solve` over a
+single set is the relaxed (subgradient) projection onto it, lambda in (0, 2);
+:class:`ZeroSubgradientError` flags a violated constraint that admits no step.
+A :class:`SolverSpec` holds every setting of one level test that
+:func:`cfp_with_level` solves.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .model import AffineConstraint, Bounds, ConvexFunction, Counters, Problem, 
 
 __all__ = [
     "FeasibilityOutcome",
-    "Relaxation",
     "ZeroSubgradientError",
     "SolverSpec",
     "cspm_solve",
@@ -81,31 +80,6 @@ class ZeroSubgradientError(ValueError):
     For a consistent set this cannot happen: a zero subgradient at x would
     force c(x) to be a global minimum, contradicting c(x) > 0.
     """
-
-
-@dataclass(frozen=True)
-class Relaxation:
-    """Relaxation parameter schedule for projection steps.
-
-    A constant value in the open interval (0, 2), or a per-iteration
-    sequence via ``schedule`` (a callable k -> lambda_k, every value again
-    in (0, 2)).
-    """
-
-    lam: float = 1.0
-    schedule: object = None  # optional callable k -> float
-
-    def __post_init__(self):
-        if self.schedule is None and not 0.0 < self.lam < 2.0:
-            raise ValueError(f"relaxation parameter must lie in (0, 2), got {self.lam}")
-
-    def at(self, k: int) -> float:
-        if self.schedule is None:
-            return self.lam
-        lam = float(self.schedule(k))
-        if not 0.0 < lam < 2.0:
-            raise ValueError(f"relaxation schedule produced {lam}, outside (0, 2)")
-        return lam
 
 
 @dataclass
@@ -138,11 +112,20 @@ class FeasibilityOutcome:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """Which feasibility solver to run, and whether to superiorize it."""
+    """How a level test is solved; a scheme passes it to each of its tests unchanged.
+
+    The solver ``kind``, superiorized by ``sup`` when that is set; the cyclic
+    solvers' relaxation ``lam`` (ART3+ takes none); the tolerance ``tol``; and
+    the time-out after ``max_sweeps`` sweeps or, when set, ``max_projections``
+    projections.
+    """
 
     kind: str = "cspm"  # cspm | pocs | art3+
-    superiorized: bool = False
-    sup: object = None  # SuperiorizationConfig when superiorized
+    sup: object = None  # SuperiorizationConfig
+    lam: float = DEFAULT_RELAXATION
+    tol: float = DEFAULT_FEAS_TOL
+    max_sweeps: int = DEFAULT_MAX_SWEEPS
+    max_projections: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("cspm", "pocs", "art3+"):
@@ -297,7 +280,7 @@ class _StepAggregate:
 class _Sweeper:
     """The sweep bracket and the oracle step both sweepers share.
 
-    Given the bound box (whose rows must be among the constraints), a sweeper
+    Given the bound box (whose coordinate rows end the constraints), a sweeper
     keeps the :class:`_StepAggregate` of its steps: :meth:`sweep` opens it
     before each pass, the pass adds its steps, and closing it sets ``empty``
     once the aggregate proves the system has no tol-feasible point.
@@ -373,10 +356,12 @@ class CyclicSweeper(_Sweeper):
         if self.level is not None:
             self.segments.append(("level", self.level))
         self.certified = not self.segments
-        self.relaxation = lam if isinstance(lam, Relaxation) else Relaxation(float(lam))
+        self.lam = float(lam)
+        if not 0.0 < self.lam < 2.0:
+            raise ValueError(f"relaxation parameter must lie in (0, 2), got {self.lam}")
 
     def _pass(self, x: np.ndarray, k: int, agg: _StepAggregate | None) -> np.ndarray:
-        lam = self.relaxation.at(k)
+        lam = self.lam
         tol = self.tol
         maxv = 0.0
         for tag, seg in self.segments:
@@ -458,19 +443,39 @@ class Art3Sweeper(_Sweeper):
         return x
 
 
+def _check_box(packed: _Packed | None, bounds: Bounds) -> None:
+    """Raise unless ``packed`` ends with the box's coordinate rows, in coordinate order.
+
+    A box without those rows among the constraints bounds nothing the sweeps
+    visit, so its emptiness test could certify a system that has points.
+    """
+    cols = np.flatnonzero(np.isfinite(bounds.lo) | np.isfinite(bounds.hi))
+    k = cols.shape[0]
+    if k == 0:
+        return
+    if packed is not None and packed.A.shape[0] >= k and packed.A.shape[1] == bounds.lo.shape[0]:
+        A = packed.A[-k:]
+        if (np.count_nonzero(A) == k and bool(np.all(A[np.arange(k), cols] == 1.0))
+                and np.array_equal(packed.lo[-k:], bounds.lo[cols])
+                and np.array_equal(packed.hi[-k:], bounds.hi[cols])):
+            return
+    raise ValueError("bounds must come with their coordinate rows as the last constraints")
+
+
 def make_sweeper(kind: str, constraints, lam, tol: float, counters: Counters,
                  bounds: Bounds | None = None, objective: ConvexFunction | None = None,
                  t: float = np.inf):
     """Build the sweeping engine for one CFP solve.
 
-    ``bounds``, when given, must be the box whose rows are among
+    ``bounds``, when given, must be the box whose coordinate rows (one per
+    coordinate with a finite bound, as :meth:`Bounds.to_rows` gives them) end
     ``constraints``; every solver kind then tests for emptiness after every
     sweep.  ``objective`` with a finite level ``t`` gives the sweeper its
     level slot, ``f(x) <= t``, visited after the constraints on every pass.
     This is the only check of a solver kind against its constraints: POCS
     and ART3+ take affine rows alone (any objective as the level), and
-    anything else raises ``ValueError`` before any sweep, as does a level
-    that is NaN or -inf.
+    anything else raises ``ValueError`` before any sweep, as do a level that
+    is NaN or -inf and a box whose rows are missing.
     """
     t = float(t)
     if np.isnan(t) or t == -np.inf:
@@ -481,10 +486,17 @@ def make_sweeper(kind: str, constraints, lam, tol: float, counters: Counters,
             if not isinstance(c, AffineConstraint):
                 raise ValueError(f"{kind} requires affine (interval) constraints, got {c!r}")
     if kind in ("cspm", "pocs"):
-        return CyclicSweeper(rows, lam, tol, counters, bounds, objective, t)
-    if kind == "art3+":
-        return Art3Sweeper(rows, tol, counters, bounds, objective, t)
-    raise ValueError(f"unknown feasibility solver {kind!r}")
+        sweeper = CyclicSweeper(rows, lam, tol, counters, bounds, objective, t)
+        tail = [seg for tag, seg in sweeper.segments if tag != "level"][-1:]
+        packed = tail[0] if tail and isinstance(tail[0], _Packed) else None
+    elif kind == "art3+":
+        sweeper = Art3Sweeper(rows, tol, counters, bounds, objective, t)
+        packed = sweeper.packed
+    else:
+        raise ValueError(f"unknown feasibility solver {kind!r}")
+    if bounds is not None:
+        _check_box(packed, bounds)
+    return sweeper
 
 
 def _run(sweeper, x0: np.ndarray, max_sweeps: int, counters: Counters,
@@ -565,14 +577,14 @@ def art3plus_solve(constraints, x0, max_sweeps: int = DEFAULT_MAX_SWEEPS,
 
 
 def cfp_with_level(problem: Problem, t: float, solver: SolverSpec | str = "cspm",
-                   x0=None, lam=DEFAULT_RELAXATION, max_sweeps: int = DEFAULT_MAX_SWEEPS,
-                   tol: float = DEFAULT_FEAS_TOL, counters: Counters | None = None,
-                   history: list | None = None, max_projections: int | None = None) -> FeasibilityOutcome:
+                   x0=None, counters: Counters | None = None,
+                   history: list | None = None) -> FeasibilityOutcome:
     """Feasibility of the problem's constraints intersected with {f <= t}.
 
     The sweeper visits the level ``f(x) <= t`` after the problem's
     constraints on every pass; ``t = +inf`` leaves the level out, giving
-    plain feasibility.  Objective values taken at the level are charged to
+    plain feasibility, solved as ``solver`` says (a bare kind takes the
+    default settings).  Objective values taken at the level are charged to
     ``counters.obj_evals`` (see :meth:`Counters.objective`).
     """
     if isinstance(solver, str):
@@ -580,15 +592,15 @@ def cfp_with_level(problem: Problem, t: float, solver: SolverSpec | str = "cspm"
     counters = counters if counters is not None else Counters()
     x0 = problem.start_point() if x0 is None else as_vector(x0, problem.n)
     constraints = problem.all_constraints()
-    if solver.superiorized:
+    if solver.sup is not None:
         from . import superiorize
 
-        cfg = solver.sup if solver.sup is not None else superiorize.SuperiorizationConfig()
         return superiorize.superiorized_solve(
-            solver.kind, constraints, x0, cfg, lam=lam, max_outer=max_sweeps, tol=tol,
-            counters=counters, history=history, max_projections=max_projections,
-            bounds=problem.bounds, objective=problem.objective, t=t,
+            solver.kind, constraints, x0, solver.sup, lam=solver.lam, max_outer=solver.max_sweeps,
+            tol=solver.tol, counters=counters, history=history,
+            max_projections=solver.max_projections, bounds=problem.bounds,
+            objective=problem.objective, t=t,
         )
-    sweeper = make_sweeper(solver.kind, constraints, lam, tol, counters, problem.bounds,
-                           problem.objective, t)
-    return _run(sweeper, x0, max_sweeps, counters, history, max_projections)
+    sweeper = make_sweeper(solver.kind, constraints, solver.lam, solver.tol, counters,
+                           problem.bounds, problem.objective, t)
+    return _run(sweeper, x0, solver.max_sweeps, counters, history, solver.max_projections)

@@ -21,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .feasibility import SolverSpec
+from .feasibility import DEFAULT_FEAS_TOL, DEFAULT_MAX_SWEEPS, DEFAULT_RELAXATION, SolverSpec
 from .model import AffineConstraint, Bounds, CustomFunction, DoseModel, Problem, QuadraticFunction, make_pnorm, make_underdose
 from .schemes import (
+    DEFAULT_MAX_OUTER,
     AccelerationConfig,
     BisectionConfig,
     EpsilonRule,
@@ -103,24 +104,24 @@ VARIANTS: dict[str, VariantSpec] = _variant_table()
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """All solver knobs in one place; defaults follow the benchmark protocol."""
+    """All solver knobs in one place; the defaults are those of the configured classes."""
 
-    max_sweeps: int = 1000
-    feas_tol: float = 1e-8
-    lam: float = 1.5
-    gamma: float = 1e-5
-    f_lower: float | None = None
-    epsilon_mode: str = "max-floor"
-    epsilon_factor: float = 0.1
-    epsilon_floor: float = 0.1
-    accel_c: float = 1.0
-    accel_s: float = 0.5
-    block: int = 1000
-    accel_step: float = 1.9
-    accel_adaptive: bool = False
-    sup_n: int = 1
-    sup_a: float = 0.5
-    max_outer: int = 10_000
+    max_sweeps: int = DEFAULT_MAX_SWEEPS
+    feas_tol: float = DEFAULT_FEAS_TOL
+    lam: float = DEFAULT_RELAXATION
+    gamma: float = BisectionConfig.gamma
+    f_lower: float | None = BisectionConfig.f_lower
+    epsilon_mode: str = EpsilonRule.mode
+    epsilon_factor: float = EpsilonRule.factor
+    epsilon_floor: float = EpsilonRule.floor
+    accel_c: float = AccelerationConfig.c
+    accel_s: float = AccelerationConfig.s
+    block: int = AccelerationConfig.block
+    accel_step: float = AccelerationConfig.step_factor
+    accel_adaptive: bool = AccelerationConfig.adaptive
+    sup_n: int = SuperiorizationConfig.N
+    sup_a: float = SuperiorizationConfig.a
+    max_outer: int = DEFAULT_MAX_OUTER
     seed: int | None = None
     max_projections: int | None = None
 
@@ -196,13 +197,6 @@ def run_variant(variant: VariantSpec | str, problem: Problem,
             raise ValueError(f"unknown variant {variant!r}; choices: {sorted(VARIANTS)}")
         variant = VARIANTS[variant]
     config = config if config is not None else HarnessConfig()
-
-    spec = SolverSpec(
-        kind=variant.feas_solver,
-        superiorized=variant.superiorized,
-        sup=config.superiorization() if variant.superiorized else None,
-    )
-    rule = config.epsilon_rule()
     if x0 is None:
         x0 = problem.start_point(config.seed)
 
@@ -211,9 +205,11 @@ def run_variant(variant: VariantSpec | str, problem: Problem,
     max_sweeps = config.max_sweeps
     if config.max_projections is not None:
         max_sweeps = max(max_sweeps, config.max_projections)
-    common = dict(solver=spec, x0=x0, rule=rule, lam=config.lam, max_sweeps=max_sweeps,
-                  tol=config.feas_tol, max_outer=config.max_outer,
-                  max_projections=config.max_projections)
+    spec = SolverSpec(variant.feas_solver,
+                      sup=config.superiorization() if variant.superiorized else None,
+                      lam=config.lam, tol=config.feas_tol, max_sweeps=max_sweeps,
+                      max_projections=config.max_projections)
+    common = dict(solver=spec, x0=x0, rule=config.epsilon_rule(), max_outer=config.max_outer)
     start = time.perf_counter()
     result = _SCHEMES[variant.scheme](problem, config, common)
     ms = (time.perf_counter() - start) * 1e3

@@ -26,19 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feasibility import (
-    DEFAULT_FEAS_TOL,
-    DEFAULT_MAX_SWEEPS,
-    DEFAULT_RELAXATION,
-    SolverSpec,
-    cfp_with_level,
-)
+from .feasibility import cfp_with_level
 from .model import Counters, Problem, as_vector
 
 __all__ = [
     "CASE1",
     "CASE2_OR_3",
     "ITERATION_CAP",
+    "DEFAULT_MAX_OUTER",
     "EpsilonRule",
     "epsilon_update",
     "AccelerationConfig",
@@ -55,6 +50,7 @@ __all__ = [
 CASE1 = "case1"
 CASE2_OR_3 = "case2-or-3"
 ITERATION_CAP = "iteration-cap"
+DEFAULT_MAX_OUTER = 10_000
 
 
 @dataclass(frozen=True)
@@ -216,18 +212,14 @@ def _objective(problem: Problem, x: np.ndarray, counters: Counters, where: str) 
     return fx
 
 
-def _start(problem: Problem, solver, x0, lam, max_sweeps: int, tol: float, counters: Counters,
-           max_projections: int | None):
-    """``(solve, x, f(x))``: the level test ``solve(t, x)`` bound to the run's settings
+def _start(problem: Problem, solver, x0, counters: Counters):
+    """``(solve, x, f(x))``: the level test ``solve(t, x)`` bound to the run's solver
     and the first feasible point (None, None when there is none)."""
-    if isinstance(solver, str):
-        solver = SolverSpec(kind=solver)
     x0 = problem.start_point() if x0 is None else as_vector(x0, problem.n)
 
     def solve(t: float, x: np.ndarray):
         # the level stays the second positional argument: solvebench's tracer reads it there
-        return cfp_with_level(problem, t, solver, x, lam=lam, max_sweeps=max_sweeps, tol=tol,
-                              counters=counters, max_projections=max_projections)
+        return cfp_with_level(problem, t, solver, x, counters=counters)
 
     out = solve(np.inf, x0)
     if not out.found:
@@ -236,9 +228,8 @@ def _start(problem: Problem, solver, x0, lam, max_sweeps: int, tol: float, count
 
 
 def _level_engine(problem: Problem, solver, x0, rule: EpsilonRule, accel: AccelerationConfig | None,
-                  lam, max_sweeps: int, tol: float, max_outer: int,
-                  counters: Counters, max_projections: int | None = None) -> SchemeResult:
-    solve, x, fx = _start(problem, solver, x0, lam, max_sweeps, tol, counters, max_projections)
+                  max_outer: int, counters: Counters) -> SchemeResult:
+    solve, x, fx = _start(problem, solver, x0, counters)
     if x is None:
         return SchemeResult(CASE1, None, None, None, 0, [], counters)
     warm_start = _warm_starts(problem, accel, rule, counters)
@@ -262,31 +253,28 @@ def _level_engine(problem: Problem, solver, x0, rule: EpsilonRule, accel: Accele
 
 
 def level_set_solve(problem: Problem, solver="cspm", x0=None, rule: EpsilonRule | None = None,
-                    lam=DEFAULT_RELAXATION, max_sweeps: int = DEFAULT_MAX_SWEEPS,
-                    tol: float = DEFAULT_FEAS_TOL, max_outer: int = 10_000,
-                    counters: Counters | None = None,
-                    max_projections: int | None = None) -> SchemeResult:
+                    max_outer: int = DEFAULT_MAX_OUTER,
+                    counters: Counters | None = None) -> SchemeResult:
     """Minimize by repeatedly tightening the objective level set.
 
     Step 0 solves plain feasibility; each later step asks the feasibility
     solver for a point of the constraint set intersected with
     ``{f <= t_(k-1)}``, warm-started from the previous point, and tightens
     ``t_k = f(x^k) - eps_k`` on success.  The first failing step certifies
-    the previous point as eps-optimal.
+    the previous point as eps-optimal.  ``solver``, a
+    :class:`~cfpopt.feasibility.SolverSpec` or a bare solver kind, solves
+    every test (see :func:`~cfpopt.feasibility.cfp_with_level`).
     """
     counters = counters if counters is not None else Counters()
     rule = rule if rule is not None else EpsilonRule()
-    return _level_engine(problem, solver, x0, rule, None, lam, max_sweeps, tol, max_outer,
-                         counters, max_projections)
+    return _level_engine(problem, solver, x0, rule, None, max_outer, counters)
 
 
 def accelerated_level_set_solve(problem: Problem, solver="cspm", x0=None,
                                 rule: EpsilonRule | None = None,
                                 accel: AccelerationConfig | None = None,
-                                lam=DEFAULT_RELAXATION, max_sweeps: int = DEFAULT_MAX_SWEEPS,
-                                tol: float = DEFAULT_FEAS_TOL, max_outer: int = 10_000,
-                                counters: Counters | None = None,
-                                max_projections: int | None = None) -> SchemeResult:
+                                max_outer: int = DEFAULT_MAX_OUTER,
+                                counters: Counters | None = None) -> SchemeResult:
     """Level-set scheme with stall detection and gradient perturbations.
 
     Identical to :func:`level_set_solve` except that stalled level progress
@@ -298,16 +286,13 @@ def accelerated_level_set_solve(problem: Problem, solver="cspm", x0=None,
     counters = counters if counters is not None else Counters()
     rule = rule if rule is not None else EpsilonRule()
     accel = accel if accel is not None else AccelerationConfig()
-    return _level_engine(problem, solver, x0, rule, accel, lam, max_sweeps, tol, max_outer,
-                         counters, max_projections)
+    return _level_engine(problem, solver, x0, rule, accel, max_outer, counters)
 
 
 def bisection_solve(problem: Problem, solver="cspm", x0=None, cfg: BisectionConfig | None = None,
                     accel: AccelerationConfig | None = None, rule: EpsilonRule | None = None,
-                    lam=DEFAULT_RELAXATION, max_sweeps: int = DEFAULT_MAX_SWEEPS,
-                    tol: float = DEFAULT_FEAS_TOL, max_outer: int = 10_000,
-                    counters: Counters | None = None,
-                    max_projections: int | None = None) -> SchemeResult:
+                    max_outer: int = DEFAULT_MAX_OUTER,
+                    counters: Counters | None = None) -> SchemeResult:
     """Bracket the optimal value and halve the bracket by feasibility tests.
 
     After an initial plain feasibility solve sets ``f_hi = f(x^0)``, each
@@ -318,11 +303,12 @@ def bisection_solve(problem: Problem, solver="cspm", x0=None, cfg: BisectionConf
     one is derived from the first feasible value.  The optional acceleration
     (see :class:`AccelerationConfig`) shifts the warm start on stalled
     brackets; it stays the warm start until a test finds a point, and never
-    becomes the incumbent.
+    becomes the incumbent.  ``solver`` is passed to every test as in
+    :func:`level_set_solve`.
     """
     counters = counters if counters is not None else Counters()
     rule = rule if rule is not None else EpsilonRule()
-    solve, x, f_hi = _start(problem, solver, x0, lam, max_sweeps, tol, counters, max_projections)
+    solve, x, f_hi = _start(problem, solver, x0, counters)
     if x is None:
         return SchemeResult(CASE1, None, None, None, 0, [], counters)
     cfg = cfg if cfg is not None else BisectionConfig()

@@ -101,10 +101,10 @@ def test_criterion_03_bisection_gamma_optimality():
         p = problems[name]
         f_l = fstar - 1.0
         # the count model assumes steps land on the level boundary: lam = 1
-        out0 = cfp_with_level(p, np.inf, "cspm", x0=x0, lam=1.0)
+        out0 = cfp_with_level(p, np.inf, SolverSpec("cspm", lam=1.0), x0=x0)
         fh0 = p.objective.value(out0.x)
         predicted = math.ceil(math.log2((fh0 - f_l) / gamma))
-        res = bisection_solve(p, x0=x0, lam=1.0,
+        res = bisection_solve(p, SolverSpec("cspm", lam=1.0), x0=x0,
                               cfg=BisectionConfig(f_lower=f_l, gamma=gamma))
         assert res.upper - res.lower <= gamma, name
         assert abs(res.best_value - fstar) <= gamma + 1e-6, name
@@ -234,7 +234,7 @@ def test_criterion_06_superiorization_contract():
     problems = builtin_problems()
     for name, x0_, _fstar in SUITE + (("imrt_small", [1.0, 1.0, 1.0, 1.0], None),):
         p = problems[name]
-        spec = SolverSpec("cspm", superiorized=True, sup=SuperiorizationConfig(N=1, a=0.5))
+        spec = SolverSpec("cspm", sup=SuperiorizationConfig(N=1, a=0.5))
         plain = cfp_with_level(p, np.inf, "cspm", x0=x0_)
         sup = cfp_with_level(p, np.inf, spec, x0=x0_)
         assert plain.found and sup.found, name

@@ -15,6 +15,7 @@ import pytest
 from cfpopt import feasibility, harness, qps, superiorize
 from cfpopt.feasibility import SolverSpec, cfp_with_level
 from cfpopt.model import AffineConstraint, Bounds, Problem, QuadraticFunction
+from cfpopt.superiorize import SuperiorizationConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,7 +51,8 @@ def test_superiorized_solve_is_traced_and_restored(tracer_class):
     try:
         for owner, attr in BINDINGS:
             assert getattr(owner, attr) is not originals[(owner.__name__, attr)], attr
-        out = cfp_with_level(problem, 0.0, SolverSpec("cspm", superiorized=True), x0=[4.0, 4.0])
+        out = cfp_with_level(problem, 0.0, SolverSpec("cspm", sup=SuperiorizationConfig()),
+                             x0=[4.0, 4.0])
         # run_variant's scheme table must reach the rebound scheme functions
         for variant in ("ls_acc_cspm", "bis_cspm"):
             harness.run_variant(variant, problem, x0=[4.0, 4.0])

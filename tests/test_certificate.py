@@ -9,6 +9,7 @@ ones the time-out rule gives, with less work.
 """
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from cfpopt import feasibility
 from cfpopt.feasibility import SolverSpec, cfp_with_level, make_sweeper
 from cfpopt.harness import HarnessConfig, run_variant
 from cfpopt.model import AffineConstraint, Bounds, Counters, Problem, QuadraticFunction
+from cfpopt.superiorize import SuperiorizationConfig
 
 _spec = importlib.util.spec_from_file_location(
     "make_problems", Path(__file__).parents[1] / "benchmarks" / "make_problems.py")
@@ -29,8 +31,8 @@ def planted(i):
     return make_problems.planted_instance(i, 30, 40)
 
 
-SOLVERS = [SolverSpec("cspm"), SolverSpec("cspm", superiorized=True),
-           SolverSpec("art3+"), SolverSpec("art3+", superiorized=True)]
+SOLVERS = [SolverSpec("cspm"), SolverSpec("cspm", sup=SuperiorizationConfig()),
+           SolverSpec("art3+"), SolverSpec("art3+", sup=SuperiorizationConfig())]
 
 
 @pytest.mark.parametrize("i", range(4))
@@ -66,7 +68,7 @@ def test_never_certifies_a_set_that_is_one_box_vertex(seed, tol, via):
         rows = []
     problem = Problem(objective, rows, bounds=Bounds(lo, hi), n=n)
     for solver in SOLVERS:
-        out = cfp_with_level(problem, t, solver, x0=lo.copy(), tol=tol)
+        out = cfp_with_level(problem, t, replace(solver, tol=tol), x0=lo.copy())
         assert not out.infeasibility_certified, (solver, out.sweeps)
 
 
@@ -132,7 +134,7 @@ def test_no_finite_box_never_certifies(box):
               "upper only": Bounds(-inf, problem.bounds.hi)}[box]
     unboxed = Problem(problem.objective, problem.constraints, bounds=bounds, n=problem.n)
     for kind in ("cspm", "art3+"):
-        out = cfp_with_level(unboxed, fstar - 10.0, kind, max_sweeps=200)
+        out = cfp_with_level(unboxed, fstar - 10.0, SolverSpec(kind, max_sweeps=200))
         assert not out.found and not out.infeasibility_certified, kind
         assert out.sweeps == 200, kind
 

@@ -90,6 +90,14 @@ class TestSolve:
             assert main(cmd + ["--backend", "c"]) == 2
             assert "no 'cc' on PATH" in capsys.readouterr().err
         assert _kernels.active_backend() == before
+        # the same backend asked for by CFPOPT_BACKEND=c, with no flag
+        monkeypatch.setattr(_kernels, "_requested", "c")
+        monkeypatch.setattr(_kernels, "_impls", None)
+        for cmd in (["solve", "--builtin", "simple_qp", "--variant", "ls_cspm"],
+                    ["bench", "--problems", ".", "--out", "."]):
+            assert main(cmd) == 2
+            err = capsys.readouterr().err
+            assert "no 'cc' on PATH" in err and err.count("\n") == 1, err
 
     def test_qps_from_stdin(self, monkeypatch, fixtures_dir, capsys):
         import io

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cfpopt.feasibility import (
     art3plus_solve,
     cfp_with_level,
     cspm_solve,
+    make_sweeper,
     pocs_solve,
 )
 from cfpopt.model import (
@@ -195,7 +197,7 @@ class TestCfpWithLevel:
 
     def test_infinite_level_is_plain_feasibility(self):
         p = self.problem()
-        out = cfp_with_level(p, np.inf, "cspm", x0=[0.0], lam=1.0)
+        out = cfp_with_level(p, np.inf, SolverSpec("cspm", lam=1.0), x0=[0.0])
         assert out.found
         assert out.x == pytest.approx([1.0])
         assert out.obj_evals == 0  # objective never touched
@@ -211,25 +213,26 @@ class TestCfpWithLevel:
 
     def test_empty_level_set_times_out(self):
         p = self.problem()
-        out = cfp_with_level(p, 0.5, "cspm", x0=[2.0], max_sweeps=300)
+        out = cfp_with_level(p, 0.5, SolverSpec("cspm", max_sweeps=300), x0=[2.0])
         assert not out.found
 
     @pytest.mark.parametrize("solver", [
-        "cspm", SolverSpec("cspm", superiorized=True),
-        "art3+", SolverSpec("art3+", superiorized=True),
+        SolverSpec("cspm", lam=1.0), SolverSpec("cspm", sup=SuperiorizationConfig(), lam=1.0),
+        SolverSpec("art3+"), SolverSpec("art3+", sup=SuperiorizationConfig()),
     ], ids=["cspm", "superiorized", "art3+", "superiorized-art3+"])
     def test_level_at_objective_minimum_certifies_infeasibility(self, solver):
         # a vanishing objective subgradient at a violated level proves the
         # level set empty; starting at the minimizer of x^2 triggers it
         p = Problem(QuadraticFunction([[2.0]], [0.0]), [AffineConstraint.geq([1.0], -10.0)])
-        out = cfp_with_level(p, -1.0, solver, x0=[0.0], lam=1.0)
+        out = cfp_with_level(p, -1.0, solver, x0=[0.0])
         assert not out.found
         assert out.infeasibility_certified
         # from a generic start the same empty level set times out gracefully
-        out = cfp_with_level(p, -1.0, solver, x0=[0.5], lam=1.0, max_sweeps=100)
+        out = cfp_with_level(p, -1.0, replace(solver, max_sweeps=100), x0=[0.5])
         assert not out.found
 
-    @pytest.mark.parametrize("solver", ["cspm", SolverSpec("cspm", superiorized=True)],
+    @pytest.mark.parametrize("solver", [SolverSpec("cspm", lam=1.0),
+                                        SolverSpec("cspm", sup=SuperiorizationConfig(), lam=1.0)],
                              ids=["cspm", "superiorized"])
     @pytest.mark.parametrize("t", [-1.0, np.inf])
     def test_zero_subgradient_of_a_constraint_still_raises(self, solver, t):
@@ -238,7 +241,7 @@ class TestCfpWithLevel:
         bad = CustomFunction(lambda x: 1.0, lambda x: np.zeros_like(x), name="bad")
         p = Problem(QuadraticFunction([[2.0]], [0.0]), [bad], n=1)
         with pytest.raises(ZeroSubgradientError):
-            cfp_with_level(p, t, solver, x0=[0.0], lam=1.0)
+            cfp_with_level(p, t, solver, x0=[0.0])
 
     def test_art3_solver_with_level(self):
         p = Problem(
@@ -266,3 +269,31 @@ class TestCfpWithLevel:
     def test_solver_spec_validation(self):
         with pytest.raises(ValueError):
             SolverSpec(kind="gradient-descent")
+
+
+class TestBoxRows:
+    # the box 0 <= x_0 <= 1, x_1 free, certifies only with its row 0 <= x_0 <= 1
+    # at the end of the constraint list
+    BOX = Bounds([0.0, -np.inf], [1.0, np.inf])
+    CUT = AffineConstraint.geq([1.0, 1.0], 2.0)
+
+    @pytest.mark.parametrize("kind", ["cspm", "pocs", "art3+"])
+    @pytest.mark.parametrize("rows", [[], [AffineConstraint.bound(0, 2, 0.0, 1.0), CUT],
+                                      [CUT, AffineConstraint.bound(0, 2, 0.0, 2.0)],
+                                      [CUT, AffineConstraint.bound(1, 2, 0.0, 1.0)]],
+                             ids=["missing", "not last", "other bounds", "other coordinate"])
+    def test_box_without_its_rows_rejected(self, kind, rows):
+        with pytest.raises(ValueError, match="coordinate rows"):
+            make_sweeper(kind, [self.CUT, *rows], 1.5, 1e-8, Counters(), self.BOX)
+
+    def test_generic_constraint_after_the_rows_rejected(self):
+        quad = CustomFunction(lambda x: float(x @ x) - 9.0, lambda x: 2.0 * x, name="ball")
+        with pytest.raises(ValueError, match="coordinate rows"):
+            make_sweeper("cspm", [self.CUT, *self.BOX.to_rows(), quad], 1.5, 1e-8, Counters(),
+                         self.BOX)
+
+    @pytest.mark.parametrize("kind", ["cspm", "pocs", "art3+"])
+    def test_box_with_its_rows_accepted(self, kind):
+        sweeper = make_sweeper(kind, [self.CUT, *self.BOX.to_rows()], 1.5, 1e-8, Counters(),
+                               self.BOX, QuadraticFunction(np.eye(2), np.zeros(2)), 1.0)
+        assert sweeper.aggregate is not None

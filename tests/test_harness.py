@@ -4,6 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cfpopt import harness
+from cfpopt.feasibility import SolverSpec
 from cfpopt.harness import (
     AGGREGATE_METRICS,
     VARIANTS,
@@ -17,7 +19,15 @@ from cfpopt.harness import (
     run_variant,
     speedup_factor,
 )
-from cfpopt.schemes import CASE1, CASE2_OR_3
+from cfpopt.schemes import (
+    CASE1,
+    CASE2_OR_3,
+    DEFAULT_MAX_OUTER,
+    AccelerationConfig,
+    BisectionConfig,
+    EpsilonRule,
+)
+from cfpopt.superiorize import SuperiorizationConfig
 
 TABLE_NAMES = {
     "ls_cspm", "ls_art3+", "ls_acc_cspm", "ls_sup_cspm", "ls_sup_art3+",
@@ -181,6 +191,30 @@ class TestRunVariant:
             r = run_variant(name, p, cfg)
             assert r.status == CASE1, name
             assert r.f_hat is None
+
+
+class TestDefaults:
+    def test_config_builds_the_classes_defaults(self):
+        cfg = HarnessConfig()
+        assert cfg.epsilon_rule() == EpsilonRule()
+        assert cfg.acceleration() == AccelerationConfig()
+        assert cfg.bisection() == BisectionConfig()
+        assert cfg.superiorization() == SuperiorizationConfig()
+
+    @pytest.mark.parametrize("variant, sup", [("ls_cspm", None),
+                                              ("ls_sup_art3+", SuperiorizationConfig())])
+    def test_run_variant_passes_the_default_spec(self, monkeypatch, variant, sup):
+        seen = {}
+
+        def level_set_solve(problem, **kw):
+            seen.update(kw)
+            return original(problem, **kw)
+
+        original = harness.level_set_solve
+        monkeypatch.setattr(harness, "level_set_solve", level_set_solve)
+        run_variant(variant, builtin_problems()["simple_qp"])
+        assert seen["solver"] == SolverSpec(VARIANTS[variant].feas_solver, sup=sup)
+        assert seen["max_outer"] == DEFAULT_MAX_OUTER
 
 
 class TestEmitReport:

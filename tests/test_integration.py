@@ -9,7 +9,7 @@ tolerance.
 import numpy as np
 import pytest
 
-from cfpopt.feasibility import Relaxation, cspm_solve
+from cfpopt.feasibility import SolverSpec, cspm_solve
 from cfpopt.harness import HarnessConfig, run_variant
 from cfpopt.model import AffineConstraint, Bounds, Problem, QuadraticFunction
 from cfpopt.schemes import CASE2_OR_3, BisectionConfig, bisection_solve, level_set_solve
@@ -51,7 +51,7 @@ def test_level_set_certificate_on_planted_qps(seed):
 @pytest.mark.parametrize("seed", range(8, 12))
 def test_bisection_certificate_on_planted_qps(seed):
     p, x0 = planted_qp(seed)
-    res = bisection_solve(p, x0=x0, lam=1.0,
+    res = bisection_solve(p, SolverSpec("cspm", lam=1.0), x0=x0,
                           cfg=BisectionConfig(f_lower=p.fstar - 1.0, gamma=1e-5))
     assert res.case == CASE2_OR_3
     assert res.upper - res.lower <= 1e-5
@@ -70,14 +70,6 @@ def test_variants_agree_on_planted_qp(variant):
     # every variant lands within the loosest certificate in play
     assert r.f_hat >= p.fstar - 1e-7
     assert abs(r.f_hat - p.fstar) <= max(0.1 * max(abs(p.fstar), 1.0), 0.1) + 1e-6
-
-
-def test_relaxation_schedule_through_solver():
-    rows = [AffineConstraint.geq([1.0], 1.0)]
-    lam = Relaxation(schedule=lambda k: 1.0 if k % 2 == 0 else 1.5)
-    out = cspm_solve(rows, [0.0], lam=lam)
-    assert out.found
-    assert out.x == pytest.approx([1.0])
 
 
 def test_negative_tolerance_rejected():

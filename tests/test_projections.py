@@ -9,7 +9,7 @@ projection for any other convex constraint.
 import numpy as np
 import pytest
 
-from cfpopt.feasibility import Relaxation, ZeroSubgradientError, cspm_solve
+from cfpopt.feasibility import ZeroSubgradientError, cspm_solve
 from cfpopt.model import AffineConstraint, Bounds, Counters, CustomFunction, QuadraticFunction
 
 
@@ -145,13 +145,6 @@ class TestRelaxStep:
         for lam in (0.0, -0.5, 2.0, 2.5):
             with pytest.raises(ValueError):
                 step(AffineConstraint.leq([1.0], 0.0), np.zeros(1), lam=lam)
-
-    def test_relaxation_validation(self):
-        with pytest.raises(ValueError):
-            Relaxation(2.0)
-        r = Relaxation(schedule=lambda k: 1.0 + 0.5 * (k % 2))
-        assert r.at(0) == 1.0
-        assert r.at(1) == 1.5
 
 
 class TestOperatorProperties:

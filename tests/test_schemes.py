@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cfpopt.feasibility import SolverSpec
 from cfpopt.harness import HarnessConfig, builtin_problems, run_variant
 from cfpopt.model import AffineConstraint, Bounds, Counters, CustomFunction, Problem, QuadraticFunction
 from cfpopt.schemes import (
@@ -71,7 +72,7 @@ class TestLevelSet:
         assert simple_qp().max_violation(res.best_x) <= 1e-8
 
     def test_infeasible_is_case1(self):
-        res = level_set_solve(infeasible_problem(), max_sweeps=200)
+        res = level_set_solve(infeasible_problem(), SolverSpec("cspm", max_sweeps=200))
         assert res.case == CASE1
         assert res.best_x is None
 
@@ -210,7 +211,7 @@ class TestBisection:
         assert res.case == CASE2_OR_3
 
     def test_infeasible_is_case1(self):
-        res = bisection_solve(infeasible_problem(), max_sweeps=100)
+        res = bisection_solve(infeasible_problem(), SolverSpec("cspm", max_sweeps=100))
         assert res.case == CASE1
 
     def test_default_lower_bound_used(self):

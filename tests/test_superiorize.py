@@ -217,13 +217,19 @@ class TestAlgorithmContract:
             superiorized_solve("cspm", self.cfp(), [5.0], SuperiorizationConfig(N=1, a=0.5),
                                objective=QuadraticFunction([[2.0]], [0.0]), t=t)
 
+    def test_box_without_its_rows_rejected(self):
+        # no sweep visits the box 0 <= x <= 1, so its emptiness test would
+        # certify {x >= 2}, which holds the point x = 3 the sweep reaches
+        with pytest.raises(ValueError, match="coordinate rows"):
+            superiorized_solve("cspm", [AffineConstraint.geq([1.0], 2.0)], [0.0],
+                               SuperiorizationConfig(N=0), bounds=Bounds([0.0], [1.0]))
+
 
 class TestThroughCfpWithLevel:
     def test_superiorized_spec_counts_merit_evals(self):
         p = Problem(QuadraticFunction([[2.0]], [0.0]), [AffineConstraint.geq([1.0], 1.0)])
         counters = Counters()
-        spec = SolverSpec(kind="cspm", superiorized=True,
-                          sup=SuperiorizationConfig(N=1, a=0.5))
+        spec = SolverSpec(kind="cspm", sup=SuperiorizationConfig(N=1, a=0.5))
         out = cfp_with_level(p, np.inf, spec, x0=[5.0], counters=counters)
         assert out.found
         assert counters.obj_evals > 0  # anchors and merit tests hit the objective
@@ -234,8 +240,7 @@ class TestThroughCfpWithLevel:
             [AffineConstraint.geq([1.0], 1.0)],
             bounds=Bounds([0.9], [9.0]),
         )
-        spec = SolverSpec(kind="cspm", superiorized=True,
-                          sup=SuperiorizationConfig(N=5, a=0.9))
+        spec = SolverSpec(kind="cspm", sup=SuperiorizationConfig(N=5, a=0.9))
         out = cfp_with_level(p, np.inf, spec, x0=[5.0])
         assert out.found
         assert 0.9 - 1e-8 <= out.x[0]
