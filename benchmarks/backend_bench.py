@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from cfpopt import _kernels
-from cfpopt.feasibility import SolverSpec, art3plus_solve, cfp_with_level, cspm_solve
+from cfpopt.feasibility import SolverSpec, cfp_solve, cfp_with_level
 from cfpopt.model import AffineConstraint, Problem, QuadraticFunction
 
 
@@ -98,10 +98,10 @@ def main():
     t_level = problem.objective.value(x0)  # loose level: exercises the mixed path
 
     cases = {
-        "cspm  (affine rows)": lambda: cspm_solve(
-            rows, x0, lam=1.5, max_sweeps=args.max_sweeps),
-        "art3+ (interval rows)": lambda: art3plus_solve(
-            rows, x0, max_sweeps=args.max_sweeps),
+        "cspm  (affine rows)": lambda: cfp_solve(
+            rows, x0, SolverSpec("cspm", lam=1.5, max_sweeps=args.max_sweeps)),
+        "art3+ (interval rows)": lambda: cfp_solve(
+            rows, x0, SolverSpec("art3+", max_sweeps=args.max_sweeps)),
         "cspm  (rows + quadratic level)": lambda: cfp_with_level(
             problem, t_level, SolverSpec("cspm", lam=1.5, max_sweeps=args.max_sweeps), x0=x0),
     }

@@ -12,10 +12,8 @@ from .feasibility import (
     FeasibilityOutcome,
     SolverSpec,
     ZeroSubgradientError,
-    art3plus_solve,
+    cfp_solve,
     cfp_with_level,
-    cspm_solve,
-    pocs_solve,
 )
 from .harness import (
     VARIANTS,

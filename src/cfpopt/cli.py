@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,13 @@ from .schemes import CASE1, counterexample_run
 _EPSILON_MODES = {"max-floor": "max-floor", "mult": "multiplicative", "const": "constant"}
 
 
+class _EpsilonMode(argparse.Action):
+    """Store the epsilon rule mode that a ``--epsilon-rule`` choice names."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, _EPSILON_MODES[values])
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     defaults = HarnessConfig()
     p.add_argument("--max-sweeps", type=int, default=defaults.max_sweeps,
@@ -48,14 +56,15 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=defaults.gamma, help="bisection bracket tolerance")
     p.add_argument("--f-lower", type=float, default=defaults.f_lower,
                    help="objective lower bound for bisection (default: derived)")
-    p.add_argument("--epsilon-rule", choices=sorted(_EPSILON_MODES), default="max-floor")
+    p.add_argument("--epsilon-rule", dest="epsilon_mode", choices=sorted(_EPSILON_MODES),
+                   default=defaults.epsilon_mode, action=_EpsilonMode)
     p.add_argument("--epsilon-factor", type=float, default=defaults.epsilon_factor)
     p.add_argument("--epsilon-floor", type=float, default=defaults.epsilon_floor)
     p.add_argument("--block", type=int, default=defaults.block, help="stall-counter block size")
     p.add_argument("--accel-c", type=float, default=defaults.accel_c)
     p.add_argument("--accel-s", type=float, default=defaults.accel_s)
     p.add_argument("--accel-step", type=float, default=defaults.accel_step)
-    p.add_argument("--adaptive", action="store_true",
+    p.add_argument("--adaptive", dest="accel_adaptive", action="store_true",
                    help="backtrack the acceleration step until the objective does not increase")
     p.add_argument("--sup-N", dest="sup_n", type=int, default=defaults.sup_n,
                    help="accepted perturbations per outer step in superiorized variants")
@@ -69,26 +78,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args) -> HarnessConfig:
-    return HarnessConfig(
-        max_sweeps=args.max_sweeps,
-        feas_tol=args.feas_tol,
-        lam=args.lam,
-        gamma=args.gamma,
-        f_lower=args.f_lower,
-        epsilon_mode=_EPSILON_MODES[args.epsilon_rule],
-        epsilon_factor=args.epsilon_factor,
-        epsilon_floor=args.epsilon_floor,
-        accel_c=args.accel_c,
-        accel_s=args.accel_s,
-        block=args.block,
-        accel_step=args.accel_step,
-        accel_adaptive=args.adaptive,
-        sup_n=args.sup_n,
-        sup_a=args.sup_a,
-        max_outer=args.max_outer,
-        seed=args.seed,
-        max_projections=args.max_projections,
-    )
+    return HarnessConfig(**{f.name: getattr(args, f.name) for f in fields(HarnessConfig)})
 
 
 def _load_fstar_file(path) -> dict:

@@ -36,11 +36,13 @@ run's :meth:`Counters.objective`.  A violated level at a point where the
 objective's subgradient vanishes proves the level set empty (that point
 minimises f), and the pass ends the solve with ``infeasibility_certified``.
 
-This module owns the step rule: one sweep of :func:`cspm_solve` over a
-single set is the relaxed (subgradient) projection onto it, lambda in (0, 2);
-:class:`ZeroSubgradientError` flags a violated constraint that admits no step.
-A :class:`SolverSpec` holds every setting of one level test that
-:func:`cfp_with_level` solves.
+:func:`cfp_solve` is the one entry to every feasibility solve: a
+:class:`SolverSpec` holds all its settings (solver kind, superiorization,
+relaxation, tolerance and time-out), and :func:`cfp_with_level` is its call
+for a problem's level test.  This module owns the step rule: one CSPM sweep
+over a single set is the relaxed (subgradient) projection onto it, lambda in
+(0, 2); :class:`ZeroSubgradientError` flags a violated constraint that admits
+no step.
 """
 
 from __future__ import annotations
@@ -57,9 +59,7 @@ __all__ = [
     "FeasibilityOutcome",
     "ZeroSubgradientError",
     "SolverSpec",
-    "cspm_solve",
-    "pocs_solve",
-    "art3plus_solve",
+    "cfp_solve",
     "cfp_with_level",
     "DEFAULT_MAX_SWEEPS",
     "DEFAULT_FEAS_TOL",
@@ -112,12 +112,13 @@ class FeasibilityOutcome:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """How a level test is solved; a scheme passes it to each of its tests unchanged.
+    """How a feasibility solve runs; a scheme passes it to each of its tests unchanged.
 
     The solver ``kind``, superiorized by ``sup`` when that is set; the cyclic
-    solvers' relaxation ``lam`` (ART3+ takes none); the tolerance ``tol``; and
-    the time-out after ``max_sweeps`` sweeps or, when set, ``max_projections``
-    projections.
+    solvers' relaxation ``lam`` in (0, 2) (ART3+ ignores it); the tolerance
+    ``tol``; and the time-out after ``max_sweeps`` sweeps or, when set,
+    ``max_projections`` projections instead.  Construction is the one check
+    of these settings: it raises ``ValueError`` on any that no solve can run.
     """
 
     kind: str = "cspm"  # cspm | pocs | art3+
@@ -130,6 +131,17 @@ class SolverSpec:
     def __post_init__(self):
         if self.kind not in ("cspm", "pocs", "art3+"):
             raise ValueError(f"unknown feasibility solver {self.kind!r}")
+        lam, tol = float(self.lam), float(self.tol)
+        if not 0.0 < lam < 2.0:
+            raise ValueError(f"relaxation parameter must lie in (0, 2), got {lam}")
+        if not np.isfinite(tol) or tol < 0.0:
+            raise ValueError(f"feasibility tolerance must be finite and nonnegative, got {tol}")
+        if self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
+        if self.max_projections is not None and self.max_projections < 1:
+            raise ValueError(f"max_projections must be at least 1, got {self.max_projections}")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "tol", tol)
 
 
 @dataclass
@@ -164,13 +176,6 @@ def _segment(constraints) -> list[tuple[str, object]]:
     if run:
         segments.append(("rows", _Packed.from_rows(run)))
     return segments
-
-
-def _check_tol(tol: float) -> float:
-    tol = float(tol)
-    if not np.isfinite(tol) or tol < 0.0:
-        raise ValueError(f"feasibility tolerance must be finite and nonnegative, got {tol}")
-    return tol
 
 
 # unit roundoff of float64
@@ -294,7 +299,7 @@ class _Sweeper:
 
     def __init__(self, tol: float, counters: Counters, bounds: Bounds | None,
                  objective: ConvexFunction | None, t: float):
-        self.tol = _check_tol(tol)
+        self.tol = tol
         self.counters = counters
         self.level = objective if t < np.inf else None
         self.t = t
@@ -356,9 +361,7 @@ class CyclicSweeper(_Sweeper):
         if self.level is not None:
             self.segments.append(("level", self.level))
         self.certified = not self.segments
-        self.lam = float(lam)
-        if not 0.0 < self.lam < 2.0:
-            raise ValueError(f"relaxation parameter must lie in (0, 2), got {self.lam}")
+        self.lam = lam
 
     def _pass(self, x: np.ndarray, k: int, agg: _StepAggregate | None) -> np.ndarray:
         lam = self.lam
@@ -411,10 +414,9 @@ class Art3Sweeper(_Sweeper):
         self.sums = np.zeros(3)  # the row kernel's step sums of the last pass
 
     def _pass(self, x: np.ndarray, k: int, agg: _StepAggregate | None) -> np.ndarray:
+        # a pass that emptied the queue without a move certified the point,
+        # so an empty queue here follows a move and means a refill
         if self.queue.shape[0] == 0 and not self.level_queued:
-            if not self.moved_since_refill:
-                self.certified = True
-                return x
             self.queue = self.full.copy()
             self.level_queued = self.level is not None
             self.moved_since_refill = False
@@ -462,10 +464,10 @@ def _check_box(packed: _Packed | None, bounds: Bounds) -> None:
     raise ValueError("bounds must come with their coordinate rows as the last constraints")
 
 
-def make_sweeper(kind: str, constraints, lam, tol: float, counters: Counters,
+def make_sweeper(solver: SolverSpec, constraints, counters: Counters,
                  bounds: Bounds | None = None, objective: ConvexFunction | None = None,
                  t: float = np.inf):
-    """Build the sweeping engine for one CFP solve.
+    """Build the sweeping engine for one CFP solve, as ``solver`` says.
 
     ``bounds``, when given, must be the box whose coordinate rows (one per
     coordinate with a finite bound, as :meth:`Bounds.to_rows` gives them) end
@@ -481,34 +483,32 @@ def make_sweeper(kind: str, constraints, lam, tol: float, counters: Counters,
     if np.isnan(t) or t == -np.inf:
         raise ValueError("level must be finite or +inf")
     rows = list(constraints)
-    if kind in ("pocs", "art3+"):
+    if solver.kind in ("pocs", "art3+"):
         for c in rows:
             if not isinstance(c, AffineConstraint):
-                raise ValueError(f"{kind} requires affine (interval) constraints, got {c!r}")
-    if kind in ("cspm", "pocs"):
-        sweeper = CyclicSweeper(rows, lam, tol, counters, bounds, objective, t)
-        tail = [seg for tag, seg in sweeper.segments if tag != "level"][-1:]
-        packed = tail[0] if tail and isinstance(tail[0], _Packed) else None
-    elif kind == "art3+":
-        sweeper = Art3Sweeper(rows, tol, counters, bounds, objective, t)
+                raise ValueError(f"{solver.kind} requires affine (interval) constraints, got {c!r}")
+    if solver.kind == "art3+":
+        sweeper = Art3Sweeper(rows, solver.tol, counters, bounds, objective, t)
         packed = sweeper.packed
     else:
-        raise ValueError(f"unknown feasibility solver {kind!r}")
+        sweeper = CyclicSweeper(rows, solver.lam, solver.tol, counters, bounds, objective, t)
+        tail = [seg for tag, seg in sweeper.segments if tag != "level"][-1:]
+        packed = tail[0] if tail and isinstance(tail[0], _Packed) else None
     if bounds is not None:
         _check_box(packed, bounds)
     return sweeper
 
 
-def _run(sweeper, x0: np.ndarray, max_sweeps: int, counters: Counters,
-         history: list | None, max_projections: int | None,
-         before_sweep=None) -> FeasibilityOutcome:
+def _run(sweeper, x0: np.ndarray, solver: SolverSpec, counters: Counters,
+         history: list | None, before_sweep=None) -> FeasibilityOutcome:
     """The sweep/time-out loop of every feasibility solve.
 
     Sweeps until one certifies every constraint within tolerance (found), the
-    sweeper proves the system empty, ``max_sweeps`` sweeps have run, or the
-    solve has made ``max_projections`` projections (checked before each
-    sweep).  ``before_sweep(x, k)``, when given, maps the iterate just before
-    sweep ``k``; superiorization perturbs it there.
+    sweeper proves the system empty, or ``solver`` times out: after
+    ``max_sweeps`` sweeps or, when set, once ``max_projections`` projections
+    are made (checked before each sweep; every sweep makes at least one).
+    ``before_sweep(x, k)``, when given, maps the iterate just before sweep
+    ``k``; superiorization perturbs it there.
     """
     x = x0.copy()
     proj0 = counters.projections
@@ -516,8 +516,9 @@ def _run(sweeper, x0: np.ndarray, max_sweeps: int, counters: Counters,
     sweeps = 0
     if sweeper.certified:  # vacuous system
         return FeasibilityOutcome(True, x, 0, 0, 0, 0)
-    for k in range(max_sweeps):
-        if max_projections is not None and counters.projections - proj0 >= max_projections:
+    budget = solver.max_projections
+    for k in range(solver.max_sweeps if budget is None else budget):
+        if budget is not None and counters.projections - proj0 >= budget:
             break
         if before_sweep is not None:
             x = before_sweep(x, k)
@@ -533,47 +534,35 @@ def _run(sweeper, x0: np.ndarray, max_sweeps: int, counters: Counters,
     )
 
 
-def _solve(kind: str, constraints, x0, lam, max_sweeps: int, tol: float,
-           counters: Counters | None, history: list | None,
-           max_projections: int | None) -> FeasibilityOutcome:
+def cfp_solve(constraints, x0, solver: SolverSpec | str = "cspm",
+              counters: Counters | None = None, history: list | None = None,
+              bounds: Bounds | None = None, objective: ConvexFunction | None = None,
+              t: float = np.inf, trace=None) -> FeasibilityOutcome:
+    """Seek a point of ``constraints`` (and of ``objective(x) <= t``) from ``x0``.
+
+    The one feasibility solve, run as ``solver`` says (a bare kind takes the
+    default settings): cyclic subgradient projections over any convex
+    constraints (``cspm``), their orthogonal twin on affine rows (``pocs``,
+    same iterates), or ART3+ over interval rows (``art3+``; a sweep is one
+    pass over its work queue).  With ``solver.sup`` set it is
+    :func:`cfpopt.superiorize.superiorized_solve`, which records its
+    perturbations in ``trace``.  ``bounds``, ``objective`` and ``t`` are as
+    in :func:`make_sweeper`; ``history`` collects the iterate of each sweep.
+    """
+    if isinstance(solver, str):
+        solver = SolverSpec(kind=solver)
     constraints = list(constraints)
-    if not constraints:
+    if not constraints and objective is None:
         raise ValueError("constraint list must be nonempty")
     counters = counters if counters is not None else Counters()
-    sweeper = make_sweeper(kind, constraints, lam, tol, counters)
-    return _run(sweeper, as_vector(x0), max_sweeps, counters, history, max_projections)
+    x0 = as_vector(x0)
+    if solver.sup is not None:
+        from . import superiorize
 
-
-def cspm_solve(constraints, x0, lam=DEFAULT_RELAXATION, max_sweeps: int = DEFAULT_MAX_SWEEPS,
-               tol: float = DEFAULT_FEAS_TOL, counters: Counters | None = None,
-               history: list | None = None, max_projections: int | None = None) -> FeasibilityOutcome:
-    """Cyclic subgradient projections over general convex constraints."""
-    return _solve("cspm", constraints, x0, lam, max_sweeps, tol, counters, history, max_projections)
-
-
-def pocs_solve(constraints, x0, lam=DEFAULT_RELAXATION, max_sweeps: int = DEFAULT_MAX_SWEEPS,
-               tol: float = DEFAULT_FEAS_TOL, counters: Counters | None = None,
-               history: list | None = None, max_projections: int | None = None) -> FeasibilityOutcome:
-    """Sequential relaxed orthogonal projections onto affine sets.
-
-    On canonically presented halfspaces/hyperplanes/slabs the orthogonal
-    projection equals the subgradient projection, so the iterates coincide
-    with :func:`cspm_solve` on the same system.
-    """
-    return _solve("pocs", constraints, x0, lam, max_sweeps, tol, counters, history, max_projections)
-
-
-def art3plus_solve(constraints, x0, max_sweeps: int = DEFAULT_MAX_SWEEPS,
-                   tol: float = DEFAULT_FEAS_TOL, counters: Counters | None = None,
-                   history: list | None = None, max_projections: int | None = None) -> FeasibilityOutcome:
-    """ART3+ for systems of interval linear inequalities.
-
-    One-sided rows are treated as infinite-width intervals (the rule then
-    always reflects) and equality rows as zero-width intervals (the rule then
-    always projects onto the hyperplane).  A "sweep" is one pass over the
-    current work queue.
-    """
-    return _solve("art3+", constraints, x0, None, max_sweeps, tol, counters, history, max_projections)
+        return superiorize.superiorized_solve(solver, constraints, x0, counters, history, trace,
+                                              bounds, objective, t)
+    sweeper = make_sweeper(solver, constraints, counters, bounds, objective, t)
+    return _run(sweeper, x0, solver, counters, history)
 
 
 def cfp_with_level(problem: Problem, t: float, solver: SolverSpec | str = "cspm",
@@ -583,24 +572,10 @@ def cfp_with_level(problem: Problem, t: float, solver: SolverSpec | str = "cspm"
 
     The sweeper visits the level ``f(x) <= t`` after the problem's
     constraints on every pass; ``t = +inf`` leaves the level out, giving
-    plain feasibility, solved as ``solver`` says (a bare kind takes the
-    default settings).  Objective values taken at the level are charged to
+    plain feasibility, solved by :func:`cfp_solve` as ``solver`` says.
+    Objective values taken at the level are charged to
     ``counters.obj_evals`` (see :meth:`Counters.objective`).
     """
-    if isinstance(solver, str):
-        solver = SolverSpec(kind=solver)
-    counters = counters if counters is not None else Counters()
     x0 = problem.start_point() if x0 is None else as_vector(x0, problem.n)
-    constraints = problem.all_constraints()
-    if solver.sup is not None:
-        from . import superiorize
-
-        return superiorize.superiorized_solve(
-            solver.kind, constraints, x0, solver.sup, lam=solver.lam, max_outer=solver.max_sweeps,
-            tol=solver.tol, counters=counters, history=history,
-            max_projections=solver.max_projections, bounds=problem.bounds,
-            objective=problem.objective, t=t,
-        )
-    sweeper = make_sweeper(solver.kind, constraints, solver.lam, solver.tol, counters,
-                           problem.bounds, problem.objective, t)
-    return _run(sweeper, x0, solver.max_sweeps, counters, history, solver.max_projections)
+    return cfp_solve(problem.all_constraints(), x0, solver, counters, history,
+                     problem.bounds, problem.objective, t)

@@ -200,14 +200,9 @@ def run_variant(variant: VariantSpec | str, problem: Problem,
     if x0 is None:
         x0 = problem.start_point(config.seed)
 
-    # in projection-budget mode the budget is the binding limit: every sweep
-    # performs at least one projection, so this sweep cap can never bind first
-    max_sweeps = config.max_sweeps
-    if config.max_projections is not None:
-        max_sweeps = max(max_sweeps, config.max_projections)
     spec = SolverSpec(variant.feas_solver,
                       sup=config.superiorization() if variant.superiorized else None,
-                      lam=config.lam, tol=config.feas_tol, max_sweeps=max_sweeps,
+                      lam=config.lam, tol=config.feas_tol, max_sweeps=config.max_sweeps,
                       max_projections=config.max_projections)
     common = dict(solver=spec, x0=x0, rule=config.epsilon_rule(), max_outer=config.max_outer)
     start = time.perf_counter()

@@ -212,9 +212,11 @@ def _objective(problem: Problem, x: np.ndarray, counters: Counters, where: str) 
     return fx
 
 
-def _start(problem: Problem, solver, x0, counters: Counters):
+def _start(problem: Problem, solver, x0, max_outer: int, counters: Counters):
     """``(solve, x, f(x))``: the level test ``solve(t, x)`` bound to the run's solver
     and the first feasible point (None, None when there is none)."""
+    if max_outer < 0:
+        raise ValueError(f"max_outer must be nonnegative, got {max_outer}")
     x0 = problem.start_point() if x0 is None else as_vector(x0, problem.n)
 
     def solve(t: float, x: np.ndarray):
@@ -229,7 +231,7 @@ def _start(problem: Problem, solver, x0, counters: Counters):
 
 def _level_engine(problem: Problem, solver, x0, rule: EpsilonRule, accel: AccelerationConfig | None,
                   max_outer: int, counters: Counters) -> SchemeResult:
-    solve, x, fx = _start(problem, solver, x0, counters)
+    solve, x, fx = _start(problem, solver, x0, max_outer, counters)
     if x is None:
         return SchemeResult(CASE1, None, None, None, 0, [], counters)
     warm_start = _warm_starts(problem, accel, rule, counters)
@@ -300,7 +302,8 @@ def bisection_solve(problem: Problem, solver="cspm", x0=None, cfg: BisectionConf
     the value found, failure (time-out) raises ``f_lo`` to ``t``.  The scheme
     stops once ``|f_hi - f_lo| <= gamma``, returning the last feasible point
     as a gamma-optimal solution.  When no lower bound is supplied, a crude
-    one is derived from the first feasible value.  The optional acceleration
+    one is derived from the first feasible value; a supplied one above that
+    value raises ``ValueError``.  The optional acceleration
     (see :class:`AccelerationConfig`) shifts the warm start on stalled
     brackets; it stays the warm start until a test finds a point, and never
     becomes the incumbent.  ``solver`` is passed to every test as in
@@ -308,10 +311,13 @@ def bisection_solve(problem: Problem, solver="cspm", x0=None, cfg: BisectionConf
     """
     counters = counters if counters is not None else Counters()
     rule = rule if rule is not None else EpsilonRule()
-    solve, x, f_hi = _start(problem, solver, x0, counters)
+    solve, x, f_hi = _start(problem, solver, x0, max_outer, counters)
     if x is None:
         return SchemeResult(CASE1, None, None, None, 0, [], counters)
     cfg = cfg if cfg is not None else BisectionConfig()
+    if cfg.f_lower is not None and cfg.f_lower > f_hi:
+        raise ValueError(f"f_lower {cfg.f_lower!r} exceeds the first feasible value {f_hi!r}, "
+                         "so it cannot bound the optimum")
     f_lo = cfg.f_lower if cfg.f_lower is not None else default_lower_bound(f_hi)
     gamma = cfg.gamma
 

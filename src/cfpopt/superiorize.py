@@ -13,6 +13,8 @@ The feasibility algorithm itself is unchanged: a superiorized solve runs the
 base solver's own sweep loop, with the perturbations as its pre-sweep hook.
 Once the step sizes fall below ``_BETA_FLOOR`` no candidate can be tried
 again, so the hook leaves the iterate alone for the rest of the solve.
+:func:`cfpopt.feasibility.cfp_solve` runs it for a ``SolverSpec`` whose
+``sup`` is set, and the rest of that spec sets the solve as it would unperturbed.
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .feasibility import (
-    DEFAULT_FEAS_TOL,
-    DEFAULT_MAX_SWEEPS,
-    DEFAULT_RELAXATION,
-    FeasibilityOutcome,
-    _run,
-    make_sweeper,
-)
+from .feasibility import FeasibilityOutcome, SolverSpec, _run, make_sweeper
 from .model import Bounds, ConvexFunction, Counters, as_vector
 
 __all__ = [
@@ -93,34 +88,31 @@ def nonascending_direction(merit: ConvexFunction, x: np.ndarray) -> np.ndarray:
     return -xi / norm
 
 
-def superiorized_solve(kind: str, constraints, x0, cfg: SuperiorizationConfig,
-                       lam=DEFAULT_RELAXATION, max_outer: int = DEFAULT_MAX_SWEEPS,
-                       tol: float = DEFAULT_FEAS_TOL,
-                       counters: Counters | None = None, history: list | None = None,
-                       max_projections: int | None = None,
-                       trace: PerturbationTrace | None = None,
+def superiorized_solve(solver: SolverSpec, constraints, x0, counters: Counters | None = None,
+                       history: list | None = None, trace: PerturbationTrace | None = None,
                        bounds: Bounds | None = None, objective: ConvexFunction | None = None,
                        t: float = np.inf) -> FeasibilityOutcome:
-    """Feasibility seeking with interleaved merit perturbations.
+    """Feasibility seeking with interleaved merit perturbations, per ``solver.sup``.
 
-    The base solver ``kind``'s sweep loop over ``constraints`` (and the
-    level ``objective(x) <= t`` when ``t`` is finite, see
+    The base solver ``solver.kind``'s sweep loop over ``constraints`` (and
+    the level ``objective(x) <= t`` when ``t`` is finite, see
     :func:`make_sweeper`), with a pre-sweep hook: per outer iteration, N
     accepted perturbation steps, then one sweep.  Once the global step index
     passes the step-size floor the hook perturbs no more.  Termination
     follows the base solver's contract: found once a full sweep certifies
-    every constraint within ``tol``, proven empty once the sweeps' steps
-    certify it (every solver kind, given the bound box ``bounds``; the
-    perturbations take no part in the certificate), timed out after
-    ``max_outer`` outer iterations.
+    every constraint within ``solver.tol``, proven empty once the sweeps'
+    steps certify it (every solver kind, given the bound box ``bounds``; the
+    perturbations take no part in the certificate), timed out as
+    ``solver`` says (one sweep per outer iteration).
     With ``N=0`` this reproduces the base solver's iterates exactly.
 
-    The merit is ``cfg.merit``, or else ``objective``; the domain is
-    ``cfg.domain``, or else the box ``bounds``.  When the merit is the
+    The merit is ``solver.sup.merit``, or else ``objective``; the domain is
+    ``solver.sup.domain``, or else the box ``bounds``.  When the merit is the
     objective its values go through ``counters.objective``, so an anchor at
     the point where the last sweep's level visit left x reuses that visit's
     value instead of calling the oracle again.
     """
+    cfg = solver.sup
     merit = cfg.merit if cfg.merit is not None else objective
     if merit is None and cfg.N > 0:
         raise ValueError("superiorization needs a merit function when N > 0")
@@ -128,7 +120,7 @@ def superiorized_solve(kind: str, constraints, x0, cfg: SuperiorizationConfig,
     if domain is None and bounds is not None:
         domain = bounds.contains
     counters = counters if counters is not None else Counters()
-    sweeper = make_sweeper(kind, constraints, lam, tol, counters, bounds, objective, t)
+    sweeper = make_sweeper(solver, constraints, counters, bounds, objective, t)
 
     def merit_value(z: np.ndarray) -> float:
         if merit is objective:
@@ -162,5 +154,4 @@ def superiorized_solve(kind: str, constraints, x0, cfg: SuperiorizationConfig,
                     trace.rejected += 1
         return x
 
-    return _run(sweeper, as_vector(x0), max_outer, counters, history, max_projections,
-                perturb if cfg.N > 0 else None)
+    return _run(sweeper, as_vector(x0), solver, counters, history, perturb if cfg.N > 0 else None)

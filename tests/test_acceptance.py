@@ -13,7 +13,7 @@ import pytest
 
 from cfpopt import _kernels
 from cfpopt.cli import main as cli_main
-from cfpopt.feasibility import cfp_with_level, cspm_solve, pocs_solve, SolverSpec
+from cfpopt.feasibility import cfp_solve, cfp_with_level, SolverSpec
 from cfpopt.harness import (
     VARIANTS,
     HarnessConfig,
@@ -129,7 +129,7 @@ def test_criterion_04_fejer_monotonicity():
         x0 = rng.standard_normal(n) * 5.0
         lam = lams[trial % len(lams)]
         hist = []
-        cspm_solve(cons, x0, lam=lam, max_sweeps=40, history=hist)
+        cfp_solve(cons, x0, SolverSpec(lam=lam, max_sweeps=40), history=hist)
         dists = [float(np.linalg.norm(x - z)) for x in hist]
         prev = float(np.linalg.norm(x0 - z))
         for d in dists:
@@ -207,9 +207,8 @@ def test_criterion_06_superiorization_contract():
 
     # (a) merit safety, exact
     trace = PerturbationTrace()
-    superiorized_solve("cspm", cons, [5.0],
-                       SuperiorizationConfig(N=3, a=0.9, merit=phi),
-                       lam=1.0, max_outer=500, trace=trace)
+    superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=3, a=0.9, merit=phi), lam=1.0,
+                                  max_sweeps=500), cons, [5.0], trace=trace)
     assert trace.accepted
     for _k, _ell, _beta, z, anchor in trace.accepted:
         assert phi.value(z) <= anchor
@@ -222,10 +221,9 @@ def test_criterion_06_superiorization_contract():
     x0 = rng.standard_normal(4) * 4
     c1, c2 = Counters(), Counters()
     h1, h2 = [], []
-    base = cspm_solve(rand_cons, x0, lam=1.5, counters=c1, history=h1)
-    sup0 = superiorized_solve("cspm", rand_cons, x0,
-                              SuperiorizationConfig(N=0, a=0.5, merit=phi),
-                              lam=1.5, max_outer=1000, counters=c2, history=h2)
+    base = cfp_solve(rand_cons, x0, SolverSpec(lam=1.5), counters=c1, history=h1)
+    sup0 = superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=0, a=0.5, merit=phi), lam=1.5,
+                                         max_sweeps=1000), rand_cons, x0, counters=c2, history=h2)
     assert base.x.tobytes() == sup0.x.tobytes()
     assert c1 == c2 and base.sweeps == sup0.sweeps
     assert all(a_.tobytes() == b_.tobytes() for a_, b_ in zip(h1, h2))
@@ -240,10 +238,9 @@ def test_criterion_06_superiorization_contract():
         assert plain.found and sup.found, name
 
     # (d) superiority instance: phi ~ 1 versus the base solver's 25
-    base = cspm_solve(cons, [5.0], lam=1.0)
-    sup = superiorized_solve("cspm", cons, [5.0],
-                             SuperiorizationConfig(N=40, a=0.9, merit=phi),
-                             lam=1.0, max_outer=2000)
+    base = cfp_solve(cons, [5.0], SolverSpec(lam=1.0))
+    sup = superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=40, a=0.9, merit=phi), lam=1.0,
+                                        max_sweeps=2000), cons, [5.0])
     assert base.found and sup.found
     assert phi.value(base.x) == 25.0
     assert phi.value(sup.x) < phi.value(base.x)
@@ -261,8 +258,8 @@ def test_criterion_07_pocs_cspm_coincidence():
                 for a in rng.standard_normal((int(rng.integers(2, 9)), n))]
         x0 = rng.standard_normal(n) * 3
         h1, h2 = [], []
-        o1 = cspm_solve(cons, x0, lam=1.5, history=h1)
-        o2 = pocs_solve(cons, x0, lam=1.5, history=h2)
+        o1 = cfp_solve(cons, x0, SolverSpec(lam=1.5), history=h1)
+        o2 = cfp_solve(cons, x0, SolverSpec("pocs", lam=1.5), history=h2)
         assert o1.found == o2.found and len(h1) == len(h2)
         for xa, xb in zip(h1, h2):
             np.testing.assert_allclose(xa, xb, rtol=0, atol=1e-12)

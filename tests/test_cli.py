@@ -46,6 +46,21 @@ class TestSolve:
             main(["solve", "--builtin", "simple_qp", "--variant", "simplex"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["bis_art3+", "--max-sweeps", "0"], "max_sweeps must be at least 1, got 0"),
+        (["bis_art3+", "--max-sweeps", "-3"], "max_sweeps must be at least 1, got -3"),
+        (["bis_art3+", "--max-projections", "0"], "max_projections must be at least 1, got 0"),
+        (["bis_art3+", "--lambda", "3"], "relaxation parameter must lie in (0, 2), got 3.0"),
+        (["ls_cspm", "--max-outer", "-1"], "max_outer must be nonnegative, got -1"),
+        (["bis_cspm", "--f-lower", "5"],
+         "f_lower 5.0 exceeds the first feasible value 0.0, so it cannot bound the optimum"),
+    ], ids=["no sweeps", "negative sweeps", "no projections", "lambda", "max-outer", "f-lower"])
+    def test_degenerate_setting_is_input_error(self, flags, message, capsys):
+        assert main(["solve", "--builtin", "qp2d", "--variant", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
     def test_pairing_error_is_input_error(self, capsys):
         assert main(["solve", "--builtin", "imrt_small", "--variant", "ls_art3+"]) == 2
         err = capsys.readouterr().err

@@ -7,11 +7,9 @@ import pytest
 from cfpopt.feasibility import (
     SolverSpec,
     ZeroSubgradientError,
-    art3plus_solve,
+    cfp_solve,
     cfp_with_level,
-    cspm_solve,
     make_sweeper,
-    pocs_solve,
 )
 from cfpopt.model import (
     AffineConstraint,
@@ -21,7 +19,7 @@ from cfpopt.model import (
     Problem,
     QuadraticFunction,
 )
-from cfpopt.superiorize import SuperiorizationConfig, superiorized_solve
+from cfpopt.superiorize import SuperiorizationConfig
 
 
 def halfspace_ge1():
@@ -31,7 +29,7 @@ def halfspace_ge1():
 
 class TestCspm:
     def test_single_halfspace_exact_step(self):
-        out = cspm_solve([halfspace_ge1()], [0.0], lam=1.0)
+        out = cfp_solve([halfspace_ge1()], [0.0], SolverSpec(lam=1.0))
         assert out.found
         assert out.x == pytest.approx([1.0])
         assert out.moves == 1
@@ -40,7 +38,7 @@ class TestCspm:
         assert out.sweeps == 2
 
     def test_feasible_start_no_moves(self):
-        out = cspm_solve([halfspace_ge1()], [3.0], lam=1.5)
+        out = cfp_solve([halfspace_ge1()], [3.0], SolverSpec(lam=1.5))
         assert out.found
         assert out.moves == 0
         assert out.sweeps == 1
@@ -48,36 +46,42 @@ class TestCspm:
 
     def test_inconsistent_times_out(self):
         cons = [AffineConstraint.leq([1.0], -1.0), AffineConstraint.geq([1.0], 1.0)]
-        out = cspm_solve(cons, [0.0], lam=1.0, max_sweeps=1000)
+        out = cfp_solve(cons, [0.0], SolverSpec(lam=1.0, max_sweeps=1000))
         assert not out.found
         assert out.sweeps == 1000
 
     def test_empty_constraints_rejected(self):
         with pytest.raises(ValueError):
-            cspm_solve([], [0.0])
+            cfp_solve([], [0.0])
 
     def test_counters_shared_across_solves(self):
         counters = Counters()
-        cspm_solve([halfspace_ge1()], [0.0], lam=1.0, counters=counters)
-        cspm_solve([halfspace_ge1()], [0.0], lam=1.0, counters=counters)
+        cfp_solve([halfspace_ge1()], [0.0], SolverSpec(lam=1.0), counters=counters)
+        cfp_solve([halfspace_ge1()], [0.0], SolverSpec(lam=1.0), counters=counters)
         assert counters.projections == 4
 
-    @pytest.mark.parametrize("solve", [
-        cspm_solve,
-        lambda cons, x0, max_sweeps, **kw: superiorized_solve(
-            "cspm", cons, x0, SuperiorizationConfig(N=1, merit=QuadraticFunction([[2.0]], [0.0])),
-            max_outer=max_sweeps, **kw),
+    @pytest.mark.parametrize("sup", [
+        None,
+        SuperiorizationConfig(N=1, merit=QuadraticFunction([[2.0]], [0.0])),
     ], ids=["cspm", "superiorized"])
-    def test_max_projections_limit_mode(self, solve):
+    def test_max_projections_limit_mode(self, sup):
         cons = [AffineConstraint.leq([1.0], -1.0), AffineConstraint.geq([1.0], 1.0)]
-        out = solve(cons, [0.0], lam=1.0, max_sweeps=10_000, max_projections=50)
+        out = cfp_solve(cons, [0.0], SolverSpec(sup=sup, lam=1.0, max_sweeps=10_000,
+                                                max_projections=50))
         assert not out.found
         assert out.projections <= 50 + len(cons)
+
+    def test_projection_budget_replaces_the_sweep_cap(self):
+        # two projections a sweep: the default 1000-sweep cap would stop at 2000
+        cons = [AffineConstraint.leq([1.0], -1.0), AffineConstraint.geq([1.0], 1.0)]
+        out = cfp_solve(cons, [0.0], SolverSpec(max_projections=5000))
+        assert out.timed_out
+        assert (out.projections, out.sweeps) == (5000, 2500)
 
     def test_zero_subgradient_propagates(self):
         bad = CustomFunction(lambda x: 1.0, lambda x: np.zeros_like(x), name="bad")
         with pytest.raises(ZeroSubgradientError):
-            cspm_solve([bad], [0.0])
+            cfp_solve([bad], [0.0])
 
     def test_fejer_distances_nonincreasing(self):
         rng = np.random.default_rng(42)
@@ -89,7 +93,8 @@ class TestCspm:
             cons.append(AffineConstraint.leq(a, float(a @ z) + abs(rng.standard_normal())))
         for lam in (0.5, 1.0, 1.5, 1.9):
             hist = []
-            cspm_solve(cons, rng.standard_normal(n) * 5, lam=lam, max_sweeps=50, history=hist)
+            cfp_solve(cons, rng.standard_normal(n) * 5, SolverSpec(lam=lam, max_sweeps=50),
+                      history=hist)
             dists = [np.linalg.norm(x - z) for x in hist]
             for d0, d1 in zip(dists, dists[1:]):
                 assert d1 <= d0 + 1e-9
@@ -98,19 +103,19 @@ class TestCspm:
 class TestPocs:
     def test_orthogonal_hyperplanes_one_sweep(self):
         cons = [AffineConstraint.eq([1.0, 0.0], 0.0), AffineConstraint.eq([0.0, 1.0], 0.0)]
-        out = pocs_solve(cons, [1.0, 1.0], lam=1.0)
+        out = cfp_solve(cons, [1.0, 1.0], SolverSpec("pocs", lam=1.0))
         assert out.found
         np.testing.assert_allclose(out.x, [0.0, 0.0], atol=1e-15)
 
     def test_feasible_start(self):
-        out = pocs_solve([AffineConstraint.leq([1.0, 0.0], 1.0)], [0.0, 0.5])
+        out = cfp_solve([AffineConstraint.leq([1.0, 0.0], 1.0)], [0.0, 0.5], "pocs")
         assert out.found
         np.testing.assert_array_equal(out.x, [0.0, 0.5])
 
     def test_rejects_nonaffine(self):
         ball = QuadraticFunction(2 * np.eye(2), np.zeros(2), -1.0)
         with pytest.raises(ValueError):
-            pocs_solve([ball], [0.0, 0.0])
+            cfp_solve([ball], [0.0, 0.0], "pocs")
 
     def test_identical_iterates_with_cspm(self):
         rng = np.random.default_rng(9)
@@ -121,8 +126,8 @@ class TestPocs:
             cons.append(AffineConstraint.leq(a, float(a @ z) + 0.1))
         x0 = rng.standard_normal(5) * 3
         h1, h2 = [], []
-        o1 = cspm_solve(cons, x0, lam=1.5, history=h1)
-        o2 = pocs_solve(cons, x0, lam=1.5, history=h2)
+        o1 = cfp_solve(cons, x0, SolverSpec(lam=1.5), history=h1)
+        o2 = cfp_solve(cons, x0, SolverSpec("pocs", lam=1.5), history=h2)
         assert o1.found and o2.found
         assert len(h1) == len(h2)
         for a_, b_ in zip(h1, h2):
@@ -131,12 +136,12 @@ class TestPocs:
 
 class TestArt3Plus:
     def test_midpoint_rule(self):
-        out = art3plus_solve([AffineConstraint.interval([1.0], 0.0, 2.0)], [5.0])
+        out = cfp_solve([AffineConstraint.interval([1.0], 0.0, 2.0)], [5.0], "art3+")
         assert out.found
         assert out.x == pytest.approx([1.0])
 
     def test_reflection_rule(self):
-        out = art3plus_solve([AffineConstraint.interval([1.0], 0.0, 2.0)], [2.5])
+        out = cfp_solve([AffineConstraint.interval([1.0], 0.0, 2.0)], [2.5], "art3+")
         assert out.found
         assert out.x == pytest.approx([1.5])
 
@@ -145,7 +150,7 @@ class TestArt3Plus:
             AffineConstraint.interval([1.0, 0.0], 0.0, 2.0),
             AffineConstraint.interval([0.0, 1.0], 0.0, 2.0),
         ]
-        out = art3plus_solve(rows, [1.0, 1.0])
+        out = cfp_solve(rows, [1.0, 1.0], "art3+")
         assert out.found
         assert out.moves == 0
         assert out.sweeps == 1
@@ -159,7 +164,7 @@ class TestArt3Plus:
             AffineConstraint.interval([0.0, 1.0], 0.0, 2.0),
         ]
         counters = Counters()
-        out = art3plus_solve(rows, [2.5, 1.0], counters=counters)
+        out = cfp_solve(rows, [2.5, 1.0], "art3+", counters=counters)
         assert out.found
         # pass 1: both visited (one move); pass 2: only the moved row; then a
         # full verification pass over both
@@ -168,11 +173,11 @@ class TestArt3Plus:
     def test_rejects_nonaffine(self):
         ball = QuadraticFunction(2 * np.eye(1), np.zeros(1), -1.0)
         with pytest.raises(ValueError):
-            art3plus_solve([ball], [0.0])
+            cfp_solve([ball], [0.0], "art3+")
 
     def test_inconsistent_times_out(self):
         rows = [AffineConstraint.leq([1.0], -1.0), AffineConstraint.geq([1.0], 1.0)]
-        out = art3plus_solve(rows, [0.0], max_sweeps=200)
+        out = cfp_solve(rows, [0.0], SolverSpec("art3+", max_sweeps=200))
         assert not out.found
 
     def test_agreement_with_cspm_on_wide_intervals(self):
@@ -187,7 +192,7 @@ class TestArt3Plus:
             halves.append(AffineConstraint.leq(a, c + 50.0))
             halves.append(AffineConstraint.geq(a, c - 50.0))
         x0 = z + rng.standard_normal(3)
-        assert art3plus_solve(rows, x0).found == cspm_solve(halves, x0).found
+        assert cfp_solve(rows, x0, "art3+").found == cfp_solve(halves, x0).found
 
 
 class TestCfpWithLevel:
@@ -270,6 +275,32 @@ class TestCfpWithLevel:
         with pytest.raises(ValueError):
             SolverSpec(kind="gradient-descent")
 
+    @pytest.mark.parametrize("kind", ["cspm", "pocs", "art3+"])
+    @pytest.mark.parametrize("settings, message", [
+        ({"lam": 0.0}, "relaxation parameter must lie in (0, 2), got 0.0"),
+        ({"lam": 2.0}, "relaxation parameter must lie in (0, 2), got 2.0"),
+        ({"lam": np.nan}, "relaxation parameter must lie in (0, 2), got nan"),
+        ({"tol": -1e-3}, "feasibility tolerance must be finite and nonnegative, got -0.001"),
+        ({"tol": np.inf}, "feasibility tolerance must be finite and nonnegative, got inf"),
+        ({"max_sweeps": 0}, "max_sweeps must be at least 1, got 0"),
+        ({"max_projections": 0}, "max_projections must be at least 1, got 0"),
+    ], ids=["lam 0", "lam 2", "lam nan", "negative tol", "infinite tol", "no sweeps",
+            "no projections"])
+    def test_solver_spec_rejects_settings_no_solve_can_run(self, kind, settings, message):
+        with pytest.raises(ValueError) as exc:
+            SolverSpec(kind, **settings)
+        assert str(exc.value) == message
+
+    def test_solver_spec_stores_floats(self):
+        spec = SolverSpec("art3+", lam=1, tol=0)
+        assert (type(spec.lam), type(spec.tol)) == (float, float)
+        assert spec == SolverSpec("art3+", lam=1.0, tol=0.0)
+
+    def test_problem_without_rows_is_vacuous(self):
+        p = Problem(QuadraticFunction([[2.0]], [0.0]), [])
+        out = cfp_with_level(p, np.inf, "cspm", x0=[3.0])
+        assert out.found and (out.sweeps, out.projections) == (0, 0)
+
 
 class TestBoxRows:
     # the box 0 <= x_0 <= 1, x_1 free, certifies only with its row 0 <= x_0 <= 1
@@ -284,16 +315,16 @@ class TestBoxRows:
                              ids=["missing", "not last", "other bounds", "other coordinate"])
     def test_box_without_its_rows_rejected(self, kind, rows):
         with pytest.raises(ValueError, match="coordinate rows"):
-            make_sweeper(kind, [self.CUT, *rows], 1.5, 1e-8, Counters(), self.BOX)
+            make_sweeper(SolverSpec(kind), [self.CUT, *rows], Counters(), self.BOX)
 
     def test_generic_constraint_after_the_rows_rejected(self):
         quad = CustomFunction(lambda x: float(x @ x) - 9.0, lambda x: 2.0 * x, name="ball")
         with pytest.raises(ValueError, match="coordinate rows"):
-            make_sweeper("cspm", [self.CUT, *self.BOX.to_rows(), quad], 1.5, 1e-8, Counters(),
+            make_sweeper(SolverSpec("cspm"), [self.CUT, *self.BOX.to_rows(), quad], Counters(),
                          self.BOX)
 
     @pytest.mark.parametrize("kind", ["cspm", "pocs", "art3+"])
     def test_box_with_its_rows_accepted(self, kind):
-        sweeper = make_sweeper(kind, [self.CUT, *self.BOX.to_rows()], 1.5, 1e-8, Counters(),
+        sweeper = make_sweeper(SolverSpec(kind), [self.CUT, *self.BOX.to_rows()], Counters(),
                                self.BOX, QuadraticFunction(np.eye(2), np.zeros(2)), 1.0)
         assert sweeper.aggregate is not None

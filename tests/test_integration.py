@@ -9,7 +9,7 @@ tolerance.
 import numpy as np
 import pytest
 
-from cfpopt.feasibility import SolverSpec, cspm_solve
+from cfpopt.feasibility import SolverSpec, cfp_solve
 from cfpopt.harness import HarnessConfig, run_variant
 from cfpopt.model import AffineConstraint, Bounds, Problem, QuadraticFunction
 from cfpopt.schemes import CASE2_OR_3, BisectionConfig, bisection_solve, level_set_solve
@@ -75,16 +75,14 @@ def test_variants_agree_on_planted_qp(variant):
 def test_negative_tolerance_rejected():
     rows = [AffineConstraint.geq([1.0], 1.0)]
     with pytest.raises(ValueError):
-        cspm_solve(rows, [0.0], tol=-1e-3)
+        cfp_solve(rows, [0.0], SolverSpec(tol=-1e-3))
     with pytest.raises(ValueError):
-        cspm_solve(rows, [0.0], tol=np.nan)
+        cfp_solve(rows, [0.0], SolverSpec(tol=np.nan))
 
 
 def test_art3_equality_row_is_kaczmarz_step():
-    from cfpopt.feasibility import art3plus_solve
-
     row = [AffineConstraint.eq([2.0], 3.0)]  # x = 1.5, zero-width interval
-    out = art3plus_solve(row, [10.0])
+    out = cfp_solve(row, [10.0], "art3+")
     assert out.found
     assert out.x == pytest.approx([1.5])
 

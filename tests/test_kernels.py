@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cfpopt import _kernels
-from cfpopt.feasibility import art3plus_solve, cspm_solve
+from cfpopt.feasibility import SolverSpec, cfp_solve
 from cfpopt.model import AffineConstraint
 
 
@@ -57,7 +57,7 @@ def test_cspm_backend_agreement(seed, cffi, restore_backend):
     for backend in ("c", "numpy"):
         _kernels.set_backend(backend)
         hist = []
-        out = cspm_solve(rows, x0, lam=1.5, max_sweeps=300, history=hist)
+        out = cfp_solve(rows, x0, SolverSpec(lam=1.5, max_sweeps=300), history=hist)
         results[backend] = (out, hist)
     a, ha = results["c"]
     b, hb = results["numpy"]
@@ -105,7 +105,7 @@ def test_art3_backend_agreement(seed, cffi, restore_backend):
     results = {}
     for backend in ("c", "numpy"):
         _kernels.set_backend(backend)
-        results[backend] = art3plus_solve(rows, x0, max_sweeps=500)
+        results[backend] = cfp_solve(rows, x0, SolverSpec("art3+", max_sweeps=500))
     a, b = results["c"], results["numpy"]
     assert a.found == b.found
     assert a.sweeps == b.sweeps

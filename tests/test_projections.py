@@ -1,6 +1,6 @@
 """The projection rule, checked through the solver that runs it.
 
-One sweep of :func:`cspm_solve` over a single set, with ``tol=0``, is the
+One CSPM sweep of :func:`cfp_solve` over a single set, with ``tol=0``, is the
 relaxed projection onto that set: the orthogonal projection for halfspaces,
 hyperplanes and boxes (the box as its coordinate rows), the subgradient
 projection for any other convex constraint.
@@ -9,14 +9,14 @@ projection for any other convex constraint.
 import numpy as np
 import pytest
 
-from cfpopt.feasibility import ZeroSubgradientError, cspm_solve
+from cfpopt.feasibility import SolverSpec, ZeroSubgradientError, cfp_solve
 from cfpopt.model import AffineConstraint, Bounds, Counters, CustomFunction, QuadraticFunction
 
 
 def step(sets, x, lam=1.0, counters=None):
     """One relaxed projection of ``x`` onto the intersection swept once in order."""
     sets = sets if isinstance(sets, list) else [sets]
-    return cspm_solve(sets, x, lam=lam, max_sweeps=1, tol=0.0, counters=counters).x
+    return cfp_solve(sets, x, SolverSpec(lam=lam, tol=0.0, max_sweeps=1), counters=counters).x
 
 
 def project_halfspace(a, b, x):
@@ -120,7 +120,7 @@ class TestSubgradientProject:
     def test_feasible_point_never_moves(self):
         c = QuadraticFunction(2.0 * np.eye(2), np.zeros(2), -1.0)
         x = np.array([0.3, 0.4])
-        out = cspm_solve([c], x, lam=1.0, max_sweeps=1, tol=0.0)
+        out = cfp_solve([c], x, SolverSpec(lam=1.0, tol=0.0, max_sweeps=1))
         assert out.moves == 0
         np.testing.assert_array_equal(out.x, x)
 

@@ -256,6 +256,70 @@ class TestDiagnostics:
         assert p.constraints[0].a[0] == pytest.approx(150.0)
 
 
+EVERY_SECTION = """\
+NAME          ALL
+ROWS
+ N  OBJ
+ L  C1
+ G  C2
+COLUMNS
+    X1        OBJ       -1.0      C1        1.0
+    X2        C1        1.0       C2        1.0
+RHS
+    RHS       C1        2.0
+RANGES
+    RNG       C1        4.0
+BOUNDS
+ UP BND       X1        4.0
+ FR BND       X2
+QUADOBJ
+    X1        X1        1.0
+ENDATA
+"""
+
+
+def _with_line(line_no, new):
+    """EVERY_SECTION with line ``line_no`` replaced by ``new``."""
+    lines = EVERY_SECTION.split("\n")
+    lines[line_no - 1] = new
+    return "\n".join(lines)
+
+
+def _planted_columns_line_with_extra_token():
+    p, _ = make_problems.planted_instance(0, 120, 160)
+    lines = write_qps(p).splitlines()
+    lines[9000 - 1] += "  R1"  # past the first blocks of data lines
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("text, line_no, section, message", [
+    (_with_line(5, " Q  C2"), 5, "ROWS", "unknown row sense 'Q'"),
+    (_with_line(5, " G  C1"), 5, "ROWS", "duplicate row 'C1'"),
+    (_with_line(5, " G  C2  C3"), 5, "ROWS", "expected 'SENSE NAME', got 'G  C2  C3'"),
+    (_with_line(8, "    X2        C1        1.0       C2"), 8, "COLUMNS",
+     "expected 'COL ROW VAL [ROW VAL]'"),
+    (_planted_columns_line_with_extra_token, 9000, "COLUMNS", "expected 'COL ROW VAL [ROW VAL]'"),
+    (_with_line(10, "    RHS       C1"), 10, "RHS", "expected 'RHSNAME ROW VAL [ROW VAL]'"),
+    (_with_line(12, "    RNG       C1        4.0       C2"), 12, "RANGES",
+     "expected 'RNGNAME ROW VAL [ROW VAL]'"),
+    (_with_line(17, "    X1        X1"), 17, "QUADOBJ", "expected 'COL COL VAL'"),
+    (_with_line(14, " XX BND       X1        4.0"), 14, "BOUNDS", "unknown bound type 'XX'"),
+    (_with_line(14, " LO BND       X1"), 14, "BOUNDS", "LO bound expects 'TYPE SET COL VAL'"),
+    (_with_line(15, " FR BND"), 15, "BOUNDS", "FR bound expects 'TYPE SET COL'"),
+    ("    X1\n" + EVERY_SECTION, 1, "-", "data before any section header"),
+    (_with_line(1, "NAME          ALL\n    X1"), 2, "NAME", "unexpected data in NAME section"),
+    (EVERY_SECTION + "    X1\n", 19, "ENDATA", "data after ENDATA"),
+], ids=["row sense", "duplicate row", "rows tokens", "columns tokens", "columns tokens mid-block",
+        "rhs tokens", "ranges tokens", "quadobj tokens", "bound type", "short LO", "short FR",
+        "before any header", "in NAME", "after ENDATA"])
+def test_malformed_line_names_its_line_and_section(text, line_no, section, message):
+    parse_qps(EVERY_SECTION)  # the base file itself is well formed
+    with pytest.raises(QpsParseError) as exc:
+        parse_qps(text() if callable(text) else text)
+    d = exc.value.diagnostic
+    assert (d.line, d.section, d.message) == (line_no, section, message)
+
+
 class TestRoundTrip:
     def test_fixture_round_trip_exact(self):
         p = parse_qps(FIXTURE_QP)

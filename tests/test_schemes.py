@@ -214,6 +214,16 @@ class TestBisection:
         res = bisection_solve(infeasible_problem(), SolverSpec("cspm", max_sweeps=100))
         assert res.case == CASE1
 
+    def test_lower_bound_above_the_first_feasible_value_rejected(self):
+        # f(x^0) = 4 at x0 = 2, so f_lower = 5 cannot bound f* = 1
+        counters = Counters()
+        with pytest.raises(ValueError, match="f_lower 5.0 exceeds the first feasible value 4.0"):
+            bisection_solve(simple_qp(), x0=[2.0], cfg=BisectionConfig(f_lower=5.0),
+                            counters=counters)
+        assert counters.projections == 1  # the first feasibility solve only
+        res = bisection_solve(simple_qp(), x0=[2.0], cfg=BisectionConfig(f_lower=4.0))
+        assert (res.case, res.level_steps) == (CASE2_OR_3, 0)
+
     def test_default_lower_bound_used(self):
         res = bisection_solve(simple_qp(), x0=[2.0])
         assert res.case == CASE2_OR_3
@@ -225,6 +235,14 @@ class TestBisection:
                               accel=AccelerationConfig(c=1.0, s=0.001, block=10))
         assert res.case == CASE2_OR_3
         assert abs(res.best_value - 1.0) <= 1e-4
+
+
+@pytest.mark.parametrize("solve", [level_set_solve, accelerated_level_set_solve, bisection_solve])
+def test_negative_max_outer_rejected_before_any_solve(solve):
+    counters = Counters()
+    with pytest.raises(ValueError, match="max_outer must be nonnegative, got -1"):
+        solve(simple_qp(), x0=[2.0], max_outer=-1, counters=counters)
+    assert counters.projections == 0
 
 
 class TestCounterexample:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cfpopt.feasibility import cfp_with_level, cspm_solve, SolverSpec
+from cfpopt.feasibility import cfp_solve, cfp_with_level, SolverSpec
 from cfpopt.model import (
     AffineConstraint,
     Bounds,
@@ -56,9 +56,8 @@ class TestStepSizes:
         phi = norm2_fn()
         cons = [AffineConstraint.leq([1.0, 0.0], 5.0)]
         trace = PerturbationTrace()
-        superiorized_solve("cspm", cons, [1.0, 0.0],
-                           SuperiorizationConfig(N=1, a=0.5, merit=phi),
-                           max_outer=1, trace=trace)
+        superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=1, a=0.5, merit=phi),
+                                      max_sweeps=1), cons, [1.0, 0.0], trace=trace)
         k, ell, beta, z, anchor = trace.accepted[0]
         assert (k, ell, beta) == (0, 0, 1.0)
         np.testing.assert_allclose(z, [0.0, 0.0])
@@ -78,9 +77,8 @@ class TestAlgorithmContract:
     def test_merit_safety_exact(self):
         phi = QuadraticFunction([[2.0]], [0.0])
         trace = PerturbationTrace()
-        superiorized_solve("cspm", self.cfp(), [5.0],
-                           SuperiorizationConfig(N=3, a=0.9, merit=phi),
-                           lam=1.0, max_outer=500, trace=trace)
+        superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=3, a=0.9, merit=phi), lam=1.0,
+                                      max_sweeps=500), self.cfp(), [5.0], trace=trace)
         assert trace.accepted
         for _k, _ell, _beta, z, anchor in trace.accepted:
             assert phi.value(z) <= anchor  # exact, no tolerance
@@ -88,9 +86,8 @@ class TestAlgorithmContract:
     def test_global_step_index_monotone(self):
         phi = QuadraticFunction([[2.0]], [0.0])
         trace = PerturbationTrace()
-        superiorized_solve("cspm", self.cfp(), [5.0],
-                           SuperiorizationConfig(N=2, a=0.9, merit=phi),
-                           lam=1.0, max_outer=500, trace=trace)
+        superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=2, a=0.9, merit=phi), lam=1.0,
+                                      max_sweeps=500), self.cfp(), [5.0], trace=trace)
         ells = [rec[1] for rec in trace.accepted]
         betas = [rec[2] for rec in trace.accepted]
         assert all(e1 > e0 for e0, e1 in zip(ells, ells[1:]))
@@ -106,10 +103,10 @@ class TestAlgorithmContract:
         x0 = rng.standard_normal(4) * 4
         c1, c2 = Counters(), Counters()
         h1, h2 = [], []
-        base = cspm_solve(cons, x0, lam=1.5, max_sweeps=500, counters=c1, history=h1)
-        sup = superiorized_solve("cspm", cons, x0,
-                                 SuperiorizationConfig(N=0, a=0.5, merit=norm2_fn(4)),
-                                 lam=1.5, max_outer=500, counters=c2, history=h2)
+        base = cfp_solve(cons, x0, SolverSpec(lam=1.5, max_sweeps=500), counters=c1, history=h1)
+        sup = superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=0, a=0.5, merit=norm2_fn(4)),
+                                            lam=1.5, max_sweeps=500),
+                                 cons, x0, counters=c2, history=h2)
         assert base.found == sup.found
         assert base.sweeps == sup.sweeps
         assert base.x.tobytes() == sup.x.tobytes()
@@ -119,10 +116,9 @@ class TestAlgorithmContract:
 
     def test_superiority_instance(self):
         phi = QuadraticFunction([[2.0]], [0.0])
-        base = cspm_solve(self.cfp(), [5.0], lam=1.0)
-        sup = superiorized_solve("cspm", self.cfp(), [5.0],
-                                 SuperiorizationConfig(N=40, a=0.9, merit=phi),
-                                 lam=1.0, max_outer=2000)
+        base = cfp_solve(self.cfp(), [5.0], SolverSpec(lam=1.0))
+        sup = superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=40, a=0.9, merit=phi),
+                                            lam=1.0, max_sweeps=2000), self.cfp(), [5.0])
         assert base.found and sup.found
         assert phi.value(base.x) == pytest.approx(25.0)
         assert phi.value(sup.x) < phi.value(base.x)
@@ -137,10 +133,9 @@ class TestAlgorithmContract:
             cons = [AffineConstraint.leq(a, float(a @ z) + 0.2)
                     for a in rng.standard_normal((5, 3))]
             x0 = rng.standard_normal(3) * 2
-            base = cspm_solve(cons, x0, lam=1.5, max_sweeps=1000)
-            sup = superiorized_solve("cspm", cons, x0,
-                                     SuperiorizationConfig(N=1, a=0.5, merit=phi),
-                                     lam=1.5, max_outer=1000)
+            base = cfp_solve(cons, x0, SolverSpec(lam=1.5, max_sweeps=1000))
+            sup = superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=1, a=0.5, merit=phi),
+                                                lam=1.5, max_sweeps=1000), cons, x0)
             assert base.found and sup.found
 
     def test_domain_membership_enforced(self):
@@ -148,8 +143,8 @@ class TestAlgorithmContract:
         box = Bounds([0.5], [10.0])
         trace = PerturbationTrace()
         cfg = SuperiorizationConfig(N=1, a=0.5, merit=phi, domain=box.contains)
-        superiorized_solve("cspm", self.cfp(), [5.0], cfg, lam=1.0,
-                           max_outer=200, trace=trace)
+        superiorized_solve(SolverSpec(sup=cfg, lam=1.0, max_sweeps=200), self.cfp(), [5.0],
+                           trace=trace)
         for _k, _ell, _beta, z, _anchor in trace.accepted:
             assert box.contains(z)
 
@@ -165,7 +160,7 @@ class TestAlgorithmContract:
         )
         cfg = SuperiorizationConfig(N=1, a=0.5, merit=hostile)
         trace = PerturbationTrace()
-        out = superiorized_solve("cspm", self.cfp(), [0.0], cfg, lam=1.0, max_outer=3,
+        out = superiorized_solve(SolverSpec(sup=cfg, lam=1.0, max_sweeps=3), self.cfp(), [0.0],
                                  trace=trace)
         assert out.found  # exits the dead loop and still sweeps
         assert trace.accepted == []
@@ -188,9 +183,8 @@ class TestAlgorithmContract:
         hostile = CustomFunction(value, subgrad, name="hostile")
         cons = [AffineConstraint.leq([0.0, 1.0], -1.0), AffineConstraint.geq([0.0, 1.0], 1.0)]
         trace = PerturbationTrace()
-        out = superiorized_solve("cspm", cons, [0.0, 0.0],
-                                 SuperiorizationConfig(N=1, a=0.5, merit=hostile),
-                                 lam=1.0, max_outer=50, trace=trace)
+        out = superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=1, a=0.5, merit=hostile),
+                                            lam=1.0, max_sweeps=50), cons, [0.0, 0.0], trace=trace)
         assert out.timed_out and out.sweeps == 50
         assert not trace.accepted and 0.5 ** (trace.rejected + 1) < 1e-300
         # one anchor and one direction, in outer step 0 only
@@ -199,30 +193,30 @@ class TestAlgorithmContract:
     def test_art3_base_operator(self):
         rows = [AffineConstraint.interval([1.0], 1.0, 4.0)]
         phi = QuadraticFunction([[2.0]], [0.0])
-        out = superiorized_solve("art3+", rows, [5.0],
-                                 SuperiorizationConfig(N=1, a=0.9, merit=phi),
-                                 max_outer=1000)
+        out = superiorized_solve(SolverSpec("art3+",
+                                            sup=SuperiorizationConfig(N=1, a=0.9, merit=phi),
+                                            max_sweeps=1000), rows, [5.0])
         assert out.found
         assert 1.0 - 1e-8 <= out.x[0] <= 4.0 + 1e-8
         assert phi.value(out.x) < 25.0
 
     def test_missing_merit_rejected(self):
         with pytest.raises(ValueError):
-            superiorized_solve("cspm", self.cfp(), [5.0],
-                               SuperiorizationConfig(N=1, a=0.5))
+            superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=1, a=0.5)), self.cfp(), [5.0])
 
     @pytest.mark.parametrize("t", [np.nan, -np.inf])
     def test_bad_level_rejected(self, t):
         with pytest.raises(ValueError, match="level must be finite"):
-            superiorized_solve("cspm", self.cfp(), [5.0], SuperiorizationConfig(N=1, a=0.5),
-                               objective=QuadraticFunction([[2.0]], [0.0]), t=t)
+            superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=1, a=0.5)), self.cfp(),
+                               [5.0], objective=QuadraticFunction([[2.0]], [0.0]), t=t)
 
     def test_box_without_its_rows_rejected(self):
         # no sweep visits the box 0 <= x <= 1, so its emptiness test would
         # certify {x >= 2}, which holds the point x = 3 the sweep reaches
         with pytest.raises(ValueError, match="coordinate rows"):
-            superiorized_solve("cspm", [AffineConstraint.geq([1.0], 2.0)], [0.0],
-                               SuperiorizationConfig(N=0), bounds=Bounds([0.0], [1.0]))
+            superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=0)),
+                               [AffineConstraint.geq([1.0], 2.0)], [0.0],
+                               bounds=Bounds([0.0], [1.0]))
 
 
 class TestThroughCfpWithLevel:
