@@ -15,8 +15,9 @@ against both sources:
   whose stalls fire (the benchmark's own config never perturbs a warm start);
 * ``qps_digest.py`` for each planted workload at seeds 101-110.
 
-Each run prints ``same`` or its first differing cell or digest line, and the
-gate ends with the ``git diff --numstat PARENT_REV -- src`` totals.  The exit
+Each run prints ``same``, or the number of its differing lines, their cell
+keys (``problem/variant``) or digest names, and the first differing pair as
+``- old / + new``.  The gate ends with the ``git diff --numstat PARENT_REV -- src`` totals.  The exit
 status is 1 when any output differs, else 0.  The two trees run side by side,
 one process each; the parent gets its own kernel cache directory, so that its
 kernel build does not evict this tree's.
@@ -71,15 +72,28 @@ def output(proc: subprocess.Popen) -> str:
     return out
 
 
-def first_difference(old: str, new: str) -> str | None:
-    """The first line pair that differs, as ``'- old / + new'``, or None."""
+def line_key(line: str) -> str:
+    """A ``cells.py`` line's ``problem/variant`` key, or a ``qps_digest.py`` line's file name."""
+    words = line.split()
+    return words[0].strip('":') if words else "(blank)"
+
+
+def differences(old: str, new: str) -> str | None:
+    """How ``new`` differs from ``old`` line by line, or None when they are equal.
+
+    Names every differing line by its key, then gives the first differing
+    pair as ``'- old / + new'`` and any difference in length.
+    """
     a, b = old.splitlines(), new.splitlines()
-    for x, y in zip(a, b):
-        if x != y:
-            return f"- {x.strip()}\n      + {y.strip()}"
+    pairs = [(x, y) for x, y in zip(a, b) if x != y]
+    parts = []
+    if pairs:
+        keys = ", ".join(line_key(x) for x, _ in pairs)
+        x, y = pairs[0]
+        parts += [f"{len(pairs)} of {len(a)} lines differ: {keys}", f"- {x.strip()}", f"+ {y.strip()}"]
     if len(a) != len(b):
-        return f"{len(a)} lines against {len(b)}"
-    return None
+        parts.append(f"{len(a)} lines against {len(b)}")
+    return "\n      ".join(parts) if parts else None
 
 
 def numstat(rev: str) -> tuple[int, int]:
@@ -109,7 +123,7 @@ def main(argv=None) -> int:
         for run in runs():
             old = start(parent, run, old_env)
             new = start(ROOT, run, new_env)
-            diff = first_difference(output(old), output(new))
+            diff = differences(output(old), output(new))
             label = " ".join(run)
             print(f"{label:<36} {'same' if diff is None else 'DIFFERS: ' + diff}", flush=True)
             differs += diff is not None

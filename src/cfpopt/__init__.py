@@ -42,7 +42,6 @@ from .model import (
     UnderdoseFunction,
     make_pnorm,
     make_underdose,
-    max_violation,
 )
 from .qps import ParseDiagnostic, QpsDocument, QpsParseError, load_qps, parse_qps, write_qps
 from .schemes import (
@@ -63,7 +62,6 @@ from .superiorize import (
     PerturbationTrace,
     SuperiorizationConfig,
     nonascending_direction,
-    superiorized_solve,
 )
 
 __version__ = "0.1.0"

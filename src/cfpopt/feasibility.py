@@ -39,7 +39,10 @@ minimises f), and the pass ends the solve with ``infeasibility_certified``.
 :func:`cfp_solve` is the one entry to every feasibility solve: a
 :class:`SolverSpec` holds all its settings (solver kind, superiorization,
 relaxation, tolerance and time-out), and :func:`cfp_with_level` is its call
-for a problem's level test.  This module owns the step rule: one CSPM sweep
+for a problem's level test.  A superiorized solve
+(:class:`SuperiorizationConfig`, see :mod:`cfpopt.superiorize`) perturbs
+toward smaller values of the objective the level reads, within the box the
+emptiness test reads.  This module owns the step rule: one CSPM sweep
 over a single set is the relaxed (subgradient) projection onto it, lambda in
 (0, 2); :class:`ZeroSubgradientError` flags a violated constraint that admits
 no step.
@@ -48,6 +51,7 @@ no step.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +63,7 @@ __all__ = [
     "FeasibilityOutcome",
     "ZeroSubgradientError",
     "SolverSpec",
+    "SuperiorizationConfig",
     "cfp_solve",
     "cfp_with_level",
     "DEFAULT_MAX_SWEEPS",
@@ -110,6 +115,34 @@ class FeasibilityOutcome:
         return not (self.found or self.infeasibility_certified)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (numpy's too) of at least ``least``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value}") from None
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
+@dataclass(frozen=True)
+class SuperiorizationConfig:
+    """Knobs of the perturbation engine (see :mod:`cfpopt.superiorize`).
+
+    ``N`` accepted perturbations are taken per outer iteration; step sizes
+    are ``a**l`` with ``0 < a < 1``.
+    """
+
+    N: int = 1
+    a: float = 0.5
+
+    def __post_init__(self):
+        _check_count("N", self.N, 0)
+        if not 0.0 < self.a < 1.0:
+            raise ValueError("step-size kernel a must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class SolverSpec:
     """How a feasibility solve runs; a scheme passes it to each of its tests unchanged.
@@ -118,11 +151,12 @@ class SolverSpec:
     solvers' relaxation ``lam`` in (0, 2) (ART3+ ignores it); the tolerance
     ``tol``; and the time-out after ``max_sweeps`` sweeps or, when set,
     ``max_projections`` projections instead.  Construction is the one check
-    of these settings: it raises ``ValueError`` on any that no solve can run.
+    of these settings: it raises ``ValueError`` on any that no solve can run,
+    a ``sup`` that is not a :class:`SuperiorizationConfig` among them.
     """
 
     kind: str = "cspm"  # cspm | pocs | art3+
-    sup: object = None  # SuperiorizationConfig
+    sup: SuperiorizationConfig | None = None
     lam: float = DEFAULT_RELAXATION
     tol: float = DEFAULT_FEAS_TOL
     max_sweeps: int = DEFAULT_MAX_SWEEPS
@@ -131,15 +165,16 @@ class SolverSpec:
     def __post_init__(self):
         if self.kind not in ("cspm", "pocs", "art3+"):
             raise ValueError(f"unknown feasibility solver {self.kind!r}")
+        if self.sup is not None and not isinstance(self.sup, SuperiorizationConfig):
+            raise ValueError(f"sup must be a SuperiorizationConfig or None, got {self.sup!r}")
         lam, tol = float(self.lam), float(self.tol)
         if not 0.0 < lam < 2.0:
             raise ValueError(f"relaxation parameter must lie in (0, 2), got {lam}")
         if not np.isfinite(tol) or tol < 0.0:
             raise ValueError(f"feasibility tolerance must be finite and nonnegative, got {tol}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
-        if self.max_projections is not None and self.max_projections < 1:
-            raise ValueError(f"max_projections must be at least 1, got {self.max_projections}")
+        _check_count("max_sweeps", self.max_sweeps, 1)
+        if self.max_projections is not None:
+            _check_count("max_projections", self.max_projections, 1)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "tol", tol)
 
@@ -545,7 +580,8 @@ def cfp_solve(constraints, x0, solver: SolverSpec | str = "cspm",
     constraints (``cspm``), their orthogonal twin on affine rows (``pocs``,
     same iterates), or ART3+ over interval rows (``art3+``; a sweep is one
     pass over its work queue).  With ``solver.sup`` set it is
-    :func:`cfpopt.superiorize.superiorized_solve`, which records its
+    :func:`cfpopt.superiorize.superiorized_solve`, which perturbs toward
+    smaller ``objective`` values within ``bounds`` and records its
     perturbations in ``trace``.  ``bounds``, ``objective`` and ``t`` are as
     in :func:`make_sweeper`; ``history`` collects the iterate of each sweep.
     """
@@ -559,8 +595,8 @@ def cfp_solve(constraints, x0, solver: SolverSpec | str = "cspm",
     if solver.sup is not None:
         from . import superiorize
 
-        return superiorize.superiorized_solve(solver, constraints, x0, counters, history, trace,
-                                              bounds, objective, t)
+        return superiorize.superiorized_solve(constraints, x0, solver, counters, history, bounds,
+                                              objective, t, trace)
     sweeper = make_sweeper(solver, constraints, counters, bounds, objective, t)
     return _run(sweeper, x0, solver, counters, history)
 

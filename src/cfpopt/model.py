@@ -30,7 +30,6 @@ __all__ = [
     "Problem",
     "Counters",
     "as_vector",
-    "max_violation",
 ]
 
 
@@ -55,8 +54,8 @@ class Counters:
     ``projections`` counts every projection-operator invocation that evaluates
     a constraint, including no-op returns on already satisfied constraints.
     ``obj_evals`` counts the objective-oracle calls the run makes, whether
-    direct, at a sweeper's level visit or in a merit test.  They all go
-    through :meth:`objective`, which serves a repeat of the last call
+    direct, at a sweeper's level visit or in a superiorization step.  They
+    all go through :meth:`objective`, which serves a repeat of the last call
     (the same function at a bitwise-identical point) from a one-entry memo
     without calling or counting.  The memo is not part of equality or repr.
     """
@@ -438,7 +437,3 @@ class Problem:
             f"bounds={'yes' if self.bounds is not None else 'no'})"
         )
 
-
-def max_violation(problem: Problem, x: np.ndarray) -> float:
-    """Functional alias for :meth:`Problem.max_violation`."""
-    return problem.max_violation(x)

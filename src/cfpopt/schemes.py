@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feasibility import cfp_with_level
+from .feasibility import _check_count, cfp_with_level
 from .model import Counters, Problem, as_vector
 
 __all__ = [
@@ -70,10 +70,10 @@ class EpsilonRule:
     def __post_init__(self):
         if self.mode not in ("max-floor", "multiplicative", "constant"):
             raise ValueError(f"unknown epsilon rule mode {self.mode!r}")
-        if self.factor <= 0.0:
-            raise ValueError("factor must be positive")
-        if self.mode in ("max-floor", "constant") and self.floor <= 0.0:
-            raise ValueError("floor must be positive")
+        if not 0.0 < self.factor < np.inf:
+            raise ValueError(f"epsilon factor must be finite and positive, got {self.factor}")
+        if not np.isfinite(self.floor) or (self.mode != "multiplicative" and self.floor <= 0.0):
+            raise ValueError(f"epsilon floor must be finite and positive, got {self.floor}")
 
 
 def epsilon_update(fx: float, rule: EpsilonRule) -> float:
@@ -107,12 +107,14 @@ class AccelerationConfig:
     adaptive: bool = False
 
     def __post_init__(self):
-        if self.c <= 0.0 or self.s <= 0.0:
-            raise ValueError("c and s must be positive")
-        if self.block < 1:
-            raise ValueError("block must be at least 1")
-        if self.step_factor <= 0.0:
-            raise ValueError("step_factor must be positive")
+        # "not > 0" rejects NaN too; s = inf is a stall rule that never fires
+        if not self.c > 0.0:
+            raise ValueError(f"acceleration c must be positive, got {self.c}")
+        if not self.s > 0.0:
+            raise ValueError(f"acceleration s must be positive, got {self.s}")
+        _check_count("block", self.block, 1)
+        if not 0.0 < self.step_factor < np.inf:
+            raise ValueError(f"step_factor must be finite and positive, got {self.step_factor}")
 
 
 @dataclass(frozen=True)
@@ -130,8 +132,8 @@ class BisectionConfig:
     def __post_init__(self):
         if self.f_lower is not None and not np.isfinite(self.f_lower):
             raise ValueError("f_lower must be finite")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
 
 
 def default_lower_bound(f0: float) -> float:
@@ -161,10 +163,6 @@ class SchemeResult:
     counters: Counters
     lower: float | None = None
     upper: float | None = None
-
-    @property
-    def found_feasible(self) -> bool:
-        return self.best_x is not None
 
 
 def _perturb(problem: Problem, x: np.ndarray, accel: AccelerationConfig, counters: Counters) -> np.ndarray:
@@ -215,8 +213,7 @@ def _objective(problem: Problem, x: np.ndarray, counters: Counters, where: str) 
 def _start(problem: Problem, solver, x0, max_outer: int, counters: Counters):
     """``(solve, x, f(x))``: the level test ``solve(t, x)`` bound to the run's solver
     and the first feasible point (None, None when there is none)."""
-    if max_outer < 0:
-        raise ValueError(f"max_outer must be nonnegative, got {max_outer}")
+    _check_count("max_outer", max_outer, 0)
     x0 = problem.start_point() if x0 is None else as_vector(x0, problem.n)
 
     def solve(t: float, x: np.ndarray):

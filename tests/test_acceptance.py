@@ -41,7 +41,7 @@ from cfpopt.schemes import (
     counterexample_run,
     level_set_solve,
 )
-from cfpopt.superiorize import PerturbationTrace, SuperiorizationConfig, superiorized_solve
+from cfpopt.superiorize import PerturbationTrace, SuperiorizationConfig
 
 
 def _pass(num: int, text: str) -> None:
@@ -207,8 +207,8 @@ def test_criterion_06_superiorization_contract():
 
     # (a) merit safety, exact
     trace = PerturbationTrace()
-    superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=3, a=0.9, merit=phi), lam=1.0,
-                                  max_sweeps=500), cons, [5.0], trace=trace)
+    cfp_solve(cons, [5.0], SolverSpec(sup=SuperiorizationConfig(N=3, a=0.9), lam=1.0, max_sweeps=500),
+              objective=phi, trace=trace)
     assert trace.accepted
     for _k, _ell, _beta, z, anchor in trace.accepted:
         assert phi.value(z) <= anchor
@@ -222,8 +222,9 @@ def test_criterion_06_superiorization_contract():
     c1, c2 = Counters(), Counters()
     h1, h2 = [], []
     base = cfp_solve(rand_cons, x0, SolverSpec(lam=1.5), counters=c1, history=h1)
-    sup0 = superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=0, a=0.5, merit=phi), lam=1.5,
-                                         max_sweeps=1000), rand_cons, x0, counters=c2, history=h2)
+    sup0 = cfp_solve(rand_cons, x0, SolverSpec(sup=SuperiorizationConfig(N=0, a=0.5), lam=1.5,
+                                               max_sweeps=1000),
+                     counters=c2, history=h2, objective=phi)
     assert base.x.tobytes() == sup0.x.tobytes()
     assert c1 == c2 and base.sweeps == sup0.sweeps
     assert all(a_.tobytes() == b_.tobytes() for a_, b_ in zip(h1, h2))
@@ -239,8 +240,8 @@ def test_criterion_06_superiorization_contract():
 
     # (d) superiority instance: phi ~ 1 versus the base solver's 25
     base = cfp_solve(cons, [5.0], SolverSpec(lam=1.0))
-    sup = superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=40, a=0.9, merit=phi), lam=1.0,
-                                        max_sweeps=2000), cons, [5.0])
+    sup = cfp_solve(cons, [5.0], SolverSpec(sup=SuperiorizationConfig(N=40, a=0.9), lam=1.0,
+                                            max_sweeps=2000), objective=phi)
     assert base.found and sup.found
     assert phi.value(base.x) == 25.0
     assert phi.value(sup.x) < phi.value(base.x)

@@ -54,7 +54,14 @@ class TestSolve:
         (["ls_cspm", "--max-outer", "-1"], "max_outer must be nonnegative, got -1"),
         (["bis_cspm", "--f-lower", "5"],
          "f_lower 5.0 exceeds the first feasible value 0.0, so it cannot bound the optimum"),
-    ], ids=["no sweeps", "negative sweeps", "no projections", "lambda", "max-outer", "f-lower"])
+        (["bis_cspm", "--gamma", "nan"], "gamma must be finite and positive, got nan"),
+        (["bis_cspm", "--gamma", "inf"], "gamma must be finite and positive, got inf"),
+        (["ls_cspm", "--epsilon-floor", "nan"], "epsilon floor must be finite and positive, got nan"),
+        (["ls_cspm", "--epsilon-factor", "nan"],
+         "epsilon factor must be finite and positive, got nan"),
+        (["ls_acc_cspm", "--accel-s", "nan"], "acceleration s must be positive, got nan"),
+    ], ids=["no sweeps", "negative sweeps", "no projections", "lambda", "max-outer", "f-lower",
+            "gamma nan", "gamma inf", "epsilon-floor nan", "epsilon-factor nan", "accel-s nan"])
     def test_degenerate_setting_is_input_error(self, flags, message, capsys):
         assert main(["solve", "--builtin", "qp2d", "--variant", *flags]) == 2
         captured = capsys.readouterr()

@@ -62,12 +62,13 @@ class TestCspm:
 
     @pytest.mark.parametrize("sup", [
         None,
-        SuperiorizationConfig(N=1, merit=QuadraticFunction([[2.0]], [0.0])),
+        SuperiorizationConfig(N=1),
     ], ids=["cspm", "superiorized"])
     def test_max_projections_limit_mode(self, sup):
         cons = [AffineConstraint.leq([1.0], -1.0), AffineConstraint.geq([1.0], 1.0)]
         out = cfp_solve(cons, [0.0], SolverSpec(sup=sup, lam=1.0, max_sweeps=10_000,
-                                                max_projections=50))
+                                                max_projections=50),
+                        objective=QuadraticFunction([[2.0]], [0.0]))
         assert not out.found
         assert out.projections <= 50 + len(cons)
 
@@ -284,12 +285,23 @@ class TestCfpWithLevel:
         ({"tol": np.inf}, "feasibility tolerance must be finite and nonnegative, got inf"),
         ({"max_sweeps": 0}, "max_sweeps must be at least 1, got 0"),
         ({"max_projections": 0}, "max_projections must be at least 1, got 0"),
+        ({"max_sweeps": 2.5}, "max_sweeps must be an integer, got 2.5"),
+        ({"max_projections": 2.5}, "max_projections must be an integer, got 2.5"),
+        ({"sup": True}, "sup must be a SuperiorizationConfig or None, got True"),
+        ({"sup": {"N": 1}}, "sup must be a SuperiorizationConfig or None, got {'N': 1}"),
     ], ids=["lam 0", "lam 2", "lam nan", "negative tol", "infinite tol", "no sweeps",
-            "no projections"])
+            "no projections", "fractional sweeps", "fractional projections", "sup True",
+            "sup dict"])
     def test_solver_spec_rejects_settings_no_solve_can_run(self, kind, settings, message):
         with pytest.raises(ValueError) as exc:
             SolverSpec(kind, **settings)
         assert str(exc.value) == message
+
+    def test_solver_spec_takes_numpy_integers(self):
+        spec = SolverSpec(sup=SuperiorizationConfig(N=np.int64(1)), max_sweeps=np.int64(3),
+                          max_projections=np.int32(5))
+        out = cfp_solve([halfspace_ge1()], [0.0], spec, objective=QuadraticFunction([[2.0]], [0.0]))
+        assert out.found
 
     def test_solver_spec_stores_floats(self):
         spec = SolverSpec("art3+", lam=1, tol=0)

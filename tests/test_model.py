@@ -14,7 +14,6 @@ from cfpopt.model import (
     as_vector,
     make_pnorm,
     make_underdose,
-    max_violation,
 )
 
 
@@ -232,7 +231,7 @@ class TestMaxViolation:
 
     def test_single_constraint(self):
         p = Problem(quad_1d(), [AffineConstraint.leq([1.0], 1.0)])
-        assert max_violation(p, np.array([3.0])) == pytest.approx(2.0)
+        assert p.max_violation(np.array([3.0])) == pytest.approx(2.0)
 
     def test_max_over_two(self):
         p = Problem(

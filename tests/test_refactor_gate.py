@@ -1,0 +1,38 @@
+"""The refactor gate names every cell a change moves, not only the first."""
+
+import importlib.util
+from pathlib import Path
+
+_spec = importlib.util.spec_from_file_location(
+    "refactor_gate", Path(__file__).parents[1] / "benchmarks" / "refactor_gate.py")
+refactor_gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(refactor_gate)
+
+OLD = """{
+ "P0/ls_cspm": ["case2-or-3", "1.0", 10, 3, 2],
+ "P0/bis_cspm": ["case2-or-3", "1.5", 20, 4, 5],
+ "P1/ls_cspm": ["case1", "None", 5, 0, 0]
+}"""
+
+
+def test_equal_outputs_do_not_differ():
+    assert refactor_gate.differences(OLD, OLD) is None
+
+
+def test_every_differing_cell_is_named():
+    new = OLD.replace('"1.0", 10', '"1.0", 11').replace('"case1"', '"raised"')
+    lines = refactor_gate.differences(OLD, new).split("\n")
+    assert lines[0] == "2 of 5 lines differ: P0/ls_cspm, P1/ls_cspm"
+    assert lines[1].strip() == '- "P0/ls_cspm": ["case2-or-3", "1.0", 10, 3, 2],'
+    assert lines[2].strip() == '+ "P0/ls_cspm": ["case2-or-3", "1.0", 11, 3, 2],'
+    assert len(lines) == 3
+
+
+def test_digest_lines_are_named_by_file():
+    diff = refactor_gate.differences("a.qps 1f\nb.qps 2e\n", "a.qps 1f\nb.qps 2d\n")
+    assert diff.split("\n")[0] == "1 of 2 lines differ: b.qps"
+
+
+def test_missing_lines_are_reported():
+    diff = refactor_gate.differences(OLD, "\n".join(OLD.splitlines()[:2]))
+    assert diff == "5 lines against 2"

@@ -242,6 +242,8 @@ def test_negative_max_outer_rejected_before_any_solve(solve):
     counters = Counters()
     with pytest.raises(ValueError, match="max_outer must be nonnegative, got -1"):
         solve(simple_qp(), x0=[2.0], max_outer=-1, counters=counters)
+    with pytest.raises(ValueError, match="max_outer must be an integer, got 2.5"):
+        solve(simple_qp(), x0=[2.0], max_outer=2.5, counters=counters)
     assert counters.projections == 0
 
 

@@ -12,12 +12,7 @@ from cfpopt.model import (
     Problem,
     QuadraticFunction,
 )
-from cfpopt.superiorize import (
-    PerturbationTrace,
-    SuperiorizationConfig,
-    nonascending_direction,
-    superiorized_solve,
-)
+from cfpopt.superiorize import PerturbationTrace, SuperiorizationConfig, nonascending_direction
 
 
 def norm2_fn(n=2):
@@ -56,8 +51,8 @@ class TestStepSizes:
         phi = norm2_fn()
         cons = [AffineConstraint.leq([1.0, 0.0], 5.0)]
         trace = PerturbationTrace()
-        superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=1, a=0.5, merit=phi),
-                                      max_sweeps=1), cons, [1.0, 0.0], trace=trace)
+        cfp_solve(cons, [1.0, 0.0], SolverSpec(sup=SuperiorizationConfig(N=1, a=0.5), max_sweeps=1),
+                  objective=phi, trace=trace)
         k, ell, beta, z, anchor = trace.accepted[0]
         assert (k, ell, beta) == (0, 0, 1.0)
         np.testing.assert_allclose(z, [0.0, 0.0])
@@ -68,6 +63,8 @@ class TestStepSizes:
             SuperiorizationConfig(N=-1)
         with pytest.raises(ValueError):
             SuperiorizationConfig(a=1.0)
+        with pytest.raises(ValueError, match="N must be an integer, got 1.5"):
+            SuperiorizationConfig(N=1.5)
 
 
 class TestAlgorithmContract:
@@ -77,8 +74,8 @@ class TestAlgorithmContract:
     def test_merit_safety_exact(self):
         phi = QuadraticFunction([[2.0]], [0.0])
         trace = PerturbationTrace()
-        superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=3, a=0.9, merit=phi), lam=1.0,
-                                      max_sweeps=500), self.cfp(), [5.0], trace=trace)
+        cfp_solve(self.cfp(), [5.0], SolverSpec(sup=SuperiorizationConfig(N=3, a=0.9), lam=1.0,
+                                                max_sweeps=500), objective=phi, trace=trace)
         assert trace.accepted
         for _k, _ell, _beta, z, anchor in trace.accepted:
             assert phi.value(z) <= anchor  # exact, no tolerance
@@ -86,8 +83,8 @@ class TestAlgorithmContract:
     def test_global_step_index_monotone(self):
         phi = QuadraticFunction([[2.0]], [0.0])
         trace = PerturbationTrace()
-        superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=2, a=0.9, merit=phi), lam=1.0,
-                                      max_sweeps=500), self.cfp(), [5.0], trace=trace)
+        cfp_solve(self.cfp(), [5.0], SolverSpec(sup=SuperiorizationConfig(N=2, a=0.9), lam=1.0,
+                                                max_sweeps=500), objective=phi, trace=trace)
         ells = [rec[1] for rec in trace.accepted]
         betas = [rec[2] for rec in trace.accepted]
         assert all(e1 > e0 for e0, e1 in zip(ells, ells[1:]))
@@ -104,9 +101,9 @@ class TestAlgorithmContract:
         c1, c2 = Counters(), Counters()
         h1, h2 = [], []
         base = cfp_solve(cons, x0, SolverSpec(lam=1.5, max_sweeps=500), counters=c1, history=h1)
-        sup = superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=0, a=0.5, merit=norm2_fn(4)),
-                                            lam=1.5, max_sweeps=500),
-                                 cons, x0, counters=c2, history=h2)
+        sup = cfp_solve(cons, x0, SolverSpec(sup=SuperiorizationConfig(N=0, a=0.5), lam=1.5,
+                                             max_sweeps=500),
+                        counters=c2, history=h2, objective=norm2_fn(4))
         assert base.found == sup.found
         assert base.sweeps == sup.sweeps
         assert base.x.tobytes() == sup.x.tobytes()
@@ -117,8 +114,8 @@ class TestAlgorithmContract:
     def test_superiority_instance(self):
         phi = QuadraticFunction([[2.0]], [0.0])
         base = cfp_solve(self.cfp(), [5.0], SolverSpec(lam=1.0))
-        sup = superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=40, a=0.9, merit=phi),
-                                            lam=1.0, max_sweeps=2000), self.cfp(), [5.0])
+        sup = cfp_solve(self.cfp(), [5.0], SolverSpec(sup=SuperiorizationConfig(N=40, a=0.9),
+                                                      lam=1.0, max_sweeps=2000), objective=phi)
         assert base.found and sup.found
         assert phi.value(base.x) == pytest.approx(25.0)
         assert phi.value(sup.x) < phi.value(base.x)
@@ -134,17 +131,17 @@ class TestAlgorithmContract:
                     for a in rng.standard_normal((5, 3))]
             x0 = rng.standard_normal(3) * 2
             base = cfp_solve(cons, x0, SolverSpec(lam=1.5, max_sweeps=1000))
-            sup = superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=1, a=0.5, merit=phi),
-                                                lam=1.5, max_sweeps=1000), cons, x0)
+            sup = cfp_solve(cons, x0, SolverSpec(sup=SuperiorizationConfig(N=1, a=0.5), lam=1.5,
+                                                 max_sweeps=1000), objective=phi)
             assert base.found and sup.found
 
     def test_domain_membership_enforced(self):
         phi = QuadraticFunction([[2.0]], [0.0])
         box = Bounds([0.5], [10.0])
         trace = PerturbationTrace()
-        cfg = SuperiorizationConfig(N=1, a=0.5, merit=phi, domain=box.contains)
-        superiorized_solve(SolverSpec(sup=cfg, lam=1.0, max_sweeps=200), self.cfp(), [5.0],
-                           trace=trace)
+        cfg = SuperiorizationConfig(N=1, a=0.5)
+        cfp_solve([*self.cfp(), *box.to_rows()], [5.0], SolverSpec(sup=cfg, lam=1.0, max_sweeps=200),
+                  bounds=box, objective=phi, trace=trace)
         for _k, _ell, _beta, z, _anchor in trace.accepted:
             assert box.contains(z)
 
@@ -158,10 +155,10 @@ class TestAlgorithmContract:
             lambda x: np.array([-1.0]),  # direction +1, but phi increases then
             name="hostile",
         )
-        cfg = SuperiorizationConfig(N=1, a=0.5, merit=hostile)
+        cfg = SuperiorizationConfig(N=1, a=0.5)
         trace = PerturbationTrace()
-        out = superiorized_solve(SolverSpec(sup=cfg, lam=1.0, max_sweeps=3), self.cfp(), [0.0],
-                                 trace=trace)
+        out = cfp_solve(self.cfp(), [0.0], SolverSpec(sup=cfg, lam=1.0, max_sweeps=3),
+                        objective=hostile, trace=trace)
         assert out.found  # exits the dead loop and still sweeps
         assert trace.accepted == []
         assert trace.rejected == 997
@@ -183,8 +180,8 @@ class TestAlgorithmContract:
         hostile = CustomFunction(value, subgrad, name="hostile")
         cons = [AffineConstraint.leq([0.0, 1.0], -1.0), AffineConstraint.geq([0.0, 1.0], 1.0)]
         trace = PerturbationTrace()
-        out = superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=1, a=0.5, merit=hostile),
-                                            lam=1.0, max_sweeps=50), cons, [0.0, 0.0], trace=trace)
+        out = cfp_solve(cons, [0.0, 0.0], SolverSpec(sup=SuperiorizationConfig(N=1, a=0.5), lam=1.0,
+                                                     max_sweeps=50), objective=hostile, trace=trace)
         assert out.timed_out and out.sweeps == 50
         assert not trace.accepted and 0.5 ** (trace.rejected + 1) < 1e-300
         # one anchor and one direction, in outer step 0 only
@@ -193,30 +190,28 @@ class TestAlgorithmContract:
     def test_art3_base_operator(self):
         rows = [AffineConstraint.interval([1.0], 1.0, 4.0)]
         phi = QuadraticFunction([[2.0]], [0.0])
-        out = superiorized_solve(SolverSpec("art3+",
-                                            sup=SuperiorizationConfig(N=1, a=0.9, merit=phi),
-                                            max_sweeps=1000), rows, [5.0])
+        out = cfp_solve(rows, [5.0], SolverSpec("art3+", sup=SuperiorizationConfig(N=1, a=0.9),
+                                                max_sweeps=1000), objective=phi)
         assert out.found
         assert 1.0 - 1e-8 <= out.x[0] <= 4.0 + 1e-8
         assert phi.value(out.x) < 25.0
 
     def test_missing_merit_rejected(self):
         with pytest.raises(ValueError):
-            superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=1, a=0.5)), self.cfp(), [5.0])
+            cfp_solve(self.cfp(), [5.0], SolverSpec(sup=SuperiorizationConfig(N=1, a=0.5)))
 
     @pytest.mark.parametrize("t", [np.nan, -np.inf])
     def test_bad_level_rejected(self, t):
         with pytest.raises(ValueError, match="level must be finite"):
-            superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=1, a=0.5)), self.cfp(),
-                               [5.0], objective=QuadraticFunction([[2.0]], [0.0]), t=t)
+            cfp_solve(self.cfp(), [5.0], SolverSpec(sup=SuperiorizationConfig(N=1, a=0.5)),
+                      objective=QuadraticFunction([[2.0]], [0.0]), t=t)
 
     def test_box_without_its_rows_rejected(self):
         # no sweep visits the box 0 <= x <= 1, so its emptiness test would
         # certify {x >= 2}, which holds the point x = 3 the sweep reaches
         with pytest.raises(ValueError, match="coordinate rows"):
-            superiorized_solve(SolverSpec(sup=SuperiorizationConfig(N=0)),
-                               [AffineConstraint.geq([1.0], 2.0)], [0.0],
-                               bounds=Bounds([0.0], [1.0]))
+            cfp_solve([AffineConstraint.geq([1.0], 2.0)], [0.0],
+                      SolverSpec(sup=SuperiorizationConfig(N=0)), bounds=Bounds([0.0], [1.0]))
 
 
 class TestThroughCfpWithLevel:
