@@ -17,19 +17,24 @@ against both sources:
 
 Each run prints ``same``, or the number of its differing lines, their cell
 keys (``problem/variant``) or digest names, and the first differing pair as
-``- old / + new``.  The gate ends with the ``git diff --numstat PARENT_REV -- src`` totals.  The exit
-status is 1 when any output differs, else 0.  The two trees run side by side,
+``- old / + new``.  The gate ends with the ``git diff --numstat PARENT_REV -- src`` totals
+and the code lines of ``src/cfpopt/*.py`` (docstrings, comments and blank
+lines left out) at ``PARENT_REV`` and in the working tree.  The exit status
+is 1 when any output differs, else 0.  The two trees run side by side,
 one process each; the parent gets its own kernel cache directory, so that its
 kernel build does not evict this tree's.
 """
 
 from __future__ import annotations
 
+import ast
+import io
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,6 +112,32 @@ def numstat(rev: str) -> tuple[int, int]:
     return added, deleted
 
 
+def code_lines(source: str) -> int:
+    """The lines of Python ``source`` that hold code, not only docstrings, comments or blanks."""
+    docstrings = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.append(((first.lineno, first.col_offset),
+                                   (first.end_lineno, first.end_col_offset)))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+              tokenize.ENCODING, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in layout or (tok.type == tokenize.STRING and any(
+                start <= tok.start and tok.end <= end for start, end in docstrings)):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def src_code_lines(tree: Path) -> int:
+    return sum(code_lines(path.read_text(encoding="utf-8"))
+               for path in sorted((tree / "src" / "cfpopt").glob("*.py")))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -127,8 +158,11 @@ def main(argv=None) -> int:
             label = " ".join(run)
             print(f"{label:<36} {'same' if diff is None else 'DIFFERS: ' + diff}", flush=True)
             differs += diff is not None
+        old_code, new_code = src_code_lines(parent), src_code_lines(ROOT)
     added, deleted = numstat(rev)
     print(f"src/ against {rev}: +{added} -{deleted} (net {added - deleted:+d})")
+    print(f"src/cfpopt code lines: {old_code} at {rev}, {new_code} here "
+          f"(net {new_code - old_code:+d})")
     print(f"{differs} of {len(runs())} runs differ")
     return 1 if differs else 0
 

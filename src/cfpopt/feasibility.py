@@ -27,12 +27,13 @@ positive share, and the unrelaxed level visit (lambda = 1) adds
 
 Runs of affine constraints are packed into dense arrays and swept by the
 kernels in :mod:`cfpopt._kernels`; any other convex constraint is handled
-through its value/subgradient oracle.
+through its value/subgradient oracle.  The box, a solve's ``bounds``, is
+swept as its coordinate rows after the constraint list.
 
 The objective level ``f(x) <= t`` of the paper's scheme is a slot of the
 sweeper, not a constraint object: given the objective and a finite level,
-every pass visits it after the constraint list, evaluating ``f`` through the
-run's :meth:`Counters.objective`.  A violated level at a point where the
+every pass visits it after the box, evaluating ``f`` through the run's
+:meth:`Counters.objective`.  A violated level at a point where the
 objective's subgradient vanishes proves the level set empty (that point
 minimises f), and the pass ends the solve with ``infeasibility_certified``.
 
@@ -187,17 +188,30 @@ class _Packed:
     norm2: np.ndarray
 
     @classmethod
-    def from_rows(cls, rows: list[AffineConstraint]) -> "_Packed":
+    def from_rows(cls, rows: list[AffineConstraint], bounds: Bounds | None = None) -> "_Packed | None":
+        """Pack ``rows``, then a unit row per column of ``bounds`` with a finite bound; None if no row."""
+        A = [r.a for r in rows]
+        lo = [r.lo for r in rows]
+        hi = [r.hi for r in rows]
+        norm2 = [r.norm2 for r in rows]
+        if bounds is not None:
+            cols = np.flatnonzero(np.isfinite(bounds.lo) | np.isfinite(bounds.hi))
+            A.extend(np.eye(bounds.lo.shape[0])[cols])
+            lo.extend(bounds.lo[cols].tolist())
+            hi.extend(bounds.hi[cols].tolist())
+            norm2.extend([1.0] * cols.shape[0])
+        if not A:
+            return None
         return cls(
-            A=np.ascontiguousarray([r.a for r in rows], dtype=np.float64),
-            lo=np.array([r.lo for r in rows], dtype=np.float64),
-            hi=np.array([r.hi for r in rows], dtype=np.float64),
-            norm2=np.array([r.norm2 for r in rows], dtype=np.float64),
+            A=np.ascontiguousarray(A, dtype=np.float64),
+            lo=np.array(lo, dtype=np.float64),
+            hi=np.array(hi, dtype=np.float64),
+            norm2=np.array(norm2, dtype=np.float64),
         )
 
 
-def _segment(constraints) -> list[tuple[str, object]]:
-    """Split the cyclic list into packed affine runs and generic singletons."""
+def _segment(constraints, bounds: Bounds | None) -> list[tuple[str, object]]:
+    """Split the cyclic list, then the box's rows, into packed affine runs and generic singletons."""
     segments: list[tuple[str, object]] = []
     run: list[AffineConstraint] = []
     for c in constraints:
@@ -208,8 +222,9 @@ def _segment(constraints) -> list[tuple[str, object]]:
                 segments.append(("rows", _Packed.from_rows(run)))
                 run = []
             segments.append(("fn", c))
-    if run:
-        segments.append(("rows", _Packed.from_rows(run)))
+    tail = _Packed.from_rows(run, bounds)
+    if tail is not None:
+        segments.append(("rows", tail))
     return segments
 
 
@@ -320,12 +335,11 @@ class _StepAggregate:
 class _Sweeper:
     """The sweep bracket and the oracle step both sweepers share.
 
-    Given the bound box (whose coordinate rows end the constraints), a sweeper
-    keeps the :class:`_StepAggregate` of its steps: :meth:`sweep` opens it
-    before each pass, the pass adds its steps, and closing it sets ``empty``
-    once the aggregate proves the system has no tol-feasible point.
-    Subclasses implement the pass as ``_pass(x, k, agg)``, with ``agg`` None
-    when no box was given.
+    Given the bound box, a sweeper keeps the :class:`_StepAggregate` of its
+    steps: :meth:`sweep` opens it before each pass, the pass adds its steps,
+    and closing it sets ``empty`` once the aggregate proves the system has no
+    tol-feasible point.  Subclasses implement the pass as ``_pass(x, k,
+    agg)``, with ``agg`` None when no box was given.
 
     ``level`` is the objective when the solve has a finite level ``t``, else
     None; the passes visit it with :meth:`_visit`, as they do any oracle
@@ -392,7 +406,7 @@ class CyclicSweeper(_Sweeper):
     def __init__(self, constraints, lam, tol: float, counters: Counters, bounds: Bounds | None = None,
                  objective: ConvexFunction | None = None, t: float = np.inf):
         super().__init__(tol, counters, bounds, objective, t)
-        self.segments = _segment(constraints)
+        self.segments = _segment(constraints, bounds)
         if self.level is not None:
             self.segments.append(("level", self.level))
         self.certified = not self.segments
@@ -420,7 +434,7 @@ class CyclicSweeper(_Sweeper):
 
 
 class Art3Sweeper(_Sweeper):
-    """ART3+ work-queue passes over interval rows (plus an optional level).
+    """ART3+ work-queue passes over interval rows and the box's (plus an optional level).
 
     Each visited row applies the automatic-relaxation rule: overshoot at most
     the interval width reflects across the violated face, larger overshoot
@@ -440,12 +454,13 @@ class Art3Sweeper(_Sweeper):
                  bounds: Bounds | None = None, objective: ConvexFunction | None = None,
                  t: float = np.inf):
         super().__init__(tol, counters, bounds, objective, t)
-        self.packed = _Packed.from_rows(rows) if rows else None
-        self.full = np.arange(len(rows), dtype=np.int64)
+        self.packed = _Packed.from_rows(rows, bounds)
+        m = 0 if self.packed is None else self.packed.A.shape[0]
+        self.full = np.arange(m, dtype=np.int64)
         self.queue = self.full.copy()
         self.level_queued = self.level is not None
         self.moved_since_refill = False
-        self.certified = not (rows or self.level_queued)
+        self.certified = not (m or self.level_queued)
         self.sums = np.zeros(3)  # the row kernel's step sums of the last pass
 
     def _pass(self, x: np.ndarray, k: int, agg: _StepAggregate | None) -> np.ndarray:
@@ -480,39 +495,19 @@ class Art3Sweeper(_Sweeper):
         return x
 
 
-def _check_box(packed: _Packed | None, bounds: Bounds) -> None:
-    """Raise unless ``packed`` ends with the box's coordinate rows, in coordinate order.
-
-    A box without those rows among the constraints bounds nothing the sweeps
-    visit, so its emptiness test could certify a system that has points.
-    """
-    cols = np.flatnonzero(np.isfinite(bounds.lo) | np.isfinite(bounds.hi))
-    k = cols.shape[0]
-    if k == 0:
-        return
-    if packed is not None and packed.A.shape[0] >= k and packed.A.shape[1] == bounds.lo.shape[0]:
-        A = packed.A[-k:]
-        if (np.count_nonzero(A) == k and bool(np.all(A[np.arange(k), cols] == 1.0))
-                and np.array_equal(packed.lo[-k:], bounds.lo[cols])
-                and np.array_equal(packed.hi[-k:], bounds.hi[cols])):
-            return
-    raise ValueError("bounds must come with their coordinate rows as the last constraints")
-
-
 def make_sweeper(solver: SolverSpec, constraints, counters: Counters,
                  bounds: Bounds | None = None, objective: ConvexFunction | None = None,
                  t: float = np.inf):
     """Build the sweeping engine for one CFP solve, as ``solver`` says.
 
-    ``bounds``, when given, must be the box whose coordinate rows (one per
-    coordinate with a finite bound, as :meth:`Bounds.to_rows` gives them) end
-    ``constraints``; every solver kind then tests for emptiness after every
-    sweep.  ``objective`` with a finite level ``t`` gives the sweeper its
-    level slot, ``f(x) <= t``, visited after the constraints on every pass.
-    This is the only check of a solver kind against its constraints: POCS
-    and ART3+ take affine rows alone (any objective as the level), and
-    anything else raises ``ValueError`` before any sweep, as do a level that
-    is NaN or -inf and a box whose rows are missing.
+    ``bounds``, when given, is the box: the sweeps visit its coordinate rows
+    (one per column with a finite bound) after ``constraints``, and every
+    solver kind tests for emptiness after every sweep.  ``objective`` with a
+    finite level ``t`` gives the sweeper its level slot, ``f(x) <= t``,
+    visited after the box on every pass.  This is the only check of a solver
+    kind against its constraints: POCS and ART3+ take affine rows alone (any
+    objective as the level), and anything else raises ``ValueError`` before
+    any sweep, as does a level that is NaN or -inf.
     """
     t = float(t)
     if np.isnan(t) or t == -np.inf:
@@ -523,15 +518,8 @@ def make_sweeper(solver: SolverSpec, constraints, counters: Counters,
             if not isinstance(c, AffineConstraint):
                 raise ValueError(f"{solver.kind} requires affine (interval) constraints, got {c!r}")
     if solver.kind == "art3+":
-        sweeper = Art3Sweeper(rows, solver.tol, counters, bounds, objective, t)
-        packed = sweeper.packed
-    else:
-        sweeper = CyclicSweeper(rows, solver.lam, solver.tol, counters, bounds, objective, t)
-        tail = [seg for tag, seg in sweeper.segments if tag != "level"][-1:]
-        packed = tail[0] if tail and isinstance(tail[0], _Packed) else None
-    if bounds is not None:
-        _check_box(packed, bounds)
-    return sweeper
+        return Art3Sweeper(rows, solver.tol, counters, bounds, objective, t)
+    return CyclicSweeper(rows, solver.lam, solver.tol, counters, bounds, objective, t)
 
 
 def _run(sweeper, x0: np.ndarray, solver: SolverSpec, counters: Counters,
@@ -583,15 +571,19 @@ def cfp_solve(constraints, x0, solver: SolverSpec | str = "cspm",
     :func:`cfpopt.superiorize.superiorized_solve`, which perturbs toward
     smaller ``objective`` values within ``bounds`` and records its
     perturbations in ``trace``.  ``bounds``, ``objective`` and ``t`` are as
-    in :func:`make_sweeper`; ``history`` collects the iterate of each sweep.
+    in :func:`make_sweeper`; ``bounds`` must have ``x0``'s length, and a
+    solve needs constraints, a box or an objective.  ``history`` collects the
+    iterate of each sweep.
     """
     if isinstance(solver, str):
         solver = SolverSpec(kind=solver)
     constraints = list(constraints)
-    if not constraints and objective is None:
+    if not constraints and objective is None and bounds is None:
         raise ValueError("constraint list must be nonempty")
     counters = counters if counters is not None else Counters()
     x0 = as_vector(x0)
+    if bounds is not None and bounds.lo.shape[0] != x0.shape[0]:
+        raise ValueError(f"bounds have {bounds.lo.shape[0]} entries for a point of {x0.shape[0]}")
     if solver.sup is not None:
         from . import superiorize
 
@@ -607,11 +599,11 @@ def cfp_with_level(problem: Problem, t: float, solver: SolverSpec | str = "cspm"
     """Feasibility of the problem's constraints intersected with {f <= t}.
 
     The sweeper visits the level ``f(x) <= t`` after the problem's
-    constraints on every pass; ``t = +inf`` leaves the level out, giving
-    plain feasibility, solved by :func:`cfp_solve` as ``solver`` says.
+    constraints and box on every pass; ``t = +inf`` leaves the level out,
+    giving plain feasibility, solved by :func:`cfp_solve` as ``solver`` says.
     Objective values taken at the level are charged to
     ``counters.obj_evals`` (see :meth:`Counters.objective`).
     """
     x0 = problem.start_point() if x0 is None else as_vector(x0, problem.n)
-    return cfp_solve(problem.all_constraints(), x0, solver, counters, history,
+    return cfp_solve(problem.constraints, x0, solver, counters, history,
                      problem.bounds, problem.objective, t)

@@ -264,23 +264,19 @@ class UnderdoseFunction(ConvexFunction):
     """RMS shortfall below a prescribed dose over the target voxels.
 
     f(x) = sqrt( mean_{i in target} max(0, R - d_i(x))^2 ) with d = D x.
-    The mirrored overdose penalty uses max(0, d_i(x) - R) instead.
     """
 
-    def __init__(self, model: DoseModel, overdose: bool = False):
+    def __init__(self, model: DoseModel):
         if not model.target:
             raise ValueError("target voxel set must be nonempty")
         if model.prescription <= 0.0:
             raise ValueError("prescription must be positive")
         self.D = model.D[list(model.target), :]
         self.R = float(model.prescription)
-        self.overdose = overdose
         self.n = model.D.shape[1]
 
     def _shortfall(self, x: np.ndarray) -> np.ndarray:
-        d = self.D @ x
-        gap = (d - self.R) if self.overdose else (self.R - d)
-        return np.maximum(0.0, gap)
+        return np.maximum(0.0, self.R - self.D @ x)
 
     def value(self, x: np.ndarray) -> float:
         u = self._shortfall(x)
@@ -292,8 +288,7 @@ class UnderdoseFunction(ConvexFunction):
         if f == 0.0:
             # minimum attained: 0 is a valid subgradient
             return np.zeros(self.n)
-        g = (self.D.T @ u) / (u.shape[0] * f)
-        return g if self.overdose else -g
+        return -(self.D.T @ u) / (u.shape[0] * f)
 
 
 class PNormFunction(ConvexFunction):
@@ -325,9 +320,9 @@ class PNormFunction(ConvexFunction):
         return (self.D.T @ (d ** (self.p - 1))) * (f ** (1 - self.p) / d.shape[0])
 
 
-def make_underdose(model: DoseModel, overdose: bool = False) -> UnderdoseFunction:
-    """Underdose penalty (or its overdose mirror) for the model's target set."""
-    return UnderdoseFunction(model, overdose=overdose)
+def make_underdose(model: DoseModel) -> UnderdoseFunction:
+    """Underdose penalty for the model's target set."""
+    return UnderdoseFunction(model)
 
 
 def make_pnorm(model: DoseModel) -> PNormFunction:
@@ -337,7 +332,11 @@ def make_pnorm(model: DoseModel) -> PNormFunction:
 
 @dataclass(frozen=True)
 class Bounds:
-    """Per-variable box lo <= x <= hi, entries may be infinite."""
+    """Per-variable box lo <= x <= hi, entries may be infinite but not NaN.
+
+    A box that holds no point (``lo > hi``, ``lo = +inf`` or ``hi = -inf``)
+    raises ``ValueError`` when it is built.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
@@ -347,8 +346,12 @@ class Bounds:
         hi = np.asarray(self.hi, dtype=np.float64)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("bounds must be two vectors of equal length")
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("bounds must not be NaN")
         if np.any(lo > hi):
             raise ValueError("lower bound exceeds upper bound")
+        if np.any(lo == np.inf) or np.any(hi == -np.inf):
+            raise ValueError("a lower bound of +inf or an upper bound of -inf empties the box")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -369,10 +372,10 @@ class Problem:
     """Convex program: minimize ``objective`` over g_i(x) <= 0 and bounds.
 
     The constraint list order is the cyclic control order of the sequential
-    solvers.  Variable bounds are expanded into ordinary coordinate
-    constraints appended after the g_i, so every solver treats them
-    uniformly.  Instances are immutable after construction and safe to share
-    across concurrent runs; per-run counters never live here.
+    solvers; a solve sweeps the box's coordinate rows after the g_i (see
+    :func:`cfpopt.feasibility.make_sweeper`).  Instances are immutable after
+    construction and safe to share across concurrent runs; per-run counters
+    never live here.
     """
 
     def __init__(
@@ -413,10 +416,6 @@ class Problem:
         self.var_names = var_names
         self.row_names = row_names
         self._all = constraints + tuple(bounds.to_rows() if bounds is not None else ())
-
-    def all_constraints(self) -> tuple[ConvexFunction, ...]:
-        """Constraints in cyclic order: the g_i first, then bound rows."""
-        return self._all
 
     def max_violation(self, x: np.ndarray) -> float:
         """max_i max(0, g_i(x)) over constraints and bound rows; 0 iff feasible."""

@@ -18,8 +18,8 @@ again, so the hook leaves the iterate alone for the rest of the solve.
 ``sup`` (a :class:`SuperiorizationConfig`) is set, and the rest of that spec
 sets the solve as it would unperturbed.  To superiorize toward some other
 function, pass it to ``cfp_solve`` as the ``objective`` with the default
-level ``t = inf``; to keep the perturbations in some other box, pass it as
-``bounds``, with its coordinate rows among the constraints.
+level ``t = inf``; the box passed as ``bounds`` both holds the perturbations
+and is swept.
 """
 
 from __future__ import annotations

@@ -75,7 +75,7 @@ def test_never_certifies_a_set_that_is_one_box_vertex(seed, tol, via):
 def test_step_sums_by_hand():
     # box 0 <= x <= 1 and the level -x/2 <= -1/2, tol 0.1, lam 1.5, from x = 0
     problem = Problem(QuadraticFunction([[0.0]], [-0.5]), bounds=Bounds([0.0], [1.0]))
-    sweeper = make_sweeper(SolverSpec("cspm", lam=1.5, tol=0.1), problem.all_constraints(),
+    sweeper = make_sweeper(SolverSpec("cspm", lam=1.5, tol=0.1), problem.constraints,
                            Counters(), problem.bounds, problem.objective, -0.5)
     agg = sweeper.aggregate
     # sweep 1: the box row holds; the level (v = 0.5, xi = -0.5) steps with

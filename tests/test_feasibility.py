@@ -315,28 +315,54 @@ class TestCfpWithLevel:
 
 
 class TestBoxRows:
-    # the box 0 <= x_0 <= 1, x_1 free, certifies only with its row 0 <= x_0 <= 1
-    # at the end of the constraint list
+    # the box 0 <= x_0 <= 1, x_1 free, swept as its one coordinate row
     BOX = Bounds([0.0, -np.inf], [1.0, np.inf])
     CUT = AffineConstraint.geq([1.0, 1.0], 2.0)
 
     @pytest.mark.parametrize("kind", ["cspm", "pocs", "art3+"])
-    @pytest.mark.parametrize("rows", [[], [AffineConstraint.bound(0, 2, 0.0, 1.0), CUT],
-                                      [CUT, AffineConstraint.bound(0, 2, 0.0, 2.0)],
-                                      [CUT, AffineConstraint.bound(1, 2, 0.0, 1.0)]],
-                             ids=["missing", "not last", "other bounds", "other coordinate"])
-    def test_box_without_its_rows_rejected(self, kind, rows):
-        with pytest.raises(ValueError, match="coordinate rows"):
-            make_sweeper(SolverSpec(kind), [self.CUT, *rows], Counters(), self.BOX)
-
-    def test_generic_constraint_after_the_rows_rejected(self):
-        quad = CustomFunction(lambda x: float(x @ x) - 9.0, lambda x: 2.0 * x, name="ball")
-        with pytest.raises(ValueError, match="coordinate rows"):
-            make_sweeper(SolverSpec("cspm"), [self.CUT, *self.BOX.to_rows(), quad], Counters(),
-                         self.BOX)
+    def test_box_with_its_rows_accepted(self, kind):
+        # given as bounds=, the box's row joins the trailing affine run
+        sweeper = make_sweeper(SolverSpec(kind), [self.CUT], Counters(), self.BOX,
+                               QuadraticFunction(np.eye(2), np.zeros(2)), 1.0)
+        assert sweeper.aggregate is not None
+        packed = sweeper.packed if kind == "art3+" else sweeper.segments[0][1]
+        np.testing.assert_array_equal(packed.A, [[1.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(packed.lo, [2.0, 0.0])
+        np.testing.assert_array_equal(packed.hi, [np.inf, 1.0])
+        np.testing.assert_array_equal(packed.norm2, [2.0, 1.0])
 
     @pytest.mark.parametrize("kind", ["cspm", "pocs", "art3+"])
-    def test_box_with_its_rows_accepted(self, kind):
-        sweeper = make_sweeper(SolverSpec(kind), [self.CUT, *self.BOX.to_rows()], Counters(),
-                               self.BOX, QuadraticFunction(np.eye(2), np.zeros(2)), 1.0)
-        assert sweeper.aggregate is not None
+    def test_bounds_sweep_as_their_rows(self, kind):
+        # a 6-row, 4-column system with one free column: the box given as
+        # bounds= runs the iterates of the box given as its trailing rows
+        rng = np.random.default_rng(7)
+        box = Bounds([-1.0, 0.0, -np.inf, -2.0], [1.0, np.inf, np.inf, 0.5])
+        rows = [AffineConstraint.interval(a, -0.5, 0.5) if kind == "art3+"
+                else AffineConstraint.leq(a, 0.5) for a in rng.standard_normal((6, 4))]
+        x0 = rng.standard_normal(4) * 3.0
+        h1, h2 = [], []
+        o1 = cfp_solve(rows, x0, SolverSpec(kind, max_sweeps=200), bounds=box, history=h1)
+        o2 = cfp_solve([*rows, *box.to_rows()], x0, SolverSpec(kind, max_sweeps=200), history=h2)
+        assert o1.found and o2.found
+        assert (o1.sweeps, o1.projections, o1.moves) == (o2.sweeps, o2.projections, o2.moves)
+        assert len(h1) == len(h2)
+        for a, b in zip(h1, h2):
+            np.testing.assert_array_equal(a, b)
+
+    def test_box_alone_is_a_system(self):
+        out = cfp_solve([], [3.0, -5.0], bounds=self.BOX)
+        assert out.found
+        assert self.BOX.contains(out.x)
+
+    def test_box_after_a_generic_constraint(self):
+        ball = CustomFunction(lambda x: float(x @ x) - 9.0, lambda x: 2.0 * x, name="ball")
+        sweeper = make_sweeper(SolverSpec("cspm"), [self.CUT, ball], Counters(), self.BOX)
+        assert [tag for tag, _ in sweeper.segments] == ["rows", "fn", "rows"]
+        np.testing.assert_array_equal(sweeper.segments[2][1].A, [[1.0, 0.0]])
+        out = cfp_solve([self.CUT, ball], [5.0, 5.0], bounds=self.BOX)
+        assert out.found and self.BOX.contains(out.x)
+
+    @pytest.mark.parametrize("x0", [[0.0], [0.0, 0.0, 0.0]], ids=["short", "long"])
+    def test_box_of_another_length_rejected(self, x0):
+        with pytest.raises(ValueError, match="bounds have 2 entries for a point of"):
+            cfp_solve([AffineConstraint.geq(np.ones(len(x0)), 1.0)], x0, bounds=self.BOX)

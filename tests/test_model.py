@@ -343,6 +343,14 @@ class TestConstruction:
     def test_bounds_must_nest(self):
         with pytest.raises(ValueError):
             Bounds([1.0], [0.0])
+        # a box that holds no point, or NaN, raises when it is built
+        for lo, hi in [([np.inf], [np.inf]), ([-np.inf], [-np.inf]),
+                       ([0.0, np.inf], [1.0, np.inf])]:
+            with pytest.raises(ValueError, match="empties the box"):
+                Bounds(lo, hi)
+        for lo, hi in [([np.nan], [1.0]), ([0.0], [np.nan])]:
+            with pytest.raises(ValueError, match="must not be NaN"):
+                Bounds(lo, hi)
 
     def test_nonfinite_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -353,12 +361,8 @@ class TestConstruction:
             Problem(quad_1d(), [AffineConstraint.leq([1.0, 1.0], 0.0)])
 
     def test_bounds_expand_to_rows_in_order(self):
-        p = Problem(
-            QuadraticFunction(np.eye(2), np.zeros(2)),
-            [AffineConstraint.leq([1.0, 1.0], 2.0)],
-            bounds=Bounds([0.0, -np.inf], [1.0, np.inf]),
-        )
-        rows = p.all_constraints()
+        rows = Bounds([0.0, -np.inf, -np.inf], [1.0, np.inf, 2.0]).to_rows()
         assert len(rows) == 2  # the free variable contributes no row
-        assert rows[1].sense == "range"
-        np.testing.assert_array_equal(rows[1].a, [1.0, 0.0])
+        assert [r.sense for r in rows] == ["range", "<="]
+        np.testing.assert_array_equal(rows[0].a, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(rows[1].a, [0.0, 0.0, 1.0])

@@ -2,7 +2,7 @@
 
 One CSPM sweep of :func:`cfp_solve` over a single set, with ``tol=0``, is the
 relaxed projection onto that set: the orthogonal projection for halfspaces,
-hyperplanes and boxes (the box as its coordinate rows), the subgradient
+hyperplanes and boxes (a box given as ``bounds``), the subgradient
 projection for any other convex constraint.
 """
 
@@ -13,10 +13,11 @@ from cfpopt.feasibility import SolverSpec, ZeroSubgradientError, cfp_solve
 from cfpopt.model import AffineConstraint, Bounds, Counters, CustomFunction, QuadraticFunction
 
 
-def step(sets, x, lam=1.0, counters=None):
+def step(sets, x, lam=1.0, counters=None, bounds=None):
     """One relaxed projection of ``x`` onto the intersection swept once in order."""
     sets = sets if isinstance(sets, list) else [sets]
-    return cfp_solve(sets, x, SolverSpec(lam=lam, tol=0.0, max_sweeps=1), counters=counters).x
+    return cfp_solve(sets, x, SolverSpec(lam=lam, tol=0.0, max_sweeps=1), counters=counters,
+                     bounds=bounds).x
 
 
 def project_halfspace(a, b, x):
@@ -28,7 +29,7 @@ def project_hyperplane(a, b, x):
 
 
 def project_box(lo, hi, x):
-    return step(Bounds(lo, hi).to_rows(), x)
+    return step([], x, bounds=Bounds(lo, hi))
 
 
 class TestHalfspace:

@@ -1,4 +1,4 @@
-"""The refactor gate names every cell a change moves, not only the first."""
+"""The refactor gate names every cell a change moves, not only the first, and counts code lines."""
 
 import importlib.util
 from pathlib import Path
@@ -36,3 +36,25 @@ def test_digest_lines_are_named_by_file():
 def test_missing_lines_are_reported():
     diff = refactor_gate.differences(OLD, "\n".join(OLD.splitlines()[:2]))
     assert diff == "5 lines against 2"
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blanks():
+    source = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment after code counts
+
+
+class A:
+    """Class docstring."""
+
+    # a comment alone does not count
+    def f(self, x):
+        """Function docstring."""
+        text = """a string
+that is not a docstring"""
+        return (x +
+                len(text))
+'''
+    # import, class, def, the two lines of the string, return and its continuation
+    assert refactor_gate.code_lines(source) == 7

@@ -140,7 +140,7 @@ class TestAlgorithmContract:
         box = Bounds([0.5], [10.0])
         trace = PerturbationTrace()
         cfg = SuperiorizationConfig(N=1, a=0.5)
-        cfp_solve([*self.cfp(), *box.to_rows()], [5.0], SolverSpec(sup=cfg, lam=1.0, max_sweeps=200),
+        cfp_solve(self.cfp(), [5.0], SolverSpec(sup=cfg, lam=1.0, max_sweeps=200),
                   bounds=box, objective=phi, trace=trace)
         for _k, _ell, _beta, z, _anchor in trace.accepted:
             assert box.contains(z)
@@ -206,12 +206,13 @@ class TestAlgorithmContract:
             cfp_solve(self.cfp(), [5.0], SolverSpec(sup=SuperiorizationConfig(N=1, a=0.5)),
                       objective=QuadraticFunction([[2.0]], [0.0]), t=t)
 
-    def test_box_without_its_rows_rejected(self):
-        # no sweep visits the box 0 <= x <= 1, so its emptiness test would
-        # certify {x >= 2}, which holds the point x = 3 the sweep reaches
-        with pytest.raises(ValueError, match="coordinate rows"):
-            cfp_solve([AffineConstraint.geq([1.0], 2.0)], [0.0],
-                      SolverSpec(sup=SuperiorizationConfig(N=0)), bounds=Bounds([0.0], [1.0]))
+    def test_box_is_swept_and_proves_emptiness(self):
+        # the sweeps visit the box 0 <= x <= 1 after {x >= 2}, so their steps
+        # prove the two disjoint within one sweep
+        out = cfp_solve([AffineConstraint.geq([1.0], 2.0)], [0.0],
+                        SolverSpec(sup=SuperiorizationConfig(N=0)), bounds=Bounds([0.0], [1.0]))
+        assert out.infeasibility_certified and not out.found
+        assert out.sweeps == 1
 
 
 class TestThroughCfpWithLevel:
