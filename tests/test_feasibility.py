@@ -320,6 +320,25 @@ class TestBoxRows:
     CUT = AffineConstraint.geq([1.0, 1.0], 2.0)
 
     @pytest.mark.parametrize("kind", ["cspm", "pocs", "art3+"])
+    @pytest.mark.parametrize("rows", [[], [AffineConstraint.bound(0, 2, 0.0, 1.0), CUT],
+                                      [CUT, AffineConstraint.bound(0, 2, 0.0, 2.0)],
+                                      [CUT, AffineConstraint.bound(1, 2, 0.0, 1.5)]],
+                             ids=["missing", "not last", "other bounds", "other coordinate"])
+    def test_box_swept_after_any_rows(self, kind, rows):
+        # whatever coordinate rows the list holds, bounds= sweeps the box
+        # after them, as if its own row trailed the list
+        h1, h2 = [], []
+        spec = SolverSpec(kind, max_sweeps=500)
+        o1 = cfp_solve([self.CUT, *rows], [3.0, -4.0], spec, bounds=self.BOX, history=h1)
+        o2 = cfp_solve([self.CUT, *rows, *self.BOX.to_rows()], [3.0, -4.0], spec, history=h2)
+        assert o1.found
+        assert np.all(o1.x >= self.BOX.lo - spec.tol) and np.all(o1.x <= self.BOX.hi + spec.tol)
+        assert (o1.sweeps, o1.projections, o1.moves) == (o2.sweeps, o2.projections, o2.moves)
+        assert len(h1) == len(h2)
+        for a, b in zip(h1, h2):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["cspm", "pocs", "art3+"])
     def test_box_with_its_rows_accepted(self, kind):
         # given as bounds=, the box's row joins the trailing affine run
         sweeper = make_sweeper(SolverSpec(kind), [self.CUT], Counters(), self.BOX,
