@@ -12,7 +12,8 @@ run, its rows print ``n/a``.
 A second table times single ``cspm_sweep`` and ``art3_pass`` calls (the
 latter over a queue of every row) in ns per row, at m=120/n=60 and at the
 ``--m``/``--n`` size; every call also sums the steps that the emptiness
-certificate of :mod:`cfpopt.feasibility` reads.  ``moved`` is the share of
+certificate of :mod:`cfpopt.feasibility` reads.  Each ``cspm_sweep`` call is
+the first pass of a fresh row binding, whose screen evaluates every row.  ``moved`` is the share of
 rows that moved x.
 
 Usage:
@@ -66,20 +67,25 @@ def kernel_ns_per_row(kernel, m, n, seed, repeats):
     norm2 = np.array([r.norm2 for r in rows])
     queue, sums = np.arange(m, dtype=np.int64), np.zeros(3)
 
-    def call(x):
+    def bind():
+        return _kernels.CspmRows(A, lo, hi, norm2, np.zeros(3)) if kernel == "cspm" else None
+
+    def call(x, rows):
         """One pass from x; returns the number of rows that moved."""
         if kernel == "cspm":
-            return _kernels.cspm_sweep(A, lo, hi, norm2, x, 1.5, 1e-8)[1]
+            return _kernels.cspm_sweep(A, rows, x, 1.5, 1e-8)[1]
         return _kernels.art3_pass(A, lo, hi, norm2, x, queue, 1e-8, sums).shape[0]
 
     for _ in range(3):  # start where some rows still move and some hold
-        call(x0)
+        call(x0, bind())
     calls = max(1, 100_000 // m)
     best, moves = np.inf, 0
     for _ in range(repeats):
+        # a fresh binding per call: its screen has evaluated no row yet
+        bound = [bind() for _ in range(calls)]
         t0 = time.perf_counter()
-        for _ in range(calls):
-            moves = call(x0.copy())
+        for rows in bound:
+            moves = call(x0.copy(), rows)
         best = min(best, (time.perf_counter() - t0) / (calls * m))
     return best * 1e9, moves / m
 

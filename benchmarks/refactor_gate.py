@@ -16,8 +16,10 @@ against both sources:
 * ``qps_digest.py`` for each planted workload at seeds 101-110.
 
 Each run prints ``same``, or the number of its differing lines, their cell
-keys (``problem/variant``) or digest names, and the first differing pair as
-``- old / + new``.  The gate ends with the ``git diff --numstat PARENT_REV -- src`` totals
+keys (``problem/variant``) or digest names, for ``cells.py`` how many cells
+differ in each field (status, f_hat, projections, obj_evals, outer_steps),
+so that a change to the counters alone reads as such, and the first
+differing pair as ``- old / + new``.  The gate ends with the ``git diff --numstat PARENT_REV -- src`` totals
 and the code lines of ``src/cfpopt/*.py`` (docstrings, comments and blank
 lines left out) at ``PARENT_REV`` and in the working tree.  The exit status
 is 1 when any output differs, else 0.  The two trees run side by side,
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import ast
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -42,6 +45,8 @@ WORKLOADS = ("plant-cspm", "plant-art3", "dose-cspm")
 PLANTED = ("plant-cspm", "plant-art3")
 ACCELERATED = "ls_acc_cspm,ls_acc_sup_cspm,bis_acc_cspm,bis_acc_sup_cspm"
 GATE_SCRIPTS = ("cells.py", "qps_digest.py")
+# the entries of a cells.py cell, in order
+CELL_FIELDS = ("status", "f_hat", "projections", "obj_evals", "outer_steps")
 
 
 def runs() -> list[tuple[str, ...]]:
@@ -83,19 +88,57 @@ def line_key(line: str) -> str:
     return words[0].strip('":') if words else "(blank)"
 
 
+def cell(line: str) -> list | None:
+    """The entries of a ``cells.py`` line's cell, or None for any other line."""
+    try:
+        value = json.loads("{" + line.strip().rstrip(",") + "}")
+    except json.JSONDecodeError:
+        return None
+    (entries,) = value.values()
+    return entries if isinstance(entries, list) else None
+
+
+def field_counts(pairs: list[tuple[str, str]]) -> str | None:
+    """How many of the differing ``cells.py`` line pairs differ in each cell field.
+
+    A cell that raised on either side holds no counters; it counts as a
+    status difference.  None when no pair is a pair of cells.
+    """
+    counts = dict.fromkeys(CELL_FIELDS, 0)
+    cells = 0
+    for x, y in pairs:
+        a, b = cell(x), cell(y)
+        if a is None or b is None:
+            continue
+        cells += 1
+        if len(a) != len(CELL_FIELDS) or len(b) != len(CELL_FIELDS):
+            counts["status"] += 1
+            continue
+        for name, u, v in zip(CELL_FIELDS, a, b):
+            counts[name] += u != v
+    if not cells:
+        return None
+    return "cells per field: " + ", ".join(f"{name} {k}" for name, k in counts.items() if k)
+
+
 def differences(old: str, new: str) -> str | None:
     """How ``new`` differs from ``old`` line by line, or None when they are equal.
 
-    Names every differing line by its key, then gives the first differing
-    pair as ``'- old / + new'`` and any difference in length.
+    Names every differing line by its key, counts the differing cells per
+    field, then gives the first differing pair as ``'- old / + new'`` and
+    any difference in length.
     """
     a, b = old.splitlines(), new.splitlines()
     pairs = [(x, y) for x, y in zip(a, b) if x != y]
     parts = []
     if pairs:
         keys = ", ".join(line_key(x) for x, _ in pairs)
+        parts.append(f"{len(pairs)} of {len(a)} lines differ: {keys}")
+        fields = field_counts(pairs)
+        if fields is not None:
+            parts.append(fields)
         x, y = pairs[0]
-        parts += [f"{len(pairs)} of {len(a)} lines differ: {keys}", f"- {x.strip()}", f"+ {y.strip()}"]
+        parts += [f"- {x.strip()}", f"+ {y.strip()}"]
     if len(a) != len(b):
         parts.append(f"{len(a)} lines against {len(b)}")
     return "\n      ".join(parts) if parts else None

@@ -36,26 +36,50 @@ static void row_add(double *x, double coef, const double *a, int64_t n)
 
 /* One cyclic pass of relaxed projections onto lo_i <= A_i . x <= hi_i.
  * Returns the number of rows whose violation exceeded tol (each of which
- * moved x) and stores the largest violation seen in out[0].
+ * moved x), stores the largest violation among the rows evaluated in out[0]
+ * and the number of rows evaluated in *evaluated.
  *
  * A moved row steps x by -coef * h, where h . y <= beta is its violated side
  * (h = A_i, beta = hi_i above the slab; h = -A_i, beta = -lo_i below it).
  * For the emptiness test of the caller (feasibility.py), the pass stores the
  * sums of coef * (beta + tol), coef * (|beta| + tol) and coef * |h| over the
- * moved rows in out[1], out[2] and out[3]. */
+ * moved rows in out[1], out[2] and out[3].
+ *
+ * The screen skips a row whose violation provably cannot exceed tol.  Row i
+ * owns screen[5i .. 5i+5): its violation v_i at its last evaluation, the
+ * path sum P_i then (v_i = +inf before the first one), |A_i|_2 computed from
+ * A, |A_i|_1 + |A_i|_2, and the larger finite one of |lo_i|, |hi_i| (plus a
+ * floor).  path[0] is the path sum P of the solve, which every step adds
+ * coef * |h|_2 to (this pass adds it for its moves), path[1] is |x0|_2 and
+ * path[2] the relative slack rel of the margin, whose bound is derived at
+ * screen_rtol in _kernels.py.  The row is skipped when
+ * v_i + |A_i|_2 (P - P_i) + margin <= tol: it would have measured v <= tol
+ * and made no move, so skipping it changes no bit of x, of the moves, of the
+ * sums or of whether the pass certifies. */
 int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
-                       const double *norm2, double *x, int64_t m, int64_t n,
-                       double lam, double tol, double *out)
+                       const double *norm2, double *screen, double *path, double *x,
+                       int64_t m, int64_t n, double lam, double tol, double *out,
+                       int64_t *evaluated)
 {
     double vmax = 0.0;
     double b = 0.0, size = 0.0, steps = 0.0;
-    int64_t moves = 0;
+    double P = path[0];
+    const double x0n = path[1], rel = path[2];
+    int64_t moves = 0, seen = 0;
     for (int64_t i = 0; i < m; i++) {
+        double *s = screen + 5 * i;
+        double bound = s[0] + s[2] * (P - s[1]);
+        bound += rel * (s[3] * (x0n + P) + s[2] * P + fabs(s[0]) + s[4]);
+        if (bound <= tol)
+            continue;
+        seen++;
         const double *a = A + i * n;
         double r = row_dot(a, x, n);
         double over = r - hi[i];
         double under = lo[i] - r;
         double v = over >= under ? over : under;
+        s[0] = v;
+        s[1] = P;
         if (v > vmax)
             vmax = v;
         if (v > tol) {
@@ -72,12 +96,15 @@ int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
             b += coef * (beta + tol);
             size += coef * (fabs(beta) + tol);
             steps += coef * sqrt(norm2[i]);
+            P += coef * s[2];
         }
     }
+    path[0] = P;
     out[0] = vmax;
     out[1] = b;
     out[2] = size;
     out[3] = steps;
+    *evaluated = seen;
     return moves;
 }
 

@@ -6,10 +6,13 @@ row loop is the hot spot on packed affine systems.  Both backends implement
 the same row-by-row arithmetic:
 
 * ``cspm_sweep``: one full cyclic pass of relaxed projections onto the slabs
-  ``lo_i <= A_i . x <= hi_i``; returns the largest violation seen, the
-  number of rows that moved ``x``, and the sums over the moved rows that the
-  emptiness test of :mod:`cfpopt.feasibility` aggregates (see
-  ``_cspm_sweep_numpy``).
+  ``lo_i <= A_i . x <= hi_i`` of a :class:`CspmRows` binding; returns the
+  largest violation among the rows it evaluated, the number of rows that
+  moved ``x``, the sums over the moved rows that the emptiness test of
+  :mod:`cfpopt.feasibility` aggregates (see ``_cspm_sweep_numpy``), and the
+  number of rows it evaluated.  Its screen skips the rows that the state kept
+  in the binding proves satisfied (see :func:`screen_rtol`), with the same
+  iterate, moves and sums as a pass that evaluates every row.
 * ``art3_pass``: one pass of the automatic-relaxation rule over a work queue
   of row indices (reflect when the overshoot is at most the interval width,
   project onto the midline hyperplane when it is larger); returns the indices
@@ -32,7 +35,10 @@ Backends:
   child process that writes cffi's module for the declarations).  Later
   processes load the cached library; a build deletes the libraries of other
   source versions from the cache.  The wrappers accept only C-contiguous
-  float64 arrays (int64 for the queue), and ``x`` must be writable.
+  float64 arrays (int64 for the queue), and ``x`` must be writable.  A
+  ``CspmRows`` binding validates its arrays once and keeps their cffi
+  pointers, and those of the last ``x`` it swept, so that a sweep of the
+  same iterate array converts nothing.
 * ``numpy`` is the reference the tests hold ``c`` to, and the fallback.
 
 Backend selection: the ``CFPOPT_BACKEND`` environment variable may be set to
@@ -65,6 +71,8 @@ __all__ = [
     "active_backend",
     "set_backend",
     "available_backends",
+    "CspmRows",
+    "screen_rtol",
     "cspm_sweep",
     "art3_pass",
     "warmup",
@@ -81,8 +89,9 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-falign-loops=32",
            "-std=c99", "-fPIC", "-shared")
 _CDEF = """
 int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
-                       const double *norm2, double *x, int64_t m, int64_t n,
-                       double lam, double tol, double *out);
+                       const double *norm2, double *screen, double *path, double *x,
+                       int64_t m, int64_t n, double lam, double tol, double *out,
+                       int64_t *evaluated);
 int64_t cfp_art3_pass(const double *A, const double *lo, const double *hi,
                       const double *norm2, double *x, int64_t m, int64_t n,
                       const int64_t *queue, int64_t nq, double tol, int64_t *kept,
@@ -98,23 +107,133 @@ class CBuildError(BackendUnavailableError):
     """A C compiler is present, but building or loading the kernel library failed."""
 
 
-def _cspm_sweep_numpy(A, lo, hi, norm2, x, lam, tol):
-    """One relaxed-projection pass over the rows; returns (max violation, moves, sums).
+# unit roundoff of float64
+_UNIT = 2.0**-53
+# the screen margin's relative slack while a solve is short: some 10^5 times
+# the rounding it covers at the sizes and step counts of the benchmark
+_SCREEN_RTOL = 2.0**-30
+# a floor under the margin's magnitudes: it covers the absolute error of
+# gradual underflow, at most 2^-1074 per rounded operation
+_SCREEN_FLOOR = 2.0**-900
+
+
+def screen_rtol(n: int, events: int) -> float:
+    """The relative slack ``rel`` of the screen for ``n`` columns and ``events`` x updates.
+
+    ``events`` must bound the number of times the solve's x has changed up
+    to the check: its row and oracle steps, and its jumps between sweeps.
+    The screen skips row ``i`` when, in floating point,
+
+        v_i + s_i (P - P_i) + rel ((l_i + s_i) X + s_i P + |v_i| + m_i) <= tol,
+
+    with ``v_i`` and ``P_i`` the row's violation and the path sum at its
+    last evaluation, ``s_i`` and ``l_i`` the computed ``|a_i|_2`` and
+    ``|a_i|_1``, ``m_i`` the larger finite one of ``|lo_i|``, ``|hi_i|``
+    plus ``(1 + l_i + s_i) 2^-900``, ``P`` the path sum now and
+    ``X = |x0|_2 + P``.  Why that proves the row would measure
+    ``v <= tol`` now, with u = 2^-53, gamma_k = k u / (1 - k u), K =
+    ``events`` and n + K <= 2^40, so that every gamma below is under 2^-12:
+
+    * Evaluation.  Any order of summing a dot product (left to right in C,
+      numpy's own in the twin) errs by at most gamma_n |a|_1 |y|_inf, and
+      subtracting a finite side by u |r - side|.  So the computed v and the
+      exact violation ``max(a . y - hi, lo - a . y)`` differ by at most
+      gamma_{n+1} l_i Y + u m_i, Y the largest |y|_2 of the solve so far;
+      once at the last evaluation and once now.
+    * Movement.  The exact violation is |a|_2-Lipschitz in y.  A step
+      ``x <- fl(x - fl(coef h))`` moves x by at most (1 + u) coef |h|_2 +
+      2 u Y (one rounding per product and per difference), and adds
+      fl(coef ŝ) >= coef |h|_2 (1 - gamma_{n+2}) to P, ŝ the computed
+      |h|_2; a jump adds its computed length, within gamma_{n+2} of the true
+      one.  P sums nonnegative terms, so the terms added since the last
+      evaluation sum to at most P - P_i + K u P / (1 - u) (the cancellation
+      in P - P_i).  So x has moved by at most (1 + 3 gamma_{n+3})
+      (P - P_i + K u P / (1 - u)) + 2 K u Y since, and likewise
+      Y <= 1.1 X.
+    * The test.  Its three sums and two products round by at most
+      3 u |v_i| + 4 u s_i P + u M, M the margin, and s_i is within
+      gamma_{n+1} of |a_i|_2.
+
+    So v now exceeds the computed left side by at most 3 u |v_i| +
+    8 (n + K + 4) u s_i P + 3.3 K u s_i X + 2.3 (n + 1) u l_i X + 2 u m_i
+    - M (1 - u), which is not positive once rel >= 16 (n + K + 4) u: each
+    term is at most half its share of M.  The floor in m_i covers gradual
+    underflow.  An infinite or NaN term makes the test false, so such a row
+    is evaluated; past 2^40 updates the slack is infinite and every row is.
+    """
+    if n + events > 2**40:
+        return math.inf
+    return max(_SCREEN_RTOL, 16.0 * (n + events + 4) * _UNIT)
+
+
+def _finite_abs(v: np.ndarray) -> np.ndarray:
+    return np.where(np.isfinite(v), np.abs(v), 0.0)
+
+
+class CspmRows:
+    """Packed rows bound for the ``cspm_sweep`` calls of one solve, with their screen state.
+
+    ``A`` (m x n), ``lo``, ``hi`` and ``norm2`` are validated once.  Row i
+    owns ``screen[i]``: its violation at its last evaluation (+inf before
+    the first), the path sum then, its computed ``|a_i|_2``, ``|a_i|_1 +
+    |a_i|_2``, and the larger finite one of ``|lo_i|``, ``|hi_i|`` plus a
+    floor.  ``path`` is the solve's float64[3], shared by all its bindings:
+    the path sum P, ``|x0|_2`` and the relative slack of the margin
+    (:func:`screen_rtol`).  The kernels add ``coef * |a_i|_2`` to P
+    for every row they move; the caller adds every other change of x, and
+    sets the rest of ``path`` before the first sweep.  The c backend keeps
+    its cffi pointers here, made on its first call, and the pointer of the
+    last ``x``, validated when it first came.
+    """
+
+    __slots__ = ("A", "lo", "hi", "norm2", "screen", "path", "_c")
+
+    def __init__(self, A, lo, hi, norm2, path):
+        m, _ = _check_rows(A, lo, hi, norm2)
+        _check(path, "path", np.float64, 1)
+        if path.shape[0] != 3 or not path.flags.writeable:
+            raise ValueError("path must be a writable array of 3 entries")
+        s = np.sqrt((A * A).sum(axis=1))
+        w = np.abs(A).sum(axis=1) + s
+        screen = np.empty((m, 5))
+        screen[:, 0] = np.inf
+        screen[:, 1] = 0.0
+        screen[:, 2] = s
+        screen[:, 3] = w
+        screen[:, 4] = np.maximum(_finite_abs(lo), _finite_abs(hi)) + (1.0 + w) * _SCREEN_FLOOR
+        self.A, self.lo, self.hi, self.norm2 = A, lo, hi, norm2
+        self.screen, self.path = screen, path
+        self._c = None
+
+
+def _cspm_sweep_numpy(A, rows, x, lam, tol):
+    """One screened relaxed-projection pass; returns (max violation, moves, sums, evaluated).
 
     A moved row steps ``x`` by ``-coef * h``, where ``h . y <= beta`` is its
     violated side (``h = A_i, beta = hi_i`` above the slab, ``h = -A_i,
     beta = -lo_i`` below it).  ``sums`` holds the sums of
     ``coef * (beta + tol)``, ``coef * (|beta| + tol)`` and ``coef * |h|``
-    over the moved rows.
+    over the moved rows.  A row the screen proves satisfied is skipped, as
+    in ``cfp_cspm_sweep``.
     """
+    lo, hi, norm2, screen, path = rows.lo, rows.hi, rows.norm2, rows.screen, rows.path
+    P, x0n, rel = path.tolist()
     maxv = 0.0
-    moves = 0
+    moves = seen = 0
     b = size = steps = 0.0
     for i in range(A.shape[0]):
+        v_i, P_i, s_i, w_i, m_i = screen[i].tolist()
+        bound = v_i + s_i * (P - P_i)
+        bound += rel * (w_i * (x0n + P) + s_i * P + abs(v_i) + m_i)
+        if bound <= tol:
+            continue
+        seen += 1
         r = float(A[i] @ x)
         over = r - hi[i]
         under = lo[i] - r
         v = over if over >= under else under
+        screen[i, 0] = v
+        screen[i, 1] = P
         if v > maxv:
             maxv = v
         if v > tol:
@@ -129,7 +248,9 @@ def _cspm_sweep_numpy(A, lo, hi, norm2, x, lam, tol):
             b += coef * (beta + tol)
             size += coef * (abs(beta) + tol)
             steps += coef * math.sqrt(norm2[i])
-    return maxv, moves, (float(b), float(size), float(steps))
+            P += float(coef) * s_i
+    path[0] = P
+    return maxv, moves, (float(b), float(size), float(steps)), seen
 
 
 def _art3_pass_numpy(A, lo, hi, norm2, x, queue, tol, out):
@@ -264,20 +385,24 @@ def _check(a, name: str, dtype, ndim: int) -> None:
                         f"with {ndim} dimension(s)")
 
 
-def _check_system(A, lo, hi, norm2, x) -> tuple[int, int]:
-    """Validate the packed rows and the iterate before their pointers go to C."""
+def _check_rows(A, lo, hi, norm2) -> tuple[int, int]:
+    """Validate packed rows before their pointers go to C."""
     _check(A, "A", np.float64, 2)
     m, n = A.shape
     for name, v in (("lo", lo), ("hi", hi), ("norm2", norm2)):
         _check(v, name, np.float64, 1)
         if v.shape[0] != m:
             raise ValueError(f"{name} has {v.shape[0]} entries for {m} rows")
+    return m, n
+
+
+def _check_x(x, n: int) -> None:
+    """Validate the iterate a kernel updates in place."""
     _check(x, "x", np.float64, 1)
     if x.shape[0] != n:
         raise ValueError(f"x has {x.shape[0]} entries for {n} columns")
     if not x.flags.writeable:
         raise ValueError("x must be writable: the kernels update it in place")
-    return m, n
 
 
 def _load_c() -> tuple:
@@ -305,16 +430,26 @@ def _load_c() -> tuple:
                 raise CBuildError(f"cannot load the C kernels from {path}: {exc}") from exc
     buf = ffi.from_buffer
 
-    def cspm_sweep(A, lo, hi, norm2, x, lam, tol):
-        m, n = _check_system(A, lo, hi, norm2, x)
-        out = ffi.new("double[4]")
-        moves = lib.cfp_cspm_sweep(buf("double[]", A), buf("double[]", lo), buf("double[]", hi),
-                                   buf("double[]", norm2), buf("double[]", x, require_writable=True),
-                                   m, n, lam, tol, out)
-        return out[0], moves, (out[1], out[2], out[3])
+    def cspm_sweep(A, rows, x, lam, tol):
+        c = rows._c
+        if c is None:
+            c = rows._c = [None, None, buf("double[]", rows.A), buf("double[]", rows.lo),
+                           buf("double[]", rows.hi), buf("double[]", rows.norm2),
+                           buf("double[]", rows.screen, require_writable=True),
+                           buf("double[]", rows.path, require_writable=True),
+                           ffi.new("double[4]"), ffi.new("int64_t[1]")]
+        m, n = A.shape
+        if x is not c[0]:
+            # the pointer holds x's buffer, so x cannot be resized while it is bound
+            _check_x(x, n)
+            c[0], c[1] = x, buf("double[]", x, require_writable=True)
+        _, xp, a, lo, hi, norm2, screen, path, out, seen = c
+        moves = lib.cfp_cspm_sweep(a, lo, hi, norm2, screen, path, xp, m, n, lam, tol, out, seen)
+        return out[0], moves, (out[1], out[2], out[3]), seen[0]
 
     def art3_pass(A, lo, hi, norm2, x, queue, tol, out):
-        m, n = _check_system(A, lo, hi, norm2, x)
+        m, n = _check_rows(A, lo, hi, norm2)
+        _check_x(x, n)
         _check(queue, "queue", np.int64, 1)
         _check(out, "out", np.float64, 1)
         if out.shape[0] < 3 or not out.flags.writeable:
@@ -407,9 +542,16 @@ def set_backend(name: str) -> None:
     _active, _impls = _resolve(name)
 
 
-def cspm_sweep(A, lo, hi, norm2, x, lam, tol):
-    """One relaxed-projection pass, in place; returns (max violation, moves, step sums)."""
-    return _current()[0](A, lo, hi, norm2, x, lam, tol)
+def cspm_sweep(A, rows, x, lam, tol):
+    """One screened relaxed-projection pass over ``rows``, in place.
+
+    ``A`` is ``rows.A``; it leads so that a wrapper of this call can read
+    the system's size.  Returns (largest violation among the rows
+    evaluated, moves, step sums, rows evaluated).
+    """
+    if A is not rows.A:
+        raise ValueError("A must be the array that rows was bound to")
+    return _current()[0](A, rows, x, lam, tol)
 
 
 def art3_pass(A, lo, hi, norm2, x, queue, tol, out):
@@ -428,6 +570,6 @@ def warmup() -> None:
     lo = np.array([-np.inf, 0.0])
     hi = np.array([1.0, 1.0])
     norm2 = np.array([1.0, 1.0])
-    cspm_sweep(A, lo, hi, norm2, np.array([2.0, -1.0]), 1.0, 1e-8)
+    cspm_sweep(A, CspmRows(A, lo, hi, norm2, np.zeros(3)), np.array([2.0, -1.0]), 1.0, 1e-8)
     art3_pass(A, lo, hi, norm2, np.array([2.0, -1.0]), np.arange(2, dtype=np.int64), 1e-8,
               np.zeros(3))

@@ -28,7 +28,11 @@ positive share, and the unrelaxed level visit (lambda = 1) adds
 Runs of affine constraints are packed into dense arrays and swept by the
 kernels in :mod:`cfpopt._kernels`; any other convex constraint is handled
 through its value/subgradient oracle.  The box, a solve's ``bounds``, is
-swept as its coordinate rows after the constraint list.
+swept as its coordinate rows after the constraint list.  The CSPM and POCS
+sweeps screen their rows: a row whose last evaluation and the path x has
+travelled since prove it satisfied is skipped, with no change to any
+iterate.  So a solve's ``projections`` counts rows evaluated; a row the
+screen proves satisfied is skipped.
 
 The objective level ``f(x) <= t`` of the paper's scheme is a slot of the
 sweeper, not a constraint object: given the objective and a finite level,
@@ -100,7 +104,9 @@ class FeasibilityOutcome:
     ``infeasibility_certified`` marks such a proof: the aggregate of the
     steps taken separates the tol-relaxed constraint set from the bound box
     (any solver kind given the bound box), or a level visit found ``f > t``
-    at a minimizer of the objective.
+    at a minimizer of the objective.  ``projections`` counts the rows
+    evaluated and the oracle visits; a row the screen proves satisfied is
+    skipped and not counted.
     """
 
     found: bool
@@ -356,6 +362,7 @@ class _Sweeper:
         self.certified = False
         self.empty = False
         self.aggregate = _StepAggregate(bounds, self.tol) if bounds is not None else None
+        self.path = None  # the row screen's path state, for the sweepers that screen
 
     def sweep(self, x: np.ndarray, k: int) -> np.ndarray:
         agg = self.aggregate
@@ -371,7 +378,7 @@ class _Sweeper:
         """Visit ``fn(x) <= 0``, or ``f(x) <= t`` for the objective ``fn`` when ``level``.
 
         Returns x and the violation v.  When ``v > tol``, x takes the
-        subgradient step ``lam * v / |xi|**2`` along ``-xi``.  A vanishing
+        subgradient step ``lam * v / |xi|**2`` along ``-xi``, in place.  A vanishing
         subgradient allows no step: at the level it makes x a minimiser of
         f, so the level set is empty and ``empty`` is set; any other
         constraint raises :class:`ZeroSubgradientError`.
@@ -389,8 +396,10 @@ class _Sweeper:
             coef = lam * v / norm2
             if agg is not None:
                 agg.add_linearization(x, v, xi, norm2, coef, abs(self.t) if level else 0.0)
-            x = x - coef * xi
+            x -= coef * xi
             self.moves += 1
+            if self.path is not None:
+                self.path[0] += coef * math.sqrt(norm2)
         return x, v
 
 
@@ -401,27 +410,61 @@ class CyclicSweeper(_Sweeper):
     projection, so this single sweeper implements both CSPM and POCS.  The
     level, when there is one, is the last element of the cycle, relaxed like
     the rest.
+
+    The packed rows are bound once (:class:`cfpopt._kernels.CspmRows`) and
+    screened: the kernel skips a row that its last evaluation and the path
+    x has travelled since prove satisfied, and evaluates and counts only the
+    others.  The path sum ``path[0]`` grows by ``coef * |h|`` for every row,
+    oracle and level step, and by ``|x_in - x_out|_2`` when a sweep starts
+    from a point other than the one the last sweep returned (a
+    superiorization perturbation).  That point is copied into the returned
+    array, so every sweep updates the one array the kernels have bound; an
+    iterate the sweeper returned must not be changed in place between
+    sweeps.
     """
 
     def __init__(self, constraints, lam, tol: float, counters: Counters, bounds: Bounds | None = None,
                  objective: ConvexFunction | None = None, t: float = np.inf):
         super().__init__(tol, counters, bounds, objective, t)
-        self.segments = _segment(constraints, bounds)
+        # the path sum P, |x0|_2 and the margin's relative slack
+        self.path = np.zeros(3)
+        self.segments = []
+        for tag, seg in _segment(constraints, bounds):
+            if tag == "rows":
+                seg = _kernels.CspmRows(seg.A, seg.lo, seg.hi, seg.norm2, self.path)
+            self.segments.append((tag, seg))
         if self.level is not None:
             self.segments.append(("level", self.level))
         self.certified = not self.segments
         self.lam = lam
+        # the most x updates one sweep makes: a jump at its start and a move per visit
+        self.updates = 1 + sum(seg.A.shape[0] if tag == "rows" else 1 for tag, seg in self.segments)
+        self.rtol_events = -1  # the update count path[2] holds for
+        self.x_out = None
 
     def _pass(self, x: np.ndarray, k: int, agg: _StepAggregate | None) -> np.ndarray:
         lam = self.lam
         tol = self.tol
+        path = self.path
+        if k == 0:
+            path[1] = math.sqrt(float(x @ x))
+        elif x is not self.x_out:
+            jump = x - self.x_out
+            path[0] += math.sqrt(float(jump @ jump))
+            self.x_out[:] = x
+            x = self.x_out
+        # the slack for twice the updates so far holds until they double
+        events = self.moves + k + self.updates
+        if events > self.rtol_events:
+            self.rtol_events = 2 * events
+            path[2] = _kernels.screen_rtol(x.shape[0], self.rtol_events)
         maxv = 0.0
         for tag, seg in self.segments:
             if tag == "rows":
-                v, moved, sums = _kernels.cspm_sweep(seg.A, seg.lo, seg.hi, seg.norm2, x, lam, tol)
+                v, moved, sums, evaluated = _kernels.cspm_sweep(seg.A, seg, x, lam, tol)
                 if agg is not None:
                     agg.add(*sums)
-                self.counters.projections += seg.A.shape[0]
+                self.counters.projections += evaluated
                 self.moves += moved
                 if v > maxv:
                     maxv = v
@@ -430,6 +473,7 @@ class CyclicSweeper(_Sweeper):
                 if v > maxv:
                     maxv = v
         self.certified = maxv <= tol
+        self.x_out = x
         return x
 
 

@@ -51,8 +51,10 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
 class Counters:
     """Per-run work counters, shared across the solver layers of one run.
 
-    ``projections`` counts every projection-operator invocation that evaluates
-    a constraint, including no-op returns on already satisfied constraints.
+    ``projections`` counts the constraint evaluations of the feasibility
+    sweeps, including those that find a constraint satisfied and make no
+    move: rows evaluated; a row the screen proves satisfied is skipped (see
+    :class:`cfpopt.feasibility.CyclicSweeper`) and not counted.
     ``obj_evals`` counts the objective-oracle calls the run makes, whether
     direct, at a sweeper's level visit or in a superiorization step.  They
     all go through :meth:`objective`, which serves a repeat of the last call

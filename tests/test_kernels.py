@@ -1,3 +1,4 @@
+import math
 import os
 import shutil
 import subprocess
@@ -8,7 +9,8 @@ import pytest
 
 from cfpopt import _kernels
 from cfpopt.feasibility import SolverSpec, cfp_solve
-from cfpopt.model import AffineConstraint
+from cfpopt.model import AffineConstraint, Bounds, QuadraticFunction
+from cfpopt.superiorize import SuperiorizationConfig
 
 
 # The c backend needs cffi and a C compiler; where both are present a broken
@@ -69,6 +71,203 @@ def test_cspm_backend_agreement(seed, cffi, restore_backend):
         np.testing.assert_allclose(xa, xb, rtol=0, atol=1e-12)
 
 
+def _bind(A, lo, hi, norm2, x0):
+    """Bind the rows for a solve from ``x0``, with a fresh path state."""
+    return _kernels.CspmRows(A, lo, hi, norm2, np.array([0.0, math.sqrt(x0 @ x0), 0.0]))
+
+
+def _sweeps(rows, x, count, lam, tol, shift=None):
+    """``count`` screened sweeps of ``x`` in place, as a sweeper runs them.
+
+    ``shift(k)``, when given, returns the vector that moves x before sweep
+    ``k``, or None; the path sum grows by its length.  Returns each sweep's
+    kernel result and the iterate after it.
+    """
+    out, moves = [], 0
+    for k in range(count):
+        delta = shift(k) if shift is not None else None
+        if delta is not None:
+            x += delta
+            rows.path[0] += math.sqrt(delta @ delta)
+        rows.path[2] = _kernels.screen_rtol(x.shape[0], moves + k + 1 + rows.A.shape[0])
+        result = _kernels.cspm_sweep(rows.A, rows, x, lam, tol)
+        moves += result[1]
+        out.append((result, x.copy()))
+    return out
+
+
+def _python_dot(a, x):
+    """The C kernel's dot product: summed left to right, one rounding per operation."""
+    r = 0.0
+    for a_j, x_j in zip(a.tolist(), x.tolist()):
+        r += a_j * x_j
+    return r
+
+
+def _numpy_dot(a, x):
+    return float(a @ x)
+
+
+def _unscreened_sweep(dot):
+    """The reference sweep that evaluates every row, with the backend's dot product.
+
+    Its arithmetic is the kernels' without the screen; it returns the kernel
+    result tuple with every row counted as evaluated.
+    """
+
+    def sweep(A, rows, x, lam, tol):
+        lo, hi, norm2 = rows.lo, rows.hi, rows.norm2
+        maxv = 0.0
+        moves = 0
+        b = size = steps = 0.0
+        for i in range(A.shape[0]):
+            r = dot(A[i], x)
+            over = r - hi[i]
+            under = lo[i] - r
+            v = over if over >= under else under
+            if v > maxv:
+                maxv = v
+            if v > tol:
+                moves += 1
+                coef = lam * v / norm2[i]
+                if over >= under:
+                    x -= coef * A[i]
+                    beta = hi[i]
+                else:
+                    x += coef * A[i]
+                    beta = -lo[i]
+                b += coef * (beta + tol)
+                size += coef * (abs(beta) + tol)
+                steps += coef * math.sqrt(norm2[i])
+        return maxv, moves, (float(b), float(size), float(steps)), A.shape[0]
+
+    return sweep
+
+
+REFERENCE_DOT = {"c": _python_dot, "numpy": _numpy_dot}
+BACKENDS = ["numpy", pytest.param("c", marks=needs_cc)]
+
+
+@pytest.fixture
+def backend(request, restore_backend):
+    """Each screen test runs under both backends; the c one needs cffi."""
+    if request.param == "c":
+        request.getfixturevalue("cffi")
+    _kernels.set_backend(request.param)
+    return request.param
+
+
+def _planted_rows(seed, m=30, n=6):
+    """Rows and unit box rows around a planted point, some sides infinite, and a start point."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n)
+    A = rng.standard_normal((m, n))
+    az = A @ z
+    slack = rng.uniform(0.01, 1.0, (2, m))
+    lo, hi = az - slack[0], az + slack[1]
+    side = rng.integers(3, size=m)
+    lo[side == 1], hi[side == 2] = -np.inf, np.inf
+    # the box: a unit row per column, one side infinite in every third column
+    box_lo, box_hi = z - rng.uniform(0.1, 2.0, n), z + rng.uniform(0.1, 2.0, n)
+    box_lo[::3], box_hi[1::3] = -np.inf, np.inf
+    A = np.ascontiguousarray(np.vstack([A, np.eye(n)]))
+    lo, hi = np.concatenate([lo, box_lo]), np.concatenate([hi, box_hi])
+    return A, lo, hi, np.einsum("ij,ij->i", A, A), z + 3.0 * rng.standard_normal(n)
+
+
+def _assert_same_as_unscreened(backend, A, lo, hi, norm2, x0, count, lam, tol, shift=None):
+    """Screened sweeps give bitwise the reference's iterates, moves, sums and certification.
+
+    Returns the number of rows the screened sweeps evaluated and the number
+    of row visits.
+    """
+    screened = _sweeps(_bind(A, lo, hi, norm2, x0), x0.copy(), count, lam, tol, shift)
+    reference, rows = _unscreened_sweep(REFERENCE_DOT[backend]), _bind(A, lo, hi, norm2, x0)
+    x = x0.copy()
+    for k, ((maxv, moves, sums, _), xs) in enumerate(screened):
+        delta = shift(k) if shift is not None else None
+        if delta is not None:
+            x += delta
+        ref_maxv, ref_moves, ref_sums, _ = reference(A, rows, x, lam, tol)
+        assert xs.tobytes() == x.tobytes(), k
+        assert (moves, sums) == (ref_moves, ref_sums), k
+        assert (maxv <= tol) == (ref_maxv <= tol), k
+        assert maxv <= ref_maxv
+    return sum(r[0][3] for r in screened), count * A.shape[0]
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("tol", [1e-8, 0.0])
+def test_screened_sweeps_equal_unscreened(backend, seed, tol):
+    A, lo, hi, norm2, x0 = _planted_rows(seed)
+    evaluated, visits = _assert_same_as_unscreened(backend, A, lo, hi, norm2, x0, 60, 1.5, tol)
+    # the screen skips rows here, so the comparison tests it
+    assert evaluated < 0.7 * visits
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.mark.parametrize("seed", [4, 5])
+def test_screened_sweeps_follow_a_shifted_x(backend, seed):
+    # x jumps before some sweeps, by up to 0.5 per coordinate, as a
+    # superiorization perturbation moves it; the path sum takes each jump
+    A, lo, hi, norm2, x0 = _planted_rows(seed)
+    rng = np.random.default_rng(seed)
+    shifts = {k: rng.uniform(-0.5, 0.5, x0.shape[0]) for k in (5, 9, 10, 20, 30)}
+    evaluated, visits = _assert_same_as_unscreened(backend, A, lo, hi, norm2, x0, 40, 1.5, 1e-8,
+                                                   shifts.get)
+    assert evaluated < 0.8 * visits
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_screen_skips_a_slack_just_above_its_margin(backend):
+    # probes -y0 <= c_j, then the mover y0 <= 0, from y = (1, 0), tol 0,
+    # lam 1: the mover steps y0 to 0 after the probes' evaluation, so on the
+    # second sweep each probe's slack is exactly c_j, and its margin is
+    # rel ((|a|_1 + |a|_2)(|x0|_2 + P) + |a|_2 P + |v| + |c_j|), about
+    # 2^-30 (2 * 2 + 1 + 1) with |x0|_2 = P = 1 and |v| = 1 + c_j
+    rel = _kernels.screen_rtol(2, 0)
+    margin = rel * (2.0 * 2.0 + 1.0 + 1.0)
+    c = margin * np.array([0.5, 0.9, 0.99, 1.01, 1.1, 2.0])
+    A = np.ascontiguousarray([[-1.0, 0.0]] * c.shape[0] + [[1.0, 0.0]])
+    lo, hi = np.full(A.shape[0], -np.inf), np.append(c, 0.0)
+    norm2 = np.ones(A.shape[0])
+    x0 = np.array([1.0, 0.0])
+    _assert_same_as_unscreened(backend, A, lo, hi, norm2, x0, 3, 1.0, 0.0)
+    rows = _bind(A, lo, hi, norm2, x0)
+    (_, first), (second, x), _ = _sweeps(rows, x0.copy(), 3, 1.0, 0.0)
+    assert first.tolist() == [0.0, 0.0] and x.tolist() == [0.0, 0.0]
+    # the three probes within their margin and the mover are evaluated, the
+    # three beyond it skipped; nothing moves and the sweep certifies
+    assert second[:2] == (0.0, 0) and second[3] == 4
+    assert rows.screen[:3, 0].tolist() == (-c[:3]).tolist()
+    assert rows.screen[3:6, 0].tolist() == (-1.0 - c[3:]).tolist()
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_solves_equal_unscreened(backend, monkeypatch):
+    # a superiorized CSPM solve over rows, an oracle constraint, the box and
+    # the level: every iterate as with the unscreened sweep, fewer projections
+    A, lo, hi, norm2, x0 = _planted_rows(6, m=20, n=5)
+    rows = [AffineConstraint(a, l, h) for a, l, h in zip(A[:20], lo[:20], hi[:20])]
+    ball = QuadraticFunction(np.eye(5), np.zeros(5), -8.0)  # |y|_2 <= 4
+    box = Bounds(lo[20:], hi[20:])
+    objective = QuadraticFunction(np.eye(5), np.ones(5))
+    spec = SolverSpec(sup=SuperiorizationConfig(N=2), max_sweeps=200)
+    runs = []
+    for sweep in (_kernels.cspm_sweep, _unscreened_sweep(REFERENCE_DOT[backend])):
+        monkeypatch.setattr(_kernels, "cspm_sweep", sweep)
+        history = []
+        out = cfp_solve([*rows[:10], ball, *rows[10:]], x0, spec, history=history, bounds=box,
+                        objective=objective, t=6.0)
+        runs.append((out, history))
+    (out, history), (ref, ref_history) = runs
+    assert [x.tobytes() for x in history] == [x.tobytes() for x in ref_history]
+    assert (out.found, out.infeasibility_certified, out.sweeps, out.moves, out.obj_evals) == (
+        ref.found, ref.infeasibility_certified, ref.sweeps, ref.moves, ref.obj_evals)
+    assert out.sweeps > 10 and out.projections < 0.5 * ref.projections
+
+
 @needs_cc
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cspm_step_sums_backend_agreement(seed, cffi, restore_backend):
@@ -79,9 +278,8 @@ def test_cspm_step_sums_backend_agreement(seed, cffi, restore_backend):
     results = {}
     for backend in ("c", "numpy"):
         _kernels.set_backend(backend)
-        x, passes = x0.copy(), []
-        for _ in range(50):
-            passes.append(_kernels.cspm_sweep(A, lo, hi, norm2, x, 1.5, 1e-8))
+        x = x0.copy()
+        passes = [result for result, _ in _sweeps(_bind(A, lo, hi, norm2, x0), x, 50, 1.5, 1e-8)]
         results[backend] = (x, passes)
     (xa, pa), (xb, pb) = results["c"], results["numpy"]
     assert [p[1] for p in pa] == [p[1] for p in pb]
@@ -162,26 +360,32 @@ def test_c_kernels_update_in_place_and_validate(cffi, restore_backend):
     A = np.array([[1.0]])
     lo, hi, norm2 = np.array([0.0]), np.array([2.0]), np.array([1.0])
     x = np.array([5.0])
-    assert _kernels.cspm_sweep(A, lo, hi, norm2, x, 1.0, 1e-8)[:2] == (3.0, 1)
-    assert x[0] == 2.0
+    rows = _bind(A, lo, hi, norm2, x)
+    assert _kernels.cspm_sweep(A, rows, x, 1.0, 1e-8) == (3.0, 1, (3.0 * (2.0 + 1e-8),) * 2 + (3.0,), 1)
+    assert x[0] == 2.0 and rows.path[0] == 3.0
     x, sums = np.array([5.0]), np.zeros(3)
     kept = _kernels.art3_pass(A, lo, hi, norm2, x, np.array([0], dtype=np.int64), 1e-8, sums)
     assert list(kept) == [0] and x[0] == 1.0
     assert sums == pytest.approx([4.0 * (2.0 + 1e-8), 4.0 * (2.0 + 1e-8), 4.0])
     with pytest.raises(TypeError):
-        _kernels.cspm_sweep(A, lo, hi, norm2, np.array([5.0], dtype=np.float32), 1.0, 1e-8)
+        _kernels.cspm_sweep(A, rows, np.array([5.0], dtype=np.float32), 1.0, 1e-8)
     I2, ones = np.eye(2), np.ones(2)
     with pytest.raises(TypeError):
-        _kernels.cspm_sweep(I2, -ones, ones, ones, np.zeros(4)[::2], 1.0, 1e-8)
+        _kernels.cspm_sweep(I2, _bind(I2, -ones, ones, ones, ones), np.zeros(4)[::2], 1.0, 1e-8)
     with pytest.raises(TypeError):
-        _kernels.cspm_sweep(np.asfortranarray(np.ones((2, 2))), -ones, ones, ones, np.zeros(2),
-                            1.0, 1e-8)
+        _bind(np.asfortranarray(np.ones((2, 2))), -ones, ones, ones, ones)
+    with pytest.raises(ValueError):
+        _bind(I2, -ones, ones, np.ones(3), ones)
+    with pytest.raises(ValueError):
+        _kernels.CspmRows(A, lo, hi, norm2, np.zeros(2))
     frozen = np.array([5.0])
     frozen.setflags(write=False)
     with pytest.raises(ValueError):
-        _kernels.cspm_sweep(A, lo, hi, norm2, frozen, 1.0, 1e-8)
+        _kernels.cspm_sweep(A, rows, frozen, 1.0, 1e-8)
     with pytest.raises(ValueError):
-        _kernels.cspm_sweep(A, lo, hi, norm2, np.array([5.0, 0.0]), 1.0, 1e-8)
+        _kernels.cspm_sweep(A, rows, np.array([5.0, 0.0]), 1.0, 1e-8)
+    with pytest.raises(ValueError):
+        _kernels.cspm_sweep(A.copy(), rows, np.array([5.0]), 1.0, 1e-8)
     x = np.array([5.0])
     with pytest.raises(IndexError):
         _kernels.art3_pass(A, lo, hi, norm2, x, np.array([0, 1], dtype=np.int64), 1e-8, sums)
@@ -249,15 +453,18 @@ def test_numpy_kernel_semantics_by_hand():
     A = np.array([[1.0]])
     lo, hi, norm2 = np.array([0.0]), np.array([2.0]), np.array([1.0])
     x = np.array([5.0])
-    maxv, moves, _ = _kernels._cspm_sweep_numpy(A, lo, hi, norm2, x, 1.0, 1e-8)
+    maxv, moves, _, evaluated = _kernels._cspm_sweep_numpy(A, _bind(A, lo, hi, norm2, x), x, 1.0,
+                                                           1e-8)
     assert maxv == pytest.approx(3.0)
-    assert moves == 1
+    assert moves == evaluated == 1
     assert x == pytest.approx([2.0])
     # the step sums: mu = 3 off the upper face x <= 2 (beta = 2, |h| = 1),
     # and mu = 1.5 (lam 0.5) off the lower face -x <= 0 from x = -3
-    _, _, sums = _kernels._cspm_sweep_numpy(A, lo, hi, norm2, np.array([5.0]), 1.0, 1e-8)
+    x = np.array([5.0])
+    _, _, sums, _ = _kernels._cspm_sweep_numpy(A, _bind(A, lo, hi, norm2, x), x, 1.0, 1e-8)
     assert sums == pytest.approx((3.0 * (2.0 + 1e-8), 3.0 * (2.0 + 1e-8), 3.0))
-    _, _, sums = _kernels._cspm_sweep_numpy(A, lo, hi, norm2, np.array([-3.0]), 0.5, 1e-8)
+    x = np.array([-3.0])
+    _, _, sums, _ = _kernels._cspm_sweep_numpy(A, _bind(A, lo, hi, norm2, x), x, 0.5, 1e-8)
     assert sums == pytest.approx((1.5 * 1e-8, 1.5 * 1e-8, 1.5), rel=1e-12, abs=0)
 
 

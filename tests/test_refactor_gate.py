@@ -23,9 +23,18 @@ def test_every_differing_cell_is_named():
     new = OLD.replace('"1.0", 10', '"1.0", 11').replace('"case1"', '"raised"')
     lines = refactor_gate.differences(OLD, new).split("\n")
     assert lines[0] == "2 of 5 lines differ: P0/ls_cspm, P1/ls_cspm"
-    assert lines[1].strip() == '- "P0/ls_cspm": ["case2-or-3", "1.0", 10, 3, 2],'
-    assert lines[2].strip() == '+ "P0/ls_cspm": ["case2-or-3", "1.0", 11, 3, 2],'
-    assert len(lines) == 3
+    assert lines[1].strip() == "cells per field: status 1, projections 1"
+    assert lines[2].strip() == '- "P0/ls_cspm": ["case2-or-3", "1.0", 10, 3, 2],'
+    assert lines[3].strip() == '+ "P0/ls_cspm": ["case2-or-3", "1.0", 11, 3, 2],'
+    assert len(lines) == 4
+
+
+def test_counter_only_changes_read_as_such():
+    new = OLD.replace('"1.0", 10', '"1.0", 4').replace('"1.5", 20', '"1.5", 9')
+    lines = refactor_gate.differences(OLD, new).split("\n")
+    assert lines[1].strip() == "cells per field: projections 2"
+    raised = OLD.replace('["case1", "None", 5, 0, 0]', '["raised", "ValueError: x"]')
+    assert refactor_gate.differences(OLD, raised).split("\n")[1].strip() == "cells per field: status 1"
 
 
 def test_digest_lines_are_named_by_file():

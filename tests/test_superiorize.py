@@ -214,6 +214,24 @@ class TestAlgorithmContract:
         assert out.infeasibility_certified and not out.found
         assert out.sweeps == 1
 
+    def test_perturbation_across_a_satisfied_row_is_swept(self):
+        # rows y0 <= 1/4, then y1 >= 1/64, from y = (-1, 0), superiorizing
+        # f = -y0: the perturbation before sweep 0 steps y0 to 0, where the
+        # first row holds with slack 1/4, and sweep 0 moves only y1, by 3/128.
+        # The one before sweep 1 steps y0 to 1/2: the row screen must take
+        # that jump as path and evaluate the first row, which steps y0 by
+        # 1.5 * 1/4 to 1/8
+        rows = [AffineConstraint.leq([1.0, 0.0], 0.25), AffineConstraint.geq([0.0, 1.0], 2.0**-6)]
+        trace, history, counters = PerturbationTrace(), [], Counters()
+        out = cfp_solve(rows, [-1.0, 0.0], SolverSpec(sup=SuperiorizationConfig(N=1)), counters,
+                        history, Bounds([-10.0, -10.0], [10.0, 10.0]),
+                        QuadraticFunction(np.zeros((2, 2)), [-1.0, 0.0]), trace=trace)
+        assert [(k, z.tolist()) for k, _, _, z, _ in trace.accepted[:2]] == [
+            (0, [0.0, 0.0]), (1, [0.5, 1.5 * 2.0**-6])]
+        assert history[0].tolist() == [0.0, 1.5 * 2.0**-6]
+        assert history[1].tolist() == [0.125, 1.5 * 2.0**-6]
+        assert out.found and out.x[0] <= 0.25 + 1e-8
+
 
 class TestThroughCfpWithLevel:
     def test_superiorized_spec_counts_merit_evals(self):
