@@ -12,9 +12,9 @@ run, its rows print ``n/a``.
 A second table times single ``cspm_sweep`` and ``art3_pass`` calls (the
 latter over a queue of every row) in ns per row, at m=120/n=60 and at the
 ``--m``/``--n`` size; every call also sums the steps that the emptiness
-certificate of :mod:`cfpopt.feasibility` reads.  Each ``cspm_sweep`` call is
-the first pass of a fresh row binding, whose screen evaluates every row.  ``moved`` is the share of
-rows that moved x.
+certificate of :mod:`cfpopt.feasibility` reads.  Each call is the first pass
+of a fresh row binding, whose screen evaluates every row.  ``moved`` is the
+share of rows that moved x.
 
 Usage:
     python benchmarks/backend_bench.py [--n 400] [--m 600] [--repeats 3]
@@ -65,16 +65,16 @@ def kernel_ns_per_row(kernel, m, n, seed, repeats):
     A = np.ascontiguousarray([r.a for r in rows])
     lo, hi = np.array([r.lo for r in rows]), np.array([r.hi for r in rows])
     norm2 = np.array([r.norm2 for r in rows])
-    queue, sums = np.arange(m, dtype=np.int64), np.zeros(3)
+    queue, out = np.arange(m, dtype=np.int64), np.zeros(4)
 
     def bind():
-        return _kernels.CspmRows(A, lo, hi, norm2, np.zeros(3)) if kernel == "cspm" else None
+        return _kernels.Rows(A, lo, hi, norm2, np.zeros(3))
 
     def call(x, rows):
         """One pass from x; returns the number of rows that moved."""
         if kernel == "cspm":
             return _kernels.cspm_sweep(A, rows, x, 1.5, 1e-8)[1]
-        return _kernels.art3_pass(A, lo, hi, norm2, x, queue, 1e-8, sums).shape[0]
+        return _kernels.art3_pass(A, rows, x, 1e-8, out, queue).shape[0]
 
     for _ in range(3):  # start where some rows still move and some hold
         call(x0, bind())

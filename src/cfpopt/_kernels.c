@@ -9,6 +9,15 @@
  *
  * A is row-major m x n; lo, hi and norm2 have m entries; x has n entries and
  * is updated in place.
+ *
+ * Both passes screen their rows.  Row i owns screen[5i .. 5i+5): its
+ * violation v_i = max(r - hi_i, lo_i - r) at its last evaluation, the path
+ * sum P_i then (v_i = +inf before the first one), |A_i|_2 computed from A,
+ * |A_i|_1 + |A_i|_2, and the larger finite one of |lo_i|, |hi_i| (plus a
+ * floor).  path[0] is the path sum P of the solve, which every step adds
+ * coef * |h|_2 to (the passes add it for their moves), path[1] is |x0|_2 and
+ * path[2] the relative slack rel of the margin, whose bound is derived at
+ * screen_rtol in _kernels.py.
  */
 
 #include <math.h>
@@ -34,6 +43,18 @@ static void row_add(double *x, double coef, const double *a, int64_t n)
         x[j] += coef * a[j];
 }
 
+/* True when the screen state s of a row proves it satisfied at path sum P:
+ * v_i + |A_i|_2 (P - P_i) + margin <= tol.  The row would then measure
+ * itself satisfied, in either pass's test, and make no move, so skipping it
+ * changes no bit of x, of the moves, of the sums or of whether the pass
+ * certifies. */
+static int screened(const double *s, double P, double x0n, double rel, double tol)
+{
+    double bound = s[0] + s[2] * (P - s[1]);
+    bound += rel * (s[3] * (x0n + P) + s[2] * P + fabs(s[0]) + s[4]);
+    return bound <= tol;
+}
+
 /* One cyclic pass of relaxed projections onto lo_i <= A_i . x <= hi_i.
  * Returns the number of rows whose violation exceeded tol (each of which
  * moved x), stores the largest violation among the rows evaluated in out[0]
@@ -43,19 +64,8 @@ static void row_add(double *x, double coef, const double *a, int64_t n)
  * (h = A_i, beta = hi_i above the slab; h = -A_i, beta = -lo_i below it).
  * For the emptiness test of the caller (feasibility.py), the pass stores the
  * sums of coef * (beta + tol), coef * (|beta| + tol) and coef * |h| over the
- * moved rows in out[1], out[2] and out[3].
- *
- * The screen skips a row whose violation provably cannot exceed tol.  Row i
- * owns screen[5i .. 5i+5): its violation v_i at its last evaluation, the
- * path sum P_i then (v_i = +inf before the first one), |A_i|_2 computed from
- * A, |A_i|_1 + |A_i|_2, and the larger finite one of |lo_i|, |hi_i| (plus a
- * floor).  path[0] is the path sum P of the solve, which every step adds
- * coef * |h|_2 to (this pass adds it for its moves), path[1] is |x0|_2 and
- * path[2] the relative slack rel of the margin, whose bound is derived at
- * screen_rtol in _kernels.py.  The row is skipped when
- * v_i + |A_i|_2 (P - P_i) + margin <= tol: it would have measured v <= tol
- * and made no move, so skipping it changes no bit of x, of the moves, of the
- * sums or of whether the pass certifies. */
+ * moved rows in out[1], out[2] and out[3].  A row the screen proves
+ * satisfied is skipped. */
 int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
                        const double *norm2, double *screen, double *path, double *x,
                        int64_t m, int64_t n, double lam, double tol, double *out,
@@ -68,9 +78,7 @@ int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
     int64_t moves = 0, seen = 0;
     for (int64_t i = 0; i < m; i++) {
         double *s = screen + 5 * i;
-        double bound = s[0] + s[2] * (P - s[1]);
-        bound += rel * (s[3] * (x0n + P) + s[2] * P + fabs(s[0]) + s[4]);
-        if (bound <= tol)
+        if (screened(s, P, x0n, rel, tol))
             continue;
         seen++;
         const double *a = A + i * n;
@@ -112,51 +120,64 @@ int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
  * violated at their visit to kept and returns how many there are, or -1,
  * before touching x, when a queue entry is outside [0, m).
  *
- * A moved row steps x by -coef * h with coef >= 0 off its violated side
- * h . y <= beta (h = A_i, beta = hi_i above the interval; h = -A_i,
- * beta = -lo_i below it), whether it reflects or projects onto the
- * midline.  As in cfp_cspm_sweep, the pass stores the sums of
- * coef * (beta + tol), coef * (|beta| + tol) and coef * |h| over the moved
- * rows in out[0], out[1] and out[2]. */
+ * A row is satisfied when lo_i - tol <= A_i . x <= hi_i + tol.  A moved row
+ * steps x by -coef * h with coef >= 0 off its violated side h . y <= beta
+ * (h = A_i, beta = hi_i above the interval; h = -A_i, beta = -lo_i below
+ * it), whether it reflects or projects onto the midline.  As in
+ * cfp_cspm_sweep, the pass stores the sums of coef * (beta + tol),
+ * coef * (|beta| + tol) and coef * |h| over the moved rows in out[0], out[1]
+ * and out[2], and the number of rows evaluated in out[3].  A row the screen
+ * proves satisfied is skipped, as if it had been found satisfied. */
 int64_t cfp_art3_pass(const double *A, const double *lo, const double *hi,
-                      const double *norm2, double *x, int64_t m, int64_t n,
-                      const int64_t *queue, int64_t nq, double tol, int64_t *kept,
-                      double *out)
+                      const double *norm2, double *screen, double *path, double *x,
+                      int64_t m, int64_t n, const int64_t *queue, int64_t nq, double tol,
+                      int64_t *kept, double *out)
 {
     for (int64_t qi = 0; qi < nq; qi++)
         if (queue[qi] < 0 || queue[qi] >= m)
             return -1;
     double b = 0.0, size = 0.0, steps = 0.0;
-    int64_t nk = 0;
+    double P = path[0];
+    const double x0n = path[1], rel = path[2];
+    int64_t nk = 0, seen = 0;
     for (int64_t qi = 0; qi < nq; qi++) {
         int64_t i = queue[qi];
+        double *s = screen + 5 * i;
+        if (screened(s, P, x0n, rel, tol))
+            continue;
+        seen++;
         const double *a = A + i * n;
         double r = row_dot(a, x, n);
+        double over = r - hi[i];
+        double under = lo[i] - r;
+        s[0] = over >= under ? over : under;
+        s[1] = P;
         if (lo[i] - tol <= r && r <= hi[i] + tol)
             continue;
         kept[nk++] = i;
         double width = hi[i] - lo[i];
         double coef, beta;
         if (r > hi[i]) {
-            double viol = r - hi[i];
             /* reflect across the upper face, or project onto the midline */
-            coef = viol <= width ? 2.0 * viol / norm2[i]
+            coef = over <= width ? 2.0 * over / norm2[i]
                                  : (r - 0.5 * (lo[i] + hi[i])) / norm2[i];
             row_sub(x, coef, a, n);
             beta = hi[i];
         } else {
-            double viol = lo[i] - r;
-            coef = viol <= width ? 2.0 * viol / norm2[i]
-                                 : (0.5 * (lo[i] + hi[i]) - r) / norm2[i];
+            coef = under <= width ? 2.0 * under / norm2[i]
+                                  : (0.5 * (lo[i] + hi[i]) - r) / norm2[i];
             row_add(x, coef, a, n);
             beta = -lo[i];
         }
         b += coef * (beta + tol);
         size += coef * (fabs(beta) + tol);
         steps += coef * sqrt(norm2[i]);
+        P += coef * s[2];
     }
+    path[0] = P;
     out[0] = b;
     out[1] = size;
     out[2] = steps;
+    out[3] = (double)seen;
     return nk;
 }

@@ -6,23 +6,25 @@ row loop is the hot spot on packed affine systems.  Both backends implement
 the same row-by-row arithmetic:
 
 * ``cspm_sweep``: one full cyclic pass of relaxed projections onto the slabs
-  ``lo_i <= A_i . x <= hi_i`` of a :class:`CspmRows` binding; returns the
+  ``lo_i <= A_i . x <= hi_i`` of a :class:`Rows` binding; returns the
   largest violation among the rows it evaluated, the number of rows that
   moved ``x``, the sums over the moved rows that the emptiness test of
   :mod:`cfpopt.feasibility` aggregates (see ``_cspm_sweep_numpy``), and the
-  number of rows it evaluated.  Its screen skips the rows that the state kept
-  in the binding proves satisfied (see :func:`screen_rtol`), with the same
-  iterate, moves and sums as a pass that evaluates every row.
+  number of rows it evaluated.
 * ``art3_pass``: one pass of the automatic-relaxation rule over a work queue
-  of row indices (reflect when the overshoot is at most the interval width,
-  project onto the midline hyperplane when it is larger); returns the indices
-  that were violated at their visit, and writes the same three step sums as
-  ``cspm_sweep`` into the caller's float64 array ``out`` (see
+  of row indices of a :class:`Rows` binding (reflect when the overshoot is at
+  most the interval width, project onto the midline hyperplane when it is
+  larger); returns the indices that were violated at their visit, and writes
+  the same three step sums as ``cspm_sweep``, then the number of rows it
+  evaluated, into the caller's float64 array ``out`` (see
   ``_art3_pass_numpy``).
 
-Both update ``x`` in place.  The backends differ only in how a row's dot
-product is summed (left to right in C, in numpy's order otherwise), so their
-iterates agree to rounding noise.
+Both screen their rows: a row that the state kept in the binding proves
+satisfied (see :func:`screen_rtol`) is skipped, with the same iterate, moves,
+kept rows and sums as a pass that evaluates every row.  Both update ``x`` in
+place.  The backends differ only in how a row's dot product is summed (left
+to right in C, in numpy's order otherwise), so their iterates agree to
+rounding noise.
 
 Backends:
 
@@ -36,9 +38,9 @@ Backends:
   processes load the cached library; a build deletes the libraries of other
   source versions from the cache.  The wrappers accept only C-contiguous
   float64 arrays (int64 for the queue), and ``x`` must be writable.  A
-  ``CspmRows`` binding validates its arrays once and keeps their cffi
-  pointers, and those of the last ``x`` it swept, so that a sweep of the
-  same iterate array converts nothing.
+  ``Rows`` binding validates its arrays once and keeps their cffi pointers,
+  and those of the last ``x`` it swept, so that a pass over the same
+  iterate array converts none of them.
 * ``numpy`` is the reference the tests hold ``c`` to, and the fallback.
 
 Backend selection: the ``CFPOPT_BACKEND`` environment variable may be set to
@@ -71,7 +73,7 @@ __all__ = [
     "active_backend",
     "set_backend",
     "available_backends",
-    "CspmRows",
+    "Rows",
     "screen_rtol",
     "cspm_sweep",
     "art3_pass",
@@ -93,9 +95,9 @@ int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
                        int64_t m, int64_t n, double lam, double tol, double *out,
                        int64_t *evaluated);
 int64_t cfp_art3_pass(const double *A, const double *lo, const double *hi,
-                      const double *norm2, double *x, int64_t m, int64_t n,
-                      const int64_t *queue, int64_t nq, double tol, int64_t *kept,
-                      double *out);
+                      const double *norm2, double *screen, double *path, double *x,
+                      int64_t m, int64_t n, const int64_t *queue, int64_t nq, double tol,
+                      int64_t *kept, double *out);
 """
 
 
@@ -153,13 +155,32 @@ def screen_rtol(n: int, events: int) -> float:
     * The test.  Its three sums and two products round by at most
       3 u |v_i| + 4 u s_i P + u M, M the margin, and s_i is within
       gamma_{n+1} of |a_i|_2.
+    * ART3+.  ``art3_pass`` records v_i as above, but finds a row
+      satisfied when ``lo_i - tol <= r <= hi_i + tol``.  Let R be the exact
+      ``a_i . y`` now (|R| <= l_i Y) and d = hi_i + tol - R, so d >= tol -
+      v* with v* the exact violation now.  Then fl(hi_i + tol) >= R + d -
+      u (|R| + d) and r <= R + gamma_n l_i Y, so r <= fl(hi_i + tol) once
+      d >= 0 and d (1 - u) >= gamma_{n+1} l_i Y: once v* <= tol -
+      gamma_{n+2} l_i Y.  The lower side is the same with d = R - lo_i +
+      tol.  The rounding of ``hi_i + tol`` is relative to |R| + d, not to
+      tol, so tol needs no term of its own, and where CSPM's test needs
+      v* <= tol - gamma_{n+1} l_i Y - u m_i (Evaluation), ART3+'s needs
+      v* <= tol - gamma_{n+2} l_i Y: one bound serves both.  Its moves are
+      steps as in Movement, with coef >= 0: a row that fails the test has
+      r > hi_i or r < lo_i (tol >= 0), so a reflection's coef, 2 fl(r -
+      hi_i) or 2 fl(lo_i - r) over |a_i|_2^2, is nonnegative, and rounding
+      is monotone, so lo_i <= fl(0.5 (lo_i + hi_i)) <= hi_i (``Rows``
+      requires lo_i <= hi_i) and the midline's coef is nonnegative too.
+      Each adds fl(coef s_i) to P, and the unrelaxed level visit adds its
+      step as any oracle step does.
 
-    So v now exceeds the computed left side by at most 3 u |v_i| +
-    8 (n + K + 4) u s_i P + 3.3 K u s_i X + 2.3 (n + 1) u l_i X + 2 u m_i
-    - M (1 - u), which is not positive once rel >= 16 (n + K + 4) u: each
-    term is at most half its share of M.  The floor in m_i covers gradual
-    underflow.  An infinite or NaN term makes the test false, so such a row
-    is evaluated; past 2^40 updates the slack is infinite and every row is.
+    So v now (for ART3+, v* plus gamma_{n+2} l_i Y) exceeds the computed
+    left side by at most 3 u |v_i| + 8 (n + K + 4) u s_i P + 3.3 K u s_i X
+    + 2.3 (n + 2) u l_i X + 2 u m_i - M (1 - u), which is not positive once
+    rel >= 16 (n + K + 4) u: each term is at most half its share of M.  The
+    floor in m_i covers gradual underflow.  An infinite or NaN term makes
+    the test false, so such a row is evaluated; past 2^40 updates the slack
+    is infinite and every row is.
     """
     if n + events > 2**40:
         return math.inf
@@ -170,10 +191,12 @@ def _finite_abs(v: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(v), np.abs(v), 0.0)
 
 
-class CspmRows:
-    """Packed rows bound for the ``cspm_sweep`` calls of one solve, with their screen state.
+class Rows:
+    """Packed rows bound for the ``cspm_sweep`` or ``art3_pass`` calls of one solve, with their screen state.
 
-    ``A`` (m x n), ``lo``, ``hi`` and ``norm2`` are validated once.  Row i
+    ``A`` (m x n), ``lo``, ``hi`` and ``norm2`` are validated once, and
+    every row must have ``lo_i <= hi_i`` (the sign of an ART3+ midline step
+    depends on it, see :func:`screen_rtol`).  Row i
     owns ``screen[i]``: its violation at its last evaluation (+inf before
     the first), the path sum then, its computed ``|a_i|_2``, ``|a_i|_1 +
     |a_i|_2``, and the larger finite one of ``|lo_i|``, ``|hi_i|`` plus a
@@ -189,7 +212,14 @@ class CspmRows:
     __slots__ = ("A", "lo", "hi", "norm2", "screen", "path", "_c")
 
     def __init__(self, A, lo, hi, norm2, path):
-        m, _ = _check_rows(A, lo, hi, norm2)
+        _check(A, "A", np.float64, 2)
+        m = A.shape[0]
+        for name, v in (("lo", lo), ("hi", hi), ("norm2", norm2)):
+            _check(v, name, np.float64, 1)
+            if v.shape[0] != m:
+                raise ValueError(f"{name} has {v.shape[0]} entries for {m} rows")
+        if not (lo <= hi).all():
+            raise ValueError("every row needs lo <= hi, neither of them NaN")
         _check(path, "path", np.float64, 1)
         if path.shape[0] != 3 or not path.flags.writeable:
             raise ValueError("path must be a writable array of 3 entries")
@@ -204,6 +234,18 @@ class CspmRows:
         self.A, self.lo, self.hi, self.norm2 = A, lo, hi, norm2
         self.screen, self.path = screen, path
         self._c = None
+
+
+def _screened(s, P, x0n, rel, tol) -> bool:
+    """True when a row's screen state ``s`` (a list) proves it satisfied at path sum ``P``.
+
+    ``screened`` of ``_kernels.c``: ``v_i + s_i (P - P_i) + margin <= tol``,
+    with the margin that :func:`screen_rtol` derives.
+    """
+    v_i, P_i, s_i, w_i, m_i = s
+    bound = v_i + s_i * (P - P_i)
+    bound += rel * (w_i * (x0n + P) + s_i * P + abs(v_i) + m_i)
+    return bound <= tol
 
 
 def _cspm_sweep_numpy(A, rows, x, lam, tol):
@@ -222,10 +264,8 @@ def _cspm_sweep_numpy(A, rows, x, lam, tol):
     moves = seen = 0
     b = size = steps = 0.0
     for i in range(A.shape[0]):
-        v_i, P_i, s_i, w_i, m_i = screen[i].tolist()
-        bound = v_i + s_i * (P - P_i)
-        bound += rel * (w_i * (x0n + P) + s_i * P + abs(v_i) + m_i)
-        if bound <= tol:
+        s = screen[i].tolist()
+        if _screened(s, P, x0n, rel, tol):
             continue
         seen += 1
         r = float(A[i] @ x)
@@ -248,44 +288,54 @@ def _cspm_sweep_numpy(A, rows, x, lam, tol):
             b += coef * (beta + tol)
             size += coef * (abs(beta) + tol)
             steps += coef * math.sqrt(norm2[i])
-            P += float(coef) * s_i
+            P += float(coef) * s[2]
     path[0] = P
     return maxv, moves, (float(b), float(size), float(steps)), seen
 
 
-def _art3_pass_numpy(A, lo, hi, norm2, x, queue, tol, out):
-    """One ART3+ pass over the rows in ``queue``; returns the rows violated at their visit.
+def _art3_pass_numpy(A, rows, x, tol, out, queue):
+    """One screened ART3+ pass over the rows in ``queue``; returns the rows violated at their visit.
 
     A moved row steps ``x`` by ``-coef * h`` with ``coef >= 0``, reflecting
     or projecting onto the midline, off its violated side ``h . y <= beta``
     (``h = A_i, beta = hi_i`` above the interval, ``h = -A_i, beta = -lo_i``
     below it).  ``out[:3]`` receives the sums of ``coef * (beta + tol)``,
-    ``coef * (|beta| + tol)`` and ``coef * |h|`` over the moved rows.
+    ``coef * (|beta| + tol)`` and ``coef * |h|`` over the moved rows, and
+    ``out[3]`` the number of rows evaluated.  A row the screen proves
+    satisfied is skipped, as in ``cfp_art3_pass``, as if it had been found
+    satisfied.
     """
+    lo, hi, norm2, screen, path = rows.lo, rows.hi, rows.norm2, rows.screen, rows.path
+    P, x0n, rel = path.tolist()
     kept = np.empty(queue.shape[0], dtype=np.int64)
-    nk = 0
+    nk = seen = 0
     b = size = steps = 0.0
-    for qi in range(queue.shape[0]):
-        i = queue[qi]
+    for i in queue.tolist():
+        s = screen[i].tolist()
+        if _screened(s, P, x0n, rel, tol):
+            continue
+        seen += 1
         r = float(A[i] @ x)
+        over = r - hi[i]
+        under = lo[i] - r
+        screen[i, 0] = over if over >= under else under
+        screen[i, 1] = P
         if lo[i] - tol <= r <= hi[i] + tol:
             continue
         kept[nk] = i
         nk += 1
         width = hi[i] - lo[i]
         if r > hi[i]:
-            viol = r - hi[i]
             # reflect across the upper face, or project onto the midline
-            if viol <= width:
-                coef = 2.0 * viol / norm2[i]
+            if over <= width:
+                coef = 2.0 * over / norm2[i]
             else:
                 coef = (r - 0.5 * (lo[i] + hi[i])) / norm2[i]
             x -= coef * A[i]
             beta = hi[i]
         else:
-            viol = lo[i] - r
-            if viol <= width:
-                coef = 2.0 * viol / norm2[i]
+            if under <= width:
+                coef = 2.0 * under / norm2[i]
             else:
                 coef = (0.5 * (lo[i] + hi[i]) - r) / norm2[i]
             x += coef * A[i]
@@ -293,7 +343,9 @@ def _art3_pass_numpy(A, lo, hi, norm2, x, queue, tol, out):
         b += coef * (beta + tol)
         size += coef * (abs(beta) + tol)
         steps += coef * math.sqrt(norm2[i])
-    out[0], out[1], out[2] = b, size, steps
+        P += float(coef) * s[2]
+    path[0] = P
+    out[0], out[1], out[2], out[3] = b, size, steps, seen
     return kept[:nk].copy()
 
 
@@ -385,17 +437,6 @@ def _check(a, name: str, dtype, ndim: int) -> None:
                         f"with {ndim} dimension(s)")
 
 
-def _check_rows(A, lo, hi, norm2) -> tuple[int, int]:
-    """Validate packed rows before their pointers go to C."""
-    _check(A, "A", np.float64, 2)
-    m, n = A.shape
-    for name, v in (("lo", lo), ("hi", hi), ("norm2", norm2)):
-        _check(v, name, np.float64, 1)
-        if v.shape[0] != m:
-            raise ValueError(f"{name} has {v.shape[0]} entries for {m} rows")
-    return m, n
-
-
 def _check_x(x, n: int) -> None:
     """Validate the iterate a kernel updates in place."""
     _check(x, "x", np.float64, 1)
@@ -430,7 +471,8 @@ def _load_c() -> tuple:
                 raise CBuildError(f"cannot load the C kernels from {path}: {exc}") from exc
     buf = ffi.from_buffer
 
-    def cspm_sweep(A, rows, x, lam, tol):
+    def pointers(rows, x):
+        """The cffi pointers of ``rows`` and of ``x``, each validated when it first came."""
         c = rows._c
         if c is None:
             c = rows._c = [None, None, buf("double[]", rows.A), buf("double[]", rows.lo),
@@ -438,26 +480,28 @@ def _load_c() -> tuple:
                            buf("double[]", rows.screen, require_writable=True),
                            buf("double[]", rows.path, require_writable=True),
                            ffi.new("double[4]"), ffi.new("int64_t[1]")]
-        m, n = A.shape
         if x is not c[0]:
             # the pointer holds x's buffer, so x cannot be resized while it is bound
-            _check_x(x, n)
+            _check_x(x, rows.A.shape[1])
             c[0], c[1] = x, buf("double[]", x, require_writable=True)
-        _, xp, a, lo, hi, norm2, screen, path, out, seen = c
+        return c
+
+    def cspm_sweep(A, rows, x, lam, tol):
+        _, xp, a, lo, hi, norm2, screen, path, out, seen = pointers(rows, x)
+        m, n = A.shape
         moves = lib.cfp_cspm_sweep(a, lo, hi, norm2, screen, path, xp, m, n, lam, tol, out, seen)
         return out[0], moves, (out[1], out[2], out[3]), seen[0]
 
-    def art3_pass(A, lo, hi, norm2, x, queue, tol, out):
-        m, n = _check_rows(A, lo, hi, norm2)
-        _check_x(x, n)
+    def art3_pass(A, rows, x, tol, out, queue):
+        _, xp, a, lo, hi, norm2, screen, path, _, _ = pointers(rows, x)
         _check(queue, "queue", np.int64, 1)
         _check(out, "out", np.float64, 1)
-        if out.shape[0] < 3 or not out.flags.writeable:
-            raise ValueError("out must be a writable array of at least 3 entries")
+        if out.shape[0] < 4 or not out.flags.writeable:
+            raise ValueError("out must be a writable array of at least 4 entries")
+        m, n = A.shape
         kept = np.empty(queue.shape[0], dtype=np.int64)
-        nk = lib.cfp_art3_pass(buf("double[]", A), buf("double[]", lo), buf("double[]", hi),
-                               buf("double[]", norm2), buf("double[]", x, require_writable=True),
-                               m, n, buf("int64_t[]", queue), queue.shape[0], tol,
+        nk = lib.cfp_art3_pass(a, lo, hi, norm2, screen, path, xp, m, n,
+                               buf("int64_t[]", queue), queue.shape[0], tol,
                                buf("int64_t[]", kept, require_writable=True),
                                buf("double[]", out, require_writable=True))
         if nk < 0:
@@ -542,6 +586,11 @@ def set_backend(name: str) -> None:
     _active, _impls = _resolve(name)
 
 
+def _check_bound(A, rows) -> None:
+    if A is not rows.A:
+        raise ValueError("A must be the array that rows was bound to")
+
+
 def cspm_sweep(A, rows, x, lam, tol):
     """One screened relaxed-projection pass over ``rows``, in place.
 
@@ -549,14 +598,19 @@ def cspm_sweep(A, rows, x, lam, tol):
     the system's size.  Returns (largest violation among the rows
     evaluated, moves, step sums, rows evaluated).
     """
-    if A is not rows.A:
-        raise ValueError("A must be the array that rows was bound to")
+    _check_bound(A, rows)
     return _current()[0](A, rows, x, lam, tol)
 
 
-def art3_pass(A, lo, hi, norm2, x, queue, tol, out):
-    """One ART3+ pass over ``queue``, in place; returns the rows kept, step sums in ``out[:3]``."""
-    return _current()[1](A, lo, hi, norm2, x, queue, tol, out)
+def art3_pass(A, rows, x, tol, out, queue):
+    """One screened ART3+ pass over the rows of ``rows`` that ``queue`` lists, in place.
+
+    ``A`` is ``rows.A``, as in :func:`cspm_sweep`.  Returns the rows
+    violated at their visit, each of which moved ``x``; writes the step sums
+    to ``out[:3]`` and the number of rows evaluated to ``out[3]``.
+    """
+    _check_bound(A, rows)
+    return _current()[1](A, rows, x, tol, out, queue)
 
 
 def warmup() -> None:
@@ -570,6 +624,6 @@ def warmup() -> None:
     lo = np.array([-np.inf, 0.0])
     hi = np.array([1.0, 1.0])
     norm2 = np.array([1.0, 1.0])
-    cspm_sweep(A, CspmRows(A, lo, hi, norm2, np.zeros(3)), np.array([2.0, -1.0]), 1.0, 1e-8)
-    art3_pass(A, lo, hi, norm2, np.array([2.0, -1.0]), np.arange(2, dtype=np.int64), 1e-8,
-              np.zeros(3))
+    cspm_sweep(A, Rows(A, lo, hi, norm2, np.zeros(3)), np.array([2.0, -1.0]), 1.0, 1e-8)
+    art3_pass(A, Rows(A, lo, hi, norm2, np.zeros(3)), np.array([2.0, -1.0]), 1e-8, np.zeros(4),
+              np.arange(2, dtype=np.int64))

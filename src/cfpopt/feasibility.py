@@ -28,11 +28,12 @@ positive share, and the unrelaxed level visit (lambda = 1) adds
 Runs of affine constraints are packed into dense arrays and swept by the
 kernels in :mod:`cfpopt._kernels`; any other convex constraint is handled
 through its value/subgradient oracle.  The box, a solve's ``bounds``, is
-swept as its coordinate rows after the constraint list.  The CSPM and POCS
-sweeps screen their rows: a row whose last evaluation and the path x has
-travelled since prove it satisfied is skipped, with no change to any
-iterate.  So a solve's ``projections`` counts rows evaluated; a row the
-screen proves satisfied is skipped.
+swept as its coordinate rows after the constraint list.  Every solver kind
+screens its rows: a row whose last evaluation and the path x has travelled
+since prove it satisfied is skipped, with no change to any iterate (ART3+
+drops it from its work queue, as it would a row it found satisfied).  So a
+solve's ``projections`` counts rows evaluated; a row the screen proves
+satisfied is skipped.
 
 The objective level ``f(x) <= t`` of the paper's scheme is a slot of the
 sweeper, not a constraint object: given the objective and a finite level,
@@ -196,24 +197,24 @@ class _Packed:
     @classmethod
     def from_rows(cls, rows: list[AffineConstraint], bounds: Bounds | None = None) -> "_Packed | None":
         """Pack ``rows``, then a unit row per column of ``bounds`` with a finite bound; None if no row."""
-        A = [r.a for r in rows]
         lo = [r.lo for r in rows]
         hi = [r.hi for r in rows]
         norm2 = [r.norm2 for r in rows]
+        cols = np.empty(0, dtype=np.intp)
         if bounds is not None:
             cols = np.flatnonzero(np.isfinite(bounds.lo) | np.isfinite(bounds.hi))
-            A.extend(np.eye(bounds.lo.shape[0])[cols])
             lo.extend(bounds.lo[cols].tolist())
             hi.extend(bounds.hi[cols].tolist())
             norm2.extend([1.0] * cols.shape[0])
-        if not A:
+        if not lo:
             return None
-        return cls(
-            A=np.ascontiguousarray(A, dtype=np.float64),
-            lo=np.array(lo, dtype=np.float64),
-            hi=np.array(hi, dtype=np.float64),
-            norm2=np.array(norm2, dtype=np.float64),
-        )
+        m = len(rows)
+        A = np.zeros((len(lo), rows[0].a.shape[0] if rows else bounds.lo.shape[0]))
+        for i, r in enumerate(rows):
+            A[i] = r.a
+        A[m + np.arange(cols.shape[0]), cols] = 1.0
+        return cls(A=A, lo=np.array(lo, dtype=np.float64), hi=np.array(hi, dtype=np.float64),
+                   norm2=np.array(norm2, dtype=np.float64))
 
 
 def _segment(constraints, bounds: Bounds | None) -> list[tuple[str, object]]:
@@ -314,7 +315,7 @@ class _StepAggregate:
         t, whose violation ``f(x) - t`` rounds relative to |t| too, and 0 for
         a constraint.
         """
-        at = float(xi @ x)
+        at = float(xi.dot(x))
         size = abs(at) + abs(v) + level
         tol = self.tol
         self.add(mu * (at - v + tol), mu * (size + tol), mu * math.sqrt(norm2))
@@ -329,7 +330,7 @@ class _StepAggregate:
         gap = low - self.b
         if gap <= 0.0:
             return False
-        xnorm = math.sqrt(max(self.x0x0, float(x @ x)))
+        xnorm = math.sqrt(max(self.x0x0, float(x.dot(x))))
         # the sums, the box minimum and the found test's dot products round
         # relative to these magnitudes; each x update rounds c by at most a
         # few units of the coordinates it touches
@@ -339,17 +340,29 @@ class _StepAggregate:
 
 
 class _Sweeper:
-    """The sweep bracket and the oracle step both sweepers share.
+    """The sweep bracket, the oracle step and the row screen's path state both sweepers share.
 
     Given the bound box, a sweeper keeps the :class:`_StepAggregate` of its
     steps: :meth:`sweep` opens it before each pass, the pass adds its steps,
     and closing it sets ``empty`` once the aggregate proves the system has no
     tol-feasible point.  Subclasses implement the pass as ``_pass(x, k,
-    agg)``, with ``agg`` None when no box was given.
+    agg)``, with ``agg`` None when no box was given, and set ``updates``, the
+    most x updates one pass makes, a jump before it included.
 
     ``level`` is the objective when the solve has a finite level ``t``, else
     None; the passes visit it with :meth:`_visit`, as they do any oracle
     constraint.
+
+    The packed rows are bound once per solve (:meth:`_bind`, through
+    :class:`cfpopt._kernels.Rows`) and screened: a kernel skips a row that
+    its last evaluation and the path x has travelled since prove satisfied,
+    and evaluates and counts only the others.  The path sum ``path[0]``
+    grows by ``coef * |h|`` for every row, oracle and level step, and by
+    ``|x_in - x_out|_2`` when a sweep starts from a point other than the one
+    the last sweep returned (a superiorization perturbation).  That point is
+    copied into the returned array, so every sweep updates the one array the
+    kernels have bound; an iterate the sweeper returned must not be changed
+    in place between sweeps.
     """
 
     def __init__(self, tol: float, counters: Counters, bounds: Bounds | None,
@@ -362,15 +375,35 @@ class _Sweeper:
         self.certified = False
         self.empty = False
         self.aggregate = _StepAggregate(bounds, self.tol) if bounds is not None else None
-        self.path = None  # the row screen's path state, for the sweepers that screen
+        # the path sum P, |x0|_2 and the margin's relative slack
+        self.path = np.zeros(3)
+        self.rtol_events = -1  # the update count path[2] holds for
+        self.x_out = None
+
+    def _bind(self, packed: _Packed) -> _kernels.Rows:
+        return _kernels.Rows(packed.A, packed.lo, packed.hi, packed.norm2, self.path)
 
     def sweep(self, x: np.ndarray, k: int) -> np.ndarray:
+        path = self.path
+        if k == 0:
+            path[1] = math.sqrt(float(x @ x))
+        elif x is not self.x_out:
+            jump = x - self.x_out
+            path[0] += math.sqrt(float(jump.dot(jump)))
+            self.x_out[:] = x
+            x = self.x_out
+        # the slack for twice the updates so far holds until they double
+        events = self.moves + k + self.updates
+        if events > self.rtol_events:
+            self.rtol_events = 2 * events
+            path[2] = _kernels.screen_rtol(x.shape[0], self.rtol_events)
         agg = self.aggregate
-        if agg is None:
-            return self._pass(x, k, None)
-        agg.begin(x, k)
+        if agg is not None:
+            agg.begin(x, k)
         x = self._pass(x, k, agg)
-        self.empty = agg.end(x, self.moves, k + 1, self.certified) or self.empty
+        if agg is not None:
+            self.empty = agg.end(x, self.moves, k + 1, self.certified) or self.empty
+        self.x_out = x
         return x
 
     def _visit(self, fn: ConvexFunction, x: np.ndarray, lam: float, agg: _StepAggregate | None,
@@ -387,7 +420,9 @@ class _Sweeper:
         v = self.counters.objective(fn, x) - self.t if level else fn.value(x)
         if v > self.tol:
             xi = fn.subgrad(x)
-            norm2 = float(xi @ xi)
+            # ndarray.dot, here and in the other per-sweep products: the same BLAS
+            # ddot as @, at about 1 us less call overhead on these short vectors
+            norm2 = float(xi.dot(xi))
             if norm2 < _NORM2_FLOOR:
                 if not level:
                     raise ZeroSubgradientError(f"violated constraint (value {v}) has zero subgradient")
@@ -398,8 +433,7 @@ class _Sweeper:
                 agg.add_linearization(x, v, xi, norm2, coef, abs(self.t) if level else 0.0)
             x -= coef * xi
             self.moves += 1
-            if self.path is not None:
-                self.path[0] += coef * math.sqrt(norm2)
+            self.path[0] += coef * math.sqrt(norm2)
         return x, v
 
 
@@ -409,55 +443,25 @@ class CyclicSweeper(_Sweeper):
     On affine constraints the subgradient projection is the orthogonal
     projection, so this single sweeper implements both CSPM and POCS.  The
     level, when there is one, is the last element of the cycle, relaxed like
-    the rest.
-
-    The packed rows are bound once (:class:`cfpopt._kernels.CspmRows`) and
-    screened: the kernel skips a row that its last evaluation and the path
-    x has travelled since prove satisfied, and evaluates and counts only the
-    others.  The path sum ``path[0]`` grows by ``coef * |h|`` for every row,
-    oracle and level step, and by ``|x_in - x_out|_2`` when a sweep starts
-    from a point other than the one the last sweep returned (a
-    superiorization perturbation).  That point is copied into the returned
-    array, so every sweep updates the one array the kernels have bound; an
-    iterate the sweeper returned must not be changed in place between
-    sweeps.
+    the rest.  Each packed run of rows is one screened ``cspm_sweep`` call.
     """
 
     def __init__(self, constraints, lam, tol: float, counters: Counters, bounds: Bounds | None = None,
                  objective: ConvexFunction | None = None, t: float = np.inf):
         super().__init__(tol, counters, bounds, objective, t)
-        # the path sum P, |x0|_2 and the margin's relative slack
-        self.path = np.zeros(3)
         self.segments = []
         for tag, seg in _segment(constraints, bounds):
-            if tag == "rows":
-                seg = _kernels.CspmRows(seg.A, seg.lo, seg.hi, seg.norm2, self.path)
-            self.segments.append((tag, seg))
+            self.segments.append((tag, self._bind(seg) if tag == "rows" else seg))
         if self.level is not None:
             self.segments.append(("level", self.level))
         self.certified = not self.segments
         self.lam = lam
-        # the most x updates one sweep makes: a jump at its start and a move per visit
+        # a jump at the start of a sweep and a move per visit
         self.updates = 1 + sum(seg.A.shape[0] if tag == "rows" else 1 for tag, seg in self.segments)
-        self.rtol_events = -1  # the update count path[2] holds for
-        self.x_out = None
 
     def _pass(self, x: np.ndarray, k: int, agg: _StepAggregate | None) -> np.ndarray:
         lam = self.lam
         tol = self.tol
-        path = self.path
-        if k == 0:
-            path[1] = math.sqrt(float(x @ x))
-        elif x is not self.x_out:
-            jump = x - self.x_out
-            path[0] += math.sqrt(float(jump @ jump))
-            self.x_out[:] = x
-            x = self.x_out
-        # the slack for twice the updates so far holds until they double
-        events = self.moves + k + self.updates
-        if events > self.rtol_events:
-            self.rtol_events = 2 * events
-            path[2] = _kernels.screen_rtol(x.shape[0], self.rtol_events)
         maxv = 0.0
         for tag, seg in self.segments:
             if tag == "rows":
@@ -473,7 +477,6 @@ class CyclicSweeper(_Sweeper):
                 if v > maxv:
                     maxv = v
         self.certified = maxv <= tol
-        self.x_out = x
         return x
 
 
@@ -489,6 +492,11 @@ class Art3Sweeper(_Sweeper):
     queue (``level_queued``) and is visited by an unrelaxed subgradient
     projection.
 
+    The rows are one screened ``art3_pass`` binding: a queued row the screen
+    proves satisfied is dropped unevaluated, exactly as if it had been found
+    satisfied, so the queue, the iterates and the certification are those of
+    an unscreened pass, and ``projections`` counts the rows evaluated.
+
     Every step, reflection and midline projection alike, moves x by a
     nonnegative multiple of the normal of the violated side, so the steps
     feed the same :class:`_StepAggregate` as CSPM's.
@@ -498,14 +506,17 @@ class Art3Sweeper(_Sweeper):
                  bounds: Bounds | None = None, objective: ConvexFunction | None = None,
                  t: float = np.inf):
         super().__init__(tol, counters, bounds, objective, t)
-        self.packed = _Packed.from_rows(rows, bounds)
-        m = 0 if self.packed is None else self.packed.A.shape[0]
+        packed = _Packed.from_rows(rows, bounds)
+        self.packed = None if packed is None else self._bind(packed)
+        m = 0 if packed is None else packed.A.shape[0]
         self.full = np.arange(m, dtype=np.int64)
         self.queue = self.full.copy()
         self.level_queued = self.level is not None
         self.moved_since_refill = False
         self.certified = not (m or self.level_queued)
-        self.sums = np.zeros(3)  # the row kernel's step sums of the last pass
+        # a jump at the start of a pass, a move per row and the level's step
+        self.updates = 1 + m + (self.level is not None)
+        self.out = np.zeros(4)  # the row kernel's step sums and rows evaluated, of the last pass
 
     def _pass(self, x: np.ndarray, k: int, agg: _StepAggregate | None) -> np.ndarray:
         # a pass that emptied the queue without a move certified the point,
@@ -517,13 +528,11 @@ class Art3Sweeper(_Sweeper):
 
         queue = self.queue
         if queue.shape[0] > 0:
-            kept = _kernels.art3_pass(
-                self.packed.A, self.packed.lo, self.packed.hi, self.packed.norm2, x, queue,
-                self.tol, self.sums,
-            )
+            kept = _kernels.art3_pass(self.packed.A, self.packed, x, self.tol, self.out, queue)
+            b, size, steps, evaluated = self.out.tolist()
             if agg is not None:
-                agg.add(*self.sums.tolist())
-            self.counters.projections += queue.shape[0]
+                agg.add(b, size, steps)
+            self.counters.projections += int(evaluated)
             self.moves += kept.shape[0]
         else:
             kept = queue

@@ -53,8 +53,8 @@ class Counters:
 
     ``projections`` counts the constraint evaluations of the feasibility
     sweeps, including those that find a constraint satisfied and make no
-    move: rows evaluated; a row the screen proves satisfied is skipped (see
-    :class:`cfpopt.feasibility.CyclicSweeper`) and not counted.
+    move: rows evaluated; a row the screen of any solver kind proves
+    satisfied is skipped (see :mod:`cfpopt.feasibility`) and not counted.
     ``obj_evals`` counts the objective-oracle calls the run makes, whether
     direct, at a sweeper's level visit or in a superiorization step.  They
     all go through :meth:`objective`, which serves a repeat of the last call

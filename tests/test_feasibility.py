@@ -168,8 +168,10 @@ class TestArt3Plus:
         out = cfp_solve(rows, [2.5, 1.0], "art3+", counters=counters)
         assert out.found
         # pass 1: both visited (one move); pass 2: only the moved row; then a
-        # full verification pass over both
-        assert out.projections == 2 + 1 + 2
+        # full verification pass over both, which the row screen skips: no
+        # step has moved x since either row was last found satisfied
+        assert out.projections == 2 + 1 + 0
+        assert (out.sweeps, out.moves) == (3, 1)
 
     def test_rejects_nonaffine(self):
         ball = QuadraticFunction(2 * np.eye(1), np.zeros(1), -1.0)

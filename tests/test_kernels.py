@@ -73,7 +73,7 @@ def test_cspm_backend_agreement(seed, cffi, restore_backend):
 
 def _bind(A, lo, hi, norm2, x0):
     """Bind the rows for a solve from ``x0``, with a fresh path state."""
-    return _kernels.CspmRows(A, lo, hi, norm2, np.array([0.0, math.sqrt(x0 @ x0), 0.0]))
+    return _kernels.Rows(A, lo, hi, norm2, np.array([0.0, math.sqrt(x0 @ x0), 0.0]))
 
 
 def _sweeps(rows, x, count, lam, tol, shift=None):
@@ -144,6 +144,74 @@ def _unscreened_sweep(dot):
     return sweep
 
 
+def _unscreened_art3(dot, branches=None):
+    """The reference ART3+ pass that evaluates every queued row, with the backend's dot product.
+
+    Its arithmetic is the kernels' without the screen, and it counts every
+    queued row as evaluated.  Each move appends ``"reflect"`` or
+    ``"midline"`` to ``branches``, when given.
+    """
+
+    def art3(A, rows, x, tol, out, queue):
+        lo, hi, norm2 = rows.lo, rows.hi, rows.norm2
+        kept = []
+        b = size = steps = 0.0
+        for i in queue.tolist():
+            r = dot(A[i], x)
+            if lo[i] - tol <= r <= hi[i] + tol:
+                continue
+            kept.append(i)
+            width = hi[i] - lo[i]
+            viol = r - hi[i] if r > hi[i] else lo[i] - r
+            reflect = viol <= width
+            if branches is not None:
+                branches.append("reflect" if reflect else "midline")
+            if r > hi[i]:
+                coef = 2.0 * viol / norm2[i] if reflect else (r - 0.5 * (lo[i] + hi[i])) / norm2[i]
+                x -= coef * A[i]
+                beta = hi[i]
+            else:
+                coef = 2.0 * viol / norm2[i] if reflect else (0.5 * (lo[i] + hi[i]) - r) / norm2[i]
+                x += coef * A[i]
+                beta = -lo[i]
+            b += coef * (beta + tol)
+            size += coef * (abs(beta) + tol)
+            steps += coef * math.sqrt(norm2[i])
+        out[0], out[1], out[2], out[3] = b, size, steps, queue.shape[0]
+        return np.array(kept, dtype=np.int64)
+
+    return art3
+
+
+def _art3_passes(rows, x, count, tol, art3=None, shift=None):
+    """``count`` ART3+ passes of ``x`` in place, with the work queue of a sweeper.
+
+    The queue starts full, keeps the rows each pass moved, and is refilled
+    when it empties; the pass that empties it certifies when no pass has
+    moved x since the last refill.  ``shift`` is as in :func:`_sweeps`.
+    Returns, per pass, the kept rows, the ``out`` array, whether it
+    certifies and the iterate after it.
+    """
+    art3 = art3 or _kernels.art3_pass
+    m = rows.A.shape[0]
+    full = np.arange(m, dtype=np.int64)
+    queue, moved, moves, passes = full, False, 0, []
+    for k in range(count):
+        if queue.shape[0] == 0:
+            queue, moved = full, False
+        delta = shift(k) if shift is not None else None
+        if delta is not None:
+            x += delta
+            rows.path[0] += math.sqrt(delta @ delta)
+        rows.path[2] = _kernels.screen_rtol(x.shape[0], moves + k + 1 + m)
+        out = np.zeros(4)
+        queue = art3(rows.A, rows, x, tol, out, queue)
+        moves += queue.shape[0]
+        moved = moved or queue.shape[0] > 0
+        passes.append((queue.tolist(), out, not moved, x.copy()))
+    return passes
+
+
 REFERENCE_DOT = {"c": _python_dot, "numpy": _numpy_dot}
 BACKENDS = ["numpy", pytest.param("c", marks=needs_cc)]
 
@@ -157,8 +225,11 @@ def backend(request, restore_backend):
     return request.param
 
 
-def _planted_rows(seed, m=30, n=6):
-    """Rows and unit box rows around a planted point, some sides infinite, and a start point."""
+def _planted_rows(seed, m=30, n=6, equalities=False):
+    """Rows and unit box rows around a planted point, some sides infinite, and a start point.
+
+    With ``equalities``, every fifteenth row is an equality through the point.
+    """
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n)
     A = rng.standard_normal((m, n))
@@ -167,6 +238,8 @@ def _planted_rows(seed, m=30, n=6):
     lo, hi = az - slack[0], az + slack[1]
     side = rng.integers(3, size=m)
     lo[side == 1], hi[side == 2] = -np.inf, np.inf
+    if equalities:
+        lo[::15] = hi[::15] = az[::15]
     # the box: a unit row per column, one side infinite in every third column
     box_lo, box_hi = z - rng.uniform(0.1, 2.0, n), z + rng.uniform(0.1, 2.0, n)
     box_lo[::3], box_hi[1::3] = -np.inf, np.inf
@@ -245,27 +318,106 @@ def test_screen_skips_a_slack_just_above_its_margin(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
-def test_solves_equal_unscreened(backend, monkeypatch):
-    # a superiorized CSPM solve over rows, an oracle constraint, the box and
-    # the level: every iterate as with the unscreened sweep, fewer projections
+@pytest.mark.parametrize("kind", ["cspm", "art3+"])
+def test_solves_equal_unscreened(backend, kind, monkeypatch):
+    # a superiorized solve over rows (for CSPM with an oracle constraint
+    # among them), the box and the level: every iterate as with the
+    # unscreened kernel, fewer projections
     A, lo, hi, norm2, x0 = _planted_rows(6, m=20, n=5)
     rows = [AffineConstraint(a, l, h) for a, l, h in zip(A[:20], lo[:20], hi[:20])]
-    ball = QuadraticFunction(np.eye(5), np.zeros(5), -8.0)  # |y|_2 <= 4
+    if kind == "cspm":
+        ball = QuadraticFunction(np.eye(5), np.zeros(5), -8.0)  # |y|_2 <= 4
+        rows = [*rows[:10], ball, *rows[10:]]
     box = Bounds(lo[20:], hi[20:])
     objective = QuadraticFunction(np.eye(5), np.ones(5))
-    spec = SolverSpec(sup=SuperiorizationConfig(N=2), max_sweeps=200)
+    spec = SolverSpec(kind, sup=SuperiorizationConfig(N=2), max_sweeps=200)
+    # the kernel, its unscreened reference, and the largest share of the
+    # reference's projections the screened solve may make
+    name, reference, share = {
+        "cspm": ("cspm_sweep", _unscreened_sweep(REFERENCE_DOT[backend]), 0.5),
+        "art3+": ("art3_pass", _unscreened_art3(REFERENCE_DOT[backend]), 0.85),
+    }[kind]
     runs = []
-    for sweep in (_kernels.cspm_sweep, _unscreened_sweep(REFERENCE_DOT[backend])):
-        monkeypatch.setattr(_kernels, "cspm_sweep", sweep)
+    for kernel in (getattr(_kernels, name), reference):
+        monkeypatch.setattr(_kernels, name, kernel)
         history = []
-        out = cfp_solve([*rows[:10], ball, *rows[10:]], x0, spec, history=history, bounds=box,
-                        objective=objective, t=6.0)
+        out = cfp_solve(rows, x0, spec, history=history, bounds=box, objective=objective, t=6.0)
         runs.append((out, history))
     (out, history), (ref, ref_history) = runs
     assert [x.tobytes() for x in history] == [x.tobytes() for x in ref_history]
     assert (out.found, out.infeasibility_certified, out.sweeps, out.moves, out.obj_evals) == (
         ref.found, ref.infeasibility_certified, ref.sweeps, ref.moves, ref.obj_evals)
-    assert out.sweeps > 10 and out.projections < 0.5 * ref.projections
+    assert out.sweeps > 10 and out.projections < share * ref.projections
+
+
+def _assert_art3_same_as_unscreened(backend, A, lo, hi, norm2, x0, count, tol, shift=None):
+    """Screened ART3+ passes give bitwise the reference's kept rows, iterates, sums and certification.
+
+    Returns the number of rows the screened passes evaluated, the number of
+    queued rows, and the reference's steps (see :func:`_unscreened_art3`).
+    """
+    screened = _art3_passes(_bind(A, lo, hi, norm2, x0), x0.copy(), count, tol, shift=shift)
+    branches = []
+    reference = _art3_passes(_bind(A, lo, hi, norm2, x0), x0.copy(), count, tol,
+                             _unscreened_art3(REFERENCE_DOT[backend], branches), shift)
+    for k, (ours, ref) in enumerate(zip(screened, reference)):
+        (kept, out, certified, x), (ref_kept, ref_out, ref_certified, ref_x) = ours, ref
+        assert x.tobytes() == ref_x.tobytes(), k
+        assert (kept, certified) == (ref_kept, ref_certified), k
+        assert out[:3].tobytes() == ref_out[:3].tobytes(), k
+    return sum(p[1][3] for p in screened), sum(p[1][3] for p in reference), branches
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+# an equality row is within tol 0 of no computed point, so only tol > 0 certifies with them
+@pytest.mark.parametrize("tol, equalities", [(1e-8, False), (0.0, False), (1e-8, True)])
+def test_screened_art3_passes_equal_unscreened(backend, seed, tol, equalities):
+    A, lo, hi, norm2, x0 = _planted_rows(seed, equalities=equalities)
+    evaluated, queued, steps = _assert_art3_same_as_unscreened(backend, A, lo, hi, norm2, x0, 80,
+                                                               tol)
+    # rows reflect and take the midline, and the screen skips queued rows,
+    # so the comparison tests both
+    assert {"reflect", "midline"} <= set(steps)
+    assert evaluated < 0.2 * queued
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.mark.parametrize("seed", [4, 5])
+def test_screened_art3_passes_follow_a_shifted_x(backend, seed):
+    # x jumps as in test_screened_sweeps_follow_a_shifted_x
+    A, lo, hi, norm2, x0 = _planted_rows(seed)
+    rng = np.random.default_rng(seed)
+    shifts = {k: rng.uniform(-0.5, 0.5, x0.shape[0]) for k in (5, 9, 10, 20, 30)}
+    evaluated, queued, _ = _assert_art3_same_as_unscreened(backend, A, lo, hi, norm2, x0, 60,
+                                                           1e-8, shifts.get)
+    assert evaluated < 0.4 * queued
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_art3_screen_skips_a_slack_just_above_its_margin(backend):
+    # probes -y0 <= c_j, then the mover y0 = 0, from y = (1, 0), tol 0: the
+    # mover's midline step takes y0 to 0 after the probes' evaluation, the
+    # next pass finds the mover satisfied, and on the refill pass each
+    # probe's slack is exactly c_j, with the margin of the CSPM case
+    rel = _kernels.screen_rtol(2, 0)
+    margin = rel * (2.0 * 2.0 + 1.0 + 1.0)
+    c = margin * np.array([0.5, 0.9, 0.99, 1.01, 1.1, 2.0])
+    A = np.ascontiguousarray([[-1.0, 0.0]] * c.shape[0] + [[1.0, 0.0]])
+    lo, hi = np.append(np.full(c.shape[0], -np.inf), 0.0), np.append(c, 0.0)
+    norm2 = np.ones(A.shape[0])
+    x0 = np.array([1.0, 0.0])
+    _assert_art3_same_as_unscreened(backend, A, lo, hi, norm2, x0, 4, 0.0)
+    rows = _bind(A, lo, hi, norm2, x0)
+    first, second, third, _ = _art3_passes(rows, x0.copy(), 4, 0.0)
+    assert first[0] == [6] and first[3].tolist() == [0.0, 0.0] and first[1][3] == 7
+    assert second[0] == [] and not second[2] and second[1][3] == 1
+    # the three probes within their margin and the mover are evaluated, the
+    # three beyond it skipped; nothing moves and the pass certifies
+    kept, out, certified, x = third
+    assert (kept, certified, out[3]) == ([], True, 4) and x.tolist() == [0.0, 0.0]
+    assert rows.screen[:3, 0].tolist() == (-c[:3]).tolist()
+    assert rows.screen[3:6, 0].tolist() == (-1.0 - c[3:]).tolist()
 
 
 @needs_cc
@@ -324,10 +476,12 @@ def test_art3_step_sums_backend_agreement(seed, cffi, restore_backend):
     results = {}
     for backend in ("c", "numpy"):
         _kernels.set_backend(backend)
-        x, passes = x0.copy(), []
-        for _ in range(50):
-            sums = np.zeros(3)
-            kept = _kernels.art3_pass(A, lo, hi, norm2, x, queue, 1e-8, sums)
+        x, passes, bound, moves = x0.copy(), [], _bind(A, lo, hi, norm2, x0), 0
+        for k in range(50):
+            bound.path[2] = _kernels.screen_rtol(x.shape[0], moves + k + 1 + len(rows))
+            sums = np.zeros(4)
+            kept = _kernels.art3_pass(A, bound, x, 1e-8, sums, queue)
+            moves += kept.shape[0]
             passes.append((list(kept), sums))
         results[backend] = (x, passes)
     (xa, pa), (xb, pb) = results["c"], results["numpy"]
@@ -344,13 +498,14 @@ def test_c_art3_pass_validates_the_sums_array(cffi, restore_backend):
     A = np.array([[1.0]])
     lo, hi, norm2 = np.array([0.0]), np.array([2.0]), np.array([1.0])
     queue = np.array([0], dtype=np.int64)
-    frozen = np.zeros(3)
+    frozen = np.zeros(4)
     frozen.setflags(write=False)
-    for bad, error in ((np.zeros(2), ValueError), (frozen, ValueError),
-                       (np.zeros(3, dtype=np.float32), TypeError)):
+    # out holds the three step sums and the number of rows evaluated
+    for bad, error in ((np.zeros(3), ValueError), (frozen, ValueError),
+                       (np.zeros(4, dtype=np.float32), TypeError)):
         x = np.array([5.0])
         with pytest.raises(error):
-            _kernels.art3_pass(A, lo, hi, norm2, x, queue, 1e-8, bad)
+            _kernels.art3_pass(A, _bind(A, lo, hi, norm2, x), x, 1e-8, bad, queue)
         assert x[0] == 5.0
 
 
@@ -363,10 +518,11 @@ def test_c_kernels_update_in_place_and_validate(cffi, restore_backend):
     rows = _bind(A, lo, hi, norm2, x)
     assert _kernels.cspm_sweep(A, rows, x, 1.0, 1e-8) == (3.0, 1, (3.0 * (2.0 + 1e-8),) * 2 + (3.0,), 1)
     assert x[0] == 2.0 and rows.path[0] == 3.0
-    x, sums = np.array([5.0]), np.zeros(3)
-    kept = _kernels.art3_pass(A, lo, hi, norm2, x, np.array([0], dtype=np.int64), 1e-8, sums)
-    assert list(kept) == [0] and x[0] == 1.0
-    assert sums == pytest.approx([4.0 * (2.0 + 1e-8), 4.0 * (2.0 + 1e-8), 4.0])
+    x, sums = np.array([5.0]), np.zeros(4)
+    queued = _bind(A, lo, hi, norm2, x)
+    kept = _kernels.art3_pass(A, queued, x, 1e-8, sums, np.array([0], dtype=np.int64))
+    assert list(kept) == [0] and x[0] == 1.0 and queued.path[0] == 4.0
+    assert sums == pytest.approx([4.0 * (2.0 + 1e-8), 4.0 * (2.0 + 1e-8), 4.0, 1.0])
     with pytest.raises(TypeError):
         _kernels.cspm_sweep(A, rows, np.array([5.0], dtype=np.float32), 1.0, 1e-8)
     I2, ones = np.eye(2), np.ones(2)
@@ -377,7 +533,7 @@ def test_c_kernels_update_in_place_and_validate(cffi, restore_backend):
     with pytest.raises(ValueError):
         _bind(I2, -ones, ones, np.ones(3), ones)
     with pytest.raises(ValueError):
-        _kernels.CspmRows(A, lo, hi, norm2, np.zeros(2))
+        _kernels.Rows(A, lo, hi, norm2, np.zeros(2))
     frozen = np.array([5.0])
     frozen.setflags(write=False)
     with pytest.raises(ValueError):
@@ -388,8 +544,22 @@ def test_c_kernels_update_in_place_and_validate(cffi, restore_backend):
         _kernels.cspm_sweep(A.copy(), rows, np.array([5.0]), 1.0, 1e-8)
     x = np.array([5.0])
     with pytest.raises(IndexError):
-        _kernels.art3_pass(A, lo, hi, norm2, x, np.array([0, 1], dtype=np.int64), 1e-8, sums)
+        _kernels.art3_pass(A, queued, x, 1e-8, sums, np.array([0, 1], dtype=np.int64))
+    with pytest.raises(TypeError):
+        _kernels.art3_pass(A, queued, x, 1e-8, sums, np.array([0], dtype=np.int32))
+    with pytest.raises(ValueError):
+        _kernels.art3_pass(A.copy(), queued, x, 1e-8, sums, np.array([0], dtype=np.int64))
     assert x[0] == 5.0
+
+
+def test_rows_reject_an_empty_interval():
+    # an ART3+ midline step off an empty interval could move x against its
+    # normal, which the screen's path sum cannot take
+    A, ones = np.eye(2), np.ones(2)
+    for lo in (np.array([0.0, 2.0]), np.array([0.0, np.nan])):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            _bind(A, lo, ones, ones, ones)
+    _bind(A, ones, ones, ones, ones)  # an equality row is an interval
 
 
 @needs_cc
@@ -471,26 +641,29 @@ def test_numpy_kernel_semantics_by_hand():
 def test_art3_pass_reflect_and_midline():
     A = np.array([[1.0]])
     lo, hi, norm2 = np.array([0.0]), np.array([2.0]), np.array([1.0])
-    sums = np.zeros(3)
+    sums = np.zeros(4)
+
+    def art3(x):
+        return _kernels._art3_pass_numpy(A, _bind(A, lo, hi, norm2, x), x, 1e-8, sums,
+                                         np.array([0], dtype=np.int64))
+
     # overshoot beyond the width: midline projection to 1
     x = np.array([5.0])
-    kept = _kernels._art3_pass_numpy(A, lo, hi, norm2, x, np.array([0], dtype=np.int64), 1e-8,
-                                     sums)
+    kept = art3(x)
     assert list(kept) == [0]
     assert x == pytest.approx([1.0])
-    assert sums == pytest.approx([4.0 * (2.0 + 1e-8), 4.0 * (2.0 + 1e-8), 4.0])
+    assert sums == pytest.approx([4.0 * (2.0 + 1e-8), 4.0 * (2.0 + 1e-8), 4.0, 1.0])
     # small overshoot: reflect across the upper face
     x = np.array([2.5])
-    _kernels._art3_pass_numpy(A, lo, hi, norm2, x, np.array([0], dtype=np.int64), 1e-8, sums)
+    art3(x)
     assert x == pytest.approx([1.5])
-    assert sums == pytest.approx([1.0 * (2.0 + 1e-8), 1.0 * (2.0 + 1e-8), 1.0])
+    assert sums == pytest.approx([1.0 * (2.0 + 1e-8), 1.0 * (2.0 + 1e-8), 1.0, 1.0])
     # satisfied row is dropped and untouched
     x = np.array([1.0])
-    kept = _kernels._art3_pass_numpy(A, lo, hi, norm2, x, np.array([0], dtype=np.int64), 1e-8,
-                                     sums)
+    kept = art3(x)
     assert kept.shape[0] == 0
     assert x == pytest.approx([1.0])
-    assert list(sums) == [0.0, 0.0, 0.0]
+    assert list(sums) == [0.0, 0.0, 0.0, 1.0]
 
 
 @pytest.mark.parametrize("backend", ["numpy", pytest.param("c", marks=needs_cc)])
@@ -503,11 +676,11 @@ def test_art3_pass_step_sums_by_hand(backend, request, restore_backend):
 
     def art3(a, lo, hi, x):
         a = np.array([a])
-        x, sums = np.array(x), np.zeros(3)
-        kept = _kernels.art3_pass(a, np.array([lo]), np.array([hi]), np.array([a[0] @ a[0]]), x,
-                                  queue, tol, sums)
-        assert list(kept) == [0]
-        return x, sums
+        x, sums = np.array(x), np.zeros(4)
+        rows = _bind(a, np.array([lo]), np.array([hi]), np.array([a[0] @ a[0]]), x)
+        kept = _kernels.art3_pass(a, rows, x, tol, sums, queue)
+        assert list(kept) == [0] and sums[3] == 1.0
+        return x, sums[:3]
 
     # the slab 0 <= 3 y0 + 4 y1 <= 10 (|a| = 5); each step moves x by -coef * h,
     # h = a off the upper face (beta = 10), h = -a off the lower one (beta = 0)

@@ -232,6 +232,24 @@ class TestAlgorithmContract:
         assert history[1].tolist() == [0.125, 1.5 * 2.0**-6]
         assert out.found and out.x[0] <= 0.25 + 1e-8
 
+    def test_art3_perturbation_across_a_satisfied_row_is_swept(self):
+        # the ART3+ twin: the same rows, start and objective.  Pass 0, from
+        # y0 = 0, drops the first row (slack 1/4) and reflects y1 to 1/32;
+        # pass 1 runs the queue [1] alone, from y0 = 1/2.  Pass 2 refills the
+        # queue from y0 = 3/4: the row screen must take both jumps as path
+        # and evaluate the first row, whose reflection steps y0 by 2 * 1/2
+        # to -1/4
+        rows = [AffineConstraint.leq([1.0, 0.0], 0.25), AffineConstraint.geq([0.0, 1.0], 2.0**-6)]
+        trace, history, counters = PerturbationTrace(), [], Counters()
+        out = cfp_solve(rows, [-1.0, 0.0], SolverSpec("art3+", sup=SuperiorizationConfig(N=1)),
+                        counters, history, Bounds([-10.0, -10.0], [10.0, 10.0]),
+                        QuadraticFunction(np.zeros((2, 2)), [-1.0, 0.0]), trace=trace)
+        assert [(k, z.tolist()) for k, _, _, z, _ in trace.accepted[:3]] == [
+            (0, [0.0, 0.0]), (1, [0.5, 2.0**-5]), (2, [0.75, 2.0**-5])]
+        assert [x.tolist() for x in history[:3]] == [[0.0, 2.0**-5], [0.5, 2.0**-5],
+                                                     [-0.25, 2.0**-5]]
+        assert out.found and out.x[0] <= 0.25 + 1e-8
+
 
 class TestThroughCfpWithLevel:
     def test_superiorized_spec_counts_merit_evals(self):
