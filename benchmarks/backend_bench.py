@@ -16,6 +16,12 @@ certificate of :mod:`cfpopt.feasibility` reads.  Each call is the first pass
 of a fresh row binding, whose screen evaluates every row.  ``moved`` is the
 share of rows that moved x.
 
+A third table prints the cost of one c wrapper call in us, at m=70/n=30
+and m=280/n=120, from the planted point with every row screened: the kernel
+then evaluates no row, so what is left is the cost of crossing from Python
+into the kernel and back (best of 7 x 20,000 calls).  ``art3_pass`` runs
+over a queue of every row.
+
 Usage:
     python benchmarks/backend_bench.py [--n 400] [--m 600] [--repeats 3]
 """
@@ -90,6 +96,35 @@ def kernel_ns_per_row(kernel, m, n, seed, repeats):
     return best * 1e9, moves / m
 
 
+def call_us(kernel, m, n, seed, calls=20_000, repeats=7):
+    """Best us per ``kernel`` wrapper call ('cspm' or 'art3') when the screen skips every row."""
+    rows, _x0, z = make_system(m, n, seed)
+    A = np.ascontiguousarray([r.a for r in rows])
+    lo, hi = np.array([r.lo for r in rows]), np.array([r.hi for r in rows])
+    norm2 = np.array([r.norm2 for r in rows])
+    queue, out = np.arange(m, dtype=np.int64), np.zeros(4)
+    x = z.copy()  # the planted point satisfies every row
+    path = np.array([0.0, float(np.linalg.norm(x)), _kernels.screen_rtol(n, m + 1)])
+    bound = _kernels.Rows(A, lo, hi, norm2, path)
+    if kernel == "cspm":
+        def call():
+            return _kernels.cspm_sweep(A, bound, x, 1.5, 1e-8)[3]
+    else:
+        def call():
+            _kernels.art3_pass(A, bound, x, 1e-8, out, queue)
+            return out[3]
+    call()  # the first call evaluates every row and records its violation
+    if call() != 0:
+        raise RuntimeError(f"{kernel} m={m}: the screen left rows to evaluate")
+    best = np.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            call()
+        best = min(best, (time.perf_counter() - t0) / calls)
+    return best * 1e6
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--m", type=int, default=600, help="number of affine rows")
@@ -144,6 +179,17 @@ def main():
                 _kernels.set_backend(backend)
                 ns, moved = kernel_ns_per_row(kernel, m, n, args.seed, args.repeats)
                 print(f"{f'{kernel} m={m}, n={n}':<32}{backend:<9}{ns:>10.1f}{moved:>8.0%}")
+
+    print()
+    header = f"{'call, every row screened':<32}{'backend':<9}{'us/call':>10}"
+    print(header)
+    print("-" * len(header))
+    if "c" in available:
+        _kernels.set_backend("c")
+        for kernel in ("cspm", "art3"):
+            for m, n in ((70, 30), (280, 120)):
+                us = call_us(kernel, m, n, args.seed)
+                print(f"{f'{kernel} m={m}, n={n}':<32}{'c':<9}{us:>10.2f}")
     _kernels.set_backend("auto")
 
 

@@ -1,4 +1,4 @@
-/* Row sweeps of cfpopt._kernels, compiled on first use and loaded by cffi.
+/* Row sweeps of cfpopt._kernels, compiled on first use and loaded by ctypes.
  *
  * Each function repeats the arithmetic of its numpy twin in _kernels.py row
  * by row: the same branch order and the same operation order in every

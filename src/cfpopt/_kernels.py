@@ -31,21 +31,20 @@ Backends:
 * ``c`` runs the functions of ``_kernels.c``.  On first use the package
   compiles that file with the C compiler ``cc`` found on ``PATH`` (flags in
   ``_CFLAGS``: ``-O2 -ffp-contract=off``, no fast-math) into
-  ``${XDG_CACHE_HOME:-~/.cache}/cfpopt/``, under a file name keyed by a hash
-  of the source and the flags, and loads it with cffi in ABI mode
-  (``ffi.dlopen``; no setuptools, and the C parser only ever runs in a
-  child process that writes cffi's module for the declarations).  Later
+  ``${XDG_CACHE_HOME:-~/.cache}/cfpopt/``, under a file name keyed by a
+  crc32 of the source and the flags, and loads it with the standard
+  library's ``ctypes``, so the backend needs numpy and ``cc`` only.  Later
   processes load the cached library; a build deletes the libraries of other
   source versions from the cache.  The wrappers accept only C-contiguous
   float64 arrays (int64 for the queue), and ``x`` must be writable.  A
-  ``Rows`` binding validates its arrays once and keeps their cffi pointers,
-  and those of the last ``x`` it swept, so that a pass over the same
-  iterate array converts none of them.
+  ``Rows`` binding validates its arrays once and keeps their ctypes
+  arguments, and the pointer of the last ``x`` it swept, so that a pass
+  over the same iterate array converts none of them.
 * ``numpy`` is the reference the tests hold ``c`` to, and the fallback.
 
 Backend selection: the ``CFPOPT_BACKEND`` environment variable may be set to
 ``c``, ``numpy`` or ``auto`` (default).  ``auto`` is ``c`` when the library
-builds and loads, and ``numpy`` when cffi or ``cc`` is missing; when ``cc``
+builds and loads, and ``numpy`` when ``cc`` is missing; when ``cc``
 is there but the build fails, ``auto`` warns with the compiler's messages
 before it falls back.  Asking for ``c`` where it cannot run raises
 :class:`BackendUnavailableError`.  The choice is resolved on first use, not
@@ -55,12 +54,11 @@ at import.  Use ``set_backend`` to switch at runtime, e.g. for benchmarking.
 from __future__ import annotations
 
 import contextlib
-import importlib.util
+import ctypes
 import math
 import os
 import shutil
 import subprocess
-import sys
 import tempfile
 import warnings
 import zlib
@@ -89,16 +87,6 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 # land in the library (unaligned, a 60-column sweep ran 20% slower on a Xeon)
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-falign-loops=32",
            "-std=c99", "-fPIC", "-shared")
-_CDEF = """
-int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
-                       const double *norm2, double *screen, double *path, double *x,
-                       int64_t m, int64_t n, double lam, double tol, double *out,
-                       int64_t *evaluated);
-int64_t cfp_art3_pass(const double *A, const double *lo, const double *hi,
-                      const double *norm2, double *screen, double *path, double *x,
-                      int64_t m, int64_t n, const int64_t *queue, int64_t nq, double tol,
-                      int64_t *kept, double *out);
-"""
 
 
 class BackendUnavailableError(RuntimeError):
@@ -205,8 +193,12 @@ class Rows:
     (:func:`screen_rtol`).  The kernels add ``coef * |a_i|_2`` to P
     for every row they move; the caller adds every other change of x, and
     sets the rest of ``path`` before the first sweep.  The c backend keeps
-    its cffi pointers here, made on its first call, and the pointer of the
-    last ``x``, validated when it first came.
+    its ctypes arguments here (``_c``, see ``_CArgs``), made on its first
+    call, with the pointer of the last ``x``, validated when it first came.
+    A raw address does not keep its array alive, so the binding holds a
+    reference to every array whose address it passes: A, lo, hi, norm2,
+    screen, path, and in ``_c`` the last x, the last ``art3_pass`` out and
+    the buffers the c wrappers own.
     """
 
     __slots__ = ("A", "lo", "hi", "norm2", "screen", "path", "_c")
@@ -373,61 +365,39 @@ def _staged(target: Path):
             os.unlink(tmp)
 
 
-# cffi's out-of-line ABI module is emitted in a child process, so that cffi's
-# C parser (pycparser, about 1.2 MB resident) never loads into the solver
-_EMIT_FFI = """
-import sys, cffi
-ffi = cffi.FFI()
-ffi.cdef(sys.stdin.read())
-ffi.set_source(sys.argv[1], None)
-ffi.emit_python_code(sys.argv[2])
-"""
-
-
-def _run_step(args: list, stdin: bytes, what: str) -> None:
-    proc = subprocess.run(args, input=stdin, capture_output=True)
-    if proc.returncode != 0:
-        raise CBuildError(f"{what} (exit {proc.returncode}):\n" + proc.stderr.decode(errors="replace"))
-
-
-def _prune(cache: Path, keep: tuple[Path, Path]) -> None:
-    """Delete the libraries and ffi modules that other source versions left in the cache."""
+def _prune(cache: Path, keep: Path) -> None:
+    """Delete the libraries of other source versions, and older releases' cffi modules, from the cache."""
     for path in (*cache.glob("_kernels-*.so"), *cache.glob("_kernels_ffi_*.py")):
-        if path not in keep:
+        if path != keep:
             with contextlib.suppress(OSError):
                 path.unlink()
 
 
-def _build(cc: str, cffi) -> tuple[Path, Path]:
-    """Return the cached library and its ffi module, building them if absent.
+def _build(cc: str) -> Path:
+    """Return the cached library, building it if absent.
 
-    Both are keyed by a hash of the C source, the declarations, the flags and
-    the cffi version.  The ffi module is cffi's out-of-line ABI form of
-    ``_CDEF``: loading it needs no C parser, which keeps the solver process
-    about 1.3 MB smaller than parsing the declarations on every start.  A
-    build removes the pairs of every other key from the cache.
+    It is keyed by a crc32 of the C source and the flags; a build removes
+    the libraries of every other key from the cache.
     """
     try:
         source = _SOURCE.read_bytes()
         # crc32, not hashlib: importing hashlib maps OpenSSL into the solver
         # process, a few MB of resident memory for a cache key
-        parts = [source, _CDEF.encode(), " ".join(_CFLAGS).encode(), cffi.__version__.encode()]
-        key = format(zlib.crc32(b"\0".join(parts)), "08x")
-        cache = _cache_dir()
-        lib, mod = cache / f"_kernels-{key}.so", cache / f"_kernels_ffi_{key}.py"
-        if lib.exists() and mod.exists():
-            return lib, mod
-        cache.mkdir(parents=True, exist_ok=True)
+        key = format(zlib.crc32(source + b"\0" + " ".join(_CFLAGS).encode()), "08x")
+        lib = _cache_dir() / f"_kernels-{key}.so"
+        if lib.exists():
+            return lib
+        lib.parent.mkdir(parents=True, exist_ok=True)
         with _staged(lib) as tmp:
-            _run_step([cc, *_CFLAGS, "-o", tmp, "-x", "c", "-"], source,
-                      f"{cc} failed to build {_SOURCE.name}")
-        with _staged(mod) as tmp:
-            _run_step([sys.executable, "-c", _EMIT_FFI, mod.stem, tmp], _CDEF.encode(),
-                      "emitting the cffi module failed")
-        _prune(cache, (lib, mod))
+            proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, "-x", "c", "-"], input=source,
+                                  capture_output=True)
+            if proc.returncode != 0:
+                raise CBuildError(f"{cc} failed to build {_SOURCE.name} (exit {proc.returncode}):\n"
+                                  + proc.stderr.decode(errors="replace"))
+        _prune(lib.parent, lib)
     except OSError as exc:
         raise CBuildError(f"cannot build the C kernels: {exc}") from exc
-    return lib, mod
+    return lib
 
 
 def _check(a, name: str, dtype, ndim: int) -> None:
@@ -446,67 +416,94 @@ def _check_x(x, n: int) -> None:
         raise ValueError("x must be writable: the kernels update it in place")
 
 
+def _pointer(a: np.ndarray) -> ctypes.c_void_p:
+    return ctypes.c_void_p(a.ctypes.data)
+
+
+class _CArgs:
+    """The ctypes arguments of one :class:`Rows` binding, for the c backend.
+
+    ``head`` holds the arguments both kernels start with: the pointers of
+    the binding's arrays and of the last ``x``, and the sizes.
+    ``cspm_sweep`` writes its outputs to ``sums`` and ``seen``;
+    ``art3_pass`` copies its queue to ``queue``, takes the kept rows from
+    ``kept`` and keeps the pointer of its last ``out``.  Every array whose
+    address is passed is held, here or by the binding.
+    """
+
+    def __init__(self, rows: Rows):
+        m, n = rows.A.shape
+        arrays = (rows.A, rows.lo, rows.hi, rows.norm2, rows.screen, rows.path)
+        self.head = [*map(_pointer, arrays), None, ctypes.c_int64(m), ctypes.c_int64(n)]
+        self.x = self.out = None
+        self.sums, self.seen = np.zeros(4), ctypes.c_int64()
+        self.sumsp, self.seenp = _pointer(self.sums), ctypes.byref(self.seen)
+        # grown by the first art3_pass call; the kernel reads no entry of an
+        # empty queue, so until then the NULL pointers serve
+        self.queue = self.kept = np.empty(0, dtype=np.int64)
+        self.queuep = self.keptp = None
+
+    def grow(self, size: int) -> None:
+        """Make the queue and kept buffers ``size`` entries long."""
+        self.queue, self.kept = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+        self.queuep, self.keptp = _pointer(self.queue), _pointer(self.kept)
+
+
 def _load_c() -> tuple:
     """Build (or find in the cache) and load the C library; return its wrapper pair."""
-    try:
-        import cffi
-    except ImportError as exc:
-        raise BackendUnavailableError(f"the c backend needs cffi: {exc}") from exc
     cc = shutil.which("cc")
     if cc is None:
         raise BackendUnavailableError("the c backend needs a C compiler: no 'cc' on PATH")
     for attempt in range(2):
-        path, mod = _build(cc, cffi)
+        path = _build(cc)
         try:
-            spec = importlib.util.spec_from_file_location(mod.stem, mod)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            ffi = module.ffi
-            lib = ffi.dlopen(str(path))
+            lib = ctypes.CDLL(str(path))
             break
         except OSError as exc:
-            # a build of another source version may have pruned the pair
+            # a build of another source version may have pruned the library
             # between the check and the load; build it once more then
-            if attempt or (path.exists() and mod.exists()):
+            if attempt or path.exists():
                 raise CBuildError(f"cannot load the C kernels from {path}: {exc}") from exc
-    buf = ffi.from_buffer
+    # ctypes cannot check a call against C: these must match the signatures
+    # of cfp_cspm_sweep and cfp_art3_pass in _kernels.c
+    P, I, D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    cspm, art3 = lib.cfp_cspm_sweep, lib.cfp_art3_pass
+    cspm.argtypes = (P,) * 7 + (I, I, D, D, P, P)
+    art3.argtypes = (P,) * 7 + (I, I, P, I, D, P, P)
+    cspm.restype = art3.restype = I
 
-    def pointers(rows, x):
-        """The cffi pointers of ``rows`` and of ``x``, each validated when it first came."""
+    def bound(rows, x):
+        """The ctypes arguments of ``rows``, with those of ``x``, validated when it first came."""
         c = rows._c
         if c is None:
-            c = rows._c = [None, None, buf("double[]", rows.A), buf("double[]", rows.lo),
-                           buf("double[]", rows.hi), buf("double[]", rows.norm2),
-                           buf("double[]", rows.screen, require_writable=True),
-                           buf("double[]", rows.path, require_writable=True),
-                           ffi.new("double[4]"), ffi.new("int64_t[1]")]
-        if x is not c[0]:
-            # the pointer holds x's buffer, so x cannot be resized while it is bound
+            c = rows._c = _CArgs(rows)
+        if x is not c.x:
             _check_x(x, rows.A.shape[1])
-            c[0], c[1] = x, buf("double[]", x, require_writable=True)
+            c.x, c.head[6] = x, _pointer(x)
         return c
 
     def cspm_sweep(A, rows, x, lam, tol):
-        _, xp, a, lo, hi, norm2, screen, path, out, seen = pointers(rows, x)
-        m, n = A.shape
-        moves = lib.cfp_cspm_sweep(a, lo, hi, norm2, screen, path, xp, m, n, lam, tol, out, seen)
-        return out[0], moves, (out[1], out[2], out[3]), seen[0]
+        c = bound(rows, x)
+        moves = cspm(*c.head, lam, tol, c.sumsp, c.seenp)
+        vmax, b, size, steps = c.sums.tolist()
+        return vmax, moves, (b, size, steps), c.seen.value
 
     def art3_pass(A, rows, x, tol, out, queue):
-        _, xp, a, lo, hi, norm2, screen, path, _, _ = pointers(rows, x)
+        c = bound(rows, x)
         _check(queue, "queue", np.int64, 1)
-        _check(out, "out", np.float64, 1)
-        if out.shape[0] < 4 or not out.flags.writeable:
-            raise ValueError("out must be a writable array of at least 4 entries")
-        m, n = A.shape
-        kept = np.empty(queue.shape[0], dtype=np.int64)
-        nk = lib.cfp_art3_pass(a, lo, hi, norm2, screen, path, xp, m, n,
-                               buf("int64_t[]", queue), queue.shape[0], tol,
-                               buf("int64_t[]", kept, require_writable=True),
-                               buf("double[]", out, require_writable=True))
+        if out is not c.out:
+            _check(out, "out", np.float64, 1)
+            if out.shape[0] < 4 or not out.flags.writeable:
+                raise ValueError("out must be a writable array of at least 4 entries")
+            c.out, c.outp = out, _pointer(out)
+        nq = queue.shape[0]
+        if nq > c.queue.shape[0]:
+            c.grow(nq)
+        c.queue[:nq] = queue
+        nk = art3(*c.head, c.queuep, nq, tol, c.keptp, c.outp)
         if nk < 0:
-            raise IndexError(f"queue holds a row index outside [0, {m})")
-        return kept[:nk].copy()
+            raise IndexError(f"queue holds a row index outside [0, {A.shape[0]})")
+        return c.kept[:nk].copy()
 
     return cspm_sweep, art3_pass
 

@@ -187,38 +187,34 @@ class SolverSpec:
         object.__setattr__(self, "tol", tol)
 
 
-@dataclass
-class _Packed:
-    A: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    norm2: np.ndarray
+def _pack(rows: list[AffineConstraint], bounds: Bounds | None, path: np.ndarray) -> _kernels.Rows | None:
+    """Pack ``rows``, then a unit row per column of ``bounds`` with a finite bound; None if no row.
 
-    @classmethod
-    def from_rows(cls, rows: list[AffineConstraint], bounds: Bounds | None = None) -> "_Packed | None":
-        """Pack ``rows``, then a unit row per column of ``bounds`` with a finite bound; None if no row."""
-        lo = [r.lo for r in rows]
-        hi = [r.hi for r in rows]
-        norm2 = [r.norm2 for r in rows]
-        cols = np.empty(0, dtype=np.intp)
-        if bounds is not None:
-            cols = np.flatnonzero(np.isfinite(bounds.lo) | np.isfinite(bounds.hi))
-            lo.extend(bounds.lo[cols].tolist())
-            hi.extend(bounds.hi[cols].tolist())
-            norm2.extend([1.0] * cols.shape[0])
-        if not lo:
-            return None
-        m = len(rows)
-        A = np.zeros((len(lo), rows[0].a.shape[0] if rows else bounds.lo.shape[0]))
-        for i, r in enumerate(rows):
-            A[i] = r.a
-        A[m + np.arange(cols.shape[0]), cols] = 1.0
-        return cls(A=A, lo=np.array(lo, dtype=np.float64), hi=np.array(hi, dtype=np.float64),
-                   norm2=np.array(norm2, dtype=np.float64))
+    The rows come bound to the solve's screen state ``path`` (see
+    :class:`cfpopt._kernels.Rows`).
+    """
+    lo = [r.lo for r in rows]
+    hi = [r.hi for r in rows]
+    norm2 = [r.norm2 for r in rows]
+    cols = np.empty(0, dtype=np.intp)
+    if bounds is not None:
+        cols = np.flatnonzero(np.isfinite(bounds.lo) | np.isfinite(bounds.hi))
+        lo.extend(bounds.lo[cols].tolist())
+        hi.extend(bounds.hi[cols].tolist())
+        norm2.extend([1.0] * cols.shape[0])
+    if not lo:
+        return None
+    m = len(rows)
+    A = np.zeros((len(lo), rows[0].a.shape[0] if rows else bounds.lo.shape[0]))
+    for i, r in enumerate(rows):
+        A[i] = r.a
+    A[m + np.arange(cols.shape[0]), cols] = 1.0
+    return _kernels.Rows(A, np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64),
+                         np.array(norm2, dtype=np.float64), path)
 
 
-def _segment(constraints, bounds: Bounds | None) -> list[tuple[str, object]]:
-    """Split the cyclic list, then the box's rows, into packed affine runs and generic singletons."""
+def _segment(constraints, bounds: Bounds | None, path: np.ndarray) -> list[tuple[str, object]]:
+    """Split the cyclic list, then the box's rows, into bound affine runs and generic singletons."""
     segments: list[tuple[str, object]] = []
     run: list[AffineConstraint] = []
     for c in constraints:
@@ -226,10 +222,10 @@ def _segment(constraints, bounds: Bounds | None) -> list[tuple[str, object]]:
             run.append(c)
         else:
             if run:
-                segments.append(("rows", _Packed.from_rows(run)))
+                segments.append(("rows", _pack(run, None, path)))
                 run = []
             segments.append(("fn", c))
-    tail = _Packed.from_rows(run, bounds)
+    tail = _pack(run, bounds, path)
     if tail is not None:
         segments.append(("rows", tail))
     return segments
@@ -353,7 +349,7 @@ class _Sweeper:
     None; the passes visit it with :meth:`_visit`, as they do any oracle
     constraint.
 
-    The packed rows are bound once per solve (:meth:`_bind`, through
+    The packed rows are bound once per solve (:func:`_pack`, to a
     :class:`cfpopt._kernels.Rows`) and screened: a kernel skips a row that
     its last evaluation and the path x has travelled since prove satisfied,
     and evaluates and counts only the others.  The path sum ``path[0]``
@@ -379,9 +375,6 @@ class _Sweeper:
         self.path = np.zeros(3)
         self.rtol_events = -1  # the update count path[2] holds for
         self.x_out = None
-
-    def _bind(self, packed: _Packed) -> _kernels.Rows:
-        return _kernels.Rows(packed.A, packed.lo, packed.hi, packed.norm2, self.path)
 
     def sweep(self, x: np.ndarray, k: int) -> np.ndarray:
         path = self.path
@@ -449,9 +442,7 @@ class CyclicSweeper(_Sweeper):
     def __init__(self, constraints, lam, tol: float, counters: Counters, bounds: Bounds | None = None,
                  objective: ConvexFunction | None = None, t: float = np.inf):
         super().__init__(tol, counters, bounds, objective, t)
-        self.segments = []
-        for tag, seg in _segment(constraints, bounds):
-            self.segments.append((tag, self._bind(seg) if tag == "rows" else seg))
+        self.segments = _segment(constraints, bounds, self.path)
         if self.level is not None:
             self.segments.append(("level", self.level))
         self.certified = not self.segments
@@ -506,9 +497,8 @@ class Art3Sweeper(_Sweeper):
                  bounds: Bounds | None = None, objective: ConvexFunction | None = None,
                  t: float = np.inf):
         super().__init__(tol, counters, bounds, objective, t)
-        packed = _Packed.from_rows(rows, bounds)
-        self.packed = None if packed is None else self._bind(packed)
-        m = 0 if packed is None else packed.A.shape[0]
+        self.packed = _pack(rows, bounds, self.path)
+        m = 0 if self.packed is None else self.packed.A.shape[0]
         self.full = np.arange(m, dtype=np.int64)
         self.queue = self.full.copy()
         self.level_queued = self.level is not None

@@ -5,8 +5,10 @@ level ``t_k = f(x^k) - eps_k`` after every feasible point until the
 feasibility solver can no longer find one; the last feasible point is then
 an eps-optimal solution.  The bisection scheme instead maintains bounds
 ``[f_lo, f_hi]`` on the optimal value and halves the bracket with one
-feasibility test per step.  Both share one acceleration rule: stalled levels
-warm-start the next solve from a negative-gradient shift, never the incumbent.
+feasibility test per step.  Both start every solve from the incumbent and
+share one acceleration rule: stalled levels warm-start the next solve from a
+negative-gradient shift of the incumbent, which never becomes the incumbent
+itself.
 
 Termination is classified into three cases: the very first feasibility
 solve already fails (``CASE1``); some later solve fails, certifying the
@@ -300,11 +302,11 @@ def bisection_solve(problem: Problem, solver="cspm", x0=None, cfg: BisectionConf
     stops once ``|f_hi - f_lo| <= gamma``, returning the last feasible point
     as a gamma-optimal solution.  When no lower bound is supplied, a crude
     one is derived from the first feasible value; a supplied one above that
-    value raises ``ValueError``.  The optional acceleration
-    (see :class:`AccelerationConfig`) shifts the warm start on stalled
-    brackets; it stays the warm start until a test finds a point, and never
-    becomes the incumbent.  ``solver`` is passed to every test as in
-    :func:`level_set_solve`.
+    value raises ``ValueError``.  Every test starts from the incumbent, as
+    the level-set scheme's steps do; the optional acceleration (see
+    :class:`AccelerationConfig`) shifts that warm start on stalled brackets,
+    and the shifted point never becomes the incumbent.  ``solver`` is passed
+    to every test as in :func:`level_set_solve`.
     """
     counters = counters if counters is not None else Counters()
     rule = rule if rule is not None else EpsilonRule()
@@ -319,7 +321,6 @@ def bisection_solve(problem: Problem, solver="cspm", x0=None, cfg: BisectionConf
     gamma = cfg.gamma
 
     warm_start = _warm_starts(problem, accel, rule, counters)
-    warm = x
     t = 0.5 * (f_lo + f_hi)
     trace = [(0, t, f_hi)]
     k = 0
@@ -328,10 +329,9 @@ def bisection_solve(problem: Problem, solver="cspm", x0=None, cfg: BisectionConf
             return SchemeResult(ITERATION_CAP, x, f_hi, None, k, trace, counters,
                                 lower=f_lo, upper=f_hi)
         k += 1
-        warm = warm_start(t, warm, f_hi)
-        out = solve(t, warm)
+        out = solve(t, warm_start(t, x, f_hi))
         if out.found:
-            x = warm = out.x
+            x = out.x
             f_hi = _objective(problem, x, counters, f"at step {k}")
         else:
             f_lo = t

@@ -13,14 +13,9 @@ from cfpopt.model import AffineConstraint, Bounds, QuadraticFunction
 from cfpopt.superiorize import SuperiorizationConfig
 
 
-# The c backend needs cffi and a C compiler; where both are present a broken
-# build must fail these tests, so they are not guarded on available_backends().
+# The c backend needs a C compiler; where one is present a broken build must
+# fail these tests, so they are not guarded on available_backends().
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
-
-
-@pytest.fixture
-def cffi():
-    return pytest.importorskip("cffi")
 
 
 @pytest.fixture
@@ -47,13 +42,13 @@ def _random_system(seed, m=25, n=7):
 
 
 @needs_cc
-def test_both_backends_available(cffi):
+def test_both_backends_available():
     assert set(_kernels.available_backends()) == {"c", "numpy"}
 
 
 @needs_cc
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_cspm_backend_agreement(seed, cffi, restore_backend):
+def test_cspm_backend_agreement(seed, restore_backend):
     rows, x0 = _random_system(seed)
     results = {}
     for backend in ("c", "numpy"):
@@ -218,9 +213,7 @@ BACKENDS = ["numpy", pytest.param("c", marks=needs_cc)]
 
 @pytest.fixture
 def backend(request, restore_backend):
-    """Each screen test runs under both backends; the c one needs cffi."""
-    if request.param == "c":
-        request.getfixturevalue("cffi")
+    """Each screen test runs under both backends."""
     _kernels.set_backend(request.param)
     return request.param
 
@@ -422,7 +415,7 @@ def test_art3_screen_skips_a_slack_just_above_its_margin(backend):
 
 @needs_cc
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_cspm_step_sums_backend_agreement(seed, cffi, restore_backend):
+def test_cspm_step_sums_backend_agreement(seed, restore_backend):
     rows, x0 = _random_system(seed)
     A = np.ascontiguousarray([r.a for r in rows])
     lo, hi = np.array([r.lo for r in rows]), np.array([r.hi for r in rows])
@@ -444,7 +437,7 @@ def test_cspm_step_sums_backend_agreement(seed, cffi, restore_backend):
 
 @needs_cc
 @pytest.mark.parametrize("seed", [3, 4])
-def test_art3_backend_agreement(seed, cffi, restore_backend):
+def test_art3_backend_agreement(seed, restore_backend):
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(15):
@@ -465,7 +458,7 @@ def test_art3_backend_agreement(seed, cffi, restore_backend):
 
 @needs_cc
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_art3_step_sums_backend_agreement(seed, cffi, restore_backend):
+def test_art3_step_sums_backend_agreement(seed, restore_backend):
     # one-sided rows always reflect, equality rows always take the midline,
     # and slabs do either
     rows, x0 = _random_system(seed)
@@ -493,7 +486,7 @@ def test_art3_step_sums_backend_agreement(seed, cffi, restore_backend):
 
 
 @needs_cc
-def test_c_art3_pass_validates_the_sums_array(cffi, restore_backend):
+def test_c_art3_pass_validates_the_sums_array(restore_backend):
     _kernels.set_backend("c")
     A = np.array([[1.0]])
     lo, hi, norm2 = np.array([0.0]), np.array([2.0]), np.array([1.0])
@@ -510,7 +503,37 @@ def test_c_art3_pass_validates_the_sums_array(cffi, restore_backend):
 
 
 @needs_cc
-def test_c_kernels_update_in_place_and_validate(cffi, restore_backend):
+def test_c_art3_pass_takes_any_out_and_queue_on_one_binding(restore_backend):
+    # the c binding keeps the last out's pointer and copies each queue into
+    # buffers of its own; a new out, a longer queue and a read-only one must
+    # each pass as they do through the numpy twin
+    A = np.array([[1.0], [-1.0]])
+    lo, hi, norm2 = np.array([0.0, -2.0]), np.array([2.0, 0.0]), np.array([1.0, 1.0])
+    frozen = np.array([1, 0, 1, 0, 1], dtype=np.int64)
+    frozen.setflags(write=False)
+    queues = [np.array([0], dtype=np.int64), frozen, np.array([1, 1, 0], dtype=np.int64)]
+    results = {}
+    for backend in ("c", "numpy"):
+        _kernels.set_backend(backend)
+        x = np.array([5.0])
+        rows = _bind(A, lo, hi, norm2, x)
+        passes = []
+        for k, queue in enumerate(queues):
+            rows.path[0] += abs(5.0 + k - x[0])  # the jump, as a sweeper counts it
+            x[0] = 5.0 + k
+            out = np.full(4, -1.0)
+            kept = _kernels.art3_pass(A, rows, x, 1e-8, out, queue)
+            passes.append((kept.tolist(), out.tolist(), x.tolist()))
+        results[backend] = passes
+    assert results["c"] == results["numpy"]
+    assert [kept for kept, _, _ in results["c"]] == [[0], [1], [1]]
+    _kernels.set_backend("c")
+    with pytest.raises(ValueError):
+        _kernels.art3_pass(A, rows, x, 1e-8, np.zeros(3), queues[0])
+
+
+@needs_cc
+def test_c_kernels_update_in_place_and_validate(restore_backend):
     _kernels.set_backend("c")
     A = np.array([[1.0]])
     lo, hi, norm2 = np.array([0.0]), np.array([2.0]), np.array([1.0])
@@ -563,7 +586,7 @@ def test_rows_reject_an_empty_interval():
 
 
 @needs_cc
-def test_c_build_failure_reports_compiler_stderr(cffi, restore_backend, tmp_path, monkeypatch):
+def test_c_build_failure_reports_compiler_stderr(restore_backend, tmp_path, monkeypatch):
     bad = tmp_path / "_kernels.c"
     bad.write_text("int cfp_cspm_sweep(;\n")
     monkeypatch.setattr(_kernels, "_SOURCE", bad)
@@ -583,7 +606,7 @@ def test_set_backend_rejects_unknown(restore_backend):
 
 
 @needs_cc
-def test_env_flag_selects_backend(cffi):
+def test_env_flag_selects_backend():
     code = "import cfpopt; print(cfpopt.active_backend())"
     for want in ("numpy", "c"):
         env = dict(os.environ, CFPOPT_BACKEND=want)
@@ -601,21 +624,35 @@ def test_env_flag_rejects_unknown():
 
 
 @needs_cc
-def test_c_build_prunes_other_versions_and_skips_the_c_parser(cffi, tmp_path):
+def test_c_build_prunes_other_versions_and_skips_the_c_parser(tmp_path):
     cache = tmp_path / "cfpopt"
     cache.mkdir()
+    # another source version's library, and a module an older cffi loader wrote
     stale = [cache / "_kernels-0badc0de.so", cache / "_kernels_ffi_0badc0de.py"]
     for path in (*stale, cache / "notes.txt"):
         path.write_text("")
-    code = "import sys, cfpopt; print(cfpopt.active_backend(), 'pycparser' in sys.modules)"
+    code = ("import sys, cfpopt; print(cfpopt.active_backend(), "
+            "'cffi' in sys.modules, 'pycparser' in sys.modules)")
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), CFPOPT_BACKEND="c")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["c", "False"]
+    assert out.stdout.split() == ["c", "False", "False"]
     left = sorted(p.name for p in cache.iterdir())
-    assert "notes.txt" in left and not any(p.name in left for p in stale)
-    assert len([n for n in left if n.endswith(".so")]) == 1
-    assert len([n for n in left if n.endswith(".py")]) == 1
+    libraries = [n for n in left if n.startswith("_kernels-") and n.endswith(".so")]
+    assert len(libraries) == 1 and libraries[0] not in {p.name for p in stale}
+    assert sorted(set(left) - set(libraries)) == ["notes.txt"]
+
+
+@needs_cc
+def test_c_backend_runs_without_cffi(tmp_path):
+    # the library loads through the standard library's ctypes
+    code = ("import sys; sys.modules['cffi'] = None; import cfpopt; "
+            "print(cfpopt.active_backend())")
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+    env.pop("CFPOPT_BACKEND", None)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "c"
 
 
 def test_numpy_kernel_semantics_by_hand():
@@ -667,9 +704,7 @@ def test_art3_pass_reflect_and_midline():
 
 
 @pytest.mark.parametrize("backend", ["numpy", pytest.param("c", marks=needs_cc)])
-def test_art3_pass_step_sums_by_hand(backend, request, restore_backend):
-    if backend == "c":
-        request.getfixturevalue("cffi")
+def test_art3_pass_step_sums_by_hand(backend, restore_backend):
     _kernels.set_backend(backend)
     tol = 1e-8
     queue = np.array([0], dtype=np.int64)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cfpopt import schemes
 from cfpopt.feasibility import SolverSpec
 from cfpopt.harness import HarnessConfig, builtin_problems, run_variant
 from cfpopt.model import AffineConstraint, Bounds, Counters, CustomFunction, Problem, QuadraticFunction
@@ -235,6 +236,31 @@ class TestBisection:
                               accel=AccelerationConfig(c=1.0, s=0.001, block=10))
         assert res.case == CASE2_OR_3
         assert abs(res.best_value - 1.0) <= 1e-4
+
+    def test_accelerated_bisection_perturbs_only_found_points(self, monkeypatch):
+        # a stall that fires after a failed test shifts the incumbent again,
+        # not the shifted warm start of the failed test: shifts never compound
+        found, perturbed = [], []
+        solve, perturb = schemes.cfp_with_level, schemes._perturb
+
+        def recording_solve(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            if out.found:
+                found.append(out.x.copy())
+            return out
+
+        def recording_perturb(problem, x, accel, counters):
+            perturbed.append(x.copy())
+            return perturb(problem, x, accel, counters)
+
+        monkeypatch.setattr(schemes, "cfp_with_level", recording_solve)
+        monkeypatch.setattr(schemes, "_perturb", recording_perturb)
+        res = bisection_solve(simple_qp(), x0=[2.0], cfg=BisectionConfig(f_lower=0.0),
+                              accel=AccelerationConfig(c=10.0, s=0.001, block=1))
+        assert res.case == CASE2_OR_3
+        assert len(perturbed) > len(found)  # some stalls fire after a failed test
+        for x in perturbed:
+            assert any(np.array_equal(x, y) for y in found)
 
 
 @pytest.mark.parametrize("solve", [level_set_solve, accelerated_level_set_solve, bisection_solve])
