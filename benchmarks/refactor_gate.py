@@ -19,7 +19,10 @@ Each run prints ``same``, or the number of its differing lines, their cell
 keys (``problem/variant``) or digest names, for ``cells.py`` how many cells
 differ in each field (status, f_hat, projections, obj_evals, outer_steps),
 so that a change to the counters alone reads as such, and the first
-differing pair as ``- old / + new``.  The gate ends with the ``git diff --numstat PARENT_REV -- src`` totals
+differing pair as ``- old / + new``.  After the runs, one line per counter
+(``projections: 41 fell, 0 rose``) says in how many differing cells of all
+``cells.py`` runs that counter fell and in how many it rose.  The gate ends
+with the ``git diff --numstat PARENT_REV -- src`` totals
 and the code lines of ``src/cfpopt/*.py`` (docstrings, comments and blank
 lines left out) at ``PARENT_REV`` and in the working tree.  The exit status
 is 1 when any output differs, else 0.  The two trees run side by side,
@@ -47,6 +50,7 @@ ACCELERATED = "ls_acc_cspm,ls_acc_sup_cspm,bis_acc_cspm,bis_acc_sup_cspm"
 GATE_SCRIPTS = ("cells.py", "qps_digest.py")
 # the entries of a cells.py cell, in order
 CELL_FIELDS = ("status", "f_hat", "projections", "obj_evals", "outer_steps")
+COUNTERS = ("projections", "obj_evals")
 
 
 def runs() -> list[tuple[str, ...]]:
@@ -121,6 +125,24 @@ def field_counts(pairs: list[tuple[str, str]]) -> str | None:
     return "cells per field: " + ", ".join(f"{name} {k}" for name, k in counts.items() if k)
 
 
+def counter_moves(old: str, new: str) -> dict[str, list[int]]:
+    """Per counter field, in how many cells of two ``cells.py`` outputs it fell and rose.
+
+    Lines are paired in order; a line that is not a cell with counters on
+    both sides counts nowhere.
+    """
+    moves = {name: [0, 0] for name in COUNTERS}
+    for x, y in zip(old.splitlines(), new.splitlines()):
+        a, b = cell(x), cell(y)
+        if a is None or b is None or len(a) != len(CELL_FIELDS) or len(b) != len(CELL_FIELDS):
+            continue
+        for name in COUNTERS:
+            i = CELL_FIELDS.index(name)
+            if a[i] != b[i]:
+                moves[name][b[i] > a[i]] += 1
+    return moves
+
+
 def differences(old: str, new: str) -> str | None:
     """How ``new`` differs from ``old`` line by line, or None when they are equal.
 
@@ -188,6 +210,7 @@ def main(argv=None) -> int:
         return 2
     rev = argv[0]
     differs = 0
+    moves = {name: [0, 0] for name in COUNTERS}
     with tempfile.TemporaryDirectory(prefix="cfpopt-gate-") as tmp:
         parent = Path(tmp) / "parent"
         parent.mkdir()
@@ -197,11 +220,17 @@ def main(argv=None) -> int:
         for run in runs():
             old = start(parent, run, old_env)
             new = start(ROOT, run, new_env)
-            diff = differences(output(old), output(new))
+            old_out, new_out = output(old), output(new)
+            diff = differences(old_out, new_out)
+            for name, (fell, rose) in counter_moves(old_out, new_out).items():
+                moves[name][0] += fell
+                moves[name][1] += rose
             label = " ".join(run)
             print(f"{label:<36} {'same' if diff is None else 'DIFFERS: ' + diff}", flush=True)
             differs += diff is not None
         old_code, new_code = src_code_lines(parent), src_code_lines(ROOT)
+    for name, (fell, rose) in moves.items():
+        print(f"{name}: {fell} fell, {rose} rose")
     added, deleted = numstat(rev)
     print(f"src/ against {rev}: +{added} -{deleted} (net {added - deleted:+d})")
     print(f"src/cfpopt code lines: {old_code} at {rev}, {new_code} here "

@@ -34,12 +34,13 @@ Backends:
   ``${XDG_CACHE_HOME:-~/.cache}/cfpopt/``, under a file name keyed by a
   crc32 of the source and the flags, and loads it with the standard
   library's ``ctypes``, so the backend needs numpy and ``cc`` only.  Later
-  processes load the cached library; a build deletes the libraries of other
-  source versions from the cache.  The wrappers accept only C-contiguous
-  float64 arrays (int64 for the queue), and ``x`` must be writable.  A
-  ``Rows`` binding validates its arrays once and keeps their ctypes
-  arguments, and the pointer of the last ``x`` it swept, so that a pass
-  over the same iterate array converts none of them.
+  processes load the cached library and mark it used; a build keeps the
+  four most recently used libraries, so a few source versions run in turns
+  do not rebuild each other's, and deletes the rest.  The wrappers accept
+  only C-contiguous float64 arrays (int64 for the queue), and ``x`` must be
+  writable.  A ``Rows`` binding validates its arrays once and keeps their
+  ctypes arguments, and the pointer of the last ``x`` it swept, so that a
+  pass over the same iterate array converts none of them.
 * ``numpy`` is the reference the tests hold ``c`` to, and the fallback.
 
 Backend selection: the ``CFPOPT_BACKEND`` environment variable may be set to
@@ -365,19 +366,37 @@ def _staged(target: Path):
             os.unlink(tmp)
 
 
+# the libraries a cache keeps: enough for a few source versions in use at once
+# (a tree and its parent, run in turns) not to rebuild each other's
+_KEEP = 4
+
+
+def _mtime(path: Path) -> float:
+    try:
+        return path.stat().st_mtime
+    except OSError:  # deleted by a concurrent prune
+        return -math.inf
+
+
 def _prune(cache: Path, keep: Path) -> None:
-    """Delete the libraries of other source versions, and older releases' cffi modules, from the cache."""
-    for path in (*cache.glob("_kernels-*.so"), *cache.glob("_kernels_ffi_*.py")):
-        if path != keep:
-            with contextlib.suppress(OSError):
-                path.unlink()
+    """Delete all but the ``_KEEP`` most recently used libraries, and older releases' cffi modules.
+
+    ``keep`` is always one of those kept; a library's use is its mtime,
+    which :func:`_build` renews on every cache hit.
+    """
+    libraries = sorted((p for p in cache.glob("_kernels-*.so") if p != keep), key=_mtime,
+                       reverse=True)
+    for path in (*libraries[_KEEP - 1:], *cache.glob("_kernels_ffi_*.py")):
+        with contextlib.suppress(OSError):
+            path.unlink()
 
 
 def _build(cc: str) -> Path:
     """Return the cached library, building it if absent.
 
-    It is keyed by a crc32 of the C source and the flags; a build removes
-    the libraries of every other key from the cache.
+    It is keyed by a crc32 of the C source and the flags.  A hit marks the
+    library used; a build keeps the ``_KEEP`` most recently used libraries
+    in the cache and removes the others.
     """
     try:
         source = _SOURCE.read_bytes()
@@ -386,6 +405,8 @@ def _build(cc: str) -> Path:
         key = format(zlib.crc32(source + b"\0" + " ".join(_CFLAGS).encode()), "08x")
         lib = _cache_dir() / f"_kernels-{key}.so"
         if lib.exists():
+            with contextlib.suppress(OSError):  # a read-only cache still serves
+                os.utime(lib)
             return lib
         lib.parent.mkdir(parents=True, exist_ok=True)
         with _staged(lib) as tmp:

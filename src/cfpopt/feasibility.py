@@ -11,10 +11,16 @@ Given the problem's bound box, every solver kind can also prove a system
 empty before the time-out.  Every step a solver takes moves x by ``-mu h``,
 ``mu >= 0``, off a halfspace ``h . y <= beta + tol`` that holds every
 tol-feasible point: a violated row's violated side, or the linearisation of
-a violated convex constraint at the visit point.  The running nonnegative
-combination of all those halfspaces, ``c . y <= b``, is a Farkas certificate
-once no point of the tol-widened box satisfies it (:class:`_StepAggregate`);
-the solve then ends with ``infeasibility_certified``.
+a violated convex constraint at the visit point.  Any nonnegative
+combination of those halfspaces, ``c . y <= b``, is a Farkas certificate
+once no point of the tol-widened box satisfies it.  A solve keeps such sums
+over windows of sweeps (:class:`_StepAggregate`): the whole solve, and the
+recent windows that start at the last two multiples of ``2**j`` for every j.
+After each sweep it tests every window, and the first that separates the
+box from its sum ends the solve with ``infeasibility_certified``.  The early
+steps, taken far from the sets, can keep the whole solve's sum from
+separating long after the recent steps would; a window's sum is a valid
+combination too, so its certificate is as sound.
 
 A step with relaxation lambda off a side violated by ``v`` adds about
 ``(lambda - lambda**2 / 2) v**2 / |h|**2`` to the certificate's gap: 0.375
@@ -102,12 +108,12 @@ class FeasibilityOutcome:
     timed out or it proved that no point satisfies every constraint within
     tolerance.  The counters cover this solve only; ``moves`` counts the
     projection calls that actually displaced the iterate.
-    ``infeasibility_certified`` marks such a proof: the aggregate of the
-    steps taken separates the tol-relaxed constraint set from the bound box
-    (any solver kind given the bound box), or a level visit found ``f > t``
-    at a minimizer of the objective.  ``projections`` counts the rows
-    evaluated and the oracle visits; a row the screen proves satisfied is
-    skipped and not counted.
+    ``infeasibility_certified`` marks such a proof: the sum of the steps
+    taken, over the whole solve or over a window of recent sweeps, separates
+    the tol-relaxed constraint set from the bound box (any solver kind given
+    the bound box), or a level visit found ``f > t`` at a minimizer of the
+    objective.  ``projections`` counts the rows evaluated and the oracle
+    visits; a row the screen proves satisfied is skipped and not counted.
     """
 
     found: bool
@@ -240,24 +246,41 @@ _CERT_RTOL = 2.0**-30
 
 
 class _StepAggregate:
-    """Running Farkas combination of every step a solve takes.
+    """Running Farkas combinations of a solve's steps: over the whole solve and over recent windows.
 
     Each step moves x by ``-mu * h`` with ``mu >= 0`` off a halfspace
     ``h . y <= beta + tol`` that holds every point whose violations are all
     at most tol: a moved row's violated side (``h = +-a_i``), or a moved
     oracle constraint's linearisation at the visit point x^, ``xi . y <=
-    xi . x^ - v + tol`` (subgradient inequality).  The sum ``c . y <= b``,
-    with ``c = sum mu h`` and ``b = sum mu (beta + tol)``, then holds on that
-    set too, and the bound rows confine the set to the tol-widened box.  When
-    the minimum of ``c . y`` over the box exceeds ``b`` by more than the
-    rounding margin, the set is empty.
+    xi . x^ - v + tol`` (subgradient inequality).  A sum of any of these,
+    ``c . y <= b`` with ``c = sum mu h`` and ``b = sum mu (beta + tol)``,
+    then holds on that set too, and the bound rows confine the set to the
+    tol-widened box.  When the minimum of ``c . y`` over the box exceeds
+    ``b`` by more than the rounding margin, the set is empty.
 
-    ``c`` is summed as ``x_in - x_out`` of each sweep (:meth:`begin`,
-    :meth:`end`), so the perturbations a superiorized solve makes between
-    sweeps stay out of it.  ``b`` and the magnitudes the margin needs come
-    from the row kernels' step sums (:meth:`add`) and from
-    :meth:`add_linearization` for the oracle steps.  A column with an
-    infinite bound defeats the test while its ``c_j`` is nonzero.
+    A window sums the steps of the sweeps from its start through the last
+    one.  The window that starts at sweep 0 is every step of the solve; the
+    others start at the last two multiples of ``2**j`` up to the current
+    sweep, for every j.  Sweep k opens the window that starts at it, in the
+    column of the one window that leaves that set then, the one from ``s =
+    k - 2 * lowbit(k)`` when ``s > 0``; so at sweep k at most
+    ``k.bit_length() + 1`` windows are live, 11 in 1000 sweeps, and every
+    column of ``windows`` is one of them.  A column is ``[|c|, c, b, size,
+    steps]``, and each sweep adds its own ``[0, x_in - x_out, b, size,
+    steps]`` to every column (:meth:`begin`, :meth:`end`): ``c`` is summed
+    from the iterates, so the perturbations a superiorized solve makes
+    between sweeps stay out of it, and ``b`` and the magnitudes the margin
+    needs come from the row kernels' step sums (:meth:`add`) and from
+    :meth:`add_linearization` for the oracle steps.
+
+    A window keeps its own running sums, never a difference of two running
+    totals, so its sums round relative to its own steps.  Its margin is the
+    whole solve's rule applied to the window: its own sums and box minimum,
+    the moves and sweeps it spans (the x updates that round its ``c``), and
+    the norm of x at the solve's start and now.  So each window's margin
+    covers the rounding of its own certificate, and a window that certifies
+    is as sound as the whole solve's sum.  A column with an infinite bound
+    defeats a window's test while its ``c_j`` is nonzero.
     """
 
     def __init__(self, bounds: Bounds, tol: float):
@@ -265,41 +288,83 @@ class _StepAggregate:
         unbounded = ~(np.isfinite(lo) & np.isfinite(hi))
         self.unbounded = np.flatnonzero(unbounded) if unbounded.any() else None
         lo, hi = np.where(unbounded, 0.0, lo), np.where(unbounded, 0.0, hi)
-        n = lo.shape[0]
-        reach = np.maximum(np.abs(lo), np.abs(hi))
-        # one product with [c, |c|] gives the minimum of c . y over the box
-        # (c . mid - |c| . half), sum |c_j| reach_j and |c|_1
-        self.weights = np.zeros((3, 2 * n))
-        self.weights[0, :n] = 0.5 * (lo + hi)
-        self.weights[0, n:] = -0.5 * (hi - lo)
-        self.weights[1, n:] = reach
-        self.weights[2, n:] = 1.0
-        self.reach1 = float(reach.sum())
-        self.reach2 = math.sqrt(float(reach @ reach))
-        self.c_abs_c = np.zeros(2 * n)
-        self.c, self.abs_c = self.c_abs_c[:n], self.c_abs_c[n:]
+        n = self.n = lo.shape[0]
+        self.reach = np.maximum(np.abs(lo), np.abs(hi))
+        self.reach1 = float(self.reach.sum())
+        self.reach2 = math.sqrt(float(self.reach @ self.reach))
+        # the product of these with a window's first 2n + 1 entries is its
+        # gap: the minimum of c . y over the box, c . mid - |c| . half, less b
+        self.gap_weights = np.concatenate([-0.5 * (hi - lo), 0.5 * (lo + hi), [-1.0]])
         self.tol = tol
-        # sums over all steps of mu (beta + tol), mu (|beta| + tol) and mu |h|;
-        # the middle one takes a bound on |beta| for oracle steps
-        self.b = self.size = self.steps = 0.0
+        # one column per window, [|c|, c, b, size, steps], every column live:
+        # the |c| and c blocks are contiguous, so their abs and the gaps' product
+        # are one call each
+        self.windows = np.zeros((2 * n + 3, 1))
+        self._views()
+        # the column of each window by its start sweep; per column its start
+        # sweep and the moves made before it
+        self.column_of: dict[int, int] = {}
+        self.starts: list[tuple[int, int] | None] = [None]
+        # this sweep's [0, x_in - x_out, b, size, steps]: the last three are
+        # the sums over its steps of mu (beta + tol), mu (|beta| + tol) and
+        # mu |h|, gathered in b_k, size_k and steps_k; the middle one takes a
+        # bound on |beta| for oracle steps
+        self.sweep = np.zeros((2 * n + 3, 1))
+        self.x_in, self.sums = self.sweep[n:2 * n, 0], self.sweep[2 * n:, 0]
+        self.b_k = self.size_k = self.steps_k = 0.0
+        self.moves = 0
         self.x0x0 = 0.0
 
+    def _views(self) -> None:
+        """Bind the views of ``windows`` that every sweep reads."""
+        n = self.n
+        w = self.windows
+        self.abs_c, self.c_all, self.gap_rows = w[:n], w[n:2 * n], w[:2 * n + 1]
+
+    @property
+    def c(self) -> np.ndarray:
+        """The whole solve's ``c``."""
+        return self.windows[self.n:2 * self.n, 0]
+
+    @property
+    def b(self) -> float:
+        """The whole solve's ``b``."""
+        return float(self.windows[2 * self.n, 0])
+
     def begin(self, x: np.ndarray, k: int) -> None:
-        """Open sweep ``k`` (0-based) from ``x``."""
+        """Open sweep ``k`` (0-based) from ``x``, and the window that starts at it."""
         if k == 0:
             self.x0x0 = float(x @ x)
-        self.c += x
+        self._open(k)
+        self.x_in[:] = x
+        self.b_k = self.size_k = self.steps_k = 0.0
+
+    def _open(self, k: int) -> None:
+        """Open the window that starts at sweep ``k``, in the column of the window that ends at it."""
+        col = self.column_of.pop(k - 2 * (k & -k), None) if k else 0
+        if col is None:  # no window ends: one column more
+            col = len(self.starts)
+            self.windows = np.hstack([self.windows, np.zeros((self.windows.shape[0], 1))])
+            self._views()
+            self.starts.append(None)
+        else:
+            self.windows[:, col] = 0.0
+        self.column_of[k] = col
+        self.starts[col] = (k, self.moves)
 
     def end(self, x: np.ndarray, moves: int, sweeps: int, found: bool) -> bool:
         """Close the sweep that led to ``x``; True when the system is proven empty."""
-        self.c -= x
+        self.x_in -= x
+        self.sums[:] = self.b_k, self.size_k, self.steps_k
+        self.windows += self.sweep
+        self.moves = moves
         return not found and self.empty(x, moves, sweeps)
 
     def add(self, b: float, size: float, steps: float) -> None:
         """Count row steps by their sums, as ``cspm_sweep`` and ``art3_pass`` give them."""
-        self.b += b
-        self.size += size
-        self.steps += steps
+        self.b_k += b
+        self.size_k += size
+        self.steps_k += steps
 
     def add_linearization(self, x: np.ndarray, v: float, xi: np.ndarray, norm2: float, mu: float,
                           level: float) -> None:
@@ -317,22 +382,32 @@ class _StepAggregate:
         self.add(mu * (at - v + tol), mu * (size + tol), mu * math.sqrt(norm2))
 
     def empty(self, x: np.ndarray, moves: int, sweeps: int) -> bool:
-        """True when no point of the tol-widened box satisfies ``c . y <= b``."""
-        c = self.c
-        if self.unbounded is not None and c[self.unbounded].any():
+        """True when, for some window, no point of the tol-widened box satisfies ``c . y <= b``."""
+        np.abs(self.c_all, out=self.abs_c)
+        gaps = (self.gap_weights @ self.gap_rows).tolist()
+        if max(gaps) <= 0.0:
             return False
-        np.abs(c, out=self.abs_c)
-        low, c_reach, c1 = (self.weights @ self.c_abs_c).tolist()
-        gap = low - self.b
-        if gap <= 0.0:
-            return False
+        n = self.n
         xnorm = math.sqrt(max(self.x0x0, float(x.dot(x))))
-        # the sums, the box minimum and the found test's dot products round
-        # relative to these magnitudes; each x update rounds c by at most a
-        # few units of the coordinates it touches
-        margin = (_CERT_RTOL * (self.size + c_reach + self.steps * max(self.reach2, xnorm))
-                  + 64.0 * _UNIT * (moves + 2 * sweeps) * (xnorm + c1) * self.reach1)
-        return gap > margin
+        for i, gap in enumerate(gaps):
+            if not gap > 0.0:
+                continue
+            window = self.windows[:, i]
+            if self.unbounded is not None and window[n + self.unbounded].any():
+                continue
+            abs_c = window[:n]
+            c_reach, c1 = float(abs_c @ self.reach), float(abs_c.sum())
+            size, steps = window[2 * n + 1:].tolist()
+            start, moves0 = self.starts[i]
+            # the sums, the box minimum and the found test's dot products
+            # round relative to these magnitudes; each x update rounds c by
+            # at most a few units of the coordinates it touches
+            margin = (_CERT_RTOL * (size + c_reach + steps * max(self.reach2, xnorm))
+                      + 64.0 * _UNIT * (moves - moves0 + 2 * (sweeps - start)) * (xnorm + c1)
+                      * self.reach1)
+            if gap > margin:
+                return True
+        return False
 
 
 class _Sweeper:

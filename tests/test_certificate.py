@@ -1,21 +1,23 @@
 """The early emptiness certificate of CSPM and ART3+: sound, fast, and invisible in results.
 
-A solve given the problem's bound box sums its steps into a Farkas
-combination and stops with ``infeasibility_certified`` once that proves no
-tol-feasible point exists.  These tests hold it to four promises: it never
-fires on a nonempty level set, it fires within a few sweeps on clearly empty
-ones, it never fires without a finite box, and the schemes' results are the
-ones the time-out rule gives, with less work.
+A solve given the problem's bound box sums its steps into Farkas
+combinations, over the whole solve and over windows of recent sweeps, and
+stops with ``infeasibility_certified`` once one proves no tol-feasible point
+exists.  These tests hold it to four promises: it never fires on a nonempty
+level set, it fires within a few sweeps on clearly empty ones, it never fires
+without a finite box, and the schemes' results are the ones the time-out
+rule gives, with less work.
 """
 
 import importlib.util
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cfpopt import feasibility
+from cfpopt import _kernels, feasibility
 from cfpopt.feasibility import SolverSpec, cfp_with_level, make_sweeper
 from cfpopt.harness import HarnessConfig, run_variant
 from cfpopt.model import AffineConstraint, Bounds, Counters, Problem, QuadraticFunction
@@ -161,3 +163,93 @@ def test_results_match_the_time_out_rule(monkeypatch):
         assert r.projections <= base.projections, cell
     assert (sum(r.projections for r in with_check.values())
             < 0.5 * sum(r.projections for r in time_out_only.values()))
+
+
+def whole_solve_only(monkeypatch):
+    """Keep only the window that starts at sweep 0, the whole solve's sum."""
+    aggregate = feasibility._StepAggregate
+    open_window = aggregate._open
+    monkeypatch.setattr(aggregate, "_open", lambda self, k: open_window(self, k) if k == 0 else None)
+
+
+def three_cuts():
+    # x_0 >= 1, x_1 >= 1 and the level x_0 + x_1 <= 1.5 in the box [-100, 100]^2:
+    # every two of them meet, all three do not
+    rows = [AffineConstraint.geq([1.0, 0.0], 1.0), AffineConstraint.geq([0.0, 1.0], 1.0)]
+    objective = QuadraticFunction(np.zeros((2, 2)), [1.0, 1.0])
+    return Problem(objective, rows, bounds=Bounds(np.full(2, -100.0), np.full(2, 100.0))), 1.5
+
+
+def test_windows_certify_an_empty_system_that_needs_its_rows(monkeypatch):
+    problem, t = three_cuts()
+    far = [-90.0, 90.0]
+    for pair in ([0, 1], [0], [1]):
+        rows = [problem.constraints[i] for i in pair]
+        level = t if len(pair) < 2 else np.inf
+        alone = Problem(problem.objective, rows, bounds=problem.bounds, n=2)
+        assert cfp_with_level(alone, level, "cspm", x0=far).found, pair
+    for kind in ("cspm", "art3+"):
+        windows = cfp_with_level(problem, t, kind, x0=far)
+        assert windows.infeasibility_certified and windows.sweeps <= 20, (kind, windows.sweeps)
+        with monkeypatch.context() as m:
+            whole_solve_only(m)
+            whole = cfp_with_level(problem, t, kind, x0=far)
+        # the early steps from the far start keep the whole solve's sum from
+        # separating; the recent sweeps' sums do
+        assert windows.sweeps <= whole.sweeps, kind
+        assert whole.timed_out, (kind, whole.sweeps)
+
+
+def test_art3_certifies_a_level_just_below_the_optimum(monkeypatch):
+    # with the whole solve's sum alone this level times out after 1000 sweeps
+    problem, fstar = planted(0)
+    out = cfp_with_level(problem, fstar - 1e-4, "art3+")
+    assert out.infeasibility_certified and not out.found
+    assert out.sweeps < 300, out.sweeps
+    whole_solve_only(monkeypatch)
+    out = cfp_with_level(problem, fstar - 1e-4, "art3+")
+    assert out.timed_out and out.sweeps == feasibility.DEFAULT_MAX_SWEEPS
+
+
+def test_windows_follow_the_dyadic_starts():
+    # x falls by one unit a sweep and every sweep adds 1 to b, so each
+    # window's sums count its own sweeps exactly
+    max_sweeps = 4096
+    agg = feasibility._StepAggregate(Bounds(np.zeros(1), np.ones(1)), 0.0)
+    most = 0
+    for k in range(max_sweeps):
+        agg.begin(np.array([-float(k)]), k)
+        agg.add(1.0, 1.0, 1.0)
+        agg.end(np.array([-float(k + 1)]), k + 1, k + 1, True)
+        want = {0} | {(k >> j << j) - d for j in range(k.bit_length()) for d in (0, 1 << j)}
+        assert sorted(agg.column_of) == sorted(want), k
+        live = len(agg.column_of)
+        assert agg.windows.shape[1] == live <= k.bit_length() + 1
+        assert live <= 2 * math.log2(k + 1) + 1
+        for start, col in agg.column_of.items():
+            assert agg.windows[1, col] == k + 1 - start  # c
+            assert agg.windows[2, col] == k + 1 - start  # b
+        if k < feasibility.DEFAULT_MAX_SWEEPS:
+            most = max(most, live)
+    # at most 2 log2(max_sweeps) + 1 windows: 21 in a 1000-sweep solve
+    assert most <= 2 * math.log2(feasibility.DEFAULT_MAX_SWEEPS) + 1
+
+
+@pytest.fixture
+def restore_backend():
+    saved = _kernels.active_backend()
+    yield
+    _kernels.set_backend(saved)
+
+
+@pytest.mark.parametrize("kind", ["cspm", "art3+"])
+def test_backends_certify_at_the_same_sweep(kind, restore_backend):
+    problem, t = three_cuts()
+    outs = {}
+    for backend in _kernels.available_backends():
+        _kernels.set_backend(backend)
+        outs[backend] = cfp_with_level(problem, t, kind, x0=[-90.0, 90.0])
+    for backend, out in outs.items():
+        assert out.infeasibility_certified, backend
+        assert (out.sweeps, out.projections) == (outs["numpy"].sweeps, outs["numpy"].projections)
+        assert np.array_equal(out.x, outs["numpy"].x), backend

@@ -627,10 +627,13 @@ def test_env_flag_rejects_unknown():
 def test_c_build_prunes_other_versions_and_skips_the_c_parser(tmp_path):
     cache = tmp_path / "cfpopt"
     cache.mkdir()
-    # another source version's library, and a module an older cffi loader wrote
-    stale = [cache / "_kernels-0badc0de.so", cache / "_kernels_ffi_0badc0de.py"]
-    for path in (*stale, cache / "notes.txt"):
+    # other source versions' libraries, the oldest first, and a module an
+    # older cffi loader wrote
+    others = [cache / f"_kernels-0badc0d{i}.so" for i in range(_kernels._KEEP)]
+    stale = cache / "_kernels_ffi_0badc0de.py"
+    for i, path in enumerate((*others, stale, cache / "notes.txt")):
         path.write_text("")
+        os.utime(path, (1000 + i, 1000 + i))
     code = ("import sys, cfpopt; print(cfpopt.active_backend(), "
             "'cffi' in sys.modules, 'pycparser' in sys.modules)")
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), CFPOPT_BACKEND="c")
@@ -639,8 +642,30 @@ def test_c_build_prunes_other_versions_and_skips_the_c_parser(tmp_path):
     assert out.stdout.split() == ["c", "False", "False"]
     left = sorted(p.name for p in cache.iterdir())
     libraries = [n for n in left if n.startswith("_kernels-") and n.endswith(".so")]
-    assert len(libraries) == 1 and libraries[0] not in {p.name for p in stale}
+    # the new library and the most recently used others, the oldest deleted
+    built = set(libraries) - {p.name for p in others}
+    assert len(built) == 1 and len(libraries) == _kernels._KEEP
+    assert others[0].name not in libraries
     assert sorted(set(left) - set(libraries)) == ["notes.txt"]
+
+
+@needs_cc
+def test_c_build_keeps_the_library_of_another_version(tmp_path, monkeypatch):
+    # a change and its parent that share a cache run in turns: building the
+    # second version must not evict the first, and a hit marks it used
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cc = shutil.which("cc")
+    first = _kernels._build(cc)
+    os.utime(first, (1000, 1000))
+    changed = tmp_path / "_kernels.c"
+    changed.write_bytes(_kernels._SOURCE.read_bytes() + b"\n/* another version */\n")
+    monkeypatch.setattr(_kernels, "_SOURCE", changed)
+    second = _kernels._build(cc)
+    assert second != first and first.exists() and second.exists()
+    monkeypatch.undo()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _kernels._build(cc) == first
+    assert first.stat().st_mtime > 1000
 
 
 @needs_cc

@@ -37,6 +37,15 @@ def test_counter_only_changes_read_as_such():
     assert refactor_gate.differences(OLD, raised).split("\n")[1].strip() == "cells per field: status 1"
 
 
+def test_counter_moves_count_the_cells_that_fell_and_rose():
+    new = (OLD.replace('"1.0", 10, 3', '"1.0", 4, 3').replace('"1.5", 20, 4', '"1.5", 20, 6')
+           .replace('["case1", "None", 5, 0, 0]', '["raised", "ValueError: x"]'))
+    assert refactor_gate.counter_moves(OLD, new) == {"projections": [1, 0], "obj_evals": [0, 1]}
+    assert refactor_gate.counter_moves(OLD, OLD) == {"projections": [0, 0], "obj_evals": [0, 0]}
+    assert refactor_gate.counter_moves("a.qps 1f\n", "a.qps 2e\n") == {"projections": [0, 0],
+                                                                      "obj_evals": [0, 0]}
+
+
 def test_digest_lines_are_named_by_file():
     diff = refactor_gate.differences("a.qps 1f\nb.qps 2e\n", "a.qps 1f\nb.qps 2d\n")
     assert diff.split("\n")[0] == "1 of 2 lines differ: b.qps"
