@@ -4,17 +4,17 @@
 Builds consistent random affine systems (optionally with a quadratic level
 constraint riding at the end of the cycle, as the optimization schemes add
 it) and times full CSPM and ART3+ feasibility solves under each backend.
-The two backends run identical row-by-row arithmetic, so iterates agree to
-rounding noise; the point of the comparison is wall time.  The c library is
-built (or loaded from the cache) before any timing starts; where it cannot
-run, its rows print ``n/a``.
+The two backends compute the same bits, so the solves are identical; the
+point of the comparison is wall time.  The c library is built (or loaded
+from the cache) before any timing starts; where it cannot run, its rows
+print ``n/a``.
 
 A second table times single ``cspm_sweep`` and ``art3_pass`` calls (the
 latter over a queue of every row) in ns per row, at m=120/n=60 and at the
 ``--m``/``--n`` size; every call also sums the steps that the emptiness
-certificate of :mod:`cfpopt.feasibility` reads.  Each call is the first pass
-of a fresh row binding, whose screen evaluates every row.  ``moved`` is the
-share of rows that moved x.
+certificate of :mod:`cfpopt.feasibility` reads, into the binding's ``out``.
+Each call is the first pass of a fresh row binding, whose screen evaluates
+every row.  ``moved`` is the share of rows that moved x.
 
 A third table prints the cost of one c wrapper call in us, at m=70/n=30
 and m=280/n=120, from the planted point with every row screened: the kernel
@@ -71,7 +71,7 @@ def kernel_ns_per_row(kernel, m, n, seed, repeats):
     A = np.ascontiguousarray([r.a for r in rows])
     lo, hi = np.array([r.lo for r in rows]), np.array([r.hi for r in rows])
     norm2 = np.array([r.norm2 for r in rows])
-    queue, out = np.arange(m, dtype=np.int64), np.zeros(4)
+    queue = np.arange(m, dtype=np.int64)
 
     def bind():
         return _kernels.Rows(A, lo, hi, norm2, np.zeros(3))
@@ -80,7 +80,7 @@ def kernel_ns_per_row(kernel, m, n, seed, repeats):
         """One pass from x; returns the number of rows that moved."""
         if kernel == "cspm":
             return _kernels.cspm_sweep(A, rows, x, 1.5, 1e-8)[1]
-        return _kernels.art3_pass(A, rows, x, 1e-8, out, queue).shape[0]
+        return _kernels.art3_pass(A, rows, x, 1e-8, rows.out, queue).shape[0]
 
     for _ in range(3):  # start where some rows still move and some hold
         call(x0, bind())
@@ -102,19 +102,19 @@ def call_us(kernel, m, n, seed, calls=20_000, repeats=7):
     A = np.ascontiguousarray([r.a for r in rows])
     lo, hi = np.array([r.lo for r in rows]), np.array([r.hi for r in rows])
     norm2 = np.array([r.norm2 for r in rows])
-    queue, out = np.arange(m, dtype=np.int64), np.zeros(4)
+    queue = np.arange(m, dtype=np.int64)
     x = z.copy()  # the planted point satisfies every row
     path = np.array([0.0, float(np.linalg.norm(x)), _kernels.screen_rtol(n, m + 1)])
     bound = _kernels.Rows(A, lo, hi, norm2, path)
     if kernel == "cspm":
         def call():
-            return _kernels.cspm_sweep(A, bound, x, 1.5, 1e-8)[3]
+            _kernels.cspm_sweep(A, bound, x, 1.5, 1e-8)
     else:
         def call():
-            _kernels.art3_pass(A, bound, x, 1e-8, out, queue)
-            return out[3]
+            _kernels.art3_pass(A, bound, x, 1e-8, bound.out, queue)
     call()  # the first call evaluates every row and records its violation
-    if call() != 0:
+    call()
+    if bound.out[3] != 0:  # the rows the second call evaluated
         raise RuntimeError(f"{kernel} m={m}: the screen left rows to evaluate")
     best = np.inf
     for _ in range(repeats):

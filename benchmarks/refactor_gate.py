@@ -15,6 +15,12 @@ against both sources:
   whose stalls fire (the benchmark's own config never perturbs a warm start);
 * ``qps_digest.py`` for each planted workload at seeds 101-110.
 
+Then it runs ``cells.py`` for each workload at seed 101 in the working tree
+once more, under ``CFPOPT_BACKEND=numpy``, and compares the output with the
+tree's run of the same arguments under the caller's backend (``auto``, so
+``c`` wherever ``cc`` builds the library): the two backends must compute
+the same bits.
+
 Each run prints ``same``, or the number of its differing lines, their cell
 keys (``problem/variant``) or digest names, for ``cells.py`` how many cells
 differ in each field (status, f_hat, projections, obj_evals, outer_steps),
@@ -61,6 +67,11 @@ def runs() -> list[tuple[str, ...]]:
             for cfg in ("accel", "accel-adaptive")]
     out += [("qps_digest.py", w, str(seed)) for w in PLANTED for seed in range(101, 111)]
     return out
+
+
+def backend_runs() -> list[tuple[str, ...]]:
+    """The runs of :func:`runs` that the working tree repeats under the numpy backend."""
+    return [("cells.py", w, "101") for w in WORKLOADS]
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -203,6 +214,12 @@ def src_code_lines(tree: Path) -> int:
                for path in sorted((tree / "src" / "cfpopt").glob("*.py")))
 
 
+def report(label: str, diff: str | None) -> bool:
+    """Print a run's line; True when it differs."""
+    print(f"{label:<36} {'same' if diff is None else 'DIFFERS: ' + diff}", flush=True)
+    return diff is not None
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -217,17 +234,21 @@ def main(argv=None) -> int:
         extract(rev, parent)
         new_env = dict(os.environ)
         old_env = dict(os.environ, XDG_CACHE_HOME=str(Path(tmp) / "cache"))
+        new_outs = {}
         for run in runs():
             old = start(parent, run, old_env)
             new = start(ROOT, run, new_env)
             old_out, new_out = output(old), output(new)
+            new_outs[run] = new_out
             diff = differences(old_out, new_out)
             for name, (fell, rose) in counter_moves(old_out, new_out).items():
                 moves[name][0] += fell
                 moves[name][1] += rose
-            label = " ".join(run)
-            print(f"{label:<36} {'same' if diff is None else 'DIFFERS: ' + diff}", flush=True)
-            differs += diff is not None
+            differs += report(" ".join(run), diff)
+        numpy_env = dict(os.environ, CFPOPT_BACKEND="numpy")
+        for run in backend_runs():
+            diff = differences(new_outs[run], output(start(ROOT, run, numpy_env)))
+            differs += report(" ".join(run) + " numpy", diff)
         old_code, new_code = src_code_lines(parent), src_code_lines(ROOT)
     for name, (fell, rose) in moves.items():
         print(f"{name}: {fell} fell, {rose} rose")
@@ -235,7 +256,7 @@ def main(argv=None) -> int:
     print(f"src/ against {rev}: +{added} -{deleted} (net {added - deleted:+d})")
     print(f"src/cfpopt code lines: {old_code} at {rev}, {new_code} here "
           f"(net {new_code - old_code:+d})")
-    print(f"{differs} of {len(runs())} runs differ")
+    print(f"{differs} of {len(runs()) + len(backend_runs())} runs differ")
     return 1 if differs else 0
 
 

@@ -1,14 +1,18 @@
 /* Row sweeps of cfpopt._kernels, compiled on first use and loaded by ctypes.
  *
- * Each function repeats the arithmetic of its numpy twin in _kernels.py row
- * by row: the same branch order and the same operation order in every
- * update.  Only the dot product differs: it is summed left to right here,
- * while numpy's may use a blocked order.  Build with -ffp-contract=off and
- * without -ffast-math, so that no multiply-add is fused and no sum is
- * reordered.
+ * Each function has a numpy twin in _kernels.py that takes the same
+ * arguments and computes the same bits: the same branch order and the same
+ * operation order in every update, and every dot product summed left to
+ * right from 0.0.  Build with -ffp-contract=off and without -ffast-math, so
+ * that no multiply-add is fused and no sum is reordered.
  *
  * A is row-major m x n; lo, hi and norm2 have m entries; x has n entries and
- * is updated in place.
+ * is updated in place.  A moved row steps x by -coef * h with coef >= 0 off
+ * its violated side h . y <= beta (h = A_i, beta = hi_i above the row's
+ * interval; h = -A_i, beta = -lo_i below it).  Both passes store the sums of
+ * coef * (beta + tol), coef * (|beta| + tol) and coef * |h| over their moved
+ * rows in out[0], out[1] and out[2], for the emptiness test of the caller
+ * (feasibility.py), and the number of rows they evaluated in out[3].
  *
  * Both passes screen their rows.  Row i owns screen[5i .. 5i+5): its
  * violation v_i = max(r - hi_i, lo_i - r) at its last evaluation, the path
@@ -57,19 +61,11 @@ static int screened(const double *s, double P, double x0n, double rel, double to
 
 /* One cyclic pass of relaxed projections onto lo_i <= A_i . x <= hi_i.
  * Returns the number of rows whose violation exceeded tol (each of which
- * moved x), stores the largest violation among the rows evaluated in out[0]
- * and the number of rows evaluated in *evaluated.
- *
- * A moved row steps x by -coef * h, where h . y <= beta is its violated side
- * (h = A_i, beta = hi_i above the slab; h = -A_i, beta = -lo_i below it).
- * For the emptiness test of the caller (feasibility.py), the pass stores the
- * sums of coef * (beta + tol), coef * (|beta| + tol) and coef * |h| over the
- * moved rows in out[1], out[2] and out[3].  A row the screen proves
- * satisfied is skipped. */
+ * moved x), and stores out[0..3] and the largest violation among the rows
+ * evaluated in out[4].  A row the screen proves satisfied is skipped. */
 int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
                        const double *norm2, double *screen, double *path, double *x,
-                       int64_t m, int64_t n, double lam, double tol, double *out,
-                       int64_t *evaluated)
+                       int64_t m, int64_t n, double lam, double tol, double *out)
 {
     double vmax = 0.0;
     double b = 0.0, size = 0.0, steps = 0.0;
@@ -108,26 +104,23 @@ int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
         }
     }
     path[0] = P;
-    out[0] = vmax;
-    out[1] = b;
-    out[2] = size;
-    out[3] = steps;
-    *evaluated = seen;
+    out[0] = b;
+    out[1] = size;
+    out[2] = steps;
+    out[3] = (double)seen;
+    out[4] = vmax;
     return moves;
 }
 
 /* One ART3+ pass over the row indices in queue[0..nq).  Writes the indices
- * violated at their visit to kept and returns how many there are, or -1,
- * before touching x, when a queue entry is outside [0, m).
+ * violated at their visit to kept, stores out[0..3] and returns how many
+ * rows it kept, or -1, before touching anything, when a queue entry is
+ * outside [0, m).  kept may be queue: kept[j] is written only once queue[j]
+ * has been read.
  *
- * A row is satisfied when lo_i - tol <= A_i . x <= hi_i + tol.  A moved row
- * steps x by -coef * h with coef >= 0 off its violated side h . y <= beta
- * (h = A_i, beta = hi_i above the interval; h = -A_i, beta = -lo_i below
- * it), whether it reflects or projects onto the midline.  As in
- * cfp_cspm_sweep, the pass stores the sums of coef * (beta + tol),
- * coef * (|beta| + tol) and coef * |h| over the moved rows in out[0], out[1]
- * and out[2], and the number of rows evaluated in out[3].  A row the screen
- * proves satisfied is skipped, as if it had been found satisfied. */
+ * A row is satisfied when lo_i - tol <= A_i . x <= hi_i + tol; a violated
+ * row reflects or projects onto the midline.  A row the screen proves
+ * satisfied is skipped, as if it had been found satisfied. */
 int64_t cfp_art3_pass(const double *A, const double *lo, const double *hi,
                       const double *norm2, double *screen, double *path, double *x,
                       int64_t m, int64_t n, const int64_t *queue, int64_t nq, double tol,

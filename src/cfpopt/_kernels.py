@@ -2,29 +2,32 @@
 
 The sequential projection sweeps are Gauss-Seidel style (each row projection
 sees the updates of the previous rows), so they cannot be vectorized; the
-row loop is the hot spot on packed affine systems.  Both backends implement
-the same row-by-row arithmetic:
+row loop is the hot spot on packed affine systems.  Two calls run it over
+the rows of a :class:`Rows` binding, and update ``x`` in place:
 
 * ``cspm_sweep``: one full cyclic pass of relaxed projections onto the slabs
-  ``lo_i <= A_i . x <= hi_i`` of a :class:`Rows` binding; returns the
-  largest violation among the rows it evaluated, the number of rows that
-  moved ``x``, the sums over the moved rows that the emptiness test of
-  :mod:`cfpopt.feasibility` aggregates (see ``_cspm_sweep_numpy``), and the
-  number of rows it evaluated.
+  ``lo_i <= A_i . x <= hi_i``; returns the largest violation among the rows
+  it evaluated and the number of rows that moved ``x``.
 * ``art3_pass``: one pass of the automatic-relaxation rule over a work queue
-  of row indices of a :class:`Rows` binding (reflect when the overshoot is at
-  most the interval width, project onto the midline hyperplane when it is
-  larger); returns the indices that were violated at their visit, and writes
-  the same three step sums as ``cspm_sweep``, then the number of rows it
-  evaluated, into the caller's float64 array ``out`` (see
-  ``_art3_pass_numpy``).
+  of row indices (reflect when the overshoot is at most the interval width,
+  project onto the midline hyperplane when it is larger); returns the
+  indices that were violated at their visit.
 
-Both screen their rows: a row that the state kept in the binding proves
-satisfied (see :func:`screen_rtol`) is skipped, with the same iterate, moves,
-kept rows and sums as a pass that evaluates every row.  Both update ``x`` in
-place.  The backends differ only in how a row's dot product is summed (left
-to right in C, in numpy's order otherwise), so their iterates agree to
-rounding noise.
+Both write the three sums over the moved rows that the emptiness test of
+:mod:`cfpopt.feasibility` aggregates, then the number of rows they
+evaluated, to ``out[:4]``: ``cspm_sweep`` to the binding's own ``out``,
+``art3_pass`` to the array it is given.  Both screen their rows: a row that
+the state kept in the binding proves satisfied (see :func:`screen_rtol`) is
+skipped, with the same iterate, moves, kept rows and sums as a pass that
+evaluates every row.
+
+Each call validates its arguments once for both backends, then calls the
+active backend's raw function: ``cfp_cspm_sweep`` or ``cfp_art3_pass`` of
+``_kernels.c``, or its numpy twin ``_cspm_sweep_numpy`` or
+``_art3_pass_numpy``.  A twin takes its C function's arguments, with arrays
+where C takes pointers, returns what C returns, and computes the same bits:
+the same operations in the same order, every dot product summed left to
+right from 0.0 as ``row_dot`` sums it.
 
 Backends:
 
@@ -36,12 +39,13 @@ Backends:
   library's ``ctypes``, so the backend needs numpy and ``cc`` only.  Later
   processes load the cached library and mark it used; a build keeps the
   four most recently used libraries, so a few source versions run in turns
-  do not rebuild each other's, and deletes the rest.  The wrappers accept
-  only C-contiguous float64 arrays (int64 for the queue), and ``x`` must be
-  writable.  A ``Rows`` binding validates its arrays once and keeps their
-  ctypes arguments, and the pointer of the last ``x`` it swept, so that a
-  pass over the same iterate array converts none of them.
+  do not rebuild each other's, and deletes the rest.
 * ``numpy`` is the reference the tests hold ``c`` to, and the fallback.
+
+The calls accept only C-contiguous float64 arrays (int64 for the queue),
+and ``x`` must be writable.  A ``Rows`` binding validates its arrays once
+and keeps the active backend's arguments for them, and for the last ``x``
+it swept, so that a pass over the same iterate array converts none of them.
 
 Backend selection: the ``CFPOPT_BACKEND`` environment variable may be set to
 ``c``, ``numpy`` or ``auto`` (default).  ``auto`` is ``c`` when the library
@@ -84,9 +88,11 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 # no -ffast-math or -march=native: they would let the compiler fuse or
 # reorder the floating-point operations the numpy twin performs one by one.
 # -fno-math-errno lets sqrt compile to the instruction, with no libm call;
-# -falign-loops=32 keeps the short row loops' speed independent of where they
-# land in the library (unaligned, a 60-column sweep ran 20% slower on a Xeon)
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-falign-loops=32",
+# -falign-loops=64 keeps the short row loops' speed independent of where they
+# land in the library: each starts a cache line (unaligned, a 60-column sweep
+# ran 20% slower on a Xeon; aligned to 32 bytes, a 35-byte loop that crossed a
+# line made a 120-column sweep 10% slower)
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-falign-loops=64",
            "-std=c99", "-fPIC", "-shared")
 
 
@@ -125,9 +131,9 @@ def screen_rtol(n: int, events: int) -> float:
     ``v <= tol`` now, with u = 2^-53, gamma_k = k u / (1 - k u), K =
     ``events`` and n + K <= 2^40, so that every gamma below is under 2^-12:
 
-    * Evaluation.  Any order of summing a dot product (left to right in C,
-      numpy's own in the twin) errs by at most gamma_n |a|_1 |y|_inf, and
-      subtracting a finite side by u |r - side|.  So the computed v and the
+    * Evaluation.  A dot product, summed left to right by both backends,
+      errs by at most gamma_n |a|_1 |y|_inf, and subtracting a finite side
+      by u |r - side|.  So the computed v and the
       exact violation ``max(a . y - hi, lo - a . y)`` differ by at most
       gamma_{n+1} l_i Y + u m_i, Y the largest |y|_2 of the solve so far;
       once at the last evaluation and once now.
@@ -193,27 +199,32 @@ class Rows:
     the path sum P, ``|x0|_2`` and the relative slack of the margin
     (:func:`screen_rtol`).  The kernels add ``coef * |a_i|_2`` to P
     for every row they move; the caller adds every other change of x, and
-    sets the rest of ``path`` before the first sweep.  The c backend keeps
-    its ctypes arguments here (``_c``, see ``_CArgs``), made on its first
-    call, with the pointer of the last ``x``, validated when it first came.
-    A raw address does not keep its array alive, so the binding holds a
-    reference to every array whose address it passes: A, lo, hi, norm2,
-    screen, path, and in ``_c`` the last x, the last ``art3_pass`` out and
-    the buffers the c wrappers own.
+    sets the rest of ``path`` before the first sweep.  ``out`` is the
+    float64[5] that ``cspm_sweep`` writes: the step sums, the number of rows
+    evaluated and the largest violation among them.
+
+    On its first call under a backend, the binding converts its arrays to
+    that backend's arguments (``_arg``: pointers for c, the arrays for
+    numpy) and keeps them in ``_head``, with those of the last ``x``,
+    validated when it first came, and of the queue buffer that
+    ``art3_pass`` copies each queue into and reads the kept rows from.  A
+    raw address does not keep its array alive, so the binding holds every
+    array whose address it passes.
     """
 
-    __slots__ = ("A", "lo", "hi", "norm2", "screen", "path", "_c")
+    __slots__ = ("A", "lo", "hi", "norm2", "screen", "path", "out",
+                 "_arg", "_head", "_x", "_outp", "_queue", "_queuep")
 
     def __init__(self, A, lo, hi, norm2, path):
-        _check(A, "A", np.float64, 2)
+        _check(A, "A", _F64, 2)
         m = A.shape[0]
         for name, v in (("lo", lo), ("hi", hi), ("norm2", norm2)):
-            _check(v, name, np.float64, 1)
+            _check(v, name, _F64, 1)
             if v.shape[0] != m:
                 raise ValueError(f"{name} has {v.shape[0]} entries for {m} rows")
         if not (lo <= hi).all():
             raise ValueError("every row needs lo <= hi, neither of them NaN")
-        _check(path, "path", np.float64, 1)
+        _check(path, "path", _F64, 1)
         if path.shape[0] != 3 or not path.flags.writeable:
             raise ValueError("path must be a writable array of 3 entries")
         s = np.sqrt((A * A).sum(axis=1))
@@ -225,8 +236,36 @@ class Rows:
         screen[:, 3] = w
         screen[:, 4] = np.maximum(_finite_abs(lo), _finite_abs(hi)) + (1.0 + w) * _SCREEN_FLOOR
         self.A, self.lo, self.hi, self.norm2 = A, lo, hi, norm2
-        self.screen, self.path = screen, path
-        self._c = None
+        self.screen, self.path, self.out = screen, path, np.zeros(5)
+        self._arg = None
+
+    def _args(self, A, x, arg) -> list:
+        """The kernels' leading arguments, ``A`` to ``n``, as ``arg`` converts them.
+
+        ``A`` must be the bound one, and ``x`` the iterate the kernel
+        updates in place; it is validated when it first comes.
+        """
+        if A is not self.A:
+            raise ValueError("A must be the array that rows was bound to")
+        if arg is not self._arg:
+            arrays = (self.A, self.lo, self.hi, self.norm2, self.screen, self.path)
+            self._arg, self._x = arg, None
+            self._head = [*map(arg, arrays), None, *map(arg, self.A.shape)]
+            self._outp = arg(self.out)
+            self._grow(self.A.shape[0])
+        if x is not self._x:
+            _check(x, "x", _F64, 1)
+            if x.shape[0] != A.shape[1]:
+                raise ValueError(f"x has {x.shape[0]} entries for {A.shape[1]} columns")
+            if not x.flags.writeable:
+                raise ValueError("x must be writable: the kernels update it in place")
+            self._x, self._head[6] = x, arg(x)
+        return self._head
+
+    def _grow(self, size: int) -> None:
+        """Make the queue buffer ``size`` entries long."""
+        self._queue = np.empty(size, dtype=np.int64)
+        self._queuep = self._arg(self._queue)
 
 
 def _screened(s, P, x0n, rel, tol) -> bool:
@@ -241,27 +280,30 @@ def _screened(s, P, x0n, rel, tol) -> bool:
     return bound <= tol
 
 
-def _cspm_sweep_numpy(A, rows, x, lam, tol):
-    """One screened relaxed-projection pass; returns (max violation, moves, sums, evaluated).
+def _cspm_sweep_numpy(A, lo, hi, norm2, screen, path, x, m, n, lam, tol, out):
+    """``cfp_cspm_sweep``: one screened relaxed-projection pass; returns the number of moves.
 
     A moved row steps ``x`` by ``-coef * h``, where ``h . y <= beta`` is its
     violated side (``h = A_i, beta = hi_i`` above the slab, ``h = -A_i,
-    beta = -lo_i`` below it).  ``sums`` holds the sums of
-    ``coef * (beta + tol)``, ``coef * (|beta| + tol)`` and ``coef * |h|``
-    over the moved rows.  A row the screen proves satisfied is skipped, as
-    in ``cfp_cspm_sweep``.
+    beta = -lo_i`` below it).  ``out`` receives the sums of ``coef * (beta +
+    tol)``, ``coef * (|beta| + tol)`` and ``coef * |h|`` over the moved
+    rows, the number of rows evaluated, and the largest violation among
+    them.  A row the screen proves satisfied is skipped.
     """
-    lo, hi, norm2, screen, path = rows.lo, rows.hi, rows.norm2, rows.screen, rows.path
     P, x0n, rel = path.tolist()
+    # row_dot: a . x summed left to right from sums[0] = 0.0
+    sums = np.zeros(n + 1)
+    terms = sums[1:]
     maxv = 0.0
     moves = seen = 0
     b = size = steps = 0.0
-    for i in range(A.shape[0]):
+    for i in range(m):
         s = screen[i].tolist()
         if _screened(s, P, x0n, rel, tol):
             continue
         seen += 1
-        r = float(A[i] @ x)
+        np.multiply(A[i], x, out=terms)
+        r = float(np.add.accumulate(sums, out=sums)[-1])
         over = r - hi[i]
         under = lo[i] - r
         v = over if over >= under else under
@@ -283,32 +325,39 @@ def _cspm_sweep_numpy(A, rows, x, lam, tol):
             steps += coef * math.sqrt(norm2[i])
             P += float(coef) * s[2]
     path[0] = P
-    return maxv, moves, (float(b), float(size), float(steps)), seen
+    out[0], out[1], out[2], out[3], out[4] = b, size, steps, seen, maxv
+    return moves
 
 
-def _art3_pass_numpy(A, rows, x, tol, out, queue):
-    """One screened ART3+ pass over the rows in ``queue``; returns the rows violated at their visit.
+def _art3_pass_numpy(A, lo, hi, norm2, screen, path, x, m, n, queue, nq, tol, kept, out):
+    """``cfp_art3_pass``: one screened ART3+ pass over ``queue[:nq]``; returns the number of rows kept.
 
-    A moved row steps ``x`` by ``-coef * h`` with ``coef >= 0``, reflecting
-    or projecting onto the midline, off its violated side ``h . y <= beta``
-    (``h = A_i, beta = hi_i`` above the interval, ``h = -A_i, beta = -lo_i``
-    below it).  ``out[:3]`` receives the sums of ``coef * (beta + tol)``,
-    ``coef * (|beta| + tol)`` and ``coef * |h|`` over the moved rows, and
-    ``out[3]`` the number of rows evaluated.  A row the screen proves
-    satisfied is skipped, as in ``cfp_art3_pass``, as if it had been found
-    satisfied.
+    The rows violated at their visit go to ``kept``, which may be
+    ``queue``.  A moved row steps ``x`` by ``-coef * h`` with ``coef >=
+    0``, reflecting or projecting onto the midline, off its violated side
+    ``h . y <= beta`` (``h = A_i, beta = hi_i`` above the interval, ``h =
+    -A_i, beta = -lo_i`` below it).  ``out[:3]`` receives the sums of
+    ``coef * (beta + tol)``, ``coef * (|beta| + tol)`` and ``coef * |h|``
+    over the moved rows, and ``out[3]`` the number of rows evaluated.  A
+    row the screen proves satisfied is skipped, as if it had been found
+    satisfied.  Returns -1, before touching anything, when a queue entry is
+    outside ``[0, m)``.
     """
-    lo, hi, norm2, screen, path = rows.lo, rows.hi, rows.norm2, rows.screen, rows.path
+    queued = queue[:nq].tolist()
+    if not all(0 <= i < m for i in queued):
+        return -1
     P, x0n, rel = path.tolist()
-    kept = np.empty(queue.shape[0], dtype=np.int64)
+    sums = np.zeros(n + 1)  # row_dot, as in _cspm_sweep_numpy
+    terms = sums[1:]
     nk = seen = 0
     b = size = steps = 0.0
-    for i in queue.tolist():
+    for i in queued:
         s = screen[i].tolist()
         if _screened(s, P, x0n, rel, tol):
             continue
         seen += 1
-        r = float(A[i] @ x)
+        np.multiply(A[i], x, out=terms)
+        r = float(np.add.accumulate(sums, out=sums)[-1])
         over = r - hi[i]
         under = lo[i] - r
         screen[i, 0] = over if over >= under else under
@@ -339,10 +388,15 @@ def _art3_pass_numpy(A, rows, x, tol, out, queue):
         P += float(coef) * s[2]
     path[0] = P
     out[0], out[1], out[2], out[3] = b, size, steps, seen
-    return kept[:nk].copy()
+    return nk
 
 
-_NUMPY = (_cspm_sweep_numpy, _art3_pass_numpy)
+def _numpy_arg(a):
+    """A numpy twin's argument: the array or size itself."""
+    return a
+
+
+_NUMPY = (_cspm_sweep_numpy, _art3_pass_numpy, _numpy_arg)
 
 
 def _cache_dir() -> Path:
@@ -421,57 +475,26 @@ def _build(cc: str) -> Path:
     return lib
 
 
-def _check(a, name: str, dtype, ndim: int) -> None:
+# the dtypes _check takes: a dtype compares with an array's faster than a type
+_F64, _I64 = np.dtype(np.float64), np.dtype(np.int64)
+
+
+def _check(a, name: str, dtype: np.dtype, ndim: int) -> None:
     if (not isinstance(a, np.ndarray) or a.dtype != dtype or a.ndim != ndim
             or not a.flags.c_contiguous):
-        raise TypeError(f"{name} must be a C-contiguous {np.dtype(dtype).name} array "
+        raise TypeError(f"{name} must be a C-contiguous {dtype.name} array "
                         f"with {ndim} dimension(s)")
 
 
-def _check_x(x, n: int) -> None:
-    """Validate the iterate a kernel updates in place."""
-    _check(x, "x", np.float64, 1)
-    if x.shape[0] != n:
-        raise ValueError(f"x has {x.shape[0]} entries for {n} columns")
-    if not x.flags.writeable:
-        raise ValueError("x must be writable: the kernels update it in place")
-
-
-def _pointer(a: np.ndarray) -> ctypes.c_void_p:
+def _c_arg(a):
+    """A c kernel's argument: an array's address, or a size as an int64."""
+    if isinstance(a, int):
+        return ctypes.c_int64(a)
     return ctypes.c_void_p(a.ctypes.data)
 
 
-class _CArgs:
-    """The ctypes arguments of one :class:`Rows` binding, for the c backend.
-
-    ``head`` holds the arguments both kernels start with: the pointers of
-    the binding's arrays and of the last ``x``, and the sizes.
-    ``cspm_sweep`` writes its outputs to ``sums`` and ``seen``;
-    ``art3_pass`` copies its queue to ``queue``, takes the kept rows from
-    ``kept`` and keeps the pointer of its last ``out``.  Every array whose
-    address is passed is held, here or by the binding.
-    """
-
-    def __init__(self, rows: Rows):
-        m, n = rows.A.shape
-        arrays = (rows.A, rows.lo, rows.hi, rows.norm2, rows.screen, rows.path)
-        self.head = [*map(_pointer, arrays), None, ctypes.c_int64(m), ctypes.c_int64(n)]
-        self.x = self.out = None
-        self.sums, self.seen = np.zeros(4), ctypes.c_int64()
-        self.sumsp, self.seenp = _pointer(self.sums), ctypes.byref(self.seen)
-        # grown by the first art3_pass call; the kernel reads no entry of an
-        # empty queue, so until then the NULL pointers serve
-        self.queue = self.kept = np.empty(0, dtype=np.int64)
-        self.queuep = self.keptp = None
-
-    def grow(self, size: int) -> None:
-        """Make the queue and kept buffers ``size`` entries long."""
-        self.queue, self.kept = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-        self.queuep, self.keptp = _pointer(self.queue), _pointer(self.kept)
-
-
 def _load_c() -> tuple:
-    """Build (or find in the cache) and load the C library; return its wrapper pair."""
+    """Build (or find in the cache) and load the C library; return its two kernel functions."""
     cc = shutil.which("cc")
     if cc is None:
         raise BackendUnavailableError("the c backend needs a C compiler: no 'cc' on PATH")
@@ -489,44 +512,10 @@ def _load_c() -> tuple:
     # of cfp_cspm_sweep and cfp_art3_pass in _kernels.c
     P, I, D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     cspm, art3 = lib.cfp_cspm_sweep, lib.cfp_art3_pass
-    cspm.argtypes = (P,) * 7 + (I, I, D, D, P, P)
+    cspm.argtypes = (P,) * 7 + (I, I, D, D, P)
     art3.argtypes = (P,) * 7 + (I, I, P, I, D, P, P)
     cspm.restype = art3.restype = I
-
-    def bound(rows, x):
-        """The ctypes arguments of ``rows``, with those of ``x``, validated when it first came."""
-        c = rows._c
-        if c is None:
-            c = rows._c = _CArgs(rows)
-        if x is not c.x:
-            _check_x(x, rows.A.shape[1])
-            c.x, c.head[6] = x, _pointer(x)
-        return c
-
-    def cspm_sweep(A, rows, x, lam, tol):
-        c = bound(rows, x)
-        moves = cspm(*c.head, lam, tol, c.sumsp, c.seenp)
-        vmax, b, size, steps = c.sums.tolist()
-        return vmax, moves, (b, size, steps), c.seen.value
-
-    def art3_pass(A, rows, x, tol, out, queue):
-        c = bound(rows, x)
-        _check(queue, "queue", np.int64, 1)
-        if out is not c.out:
-            _check(out, "out", np.float64, 1)
-            if out.shape[0] < 4 or not out.flags.writeable:
-                raise ValueError("out must be a writable array of at least 4 entries")
-            c.out, c.outp = out, _pointer(out)
-        nq = queue.shape[0]
-        if nq > c.queue.shape[0]:
-            c.grow(nq)
-        c.queue[:nq] = queue
-        nk = art3(*c.head, c.queuep, nq, tol, c.keptp, c.outp)
-        if nk < 0:
-            raise IndexError(f"queue holds a row index outside [0, {A.shape[0]})")
-        return c.kept[:nk].copy()
-
-    return cspm_sweep, art3_pass
+    return cspm, art3
 
 
 _c_outcome: tuple | BackendUnavailableError | None = None  # loaded once per process
@@ -545,12 +534,13 @@ def _c_kernels() -> tuple:
 
 
 def _resolve(name: str) -> tuple[str, tuple]:
+    """The backend ``name`` resolves to, and its kernels and argument conversion."""
     if name == "numpy":
         return name, _NUMPY
     if name == "c":
-        return name, _c_kernels()
+        return name, (*_c_kernels(), _c_arg)
     try:
-        return "c", _c_kernels()
+        return "c", (*_c_kernels(), _c_arg)
     except CBuildError as exc:
         warnings.warn(f"{exc}\nusing the numpy kernels instead", RuntimeWarning, stacklevel=3)
     except BackendUnavailableError:
@@ -604,20 +594,17 @@ def set_backend(name: str) -> None:
     _active, _impls = _resolve(name)
 
 
-def _check_bound(A, rows) -> None:
-    if A is not rows.A:
-        raise ValueError("A must be the array that rows was bound to")
-
-
 def cspm_sweep(A, rows, x, lam, tol):
     """One screened relaxed-projection pass over ``rows``, in place.
 
     ``A`` is ``rows.A``; it leads so that a wrapper of this call can read
-    the system's size.  Returns (largest violation among the rows
-    evaluated, moves, step sums, rows evaluated).
+    the system's size.  Returns the largest violation among the rows
+    evaluated and the number of moves; writes the step sums, the number of
+    rows evaluated and that violation to ``rows.out``.
     """
-    _check_bound(A, rows)
-    return _current()[0](A, rows, x, lam, tol)
+    cspm, _, arg = _current()
+    moves = cspm(*rows._args(A, x, arg), lam, tol, rows._outp)
+    return rows.out.item(4), moves
 
 
 def art3_pass(A, rows, x, tol, out, queue):
@@ -625,10 +612,29 @@ def art3_pass(A, rows, x, tol, out, queue):
 
     ``A`` is ``rows.A``, as in :func:`cspm_sweep`.  Returns the rows
     violated at their visit, each of which moved ``x``; writes the step sums
-    to ``out[:3]`` and the number of rows evaluated to ``out[3]``.
+    to ``out[:3]`` and the number of rows evaluated to ``out[3]``.  A queue
+    entry outside ``[0, m)`` raises ``IndexError`` before anything is
+    touched.
     """
-    _check_bound(A, rows)
-    return _current()[1](A, rows, x, tol, out, queue)
+    _, art3, arg = _current()
+    head = rows._args(A, x, arg)
+    _check(queue, "queue", _I64, 1)
+    if out is rows.out:
+        outp = rows._outp
+    else:
+        _check(out, "out", _F64, 1)
+        if out.shape[0] < 4 or not out.flags.writeable:
+            raise ValueError("out must be a writable array of at least 4 entries")
+        outp = arg(out)
+    nq = queue.shape[0]
+    if nq > rows._queue.shape[0]:
+        rows._grow(nq)
+    # the pass writes the kept rows over this copy, not over the caller's queue
+    rows._queue[:nq] = queue
+    nk = art3(*head, rows._queuep, nq, tol, rows._queuep, outp)
+    if nk < 0:
+        raise IndexError(f"queue holds a row index outside [0, {A.shape[0]})")
+    return rows._queue[:nk].copy()
 
 
 def warmup() -> None:

@@ -361,7 +361,7 @@ class _StepAggregate:
         return not found and self.empty(x, moves, sweeps)
 
     def add(self, b: float, size: float, steps: float) -> None:
-        """Count row steps by their sums, as ``cspm_sweep`` and ``art3_pass`` give them."""
+        """Count row steps by their sums, as ``cspm_sweep`` and ``art3_pass`` write them."""
         self.b_k += b
         self.size_k += size
         self.steps_k += steps
@@ -474,6 +474,14 @@ class _Sweeper:
         self.x_out = x
         return x
 
+    def _count_pass(self, rows: _kernels.Rows, moves: int, agg: _StepAggregate | None) -> None:
+        """Count a row kernel call's moves, and the step sums and rows evaluated in ``rows.out``."""
+        b, size, steps, evaluated = rows.out.tolist()[:4]
+        if agg is not None:
+            agg.add(b, size, steps)
+        self.counters.projections += int(evaluated)
+        self.moves += moves
+
     def _visit(self, fn: ConvexFunction, x: np.ndarray, lam: float, agg: _StepAggregate | None,
                level: bool = False) -> tuple[np.ndarray, float]:
         """Visit ``fn(x) <= 0``, or ``f(x) <= t`` for the objective ``fn`` when ``level``.
@@ -531,11 +539,8 @@ class CyclicSweeper(_Sweeper):
         maxv = 0.0
         for tag, seg in self.segments:
             if tag == "rows":
-                v, moved, sums, evaluated = _kernels.cspm_sweep(seg.A, seg, x, lam, tol)
-                if agg is not None:
-                    agg.add(*sums)
-                self.counters.projections += evaluated
-                self.moves += moved
+                v, moved = _kernels.cspm_sweep(seg.A, seg, x, lam, tol)
+                self._count_pass(seg, moved, agg)
                 if v > maxv:
                     maxv = v
             else:
@@ -581,7 +586,6 @@ class Art3Sweeper(_Sweeper):
         self.certified = not (m or self.level_queued)
         # a jump at the start of a pass, a move per row and the level's step
         self.updates = 1 + m + (self.level is not None)
-        self.out = np.zeros(4)  # the row kernel's step sums and rows evaluated, of the last pass
 
     def _pass(self, x: np.ndarray, k: int, agg: _StepAggregate | None) -> np.ndarray:
         # a pass that emptied the queue without a move certified the point,
@@ -593,12 +597,9 @@ class Art3Sweeper(_Sweeper):
 
         queue = self.queue
         if queue.shape[0] > 0:
-            kept = _kernels.art3_pass(self.packed.A, self.packed, x, self.tol, self.out, queue)
-            b, size, steps, evaluated = self.out.tolist()
-            if agg is not None:
-                agg.add(b, size, steps)
-            self.counters.projections += int(evaluated)
-            self.moves += kept.shape[0]
+            packed = self.packed
+            kept = _kernels.art3_pass(packed.A, packed, x, self.tol, packed.out, queue)
+            self._count_pass(packed, kept.shape[0], agg)
         else:
             kept = queue
 

@@ -61,9 +61,8 @@ def test_cspm_backend_agreement(seed, restore_backend):
     assert a.found == b.found
     assert a.sweeps == b.sweeps
     assert a.projections == b.projections
-    np.testing.assert_allclose(a.x, b.x, rtol=0, atol=1e-12)
-    for xa, xb in zip(ha, hb):
-        np.testing.assert_allclose(xa, xb, rtol=0, atol=1e-12)
+    assert a.x.tobytes() == b.x.tobytes()
+    assert [x.tobytes() for x in ha] == [x.tobytes() for x in hb]
 
 
 def _bind(A, lo, hi, norm2, x0):
@@ -71,12 +70,21 @@ def _bind(A, lo, hi, norm2, x0):
     return _kernels.Rows(A, lo, hi, norm2, np.array([0.0, math.sqrt(x0 @ x0), 0.0]))
 
 
+def _result(rows, ret):
+    """A ``cspm_sweep`` call's result ``ret`` with what it wrote to ``rows.out``.
+
+    That is (largest violation, moves, step sums, rows evaluated).
+    """
+    b, size, steps, evaluated = rows.out.tolist()[:4]
+    return ret[0], ret[1], (b, size, steps), int(evaluated)
+
+
 def _sweeps(rows, x, count, lam, tol, shift=None):
     """``count`` screened sweeps of ``x`` in place, as a sweeper runs them.
 
     ``shift(k)``, when given, returns the vector that moves x before sweep
     ``k``, or None; the path sum grows by its length.  Returns each sweep's
-    kernel result and the iterate after it.
+    :func:`_result` and the iterate after it.
     """
     out, moves = [], 0
     for k in range(count):
@@ -85,62 +93,55 @@ def _sweeps(rows, x, count, lam, tol, shift=None):
             x += delta
             rows.path[0] += math.sqrt(delta @ delta)
         rows.path[2] = _kernels.screen_rtol(x.shape[0], moves + k + 1 + rows.A.shape[0])
-        result = _kernels.cspm_sweep(rows.A, rows, x, lam, tol)
+        result = _result(rows, _kernels.cspm_sweep(rows.A, rows, x, lam, tol))
         moves += result[1]
         out.append((result, x.copy()))
     return out
 
 
 def _python_dot(a, x):
-    """The C kernel's dot product: summed left to right, one rounding per operation."""
+    """The kernels' dot product: summed left to right from 0.0, one rounding per operation."""
     r = 0.0
     for a_j, x_j in zip(a.tolist(), x.tolist()):
         r += a_j * x_j
     return r
 
 
-def _numpy_dot(a, x):
-    return float(a @ x)
+def _unscreened_sweep(A, rows, x, lam, tol):
+    """The reference ``cspm_sweep`` that evaluates every row.
 
-
-def _unscreened_sweep(dot):
-    """The reference sweep that evaluates every row, with the backend's dot product.
-
-    Its arithmetic is the kernels' without the screen; it returns the kernel
-    result tuple with every row counted as evaluated.
+    Its arithmetic is the kernels' without the screen, and it counts every
+    row as evaluated.
     """
-
-    def sweep(A, rows, x, lam, tol):
-        lo, hi, norm2 = rows.lo, rows.hi, rows.norm2
-        maxv = 0.0
-        moves = 0
-        b = size = steps = 0.0
-        for i in range(A.shape[0]):
-            r = dot(A[i], x)
-            over = r - hi[i]
-            under = lo[i] - r
-            v = over if over >= under else under
-            if v > maxv:
-                maxv = v
-            if v > tol:
-                moves += 1
-                coef = lam * v / norm2[i]
-                if over >= under:
-                    x -= coef * A[i]
-                    beta = hi[i]
-                else:
-                    x += coef * A[i]
-                    beta = -lo[i]
-                b += coef * (beta + tol)
-                size += coef * (abs(beta) + tol)
-                steps += coef * math.sqrt(norm2[i])
-        return maxv, moves, (float(b), float(size), float(steps)), A.shape[0]
-
-    return sweep
+    lo, hi, norm2 = rows.lo, rows.hi, rows.norm2
+    maxv = 0.0
+    moves = 0
+    b = size = steps = 0.0
+    for i in range(A.shape[0]):
+        r = _python_dot(A[i], x)
+        over = r - hi[i]
+        under = lo[i] - r
+        v = over if over >= under else under
+        if v > maxv:
+            maxv = v
+        if v > tol:
+            moves += 1
+            coef = lam * v / norm2[i]
+            if over >= under:
+                x -= coef * A[i]
+                beta = hi[i]
+            else:
+                x += coef * A[i]
+                beta = -lo[i]
+            b += coef * (beta + tol)
+            size += coef * (abs(beta) + tol)
+            steps += coef * math.sqrt(norm2[i])
+    rows.out[:] = b, size, steps, A.shape[0], maxv
+    return maxv, moves
 
 
-def _unscreened_art3(dot, branches=None):
-    """The reference ART3+ pass that evaluates every queued row, with the backend's dot product.
+def _unscreened_art3(branches=None):
+    """The reference ``art3_pass`` that evaluates every queued row.
 
     Its arithmetic is the kernels' without the screen, and it counts every
     queued row as evaluated.  Each move appends ``"reflect"`` or
@@ -152,7 +153,7 @@ def _unscreened_art3(dot, branches=None):
         kept = []
         b = size = steps = 0.0
         for i in queue.tolist():
-            r = dot(A[i], x)
+            r = _python_dot(A[i], x)
             if lo[i] - tol <= r <= hi[i] + tol:
                 continue
             kept.append(i)
@@ -207,7 +208,6 @@ def _art3_passes(rows, x, count, tol, art3=None, shift=None):
     return passes
 
 
-REFERENCE_DOT = {"c": _python_dot, "numpy": _numpy_dot}
 BACKENDS = ["numpy", pytest.param("c", marks=needs_cc)]
 
 
@@ -248,13 +248,13 @@ def _assert_same_as_unscreened(backend, A, lo, hi, norm2, x0, count, lam, tol, s
     of row visits.
     """
     screened = _sweeps(_bind(A, lo, hi, norm2, x0), x0.copy(), count, lam, tol, shift)
-    reference, rows = _unscreened_sweep(REFERENCE_DOT[backend]), _bind(A, lo, hi, norm2, x0)
+    rows = _bind(A, lo, hi, norm2, x0)
     x = x0.copy()
     for k, ((maxv, moves, sums, _), xs) in enumerate(screened):
         delta = shift(k) if shift is not None else None
         if delta is not None:
             x += delta
-        ref_maxv, ref_moves, ref_sums, _ = reference(A, rows, x, lam, tol)
+        ref_maxv, ref_moves, ref_sums, _ = _result(rows, _unscreened_sweep(A, rows, x, lam, tol))
         assert xs.tobytes() == x.tobytes(), k
         assert (moves, sums) == (ref_moves, ref_sums), k
         assert (maxv <= tol) == (ref_maxv <= tol), k
@@ -327,8 +327,8 @@ def test_solves_equal_unscreened(backend, kind, monkeypatch):
     # the kernel, its unscreened reference, and the largest share of the
     # reference's projections the screened solve may make
     name, reference, share = {
-        "cspm": ("cspm_sweep", _unscreened_sweep(REFERENCE_DOT[backend]), 0.5),
-        "art3+": ("art3_pass", _unscreened_art3(REFERENCE_DOT[backend]), 0.85),
+        "cspm": ("cspm_sweep", _unscreened_sweep, 0.5),
+        "art3+": ("art3_pass", _unscreened_art3(), 0.85),
     }[kind]
     runs = []
     for kernel in (getattr(_kernels, name), reference):
@@ -352,7 +352,7 @@ def _assert_art3_same_as_unscreened(backend, A, lo, hi, norm2, x0, count, tol, s
     screened = _art3_passes(_bind(A, lo, hi, norm2, x0), x0.copy(), count, tol, shift=shift)
     branches = []
     reference = _art3_passes(_bind(A, lo, hi, norm2, x0), x0.copy(), count, tol,
-                             _unscreened_art3(REFERENCE_DOT[backend], branches), shift)
+                             _unscreened_art3(branches), shift)
     for k, (ours, ref) in enumerate(zip(screened, reference)):
         (kept, out, certified, x), (ref_kept, ref_out, ref_certified, ref_x) = ours, ref
         assert x.tobytes() == ref_x.tobytes(), k
@@ -424,15 +424,13 @@ def test_cspm_step_sums_backend_agreement(seed, restore_backend):
     for backend in ("c", "numpy"):
         _kernels.set_backend(backend)
         x = x0.copy()
-        passes = [result for result, _ in _sweeps(_bind(A, lo, hi, norm2, x0), x, 50, 1.5, 1e-8)]
-        results[backend] = (x, passes)
-    (xa, pa), (xb, pb) = results["c"], results["numpy"]
-    assert [p[1] for p in pa] == [p[1] for p in pb]
-    assert sum(p[1] for p in pa) > 0
-    np.testing.assert_allclose(xa, xb, rtol=0, atol=1e-12)
-    for a, b in zip(pa, pb):
-        assert a[0] == pytest.approx(b[0], rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(a[2], b[2], rtol=1e-12, atol=1e-12)
+        passes = [(result, xk.tobytes())
+                  for result, xk in _sweeps(_bind(A, lo, hi, norm2, x0), x, 50, 1.5, 1e-8)]
+        results[backend] = passes
+    assert sum(result[1] for result, _ in results["c"]) > 0
+    # every sweep's iterate, violation, moves, sums and rows evaluated, bit
+    # for bit: repr tells -0.0 from 0.0
+    assert repr(results["c"]) == repr(results["numpy"])
 
 
 @needs_cc
@@ -453,7 +451,7 @@ def test_art3_backend_agreement(seed, restore_backend):
     assert a.found == b.found
     assert a.sweeps == b.sweeps
     assert a.projections == b.projections
-    np.testing.assert_allclose(a.x, b.x, rtol=0, atol=1e-12)
+    assert a.x.tobytes() == b.x.tobytes()
 
 
 @needs_cc
@@ -475,19 +473,16 @@ def test_art3_step_sums_backend_agreement(seed, restore_backend):
             sums = np.zeros(4)
             kept = _kernels.art3_pass(A, bound, x, 1e-8, sums, queue)
             moves += kept.shape[0]
-            passes.append((list(kept), sums))
+            passes.append((kept.tolist(), sums.tobytes()))
         results[backend] = (x, passes)
     (xa, pa), (xb, pb) = results["c"], results["numpy"]
-    assert [p[0] for p in pa] == [p[0] for p in pb]
     assert sum(len(p[0]) for p in pa) > 0
-    np.testing.assert_allclose(xa, xb, rtol=0, atol=1e-12)
-    for a, b in zip(pa, pb):
-        np.testing.assert_allclose(a[1], b[1], rtol=1e-12, atol=1e-12)
+    assert xa.tobytes() == xb.tobytes()
+    assert pa == pb
 
 
-@needs_cc
-def test_c_art3_pass_validates_the_sums_array(restore_backend):
-    _kernels.set_backend("c")
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_art3_pass_validates_the_sums_array(backend):
     A = np.array([[1.0]])
     lo, hi, norm2 = np.array([0.0]), np.array([2.0]), np.array([1.0])
     queue = np.array([0], dtype=np.int64)
@@ -502,11 +497,28 @@ def test_c_art3_pass_validates_the_sums_array(restore_backend):
         assert x[0] == 5.0
 
 
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.mark.parametrize("index", [-1, 2])
+def test_art3_pass_rejects_a_queue_index_outside_the_rows(backend, index):
+    # -1 is no row counted from the end: the pass raises before it touches
+    # x, the screen state or the path sum
+    A = np.array([[1.0], [-1.0]])
+    lo, hi, norm2 = np.array([0.0, -2.0]), np.array([2.0, 0.0]), np.array([1.0, 1.0])
+    x = np.array([5.0])
+    rows = _bind(A, lo, hi, norm2, x)
+    out = np.full(4, -1.0)
+    before = [a.copy() for a in (x, rows.screen, rows.path, out)]
+    with pytest.raises(IndexError):
+        _kernels.art3_pass(A, rows, x, 1e-8, out, np.array([0, index], dtype=np.int64))
+    for a, b in zip((x, rows.screen, rows.path, out), before):
+        assert a.tobytes() == b.tobytes()
+
+
 @needs_cc
 def test_c_art3_pass_takes_any_out_and_queue_on_one_binding(restore_backend):
-    # the c binding keeps the last out's pointer and copies each queue into
-    # buffers of its own; a new out, a longer queue and a read-only one must
-    # each pass as they do through the numpy twin
+    # a binding keeps its converted arguments and copies each queue into a
+    # buffer of its own; a new out, a longer queue and a read-only one must
+    # each pass on c as they do on numpy
     A = np.array([[1.0], [-1.0]])
     lo, hi, norm2 = np.array([0.0, -2.0]), np.array([2.0, 0.0]), np.array([1.0, 1.0])
     frozen = np.array([1, 0, 1, 0, 1], dtype=np.int64)
@@ -532,14 +544,14 @@ def test_c_art3_pass_takes_any_out_and_queue_on_one_binding(restore_backend):
         _kernels.art3_pass(A, rows, x, 1e-8, np.zeros(3), queues[0])
 
 
-@needs_cc
-def test_c_kernels_update_in_place_and_validate(restore_backend):
-    _kernels.set_backend("c")
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_kernels_update_in_place_and_validate(backend):
     A = np.array([[1.0]])
     lo, hi, norm2 = np.array([0.0]), np.array([2.0]), np.array([1.0])
     x = np.array([5.0])
     rows = _bind(A, lo, hi, norm2, x)
-    assert _kernels.cspm_sweep(A, rows, x, 1.0, 1e-8) == (3.0, 1, (3.0 * (2.0 + 1e-8),) * 2 + (3.0,), 1)
+    result = _result(rows, _kernels.cspm_sweep(A, rows, x, 1.0, 1e-8))
+    assert result == (3.0, 1, (3.0 * (2.0 + 1e-8),) * 2 + (3.0,), 1)
     assert x[0] == 2.0 and rows.path[0] == 3.0
     x, sums = np.array([5.0]), np.zeros(4)
     queued = _bind(A, lo, hi, norm2, x)
@@ -680,34 +692,37 @@ def test_c_backend_runs_without_cffi(tmp_path):
     assert out.stdout.strip() == "c"
 
 
-def test_numpy_kernel_semantics_by_hand():
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_cspm_sweep_semantics_by_hand(backend):
     # one slab 0 <= x <= 2 from x=5 with lam=1: exact projection to 2
     A = np.array([[1.0]])
     lo, hi, norm2 = np.array([0.0]), np.array([2.0]), np.array([1.0])
+
+    def sweep(x, lam):
+        rows = _bind(A, lo, hi, norm2, x)
+        return _result(rows, _kernels.cspm_sweep(A, rows, x, lam, 1e-8))
+
     x = np.array([5.0])
-    maxv, moves, _, evaluated = _kernels._cspm_sweep_numpy(A, _bind(A, lo, hi, norm2, x), x, 1.0,
-                                                           1e-8)
+    maxv, moves, sums, evaluated = sweep(x, 1.0)
     assert maxv == pytest.approx(3.0)
     assert moves == evaluated == 1
     assert x == pytest.approx([2.0])
     # the step sums: mu = 3 off the upper face x <= 2 (beta = 2, |h| = 1),
     # and mu = 1.5 (lam 0.5) off the lower face -x <= 0 from x = -3
-    x = np.array([5.0])
-    _, _, sums, _ = _kernels._cspm_sweep_numpy(A, _bind(A, lo, hi, norm2, x), x, 1.0, 1e-8)
     assert sums == pytest.approx((3.0 * (2.0 + 1e-8), 3.0 * (2.0 + 1e-8), 3.0))
-    x = np.array([-3.0])
-    _, _, sums, _ = _kernels._cspm_sweep_numpy(A, _bind(A, lo, hi, norm2, x), x, 0.5, 1e-8)
+    _, _, sums, _ = sweep(np.array([-3.0]), 0.5)
     assert sums == pytest.approx((1.5 * 1e-8, 1.5 * 1e-8, 1.5), rel=1e-12, abs=0)
 
 
-def test_art3_pass_reflect_and_midline():
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_art3_pass_reflect_and_midline(backend):
     A = np.array([[1.0]])
     lo, hi, norm2 = np.array([0.0]), np.array([2.0]), np.array([1.0])
     sums = np.zeros(4)
 
     def art3(x):
-        return _kernels._art3_pass_numpy(A, _bind(A, lo, hi, norm2, x), x, 1e-8, sums,
-                                         np.array([0], dtype=np.int64))
+        return _kernels.art3_pass(A, _bind(A, lo, hi, norm2, x), x, 1e-8, sums,
+                                  np.array([0], dtype=np.int64))
 
     # overshoot beyond the width: midline projection to 1
     x = np.array([5.0])

@@ -1,4 +1,7 @@
-"""The refactor gate names every cell a change moves, not only the first, and counts code lines."""
+"""The refactor gate names every cell a change moves, not only the first, and counts code lines.
+
+It also repeats runs under the numpy backend, which must match the default backend's bits.
+"""
 
 import importlib.util
 from pathlib import Path
@@ -44,6 +47,13 @@ def test_counter_moves_count_the_cells_that_fell_and_rose():
     assert refactor_gate.counter_moves(OLD, OLD) == {"projections": [0, 0], "obj_evals": [0, 0]}
     assert refactor_gate.counter_moves("a.qps 1f\n", "a.qps 2e\n") == {"projections": [0, 0],
                                                                       "obj_evals": [0, 0]}
+
+
+def test_numpy_runs_repeat_each_workloads_seed_101_cells_run():
+    backend_runs = refactor_gate.backend_runs()
+    assert backend_runs == [("cells.py", w, "101") for w in ("plant-cspm", "plant-art3", "dose-cspm")]
+    # each is compared with the tree's own run of the same arguments
+    assert set(backend_runs) <= set(refactor_gate.runs())
 
 
 def test_digest_lines_are_named_by_file():
