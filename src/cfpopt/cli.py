@@ -207,10 +207,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    if args.what != "counterexample":
-        print(f"error: unknown diagnostic {args.what!r}", file=sys.stderr)
+    try:
+        trace = counterexample_run(steps=args.steps)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    trace = counterexample_run(steps=args.steps)
     print(" k            x^k          f(x^k)        eps_k            t_k")
     shown = list(range(min(6, len(trace.ts)))) + list(range(max(6, len(trace.ts) - 2), len(trace.ts)))
     last = None

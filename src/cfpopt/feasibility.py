@@ -51,13 +51,17 @@ minimises f), and the pass ends the solve with ``infeasibility_certified``.
 :func:`cfp_solve` is the one entry to every feasibility solve: a
 :class:`SolverSpec` holds all its settings (solver kind, superiorization,
 relaxation, tolerance and time-out), and :func:`cfp_with_level` is its call
-for a problem's level test.  A superiorized solve
+for a problem's level test.  Each solve is one sweeper (:func:`make_sweeper`):
+its constructor plans the solve once for every kind (the row segments, the
+level slot, the step aggregate), its pass is the kind's projection rule, and
+its ``run`` is the one sweep/time-out loop.  A superiorized solve
 (:class:`SuperiorizationConfig`, see :mod:`cfpopt.superiorize`) perturbs
 toward smaller values of the objective the level reads, within the box the
 emptiness test reads.  This module owns the step rule: one CSPM sweep
 over a single set is the relaxed (subgradient) projection onto it, lambda in
 (0, 2); :class:`ZeroSubgradientError` flags a violated constraint that admits
-no step.
+no step, and an oracle visit that reads a NaN value or would take a
+non-finite step raises ``ValueError`` before x moves.
 """
 
 from __future__ import annotations
@@ -411,18 +415,19 @@ class _StepAggregate:
 
 
 class _Sweeper:
-    """The sweep bracket, the oracle step and the row screen's path state both sweepers share.
+    """One feasibility solve: its plan, built once, and its sweep/time-out loop.
 
-    Given the bound box, a sweeper keeps the :class:`_StepAggregate` of its
-    steps: :meth:`sweep` opens it before each pass, the pass adds its steps,
-    and closing it sets ``empty`` once the aggregate proves the system has no
-    tol-feasible point.  Subclasses implement the pass as ``_pass(x, k,
-    agg)``, with ``agg`` None when no box was given, and set ``updates``, the
-    most x updates one pass makes, a jump before it included.
-
-    ``level`` is the objective when the solve has a finite level ``t``, else
-    None; the passes visit it with :meth:`_visit`, as they do any oracle
-    constraint.
+    The constructor plans the solve as ``solver`` says: the cyclic list, then
+    the box, split into bound row runs and oracle constraints
+    (``segments``, see :func:`_segment`), the level slot ``level`` (the
+    objective when ``t`` is finite, else None), and the box's
+    :class:`_StepAggregate` (``aggregate``, None without a box).  A system
+    with nothing to sweep is ``certified`` from the start.  :meth:`run` is
+    the one sweep/time-out loop; each :meth:`sweep` opens the aggregate,
+    runs the kind's ``_pass(x, k)``, which adds its steps to it, and closes
+    it, setting ``empty`` once the aggregate proves the system has no
+    tol-feasible point.  ``updates`` is the most x updates one pass makes: a
+    jump before it, a move per row, and one per oracle visit and the level.
 
     The packed rows are bound once per solve (:func:`_pack`, to a
     :class:`cfpopt._kernels.Rows`) and screened: a kernel skips a row that
@@ -436,20 +441,60 @@ class _Sweeper:
     in place between sweeps.
     """
 
-    def __init__(self, tol: float, counters: Counters, bounds: Bounds | None,
+    def __init__(self, solver: SolverSpec, constraints, counters: Counters, bounds: Bounds | None,
                  objective: ConvexFunction | None, t: float):
-        self.tol = tol
+        self.solver = solver
+        self.tol = solver.tol
         self.counters = counters
         self.level = objective if t < np.inf else None
         self.t = t
         self.moves = 0
-        self.certified = False
         self.empty = False
         self.aggregate = _StepAggregate(bounds, self.tol) if bounds is not None else None
         # the path sum P, |x0|_2 and the margin's relative slack
         self.path = np.zeros(3)
         self.rtol_events = -1  # the update count path[2] holds for
         self.x_out = None
+        self.segments = _segment(constraints, bounds, self.path)
+        # a jump at the start of a sweep and a move per visit
+        self.updates = (1 + sum(seg.A.shape[0] if tag == "rows" else 1 for tag, seg in self.segments)
+                        + (self.level is not None))
+        self.certified = self.updates == 1
+
+    def run(self, x0: np.ndarray, history: list | None, before_sweep=None) -> FeasibilityOutcome:
+        """The sweep/time-out loop of every feasibility solve, from ``x0``.
+
+        Sweeps until one certifies every constraint within tolerance (found),
+        the sweeps prove the system empty, or the solve times out: after
+        ``max_sweeps`` sweeps or, when set, once ``max_projections``
+        projections are made (checked before each sweep; every sweep makes at
+        least one).  ``before_sweep(x, k)``, when given, maps the iterate just
+        before sweep ``k``; superiorization perturbs it there.  ``history``
+        collects the iterate of each sweep.
+        """
+        counters = self.counters
+        x = x0.copy()
+        proj0 = counters.projections
+        obj0 = counters.obj_evals
+        sweeps = 0
+        if self.certified:  # vacuous system
+            return FeasibilityOutcome(True, x, 0, 0, 0, 0)
+        budget = self.solver.max_projections
+        for k in range(self.solver.max_sweeps if budget is None else budget):
+            if budget is not None and counters.projections - proj0 >= budget:
+                break
+            if before_sweep is not None:
+                x = before_sweep(x, k)
+            x = self.sweep(x, k)
+            sweeps = k + 1
+            if history is not None:
+                history.append(x.copy())
+            if self.certified or self.empty:
+                break
+        return FeasibilityOutcome(
+            bool(self.certified), x, sweeps, counters.projections - proj0,
+            counters.obj_evals - obj0, self.moves, infeasibility_certified=self.empty,
+        )
 
     def sweep(self, x: np.ndarray, k: int) -> np.ndarray:
         path = self.path
@@ -468,21 +513,21 @@ class _Sweeper:
         agg = self.aggregate
         if agg is not None:
             agg.begin(x, k)
-        x = self._pass(x, k, agg)
+        x = self._pass(x, k)
         if agg is not None:
             self.empty = agg.end(x, self.moves, k + 1, self.certified) or self.empty
         self.x_out = x
         return x
 
-    def _count_pass(self, rows: _kernels.Rows, moves: int, agg: _StepAggregate | None) -> None:
+    def _count_pass(self, rows: _kernels.Rows, moves: int) -> None:
         """Count a row kernel call's moves, and the step sums and rows evaluated in ``rows.out``."""
         b, size, steps, evaluated = rows.out.tolist()[:4]
-        if agg is not None:
-            agg.add(b, size, steps)
+        if self.aggregate is not None:
+            self.aggregate.add(b, size, steps)
         self.counters.projections += int(evaluated)
         self.moves += moves
 
-    def _visit(self, fn: ConvexFunction, x: np.ndarray, lam: float, agg: _StepAggregate | None,
+    def _visit(self, fn: ConvexFunction, x: np.ndarray, lam: float,
                level: bool = False) -> tuple[np.ndarray, float]:
         """Visit ``fn(x) <= 0``, or ``f(x) <= t`` for the objective ``fn`` when ``level``.
 
@@ -490,10 +535,14 @@ class _Sweeper:
         subgradient step ``lam * v / |xi|**2`` along ``-xi``, in place.  A vanishing
         subgradient allows no step: at the level it makes x a minimiser of
         f, so the level set is empty and ``empty`` is set; any other
-        constraint raises :class:`ZeroSubgradientError`.
+        constraint raises :class:`ZeroSubgradientError`.  A NaN value, or a
+        violated visit whose step is not finite, raises ``ValueError``
+        before x changes: no pass can certify or prove anything past it.
         """
         self.counters.projections += 1
         v = self.counters.objective(fn, x) - self.t if level else fn.value(x)
+        if v != v:
+            raise ValueError(f"{'objective' if level else 'constraint'} {fn!r} is NaN at the visit point")
         if v > self.tol:
             xi = fn.subgrad(x)
             # ndarray.dot, here and in the other per-sweep products: the same BLAS
@@ -505,8 +554,11 @@ class _Sweeper:
                 self.empty = True
                 return x, v
             coef = lam * v / norm2
-            if agg is not None:
-                agg.add_linearization(x, v, xi, norm2, coef, abs(self.t) if level else 0.0)
+            if not (norm2 < math.inf and coef < math.inf):
+                raise ValueError(f"{'objective' if level else 'constraint'} {fn!r} gives a non-finite "
+                                 f"step (violation {v}, |xi|^2 {norm2})")
+            if self.aggregate is not None:
+                self.aggregate.add_linearization(x, v, xi, norm2, coef, abs(self.t) if level else 0.0)
             x -= coef * xi
             self.moves += 1
             self.path[0] += coef * math.sqrt(norm2)
@@ -522,31 +574,22 @@ class CyclicSweeper(_Sweeper):
     the rest.  Each packed run of rows is one screened ``cspm_sweep`` call.
     """
 
-    def __init__(self, constraints, lam, tol: float, counters: Counters, bounds: Bounds | None = None,
-                 objective: ConvexFunction | None = None, t: float = np.inf):
-        super().__init__(tol, counters, bounds, objective, t)
-        self.segments = _segment(constraints, bounds, self.path)
-        if self.level is not None:
-            self.segments.append(("level", self.level))
-        self.certified = not self.segments
-        self.lam = lam
-        # a jump at the start of a sweep and a move per visit
-        self.updates = 1 + sum(seg.A.shape[0] if tag == "rows" else 1 for tag, seg in self.segments)
-
-    def _pass(self, x: np.ndarray, k: int, agg: _StepAggregate | None) -> np.ndarray:
-        lam = self.lam
+    def _pass(self, x: np.ndarray, k: int) -> np.ndarray:
+        lam = self.solver.lam
         tol = self.tol
         maxv = 0.0
         for tag, seg in self.segments:
             if tag == "rows":
                 v, moved = _kernels.cspm_sweep(seg.A, seg, x, lam, tol)
-                self._count_pass(seg, moved, agg)
-                if v > maxv:
-                    maxv = v
+                self._count_pass(seg, moved)
             else:
-                x, v = self._visit(seg, x, lam, agg, tag == "level")
-                if v > maxv:
-                    maxv = v
+                x, v = self._visit(seg, x, lam)
+            if v > maxv:
+                maxv = v
+        if self.level is not None:
+            x, v = self._visit(self.level, x, lam, level=True)
+            if v > maxv:
+                maxv = v
         self.certified = maxv <= tol
         return x
 
@@ -563,7 +606,8 @@ class Art3Sweeper(_Sweeper):
     queue (``level_queued``) and is visited by an unrelaxed subgradient
     projection.
 
-    The rows are one screened ``art3_pass`` binding: a queued row the screen
+    The rows, all affine, are the plan's one segment, bound as ``packed``
+    for one screened ``art3_pass`` call per pass: a queued row the screen
     proves satisfied is dropped unevaluated, exactly as if it had been found
     satisfied, so the queue, the iterates and the certification are those of
     an unscreened pass, and ``projections`` counts the rows evaluated.
@@ -573,23 +617,18 @@ class Art3Sweeper(_Sweeper):
     feed the same :class:`_StepAggregate` as CSPM's.
     """
 
-    def __init__(self, rows: list[AffineConstraint], tol: float, counters: Counters,
-                 bounds: Bounds | None = None, objective: ConvexFunction | None = None,
-                 t: float = np.inf):
-        super().__init__(tol, counters, bounds, objective, t)
-        self.packed = _pack(rows, bounds, self.path)
-        m = 0 if self.packed is None else self.packed.A.shape[0]
-        self.full = np.arange(m, dtype=np.int64)
-        self.queue = self.full.copy()
-        self.level_queued = self.level is not None
-        self.moved_since_refill = False
-        self.certified = not (m or self.level_queued)
-        # a jump at the start of a pass, a move per row and the level's step
-        self.updates = 1 + m + (self.level is not None)
+    # the queue before the first pass: empty, without the level, so that pass fills it
+    queue = np.empty(0, dtype=np.int64)
+    level_queued = False
 
-    def _pass(self, x: np.ndarray, k: int, agg: _StepAggregate | None) -> np.ndarray:
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.packed = self.segments[0][1] if self.segments else None
+        self.full = np.arange(0 if self.packed is None else self.packed.A.shape[0], dtype=np.int64)
+
+    def _pass(self, x: np.ndarray, k: int) -> np.ndarray:
         # a pass that emptied the queue without a move certified the point,
-        # so an empty queue here follows a move and means a refill
+        # so an empty queue here is the first pass or follows a move: a refill
         if self.queue.shape[0] == 0 and not self.level_queued:
             self.queue = self.full.copy()
             self.level_queued = self.level is not None
@@ -599,12 +638,12 @@ class Art3Sweeper(_Sweeper):
         if queue.shape[0] > 0:
             packed = self.packed
             kept = _kernels.art3_pass(packed.A, packed, x, self.tol, packed.out, queue)
-            self._count_pass(packed, kept.shape[0], agg)
+            self._count_pass(packed, kept.shape[0])
         else:
             kept = queue
 
         if self.level_queued:
-            x, v = self._visit(self.level, x, 1.0, agg, level=True)
+            x, v = self._visit(self.level, x, 1.0, level=True)
             self.level_queued = v > self.tol
 
         if kept.shape[0] > 0 or self.level_queued:
@@ -636,44 +675,8 @@ def make_sweeper(solver: SolverSpec, constraints, counters: Counters,
         for c in rows:
             if not isinstance(c, AffineConstraint):
                 raise ValueError(f"{solver.kind} requires affine (interval) constraints, got {c!r}")
-    if solver.kind == "art3+":
-        return Art3Sweeper(rows, solver.tol, counters, bounds, objective, t)
-    return CyclicSweeper(rows, solver.lam, solver.tol, counters, bounds, objective, t)
-
-
-def _run(sweeper, x0: np.ndarray, solver: SolverSpec, counters: Counters,
-         history: list | None, before_sweep=None) -> FeasibilityOutcome:
-    """The sweep/time-out loop of every feasibility solve.
-
-    Sweeps until one certifies every constraint within tolerance (found), the
-    sweeper proves the system empty, or ``solver`` times out: after
-    ``max_sweeps`` sweeps or, when set, once ``max_projections`` projections
-    are made (checked before each sweep; every sweep makes at least one).
-    ``before_sweep(x, k)``, when given, maps the iterate just before sweep
-    ``k``; superiorization perturbs it there.
-    """
-    x = x0.copy()
-    proj0 = counters.projections
-    obj0 = counters.obj_evals
-    sweeps = 0
-    if sweeper.certified:  # vacuous system
-        return FeasibilityOutcome(True, x, 0, 0, 0, 0)
-    budget = solver.max_projections
-    for k in range(solver.max_sweeps if budget is None else budget):
-        if budget is not None and counters.projections - proj0 >= budget:
-            break
-        if before_sweep is not None:
-            x = before_sweep(x, k)
-        x = sweeper.sweep(x, k)
-        sweeps = k + 1
-        if history is not None:
-            history.append(x.copy())
-        if sweeper.certified or sweeper.empty:
-            break
-    return FeasibilityOutcome(
-        bool(sweeper.certified), x, sweeps, counters.projections - proj0,
-        counters.obj_evals - obj0, sweeper.moves, infeasibility_certified=sweeper.empty,
-    )
+    sweeper = Art3Sweeper if solver.kind == "art3+" else CyclicSweeper
+    return sweeper(solver, rows, counters, bounds, objective, t)
 
 
 def cfp_solve(constraints, x0, solver: SolverSpec | str = "cspm",
@@ -708,8 +711,7 @@ def cfp_solve(constraints, x0, solver: SolverSpec | str = "cspm",
 
         return superiorize.superiorized_solve(constraints, x0, solver, counters, history, bounds,
                                               objective, t, trace)
-    sweeper = make_sweeper(solver, constraints, counters, bounds, objective, t)
-    return _run(sweeper, x0, solver, counters, history)
+    return make_sweeper(solver, constraints, counters, bounds, objective, t).run(x0, history)
 
 
 def cfp_with_level(problem: Problem, t: float, solver: SolverSpec | str = "cspm",

@@ -374,8 +374,9 @@ def counterexample_run(steps: int = 100) -> CounterexampleTrace:
     levels then follow t_k = 0.9*t_(k-1) and never drop below zero, so every
     iterate stays at objective distance >= 100 from the optimum while the
     slack series sums to at most t_0: without a floor on eps the scheme runs
-    forever yet converges to the wrong value.
+    forever yet converges to the wrong value.  ``steps`` must be at least 1.
     """
+    _check_count("steps", steps, 1)
     rule = EpsilonRule(mode="multiplicative", factor=0.1)
     t_star = -100.0
     # f(x^0) = 400 exactly: x0 = sqrt(500) has x0^2 = 500 algebraically

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .feasibility import FeasibilityOutcome, SuperiorizationConfig, _run, make_sweeper
+from .feasibility import FeasibilityOutcome, SuperiorizationConfig, make_sweeper
 from .model import ConvexFunction
 
 __all__ = [
@@ -123,4 +123,4 @@ def superiorized_solve(constraints, x0, solver, counters, history, bounds, objec
                     trace.rejected += 1
         return x
 
-    return _run(sweeper, x0, solver, counters, history, perturb if cfg.N > 0 else None)
+    return sweeper.run(x0, history, perturb if cfg.N > 0 else None)

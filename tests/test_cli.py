@@ -249,6 +249,13 @@ class TestDiag:
         assert "levels nonnegative        : True" in out
         assert "slack partial sums <= t_0 : True" in out
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_counterexample_without_steps_is_input_error(self, steps, capsys):
+        rc = main(["diag", "counterexample", "--steps", steps])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: steps must be at least 1, got {steps}"], err
+
 
 BAD_QPS_BASE = (
     "NAME          BAD\n"

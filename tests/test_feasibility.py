@@ -19,6 +19,7 @@ from cfpopt.model import (
     Problem,
     QuadraticFunction,
 )
+from cfpopt.schemes import level_set_solve
 from cfpopt.superiorize import SuperiorizationConfig
 
 
@@ -387,3 +388,52 @@ class TestBoxRows:
     def test_box_of_another_length_rejected(self, x0):
         with pytest.raises(ValueError, match="bounds have 2 entries for a point of"):
             cfp_solve([AffineConstraint.geq(np.ones(len(x0)), 1.0)], x0, bounds=self.BOX)
+
+
+def exp800(shift: float, name: str) -> CustomFunction:
+    """exp(800 x) - shift: its value and subgradient overflow to inf at x = 1."""
+    return CustomFunction(lambda x: float(np.exp(800.0 * x[0])) - shift,
+                          lambda x: 800.0 * np.exp(800.0 * x), name=name)
+
+
+class TestNonFiniteOracles:
+    """A NaN value or a non-finite step raises before x moves; it never certifies."""
+
+    BOX = Bounds([-10.0], [10.0])
+
+    @pytest.mark.parametrize("fn", [
+        exp800(1.0, "overflow"),
+        CustomFunction(lambda x: math.nan, lambda x: np.ones(1), name="nan-value"),
+        CustomFunction(lambda x: float(x[0]), lambda x: np.array([np.inf]), name="inf-subgradient"),
+    ], ids=["overflow", "nan-value", "inf-subgradient"])
+    def test_constraint_raises_with_x_untouched(self, fn):
+        x = np.array([1.0])
+        sweeper = make_sweeper(SolverSpec("cspm"), [fn], Counters())
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=rf"constraint CustomFunction\({fn.name}\)"):
+                sweeper.sweep(x, 0)
+            with pytest.raises(ValueError, match=fn.name):
+                cfp_solve([fn], [1.0])
+        np.testing.assert_array_equal(x, [1.0])
+
+    @pytest.mark.parametrize("kind", ["cspm", "art3+"])
+    def test_level_raises_with_x_untouched(self, kind):
+        # f(x) = exp(800 x) <= 5 in [-10, 10]: at x = 1 the level's step is inf / inf
+        f = exp800(0.0, "f")
+        x = np.array([1.0])
+        sweeper = make_sweeper(SolverSpec(kind), [], Counters(), self.BOX, f, 5.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"objective CustomFunction\(f\) gives a non-finite step"):
+                sweeper.sweep(x, 0)
+            np.testing.assert_array_equal(x, [1.0])
+            for solver in (SolverSpec(kind), SolverSpec(kind, sup=SuperiorizationConfig())):
+                with pytest.raises(ValueError, match="non-finite step"):
+                    cfp_solve([], [1.0], solver, bounds=self.BOX, objective=f, t=5.0)
+
+    def test_level_set_solve_names_the_constraint(self):
+        # the first feasibility solve fails on the constraint's step; it no
+        # longer hands the scheme a NaN point as feasible
+        p = Problem(exp800(0.0, "f"), [exp800(1.0, "g")], self.BOX, n=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"constraint CustomFunction\(g\) gives a non-finite step"):
+                level_set_solve(p, x0=[1.0])

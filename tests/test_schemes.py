@@ -300,6 +300,11 @@ class TestCounterexample:
         for k in range(1, len(tr.ts)):
             assert tr.ts[k] == pytest.approx(0.9 * tr.ts[k - 1], rel=1e-12)
 
+    @pytest.mark.parametrize("steps", [0, -3, 2.5])
+    def test_steps_below_one_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps must be"):
+            counterexample_run(steps=steps)
+
 
 class TestSchemeEdges:
     def test_iteration_cap_flagged(self):
