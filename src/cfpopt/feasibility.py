@@ -47,6 +47,12 @@ every pass visits it after the box, evaluating ``f`` through the run's
 :meth:`Counters.objective`.  A violated level at a point where the
 objective's subgradient vanishes proves the level set empty (that point
 minimises f), and the pass ends the solve with ``infeasibility_certified``.
+A level below the objective's :meth:`~cfpopt.model.ConvexFunction.lower_bound`
+is empty before any sweep: when ``lower_bound() - t`` exceeds tol, so does
+every level visit's ``f(x) - t`` (each computed ``f(x)`` is at least the
+bound, and rounding is monotone), and the solve returns
+``infeasibility_certified`` at zero sweeps, with no projection, objective
+call or superiorization step.
 
 :func:`cfp_solve` is the one entry to every feasibility solve: a
 :class:`SolverSpec` holds all its settings (solver kind, superiorization,
@@ -115,8 +121,10 @@ class FeasibilityOutcome:
     ``infeasibility_certified`` marks such a proof: the sum of the steps
     taken, over the whole solve or over a window of recent sweeps, separates
     the tol-relaxed constraint set from the bound box (any solver kind given
-    the bound box), or a level visit found ``f > t`` at a minimizer of the
-    objective.  ``projections`` counts the rows evaluated and the oracle
+    the bound box), a level visit found ``f > t`` at a minimizer of the
+    objective, or the level lies more than tol below the objective's
+    :meth:`~cfpopt.model.ConvexFunction.lower_bound` (at zero sweeps, before
+    any work).  ``projections`` counts the rows evaluated and the oracle
     visits; a row the screen proves satisfied is skipped and not counted.
     """
 
@@ -422,8 +430,10 @@ class _Sweeper:
     (``segments``, see :func:`_segment`), the level slot ``level`` (the
     objective when ``t`` is finite, else None), and the box's
     :class:`_StepAggregate` (``aggregate``, None without a box).  A system
-    with nothing to sweep is ``certified`` from the start.  :meth:`run` is
-    the one sweep/time-out loop; each :meth:`sweep` opens the aggregate,
+    with nothing to sweep is ``certified`` from the start, a level more than
+    tol below the objective's ``lower_bound()`` is ``empty`` from the start,
+    and :meth:`run` returns either before any sweep.  It is the one
+    sweep/time-out loop; each :meth:`sweep` opens the aggregate,
     runs the kind's ``_pass(x, k)``, which adds its steps to it, and closes
     it, setting ``empty`` once the aggregate proves the system has no
     tol-feasible point.  ``updates`` is the most x updates one pass makes: a
@@ -449,7 +459,9 @@ class _Sweeper:
         self.level = objective if t < np.inf else None
         self.t = t
         self.moves = 0
-        self.empty = False
+        # _visit's test fails at every point: each computed f(x) is at least
+        # lower_bound(), and rounding is monotone, so f(x) - t rounds to at least this
+        self.empty = self.level is not None and objective.lower_bound() - t > self.tol
         self.aggregate = _StepAggregate(bounds, self.tol) if bounds is not None else None
         # the path sum P, |x0|_2 and the margin's relative slack
         self.path = np.zeros(3)
@@ -477,8 +489,8 @@ class _Sweeper:
         proj0 = counters.projections
         obj0 = counters.obj_evals
         sweeps = 0
-        if self.certified:  # vacuous system
-            return FeasibilityOutcome(True, x, 0, 0, 0, 0)
+        if self.certified or self.empty:  # vacuous system, or a level below the objective's bound
+            return FeasibilityOutcome(self.certified, x, 0, 0, 0, 0, infeasibility_certified=self.empty)
         budget = self.solver.max_projections
         for k in range(self.solver.max_sweeps if budget is None else budget):
             if budget is not None and counters.projections - proj0 >= budget:
@@ -665,7 +677,10 @@ def make_sweeper(solver: SolverSpec, constraints, counters: Counters,
     visited after the box on every pass.  This is the only check of a solver
     kind against its constraints: POCS and ART3+ take affine rows alone (any
     objective as the level), and anything else raises ``ValueError`` before
-    any sweep, as does a level that is NaN or -inf.
+    any sweep, as does a level that is NaN or -inf.  A level ``t`` with
+    ``objective.lower_bound() - t > tol`` is proven empty here, before any
+    sweep: the sweeper's ``run`` returns ``infeasibility_certified`` at zero
+    sweeps.
     """
     t = float(t)
     if np.isnan(t) or t == -np.inf:

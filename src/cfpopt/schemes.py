@@ -14,11 +14,14 @@ Termination is classified into three cases: the very first feasibility
 solve already fails (``CASE1``); some later solve fails, certifying the
 previous point as eps-optimal (``CASE2_OR_3``); or the outer iteration cap
 is hit with every solve succeeding (``ITERATION_CAP``, no certificate).  A
-solve fails either with a proof that its level set is empty (CSPM, POCS and
-ART3+ give one from their step multipliers when the problem has a finite
-bound box, see :mod:`cfpopt.feasibility`) or by exhausting its sweep budget,
-which the time-out rule reads the same way; both lead to the same case, so the two
-theoretical sub-cases of ``CASE2_OR_3`` are still reported jointly.
+solve fails either with a proof that its level set is empty or by
+exhausting its sweep budget, which the time-out rule reads the same way.
+The proofs are three (see :mod:`cfpopt.feasibility`): the step multipliers
+of CSPM, POCS and ART3+ when the problem has a finite bound box; a violated
+level visit at a minimiser of the objective; and, before the first sweep, a
+level more than tol below the objective's ``lower_bound()``.  Proof and
+time-out lead to the same case, so the two theoretical sub-cases of
+``CASE2_OR_3`` are still reported jointly.
 """
 
 from __future__ import annotations

@@ -13,7 +13,9 @@ the objective relative to the current outer iterate.
 The feasibility algorithm itself is unchanged: a superiorized solve runs the
 base solver's own sweep loop, with the perturbations as its pre-sweep hook.
 Once the step sizes fall below ``_BETA_FLOOR`` no candidate can be tried
-again, so the hook leaves the iterate alone for the rest of the solve.
+again, so the hook leaves the iterate alone for the rest of the solve; so it
+does after a non-finite direction (an objective subgradient that
+overflows), whose candidates are no points at all.
 :func:`cfpopt.feasibility.cfp_solve` runs it for a ``SolverSpec`` whose
 ``sup`` (a :class:`SuperiorizationConfig`) is set, and the rest of that spec
 sets the solve as it would unperturbed.  To superiorize toward some other
@@ -24,6 +26,7 @@ and is swept.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +82,8 @@ def superiorized_solve(constraints, x0, solver, counters, history, bounds, objec
     :func:`make_sweeper`), with a pre-sweep hook: per outer iteration,
     ``solver.sup.N`` accepted perturbation steps that do not increase
     ``objective`` and keep x in the box ``bounds``, then one sweep.  Once the
-    global step index passes the step-size floor the hook perturbs no more.
+    global step index passes the step-size floor, or a direction is not
+    finite, the hook perturbs no more.
     Termination follows the base solver's contract: found once a full sweep
     certifies every constraint within ``solver.tol``, proven empty once the
     sweeps' steps certify it (every solver kind, given the bound box
@@ -99,13 +103,18 @@ def superiorized_solve(constraints, x0, solver, counters, history, bounds, objec
     exhausted = False
 
     def perturb(x: np.ndarray, k: int) -> np.ndarray:
-        """N accepted objective steps from x before sweep k; none once the step sizes run out."""
+        """N accepted objective steps from x before sweep k; none once the step sizes or directions fail."""
         nonlocal ell, exhausted
         if exhausted:
             return x
         anchor = counters.objective(objective, x)
         for _ in range(cfg.N):
             d = nonascending_direction(objective, x)
+            # d is a unit or zero vector unless the subgradient holds an inf or
+            # a NaN: then d holds a NaN, and every candidate would fail
+            if not math.isfinite(d.dot(d)):
+                exhausted = True
+                return x
             while True:
                 ell += 1
                 beta = cfg.a**ell

@@ -6,7 +6,9 @@ stops with ``infeasibility_certified`` once one proves no tol-feasible point
 exists.  These tests hold it to four promises: it never fires on a nonempty
 level set, it fires within a few sweeps on clearly empty ones, it never fires
 without a finite box, and the schemes' results are the ones the time-out
-rule gives, with less work.
+rule gives, with less work.  A level below the objective's
+``lower_bound()`` is proven empty before the first sweep; the last tests
+hold that proof to the same promises, at the edge of its test.
 """
 
 import importlib.util
@@ -19,9 +21,10 @@ import pytest
 
 from cfpopt import _kernels, feasibility
 from cfpopt.feasibility import SolverSpec, cfp_with_level, make_sweeper
-from cfpopt.harness import HarnessConfig, run_variant
-from cfpopt.model import AffineConstraint, Bounds, Counters, Problem, QuadraticFunction
-from cfpopt.superiorize import SuperiorizationConfig
+from cfpopt.harness import HarnessConfig, builtin_problems, run_variant
+from cfpopt.model import (AffineConstraint, Bounds, Counters, DoseModel, PNormFunction, Problem,
+                          QuadraticFunction, UnderdoseFunction)
+from cfpopt.superiorize import PerturbationTrace, SuperiorizationConfig
 
 _spec = importlib.util.spec_from_file_location(
     "make_problems", Path(__file__).parents[1] / "benchmarks" / "make_problems.py")
@@ -262,3 +265,71 @@ def test_backends_certify_at_the_same_sweep(kind, case, x0, restore_backend):
         assert out.infeasibility_certified, backend
         assert (out.sweeps, out.projections) == (outs["numpy"].sweeps, outs["numpy"].projections)
         assert np.array_equal(out.x, outs["numpy"].x), backend
+
+
+def dose_level(kind):
+    """A nonnegative dose objective in the box [0, 2], and a start from which CSPM reaches f = 0."""
+    dose = DoseModel(np.array([[1.0, 0.5], [0.2, 1.0]]), target=(0, 1), risk=(0, 1), p=8)
+    if kind == "underdose":
+        objective, x0 = UnderdoseFunction(dose), [0.5, 0.5]
+    else:  # the p-norm is 0 at x = 0 alone, which its steps only approach
+        objective, x0 = PNormFunction(dose), [0.0, 0.0]
+    return Problem(objective, bounds=Bounds(np.zeros(2), np.full(2, 2.0))), x0
+
+
+@pytest.mark.parametrize("solver", SOLVERS, ids=["cspm", "sup_cspm", "art3+", "sup_art3+"])
+@pytest.mark.parametrize("kind", ["underdose", "pnorm"])
+def test_lower_bound_certifies_just_past_the_tolerance(kind, solver):
+    # f >= 0, so the level f <= t fails every visit's test f(x) - t <= tol
+    # exactly when -t > tol; at t = -tol the point with f = 0 passes it
+    problem, x0 = dose_level(kind)
+    tol = solver.tol
+    at_edge = cfp_with_level(problem, -tol, solver, x0=x0)
+    assert at_edge.found and not at_edge.infeasibility_certified
+    assert at_edge.sweeps > 0 and problem.objective.value(at_edge.x) == 0.0
+    counters = Counters()
+    past = cfp_with_level(problem, np.nextafter(-tol, -np.inf), solver, x0=x0, counters=counters)
+    assert past.infeasibility_certified and not past.found
+    assert (past.sweeps, past.projections, past.obj_evals, past.moves) == (0, 0, 0, 0)
+    assert counters == Counters()
+    np.testing.assert_array_equal(past.x, x0)
+
+
+def test_zero_sweep_solve_calls_no_oracle_and_no_perturbation():
+    calls = []
+
+    class Counted(UnderdoseFunction):
+        def value(self, x):
+            calls.append("value")
+            return super().value(x)
+
+        def subgrad(self, x):
+            calls.append("subgrad")
+            return super().subgrad(x)
+
+    objective = Counted(DoseModel(np.eye(2), target=(0, 1)))
+    trace = PerturbationTrace()
+    out = feasibility.cfp_solve([], [0.5, 0.5], SolverSpec(sup=SuperiorizationConfig(N=3)),
+                                bounds=Bounds(np.zeros(2), np.ones(2)), objective=objective, t=-0.5,
+                                trace=trace)
+    assert out.infeasibility_certified and out.sweeps == 0
+    assert calls == [] and trace == PerturbationTrace()
+
+
+def test_lower_bound_changes_no_result(monkeypatch):
+    # the builtin dose problem reaches f = 0, so its level-set runs end on a
+    # level below 0: proven at zero sweeps now, after sweeps without the bound
+    problem = builtin_problems()["imrt_small"]
+    variants = ("ls_cspm", "ls_sup_cspm", "ls_acc_cspm", "bis_cspm", "bis_sup_cspm")
+
+    def matrix():
+        return {v: run_variant(v, problem, HarnessConfig()) for v in variants}
+
+    with_bound = matrix()
+    monkeypatch.setattr(UnderdoseFunction, "lower_bound", lambda self: -np.inf)
+    without = matrix()
+    for v, r in with_bound.items():
+        base = without[v]
+        assert (r.status, r.f_hat, r.outer_steps) == (base.status, base.f_hat, base.outer_steps), v
+        assert r.projections <= base.projections and r.obj_evals <= base.obj_evals, v
+    assert with_bound["ls_cspm"].projections < without["ls_cspm"].projections

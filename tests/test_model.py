@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cfpopt import model
 from cfpopt.model import (
     AffineConstraint,
     Bounds,
@@ -222,6 +223,49 @@ class TestPNorm:
             x = rng.random(3) * 3.0
             assert fu.value(x) >= 0.0
             assert fn.value(x) >= 0.0
+
+
+class TestLowerBound:
+    """``lower_bound()`` bounds every value the oracle computes, at any point."""
+
+    def points(self, rng, n, D, R):
+        # random points of both signs and scales, points where every target
+        # voxel meets R (zero shortfall), D x = 0, and doses that underflow
+        yield np.zeros(n)
+        yield np.full(n, 1e-200)
+        yield np.full(n, R / D.sum(axis=1).min())
+        for _ in range(200):
+            yield rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        for _ in range(50):
+            yield rng.random(n) * 10.0 * R
+
+    @pytest.mark.parametrize("p", [2, 8])
+    def test_dose_values_never_go_below_it(self, p):
+        rng = np.random.default_rng(41 + p)
+        D = rng.random((6, 4))
+        dose = DoseModel(D, target=(0, 1, 2), risk=(3, 4, 5), prescription=1.5, p=p)
+        fns = (make_underdose(dose), make_pnorm(dose))
+        assert [fn.lower_bound() for fn in fns] == [0.0, 0.0]
+        seen_zero = set()
+        for x in self.points(rng, 4, D, 1.5):
+            for fn in fns:
+                value = fn.value(x)
+                assert value >= fn.lower_bound(), (fn, x)
+                if value == 0.0:
+                    seen_zero.add(type(fn))
+        assert len(seen_zero) == 2  # the bound is attained: both hit 0
+
+    def test_other_functions_know_no_bound(self):
+        assert quad_1d().lower_bound() == -np.inf
+        assert abs_fn().lower_bound() == -np.inf
+        assert AffineConstraint.leq([1.0], 0.0).lower_bound() == -np.inf
+
+    def test_mean_is_numpy_mean_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        for size in (*range(1, 40), 127, 128, 129, 1000, 4099):
+            v = rng.standard_normal(size) * 10.0 ** rng.uniform(-5.0, 5.0, size)
+            for w in (v, v * v, np.abs(v) ** 8):
+                assert model._mean(w).tobytes() == np.mean(w).tobytes()
 
 
 class TestMaxViolation:

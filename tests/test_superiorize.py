@@ -187,6 +187,35 @@ class TestAlgorithmContract:
         # one anchor and one direction, in outer step 0 only
         assert calls == {"value": 1 + trace.rejected, "subgrad": 1}
 
+    @staticmethod
+    def exp800():
+        # exp(800 x): at x = 1 its value and subgradient overflow; at x = 0.885
+        # the value is 3e307 and the subgradient 800 times that, inf
+        return CustomFunction(lambda x: float(np.exp(800.0 * x[0])),
+                              lambda x: 800.0 * np.exp(800.0 * x), name="exp800")
+
+    def test_non_finite_direction_stops_perturbing(self):
+        # the direction is -inf / inf = nan, a candidate no box holds: the hook
+        # stops at once, and the level visit's own check then raises
+        trace = PerturbationTrace()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite step"):
+                cfp_solve([], [1.0], SolverSpec(sup=SuperiorizationConfig(N=1)),
+                          bounds=Bounds([-10.0], [10.0]), objective=self.exp800(), t=5.0,
+                          trace=trace)
+        assert trace == PerturbationTrace()
+
+    def test_overflowing_subgradient_under_a_level_that_holds_still_solves(self):
+        trace, counters = PerturbationTrace(), Counters()
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = cfp_solve([AffineConstraint.geq([1.0], 0.5)], [0.885],
+                            SolverSpec(sup=SuperiorizationConfig(N=1)), counters,
+                            bounds=Bounds([-10.0], [10.0]), objective=self.exp800(), t=1e308,
+                            trace=trace)
+        assert out.found and out.sweeps == 1 and out.x.tolist() == [0.885]
+        assert trace == PerturbationTrace()
+        assert counters.obj_evals == 1  # the anchor, which the level visit reuses
+
     def test_art3_base_operator(self):
         rows = [AffineConstraint.interval([1.0], 1.0, 4.0)]
         phi = QuadraticFunction([[2.0]], [0.0])
