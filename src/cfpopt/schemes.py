@@ -150,7 +150,7 @@ def default_lower_bound(f0: float) -> float:
 class SchemeResult:
     """Outcome of one scheme run.
 
-    ``best_x``/``best_value`` hold the last point a feasibility solve found
+    ``best_x``/``best_value`` hold the best point a feasibility solve found
     and its objective (None in ``CASE1``); ``epsilon`` is the optimality
     certificate, set only in ``CASE2_OR_3`` (the eps of the last accepted
     step, or gamma for bisection).  ``trace`` records ``(k, t, f)``, the
@@ -217,13 +217,25 @@ def _objective(problem: Problem, x: np.ndarray, counters: Counters, where: str) 
 
 def _start(problem: Problem, solver, x0, max_outer: int, counters: Counters):
     """``(solve, x, f(x))``: the level test ``solve(t, x)`` bound to the run's solver
-    and the first feasible point (None, None when there is none)."""
+    and the first feasible point (None, None when there is none).
+
+    A solve is a deterministic function of its level and warm start, so a test
+    that repeats the last one bitwise returns the last outcome without solving
+    or counting, as :meth:`Counters.objective` serves a repeated point.
+    """
     _check_count("max_outer", max_outer, 0)
     x0 = problem.start_point() if x0 is None else as_vector(x0, problem.n)
+    last = None
 
     def solve(t: float, x: np.ndarray):
+        nonlocal last
+        key = (float(t).hex(), x.tobytes())
+        if last is not None and last[0] == key:
+            return last[1]
         # the level stays the second positional argument: solvebench's tracer reads it there
-        return cfp_with_level(problem, t, solver, x, counters=counters)
+        out = cfp_with_level(problem, t, solver, x, counters=counters)
+        last = key, out
+        return out
 
     out = solve(np.inf, x0)
     if not out.found:
@@ -300,16 +312,23 @@ def bisection_solve(problem: Problem, solver="cspm", x0=None, cfg: BisectionConf
     """Bracket the optimal value and halve the bracket by feasibility tests.
 
     After an initial plain feasibility solve sets ``f_hi = f(x^0)``, each
-    step tests the level ``t = (f_lo + f_hi)/2``: success lowers ``f_hi`` to
-    the value found, failure (time-out) raises ``f_lo`` to ``t``.  The scheme
-    stops once ``|f_hi - f_lo| <= gamma``, returning the last feasible point
-    as a gamma-optimal solution.  When no lower bound is supplied, a crude
-    one is derived from the first feasible value; a supplied one above that
-    value raises ``ValueError``.  Every test starts from the incumbent, as
-    the level-set scheme's steps do; the optional acceleration (see
-    :class:`AccelerationConfig`) shifts that warm start on stalled brackets,
-    and the shifted point never becomes the incumbent.  ``solver`` is passed
-    to every test as in :func:`level_set_solve`.
+    step tests the level ``t = (f_lo + f_hi)/2``: failure (time-out) raises
+    ``f_lo`` to ``t``; a found point becomes the incumbent, lowering
+    ``f_hi`` to its value, only when that value is below ``f_hi``.  A found
+    value is at most ``t`` plus the solver's tolerance, so with a tolerance
+    below ``gamma/2`` a found point is kept out only in a crossed bracket
+    (``f_lo > f_hi``, after a time-out read as a proof or from a lower
+    bound above the optimum).  The next test then repeats the last one
+    bitwise unless a stall shifts its warm start, and a repeated test
+    returns the last outcome without solving again (see ``_start``).  The
+    scheme stops once ``|f_hi - f_lo| <= gamma``, returning the best
+    feasible point as a gamma-optimal solution.  When no lower bound is
+    supplied, a crude one is derived from the first feasible value; a
+    supplied one above that value raises ``ValueError``.  Every test starts
+    from the incumbent, as the level-set scheme's steps do; the optional
+    acceleration (see :class:`AccelerationConfig`) shifts that warm start on
+    stalled brackets, and the shifted point never becomes the incumbent.
+    ``solver`` is passed to every test as in :func:`level_set_solve`.
     """
     counters = counters if counters is not None else Counters()
     rule = rule if rule is not None else EpsilonRule()
@@ -334,8 +353,9 @@ def bisection_solve(problem: Problem, solver="cspm", x0=None, cfg: BisectionConf
         k += 1
         out = solve(t, warm_start(t, x, f_hi))
         if out.found:
-            x = out.x
-            f_hi = _objective(problem, x, counters, f"at step {k}")
+            fx = _objective(problem, out.x, counters, f"at step {k}")
+            if fx < f_hi:
+                x, f_hi = out.x, fx
         else:
             f_lo = t
         t = 0.5 * (f_lo + f_hi)

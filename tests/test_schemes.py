@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cfpopt import schemes
-from cfpopt.feasibility import SolverSpec
+from cfpopt.feasibility import FeasibilityOutcome, SolverSpec
 from cfpopt.harness import HarnessConfig, builtin_problems, run_variant
 from cfpopt.model import AffineConstraint, Bounds, Counters, CustomFunction, Problem, QuadraticFunction
 from cfpopt.schemes import (
@@ -178,6 +178,38 @@ class TestAccelerationIncumbent:
                 continue
             assert problem.max_violation(r.best_x) <= config.feas_tol, name
             assert problem.objective.value(r.best_x) == r.f_hat, name
+            if variant.startswith("bis_"):  # f_hi never increases
+                f_hi = [f for (_k, f) in r.trace]
+                assert all(b <= a for a, b in zip(f_hi, f_hi[1:])), name
+
+
+# simple_qp from x0 = 2 with f_lower = 0 tests t = 2, then t = 3: a time-out at 2
+# and a point of value 1 at 3 cross the bracket (f_lo = 2 > f_hi = 1), so every
+# later level is 1.5, which the incumbent x = 1 itself satisfies
+CROSSING = {2.0: None, 3.0: [1.0]}
+
+
+def scripted_level_tests(monkeypatch, script):
+    """Patch the schemes' level test: a level in ``script`` times out (None) or
+    finds the given point, any other level is solved.  Returns the list of
+    ``(t, warm start)`` pairs the test was called with."""
+    calls = []
+    solve = schemes.cfp_with_level
+
+    def scripted(problem, t, solver, x0, counters=None):
+        calls.append((t, x0.copy()))
+        if t not in script:
+            return solve(problem, t, solver, x0, counters=counters)
+        x = script[t]
+        return FeasibilityOutcome(x is not None, x0.copy() if x is None else np.array(x), 1, 0, 0, 0)
+
+    monkeypatch.setattr(schemes, "cfp_with_level", scripted)
+    return calls
+
+
+def crossed_bisection(max_outer, accel=None):
+    return bisection_solve(simple_qp(), x0=[2.0], cfg=BisectionConfig(f_lower=0.0), accel=accel,
+                           max_outer=max_outer)
 
 
 class TestBisection:
@@ -261,6 +293,40 @@ class TestBisection:
         assert len(perturbed) > len(found)  # some stalls fire after a failed test
         for x in perturbed:
             assert any(np.array_equal(x, y) for y in found)
+
+    @pytest.mark.parametrize("found", [[1.2], [-1.0]], ids=["worse", "equal"])
+    def test_found_point_no_better_than_the_incumbent_is_kept_out(self, monkeypatch, found):
+        # in the crossed bracket the test at 1.5 finds a point of value 1.44 or 1 >= f_hi = 1
+        scripted_level_tests(monkeypatch, {**CROSSING, 1.5: found})
+        res = crossed_bisection(max_outer=3)
+        assert res.case == ITERATION_CAP
+        assert res.best_x.tolist() == [1.0]
+        assert (res.best_value, res.upper, res.lower) == (1.0, 1.0, 2.0)
+        assert res.trace == [(0, 2.0, 4.0), (1, 3.0, 4.0), (2, 1.5, 1.0), (3, 1.5, 1.0)]
+
+    def test_repeated_level_test_is_not_solved_again(self, monkeypatch):
+        # from the crossing on, every test is (1.5, x = 1) and finds x = 1 again
+        calls = scripted_level_tests(monkeypatch, CROSSING)
+        short = crossed_bisection(max_outer=3)
+        assert [t for t, _x in calls] == [np.inf, 2.0, 3.0, 1.5]
+        calls.clear()
+        res = crossed_bisection(max_outer=10)
+        assert [t for t, _x in calls] == [np.inf, 2.0, 3.0, 1.5]  # once per distinct test
+        assert res.counters == short.counters  # repeats cost nothing
+        assert res.counters.projections > 0
+        # what a run that solved every repeat gives
+        assert (res.case, res.level_steps) == (ITERATION_CAP, 10)
+        assert res.trace == [(0, 2.0, 4.0), (1, 3.0, 4.0)] + [(k, 1.5, 1.0) for k in range(2, 11)]
+        assert res.best_x.tolist() == [1.0]
+
+    def test_repeated_level_with_a_shifted_warm_start_is_solved(self, monkeypatch):
+        # the stall fires at every repeat of 1.5 and shifts x = 1 to x - 1.9 f'(x)
+        calls = scripted_level_tests(monkeypatch, CROSSING)
+        res = crossed_bisection(max_outer=6, accel=AccelerationConfig(c=10.0, s=0.001, block=1))
+        starts = [x.tolist() for t, x in calls if t == 1.5]
+        assert starts == [[1.0], [1.0 - 1.9 * 2.0]]  # the same shift again is a repeat
+        assert res.best_x.tolist() == [1.0]
+        assert res.trace[2:] == [(k, 1.5, 1.0) for k in range(2, 7)]
 
 
 @pytest.mark.parametrize("solve", [level_set_solve, accelerated_level_set_solve, bisection_solve])
