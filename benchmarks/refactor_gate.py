@@ -5,15 +5,17 @@ Usage:
     python3 benchmarks/refactor_gate.py PARENT_REV
 
 Extracts ``PARENT_REV`` with ``git archive`` into a temporary directory and
-runs the same gate scripts (this tree's ``cells.py`` and ``qps_digest.py``)
-against both sources:
+runs the same gate scripts (this tree's ``cells.py``, ``qps_digest.py`` and
+``cli_csvs.py``) against both sources:
 
 * ``cells.py`` for each workload at seeds 101-103 with its own variants, and
   at seed 101 with ``all`` variants;
 * ``cells.py`` with the four accelerated variants on plant-cspm and
   dose-cspm at seed 101, under the ``accel`` and ``accel-adaptive`` configs,
   whose stalls fire (the benchmark's own config never perturbs a warm start);
-* ``qps_digest.py`` for each planted workload at seeds 101-110.
+* ``qps_digest.py`` for each planted workload at seeds 101-110;
+* ``cli_csvs.py``, the CSV reports of ``cfpopt bench`` over the test
+  fixtures with ``all`` variants, without the ``ms`` column.
 
 Then it runs ``cells.py`` for each workload at seed 101 in the working tree
 once more, under ``CFPOPT_BACKEND=numpy``, and compares the output with the
@@ -21,11 +23,11 @@ tree's run of the same arguments under the caller's backend (``auto``, so
 ``c`` wherever ``cc`` builds the library): the two backends must compute
 the same bits.
 
-Each run prints ``same``, or the number of its differing lines, their cell
-keys (``problem/variant``) or digest names, for ``cells.py`` how many cells
-differ in each field (status, f_hat, projections, obj_evals, outer_steps),
-so that a change to the counters alone reads as such, and the first
-differing pair as ``- old / + new``.  After the runs, one line per counter
+Each run prints ``same``, or the number of its differing lines, their keys
+(``problem/variant``, ``variant/metric`` for an aggregate CSV row) or digest
+names, for ``cells.py`` how many cells differ in each field (status, f_hat,
+projections, obj_evals, outer_steps), so that a change to the counters alone
+reads as such, and the first differing pair as ``- old / + new``.  After the runs, one line per counter
 (``projections: 41 fell, 0 rose``) says in how many differing cells of all
 ``cells.py`` runs that counter fell and in how many it rose.  The gate ends
 with the ``git diff --numstat PARENT_REV -- src`` totals
@@ -53,7 +55,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("plant-cspm", "plant-art3", "dose-cspm")
 PLANTED = ("plant-cspm", "plant-art3")
 ACCELERATED = "ls_acc_cspm,ls_acc_sup_cspm,bis_acc_cspm,bis_acc_sup_cspm"
-GATE_SCRIPTS = ("cells.py", "qps_digest.py")
+GATE_SCRIPTS = ("cells.py", "qps_digest.py", "cli_csvs.py")
 # the entries of a cells.py cell, in order
 CELL_FIELDS = ("status", "f_hat", "projections", "obj_evals", "outer_steps")
 COUNTERS = ("projections", "obj_evals")
@@ -66,6 +68,7 @@ def runs() -> list[tuple[str, ...]]:
     out += [("cells.py", w, "101", ACCELERATED, cfg) for w in ("plant-cspm", "dose-cspm")
             for cfg in ("accel", "accel-adaptive")]
     out += [("qps_digest.py", w, str(seed)) for w in PLANTED for seed in range(101, 111)]
+    out.append(("cli_csvs.py",))
     return out
 
 
@@ -98,9 +101,10 @@ def output(proc: subprocess.Popen) -> str:
 
 
 def line_key(line: str) -> str:
-    """A ``cells.py`` line's ``problem/variant`` key, or a ``qps_digest.py`` line's file name."""
+    """A ``cells.py`` line's ``problem/variant`` key, a ``qps_digest.py`` line's file name,
+    or a ``cli_csvs.py`` row's first two fields joined by ``/``."""
     words = line.split()
-    return words[0].strip('":') if words else "(blank)"
+    return "/".join(words[0].strip('":').split(",")[:2]) if words else "(blank)"
 
 
 def cell(line: str) -> list | None:

@@ -37,9 +37,9 @@ Backends:
   ``${XDG_CACHE_HOME:-~/.cache}/cfpopt/``, under a file name keyed by a
   crc32 of the source and the flags, and loads it with the standard
   library's ``ctypes``, so the backend needs numpy and ``cc`` only.  Later
-  processes load the cached library and mark it used; a build keeps the
-  four most recently used libraries, so a few source versions run in turns
-  do not rebuild each other's, and deletes the rest.
+  processes load the cached library.  Each source version keeps its own
+  library (about 15 KB), so a few versions run in turns do not rebuild
+  each other's; the cache never deletes one.
 * ``numpy`` is the reference the tests hold ``c`` to, and the fallback.
 
 The calls accept only C-contiguous float64 arrays (int64 for the queue),
@@ -420,37 +420,11 @@ def _staged(target: Path):
             os.unlink(tmp)
 
 
-# the libraries a cache keeps: enough for a few source versions in use at once
-# (a tree and its parent, run in turns) not to rebuild each other's
-_KEEP = 4
-
-
-def _mtime(path: Path) -> float:
-    try:
-        return path.stat().st_mtime
-    except OSError:  # deleted by a concurrent prune
-        return -math.inf
-
-
-def _prune(cache: Path, keep: Path) -> None:
-    """Delete all but the ``_KEEP`` most recently used libraries, and older releases' cffi modules.
-
-    ``keep`` is always one of those kept; a library's use is its mtime,
-    which :func:`_build` renews on every cache hit.
-    """
-    libraries = sorted((p for p in cache.glob("_kernels-*.so") if p != keep), key=_mtime,
-                       reverse=True)
-    for path in (*libraries[_KEEP - 1:], *cache.glob("_kernels_ffi_*.py")):
-        with contextlib.suppress(OSError):
-            path.unlink()
-
-
 def _build(cc: str) -> Path:
     """Return the cached library, building it if absent.
 
-    It is keyed by a crc32 of the C source and the flags.  A hit marks the
-    library used; a build keeps the ``_KEEP`` most recently used libraries
-    in the cache and removes the others.
+    It is keyed by a crc32 of the C source and the flags, so a cached
+    library is never stale, and none is ever deleted.
     """
     try:
         source = _SOURCE.read_bytes()
@@ -459,8 +433,6 @@ def _build(cc: str) -> Path:
         key = format(zlib.crc32(source + b"\0" + " ".join(_CFLAGS).encode()), "08x")
         lib = _cache_dir() / f"_kernels-{key}.so"
         if lib.exists():
-            with contextlib.suppress(OSError):  # a read-only cache still serves
-                os.utime(lib)
             return lib
         lib.parent.mkdir(parents=True, exist_ok=True)
         with _staged(lib) as tmp:
@@ -469,7 +441,6 @@ def _build(cc: str) -> Path:
             if proc.returncode != 0:
                 raise CBuildError(f"{cc} failed to build {_SOURCE.name} (exit {proc.returncode}):\n"
                                   + proc.stderr.decode(errors="replace"))
-        _prune(lib.parent, lib)
     except OSError as exc:
         raise CBuildError(f"cannot build the C kernels: {exc}") from exc
     return lib
@@ -498,16 +469,11 @@ def _load_c() -> tuple:
     cc = shutil.which("cc")
     if cc is None:
         raise BackendUnavailableError("the c backend needs a C compiler: no 'cc' on PATH")
-    for attempt in range(2):
-        path = _build(cc)
-        try:
-            lib = ctypes.CDLL(str(path))
-            break
-        except OSError as exc:
-            # a build of another source version may have pruned the library
-            # between the check and the load; build it once more then
-            if attempt or path.exists():
-                raise CBuildError(f"cannot load the C kernels from {path}: {exc}") from exc
+    path = _build(cc)
+    try:
+        lib = ctypes.CDLL(str(path))
+    except OSError as exc:
+        raise CBuildError(f"cannot load the C kernels from {path}: {exc}") from exc
     # ctypes cannot check a call against C: these must match the signatures
     # of cfp_cspm_sweep and cfp_art3_pass in _kernels.c
     P, I, D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double

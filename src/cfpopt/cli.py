@@ -9,7 +9,9 @@ Subcommands:
   diagnostic and print its trace.
 
 Exit codes: 0 on success, 1 when no feasible point was ever found (or a
-diagnostic check fails), 2 on input errors.
+diagnostic check fails), 2 on input errors.  A command raises ``OSError`` or
+``ValueError`` on an input fault, and :func:`main` alone prints it as one
+line and returns 2.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .harness import (
     emit_report,
     run_variant,
 )
-from .qps import QpsParseError, load_qps, parse_qps
+from .qps import load_qps, parse_qps
 from .schemes import CASE1, counterexample_run
 
 _EPSILON_MODES = {"max-floor": "max-floor", "mult": "multiplicative", "const": "constant"}
@@ -86,7 +88,19 @@ def _load_fstar_file(path) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("fstar file must map problem names to values")
-    return {str(k): float(v) for k, v in data.items()}
+    fstars = {}
+    for k, v in data.items():
+        try:
+            fstars[str(k)] = float(v)
+        except TypeError:
+            raise ValueError(f"fstar file maps {k!r} to {json.dumps(v)}, not a number") from None
+    return fstars
+
+
+def _make_out_dir(out) -> None:
+    """Create the report directory before any solve, so that a bad ``--out`` costs none."""
+    if out:
+        Path(out).mkdir(parents=True, exist_ok=True)
 
 
 def _print_report(r) -> None:
@@ -101,9 +115,9 @@ def _print_report(r) -> None:
     print(f"wall_ms      : {r.ms:.3f}")
 
 
-def _select_backend(name) -> bool:
-    """Apply ``--backend``, or else resolve ``CFPOPT_BACKEND``; print why and return
-    False when the backend cannot run here."""
+def _select_backend(name) -> None:
+    """Apply ``--backend``, or else resolve ``CFPOPT_BACKEND``; raise ValueError
+    when the backend cannot run here."""
     try:
         if name:
             _kernels.set_backend(name)
@@ -111,44 +125,27 @@ def _select_backend(name) -> bool:
             _kernels.active_backend()
     except _kernels.BackendUnavailableError as exc:
         label = repr(name) if name else "named by CFPOPT_BACKEND"
-        print(f"error: backend {label} is unavailable: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise ValueError(f"backend {label} is unavailable: {exc}") from exc
 
 
 def _cmd_solve(args) -> int:
-    if not _select_backend(args.backend):
-        return 2
-    try:
-        if args.builtin:
-            problems = builtin_problems()
-            if args.builtin not in problems:
-                print(f"error: unknown builtin {args.builtin!r}; "
-                      f"choices: {sorted(problems)}", file=sys.stderr)
-                return 2
-            problem = problems[args.builtin]
-        elif args.qps == "-":
-            problem = parse_qps(sys.stdin.read(), name="stdin")
-        else:
-            problem = load_qps(args.qps)
-    except (OSError, QpsParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _select_backend(args.backend)
+    if args.builtin:
+        problems = builtin_problems()
+        if args.builtin not in problems:
+            raise ValueError(f"unknown builtin {args.builtin!r}; choices: {sorted(problems)}")
+        problem = problems[args.builtin]
+    elif args.qps == "-":
+        problem = parse_qps(sys.stdin.read(), name="stdin")
+    else:
+        problem = load_qps(args.qps)
 
     fstar = args.fstar
     if fstar is None and args.fstar_file:
-        try:
-            fstar = _load_fstar_file(args.fstar_file).get(problem.name)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        fstar = _load_fstar_file(args.fstar_file).get(problem.name)
 
-    try:
-        report = run_variant(args.variant, problem, _config_from(args), fstar=fstar)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    _make_out_dir(args.out)
+    report = run_variant(args.variant, problem, _config_from(args), fstar=fstar)
     _print_report(report)
     if args.out:
         paths = emit_report([report], aggregate_by_variant([report]), args.out)
@@ -157,13 +154,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if not _select_backend(args.backend):
-        return 2
+    _select_backend(args.backend)
     problems_dir = Path(args.problems)
     paths = sorted(problems_dir.glob("*.qps")) + sorted(problems_dir.glob("*.QPS"))
     if not paths:
-        print(f"error: no .qps files under {problems_dir}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no .qps files under {problems_dir}")
 
     if args.variants == "all":
         variant_names = list(VARIANTS)
@@ -171,32 +166,24 @@ def _cmd_bench(args) -> int:
         variant_names = [v.strip() for v in args.variants.split(",") if v.strip()]
         unknown = [v for v in variant_names if v not in VARIANTS]
         if unknown:
-            print(f"error: unknown variants {unknown}; choices: {sorted(VARIANTS)}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown variants {unknown}; choices: {sorted(VARIANTS)}")
+        if not variant_names:
+            raise ValueError(f"--variants {args.variants!r} names no variant")
 
-    fstars = {}
-    if args.fstar_file:
-        try:
-            fstars = _load_fstar_file(args.fstar_file)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
+    fstars = _load_fstar_file(args.fstar_file) if args.fstar_file else {}
+    _make_out_dir(args.out)
     config = _config_from(args)
     reports = []
     for path in paths:
         try:
             problem = load_qps(path)
-        except (OSError, QpsParseError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 2
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         for vname in variant_names:
             try:
                 report = run_variant(vname, problem, config, fstar=fstars.get(problem.name))
             except ValueError as exc:
-                print(f"error: {path}: {vname}: {exc}", file=sys.stderr)
-                return 2
+                raise ValueError(f"{path}: {vname}: {exc}") from exc
             reports.append(report)
             print(f"{problem.name:<16} {vname:<18} {report.status:<14} "
                   f"f_hat={'-' if report.f_hat is None else f'{report.f_hat:.6g}'}")
@@ -207,11 +194,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    try:
-        trace = counterexample_run(steps=args.steps)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    trace = counterexample_run(steps=args.steps)
     print(" k            x^k          f(x^k)        eps_k            t_k")
     shown = list(range(min(6, len(trace.ts)))) + list(range(max(6, len(trace.ts) - 2), len(trace.ts)))
     last = None
@@ -267,10 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # an objective that overflows is reported by the command's own error line
-    # (a non-finite value); numpy's overflow warning would only come first
-    with np.errstate(over="ignore"):
-        return args.func(args)
+    # a command raises on an input fault, and this is its one exit: an
+    # objective that overflows is reported by this error line (a non-finite
+    # value); numpy's overflow warning would only come first
+    try:
+        with np.errstate(over="ignore"):
+            return args.func(args)
+    except (OSError, ValueError) as exc:  # QpsParseError and JSON/UTF-8 decode errors included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

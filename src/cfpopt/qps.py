@@ -500,8 +500,8 @@ def write_qps(problem: Problem, name: str | None = None) -> str:
     """Serialize a quadratic-objective, affine-constraint problem as QPS text.
 
     ``parse_qps(write_qps(p))`` reproduces the matrices, vectors and bounds
-    of ``p``.  Raises ValueError for objectives or constraints the format
-    cannot carry.
+    of ``p``; a problem without bounds comes back with free columns.  Raises
+    ValueError for objectives or constraints the format cannot carry.
     """
     obj = problem.objective
     if not isinstance(obj, QuadraticFunction):
@@ -563,27 +563,30 @@ def write_qps(problem: Problem, name: str | None = None) -> str:
             if rv is not None:
                 out.append(f"    RNG       {r:<10}{_fmt(rv)}")
 
-    if problem.bounds is not None:
-        blines = []
+    # a problem without a box has free columns, not the MPS default 0 <= x
+    if problem.bounds is None:
+        lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    else:
         lo, hi = problem.bounds.lo, problem.bounds.hi
-        for j, col in enumerate(cols):
-            if lo[j] == 0.0 and hi[j] == np.inf:
-                continue  # MPS default
-            if lo[j] == -np.inf and hi[j] == np.inf:
-                blines.append(f" FR BND       {col}")
-                continue
-            if lo[j] == hi[j]:
-                blines.append(f" FX BND       {col:<10}{_fmt(lo[j])}")
-                continue
-            if lo[j] == -np.inf:
-                blines.append(f" MI BND       {col}")
-            elif lo[j] != 0.0:
-                blines.append(f" LO BND       {col:<10}{_fmt(lo[j])}")
-            if hi[j] != np.inf:
-                blines.append(f" UP BND       {col:<10}{_fmt(hi[j])}")
-        if blines:
-            out.append("BOUNDS")
-            out.extend(blines)
+    blines = []
+    for j, col in enumerate(cols):
+        if lo[j] == 0.0 and hi[j] == np.inf:
+            continue  # MPS default
+        if lo[j] == -np.inf and hi[j] == np.inf:
+            blines.append(f" FR BND       {col}")
+            continue
+        if lo[j] == hi[j]:
+            blines.append(f" FX BND       {col:<10}{_fmt(lo[j])}")
+            continue
+        if lo[j] == -np.inf:
+            blines.append(f" MI BND       {col}")
+        elif lo[j] != 0.0:
+            blines.append(f" LO BND       {col:<10}{_fmt(lo[j])}")
+        if hi[j] != np.inf:
+            blines.append(f" UP BND       {col:<10}{_fmt(hi[j])}")
+    if blines:
+        out.append("BOUNDS")
+        out.extend(blines)
 
     tri = [(i, j) for i in range(n) for j in range(i + 1) if obj.Q[i, j] != 0.0]
     if tri:

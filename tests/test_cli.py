@@ -324,3 +324,40 @@ class TestBadQpsInput:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {problems / 'dir.qps'}: "), err
+
+
+def _fault_argv(fault, command, fixtures_dir, tmp_path):
+    """The argv of ``command`` with ``fault`` in its arguments."""
+    out = tmp_path / "rep"
+    if fault == "out under a file":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "rep"
+    fstar = fixtures_dir / "fstar.json"
+    if fault.startswith("fstar"):
+        fstar = tmp_path / "fstar.json"
+        fstar.write_text(json.dumps({"FIXQP1": None if fault == "fstar null" else [-0.5]}))
+    if command == "solve":
+        return ["solve", "--qps", str(fixtures_dir / "fix_qp1.qps"), "--variant", "ls_cspm",
+                "--fstar-file", str(fstar), "--out", str(out)]
+    variants = "," if fault == "no variants" else "ls_cspm"
+    return ["bench", "--problems", str(fixtures_dir), "--variants", variants,
+            "--fstar-file", str(fstar), "--out", str(out)]
+
+
+@pytest.mark.parametrize("fault, command, message", [
+    ("out under a file", "solve", "Not a directory"),
+    ("out under a file", "bench", "Not a directory"),
+    ("fstar null", "solve", "fstar file maps 'FIXQP1' to null, not a number"),
+    ("fstar null", "bench", "fstar file maps 'FIXQP1' to null, not a number"),
+    ("fstar list", "solve", "fstar file maps 'FIXQP1' to [-0.5], not a number"),
+    ("fstar list", "bench", "fstar file maps 'FIXQP1' to [-0.5], not a number"),
+    ("no variants", "bench", "--variants ',' names no variant"),
+], ids=["out-solve", "out-bench", "fstar-null-solve", "fstar-null-bench", "fstar-list-solve",
+        "fstar-list-bench", "no-variants-bench"])
+def test_argument_fault_exits_2_before_any_solve(fault, command, message, fixtures_dir,
+                                                 tmp_path, capsys):
+    assert main(_fault_argv(fault, command, fixtures_dir, tmp_path)) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+    assert captured.out == ""  # no solve ran

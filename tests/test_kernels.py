@@ -636,48 +636,39 @@ def test_env_flag_rejects_unknown():
 
 
 @needs_cc
-def test_c_build_prunes_other_versions_and_skips_the_c_parser(tmp_path):
-    cache = tmp_path / "cfpopt"
-    cache.mkdir()
-    # other source versions' libraries, the oldest first, and a module an
-    # older cffi loader wrote
-    others = [cache / f"_kernels-0badc0d{i}.so" for i in range(_kernels._KEEP)]
-    stale = cache / "_kernels_ffi_0badc0de.py"
-    for i, path in enumerate((*others, stale, cache / "notes.txt")):
-        path.write_text("")
-        os.utime(path, (1000 + i, 1000 + i))
-    code = ("import sys, cfpopt; print(cfpopt.active_backend(), "
-            "'cffi' in sys.modules, 'pycparser' in sys.modules)")
-    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), CFPOPT_BACKEND="c")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["c", "False", "False"]
-    left = sorted(p.name for p in cache.iterdir())
-    libraries = [n for n in left if n.startswith("_kernels-") and n.endswith(".so")]
-    # the new library and the most recently used others, the oldest deleted
-    built = set(libraries) - {p.name for p in others}
-    assert len(built) == 1 and len(libraries) == _kernels._KEEP
-    assert others[0].name not in libraries
-    assert sorted(set(left) - set(libraries)) == ["notes.txt"]
-
-
-@needs_cc
-def test_c_build_keeps_the_library_of_another_version(tmp_path, monkeypatch):
+def test_c_build_keeps_other_versions_and_loads_without_compiling(tmp_path, monkeypatch):
     # a change and its parent that share a cache run in turns: building the
-    # second version must not evict the first, and a hit marks it used
+    # second version must not delete the first's library, and a process of
+    # the first version loads it again without compiling, without touching
+    # the cache and without cffi's C parser
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     cc = shutil.which("cc")
     first = _kernels._build(cc)
-    os.utime(first, (1000, 1000))
     changed = tmp_path / "_kernels.c"
     changed.write_bytes(_kernels._SOURCE.read_bytes() + b"\n/* another version */\n")
     monkeypatch.setattr(_kernels, "_SOURCE", changed)
     second = _kernels._build(cc)
     assert second != first and first.exists() and second.exists()
-    monkeypatch.undo()
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    assert _kernels._build(cc) == first
-    assert first.stat().st_mtime > 1000
+
+    def listing():
+        return sorted((p.name, p.stat().st_mtime_ns) for p in first.parent.iterdir())
+
+    before = listing()
+    # a compiler that only leaves a mark
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    fake_cc = bin_dir / "cc"
+    fake_cc.write_text(f"#!/bin/sh\ntouch {tmp_path / 'compiled'}\nexit 1\n")
+    fake_cc.chmod(0o755)
+    code = ("import sys, cfpopt; print(cfpopt.active_backend(), "
+            "'cffi' in sys.modules, 'pycparser' in sys.modules)")
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), CFPOPT_BACKEND="c",
+               PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["c", "False", "False"]
+    assert not (tmp_path / "compiled").exists()
+    assert listing() == before
 
 
 @needs_cc

@@ -367,6 +367,16 @@ class TestRoundTrip:
         np.testing.assert_array_equal(q.bounds.lo, p.bounds.lo)
         np.testing.assert_array_equal(q.bounds.hi, p.bounds.hi)
 
+    def test_problem_without_box_comes_back_free(self):
+        # min x^2 + 4x s.t. x >= -3: the MPS default 0 <= x would move the
+        # minimizer from -2 to 0
+        p = Problem(QuadraticFunction([[2.0]], [4.0]), [AffineConstraint.geq([1.0], -3.0)])
+        text = write_qps(p)
+        assert " FR BND       X1" in text.splitlines()
+        q = parse_qps(text)
+        np.testing.assert_array_equal(q.bounds.lo, [-np.inf])
+        np.testing.assert_array_equal(q.bounds.hi, [np.inf])
+
     def test_nonrepresentable_rejected(self):
         from cfpopt.model import CustomFunction
 

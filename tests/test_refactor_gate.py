@@ -4,6 +4,8 @@ It also repeats runs under the numpy backend, which must match the default backe
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -86,3 +88,21 @@ that is not a docstring"""
 '''
     # import, class, def, the two lines of the string, return and its continuation
     assert refactor_gate.code_lines(source) == 7
+
+
+def test_cli_csvs_is_a_gate_run_without_wall_times():
+    assert "cli_csvs.py" in refactor_gate.GATE_SCRIPTS
+    assert ("cli_csvs.py",) in refactor_gate.runs()
+    script = Path(__file__).parents[1] / "benchmarks" / "cli_csvs.py"
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    runs_at, agg_at = out.index("runs.csv"), out.index("aggregate.csv")
+    assert out[runs_at + 1] == "problem,variant,status,f_hat,Q,projections,obj_evals,outer_steps"
+    assert agg_at - runs_at - 2 == 2 * 12  # 2 fixture problems x 12 variants
+    assert out[agg_at + 1] == "variant,metric,avg,median,q10,q90"
+
+
+def test_csv_rows_are_named_by_their_first_two_fields():
+    old = "runs.csv\nP0,ls_cspm,case2-or-3,1.0\nP0,bis_cspm,case1,\n"
+    new = old.replace("case1", "case2-or-3")
+    assert refactor_gate.differences(old, new).split("\n")[0] == "1 of 3 lines differ: P0/bis_cspm"
