@@ -32,7 +32,8 @@ reads as such, and the first differing pair as ``- old / + new``.  After the run
 ``cells.py`` runs that counter fell and in how many it rose.  The gate ends
 with the ``git diff --numstat PARENT_REV -- src`` totals
 and the code lines of ``src/cfpopt/*.py`` (docstrings, comments and blank
-lines left out) at ``PARENT_REV`` and in the working tree.  The exit status
+lines left out) at ``PARENT_REV`` and in the working tree: their total, then
+each module's, so that a change shows where its lines went.  The exit status
 is 1 when any output differs, else 0.  The two trees run side by side,
 one process each; the parent gets its own kernel cache directory, so that its
 kernel build does not evict this tree's.
@@ -213,9 +214,22 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def src_code_lines(tree: Path) -> int:
-    return sum(code_lines(path.read_text(encoding="utf-8"))
-               for path in sorted((tree / "src" / "cfpopt").glob("*.py")))
+def module_code_lines(tree: Path) -> dict[str, int]:
+    """The code lines of each ``src/cfpopt`` module of ``tree``, by file name."""
+    return {path.name: code_lines(path.read_text(encoding="utf-8"))
+            for path in sorted((tree / "src" / "cfpopt").glob("*.py"))}
+
+
+def code_line_report(rev: str, old: dict[str, int], new: dict[str, int]) -> list[str]:
+    """The total code lines at ``rev`` and here, then one line per module of
+    either tree (a module one tree lacks counts 0 lines there)."""
+    total_old, total_new = sum(old.values()), sum(new.values())
+    lines = [f"src/cfpopt code lines: {total_old} at {rev}, {total_new} here "
+             f"(net {total_new - total_old:+d})"]
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name, 0), new.get(name, 0)
+        lines.append(f"  {name:<16} {a:>5} at {rev}, {b:>5} here (net {b - a:+d})")
+    return lines
 
 
 def report(label: str, diff: str | None) -> bool:
@@ -253,13 +267,12 @@ def main(argv=None) -> int:
         for run in backend_runs():
             diff = differences(new_outs[run], output(start(ROOT, run, numpy_env)))
             differs += report(" ".join(run) + " numpy", diff)
-        old_code, new_code = src_code_lines(parent), src_code_lines(ROOT)
+        old_code, new_code = module_code_lines(parent), module_code_lines(ROOT)
     for name, (fell, rose) in moves.items():
         print(f"{name}: {fell} fell, {rose} rose")
     added, deleted = numstat(rev)
     print(f"src/ against {rev}: +{added} -{deleted} (net {added - deleted:+d})")
-    print(f"src/cfpopt code lines: {old_code} at {rev}, {new_code} here "
-          f"(net {new_code - old_code:+d})")
+    print("\n".join(code_line_report(rev, old_code, new_code)))
     print(f"{differs} of {len(runs()) + len(backend_runs())} runs differ")
     return 1 if differs else 0
 

@@ -47,13 +47,15 @@ and ``x`` must be writable.  A ``Rows`` binding validates its arrays once
 and keeps the active backend's arguments for them, and for the last ``x``
 it swept, so that a pass over the same iterate array converts none of them.
 
-Backend selection: the ``CFPOPT_BACKEND`` environment variable may be set to
-``c``, ``numpy`` or ``auto`` (default).  ``auto`` is ``c`` when the library
-builds and loads, and ``numpy`` when ``cc`` is missing; when ``cc``
-is there but the build fails, ``auto`` warns with the compiler's messages
-before it falls back.  Asking for ``c`` where it cannot run raises
-:class:`BackendUnavailableError`.  The choice is resolved on first use, not
-at import.  Use ``set_backend`` to switch at runtime, e.g. for benchmarking.
+Backend selection: ``set_backend`` takes ``c``, ``numpy`` or ``auto``.
+``auto`` is ``c`` when the library builds and loads, and ``numpy`` when
+``cc`` is missing; when ``cc`` is there but the build fails, ``auto`` warns
+with the compiler's messages before it falls back.  Asking for ``c`` where
+it cannot run raises :class:`BackendUnavailableError`.  Unless
+``set_backend`` was called first, the first kernel call or
+``active_backend()`` passes it the ``CFPOPT_BACKEND`` environment variable
+(unset or empty means ``auto``), and an unknown value raises ``ValueError``
+naming the variable; importing the package reads no environment variable.
 """
 
 from __future__ import annotations
@@ -101,7 +103,15 @@ class BackendUnavailableError(RuntimeError):
 
 
 class CBuildError(BackendUnavailableError):
-    """A C compiler is present, but building or loading the kernel library failed."""
+    """A C compiler is present, but building or loading the kernel library failed.
+
+    The message is one line; ``stderr`` holds the compiler's whole output
+    when it ran and failed, else ``""``.
+    """
+
+    def __init__(self, message: str, stderr: str = ""):
+        super().__init__(message)
+        self.stderr = stderr
 
 
 # unit roundoff of float64
@@ -396,7 +406,8 @@ def _numpy_arg(a):
     return a
 
 
-_NUMPY = (_cspm_sweep_numpy, _art3_pass_numpy, _numpy_arg)
+# a backend's value: its name, kernels and argument conversion
+_NUMPY = ("numpy", _cspm_sweep_numpy, _art3_pass_numpy, _numpy_arg)
 
 
 def _cache_dir() -> Path:
@@ -439,8 +450,9 @@ def _build(cc: str) -> Path:
             proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, "-x", "c", "-"], input=source,
                                   capture_output=True)
             if proc.returncode != 0:
-                raise CBuildError(f"{cc} failed to build {_SOURCE.name} (exit {proc.returncode}):\n"
-                                  + proc.stderr.decode(errors="replace"))
+                stderr = proc.stderr.decode(errors="replace")
+                raise CBuildError(f"{cc} failed to build {_SOURCE.name} (exit {proc.returncode}): "
+                                  + stderr.partition("\n")[0], stderr)
     except OSError as exc:
         raise CBuildError(f"cannot build the C kernels: {exc}") from exc
     return lib
@@ -465,7 +477,7 @@ def _c_arg(a):
 
 
 def _load_c() -> tuple:
-    """Build (or find in the cache) and load the C library; return its two kernel functions."""
+    """Build (or find in the cache) and load the C library; return the c backend's value."""
     cc = shutil.which("cc")
     if cc is None:
         raise BackendUnavailableError("the c backend needs a C compiler: no 'cc' on PATH")
@@ -481,7 +493,7 @@ def _load_c() -> tuple:
     cspm.argtypes = (P,) * 7 + (I, I, D, D, P)
     art3.argtypes = (P,) * 7 + (I, I, P, I, D, P, P)
     cspm.restype = art3.restype = I
-    return cspm, art3
+    return "c", cspm, art3, _c_arg
 
 
 _c_outcome: tuple | BackendUnavailableError | None = None  # loaded once per process
@@ -499,38 +511,20 @@ def _c_kernels() -> tuple:
     return _c_outcome
 
 
-def _resolve(name: str) -> tuple[str, tuple]:
-    """The backend ``name`` resolves to, and its kernels and argument conversion."""
-    if name == "numpy":
-        return name, _NUMPY
-    if name == "c":
-        return name, (*_c_kernels(), _c_arg)
-    try:
-        return "c", (*_c_kernels(), _c_arg)
-    except CBuildError as exc:
-        warnings.warn(f"{exc}\nusing the numpy kernels instead", RuntimeWarning, stacklevel=3)
-    except BackendUnavailableError:
-        pass
-    return "numpy", _NUMPY
-
-
-def _requested_backend() -> str:
-    want = os.environ.get("CFPOPT_BACKEND", "auto").strip().lower() or "auto"
-    if want != "auto" and want not in _BACKENDS:
-        raise RuntimeError(f"CFPOPT_BACKEND={want!r} is not a backend; choices: {_BACKENDS} or 'auto'")
-    return want
-
-
-_requested = _requested_backend()
-_active: str | None = None
-_impls: tuple | None = None
+# the active backend's (name, cspm, art3, arg); set by set_backend alone
+_backend: tuple | None = None
 
 
 def _current() -> tuple:
-    global _active, _impls
-    if _impls is None:
-        _active, _impls = _resolve(_requested)
-    return _impls
+    """The active backend; the first call resolves ``CFPOPT_BACKEND`` through :func:`set_backend`."""
+    if _backend is None:
+        want = os.environ.get("CFPOPT_BACKEND", "auto").strip().lower() or "auto"
+        try:
+            set_backend(want)
+        except ValueError:
+            raise ValueError(f"CFPOPT_BACKEND={want!r} is not a backend; "
+                             f"choices: {_BACKENDS} or 'auto'") from None
+    return _backend
 
 
 def available_backends() -> tuple[str, ...]:
@@ -543,8 +537,7 @@ def available_backends() -> tuple[str, ...]:
 
 
 def active_backend() -> str:
-    _current()
-    return _active
+    return _current()[0]
 
 
 def set_backend(name: str) -> None:
@@ -553,11 +546,19 @@ def set_backend(name: str) -> None:
     Raises ``ValueError`` for an unknown name and
     :class:`BackendUnavailableError` when ``c`` cannot run here.
     """
-    global _active, _impls
+    global _backend
     name = name.strip().lower()
     if name != "auto" and name not in _BACKENDS:
         raise ValueError(f"unknown backend {name!r}; choices: {_BACKENDS} or 'auto'")
-    _active, _impls = _resolve(name)
+    try:
+        _backend = _NUMPY if name == "numpy" else _c_kernels()
+    except BackendUnavailableError as exc:
+        if name == "c":
+            raise
+        if isinstance(exc, CBuildError):
+            lines = [str(exc), *exc.stderr.splitlines(), "using the numpy kernels instead"]
+            warnings.warn("\n".join(lines), RuntimeWarning, stacklevel=2)
+        _backend = _NUMPY
 
 
 def cspm_sweep(A, rows, x, lam, tol):
@@ -568,7 +569,7 @@ def cspm_sweep(A, rows, x, lam, tol):
     evaluated and the number of moves; writes the step sums, the number of
     rows evaluated and that violation to ``rows.out``.
     """
-    cspm, _, arg = _current()
+    _, cspm, _, arg = _current()
     moves = cspm(*rows._args(A, x, arg), lam, tol, rows._outp)
     return rows.out.item(4), moves
 
@@ -582,7 +583,7 @@ def art3_pass(A, rows, x, tol, out, queue):
     entry outside ``[0, m)`` raises ``IndexError`` before anything is
     touched.
     """
-    _, art3, arg = _current()
+    _, _, art3, arg = _current()
     head = rows._args(A, x, arg)
     _check(queue, "queue", _I64, 1)
     if out is rows.out:

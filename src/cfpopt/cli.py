@@ -50,8 +50,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     defaults = HarnessConfig()
     p.add_argument("--max-sweeps", type=int, default=defaults.max_sweeps,
                    help="sweep budget per feasibility solve (time-out rule)")
-    p.add_argument("--max-projections", type=int, default=defaults.max_projections,
-                   help="per-solve projection budget; replaces the sweep cap as the time-out rule")
     p.add_argument("--feas-tol", type=float, default=defaults.feas_tol, help="feasibility tolerance")
     p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
                    help="relaxation parameter in (0, 2)")
@@ -117,7 +115,7 @@ def _print_report(r) -> None:
 
 def _select_backend(name) -> None:
     """Apply ``--backend``, or else resolve ``CFPOPT_BACKEND``; raise ValueError
-    when the backend cannot run here."""
+    when that names no backend or one that cannot run here."""
     try:
         if name:
             _kernels.set_backend(name)

@@ -175,10 +175,10 @@ class SolverSpec:
 
     The solver ``kind``, superiorized by ``sup`` when that is set; the cyclic
     solvers' relaxation ``lam`` in (0, 2) (ART3+ ignores it); the tolerance
-    ``tol``; and the time-out after ``max_sweeps`` sweeps or, when set,
-    ``max_projections`` projections instead.  Construction is the one check
-    of these settings: it raises ``ValueError`` on any that no solve can run,
-    a ``sup`` that is not a :class:`SuperiorizationConfig` among them.
+    ``tol``; and the time-out after ``max_sweeps`` sweeps.  Construction is
+    the one check of these settings: it raises ``ValueError`` on any that no
+    solve can run, a ``sup`` that is not a :class:`SuperiorizationConfig`
+    among them.
     """
 
     kind: str = "cspm"  # cspm | pocs | art3+
@@ -186,7 +186,6 @@ class SolverSpec:
     lam: float = DEFAULT_RELAXATION
     tol: float = DEFAULT_FEAS_TOL
     max_sweeps: int = DEFAULT_MAX_SWEEPS
-    max_projections: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("cspm", "pocs", "art3+"):
@@ -199,8 +198,6 @@ class SolverSpec:
         if not np.isfinite(tol) or tol < 0.0:
             raise ValueError(f"feasibility tolerance must be finite and nonnegative, got {tol}")
         _check_count("max_sweeps", self.max_sweeps, 1)
-        if self.max_projections is not None:
-            _check_count("max_projections", self.max_projections, 1)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "tol", tol)
 
@@ -477,12 +474,10 @@ class _Sweeper:
         """The sweep/time-out loop of every feasibility solve, from ``x0``.
 
         Sweeps until one certifies every constraint within tolerance (found),
-        the sweeps prove the system empty, or the solve times out: after
-        ``max_sweeps`` sweeps or, when set, once ``max_projections``
-        projections are made (checked before each sweep; every sweep makes at
-        least one).  ``before_sweep(x, k)``, when given, maps the iterate just
-        before sweep ``k``; superiorization perturbs it there.  ``history``
-        collects the iterate of each sweep.
+        the sweeps prove the system empty, or the solve times out after
+        ``max_sweeps`` sweeps.  ``before_sweep(x, k)``, when given, maps the
+        iterate just before sweep ``k``; superiorization perturbs it there.
+        ``history`` collects the iterate of each sweep.
         """
         counters = self.counters
         x = x0.copy()
@@ -491,10 +486,7 @@ class _Sweeper:
         sweeps = 0
         if self.certified or self.empty:  # vacuous system, or a level below the objective's bound
             return FeasibilityOutcome(self.certified, x, 0, 0, 0, 0, infeasibility_certified=self.empty)
-        budget = self.solver.max_projections
-        for k in range(self.solver.max_sweeps if budget is None else budget):
-            if budget is not None and counters.projections - proj0 >= budget:
-                break
+        for k in range(self.solver.max_sweeps):
             if before_sweep is not None:
                 x = before_sweep(x, k)
             x = self.sweep(x, k)

@@ -123,7 +123,6 @@ class HarnessConfig:
     sup_a: float = SuperiorizationConfig.a
     max_outer: int = DEFAULT_MAX_OUTER
     seed: int | None = None
-    max_projections: int | None = None
 
     def epsilon_rule(self) -> EpsilonRule:
         return EpsilonRule(self.epsilon_mode, self.epsilon_factor, self.epsilon_floor)
@@ -202,8 +201,7 @@ def run_variant(variant: VariantSpec | str, problem: Problem,
 
     spec = SolverSpec(variant.feas_solver,
                       sup=config.superiorization() if variant.superiorized else None,
-                      lam=config.lam, tol=config.feas_tol, max_sweeps=config.max_sweeps,
-                      max_projections=config.max_projections)
+                      lam=config.lam, tol=config.feas_tol, max_sweeps=config.max_sweeps)
     common = dict(solver=spec, x0=x0, rule=config.epsilon_rule(), max_outer=config.max_outer)
     start = time.perf_counter()
     result = _SCHEMES[variant.scheme](problem, config, common)
@@ -234,10 +232,8 @@ def _nearest_rank(sorted_vals: list[float], p: float) -> float:
     return sorted_vals[rank - 1]
 
 
-def aggregate(values, key: str | None = None) -> StatsSummary:
-    """Summary statistics over numbers, or over a report field via ``key``."""
-    if key is not None:
-        values = [getattr(r, key) for r in values if getattr(r, key) is not None]
+def aggregate(values) -> StatsSummary:
+    """Summary statistics over numbers."""
     vals = [float(v) for v in values]
     if not vals:
         raise ValueError("cannot aggregate an empty collection")

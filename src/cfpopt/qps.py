@@ -8,10 +8,9 @@ error carries the offending line number.
 Conventions follow the convex QP test-set usage: QUADOBJ entries are the
 lower triangle of Q with the objective reading ``1/2 x'Qx + c'x`` (an
 off-diagonal entry contributes to both symmetric positions), QMATRIX lists
-the full matrix; a ``quad_half=False`` switch drops the 1/2 factor for
-collections using the other convention.  An RHS entry on the objective row
-is the objective constant with its sign flipped.  Default variable bounds
-are ``0 <= x < +inf``.  Repeated COLUMNS and quadratic entries sum, in file
+the full matrix.  An RHS entry on the objective row is the objective
+constant with its sign flipped.  Default variable bounds are
+``0 <= x < +inf``.  Repeated COLUMNS and quadratic entries sum, in file
 order; a repeated RHS, RANGES or BOUNDS entry replaces the earlier one.
 Numeric fields may use Fortran ``D`` exponents; NaN is rejected everywhere,
 and an infinite value everywhere but in BOUNDS, where a lower bound of
@@ -120,7 +119,7 @@ class QpsDocument:
         # E row: the range sign picks the side
         return (b, b + r) if r >= 0.0 else (b + r, b)
 
-    def to_problem(self, quad_half: bool = True, name: str | None = None) -> Problem:
+    def to_problem(self, name: str | None = None) -> Problem:
         n, m = len(self.col_order), len(self.row_order)
         # the objective row (index -1) is the last row of A, so that c sums
         # its entries as the constraint rows do
@@ -145,8 +144,6 @@ class QpsDocument:
         Q = np.zeros((n, n))
         with np.errstate(over="ignore", invalid="ignore"):
             np.add.at(Q, (i, j), v)
-            if not quad_half:
-                Q = 2.0 * Q
         bad = np.argwhere(~np.isfinite(Q))
         if bad.size:
             i, j = bad[0]
@@ -471,9 +468,9 @@ def parse_qps_document(text: str) -> QpsDocument:
     return _Reader(text).read()
 
 
-def parse_qps(text: str, quad_half: bool = True, name: str | None = None) -> Problem:
+def parse_qps(text: str, name: str | None = None) -> Problem:
     """Parse QPS text into a :class:`~cfpopt.model.Problem`."""
-    return parse_qps_document(text).to_problem(quad_half=quad_half, name=name)
+    return parse_qps_document(text).to_problem(name=name)
 
 
 def _read_text(path: Path) -> str:
@@ -485,11 +482,11 @@ def _read_text(path: Path) -> str:
                                             f"not UTF-8 text: {exc.reason} at byte {exc.start}")) from None
 
 
-def load_qps(path, quad_half: bool = True) -> Problem:
+def load_qps(path) -> Problem:
     """Parse a UTF-8 QPS file; the problem name falls back to the file stem."""
     path = Path(path)
     doc = parse_qps_document(_read_text(path))
-    return doc.to_problem(quad_half=quad_half, name=doc.name or path.stem)
+    return doc.to_problem(name=doc.name or path.stem)
 
 
 def _fmt(v: float) -> str:

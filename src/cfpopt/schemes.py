@@ -190,11 +190,16 @@ def _perturb(problem: Problem, x: np.ndarray, accel: AccelerationConfig, counter
 def _warm_starts(problem: Problem, accel: AccelerationConfig | None, rule: EpsilonRule,
                  counters: Counters):
     """The acceleration rule of :class:`AccelerationConfig` as ``warm_start(t, x, f_best)``:
-    the warm start for testing level ``t``, ``x`` itself unless a stall fires."""
+    the warm start for testing level ``t``, ``x`` itself unless a stall fires.
+
+    A shift depends on ``x`` alone, so a stall at an unchanged incumbent
+    reuses the last shifted point instead of computing it again.
+    """
     prev, delta = None, 0
+    last = None  # (incumbent bytes, its shifted point)
 
     def warm_start(t: float, x: np.ndarray, f_best: float) -> np.ndarray:
-        nonlocal prev, delta
+        nonlocal prev, delta, last
         if accel is None:
             return x
         if prev is not None and abs(prev - t) <= accel.c * epsilon_update(f_best, rule):
@@ -203,7 +208,9 @@ def _warm_starts(problem: Problem, accel: AccelerationConfig | None, rule: Epsil
         if delta / accel.block <= accel.s:
             return x
         delta = 0
-        return _perturb(problem, x, accel, counters)
+        if last is None or last[0] != x.tobytes():
+            last = x.tobytes(), _perturb(problem, x, accel, counters)
+        return last[1]
 
     return warm_start
 

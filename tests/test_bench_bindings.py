@@ -78,3 +78,23 @@ def test_load_qps_is_traced(tracer_class, fixtures_dir):
     assert tracer.calls["qps.parse"][0] == 1
     assert tracer.calls["qps.to_problem"][0] == 1
     assert tracer.count["qps.bytes"] == len(path.read_text())
+
+
+# every call layer that Tracer.metrics reads a count or a time from
+CALL_LAYERS = ("kernels.cspm", "kernels.art3", "model.value", "model.subgrad",
+               "feasibility.solve", "feasibility.setup", "superiorize.solve",
+               "superiorize.direction", "schemes.run", "qps.parse", "qps.to_problem",
+               "harness.emit_report")
+
+
+def test_one_traced_pass_counts_every_call_layer(tracer_class, fixtures_dir, tmp_path):
+    tracer = tracer_class()
+    tracer.install()
+    try:
+        problem = qps.load_qps(fixtures_dir / "fix_qp1.qps")
+        reports = [harness.run_variant(variant, problem) for variant in ("bis_sup_cspm", "ls_art3+")]
+        harness.emit_report(reports, harness.aggregate_by_variant(reports), tmp_path)
+    finally:
+        tracer.uninstall()
+    counts = {name: tracer.calls[name][0] for name in CALL_LAYERS}
+    assert all(counts.values()), counts

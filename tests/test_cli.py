@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -49,7 +50,6 @@ class TestSolve:
     @pytest.mark.parametrize("flags, message", [
         (["bis_art3+", "--max-sweeps", "0"], "max_sweeps must be at least 1, got 0"),
         (["bis_art3+", "--max-sweeps", "-3"], "max_sweeps must be at least 1, got -3"),
-        (["bis_art3+", "--max-projections", "0"], "max_projections must be at least 1, got 0"),
         (["bis_art3+", "--lambda", "3"], "relaxation parameter must lie in (0, 2), got 3.0"),
         (["ls_cspm", "--max-outer", "-1"], "max_outer must be nonnegative, got -1"),
         (["bis_cspm", "--f-lower", "5"],
@@ -60,7 +60,7 @@ class TestSolve:
         (["ls_cspm", "--epsilon-factor", "nan"],
          "epsilon factor must be finite and positive, got nan"),
         (["ls_acc_cspm", "--accel-s", "nan"], "acceleration s must be positive, got nan"),
-    ], ids=["no sweeps", "negative sweeps", "no projections", "lambda", "max-outer", "f-lower",
+    ], ids=["no sweeps", "negative sweeps", "lambda", "max-outer", "f-lower",
             "gamma nan", "gamma inf", "epsilon-floor nan", "epsilon-factor nan", "accel-s nan"])
     def test_degenerate_setting_is_input_error(self, flags, message, capsys):
         assert main(["solve", "--builtin", "qp2d", "--variant", *flags]) == 2
@@ -113,13 +113,37 @@ class TestSolve:
             assert "no 'cc' on PATH" in capsys.readouterr().err
         assert _kernels.active_backend() == before
         # the same backend asked for by CFPOPT_BACKEND=c, with no flag
-        monkeypatch.setattr(_kernels, "_requested", "c")
-        monkeypatch.setattr(_kernels, "_impls", None)
+        monkeypatch.setenv("CFPOPT_BACKEND", "c")
+        monkeypatch.setattr(_kernels, "_backend", None)
         for cmd in (["solve", "--builtin", "simple_qp", "--variant", "ls_cspm"],
                     ["bench", "--problems", ".", "--out", "."]):
             assert main(cmd) == 2
             err = capsys.readouterr().err
             assert "no 'cc' on PATH" in err and err.count("\n") == 1, err
+
+    def test_unknown_env_backend_is_one_error_line(self):
+        # the variable is read at first use, not at import
+        env = dict(os.environ, CFPOPT_BACKEND="bogus", PYTHONPATH=os.pathsep.join(
+            [str(Path(cfpopt.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-m", "cfpopt.cli", "solve", "--builtin", "simple_qp",
+                              "--variant", "ls_cspm"], env=env, capture_output=True, text=True)
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == [
+            "error: CFPOPT_BACKEND='bogus' is not a backend; choices: ('c', 'numpy') or 'auto'"]
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+    def test_c_build_failure_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "_kernels.c"
+        bad.write_text("int cfp_cspm_sweep(;\n")
+        monkeypatch.setattr(_kernels, "_SOURCE", bad)
+        monkeypatch.setattr(_kernels, "_c_outcome", None)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        assert main(["solve", "--builtin", "simple_qp", "--variant", "ls_cspm", "--backend", "c"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: backend 'c' is unavailable: ")
+        assert "failed to build _kernels.c (exit " in line and "<stdin>:1" in line
 
     def test_qps_from_stdin(self, monkeypatch, fixtures_dir, capsys):
         import io

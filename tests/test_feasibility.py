@@ -61,25 +61,6 @@ class TestCspm:
         cfp_solve([halfspace_ge1()], [0.0], SolverSpec(lam=1.0), counters=counters)
         assert counters.projections == 4
 
-    @pytest.mark.parametrize("sup", [
-        None,
-        SuperiorizationConfig(N=1),
-    ], ids=["cspm", "superiorized"])
-    def test_max_projections_limit_mode(self, sup):
-        cons = [AffineConstraint.leq([1.0], -1.0), AffineConstraint.geq([1.0], 1.0)]
-        out = cfp_solve(cons, [0.0], SolverSpec(sup=sup, lam=1.0, max_sweeps=10_000,
-                                                max_projections=50),
-                        objective=QuadraticFunction([[2.0]], [0.0]))
-        assert not out.found
-        assert out.projections <= 50 + len(cons)
-
-    def test_projection_budget_replaces_the_sweep_cap(self):
-        # two projections a sweep: the default 1000-sweep cap would stop at 2000
-        cons = [AffineConstraint.leq([1.0], -1.0), AffineConstraint.geq([1.0], 1.0)]
-        out = cfp_solve(cons, [0.0], SolverSpec(max_projections=5000))
-        assert out.timed_out
-        assert (out.projections, out.sweeps) == (5000, 2500)
-
     def test_zero_subgradient_propagates(self):
         bad = CustomFunction(lambda x: 1.0, lambda x: np.zeros_like(x), name="bad")
         with pytest.raises(ZeroSubgradientError):
@@ -287,22 +268,18 @@ class TestCfpWithLevel:
         ({"tol": -1e-3}, "feasibility tolerance must be finite and nonnegative, got -0.001"),
         ({"tol": np.inf}, "feasibility tolerance must be finite and nonnegative, got inf"),
         ({"max_sweeps": 0}, "max_sweeps must be at least 1, got 0"),
-        ({"max_projections": 0}, "max_projections must be at least 1, got 0"),
         ({"max_sweeps": 2.5}, "max_sweeps must be an integer, got 2.5"),
-        ({"max_projections": 2.5}, "max_projections must be an integer, got 2.5"),
         ({"sup": True}, "sup must be a SuperiorizationConfig or None, got True"),
         ({"sup": {"N": 1}}, "sup must be a SuperiorizationConfig or None, got {'N': 1}"),
     ], ids=["lam 0", "lam 2", "lam nan", "negative tol", "infinite tol", "no sweeps",
-            "no projections", "fractional sweeps", "fractional projections", "sup True",
-            "sup dict"])
+            "fractional sweeps", "sup True", "sup dict"])
     def test_solver_spec_rejects_settings_no_solve_can_run(self, kind, settings, message):
         with pytest.raises(ValueError) as exc:
             SolverSpec(kind, **settings)
         assert str(exc.value) == message
 
     def test_solver_spec_takes_numpy_integers(self):
-        spec = SolverSpec(sup=SuperiorizationConfig(N=np.int64(1)), max_sweeps=np.int64(3),
-                          max_projections=np.int32(5))
+        spec = SolverSpec(sup=SuperiorizationConfig(N=np.int64(1)), max_sweeps=np.int64(3))
         out = cfp_solve([halfspace_ge1()], [0.0], spec, objective=QuadraticFunction([[2.0]], [0.0]))
         assert out.found
 

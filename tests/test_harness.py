@@ -84,11 +84,6 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([])
 
-    def test_field_selector_over_reports(self):
-        reports = [_report(projections=10), _report(projections=30)]
-        s = aggregate(reports, key="projections")
-        assert s.average == pytest.approx(20.0)
-
 
 def _report(problem="p", variant="v", projections=10, obj_evals=5, trace=()):
     return RunReport(problem=problem, variant=variant, status=CASE2_OR_3,
@@ -176,13 +171,6 @@ class TestRunVariant:
             assert getattr(a, f) == getattr(b, f)
         assert a.trace == b.trace
         assert a.best_x.tobytes() == b.best_x.tobytes()
-
-    def test_projection_budget_replaces_sweep_cap(self):
-        p = builtin_problems()["infeasible"]
-        # the 5-sweep cap would stop after 10 projections; the budget overrides
-        r = run_variant("ls_cspm", p, HarnessConfig(max_sweeps=5, max_projections=100))
-        assert r.status == CASE1
-        assert 99 <= r.projections <= 102
 
     def test_infeasible_all_variants_case1(self):
         p = builtin_problems()["infeasible"]

@@ -612,6 +612,24 @@ def test_c_build_failure_reports_compiler_stderr(restore_backend, tmp_path, monk
     assert list((tmp_path / "cache" / "cfpopt").iterdir()) == []  # no partial library
 
 
+@needs_cc
+def test_c_build_failure_is_one_line_and_keeps_the_whole_stderr(restore_backend, tmp_path,
+                                                                  monkeypatch):
+    bad = tmp_path / "_kernels.c"
+    bad.write_text("int cfp_cspm_sweep(;\nint cfp_art3_pass(;\n")
+    monkeypatch.setattr(_kernels, "_SOURCE", bad)
+    monkeypatch.setattr(_kernels, "_c_outcome", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    with pytest.raises(_kernels.CBuildError) as exc:
+        _kernels.set_backend("c")
+    stderr = exc.value.stderr
+    assert "\n" not in str(exc.value) and str(exc.value).endswith(stderr.splitlines()[0])
+    assert "<stdin>:1" in stderr and "<stdin>:2" in stderr
+    with pytest.warns(RuntimeWarning) as record:
+        _kernels.set_backend("auto")
+    assert stderr.strip() in str(record[0].message)
+
+
 def test_set_backend_rejects_unknown(restore_backend):
     with pytest.raises(ValueError):
         _kernels.set_backend("fortran")
@@ -628,11 +646,14 @@ def test_env_flag_selects_backend():
 
 
 def test_env_flag_rejects_unknown():
+    # importing reads no environment variable; the first use rejects the value
+    code = ("import cfpopt\n"
+            "try:\n    cfpopt.active_backend()\n"
+            "except ValueError as exc:\n    print(exc)")
     env = dict(os.environ, CFPOPT_BACKEND="gpu")
-    out = subprocess.run([sys.executable, "-c", "import cfpopt"], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode != 0
-    assert "CFPOPT_BACKEND" in out.stderr
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "CFPOPT_BACKEND='gpu' is not a backend; choices: ('c', 'numpy') or 'auto'"
 
 
 @needs_cc

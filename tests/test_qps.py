@@ -117,16 +117,6 @@ ENDATA
         b = parse_qps(self.QMATRIX)
         np.testing.assert_array_equal(a.objective.Q, b.objective.Q)
 
-    def test_no_half_convention_doubles_q(self):
-        a = parse_qps(self.QUADOBJ)
-        b = parse_qps(self.QUADOBJ, quad_half=False)
-        np.testing.assert_array_equal(b.objective.Q, 2.0 * a.objective.Q)
-        x = np.array([0.7, -0.3])
-        # without the 1/2 factor the quadratic term doubles
-        quad_a = a.objective.value(x) - a.objective.c @ x
-        quad_b = b.objective.value(x) - b.objective.c @ x
-        assert quad_b == pytest.approx(2.0 * quad_a)
-
     def test_asymmetric_qmatrix_rejected(self):
         bad = self.QMATRIX.replace("    X2        X1        0.5\n", "")
         with pytest.raises(QpsParseError):
@@ -608,27 +598,25 @@ class TestRejectedInput:
         assert (d.line, d.section) == (line_no, section)
         assert d.message == f"non-finite numeric field {new!r}"
 
-    @pytest.mark.parametrize("old, new, quad_half, diagnostic", [
-        ("    X2        C1        1.0\n", "    X2        C1        1e308\n" * 2, True,
+    @pytest.mark.parametrize("old, new, diagnostic", [
+        ("    X2        C1        1.0\n", "    X2        C1        1e308\n" * 2,
          (4, "ROWS", "entries of row 'C1' in column 'X2' sum to a non-finite value")),
         ("    X2        C1        1.0\n", "    X2        C1        1e308\n    X2        OBJ       -1e308\n"
-         "    X2        OBJ       -1e308\n", True,
+         "    X2        OBJ       -1e308\n",
          (3, "ROWS", "entries of row 'OBJ' in column 'X2' sum to a non-finite value")),
-        ("    X2        X2        1.0\n", "    X2        X2        1e308\n" * 2, True,
+        ("    X2        X2        1.0\n", "    X2        X2        1e308\n" * 2,
          (0, "QUADOBJ", "entries of columns 'X2' and 'X2' sum to a non-finite value")),
-        ("    X2        X2        1.0\n", "    X1        X2        1e308\n" * 2, True,
+        ("    X2        X2        1.0\n", "    X1        X2        1e308\n" * 2,
          (0, "QUADOBJ", "entries of columns 'X1' and 'X2' sum to a non-finite value")),
-        ("    X2        X2        1.0\n", "    X2        X2        1e308\n", False,
-         (0, "QUADOBJ", "entries of columns 'X2' and 'X2' sum to a non-finite value")),
-    ], ids=["row", "objective-row", "diagonal", "off-diagonal", "doubled"])
-    def test_sums_that_overflow_rejected(self, old, new, quad_half, diagnostic):
-        # every entry is finite, but duplicates (or the doubling of quad_half=False)
-        # overflow; the sum is rejected at its row, without a numpy warning
+    ], ids=["row", "objective-row", "diagonal", "off-diagonal"])
+    def test_sums_that_overflow_rejected(self, old, new, diagnostic):
+        # every entry is finite, but duplicates overflow; the sum is rejected
+        # at its row, without a numpy warning
         text = FIXTURE_QP.replace(old, new)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(QpsParseError) as exc:
-                parse_qps(text, quad_half=quad_half)
+                parse_qps(text)
         d = exc.value.diagnostic
         assert (d.line, d.section, d.message) == diagnostic
 

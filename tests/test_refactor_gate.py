@@ -90,6 +90,21 @@ that is not a docstring"""
     assert refactor_gate.code_lines(source) == 7
 
 
+def test_code_lines_are_reported_per_module_next_to_the_total(tmp_path):
+    package = tmp_path / "src" / "cfpopt"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text('"""Docstring."""\n\nz = 3\n')
+    (package / "notes.txt").write_text("not a module\n")
+    new = refactor_gate.module_code_lines(tmp_path)
+    assert new == {"a.py": 2, "b.py": 1}
+    lines = refactor_gate.code_line_report("abc123", {"a.py": 5, "gone.py": 4}, new)
+    assert lines == [
+        "src/cfpopt code lines: 9 at abc123, 3 here (net -6)",
+        "  a.py                 5 at abc123,     2 here (net -3)",
+        "  b.py                 0 at abc123,     1 here (net +1)",
+        "  gone.py              4 at abc123,     0 here (net -4)",
+    ]
 def test_cli_csvs_is_a_gate_run_without_wall_times():
     assert "cli_csvs.py" in refactor_gate.GATE_SCRIPTS
     assert ("cli_csvs.py",) in refactor_gate.runs()

@@ -272,11 +272,16 @@ class TestBisection:
     def test_accelerated_bisection_perturbs_only_found_points(self, monkeypatch):
         # a stall that fires after a failed test shifts the incumbent again,
         # not the shifted warm start of the failed test: shifts never compound
-        found, perturbed = [], []
+        found, perturbed, starts_after_failure = [], [], []
         solve, perturb = schemes.cfp_with_level, schemes._perturb
+        failed = False
 
-        def recording_solve(*args, **kwargs):
-            out = solve(*args, **kwargs)
+        def recording_solve(problem, t, solver, x0, **kwargs):
+            nonlocal failed
+            if failed:
+                starts_after_failure.append(x0.copy())
+            out = solve(problem, t, solver, x0, **kwargs)
+            failed = not out.found
             if out.found:
                 found.append(out.x.copy())
             return out
@@ -290,7 +295,8 @@ class TestBisection:
         res = bisection_solve(simple_qp(), x0=[2.0], cfg=BisectionConfig(f_lower=0.0),
                               accel=AccelerationConfig(c=10.0, s=0.001, block=1))
         assert res.case == CASE2_OR_3
-        assert len(perturbed) > len(found)  # some stalls fire after a failed test
+        # some stalls fire after a failed test: the next test starts from a shifted point
+        assert any(not any(np.array_equal(x, y) for y in found) for x in starts_after_failure)
         for x in perturbed:
             assert any(np.array_equal(x, y) for y in found)
 
@@ -326,6 +332,21 @@ class TestBisection:
         starts = [x.tolist() for t, x in calls if t == 1.5]
         assert starts == [[1.0], [1.0 - 1.9 * 2.0]]  # the same shift again is a repeat
         assert res.best_x.tolist() == [1.0]
+        assert res.trace[2:] == [(k, 1.5, 1.0) for k in range(2, 7)]
+
+    def test_stalls_at_an_unchanged_incumbent_shift_it_once(self, monkeypatch):
+        # the stall fires at every step, and the incumbent changes once, at the
+        # crossing: each distinct incumbent is shifted once, not once per test
+        scripted_level_tests(monkeypatch, CROSSING)
+        perturbed, perturb = [], schemes._perturb
+
+        def recording_perturb(problem, x, accel, counters):
+            perturbed.append(x.tolist())
+            return perturb(problem, x, accel, counters)
+
+        monkeypatch.setattr(schemes, "_perturb", recording_perturb)
+        res = crossed_bisection(max_outer=6, accel=AccelerationConfig(c=10.0, s=0.001, block=1))
+        assert perturbed == [[2.0], [1.0]]
         assert res.trace[2:] == [(k, 1.5, 1.0) for k in range(2, 7)]
 
 
