@@ -131,6 +131,22 @@ class TestSolve:
         assert out.stderr.splitlines() == [
             "error: CFPOPT_BACKEND='bogus' is not a backend; choices: ('c', 'numpy') or 'auto'"]
 
+    def test_unknown_env_backend_fails_bench_before_any_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CFPOPT_BACKEND", "bogus")
+        monkeypatch.setattr(_kernels, "_backend", None)
+        assert main(["bench", "--problems", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: CFPOPT_BACKEND='bogus' is not a backend; choices: ('c', 'numpy') or 'auto'"]
+
+    def test_backend_flag_is_used_without_reading_the_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CFPOPT_BACKEND", "bogus")
+        monkeypatch.setattr(_kernels, "_backend", None)
+        assert main(["solve", "--builtin", "simple_qp", "--variant", "ls_cspm",
+                     "--backend", "numpy", "--out", str(tmp_path)]) == 0
+        assert _kernels.active_backend() == "numpy"
+
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
     def test_c_build_failure_is_one_error_line(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "_kernels.c"

@@ -61,6 +61,17 @@ class TestCspm:
         cfp_solve([halfspace_ge1()], [0.0], SolverSpec(lam=1.0), counters=counters)
         assert counters.projections == 4
 
+    @pytest.mark.parametrize("kind", ["cspm", "pocs", "art3+"])
+    @pytest.mark.parametrize("sup", [None, SuperiorizationConfig(N=1)], ids=["plain", "superiorized"])
+    def test_the_sweep_cap_is_the_only_time_out(self, kind, sup):
+        # two projections a sweep on an inconsistent pair: the solve stops
+        # after max_sweeps sweeps, uncertified, whatever it has projected
+        cons = [AffineConstraint.leq([1.0], -1.0), AffineConstraint.geq([1.0], 1.0)]
+        out = cfp_solve(cons, [0.0], SolverSpec(kind, sup=sup, max_sweeps=7),
+                        objective=QuadraticFunction([[2.0]], [0.0]))
+        assert out.timed_out and not out.infeasibility_certified
+        assert (out.sweeps, out.projections) == (7, 14)
+
     def test_zero_subgradient_propagates(self):
         bad = CustomFunction(lambda x: 1.0, lambda x: np.zeros_like(x), name="bad")
         with pytest.raises(ZeroSubgradientError):

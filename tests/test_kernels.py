@@ -635,6 +635,56 @@ def test_set_backend_rejects_unknown(restore_backend):
         _kernels.set_backend("fortran")
 
 
+def test_set_backend_rejects_an_empty_name(restore_backend):
+    # only the environment variable reads empty as auto
+    with pytest.raises(ValueError, match="unknown backend ''"):
+        _kernels.set_backend("")
+
+
+@pytest.fixture
+def unresolved_backend(restore_backend, monkeypatch):
+    """The state of a process that has imported the package and run no kernel."""
+    monkeypatch.setattr(_kernels, "_backend", None)
+    return monkeypatch
+
+
+@pytest.mark.parametrize("value, want", [
+    ("numpy", "numpy"), (" NumPy ", "numpy"), ("", "auto"), ("auto", "auto"), (None, "auto"),
+], ids=["numpy", "padded", "empty", "auto", "unset"])
+def test_env_value_is_resolved_at_first_use(unresolved_backend, value, want):
+    if value is None:
+        unresolved_backend.delenv("CFPOPT_BACKEND", raising=False)
+    else:
+        unresolved_backend.setenv("CFPOPT_BACKEND", value)
+    assert _kernels._backend is None
+    if want == "auto":  # c when it runs here, else numpy
+        want = _kernels.available_backends()[0]
+    assert _kernels.active_backend() == want
+    assert _kernels._backend[0] == want
+
+
+def test_set_backend_before_first_use_reads_no_env(unresolved_backend):
+    unresolved_backend.setenv("CFPOPT_BACKEND", "gpu")
+    _kernels.set_backend("numpy")
+    assert _kernels.active_backend() == "numpy"
+
+
+def test_rejected_env_value_leaves_the_backend_unresolved(unresolved_backend):
+    # every first use raises until the variable is mended; a kernel call too
+    unresolved_backend.setenv("CFPOPT_BACKEND", "gpu")
+    message = "CFPOPT_BACKEND='gpu' is not a backend; choices: ('c', 'numpy') or 'auto'"
+    with pytest.raises(ValueError) as exc:
+        _kernels.active_backend()
+    assert str(exc.value) == message
+    assert _kernels._backend is None
+    rows, x0 = _random_system(0)
+    with pytest.raises(ValueError) as exc:
+        cfp_solve(rows, x0, SolverSpec(max_sweeps=5))
+    assert str(exc.value) == message
+    unresolved_backend.setenv("CFPOPT_BACKEND", "numpy")
+    assert _kernels.active_backend() == "numpy"
+
+
 @needs_cc
 def test_env_flag_selects_backend():
     code = "import cfpopt; print(cfpopt.active_backend())"

@@ -105,6 +105,8 @@ def test_code_lines_are_reported_per_module_next_to_the_total(tmp_path):
         "  b.py                 0 at abc123,     1 here (net +1)",
         "  gone.py              4 at abc123,     0 here (net -4)",
     ]
+
+
 def test_cli_csvs_is_a_gate_run_without_wall_times():
     assert "cli_csvs.py" in refactor_gate.GATE_SCRIPTS
     assert ("cli_csvs.py",) in refactor_gate.runs()
