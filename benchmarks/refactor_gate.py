@@ -5,8 +5,8 @@ Usage:
     python3 benchmarks/refactor_gate.py PARENT_REV
 
 Extracts ``PARENT_REV`` with ``git archive`` into a temporary directory and
-runs the same gate scripts (this tree's ``cells.py``, ``qps_digest.py`` and
-``cli_csvs.py``) against both sources:
+runs the same gate scripts (this tree's ``cells.py``, ``qps_digest.py``,
+``cli_csvs.py`` and ``qps_peak.py``) against both sources:
 
 * ``cells.py`` for each workload at seeds 101-103 with its own variants, and
   at seed 101 with ``all`` variants;
@@ -33,7 +33,10 @@ reads as such, and the first differing pair as ``- old / + new``.  After the run
 with the ``git diff --numstat PARENT_REV -- src`` totals
 and the code lines of ``src/cfpopt/*.py`` (docstrings, comments and blank
 lines left out) at ``PARENT_REV`` and in the working tree: their total, then
-each module's, so that a change shows where its lines went.  The exit status
+each module's, so that a change shows where its lines went, and the traced
+peak memory of ``load_qps`` on the seed-101 plant-art3 ``PLANT000`` file
+(``qps_peak.py``) at ``PARENT_REV`` and in the working tree.  The code lines
+and the peak are information: they never fail the gate.  The exit status
 is 1 when any output differs, else 0.  The two trees run side by side,
 one process each; the parent gets its own kernel cache directory, so that its
 kernel build does not evict this tree's.
@@ -56,7 +59,8 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("plant-cspm", "plant-art3", "dose-cspm")
 PLANTED = ("plant-cspm", "plant-art3")
 ACCELERATED = "ls_acc_cspm,ls_acc_sup_cspm,bis_acc_cspm,bis_acc_sup_cspm"
-GATE_SCRIPTS = ("cells.py", "qps_digest.py", "cli_csvs.py")
+GATE_SCRIPTS = ("cells.py", "qps_digest.py", "cli_csvs.py", "qps_peak.py")
+PEAK_RUN = ("qps_peak.py", "plant-art3", "101")
 # the entries of a cells.py cell, in order
 CELL_FIELDS = ("status", "f_hat", "projections", "obj_evals", "outer_steps")
 COUNTERS = ("projections", "obj_evals")
@@ -232,6 +236,20 @@ def code_line_report(rev: str, old: dict[str, int], new: dict[str, int]) -> list
     return lines
 
 
+def peak_report(rev: str, old: str, new: str) -> str:
+    """One line with the ``qps_peak.py`` outputs at ``rev`` and here, in MB and
+    as multiples of the file's length; a run that did not print ``FILE CHARS
+    PEAK`` is shown as it ended."""
+    def peak(out: str) -> str:
+        try:
+            name, chars, nbytes = out.split()
+            return f"{int(nbytes) / 1e6:.2f} MB ({int(nbytes) / int(chars):.2f}x the text of {name})"
+        except ValueError:
+            return repr(out.strip())
+
+    return f"load_qps traced peak, {' '.join(PEAK_RUN[1:])}: {peak(old)} at {rev}, {peak(new)} here"
+
+
 def report(label: str, diff: str | None) -> bool:
     """Print a run's line; True when it differs."""
     print(f"{label:<36} {'same' if diff is None else 'DIFFERS: ' + diff}", flush=True)
@@ -268,11 +286,13 @@ def main(argv=None) -> int:
             diff = differences(new_outs[run], output(start(ROOT, run, numpy_env)))
             differs += report(" ".join(run) + " numpy", diff)
         old_code, new_code = module_code_lines(parent), module_code_lines(ROOT)
+        old_peak, new_peak = map(output, (start(parent, PEAK_RUN, old_env), start(ROOT, PEAK_RUN, new_env)))
     for name, (fell, rose) in moves.items():
         print(f"{name}: {fell} fell, {rose} rose")
     added, deleted = numstat(rev)
     print(f"src/ against {rev}: +{added} -{deleted} (net {added - deleted:+d})")
     print("\n".join(code_line_report(rev, old_code, new_code)))
+    print(peak_report(rev, old_peak, new_peak))
     print(f"{differs} of {len(runs()) + len(backend_runs())} runs differ")
     return 1 if differs else 0
 

@@ -27,7 +27,6 @@ from .harness import (
     emit_report,
     quality_score,
     run_variant,
-    speedup_factor,
 )
 from .model import (
     AffineConstraint,

@@ -16,7 +16,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "run_variant",
     "aggregate",
     "aggregate_by_variant",
-    "speedup_factor",
     "emit_report",
     "builtin_problems",
     "AGGREGATE_METRICS",
@@ -151,7 +150,6 @@ class RunReport:
     obj_evals: int
     outer_steps: int
     ms: float
-    trace: list = field(default_factory=list)  # (step, f value) per feasible point
     best_x: np.ndarray | None = None
 
 
@@ -222,7 +220,6 @@ def run_variant(variant: VariantSpec | str, problem: Problem,
         obj_evals=result.counters.obj_evals,
         outer_steps=result.level_steps,
         ms=ms,
-        trace=[(k, f) for (k, _t, f) in result.trace],
         best_x=result.best_x,
     )
 
@@ -260,40 +257,6 @@ def aggregate_by_variant(reports: list[RunReport]) -> dict[tuple[str, str], Stat
             if vals:
                 out[(variant, metric)] = aggregate(vals)
     return out
-
-
-def _decrease_rate(report: RunReport) -> float | None:
-    """Average objective decrease per feasible step along the trace."""
-    if len(report.trace) < 2:
-        return None
-    first = report.trace[0][1]
-    last = report.trace[-1][1]
-    return (first - last) / (len(report.trace) - 1)
-
-
-def speedup_factor(a: RunReport, b: RunReport, metric: str = "projections") -> float | None:
-    """How much ``a`` beats ``b``; 0 means no difference, negative means worse.
-
-    Counter metrics compare work: ``b.count / a.count - 1``.  The
-    ``objective-decrease`` metric compares the average per-step decrease over
-    the feasible-point traces: ``rate(a) / rate(b) - 1``.  Returns None when
-    the comparison is undefined (zero denominator or missing trace).
-    """
-    if a.problem != b.problem:
-        raise ValueError(f"reports compare different problems: {a.problem!r} vs {b.problem!r}")
-    if metric in ("projections", "obj_evals"):
-        a_val = getattr(a, metric)
-        b_val = getattr(b, metric)
-        if a_val == 0:
-            return None
-        return b_val / a_val - 1.0
-    if metric == "objective-decrease":
-        ra = _decrease_rate(a)
-        rb = _decrease_rate(b)
-        if ra is None or rb is None or rb == 0.0:
-            return None
-        return ra / rb - 1.0
-    raise ValueError(f"unknown metric {metric!r}")
 
 
 def _fmt(v) -> str:

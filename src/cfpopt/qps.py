@@ -18,14 +18,15 @@ and an infinite value everywhere but in BOUNDS, where a lower bound of
 constraint row whose coefficients are all zero (or absent) is rejected at
 its ROWS line.
 
-The reader works a section at a time, not a line at a time: the text is
-split into lines once, and the data lines of each section are tokenised,
-checked, mapped from names to indices and converted to floats in bulk, a
-block of ``_CHUNK`` lines at a time so that the token lists stay small.  A
-check that fails on a block searches it for the first offending line, so a
-diagnostic names the same line a line-by-line reader would.  COLUMNS and
-quadratic entries are kept as index and value arrays, and ``to_problem``
-sums them into ``A``, ``c`` and ``Q`` with ``np.add.at`` in file order.
+The reader works a block at a time, not a line at a time: it walks the text
+in blocks of about ``_BLOCK`` characters, each cut just after a line feed, so
+that it holds the text plus one block's lines and tokens, never a list of all
+the lines.  The data lines of each section in a block are tokenised, checked,
+mapped from names to indices and converted to floats in bulk.  A check that
+fails on a block searches it for the first offending line, so a diagnostic
+names the same line a line-by-line reader would.  COLUMNS and quadratic
+entries are kept as index and value arrays, and ``to_problem`` sums them
+into ``A``, ``c`` and ``Q`` with ``np.add.at`` in file order.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ __all__ = [
 
 _SECTIONS = ("NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "QUADOBJ", "QMATRIX", "ENDATA")
 _MARKERS = ("'MARKER'", "MARKER")
-_CHUNK = 1024  # data lines tokenised at a time
+_BLOCK = 1 << 16  # characters of text read at a time, up to the end of a line
 
 
 @dataclass(frozen=True)
@@ -259,12 +260,28 @@ def _numbers(tokens, rank: int, allow_inf: bool = False):
     return values, fault
 
 
-class _Reader:
-    """One parse: the lines, the document and the name-to-index maps."""
+def _blocks(text: str):
+    """The lines of ``text`` in blocks of about ``_BLOCK`` characters, each with
+    whether the block holds a ``*``.
 
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.comments = "*" in text  # else no line needs the comment test
+    Each block but the last ends just after a line feed, so no line break is
+    cut in two (``\\r\\n`` included) and the blocks' lines are those of
+    ``text.splitlines()``.
+    """
+    pos = 0
+    while pos < len(text):
+        stop = text.find("\n", pos + _BLOCK) + 1 or len(text)
+        yield text[pos:stop].splitlines(), text.find("*", pos, stop) >= 0
+        pos = stop
+
+
+class _Reader:
+    """One parse: the current block, the document and the name-to-index maps."""
+
+    def __init__(self):
+        self.lines: list[str] = []  # the current block's lines
+        self.offset = 0  # the number of lines before the current block
+        self.comments = False  # a '*' in the current block, else no line needs the comment test
         self.doc = QpsDocument()
         self.rows: dict[str, int] = {}  # row -> index; the objective row -> -1
         self.cols: dict[str, int] = {}  # column -> index
@@ -272,25 +289,29 @@ class _Reader:
         self.entries: list[tuple] = []  # (rows, cols, values) per COLUMNS block
         self.quad: list[tuple] = []  # (rows, cols, values) per quadratic block
 
-    def read(self) -> QpsDocument:
-        lines, doc = self.lines, self.doc
-        section, start = None, 0
-        for i in [i for i, line in enumerate(lines) if line and not line[0].isspace()]:
-            toks = lines[i].split()
-            if toks[0][0] == "*":
-                continue
-            self._section(section, start, i)
-            if section == "ENDATA":
-                _fail(i + 1, "ENDATA", "data after ENDATA")
-            head = toks[0].upper()
-            if head not in _SECTIONS:
-                _fail(i + 1, section or "-", f"unknown section {toks[0]!r}")
-            section, start = head, i + 1
-            if head == "NAME":
-                doc.name = toks[1] if len(toks) > 1 else ""
-            elif head in ("QUADOBJ", "QMATRIX"):
-                doc.quad_section = head
-        self._section(section, start, len(lines))
+    def read(self, text: str) -> QpsDocument:
+        doc = self.doc
+        section = None
+        for lines, self.comments in _blocks(text):
+            self.lines, start = lines, 0
+            for i in [i for i, line in enumerate(lines) if line and not line[0].isspace()]:
+                toks = lines[i].split()
+                if toks[0][0] == "*":
+                    continue
+                self._section(section, start, i)
+                line_no = self.offset + i + 1
+                if section == "ENDATA":
+                    _fail(line_no, "ENDATA", "data after ENDATA")
+                head = toks[0].upper()
+                if head not in _SECTIONS:
+                    _fail(line_no, section or "-", f"unknown section {toks[0]!r}")
+                section, start = head, i + 1
+                if head == "NAME":
+                    doc.name = toks[1] if len(toks) > 1 else ""
+                elif head in ("QUADOBJ", "QMATRIX"):
+                    doc.quad_section = head
+            self._section(section, start, len(lines))
+            self.offset += len(lines)
 
         if doc.objective_row is None:
             _fail(0, "ROWS", "no N (objective) row declared")
@@ -304,16 +325,17 @@ class _Reader:
         return doc
 
     def _section(self, section, start: int, stop: int):
-        """Read the data lines ``lines[start:stop]`` of ``section`` block by block."""
+        """Hand the data lines ``lines[start:stop]`` of the current block to ``section``'s handler."""
+        if start == stop:
+            return
         handler = _HANDLERS[section]
-        for a in range(start, stop, _CHUNK):
-            b = min(a + _CHUNK, stop)
-            toks = list(map(str.split, self.lines[a:b]))
-            if all(toks) and not self.comments:
-                handler(self, section, range(a + 1, b + 1), toks)
-            else:
-                keep = [k for k, t in enumerate(toks) if t and t[0][0] != "*"]
-                handler(self, section, [a + 1 + k for k in keep], [toks[k] for k in keep])
+        toks = list(map(str.split, self.lines[start:stop]))
+        first = self.offset + start + 1
+        if all(toks) and not self.comments:
+            handler(self, section, range(first, first + len(toks)), toks)
+        else:
+            keep = [k for k, t in enumerate(toks) if t and t[0][0] != "*"]
+            handler(self, section, [first + k for k in keep], [toks[k] for k in keep])
 
     def _no_data(self, section, line_of, toks):
         if toks:
@@ -343,7 +365,7 @@ class _Reader:
             else:
                 _fail(line_no, section, f"unknown row sense {sense!r}")
         if cut is not None:
-            _fail(cut, section, f"expected 'SENSE NAME', got {self.lines[cut - 1].strip()!r}")
+            _fail(cut, section, f"expected 'SENSE NAME', got {self.lines[cut - 1 - self.offset].strip()!r}")
         self.marker_rows = any(row.upper() in _MARKERS for row in self.rows)
 
     def _entries(self, section, line_of, toks):
@@ -465,7 +487,7 @@ _HANDLERS = {
 
 def parse_qps_document(text: str) -> QpsDocument:
     """Parse QPS text into its raw sections (see :class:`QpsDocument`)."""
-    return _Reader(text).read()
+    return _Reader().read(text)
 
 
 def parse_qps(text: str, name: str | None = None) -> Problem:

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from cfpopt import _kernels
+from cfpopt import _kernels, harness
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -17,3 +17,15 @@ def warm_kernels():
 @pytest.fixture
 def fixtures_dir():
     return FIXTURES
+
+
+@pytest.fixture
+def scheme_results(monkeypatch):
+    """The ``SchemeResult`` of each scheme run that ``run_variant`` makes, in order."""
+    results = []
+    for name in ("level_set_solve", "accelerated_level_set_solve", "bisection_solve"):
+        def recording(*args, _solve=getattr(harness, name), **kw):
+            results.append(_solve(*args, **kw))
+            return results[-1]
+        monkeypatch.setattr(harness, name, recording)
+    return results

@@ -17,7 +17,6 @@ from cfpopt.harness import (
     emit_report,
     quality_score,
     run_variant,
-    speedup_factor,
 )
 from cfpopt.schemes import (
     CASE1,
@@ -85,43 +84,9 @@ class TestAggregate:
             aggregate([])
 
 
-def _report(problem="p", variant="v", projections=10, obj_evals=5, trace=()):
-    return RunReport(problem=problem, variant=variant, status=CASE2_OR_3,
-                     f_hat=1.0, quality=0.0, projections=projections,
-                     obj_evals=obj_evals, outer_steps=3, ms=1.0,
-                     trace=list(trace))
-
-
-class TestSpeedup:
-    def test_equal_counts_is_zero(self):
-        assert speedup_factor(_report(), _report()) == 0.0
-
-    def test_ten_times_work_is_nine(self):
-        a = _report(projections=10)
-        b = _report(projections=100)
-        assert speedup_factor(a, b) == pytest.approx(9.0)
-
-    def test_decrease_rate_both_perspectives(self):
-        # a drops 2 per step, b drops 1 per step
-        a = _report(trace=[(0, 10.0), (1, 8.0), (2, 6.0)])
-        b = _report(trace=[(0, 10.0), (1, 9.0), (2, 8.0)])
-        assert speedup_factor(a, b, "objective-decrease") == pytest.approx(1.0)
-        assert speedup_factor(b, a, "objective-decrease") == pytest.approx(-0.5)
-
-    def test_zero_denominator_is_missing(self):
-        a = _report(projections=0)
-        assert speedup_factor(a, _report()) is None
-        flat = _report(trace=[(0, 5.0), (1, 5.0)])
-        assert speedup_factor(_report(trace=[(0, 2.0), (1, 1.0)]), flat,
-                              "objective-decrease") is None
-
-    def test_different_problems_rejected(self):
-        with pytest.raises(ValueError):
-            speedup_factor(_report(problem="a"), _report(problem="b"))
-
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(ValueError):
-            speedup_factor(_report(), _report(), "wall-clock")
+def _report():
+    return RunReport(problem="p", variant="v", status=CASE2_OR_3, f_hat=1.0, quality=0.0,
+                     projections=10, obj_evals=5, outer_steps=3, ms=1.0)
 
 
 class TestRegistry:
@@ -161,15 +126,16 @@ class TestRunVariant:
         with pytest.raises(ValueError):
             run_variant("ls_gradient", builtin_problems()["simple_qp"])
 
-    def test_deterministic_reports(self):
+    def test_deterministic_reports(self, scheme_results):
         p = builtin_problems()["qp2d"]
         cfg = HarnessConfig()
         a = run_variant("ls_sup_cspm", p, cfg, x0=[2.0, 2.0])
         b = run_variant("ls_sup_cspm", p, cfg, x0=[2.0, 2.0])
-        fields = {f.name for f in dataclasses.fields(RunReport)} - {"ms", "best_x", "trace"}
+        fields = {f.name for f in dataclasses.fields(RunReport)} - {"ms", "best_x"}
         for f in fields:
             assert getattr(a, f) == getattr(b, f)
-        assert a.trace == b.trace
+        first, second = scheme_results
+        assert first.trace == second.trace
         assert a.best_x.tobytes() == b.best_x.tobytes()
 
     def test_infeasible_all_variants_case1(self):

@@ -1,17 +1,38 @@
+import dataclasses
 import importlib.util
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cfpopt import qps
 from cfpopt.model import AffineConstraint, Bounds, Problem, QuadraticFunction
-from cfpopt.qps import QpsParseError, load_qps, parse_qps, parse_qps_document, write_qps
+from cfpopt.qps import QpsDocument, QpsParseError, load_qps, parse_qps, parse_qps_document, write_qps
 
 _spec = importlib.util.spec_from_file_location(
     "make_problems", Path(__file__).parents[1] / "benchmarks" / "make_problems.py")
 make_problems = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_problems)
+
+BLOCKS = (1, 7, 64)  # block sizes (characters) that cut inside every section of the test files
+
+
+def _diagnostic(text, parse=parse_qps):
+    """The ``(line, section, message)`` that ``parse(text)`` fails with, which
+    must be the same at the default block size and at each of ``BLOCKS``."""
+    found = {}
+    for block in (qps._BLOCK, *BLOCKS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qps, "_BLOCK", block)
+            with pytest.raises(QpsParseError) as exc:
+                parse(text)
+        d = exc.value.diagnostic
+        found[block] = (d.line, d.section, d.message)
+    assert len(set(found.values())) == 1, found
+    return found[qps._BLOCK]
+
 
 FIXTURE_QP = """\
 NAME          FIXQP1
@@ -119,8 +140,7 @@ ENDATA
 
     def test_asymmetric_qmatrix_rejected(self):
         bad = self.QMATRIX.replace("    X2        X1        0.5\n", "")
-        with pytest.raises(QpsParseError):
-            parse_qps(bad)
+        _diagnostic(bad)
 
 
 class TestRangesAndBounds:
@@ -192,49 +212,39 @@ BOUNDS
  UP BND       X1        1.0
 ENDATA
 """
-        with pytest.raises(QpsParseError) as exc:
-            parse_qps(text)
-        assert exc.value.diagnostic.line == 9
+        assert _diagnostic(text)[0] == 9
 
 
 class TestDiagnostics:
     def test_unknown_section(self):
-        with pytest.raises(QpsParseError) as exc:
-            parse_qps("NAME X\nROWS\n N OBJ\nBONDS\nENDATA\n")
-        assert exc.value.diagnostic.line == 4
-        assert "unknown section" in exc.value.diagnostic.message
+        line, _, message = _diagnostic("NAME X\nROWS\n N OBJ\nBONDS\nENDATA\n")
+        assert line == 4
+        assert "unknown section" in message
 
     def test_duplicate_objective_row(self):
-        with pytest.raises(QpsParseError) as exc:
-            parse_qps("NAME X\nROWS\n N OBJ\n N OBJ2\nENDATA\n")
-        assert "duplicate N" in exc.value.diagnostic.message
-        assert exc.value.diagnostic.line == 4
+        line, _, message = _diagnostic("NAME X\nROWS\n N OBJ\n N OBJ2\nENDATA\n")
+        assert "duplicate N" in message
+        assert line == 4
 
     def test_undeclared_row_reference(self):
         text = "NAME X\nROWS\n N OBJ\nCOLUMNS\n    X1   NOPE  1.0\nENDATA\n"
-        with pytest.raises(QpsParseError) as exc:
-            parse_qps(text)
-        assert exc.value.diagnostic.line == 5
-        assert "undeclared row" in exc.value.diagnostic.message
+        line, _, message = _diagnostic(text)
+        assert line == 5
+        assert "undeclared row" in message
 
     def test_undeclared_column_in_bounds(self):
         text = ("NAME X\nROWS\n N OBJ\n L R1\nCOLUMNS\n    X1   R1   1.0\n"
                 "BOUNDS\n UP BND  X9  1.0\nENDATA\n")
-        with pytest.raises(QpsParseError) as exc:
-            parse_qps(text)
-        assert "undeclared column" in exc.value.diagnostic.message
+        assert "undeclared column" in _diagnostic(text)[2]
 
     def test_malformed_numeric(self):
         text = "NAME X\nROWS\n N OBJ\n L R1\nCOLUMNS\n    X1   R1   abc\nENDATA\n"
-        with pytest.raises(QpsParseError) as exc:
-            parse_qps(text)
-        assert exc.value.diagnostic.line == 6
-        assert "malformed numeric" in exc.value.diagnostic.message
+        line, _, message = _diagnostic(text)
+        assert line == 6
+        assert "malformed numeric" in message
 
     def test_no_objective_row(self):
-        with pytest.raises(QpsParseError) as exc:
-            parse_qps("NAME X\nROWS\n L R1\nENDATA\n")
-        assert "no N" in exc.value.diagnostic.message
+        assert "no N" in _diagnostic("NAME X\nROWS\n L R1\nENDATA\n")[2]
 
     def test_missing_endata_warns(self):
         doc = parse_qps_document("NAME X\nROWS\n N OBJ\n")
@@ -304,10 +314,7 @@ def _planted_columns_line_with_extra_token():
         "before any header", "in NAME", "after ENDATA"])
 def test_malformed_line_names_its_line_and_section(text, line_no, section, message):
     parse_qps(EVERY_SECTION)  # the base file itself is well formed
-    with pytest.raises(QpsParseError) as exc:
-        parse_qps(text() if callable(text) else text)
-    d = exc.value.diagnostic
-    assert (d.line, d.section, d.message) == (line_no, section, message)
+    assert _diagnostic(text() if callable(text) else text) == (line_no, section, message)
 
 
 class TestRoundTrip:
@@ -487,9 +494,7 @@ class TestBulkPath:
         _same_problem(parse_qps(MIXED), parse_qps(text))
         # the lines after them keep their numbers
         bad = text.replace("    X3        X3        1.0", "    X3        X3        1.0x")
-        with pytest.raises(QpsParseError) as exc:
-            parse_qps(bad)
-        assert exc.value.diagnostic.line == bad.splitlines().index("    X3        X3        1.0x") + 1
+        assert _diagnostic(bad)[0] == bad.splitlines().index("    X3        X3        1.0x") + 1
 
     def test_duplicates_sum_in_file_order(self):
         # 1e16 + 1 rounds back to 1e16, so each order of the three entries
@@ -564,10 +569,7 @@ ENDATA
         toks = lines[line_no - 1].split()
         toks[field] = token
         lines[line_no - 1] = "    " + "  ".join(toks)
-        with pytest.raises(QpsParseError) as exc:
-            parse_qps("\n".join(lines))
-        d = exc.value.diagnostic
-        assert (d.line, d.section, d.message) == (line_no, "COLUMNS", message)
+        assert _diagnostic("\n".join(lines)) == (line_no, "COLUMNS", message)
 
 
 class TestRejectedInput:
@@ -577,10 +579,7 @@ class TestRejectedInput:
             "    X2        C1        1.0", "    X2        C2        0.0"),  # zeros only
     ])
     def test_empty_row_names_its_rows_line(self, text):
-        with pytest.raises(QpsParseError) as exc:
-            parse_qps(text)
-        d = exc.value.diagnostic
-        assert (d.line, d.section, d.message) == (5, "ROWS", "row 'C2' has no nonzero coefficient")
+        assert _diagnostic(text) == (5, "ROWS", "row 'C2' has no nonzero coefficient")
 
     @pytest.mark.parametrize("line_no, old, new, section", [
         (6, "-1.0", "nan", "COLUMNS"),
@@ -592,11 +591,7 @@ class TestRejectedInput:
     ])
     def test_non_finite_rejected(self, line_no, old, new, section):
         text = _replace_line(FIXTURE_QP, line_no, old, new)
-        with pytest.raises(QpsParseError) as exc:
-            parse_qps(text)
-        d = exc.value.diagnostic
-        assert (d.line, d.section) == (line_no, section)
-        assert d.message == f"non-finite numeric field {new!r}"
+        assert _diagnostic(text) == (line_no, section, f"non-finite numeric field {new!r}")
 
     @pytest.mark.parametrize("old, new, diagnostic", [
         ("    X2        C1        1.0\n", "    X2        C1        1e308\n" * 2,
@@ -615,17 +610,12 @@ class TestRejectedInput:
         text = FIXTURE_QP.replace(old, new)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(QpsParseError) as exc:
-                parse_qps(text)
-        d = exc.value.diagnostic
-        assert (d.line, d.section, d.message) == diagnostic
+            assert _diagnostic(text) == diagnostic
 
     def test_ranges_non_finite_rejected(self, fixtures_dir):
         text = (fixtures_dir / "fix_rng.qps").read_text().replace("RNG       R2        0.5",
                                                                   "RNG       R2        inf")
-        with pytest.raises(QpsParseError) as exc:
-            parse_qps(text)
-        assert (exc.value.diagnostic.line, exc.value.diagnostic.section) == (17, "RANGES")
+        assert _diagnostic(text)[:2] == (17, "RANGES")
 
     def test_bounds_take_infinity_but_not_nan(self):
         text = FIXTURE_QP.replace("QUADOBJ", "BOUNDS\n UP BND       X1        inf\n"
@@ -633,26 +623,80 @@ class TestRejectedInput:
         p = parse_qps(text)
         np.testing.assert_array_equal(p.bounds.lo, [0.0, -np.inf])
         np.testing.assert_array_equal(p.bounds.hi, [np.inf, np.inf])
-        with pytest.raises(QpsParseError) as exc:
-            parse_qps(text.replace("X1        inf", "X1        nan"))
-        d = exc.value.diagnostic
-        assert (d.line, d.section, d.message) == (11, "BOUNDS", "non-finite numeric field 'nan'")
+        assert _diagnostic(text.replace("X1        inf", "X1        nan")) == (
+            11, "BOUNDS", "non-finite numeric field 'nan'")
 
     @pytest.mark.parametrize("bound", [" LO BND       X1        inf", " UP BND       X1        -inf",
                                        " FX BND       X1        Infinity"])
     def test_bound_that_empties_the_box_rejected(self, bound):
         text = FIXTURE_QP.replace("QUADOBJ", f"BOUNDS\n MI BND       X1\n{bound}\nQUADOBJ")
-        with pytest.raises(QpsParseError) as exc:
-            parse_qps(text)
-        d = exc.value.diagnostic
-        assert (d.line, d.section) == (12, "BOUNDS")
-        assert d.message.startswith("inconsistent bounds on 'X1'")
+        line, section, message = _diagnostic(text)
+        assert (line, section) == (12, "BOUNDS")
+        assert message.startswith("inconsistent bounds on 'X1'")
 
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "latin1.qps"
         path.write_bytes(FIXTURE_QP.replace("X2        C1", "X\u00e9        C1").encode("latin-1"))
-        with pytest.raises(QpsParseError) as exc:
-            load_qps(path)
-        d = exc.value.diagnostic
-        assert (d.line, d.section) == (7, "-")
-        assert d.message.startswith("not UTF-8 text: invalid continuation byte")
+        line, section, message = _diagnostic(path, load_qps)
+        assert (line, section) == (7, "-")
+        assert message.startswith("not UTF-8 text: invalid continuation byte")
+
+
+def _same_document(a, b):
+    """Field-by-field equality of two documents, the arrays bit for bit."""
+    for f in dataclasses.fields(QpsDocument):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes()), f.name
+        else:
+            assert x == y, f.name
+
+
+class TestBlocks:
+    """The reader walks the text in blocks cut just after a line feed; where
+    the cuts fall must change nothing it reads."""
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_every_file_reads_the_same_at_any_block_size(self, block, monkeypatch, fixtures_dir):
+        texts = [FIXTURE_QP, EVERY_SECTION, MIXED, MIXED_SPLIT, TestQuadConventions.QUADOBJ,
+                 TestQuadConventions.QMATRIX, EVERY_SECTION.replace("\n", "\r\n"),
+                 EVERY_SECTION.replace("\n", "\f\n")]
+        texts += [path.read_text() for path in sorted(fixtures_dir.glob("*.qps"))]
+        texts.append(write_qps(make_problems.planted_instance(0, 120, 160)[0]))
+        expected = [parse_qps_document(text) for text in texts]
+        monkeypatch.setattr(qps, "_BLOCK", block)
+        for text, doc in zip(texts, expected):
+            got = parse_qps_document(text)
+            _same_document(got, doc)
+            _same_problem(got.to_problem(), doc.to_problem())
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("brk", ["\r\n", "\r", "\f", "\u2028"], ids=["crlf", "cr", "ff", "u2028"])
+    def test_line_breaks_at_a_cut_give_the_lines_of_splitlines(self, block, brk, monkeypatch):
+        # every line feed, and so every cut, has the break on both sides, after
+        # lines of every length up to past the block size
+        text = "".join("a" * k + brk + "\n" + brk for k in range(2 * block + 2)) + "end"
+        monkeypatch.setattr(qps, "_BLOCK", block)
+        blocks = [lines for lines, _ in qps._blocks(text)]
+        assert len(blocks) > 1
+        assert [line for lines in blocks for line in lines] == text.splitlines()
+
+    def test_a_comment_only_in_a_later_block_is_skipped(self, monkeypatch):
+        text = MIXED.replace("    X3        X1", "    * an indented comment\n* a comment\n    X3        X1")
+        monkeypatch.setattr(qps, "_BLOCK", 64)
+        first, *later = qps._blocks(text)
+        assert not first[1] and any(has_comment for _, has_comment in later)
+        _same_document(parse_qps_document(text), parse_qps_document(MIXED))
+
+
+def test_parse_peak_memory_stays_below_twice_the_text():
+    # a planted file of the plant-art3 workload's size, 1.2 MB
+    text = write_qps(make_problems.planted_instance(0, 120, 160)[0])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        parse_qps_document(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text), f"peak {peak / len(text):.2f}x the text"

@@ -123,3 +123,22 @@ def test_csv_rows_are_named_by_their_first_two_fields():
     old = "runs.csv\nP0,ls_cspm,case2-or-3,1.0\nP0,bis_cspm,case1,\n"
     new = old.replace("case1", "case2-or-3")
     assert refactor_gate.differences(old, new).split("\n")[0] == "1 of 3 lines differ: P0/bis_cspm"
+
+
+def test_load_qps_peak_is_reported_for_both_trees():
+    assert refactor_gate.PEAK_RUN[0] in refactor_gate.GATE_SCRIPTS
+    line = refactor_gate.peak_report("abc123", "plant000.qps 1000000 5000000\n",
+                                     "plant000.qps 1000000 2500000\n")
+    assert line == ("load_qps traced peak, plant-art3 101: 5.00 MB (5.00x the text of plant000.qps) "
+                    "at abc123, 2.50 MB (2.50x the text of plant000.qps) here")
+    assert refactor_gate.peak_report("abc123", "exit 1: ImportError\n", "x 1 1\n").startswith(
+        "load_qps traced peak, plant-art3 101: 'exit 1: ImportError' at abc123")
+
+
+def test_qps_peak_prints_file_chars_and_peak():
+    script = Path(__file__).parents[1] / "benchmarks" / "qps_peak.py"
+    out = subprocess.run([sys.executable, str(script), "plant-cspm", "101"], capture_output=True,
+                         text=True, check=True).stdout
+    name, chars, peak = out.split()
+    assert name == "plant000.qps"
+    assert 0 < int(chars) < int(peak)

@@ -171,7 +171,7 @@ class TestAccelerationIncumbent:
                                          "bis_acc_cspm", "bis_acc_sup_cspm"])
     @pytest.mark.parametrize("config", CONFIGS,
                              ids=lambda c: f"c{c.accel_c:g}-b{c.block}-adaptive{int(c.accel_adaptive)}")
-    def test_best_x_is_a_found_point(self, variant, config):
+    def test_best_x_is_a_found_point(self, variant, config, scheme_results):
         for name, problem in builtin_problems().items():
             r = run_variant(variant, problem, config)
             if r.best_x is None:
@@ -179,7 +179,7 @@ class TestAccelerationIncumbent:
             assert problem.max_violation(r.best_x) <= config.feas_tol, name
             assert problem.objective.value(r.best_x) == r.f_hat, name
             if variant.startswith("bis_"):  # f_hi never increases
-                f_hi = [f for (_k, f) in r.trace]
+                f_hi = [f for (_k, _t, f) in scheme_results[-1].trace]
                 assert all(b <= a for a, b in zip(f_hi, f_hi[1:])), name
 
 
