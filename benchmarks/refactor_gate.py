@@ -6,7 +6,8 @@ Usage:
 
 Extracts ``PARENT_REV`` with ``git archive`` into a temporary directory and
 runs the same gate scripts (this tree's ``cells.py``, ``qps_digest.py``,
-``cli_csvs.py`` and ``qps_peak.py``) against both sources:
+``cli_csvs.py``, ``qps_peak.py`` and ``soundness.py``, with the problem
+generator ``make_problems.py`` they share) against both sources:
 
 * ``cells.py`` for each workload at seeds 101-103 with its own variants, and
   at seed 101 with ``all`` variants;
@@ -15,7 +16,9 @@ runs the same gate scripts (this tree's ``cells.py``, ``qps_digest.py``,
   whose stalls fire (the benchmark's own config never perturbs a warm start);
 * ``qps_digest.py`` for each planted workload at seeds 101-110;
 * ``cli_csvs.py``, the CSV reports of ``cfpopt bench`` over the test
-  fixtures with ``all`` variants, without the ``ms`` column.
+  fixtures with ``all`` variants, without the ``ms`` column;
+* ``soundness.py``, every variant's status, ``f_hat`` and certificate audit
+  on QPs whose rows bind at the optimum, and on an unbounded LP.
 
 Then it runs ``cells.py`` for each workload at seed 101 in the working tree
 once more, under ``CFPOPT_BACKEND=numpy``, and compares the output with the
@@ -29,14 +32,20 @@ names, for ``cells.py`` how many cells differ in each field (status, f_hat,
 projections, obj_evals, outer_steps), so that a change to the counters alone
 reads as such, and the first differing pair as ``- old / + new``.  After the runs, one line per counter
 (``projections: 41 fell, 0 rose``) says in how many differing cells of all
-``cells.py`` runs that counter fell and in how many it rose.  The gate ends
+``cells.py`` runs that counter fell and in how many it rose, one line per
+workload gives the summed ``projections`` of its seed-101 ``cells.py`` run
+(one pass of the benchmark's matrix) at ``PARENT_REV`` and here, so that a
+change to the counters alone reads directly, and one line gives the false
+certificates per ``soundness.py`` family in both trees.  The gate ends
 with the ``git diff --numstat PARENT_REV -- src`` totals
 and the code lines of ``src/cfpopt/*.py`` (docstrings, comments and blank
 lines left out) at ``PARENT_REV`` and in the working tree: their total, then
 each module's, so that a change shows where its lines went, and the traced
 peak memory of ``load_qps`` on the seed-101 plant-art3 ``PLANT000`` file
-(``qps_peak.py``) at ``PARENT_REV`` and in the working tree.  The code lines
-and the peak are information: they never fail the gate.  The exit status
+(``qps_peak.py``) at ``PARENT_REV`` and in the working tree.  The summed
+projections, the false certificates, the code lines and the peak are
+information: they never fail the gate (a changed ``soundness.py`` output
+does, as any differing run).  The exit status
 is 1 when any output differs, else 0.  The two trees run side by side,
 one process each; the parent gets its own kernel cache directory, so that its
 kernel build does not evict this tree's.
@@ -59,7 +68,8 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("plant-cspm", "plant-art3", "dose-cspm")
 PLANTED = ("plant-cspm", "plant-art3")
 ACCELERATED = "ls_acc_cspm,ls_acc_sup_cspm,bis_acc_cspm,bis_acc_sup_cspm"
-GATE_SCRIPTS = ("cells.py", "qps_digest.py", "cli_csvs.py", "qps_peak.py")
+GATE_SCRIPTS = ("cells.py", "qps_digest.py", "cli_csvs.py", "qps_peak.py", "soundness.py",
+                "make_problems.py")
 PEAK_RUN = ("qps_peak.py", "plant-art3", "101")
 # the entries of a cells.py cell, in order
 CELL_FIELDS = ("status", "f_hat", "projections", "obj_evals", "outer_steps")
@@ -74,6 +84,7 @@ def runs() -> list[tuple[str, ...]]:
             for cfg in ("accel", "accel-adaptive")]
     out += [("qps_digest.py", w, str(seed)) for w in PLANTED for seed in range(101, 111)]
     out.append(("cli_csvs.py",))
+    out.append(("soundness.py",))
     return out
 
 
@@ -236,6 +247,35 @@ def code_line_report(rev: str, old: dict[str, int], new: dict[str, int]) -> list
     return lines
 
 
+def total_projections(out: str) -> int | None:
+    """The summed ``projections`` of a ``cells.py`` output's cells, or None when it has none."""
+    cells = [c for c in map(cell, out.splitlines()) if c is not None and len(c) == len(CELL_FIELDS)]
+    return sum(c[CELL_FIELDS.index("projections")] for c in cells) if cells else None
+
+
+def projection_report(rev: str, old_outs: dict, new_outs: dict) -> list[str]:
+    """Per workload, the summed projections of its seed-101 ``cells.py`` run at ``rev`` and here."""
+    lines = []
+    for workload in WORKLOADS:
+        run = ("cells.py", workload, "101")
+        old, new = total_projections(old_outs[run]), total_projections(new_outs[run])
+        change = f" ({(new - old) / old:+.2%})" if old and new is not None else ""
+        lines.append(f"projections, {workload} 101: {old} at {rev}, {new} here{change}")
+    return lines
+
+
+def false_certificates(out: str) -> str:
+    """The ``FAMILY: F false of C certificates`` totals of a ``soundness.py`` output, as
+    ``FAMILY F/C`` joined by commas; the output's last line when it has none."""
+    totals = []
+    for line in out.splitlines():
+        family, _, rest = line.partition(": ")
+        words = rest.split()
+        if len(words) == 5 and words[1:3] == ["false", "of"]:
+            totals.append(f"{family} {words[0]}/{words[3]}")
+    return ", ".join(totals) or repr((out.strip().splitlines() or [""])[-1])
+
+
 def peak_report(rev: str, old: str, new: str) -> str:
     """One line with the ``qps_peak.py`` outputs at ``rev`` and here, in MB and
     as multiples of the file's length; a run that did not print ``FILE CHARS
@@ -270,12 +310,12 @@ def main(argv=None) -> int:
         extract(rev, parent)
         new_env = dict(os.environ)
         old_env = dict(os.environ, XDG_CACHE_HOME=str(Path(tmp) / "cache"))
-        new_outs = {}
+        old_outs, new_outs = {}, {}
         for run in runs():
             old = start(parent, run, old_env)
             new = start(ROOT, run, new_env)
             old_out, new_out = output(old), output(new)
-            new_outs[run] = new_out
+            old_outs[run], new_outs[run] = old_out, new_out
             diff = differences(old_out, new_out)
             for name, (fell, rose) in counter_moves(old_out, new_out).items():
                 moves[name][0] += fell
@@ -289,6 +329,10 @@ def main(argv=None) -> int:
         old_peak, new_peak = map(output, (start(parent, PEAK_RUN, old_env), start(ROOT, PEAK_RUN, new_env)))
     for name, (fell, rose) in moves.items():
         print(f"{name}: {fell} fell, {rose} rose")
+    print("\n".join(projection_report(rev, old_outs, new_outs)))
+    sound = ("soundness.py",)
+    print(f"soundness.py false certificates: {false_certificates(old_outs[sound])} at {rev}; "
+          f"{false_certificates(new_outs[sound])} here")
     added, deleted = numstat(rev)
     print(f"src/ against {rev}: +{added} -{deleted} (net {added - deleted:+d})")
     print("\n".join(code_line_report(rev, old_code, new_code)))

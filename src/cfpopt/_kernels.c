@@ -6,22 +6,30 @@
  * right from 0.0.  Build with -ffp-contract=off and without -ffast-math, so
  * that no multiply-add is fused and no sum is reordered.
  *
- * A is row-major m x n; lo, hi and norm2 have m entries; x has n entries and
- * is updated in place.  A moved row steps x by -coef * h with coef >= 0 off
- * its violated side h . y <= beta (h = A_i, beta = hi_i above the row's
- * interval; h = -A_i, beta = -lo_i below it).  Both passes store the sums of
+ * A is row-major m x n; lo, hi, norm2 and coord have m entries; q, xend and
+ * x have n entries, and x is updated in place.  A moved row steps x by
+ * -coef * h with coef >= 0 off its violated side h . y <= beta (h = A_i,
+ * beta = hi_i above the row's interval; h = -A_i, beta = -lo_i below it).  Both passes store the sums of
  * coef * (beta + tol), coef * (|beta| + tol) and coef * |h| over their moved
  * rows in out[0], out[1] and out[2], for the emptiness test of the caller
  * (feasibility.py), and the number of rows they evaluated in out[3].
  *
  * Both passes screen their rows.  Row i owns screen[5i .. 5i+5): its
  * violation v_i = max(r - hi_i, lo_i - r) at its last evaluation, the path
- * sum P_i then (v_i = +inf before the first one), |A_i|_2 computed from A,
+ * sum then (v_i = +inf before the first one), |A_i|_2 computed from A,
  * |A_i|_1 + |A_i|_2, and the larger finite one of |lo_i|, |hi_i| (plus a
  * floor).  path[0] is the path sum P of the solve, which every step adds
  * coef * |h|_2 to (the passes add it for their moves), path[1] is |x0|_2 and
  * path[2] the relative slack rel of the margin, whose bound is derived at
  * screen_rtol in _kernels.py.
+ *
+ * A row whose only nonzero entry is in column j = coord[i] (a box row, or
+ * any singleton row) is screened by how far x_j alone has moved: its path
+ * sum is q[j], where q is the binding's per-coordinate path.  Each pass
+ * first adds |x - xend| to q, xend being x at the end of the binding's last
+ * pass, so q takes every change of x made outside the pass; each move adds
+ * |fl(coef a_ik)| to q[k]; and the pass ends by copying x to xend.  A row
+ * with more than one nonzero entry has coord[i] = -1 and the path sum P.
  */
 
 #include <math.h>
@@ -35,16 +43,37 @@ static double row_dot(const double *a, const double *x, int64_t n)
     return r;
 }
 
-static void row_sub(double *x, double coef, const double *a, int64_t n)
+/* x -= coef * a, adding the length of each coordinate's step to q */
+static void row_sub(double *x, double *q, double coef, const double *a, int64_t n)
 {
-    for (int64_t j = 0; j < n; j++)
-        x[j] -= coef * a[j];
+    for (int64_t j = 0; j < n; j++) {
+        double d = coef * a[j];
+        x[j] -= d;
+        q[j] += fabs(d);
+    }
 }
 
-static void row_add(double *x, double coef, const double *a, int64_t n)
+/* x += coef * a, adding the length of each coordinate's step to q */
+static void row_add(double *x, double *q, double coef, const double *a, int64_t n)
+{
+    for (int64_t j = 0; j < n; j++) {
+        double d = coef * a[j];
+        x[j] += d;
+        q[j] += fabs(d);
+    }
+}
+
+/* q += |x - xend|: the moves of x since the binding's last pass ended */
+static void catch_up(double *q, const double *xend, const double *x, int64_t n)
 {
     for (int64_t j = 0; j < n; j++)
-        x[j] += coef * a[j];
+        q[j] += fabs(x[j] - xend[j]);
+}
+
+static void copy_x(double *xend, const double *x, int64_t n)
+{
+    for (int64_t j = 0; j < n; j++)
+        xend[j] = x[j];
 }
 
 /* True when the screen state s of a row proves it satisfied at path sum P:
@@ -59,12 +88,31 @@ static int screened(const double *s, double P, double x0n, double rel, double to
     return bound <= tol;
 }
 
+/* True when the screen state s of row i, whose nonzero entries are all in
+ * column j (j = coord[i]; j = -1 for any other row), proves it satisfied.
+ * Sets *at to the path sum it reads, which an evaluation records: q[j] for
+ * such a row, tested as v_i + |a_ij| (q[j] - Q_i) + margin <= tol with the
+ * margin derived at screen_rtol, and P for any other row. */
+static int screen_row(const double *s, int64_t j, const double *q, double P, double x0n,
+                      double rel, double tol, double *at)
+{
+    if (j < 0) {
+        *at = P;
+        return screened(s, P, x0n, rel, tol);
+    }
+    double Q = *at = q[j];
+    double bound = s[0] + s[2] * (Q - s[1]);
+    bound += rel * (s[2] * Q + fabs(s[0]) + s[4]);
+    return bound <= tol;
+}
+
 /* One cyclic pass of relaxed projections onto lo_i <= A_i . x <= hi_i.
  * Returns the number of rows whose violation exceeded tol (each of which
  * moved x), and stores out[0..3] and the largest violation among the rows
  * evaluated in out[4].  A row the screen proves satisfied is skipped. */
 int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
-                       const double *norm2, double *screen, double *path, double *x,
+                       const double *norm2, double *screen, double *path,
+                       const int64_t *coord, double *q, double *xend, double *x,
                        int64_t m, int64_t n, double lam, double tol, double *out)
 {
     double vmax = 0.0;
@@ -72,9 +120,11 @@ int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
     double P = path[0];
     const double x0n = path[1], rel = path[2];
     int64_t moves = 0, seen = 0;
+    catch_up(q, xend, x, n);
     for (int64_t i = 0; i < m; i++) {
         double *s = screen + 5 * i;
-        if (screened(s, P, x0n, rel, tol))
+        double at;
+        if (screen_row(s, coord[i], q, P, x0n, rel, tol, &at))
             continue;
         seen++;
         const double *a = A + i * n;
@@ -83,7 +133,7 @@ int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
         double under = lo[i] - r;
         double v = over >= under ? over : under;
         s[0] = v;
-        s[1] = P;
+        s[1] = at;
         if (v > vmax)
             vmax = v;
         if (v > tol) {
@@ -91,10 +141,10 @@ int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
             double coef = lam * v / norm2[i];
             double beta;
             if (over >= under) {
-                row_sub(x, coef, a, n);
+                row_sub(x, q, coef, a, n);
                 beta = hi[i];
             } else {
-                row_add(x, coef, a, n);
+                row_add(x, q, coef, a, n);
                 beta = -lo[i];
             }
             b += coef * (beta + tol);
@@ -103,6 +153,7 @@ int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
             P += coef * s[2];
         }
     }
+    copy_x(xend, x, n);
     path[0] = P;
     out[0] = b;
     out[1] = size;
@@ -122,7 +173,8 @@ int64_t cfp_cspm_sweep(const double *A, const double *lo, const double *hi,
  * row reflects or projects onto the midline.  A row the screen proves
  * satisfied is skipped, as if it had been found satisfied. */
 int64_t cfp_art3_pass(const double *A, const double *lo, const double *hi,
-                      const double *norm2, double *screen, double *path, double *x,
+                      const double *norm2, double *screen, double *path,
+                      const int64_t *coord, double *q, double *xend, double *x,
                       int64_t m, int64_t n, const int64_t *queue, int64_t nq, double tol,
                       int64_t *kept, double *out)
 {
@@ -133,10 +185,12 @@ int64_t cfp_art3_pass(const double *A, const double *lo, const double *hi,
     double P = path[0];
     const double x0n = path[1], rel = path[2];
     int64_t nk = 0, seen = 0;
+    catch_up(q, xend, x, n);
     for (int64_t qi = 0; qi < nq; qi++) {
         int64_t i = queue[qi];
         double *s = screen + 5 * i;
-        if (screened(s, P, x0n, rel, tol))
+        double at;
+        if (screen_row(s, coord[i], q, P, x0n, rel, tol, &at))
             continue;
         seen++;
         const double *a = A + i * n;
@@ -144,7 +198,7 @@ int64_t cfp_art3_pass(const double *A, const double *lo, const double *hi,
         double over = r - hi[i];
         double under = lo[i] - r;
         s[0] = over >= under ? over : under;
-        s[1] = P;
+        s[1] = at;
         if (lo[i] - tol <= r && r <= hi[i] + tol)
             continue;
         kept[nk++] = i;
@@ -154,12 +208,12 @@ int64_t cfp_art3_pass(const double *A, const double *lo, const double *hi,
             /* reflect across the upper face, or project onto the midline */
             coef = over <= width ? 2.0 * over / norm2[i]
                                  : (r - 0.5 * (lo[i] + hi[i])) / norm2[i];
-            row_sub(x, coef, a, n);
+            row_sub(x, q, coef, a, n);
             beta = hi[i];
         } else {
             coef = under <= width ? 2.0 * under / norm2[i]
                                   : (0.5 * (lo[i] + hi[i]) - r) / norm2[i];
-            row_add(x, coef, a, n);
+            row_add(x, q, coef, a, n);
             beta = -lo[i];
         }
         b += coef * (beta + tol);
@@ -167,6 +221,7 @@ int64_t cfp_art3_pass(const double *A, const double *lo, const double *hi,
         steps += coef * sqrt(norm2[i]);
         P += coef * s[2];
     }
+    copy_x(xend, x, n);
     path[0] = P;
     out[0] = b;
     out[1] = size;

@@ -19,7 +19,9 @@ evaluated, to ``out[:4]``: ``cspm_sweep`` to the binding's own ``out``,
 ``art3_pass`` to the array it is given.  Both screen their rows: a row that
 the state kept in the binding proves satisfied (see :func:`screen_rtol`) is
 skipped, with the same iterate, moves, kept rows and sums as a pass that
-evaluates every row.
+evaluates every row.  A row with one nonzero entry is screened by how far
+its own coordinate has moved, any other row by the length of the solve's
+whole path (see :class:`Rows`).
 
 Each call validates its arguments once for both backends, then calls the
 active backend's raw function: ``cfp_cspm_sweep`` or ``cfp_art3_pass`` of
@@ -186,6 +188,45 @@ def screen_rtol(n: int, events: int) -> float:
     floor in m_i covers gradual underflow.  An infinite or NaN term makes
     the test false, so such a row is evaluated; past 2^40 updates the slack
     is infinite and every row is.
+
+    A row whose one nonzero entry ``a_ij`` is in column j (``Rows.coord[i]
+    = j``: a box row, or any singleton row) is screened by its own
+    coordinate instead.  It is skipped when
+
+        v_i + s_i (Q_j - Q_ji) + rel (s_i Q_j + |v_i| + m_i) <= tol,
+
+    with ``Q`` the binding's per-coordinate path (``Rows.q``): each kernel
+    call first adds fl(|fl(x_k - e_k)|) to every Q_k, e being x at the end
+    of the binding's last call (``Rows.xend``), and each move adds
+    |fl(coef a_ik)| to Q_k; Q_ji is Q_j at row i's last evaluation.  With
+    alpha = |a_ij| (s_i is within 2u of it), while x is finite:
+
+    * Evaluation.  The row's other entries are zeros, whose products with
+      finite coordinates add nothing, so the computed r is fl(a_ij y_j) and
+      v is within 2.01 u alpha |y_j| + u m_i of the exact violation.  The
+      row's own numbers bound alpha |y_j| at its last evaluation: v_i is
+      ``r - side`` for a finite side (or -inf, whose margin is infinite),
+      so |r| <= m_i + |v_i| / (1 - u), and alpha |y_j| <= 1.001 (m_i +
+      |v_i|).  Now it is at most that plus alpha times the movement below.
+    * Movement.  The exact violation is alpha-Lipschitz in y_j alone.  The
+      change of x_j between two calls is within u of the term
+      fl(|fl(x_j - e_j)|) added for it, and a move in a call changes x_j by
+      fl(coef a_ij) up to one rounding of the update, u |y_j|.  Q_j sums
+      these nonnegative terms; a zero term adds nothing and rounds nothing,
+      so at most K additions round, and as for P the terms added since
+      row i's last evaluation sum to at most Q_j - Q_ji + K u Q_j / (1 - u).
+      So x_j has moved by at most (1 + 3u) (Q_j - Q_ji + K u Q_j / (1 - u))
+      + 1.01 K u max |y_j| since.
+    * The test rounds by at most 3 u |v_i| + 4 u s_i Q_j + u M, as above.
+
+    Summed, v now exceeds the computed left side by at most (3 K + 16) u
+    (s_i Q_j + |v_i| + m_i) - M (1 - u), M the margin, which is not positive
+    for the ``rel`` above.  An ART3+ row needs v* <= tol - 2.01 u alpha
+    |y_j|, which the Evaluation term covers.  The bound holds for any
+    change of x between calls (oracle steps, other bindings' moves,
+    superiorization jumps), since the catch-up measures the change itself.
+    A coordinate that is not finite makes a row's computed product NaN, so
+    no screen is claimed once x leaves the finite numbers.
     """
     if n + events > 2**40:
         return math.inf
@@ -203,15 +244,28 @@ class Rows:
     every row must have ``lo_i <= hi_i`` (the sign of an ART3+ midline step
     depends on it, see :func:`screen_rtol`).  Row i
     owns ``screen[i]``: its violation at its last evaluation (+inf before
-    the first), the path sum then, its computed ``|a_i|_2``, ``|a_i|_1 +
-    |a_i|_2``, and the larger finite one of ``|lo_i|``, ``|hi_i|`` plus a
-    floor.  ``path`` is the solve's float64[3], shared by all its bindings:
-    the path sum P, ``|x0|_2`` and the relative slack of the margin
-    (:func:`screen_rtol`).  The kernels add ``coef * |a_i|_2`` to P
-    for every row they move; the caller adds every other change of x, and
-    sets the rest of ``path`` before the first sweep.  ``out`` is the
-    float64[5] that ``cspm_sweep`` writes: the step sums, the number of rows
-    evaluated and the largest violation among them.
+    the first), the path sum its screen read then, its computed ``|a_i|_2``,
+    ``|a_i|_1 + |a_i|_2``, and the larger finite one of ``|lo_i|``,
+    ``|hi_i|`` plus a floor.
+
+    A row has one of two screens (:func:`screen_rtol` proves both).  A row
+    with more than one nonzero entry reads the solve's path sum P:
+    ``path`` is the solve's float64[3], shared by all its bindings, holding
+    P, ``|x0|_2`` and the relative slack of the margin.  The kernels add
+    ``coef * |a_i|_2`` to P for every row they move; the caller adds every
+    other change of x, and sets the rest of ``path`` before the first
+    sweep.  A row whose only nonzero entry is in column j (``coord[i] =
+    j``; ``-1`` for the others), such as a box row, reads ``q[j]``, the
+    binding's own path of coordinate j: every kernel call first adds
+    ``|x - xend|`` to ``q``, ``xend`` being x at the end of the binding's
+    last call, then adds ``|coef * a_ik|`` to ``q[k]`` for each move, and
+    ends by copying x to ``xend``.  So ``q`` takes every change of x with no
+    help from the caller, and a box row whose coordinate has not moved stays
+    screened however far the other coordinates go: the path screen's bound
+    ``|a_i|_2 P`` is loose for it by about the square root of n.
+
+    ``out`` is the float64[5] that ``cspm_sweep`` writes: the step sums,
+    the number of rows evaluated and the largest violation among them.
 
     On its first call under a backend, the binding converts its arrays to
     that backend's arguments (``_arg``: pointers for c, the arrays for
@@ -222,7 +276,7 @@ class Rows:
     array whose address it passes.
     """
 
-    __slots__ = ("A", "lo", "hi", "norm2", "screen", "path", "out",
+    __slots__ = ("A", "lo", "hi", "norm2", "screen", "path", "coord", "q", "xend", "out",
                  "_arg", "_head", "_x", "_outp", "_queue", "_queuep")
 
     def __init__(self, A, lo, hi, norm2, path):
@@ -245,6 +299,9 @@ class Rows:
         screen[:, 2] = s
         screen[:, 3] = w
         screen[:, 4] = np.maximum(_finite_abs(lo), _finite_abs(hi)) + (1.0 + w) * _SCREEN_FLOOR
+        nonzero = A != 0.0
+        self.coord = np.where(nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1), -1).astype(np.int64)
+        self.q, self.xend = np.zeros(A.shape[1]), np.zeros(A.shape[1])
         self.A, self.lo, self.hi, self.norm2 = A, lo, hi, norm2
         self.screen, self.path, self.out = screen, path, np.zeros(5)
         self._arg = None
@@ -258,7 +315,8 @@ class Rows:
         if A is not self.A:
             raise ValueError("A must be the array that rows was bound to")
         if arg is not self._arg:
-            arrays = (self.A, self.lo, self.hi, self.norm2, self.screen, self.path)
+            arrays = (self.A, self.lo, self.hi, self.norm2, self.screen, self.path,
+                      self.coord, self.q, self.xend)
             self._arg, self._x = arg, None
             self._head = [*map(arg, arrays), None, *map(arg, self.A.shape)]
             self._outp = arg(self.out)
@@ -269,7 +327,7 @@ class Rows:
                 raise ValueError(f"x has {x.shape[0]} entries for {A.shape[1]} columns")
             if not x.flags.writeable:
                 raise ValueError("x must be writable: the kernels update it in place")
-            self._x, self._head[6] = x, arg(x)
+            self._x, self._head[9] = x, arg(x)
         return self._head
 
     def _grow(self, size: int) -> None:
@@ -278,19 +336,27 @@ class Rows:
         self._queuep = self._arg(self._queue)
 
 
-def _screened(s, P, x0n, rel, tol) -> bool:
-    """True when a row's screen state ``s`` (a list) proves it satisfied at path sum ``P``.
+def _screen_row(s, j, q, P, x0n, rel, tol) -> tuple[bool, float]:
+    """``screen_row`` of ``_kernels.c``: whether screen state ``s`` (a list) proves its row satisfied.
 
-    ``screened`` of ``_kernels.c``: ``v_i + s_i (P - P_i) + margin <= tol``,
-    with the margin that :func:`screen_rtol` derives.
+    Returns that and the path sum it read.  A row whose one nonzero entry is in column ``j >= 0`` reads the
+    coordinate path sum ``Q = q[j]`` and is skipped when ``v_i + s_i (Q -
+    Q_i) + margin <= tol``; any other row reads the path sum ``P`` and is
+    skipped when ``v_i + s_i (P - P_i) + margin <= tol``.  Each margin is
+    the one :func:`screen_rtol` derives.
     """
-    v_i, P_i, s_i, w_i, m_i = s
-    bound = v_i + s_i * (P - P_i)
+    v_i, at_i, s_i, w_i, m_i = s
+    if j >= 0:
+        Q = q.item(j)
+        bound = v_i + s_i * (Q - at_i)
+        bound += rel * (s_i * Q + abs(v_i) + m_i)
+        return bound <= tol, Q
+    bound = v_i + s_i * (P - at_i)
     bound += rel * (w_i * (x0n + P) + s_i * P + abs(v_i) + m_i)
-    return bound <= tol
+    return bound <= tol, P
 
 
-def _cspm_sweep_numpy(A, lo, hi, norm2, screen, path, x, m, n, lam, tol, out):
+def _cspm_sweep_numpy(A, lo, hi, norm2, screen, path, coord, q, xend, x, m, n, lam, tol, out):
     """``cfp_cspm_sweep``: one screened relaxed-projection pass; returns the number of moves.
 
     A moved row steps ``x`` by ``-coef * h``, where ``h . y <= beta`` is its
@@ -298,9 +364,12 @@ def _cspm_sweep_numpy(A, lo, hi, norm2, screen, path, x, m, n, lam, tol, out):
     beta = -lo_i`` below it).  ``out`` receives the sums of ``coef * (beta +
     tol)``, ``coef * (|beta| + tol)`` and ``coef * |h|`` over the moved
     rows, the number of rows evaluated, and the largest violation among
-    them.  A row the screen proves satisfied is skipped.
+    them.  A row the screen proves satisfied is skipped; ``coord``, ``q``
+    and ``xend`` are the binding's, kept as :class:`Rows` says.
     """
     P, x0n, rel = path.tolist()
+    q += np.abs(x - xend)  # catch_up
+    coords = coord.tolist()
     # row_dot: a . x summed left to right from sums[0] = 0.0
     sums = np.zeros(n + 1)
     terms = sums[1:]
@@ -309,7 +378,8 @@ def _cspm_sweep_numpy(A, lo, hi, norm2, screen, path, x, m, n, lam, tol, out):
     b = size = steps = 0.0
     for i in range(m):
         s = screen[i].tolist()
-        if _screened(s, P, x0n, rel, tol):
+        skip, at = _screen_row(s, coords[i], q, P, x0n, rel, tol)
+        if skip:
             continue
         seen += 1
         np.multiply(A[i], x, out=terms)
@@ -318,28 +388,32 @@ def _cspm_sweep_numpy(A, lo, hi, norm2, screen, path, x, m, n, lam, tol, out):
         under = lo[i] - r
         v = over if over >= under else under
         screen[i, 0] = v
-        screen[i, 1] = P
+        screen[i, 1] = at
         if v > maxv:
             maxv = v
         if v > tol:
             moves += 1
             coef = lam * v / norm2[i]
+            d = coef * A[i]  # row_sub and row_add
             if over >= under:
-                x -= coef * A[i]
+                x -= d
                 beta = hi[i]
             else:
-                x += coef * A[i]
+                x += d
                 beta = -lo[i]
+            q += np.abs(d)
             b += coef * (beta + tol)
             size += coef * (abs(beta) + tol)
             steps += coef * math.sqrt(norm2[i])
             P += float(coef) * s[2]
+    xend[:] = x
     path[0] = P
     out[0], out[1], out[2], out[3], out[4] = b, size, steps, seen, maxv
     return moves
 
 
-def _art3_pass_numpy(A, lo, hi, norm2, screen, path, x, m, n, queue, nq, tol, kept, out):
+def _art3_pass_numpy(A, lo, hi, norm2, screen, path, coord, q, xend, x, m, n, queue, nq, tol,
+                     kept, out):
     """``cfp_art3_pass``: one screened ART3+ pass over ``queue[:nq]``; returns the number of rows kept.
 
     The rows violated at their visit go to ``kept``, which may be
@@ -350,20 +424,24 @@ def _art3_pass_numpy(A, lo, hi, norm2, screen, path, x, m, n, queue, nq, tol, ke
     ``coef * (beta + tol)``, ``coef * (|beta| + tol)`` and ``coef * |h|``
     over the moved rows, and ``out[3]`` the number of rows evaluated.  A
     row the screen proves satisfied is skipped, as if it had been found
-    satisfied.  Returns -1, before touching anything, when a queue entry is
-    outside ``[0, m)``.
+    satisfied, with ``coord``, ``q`` and ``xend`` as in
+    :func:`_cspm_sweep_numpy`.  Returns -1, before touching anything, when a
+    queue entry is outside ``[0, m)``.
     """
     queued = queue[:nq].tolist()
     if not all(0 <= i < m for i in queued):
         return -1
     P, x0n, rel = path.tolist()
+    q += np.abs(x - xend)  # catch_up
+    coords = coord.tolist()
     sums = np.zeros(n + 1)  # row_dot, as in _cspm_sweep_numpy
     terms = sums[1:]
     nk = seen = 0
     b = size = steps = 0.0
     for i in queued:
         s = screen[i].tolist()
-        if _screened(s, P, x0n, rel, tol):
+        skip, at = _screen_row(s, coords[i], q, P, x0n, rel, tol)
+        if skip:
             continue
         seen += 1
         np.multiply(A[i], x, out=terms)
@@ -371,7 +449,7 @@ def _art3_pass_numpy(A, lo, hi, norm2, screen, path, x, m, n, queue, nq, tol, ke
         over = r - hi[i]
         under = lo[i] - r
         screen[i, 0] = over if over >= under else under
-        screen[i, 1] = P
+        screen[i, 1] = at
         if lo[i] - tol <= r <= hi[i] + tol:
             continue
         kept[nk] = i
@@ -383,19 +461,23 @@ def _art3_pass_numpy(A, lo, hi, norm2, screen, path, x, m, n, queue, nq, tol, ke
                 coef = 2.0 * over / norm2[i]
             else:
                 coef = (r - 0.5 * (lo[i] + hi[i])) / norm2[i]
-            x -= coef * A[i]
+            d = coef * A[i]
+            x -= d
             beta = hi[i]
         else:
             if under <= width:
                 coef = 2.0 * under / norm2[i]
             else:
                 coef = (0.5 * (lo[i] + hi[i]) - r) / norm2[i]
-            x += coef * A[i]
+            d = coef * A[i]
+            x += d
             beta = -lo[i]
+        q += np.abs(d)
         b += coef * (beta + tol)
         size += coef * (abs(beta) + tol)
         steps += coef * math.sqrt(norm2[i])
         P += float(coef) * s[2]
+    xend[:] = x
     path[0] = P
     out[0], out[1], out[2], out[3] = b, size, steps, seen
     return nk
@@ -490,8 +572,8 @@ def _load_c() -> tuple:
     # of cfp_cspm_sweep and cfp_art3_pass in _kernels.c
     P, I, D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     cspm, art3 = lib.cfp_cspm_sweep, lib.cfp_art3_pass
-    cspm.argtypes = (P,) * 7 + (I, I, D, D, P)
-    art3.argtypes = (P,) * 7 + (I, I, P, I, D, P, P)
+    cspm.argtypes = (P,) * 10 + (I, I, D, D, P)
+    art3.argtypes = (P,) * 10 + (I, I, P, I, D, P, P)
     cspm.restype = art3.restype = I
     return "c", cspm, art3, _c_arg
 

@@ -36,7 +36,8 @@ kernels in :mod:`cfpopt._kernels`; any other convex constraint is handled
 through its value/subgradient oracle.  The box, a solve's ``bounds``, is
 swept as its coordinate rows after the constraint list.  Every solver kind
 screens its rows: a row whose last evaluation and the path x has travelled
-since prove it satisfied is skipped, with no change to any iterate (ART3+
+since (its own coordinate's path, for a row with one nonzero entry) prove it
+satisfied is skipped, with no change to any iterate (ART3+
 drops it from its work queue, as it would a row it found satisfied).  So a
 solve's ``projections`` counts rows evaluated; a row the screen proves
 satisfied is skipped.
@@ -439,13 +440,17 @@ class _Sweeper:
     The packed rows are bound once per solve (:func:`_pack`, to a
     :class:`cfpopt._kernels.Rows`) and screened: a kernel skips a row that
     its last evaluation and the path x has travelled since prove satisfied,
-    and evaluates and counts only the others.  The path sum ``path[0]``
-    grows by ``coef * |h|`` for every row, oracle and level step, and by
-    ``|x_in - x_out|_2`` when a sweep starts from a point other than the one
-    the last sweep returned (a superiorization perturbation).  That point is
-    copied into the returned array, so every sweep updates the one array the
-    kernels have bound; an iterate the sweeper returned must not be changed
-    in place between sweeps.
+    and evaluates and counts only the others.  There are two screens.  A
+    row with one nonzero entry (a box row, or a singleton constraint row)
+    reads how far its own coordinate has moved, which its binding measures
+    itself at each kernel call.  Every other row reads the path sum
+    ``path[0]``, which the sweeper keeps: it grows by ``coef * |h|`` for
+    every row, oracle and level step, and by ``|x_in - x_out|_2`` when a
+    sweep starts from a point other than the one the last sweep returned (a
+    superiorization perturbation).  That point is copied into the returned
+    array, so every sweep updates the one array the kernels have bound; an
+    iterate the sweeper returned must not be changed in place between
+    sweeps.
     """
 
     def __init__(self, solver: SolverSpec, constraints, counters: Counters, bounds: Bounds | None,

@@ -241,6 +241,13 @@ def _planted_rows(seed, m=30, n=6, equalities=False):
     return A, lo, hi, np.einsum("ij,ij->i", A, A), z + 3.0 * rng.standard_normal(n)
 
 
+def _shifts(seed, n):
+    """``shift`` for :func:`_sweeps`: x jumps before some sweeps, by up to 0.5 per coordinate,
+    as a superiorization perturbation moves it."""
+    rng = np.random.default_rng(seed)
+    return {k: rng.uniform(-0.5, 0.5, n) for k in (5, 9, 10, 20, 30)}.get
+
+
 def _assert_same_as_unscreened(backend, A, lo, hi, norm2, x0, count, lam, tol, shift=None):
     """Screened sweeps give bitwise the reference's iterates, moves, sums and certification.
 
@@ -275,27 +282,26 @@ def test_screened_sweeps_equal_unscreened(backend, seed, tol):
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 @pytest.mark.parametrize("seed", [4, 5])
 def test_screened_sweeps_follow_a_shifted_x(backend, seed):
-    # x jumps before some sweeps, by up to 0.5 per coordinate, as a
-    # superiorization perturbation moves it; the path sum takes each jump
+    # the path sum takes each jump, and the coordinate path catches it up
     A, lo, hi, norm2, x0 = _planted_rows(seed)
-    rng = np.random.default_rng(seed)
-    shifts = {k: rng.uniform(-0.5, 0.5, x0.shape[0]) for k in (5, 9, 10, 20, 30)}
     evaluated, visits = _assert_same_as_unscreened(backend, A, lo, hi, norm2, x0, 40, 1.5, 1e-8,
-                                                   shifts.get)
+                                                   _shifts(seed, x0.shape[0]))
     assert evaluated < 0.8 * visits
 
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_screen_skips_a_slack_just_above_its_margin(backend):
-    # probes -y0 <= c_j, then the mover y0 <= 0, from y = (1, 0), tol 0,
-    # lam 1: the mover steps y0 to 0 after the probes' evaluation, so on the
-    # second sweep each probe's slack is exactly c_j, and its margin is
-    # rel ((|a|_1 + |a|_2)(|x0|_2 + P) + |a|_2 P + |v| + |c_j|), about
-    # 2^-30 (2 * 2 + 1 + 1) with |x0|_2 = P = 1 and |v| = 1 + c_j
+    # probes -y0 + 2^-30 y1 <= c_j, then the mover y0 <= 0, from y = (1, 0),
+    # tol 0, lam 1: y1 stays 0, and the mover steps y0 to 0 after the probes'
+    # evaluation, so on the second sweep each probe's slack is exactly c_j.
+    # A probe has two nonzero entries, so the path screen applies, with the
+    # margin rel ((|a|_1 + |a|_2)(|x0|_2 + P) + |a|_2 P + |v| + |c_j|), about
+    # 2^-30 (2 * 2 + 1 + 1) with |a|_2 = 1 (rounded), |x0|_2 = P = 1 and
+    # |v| = 1 + c_j
     rel = _kernels.screen_rtol(2, 0)
     margin = rel * (2.0 * 2.0 + 1.0 + 1.0)
     c = margin * np.array([0.5, 0.9, 0.99, 1.01, 1.1, 2.0])
-    A = np.ascontiguousarray([[-1.0, 0.0]] * c.shape[0] + [[1.0, 0.0]])
+    A = np.ascontiguousarray([[-1.0, 2.0**-30]] * c.shape[0] + [[1.0, 0.0]])
     lo, hi = np.full(A.shape[0], -np.inf), np.append(c, 0.0)
     norm2 = np.ones(A.shape[0])
     x0 = np.array([1.0, 0.0])
@@ -380,23 +386,21 @@ def test_screened_art3_passes_equal_unscreened(backend, seed, tol, equalities):
 def test_screened_art3_passes_follow_a_shifted_x(backend, seed):
     # x jumps as in test_screened_sweeps_follow_a_shifted_x
     A, lo, hi, norm2, x0 = _planted_rows(seed)
-    rng = np.random.default_rng(seed)
-    shifts = {k: rng.uniform(-0.5, 0.5, x0.shape[0]) for k in (5, 9, 10, 20, 30)}
     evaluated, queued, _ = _assert_art3_same_as_unscreened(backend, A, lo, hi, norm2, x0, 60,
-                                                           1e-8, shifts.get)
+                                                           1e-8, _shifts(seed, x0.shape[0]))
     assert evaluated < 0.4 * queued
 
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_art3_screen_skips_a_slack_just_above_its_margin(backend):
-    # probes -y0 <= c_j, then the mover y0 = 0, from y = (1, 0), tol 0: the
-    # mover's midline step takes y0 to 0 after the probes' evaluation, the
-    # next pass finds the mover satisfied, and on the refill pass each
-    # probe's slack is exactly c_j, with the margin of the CSPM case
+    # probes -y0 + 2^-30 y1 <= c_j, then the mover y0 = 0, from y = (1, 0),
+    # tol 0: the mover's midline step takes y0 to 0 after the probes'
+    # evaluation, the next pass finds the mover satisfied, and on the refill
+    # pass each probe's slack is exactly c_j, with the margin of the CSPM case
     rel = _kernels.screen_rtol(2, 0)
     margin = rel * (2.0 * 2.0 + 1.0 + 1.0)
     c = margin * np.array([0.5, 0.9, 0.99, 1.01, 1.1, 2.0])
-    A = np.ascontiguousarray([[-1.0, 0.0]] * c.shape[0] + [[1.0, 0.0]])
+    A = np.ascontiguousarray([[-1.0, 2.0**-30]] * c.shape[0] + [[1.0, 0.0]])
     lo, hi = np.append(np.full(c.shape[0], -np.inf), 0.0), np.append(c, 0.0)
     norm2 = np.ones(A.shape[0])
     x0 = np.array([1.0, 0.0])
@@ -411,6 +415,181 @@ def test_art3_screen_skips_a_slack_just_above_its_margin(backend):
     assert (kept, certified, out[3]) == ([], True, 4) and x.tolist() == [0.0, 0.0]
     assert rows.screen[:3, 0].tolist() == (-c[:3]).tolist()
     assert rows.screen[3:6, 0].tolist() == (-1.0 - c[3:]).tolist()
+
+
+def _singleton_rows(seed):
+    """:func:`_planted_rows`, with each box row scaled by a factor of either sign.
+
+    So the rows with one nonzero entry have ``|a_ij|`` other than 1.
+    """
+    A, lo, hi, norm2, x0 = _planted_rows(seed)
+    n = x0.shape[0]
+    m = A.shape[0] - n
+    scale = np.random.default_rng(seed).uniform(0.5, 3.0, n) * np.array([1.0, -1.0] * n)[:n]
+    A[m:] *= scale[:, None]
+    box_lo, box_hi = lo[m:] * scale, hi[m:] * scale
+    lo[m:], hi[m:] = np.where(scale > 0, box_lo, box_hi), np.where(scale > 0, box_hi, box_lo)
+    return A, lo, hi, np.einsum("ij,ij->i", A, A), x0
+
+
+def _path_screen_only(rows):
+    """``rows`` with every row on the path screen, as if no row had one nonzero entry."""
+    rows.coord[:] = -1
+    return rows
+
+
+def test_rows_find_the_column_of_each_single_nonzero_row():
+    A = np.array([[0.0, -2.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [-0.0, 0.0, 3.0]])
+    ones = np.ones(4)
+    rows = _bind(A, -ones, ones, ones, np.zeros(3))
+    # -0.0 is a zero; an empty row has no column to read
+    assert rows.coord.tolist() == [1, -1, -1, 2]
+    assert rows.q.tolist() == rows.xend.tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.mark.parametrize("seed", [5, 7])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_coordinate_screen_sweeps_equal_unscreened(backend, seed, shifted):
+    A, lo, hi, norm2, x0 = _singleton_rows(seed)
+    shift = _shifts(seed, x0.shape[0]) if shifted else None
+    evaluated, _ = _assert_same_as_unscreened(backend, A, lo, hi, norm2, x0, 40, 1.5, 1e-8, shift)
+    # the path screen alone gives the same iterates and evaluates more rows
+    path_only = _path_screen_only(_bind(A, lo, hi, norm2, x0))
+    path_sweeps = _sweeps(path_only, x0.copy(), 40, 1.5, 1e-8, shift)
+    assert evaluated < sum(result[3] for result, _ in path_sweeps)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.mark.parametrize("seed", [5, 7])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_coordinate_screen_art3_passes_equal_unscreened(backend, seed, shifted):
+    A, lo, hi, norm2, x0 = _singleton_rows(seed)
+    shift = _shifts(seed, x0.shape[0]) if shifted else None
+    evaluated, _, _ = _assert_art3_same_as_unscreened(backend, A, lo, hi, norm2, x0, 60, 1e-8,
+                                                      shift)
+    path_only = _path_screen_only(_bind(A, lo, hi, norm2, x0))
+    path_passes = _art3_passes(path_only, x0.copy(), 60, 1e-8, shift=shift)
+    assert evaluated < sum(p[1][3] for p in path_passes)
+
+
+def _untouched_box_row():
+    """A box row y0 <= 1, its dense twin y0 + 2^-30 y2 <= 1, and the mover y1 <= -10, at y = 0.
+
+    y2 stays 0, so the twin's value is the box row's, but it has two
+    nonzero entries and so the path screen.
+    """
+    A = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 2.0**-30], [0.0, 1.0, 0.0]])
+    lo, hi = np.full(3, -np.inf), np.array([1.0, 1.0, -10.0])
+    return A, lo, hi, np.einsum("ij,ij->i", A, A), np.zeros(3)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_coordinate_screen_skips_a_box_row_whose_coordinate_is_untouched(backend):
+    # the mover steps y1 to -10, then a jump takes y1 to 90 and the mover
+    # steps it back: x travels 210 along y1 and not at all along y0, so the
+    # box row stays skipped while the path screen evaluates its twin
+    A, lo, hi, norm2, x0 = _untouched_box_row()
+    shift = {2: np.array([0.0, 100.0, 0.0])}.get
+    _assert_same_as_unscreened(backend, A, lo, hi, norm2, x0, 3, 1.0, 1e-8, shift)
+    rows = _bind(A, lo, hi, norm2, x0)
+    sweeps = _sweeps(rows, x0.copy(), 3, 1.0, 1e-8, shift)
+    assert [result[3] for result, _ in sweeps] == [3, 2, 2]
+    assert [result[1] for result, _ in sweeps] == [1, 0, 1]
+    assert rows.screen[0, :2].tolist() == [-1.0, 0.0]  # from the first sweep
+    assert rows.q.tolist() == [0.0, 210.0, 0.0]
+    assert rows.xend.tolist() == sweeps[-1][1].tolist() == [0.0, -10.0, 0.0]
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_coordinate_screen_skips_an_untouched_box_row_in_art3(backend):
+    # the mover reflects y1 to -20 and is found satisfied on the next pass;
+    # on the refill pass only the twin is evaluated, and the pass certifies
+    A, lo, hi, norm2, x0 = _untouched_box_row()
+    _assert_art3_same_as_unscreened(backend, A, lo, hi, norm2, x0, 3, 1e-8)
+    rows = _bind(A, lo, hi, norm2, x0)
+    passes = _art3_passes(rows, x0.copy(), 3, 1e-8)
+    assert [(kept, out[3], certified) for kept, out, certified, _ in passes] == [
+        ([2], 3, False), ([], 1, False), ([], 1, True)]
+    assert rows.q.tolist() == [0.0, 20.0, 0.0]
+
+
+def _coordinate_probes(c):
+    """Probes -y0 <= c_j, then the mover y0 <= 0 (or y0 = 0 for ART3+), all single-entry rows."""
+    A = np.ascontiguousarray([[-1.0, 0.0]] * c.shape[0] + [[1.0, 0.0]])
+    return A, np.full(A.shape[0], -np.inf), np.append(c, 0.0), np.ones(A.shape[0])
+
+
+# From y = (1, 0), tol 0: the first call adds |x0| = 1 to q[0], the probes
+# record Q_0i = 1, and the mover's step adds 1 more, taking y0 to 0.  At the
+# probes' next evaluation each slack is exactly c_j, and the margin is
+# rel (|a| Q_0 + |v| + |c_j|) = rel (2 + 1 + 2 c_j), about 3 rel.
+COORDINATE_MARGIN = 3.0 * _kernels.screen_rtol(2, 0)
+COORDINATE_SLACKS = COORDINATE_MARGIN * np.array([0.5, 0.9, 0.99, 1.01, 1.1, 2.0])
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_coordinate_screen_skips_a_slack_just_above_its_margin(backend):
+    c = COORDINATE_SLACKS
+    A, lo, hi, norm2 = _coordinate_probes(c)
+    x0 = np.array([1.0, 0.0])
+    _assert_same_as_unscreened(backend, A, lo, hi, norm2, x0, 3, 1.0, 0.0)
+    rows = _bind(A, lo, hi, norm2, x0)
+    (_, first), (second, x), _ = _sweeps(rows, x0.copy(), 3, 1.0, 0.0)
+    assert first.tolist() == [0.0, 0.0] and x.tolist() == [0.0, 0.0]
+    # the three probes within the margin and the mover are evaluated, the
+    # three beyond it skipped; nothing moves and the sweep certifies
+    assert second[:2] == (0.0, 0) and second[3] == 4
+    assert rows.screen[:3, :2].tolist() == [[-cj, 2.0] for cj in c[:3]]
+    assert rows.screen[3:6, :2].tolist() == [[-1.0 - cj, 1.0] for cj in c[3:]]
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_coordinate_screen_skips_a_slack_just_above_its_margin_in_art3(backend):
+    # the mover is the equality y0 = 0: its midline step takes y0 to 0, the
+    # next pass finds it satisfied, and the refill pass reads the probes
+    c = COORDINATE_SLACKS
+    A, lo, hi, norm2 = _coordinate_probes(c)
+    lo[-1] = 0.0
+    x0 = np.array([1.0, 0.0])
+    _assert_art3_same_as_unscreened(backend, A, lo, hi, norm2, x0, 4, 0.0)
+    rows = _bind(A, lo, hi, norm2, x0)
+    first, second, third, _ = _art3_passes(rows, x0.copy(), 4, 0.0)
+    assert first[0] == [6] and first[3].tolist() == [0.0, 0.0] and first[1][3] == 7
+    assert second[0] == [] and not second[2] and second[1][3] == 1
+    kept, out, certified, x = third
+    assert (kept, certified, out[3]) == ([], True, 4) and x.tolist() == [0.0, 0.0]
+    assert rows.screen[:3, :2].tolist() == [[-cj, 2.0] for cj in c[:3]]
+    assert rows.screen[3:6, :2].tolist() == [[-1.0 - cj, 1.0] for cj in c[3:]]
+
+
+@needs_cc
+@pytest.mark.parametrize("kernel", ["cspm", "art3"])
+def test_coordinate_path_backend_agreement(kernel, restore_backend):
+    # after every call, bit for bit: x, the coordinate path q, xend, the
+    # screen state and the path sum
+    A, lo, hi, norm2, x0 = _singleton_rows(9)
+    shift = _shifts(9, x0.shape[0])
+    full = np.arange(A.shape[0], dtype=np.int64)
+    results = {}
+    for backend in ("c", "numpy"):
+        _kernels.set_backend(backend)
+        rows, x, moves, states = _bind(A, lo, hi, norm2, x0), x0.copy(), 0, []
+        for k in range(40):
+            delta = shift(k)
+            if delta is not None:
+                x += delta
+                rows.path[0] += math.sqrt(delta @ delta)
+            rows.path[2] = _kernels.screen_rtol(x.shape[0], moves + k + 1 + A.shape[0])
+            if kernel == "cspm":
+                moves += _kernels.cspm_sweep(A, rows, x, 1.5, 1e-8)[1]
+            else:
+                moves += _kernels.art3_pass(A, rows, x, 1e-8, rows.out, full).shape[0]
+            states.append([a.tobytes() for a in (x, rows.q, rows.xend, rows.screen, rows.path,
+                                                 rows.out)])
+        results[backend] = states
+    assert moves > 0
+    assert results["c"] == results["numpy"]
 
 
 @needs_cc
@@ -501,16 +680,17 @@ def test_art3_pass_validates_the_sums_array(backend):
 @pytest.mark.parametrize("index", [-1, 2])
 def test_art3_pass_rejects_a_queue_index_outside_the_rows(backend, index):
     # -1 is no row counted from the end: the pass raises before it touches
-    # x, the screen state or the path sum
+    # x, the screen state, the path sum or the coordinate path
     A = np.array([[1.0], [-1.0]])
     lo, hi, norm2 = np.array([0.0, -2.0]), np.array([2.0, 0.0]), np.array([1.0, 1.0])
     x = np.array([5.0])
     rows = _bind(A, lo, hi, norm2, x)
     out = np.full(4, -1.0)
-    before = [a.copy() for a in (x, rows.screen, rows.path, out)]
+    state = (x, rows.screen, rows.path, rows.q, rows.xend, out)
+    before = [a.copy() for a in state]
     with pytest.raises(IndexError):
         _kernels.art3_pass(A, rows, x, 1e-8, out, np.array([0, index], dtype=np.int64))
-    for a, b in zip((x, rows.screen, rows.path, out), before):
+    for a, b in zip(state, before):
         assert a.tobytes() == b.tobytes()
 
 

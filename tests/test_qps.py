@@ -700,3 +700,23 @@ def test_parse_peak_memory_stays_below_twice_the_text():
     finally:
         tracemalloc.stop()
     assert peak < 2 * len(text), f"peak {peak / len(text):.2f}x the text"
+
+
+def test_parse_holds_one_copy_of_the_entries(monkeypatch):
+    # in small blocks the entry arrays outweigh a block's lines and tokens,
+    # so a parse that kept one array per block and concatenated them would
+    # peak at about twice what it keeps (2.03x measured); growing one set of
+    # arrays peaks at about what it keeps (1.07x)
+    text = write_qps(make_problems.planted_instance(0, 120, 160)[0])
+    monkeypatch.setattr(qps, "_BLOCK", 4096)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        doc = parse_qps_document(text)
+        kept, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    entries = sum(a.nbytes for a in (doc.entry_rows, doc.entry_cols, doc.entry_values,
+                                     doc.quad_rows, doc.quad_cols, doc.quad_values))
+    assert entries > 0.8 * kept
+    assert peak < 1.3 * kept, f"peak {peak / kept:.2f}x what the parse keeps"

@@ -142,3 +142,29 @@ def test_qps_peak_prints_file_chars_and_peak():
     name, chars, peak = out.split()
     assert name == "plant000.qps"
     assert 0 < int(chars) < int(peak)
+
+
+def test_projections_are_summed_per_workload_for_both_trees():
+    assert refactor_gate.total_projections(OLD) == 35
+    assert refactor_gate.total_projections("a.qps 1f\n") is None
+    old = {("cells.py", w, "101"): OLD for w in refactor_gate.WORKLOADS}
+    new = dict(old)
+    new[("cells.py", "dose-cspm", "101")] = OLD.replace('"1.5", 20', '"1.5", 13')
+    assert refactor_gate.projection_report("abc123", old, new) == [
+        "projections, plant-cspm 101: 35 at abc123, 35 here (+0.00%)",
+        "projections, plant-art3 101: 35 at abc123, 35 here (+0.00%)",
+        "projections, dose-cspm 101: 35 at abc123, 28 here (-20.00%)",
+    ]
+
+
+def test_soundness_is_a_gate_run_with_its_false_certificates_reported():
+    assert {"soundness.py", "make_problems.py"} <= set(refactor_gate.GATE_SCRIPTS)
+    assert ("soundness.py",) in refactor_gate.runs()
+    out = ("full/RS000/ls_cspm case2-or-3 1.5 holds\n"
+           "full: 45 false of 90 certificates\nunbounded: 6 false of 6 certificates\n")
+    assert refactor_gate.false_certificates(out) == "full 45/90, unbounded 6/6"
+    assert refactor_gate.false_certificates("exit 1: ImportError\n") == "'exit 1: ImportError'"
+    # a soundness line is named by its family, problem and variant
+    diff = refactor_gate.differences(out, out.replace("holds", "FALSE"))
+    assert diff.split("\n")[0] == "1 of 3 lines differ: full/RS000/ls_cspm"
+
