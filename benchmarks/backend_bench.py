@@ -22,16 +22,25 @@ then evaluates no row, so what is left is the cost of crossing from Python
 into the kernel and back (best of 7 x 20,000 calls).  ``art3_pass`` runs
 over a queue of every row.
 
+A fourth table times ``parse_qps_document`` on the text of the seed-101
+plant-art3 ``PLANT000`` file (built through ``solvebench/workloads.py``, as
+the benchmark builds it) under each backend (``c`` with the scan kernel,
+``numpy`` in Python alone), in ms per MB of text and ns per line (best of
+20 thread times).
+
 Usage:
     python benchmarks/backend_bench.py [--n 400] [--m 600] [--repeats 3]
 """
 
 import argparse
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
-from cfpopt import _kernels
+from cfpopt import _kernels, qps
 from cfpopt.feasibility import SolverSpec, cfp_solve, cfp_with_level
 from cfpopt.model import AffineConstraint, Problem, QuadraticFunction
 
@@ -125,6 +134,27 @@ def call_us(kernel, m, n, seed, calls=20_000, repeats=7):
     return best * 1e6
 
 
+def plant_art3_text() -> str:
+    """The text of the seed-101 plant-art3 ``PLANT000`` file."""
+    root = Path(__file__).resolve().parent.parent
+    sys.path[:0] = [str(root / "solvebench"), str(root / "benchmarks")]
+    import workloads
+
+    with tempfile.TemporaryDirectory(prefix="cfpopt-backend-bench-") as tmp:
+        inputs = workloads.make_inputs(workloads.WORKLOADS["plant-art3"], 101, Path(tmp))
+        return inputs.files[0].read_text(encoding="utf-8")
+
+
+def parse_ms(text, repeats=20):
+    """Best thread time of ``parse_qps_document(text)``, in ms."""
+    best = np.inf
+    for _ in range(repeats):
+        t0 = time.thread_time()
+        qps.parse_qps_document(text)
+        best = min(best, time.thread_time() - t0)
+    return best * 1e3
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--m", type=int, default=600, help="number of affine rows")
@@ -190,6 +220,19 @@ def main():
             for m, n in ((70, 30), (280, 120)):
                 us = call_us(kernel, m, n, args.seed)
                 print(f"{f'{kernel} m={m}, n={n}':<32}{'c':<9}{us:>10.2f}")
+
+    print()
+    text = plant_art3_text()
+    mb, lines = len(text.encode()) / 1e6, len(text.splitlines())
+    header = f"{f'parse PLANT000, {mb:.2f} MB':<32}{'backend':<9}{'ms':>10}{'ms/MB':>10}{'ns/line':>10}"
+    print(header)
+    print("-" * len(header))
+    for backend in ("c", "numpy"):
+        if backend not in available:
+            continue
+        _kernels.set_backend(backend)
+        ms = parse_ms(text)
+        print(f"{f'{lines} lines':<32}{backend:<9}{ms:>10.2f}{ms / mb:>10.2f}{ms * 1e6 / lines:>10.0f}")
     _kernels.set_backend("auto")
 
 

@@ -41,12 +41,12 @@ with the ``git diff --numstat PARENT_REV -- src`` totals
 and the code lines of ``src/cfpopt/*.py`` (docstrings, comments and blank
 lines left out) at ``PARENT_REV`` and in the working tree: their total, then
 each module's, so that a change shows where its lines went, and the traced
-peak memory of ``load_qps`` on the seed-101 plant-art3 ``PLANT000`` file
-(``qps_peak.py``) at ``PARENT_REV`` and in the working tree.  The summed
-projections, the false certificates, the code lines and the peak are
-information: they never fail the gate (a changed ``soundness.py`` output
-does, as any differing run).  The exit status
-is 1 when any output differs, else 0.  The two trees run side by side,
+peak memory and the best of 20 thread times of ``load_qps`` on the seed-101
+plant-art3 ``PLANT000`` file (``qps_peak.py``) at ``PARENT_REV`` and in the
+working tree.  The summed projections, the false certificates, the code
+lines, the peak and the time are information: they never fail the gate (a
+changed ``soundness.py`` output does, as any differing run).  The exit
+status is 1 when any output differs, else 0.  The two trees run side by side,
 one process each; the parent gets its own kernel cache directory, so that its
 kernel build does not evict this tree's.
 """
@@ -277,17 +277,19 @@ def false_certificates(out: str) -> str:
 
 
 def peak_report(rev: str, old: str, new: str) -> str:
-    """One line with the ``qps_peak.py`` outputs at ``rev`` and here, in MB and
-    as multiples of the file's length; a run that did not print ``FILE CHARS
-    PEAK`` is shown as it ended."""
+    """One line with the ``qps_peak.py`` outputs at ``rev`` and here: the
+    peak in MB and as a multiple of the file's length, and the best time; a
+    run that did not print ``FILE CHARS PEAK MS`` is shown as it ended."""
     def peak(out: str) -> str:
         try:
-            name, chars, nbytes = out.split()
-            return f"{int(nbytes) / 1e6:.2f} MB ({int(nbytes) / int(chars):.2f}x the text of {name})"
+            name, chars, nbytes, ms = out.split()
+            return (f"{int(nbytes) / 1e6:.2f} MB ({int(nbytes) / int(chars):.2f}x the text of {name}), "
+                    f"{float(ms):.2f} ms")
         except ValueError:
             return repr(out.strip())
 
-    return f"load_qps traced peak, {' '.join(PEAK_RUN[1:])}: {peak(old)} at {rev}, {peak(new)} here"
+    return (f"load_qps traced peak and best of 20 times, {' '.join(PEAK_RUN[1:])}: {peak(old)} at {rev}; "
+            f"{peak(new)} here")
 
 
 def report(label: str, diff: str | None) -> bool:

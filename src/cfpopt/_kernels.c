@@ -1,10 +1,13 @@
-/* Row sweeps of cfpopt._kernels, compiled on first use and loaded by ctypes.
+/* Row sweeps and the QPS scan of cfpopt._kernels, compiled on first use and
+ * loaded by ctypes.
  *
- * Each function has a numpy twin in _kernels.py that takes the same
- * arguments and computes the same bits: the same branch order and the same
- * operation order in every update, and every dot product summed left to
- * right from 0.0.  Build with -ffp-contract=off and without -ffast-math, so
- * that no multiply-add is fused and no sum is reordered.
+ * Each sweep has a numpy twin in _kernels.py that takes the same arguments
+ * and computes the same bits: the same branch order and the same operation
+ * order in every update, and every dot product summed left to right from
+ * 0.0.  Build with -ffp-contract=off and without -ffast-math, so that no
+ * multiply-add is fused and no sum is reordered.  cfp_qps_scan, at the end
+ * of this file, reads QPS text; the sweep comments below do not concern it,
+ * and its reference is the Python reader of cfpopt.qps.
  *
  * A is row-major m x n; lo, hi, norm2 and coord have m entries; q, xend and
  * x have n entries, and x is updated in place.  A moved row steps x by
@@ -34,6 +37,8 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 static double row_dot(const double *a, const double *x, int64_t n)
 {
@@ -228,4 +233,166 @@ int64_t cfp_art3_pass(const double *A, const double *lo, const double *hi,
     out[2] = steps;
     out[3] = (double)seen;
     return nk;
+}
+
+/* ---- QPS scan -------------------------------------------------------- */
+
+/* The scan's modes: QPS_SKIP for a section whose lines it only counts, and
+ * the two forms of data line it converts to entries.  qps_scan in
+ * _kernels.py maps the section names to these. */
+enum { QPS_SKIP, QPS_PAIRS, QPS_QUAD };
+
+/* A token byte: printable ASCII but '*' (a comment mark).  A plain line is
+ * token bytes, spaces and tabs, ended by '\n', "\r\n" or the buffer's end. */
+static int token_byte(unsigned char c)
+{
+    return c > ' ' && c < 0x7f && c != '*';
+}
+
+/* The next token at or after *p on the line, or 0 when the line ends; moves
+ * *p past the token, or past the line's break.  Sets *bad when a byte is
+ * neither a token byte, a space, a tab nor part of a line break. */
+static int next_token(const char **p, const char *end, const char **tok, int64_t *len, int *bad)
+{
+    const char *q = *p;
+    while (q < end && (*q == ' ' || *q == '\t'))
+        q++;
+    if (q == end || *q == '\n' || *q == '\r') {
+        if (q < end && *q == '\r') {
+            if (q + 1 == end || q[1] != '\n') {
+                *bad = 1;
+                return 0;
+            }
+            q++;
+        }
+        *p = q < end ? q + 1 : q;
+        return 0;
+    }
+    *tok = q;
+    while (q < end && token_byte((unsigned char)*q))
+        q++;
+    if (q == *tok || (q < end && *q != ' ' && *q != '\t' && *q != '\n' && *q != '\r')) {
+        *bad = 1;
+        return 0;
+    }
+    *len = q - *tok;
+    *p = q;
+    return 1;
+}
+
+/* Sets *v to the value of the token s[0..n) and returns 1 when it reads
+ * [+-]?(d+[.d*]|.d+)([eE][+-]?d+)?, strtod takes all of it and the value is
+ * finite; else returns 0.  The byte after the token is a space, a tab, a
+ * line break or the buffer's NUL, so strtod stops there. */
+static int number(const char *s, int64_t n, double *v)
+{
+    const char *p = s, *e = s + n;
+    int64_t digits = 0;
+    if (p < e && (*p == '+' || *p == '-'))
+        p++;
+    for (; p < e && *p >= '0' && *p <= '9'; p++)
+        digits++;
+    if (p < e && *p == '.')
+        for (p++; p < e && *p >= '0' && *p <= '9'; p++)
+            digits++;
+    if (digits == 0)
+        return 0;
+    if (p < e && (*p == 'e' || *p == 'E')) {
+        p++;
+        if (p < e && (*p == '+' || *p == '-'))
+            p++;
+        const char *x = p;
+        while (p < e && *p >= '0' && *p <= '9')
+            p++;
+        if (p == x)
+            return 0;
+    }
+    if (p != e)
+        return 0;
+    char *stop;
+    *v = strtod(s, &stop);
+    return stop == e && isfinite(*v);
+}
+
+/* Scan the lines of buf[pos..size) up to the first header line (one whose
+ * first byte is not a space, a tab or a line break), or until info holds
+ * cap lines.  buf[size] must be readable and not a digit (a Python bytes
+ * object ends in a NUL).
+ *
+ * info[j] receives line j's token count (0 for a blank line), and -1 for
+ * the header line the scan stops at.  The tokens before that line are
+ * numbered from 0, as str.split() lists them.  In the modes but QPS_SKIP
+ * each data line is converted to entries:
+ *   QPS_PAIRS: 'FIRST NAME VAL [NAME VAL]' (COLUMNS, RHS, RANGES), one
+ *     entry per pair;
+ *   QPS_QUAD: 'FIRST NAME VAL' (QUADOBJ, QMATRIX), one entry.
+ * An entry's ia is the run of its line's FIRST, ib the number of its NAME
+ * token and val its value.  A run starts at each data line whose FIRST
+ * differs from the line before's, and runs[r] receives the number of run
+ * r's FIRST token.  Names are not resolved: the caller looks them up.
+ * out[0] receives the offset where the scan stopped (the header line's
+ * start, else the first line not scanned, or size), out[1] the number of
+ * lines in info, out[2] of entries, out[3] of runs, and out[4] the offset
+ * where the next scan starts (after the header line, else out[0]).
+ *
+ * Returns 1 when it stopped at a header, 0 otherwise, and -1 when it
+ * refuses: a byte that is not plain (see token_byte), a token count the
+ * mode does not take or a value number() rejects.  A refused scan leaves
+ * its outputs unspecified; the caller reads the lines another way.  ia, ib
+ * and val need room for 2 cap entries, runs for cap. */
+int64_t cfp_qps_scan(const char *buf, int64_t size, int64_t pos, int64_t mode, int64_t cap,
+                     int64_t *info, int64_t *ia, int64_t *ib, double *val, int64_t *runs,
+                     int64_t *out)
+{
+    const char *p = buf + pos, *end = buf + size;
+    const char *prev = NULL;
+    int64_t prev_len = 0, lines = 0, tokens = 0, k = 0, r = 0;
+    int header = 0, bad = 0;
+    while (p < end && !header && lines < cap) {
+        const char *start = p;
+        const char *tok[5];
+        int64_t len[5], nt = 0;
+        header = *p != ' ' && *p != '\t' && *p != '\n' && *p != '\r';
+        const char *t;
+        int64_t n;
+        while (next_token(&p, end, &t, &n, &bad)) {
+            if (nt < 5) {
+                tok[nt] = t;
+                len[nt] = n;
+            }
+            nt++;
+        }
+        if (bad)
+            return -1;
+        if (header) {
+            info[lines++] = -1;
+            out[0] = start - buf;
+            out[4] = p - buf;
+            break;
+        }
+        info[lines++] = nt;
+        if (mode != QPS_SKIP && nt > 0) {
+            if (nt != 3 && (mode == QPS_QUAD || nt != 5))
+                return -1;
+            if (prev == NULL || prev_len != len[0] || memcmp(prev, tok[0], (size_t)len[0]) != 0) {
+                runs[r++] = tokens;
+                prev = tok[0];
+                prev_len = len[0];
+            }
+            for (int64_t j = 1; j < nt; j += 2) {
+                if (!number(tok[j + 1], len[j + 1], &val[k]))
+                    return -1;
+                ia[k] = r - 1;
+                ib[k] = tokens + j;
+                k++;
+            }
+        }
+        tokens += nt;
+    }
+    if (!header)
+        out[0] = out[4] = p - buf;
+    out[1] = lines;
+    out[2] = k;
+    out[3] = r;
+    return header;
 }

@@ -1,4 +1,4 @@
-"""Hot sweep kernels: a compiled C backend and its pure-numpy twin.
+"""Hot sweep kernels and the QPS scan: a compiled C backend and its pure-numpy twin.
 
 The sequential projection sweeps are Gauss-Seidel style (each row projection
 sees the updates of the previous rows), so they cannot be vectorized; the
@@ -23,13 +23,20 @@ evaluates every row.  A row with one nonzero entry is screened by how far
 its own coordinate has moved, any other row by the length of the solve's
 whole path (see :class:`Rows`).
 
+A third call, ``qps_scan``, reads QPS text for :mod:`cfpopt.qps`: the lines
+of a block up to the next section header, with the values of the COLUMNS,
+RHS, RANGES and quadratic entries converted and their name tokens numbered
+(see :class:`QpsScan`).  It refuses what is not plain, and the reader's
+Python path reads that.  Only ``c`` has a scan: under ``numpy`` it refuses
+every line, so the Python path, the reference, reads the whole text.
+
 Each call validates its arguments once for both backends, then calls the
-active backend's raw function: ``cfp_cspm_sweep`` or ``cfp_art3_pass`` of
-``_kernels.c``, or its numpy twin ``_cspm_sweep_numpy`` or
-``_art3_pass_numpy``.  A twin takes its C function's arguments, with arrays
-where C takes pointers, returns what C returns, and computes the same bits:
-the same operations in the same order, every dot product summed left to
-right from 0.0 as ``row_dot`` sums it.
+active backend's raw function: ``cfp_cspm_sweep``, ``cfp_art3_pass`` or
+``cfp_qps_scan`` of ``_kernels.c``, or its twin ``_cspm_sweep_numpy``,
+``_art3_pass_numpy`` or ``_qps_scan_numpy``.  A sweep's twin takes its C
+function's arguments, with arrays where C takes pointers, returns what C
+returns, and computes the same bits: the same operations in the same order,
+every dot product summed left to right from 0.0 as ``row_dot`` sums it.
 
 Backends:
 
@@ -84,6 +91,8 @@ __all__ = [
     "screen_rtol",
     "cspm_sweep",
     "art3_pass",
+    "QpsScan",
+    "qps_scan",
     "warmup",
 ]
 
@@ -483,13 +492,23 @@ def _art3_pass_numpy(A, lo, hi, norm2, screen, path, coord, q, xend, x, m, n, qu
     return nk
 
 
+# QPS scan modes of _kernels.c: the sections whose data lines qps_scan converts
+_QPS_MODES = {"COLUMNS": 1, "RHS": 1, "RANGES": 1, "QUADOBJ": 2, "QMATRIX": 2}
+
+
+def _qps_scan_numpy(*args):
+    """``cfp_qps_scan`` under the numpy backend: refuses every line (returns
+    -1), so that :mod:`cfpopt.qps` reads them all in Python."""
+    return -1
+
+
 def _numpy_arg(a):
     """A numpy twin's argument: the array or size itself."""
     return a
 
 
 # a backend's value: its name, kernels and argument conversion
-_NUMPY = ("numpy", _cspm_sweep_numpy, _art3_pass_numpy, _numpy_arg)
+_NUMPY = ("numpy", _cspm_sweep_numpy, _art3_pass_numpy, _numpy_arg, _qps_scan_numpy)
 
 
 def _cache_dir() -> Path:
@@ -569,13 +588,14 @@ def _load_c() -> tuple:
     except OSError as exc:
         raise CBuildError(f"cannot load the C kernels from {path}: {exc}") from exc
     # ctypes cannot check a call against C: these must match the signatures
-    # of cfp_cspm_sweep and cfp_art3_pass in _kernels.c
-    P, I, D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    cspm, art3 = lib.cfp_cspm_sweep, lib.cfp_art3_pass
+    # of cfp_cspm_sweep, cfp_art3_pass and cfp_qps_scan in _kernels.c
+    P, I, D, S = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_char_p
+    cspm, art3, scan = lib.cfp_cspm_sweep, lib.cfp_art3_pass, lib.cfp_qps_scan
     cspm.argtypes = (P,) * 10 + (I, I, D, D, P)
     art3.argtypes = (P,) * 10 + (I, I, P, I, D, P, P)
-    cspm.restype = art3.restype = I
-    return "c", cspm, art3, _c_arg
+    scan.argtypes = (S, I, I, I, I) + (P,) * 6
+    cspm.restype = art3.restype = scan.restype = I
+    return "c", cspm, art3, _c_arg, scan
 
 
 _c_outcome: tuple | BackendUnavailableError | None = None  # loaded once per process
@@ -593,7 +613,7 @@ def _c_kernels() -> tuple:
     return _c_outcome
 
 
-# the active backend's (name, cspm, art3, arg); set by set_backend alone
+# the active backend's (name, cspm, art3, arg, qps_scan); set by set_backend alone
 _backend: tuple | None = None
 
 
@@ -651,7 +671,7 @@ def cspm_sweep(A, rows, x, lam, tol):
     evaluated and the number of moves; writes the step sums, the number of
     rows evaluated and that violation to ``rows.out``.
     """
-    _, cspm, _, arg = _current()
+    _, cspm, _, arg, _ = _current()
     moves = cspm(*rows._args(A, x, arg), lam, tol, rows._outp)
     return rows.out.item(4), moves
 
@@ -665,7 +685,7 @@ def art3_pass(A, rows, x, tol, out, queue):
     entry outside ``[0, m)`` raises ``IndexError`` before anything is
     touched.
     """
-    _, _, art3, arg = _current()
+    _, _, art3, arg, _ = _current()
     head = rows._args(A, x, arg)
     _check(queue, "queue", _I64, 1)
     if out is rows.out:
@@ -684,6 +704,60 @@ def art3_pass(A, rows, x, tol, out, queue):
     if nk < 0:
         raise IndexError(f"queue holds a row index outside [0, {A.shape[0]})")
     return rows._queue[:nk].copy()
+
+
+class QpsScan:
+    """The outputs of ``qps_scan``, with room for ``lines`` lines a call.
+
+    ``info`` holds each line's token count (-1 for the header line the scan
+    stopped at); ``ia``, ``ib`` and ``val`` the entries, two a line at
+    most: the run of the entry's first token, the number of its name token
+    and its value; ``runs`` the number of each run's first token; ``out``
+    the stop offset, the numbers of lines, entries and runs, and the offset
+    where the next scan starts.  The binding keeps the active backend's
+    arguments for the arrays, as :class:`Rows` does.
+    """
+
+    __slots__ = ("info", "ia", "ib", "val", "runs", "out", "_arg", "_outs")
+
+    def __init__(self, lines: int):
+        if lines < 1:
+            raise ValueError("a scan needs room for at least one line")
+        self.info, self.runs = np.empty(lines, dtype=np.int64), np.empty(lines, dtype=np.int64)
+        self.ia, self.ib = np.empty(2 * lines, dtype=np.int64), np.empty(2 * lines, dtype=np.int64)
+        self.val = np.empty(2 * lines)
+        self.out = np.zeros(5, dtype=np.int64)
+        self._arg = None
+
+    def _args(self, arg) -> list:
+        """The kernel's room and output arguments, as ``arg`` converts them."""
+        if arg is not self._arg:
+            self._arg = arg
+            arrays = (self.info, self.ia, self.ib, self.val, self.runs, self.out)
+            self._outs = [arg(self.info.shape[0]), *map(arg, arrays)]
+        return self._outs
+
+
+def qps_scan(data: bytes, pos: int, section: str | None, scan: QpsScan) -> int:
+    """Scan the QPS lines of ``data[pos:]`` up to the first header line, into ``scan``.
+
+    ``data`` is a run of whole lines, and ``pos`` a line's start.  For
+    ``section`` COLUMNS, RHS, RANGES, QUADOBJ or QMATRIX the data lines
+    become entries, with their values converted and their names left to the
+    caller; for any other (None included) they are only counted.  Returns 1
+    when the scan stopped at a header line, 0 when it stopped at the end of
+    ``data`` or of the room in ``scan`` (the next scan starts at
+    ``scan.out[4]`` either way), and -1 when it refused the lines, which the
+    caller then reads another way: see ``cfp_qps_scan`` in ``_kernels.c``
+    for what each output holds and what is refused.  The numpy backend
+    refuses every line.
+    """
+    *_, arg, scan_fn = _current()
+    if not isinstance(data, bytes):
+        raise TypeError("data must be bytes")
+    if not 0 <= pos <= len(data):
+        raise ValueError(f"pos {pos} is outside the {len(data)} bytes of data")
+    return scan_fn(data, len(data), pos, _QPS_MODES.get(section, 0), *scan._args(arg))
 
 
 def warmup() -> None:

@@ -187,13 +187,18 @@ def run_variant(variant: VariantSpec | str, problem: Problem,
     Deterministic: identical inputs give an identical report apart from the
     wall-time field.  Raises ``ValueError`` before any sweep when the
     variant's feasibility solver cannot take the problem's constraint kinds
-    (see :func:`cfpopt.feasibility.make_sweeper`).
+    (see :func:`cfpopt.feasibility.make_sweeper`), or when the known optimum
+    (``fstar``, else ``problem.fstar``) is NaN or infinite, which no
+    quality score can be measured against.
     """
     if isinstance(variant, str):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; choices: {sorted(VARIANTS)}")
         variant = VARIANTS[variant]
     config = config if config is not None else HarnessConfig()
+    effective_fstar = fstar if fstar is not None else problem.fstar
+    if effective_fstar is not None and not math.isfinite(effective_fstar):
+        raise ValueError(f"fstar must be finite to score a run against, got {effective_fstar}")
     if x0 is None:
         x0 = problem.start_point(config.seed)
 
@@ -205,7 +210,6 @@ def run_variant(variant: VariantSpec | str, problem: Problem,
     result = _SCHEMES[variant.scheme](problem, config, common)
     ms = (time.perf_counter() - start) * 1e3
 
-    effective_fstar = fstar if fstar is not None else problem.fstar
     quality = None
     if effective_fstar is not None and result.best_value is not None:
         quality = quality_score(result.best_value, effective_fstar)

@@ -21,13 +21,34 @@ its ROWS line.
 The reader works a block at a time, not a line at a time: it walks the text
 in blocks of about ``_BLOCK`` characters, each cut just after a line feed, so
 that it holds the text plus one block's lines and tokens, never a list of all
-the lines.  The data lines of each section in a block are tokenised, checked,
-mapped from names to indices and converted to floats in bulk.  A check that
-fails on a block searches it for the first offending line, so a diagnostic
-names the same line a line-by-line reader would.  COLUMNS and quadratic
-entries are kept as index and value arrays, each grown a block at a time by
-reallocation (so one copy of them is held), and ``to_problem`` sums them
-into ``A``, ``c`` and ``Q`` with ``np.add.at`` in file order.
+the lines.
+
+Each ASCII block goes first to the scan kernel, ``qps_scan`` of
+:mod:`cfpopt._kernels` (``cfp_qps_scan`` in C; the numpy backend has no
+scan and reads every block by the Python path below).  It reads the
+block's lines up to the next header line, which the reader reads.  For the
+data lines of COLUMNS, RHS, RANGES and QUADOBJ/QMATRIX it converts the
+values and numbers the name tokens, which the reader looks up in its dicts
+over the block's ``str.split()``; it only counts the lines of the other
+sections, whose handlers then read them.  It reads only the plain case:
+lines of printable ASCII but ``*``, spaces and tabs, ended by ``\\n`` or
+``\\r\\n``; the token counts the section allows; and numbers
+``[+-]?(d+[.d*]|.d+)([eE][+-]?d+)?`` that ``strtod`` reads whole to a
+finite value, the same value ``float`` reads.  Anything else (a comment, a
+``D`` exponent, a MARKER line, a non-finite or malformed number), or a
+name the section's handler rejects, refuses the lines, and the rest of the
+block is read by the Python path, as a block that is not ASCII is from its
+start.
+
+The Python path is the reference and the only source of diagnostics and
+warnings: the data lines of each section in a block are tokenised, checked,
+mapped from names to indices and converted to floats in bulk by the
+section's handler.  A check that fails on a block searches it for the first
+offending line, so a diagnostic names the same line a line-by-line reader
+would.  COLUMNS and quadratic entries are kept as index and value arrays,
+each grown a block at a time by reallocation (so one copy of them is held),
+and ``to_problem`` sums them into ``A``, ``c`` and ``Q`` with ``np.add.at``
+in file order.
 """
 
 from __future__ import annotations
@@ -37,6 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .model import AffineConstraint, Bounds, Problem, QuadraticFunction
 
 __all__ = [
@@ -50,8 +72,11 @@ __all__ = [
 ]
 
 _SECTIONS = ("NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "QUADOBJ", "QMATRIX", "ENDATA")
+_QUADRATIC = ("QUADOBJ", "QMATRIX")
+_SCANNED = ("COLUMNS", "RHS", "RANGES", *_QUADRATIC)  # the sections whose entries the scan kernel converts
 _MARKERS = ("'MARKER'", "MARKER")
 _BLOCK = 1 << 16  # characters of text read at a time, up to the end of a line
+_SCAN_LINES = 512  # the lines a scan kernel call reads at most
 
 
 @dataclass(frozen=True)
@@ -262,8 +287,7 @@ def _numbers(tokens, rank: int, allow_inf: bool = False):
 
 
 def _blocks(text: str):
-    """The lines of ``text`` in blocks of about ``_BLOCK`` characters, each with
-    whether the block holds a ``*``.
+    """``text`` in blocks of about ``_BLOCK`` characters.
 
     Each block but the last ends just after a line feed, so no line break is
     cut in two (``\\r\\n`` included) and the blocks' lines are those of
@@ -272,7 +296,7 @@ def _blocks(text: str):
     pos = 0
     while pos < len(text):
         stop = text.find("\n", pos + _BLOCK) + 1 or len(text)
-        yield text[pos:stop].splitlines(), text.find("*", pos, stop) >= 0
+        yield text[pos:stop]
         pos = stop
 
 
@@ -300,56 +324,130 @@ class _Entries:
 
 
 class _Reader:
-    """One parse: the current block, the document and the name-to-index maps."""
+    """One parse: the section, the document, the name-to-index maps and the lines being read."""
 
     def __init__(self):
-        self.lines: list[str] = []  # the current block's lines
-        self.offset = 0  # the number of lines before the current block
-        self.comments = False  # a '*' in the current block, else no line needs the comment test
+        self.section = None  # the section of the lines being read
+        self.lines: list[str] = []  # the lines being read, which a diagnostic may quote
+        self.offset = 0  # the number of lines before the ones being read
+        self.comments = False  # a '*' in self.lines, else no line needs the comment test
         self.doc = QpsDocument()
         self.rows: dict[str, int] = {}  # row -> index; the objective row -> -1
         self.cols: dict[str, int] = {}  # column -> index
         self.marker_rows = False  # a row named like a MARKER keyword
         self.entries = _Entries()  # the COLUMNS entries
         self.quad = _Entries()  # the quadratic entries
+        # a scan that runs out of room stops, and the next goes on from there
+        self.scan = _kernels.QpsScan(_SCAN_LINES)
 
     def read(self, text: str) -> QpsDocument:
         doc = self.doc
-        section = None
-        for lines, self.comments in _blocks(text):
-            self.lines, start = lines, 0
-            for i in [i for i, line in enumerate(lines) if line and not line[0].isspace()]:
-                toks = lines[i].split()
-                if toks[0][0] == "*":
-                    continue
-                self._section(section, start, i)
-                line_no = self.offset + i + 1
-                if section == "ENDATA":
-                    _fail(line_no, "ENDATA", "data after ENDATA")
-                head = toks[0].upper()
-                if head not in _SECTIONS:
-                    _fail(line_no, section or "-", f"unknown section {toks[0]!r}")
-                section, start = head, i + 1
-                if head == "NAME":
-                    doc.name = toks[1] if len(toks) > 1 else ""
-                elif head in ("QUADOBJ", "QMATRIX"):
-                    doc.quad_section = head
-            self._section(section, start, len(lines))
-            self.offset += len(lines)
+        for block in _blocks(text):
+            done = self._scan(block) if block.isascii() else 0
+            if done < len(block):
+                self._lines(block[done:])
 
         if doc.objective_row is None:
             _fail(0, "ROWS", "no N (objective) row declared")
-        if section != "ENDATA":
+        if self.section != "ENDATA":
             doc.warnings.append(ParseDiagnostic(0, "ENDATA", "missing ENDATA", "warning"))
         doc.col_order = list(self.cols)
         doc.entry_rows, doc.entry_cols, doc.entry_values = self.entries.arrays
         doc.quad_rows, doc.quad_cols, doc.quad_values = self.quad.arrays
         return doc
 
-    def _section(self, section, start: int, stop: int):
-        """Hand the data lines ``lines[start:stop]`` of the current block to ``section``'s handler."""
+    def _scan(self, block: str) -> int:
+        """Read the lines of the ASCII ``block`` with the scan kernel, up to
+        where it refuses them; returns that offset, or the block's length.
+
+        The kernel converts the values of the sections it knows, whose names
+        are looked up here, and counts the others' lines, which the
+        section's handler then reads; header lines are read here.
+        """
+        data = block.encode("ascii")
+        scan, pos = self.scan, 0
+        while pos < len(data):
+            # with a row named like a MARKER keyword, MARKER lines must reach the handler
+            section = None if self.section == "COLUMNS" and self.marker_rows else self.section
+            status = _kernels.qps_scan(data, pos, section, scan)
+            if status < 0:
+                return pos
+            stop, lines, k, runs, after = scan.out.tolist()
+            lines -= status  # the header line, if any, is read below
+            if section in _SCANNED:
+                if k and not self._put_scanned(section, block[pos:stop].split(), k, runs):
+                    return pos
+            else:
+                data_lines = np.flatnonzero(scan.info[:lines]).tolist()
+                if data_lines:
+                    self.lines = block[pos:stop].splitlines()
+                    _HANDLERS[self.section](self, self.section, [self.offset + j + 1 for j in data_lines],
+                                            [self.lines[j].split() for j in data_lines])
+            self.offset += lines
+            if status:
+                self._header(block[stop:after].split(), self.offset + 1)
+                self.offset += 1
+            pos = after
+        return pos
+
+    def _put_scanned(self, section, toks, k: int, runs: int) -> bool:
+        """Add the ``k`` entries of the last scan, whose tokens are ``toks``.
+
+        Returns False, and adds nothing, when a name is unknown (or, in
+        RANGES, is the objective row), so that the handler reports it.
+        """
+        scan = self.scan
+        firsts = list(map(toks.__getitem__, scan.runs[:runs].tolist()))
+        names = list(map(toks.__getitem__, scan.ib[:k].tolist()))
+        values = scan.val[:k]
+        if section in _QUADRATIC:
+            firsts, cols = list(map(self.cols.get, firsts)), list(map(self.cols.get, names))
+            if None in firsts or None in cols:
+                return False
+            self.quad.append(np.array(firsts, dtype=np.intp)[scan.ia[:k]], cols, values)
+            return True
+        rows = list(map(self.rows.get, names))
+        if None in rows or (section == "RANGES" and -1 in rows):
+            return False
+        if section == "COLUMNS":
+            cols = np.array([self.cols.setdefault(col, len(self.cols)) for col in firsts], dtype=np.intp)
+            self.entries.append(rows, cols[scan.ia[:k]], values)
+        else:
+            self._put_rhs(section, names, values.tolist())
+        return True
+
+    def _lines(self, text: str) -> None:
+        """Read ``text``, a run of whole lines, in Python alone."""
+        lines = self.lines = text.splitlines()
+        self.comments, start = "*" in text, 0
+        for i in [i for i, line in enumerate(lines) if line and not line[0].isspace()]:
+            toks = lines[i].split()
+            if toks[0][0] == "*":
+                continue
+            self._section(start, i)
+            self._header(toks, self.offset + i + 1)
+            start = i + 1
+        self._section(start, len(lines))
+        self.offset += len(lines)
+
+    def _header(self, toks: list[str], line_no: int) -> None:
+        """Start the section that the header line ``line_no``, split into ``toks``, names."""
+        if self.section == "ENDATA":
+            _fail(line_no, "ENDATA", "data after ENDATA")
+        head = toks[0].upper()
+        if head not in _SECTIONS:
+            _fail(line_no, self.section or "-", f"unknown section {toks[0]!r}")
+        self.section = head
+        if head == "NAME":
+            self.doc.name = toks[1] if len(toks) > 1 else ""
+        elif head in _QUADRATIC:
+            self.doc.quad_section = head
+
+    def _section(self, start: int, stop: int):
+        """Hand the data lines ``lines[start:stop]`` to the current section's handler."""
         if start == stop:
             return
+        section = self.section
         handler = _HANDLERS[section]
         toks = list(map(str.split, self.lines[start:stop]))
         first = self.offset + start + 1
@@ -431,7 +529,11 @@ class _Reader:
         _fail_first(section, line_of, bad_value, bad_row)
         if cut is not None:
             _fail(cut, section, f"expected '{'RHS' if section == 'RHS' else 'RNG'}NAME ROW VAL [ROW VAL]'")
-        values = dict(zip(names, values.tolist()))
+        self._put_rhs(section, names, values.tolist())
+
+    def _put_rhs(self, section, names, values):
+        """Set the RHS or RANGES ``values`` of the rows ``names``, in order."""
+        values = dict(zip(names, values))
         if section == "RANGES":
             self.doc.ranges.update(values)
             return

@@ -90,10 +90,13 @@ class TestSolve:
         row = _read_rows(tmp_path / "runs.csv")[0]
         assert row["Q"] != ""
 
-    def test_numpy_backend_flag(self, tmp_path):
+    def test_numpy_backend_flag(self, tmp_path, monkeypatch):
+        # the flag switches the process's backend: the later tests get theirs back
+        monkeypatch.setattr(_kernels, "_backend", _kernels._backend)
         rc = main(["solve", "--builtin", "simple_qp", "--variant", "ls_cspm",
                    "--backend", "numpy", "--out", str(tmp_path)])
         assert rc == 0
+        assert _kernels.active_backend() == "numpy"
 
     def test_unknown_backend_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cfpopt import harness
+from cfpopt import harness, schemes
 from cfpopt.feasibility import SolverSpec
 from cfpopt.harness import (
     AGGREGATE_METRICS,
@@ -121,6 +121,18 @@ class TestRunVariant:
         p = builtin_problems()["imrt_small"]
         with pytest.raises(ValueError):
             run_variant("ls_art3+", p, HarnessConfig())
+
+    @pytest.mark.parametrize("fstar", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("on_problem", [False, True], ids=["argument", "problem"])
+    def test_nonfinite_fstar_rejected_before_any_solve(self, fstar, on_problem, monkeypatch):
+        calls = []
+        monkeypatch.setattr(schemes, "cfp_with_level", lambda *a, **kw: calls.append(a))
+        p = builtin_problems()["simple_qp"]
+        if on_problem:
+            p.fstar = fstar
+        with pytest.raises(ValueError, match="fstar must be finite"):
+            run_variant("bis_cspm", p, fstar=None if on_problem else fstar)
+        assert calls == []
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,9 @@
+import contextlib
 import dataclasses
 import importlib.util
+import math
+import random
+import shutil
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -7,31 +11,67 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfpopt import qps
+from cfpopt import _kernels, qps
 from cfpopt.model import AffineConstraint, Bounds, Problem, QuadraticFunction
 from cfpopt.qps import QpsDocument, QpsParseError, load_qps, parse_qps, parse_qps_document, write_qps
 
-_spec = importlib.util.spec_from_file_location(
-    "make_problems", Path(__file__).parents[1] / "benchmarks" / "make_problems.py")
-make_problems = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(make_problems)
+
+def _benchmark_module(name):
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).parents[1] / "benchmarks" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+make_problems = _benchmark_module("make_problems")
+qps_digest = _benchmark_module("qps_digest")
 
 BLOCKS = (1, 7, 64)  # block sizes (characters) that cut inside every section of the test files
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+# the backends to read a file with: numpy reads it in Python alone, the
+# reference, and c with the scan kernel, which must agree with it
+WAYS = ("numpy", "c") if shutil.which("cc") else ("numpy",)
+
+
+@contextlib.contextmanager
+def _reading(way, block=None):
+    """Parse under the backend ``way``, in blocks of ``block`` characters (default ``_BLOCK``)."""
+    saved = _kernels.active_backend()
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(qps, "_BLOCK", block)
+        _kernels.set_backend(way)
+        try:
+            yield
+        finally:
+            _kernels.set_backend(saved)
 
 
 def _diagnostic(text, parse=parse_qps):
     """The ``(line, section, message)`` that ``parse(text)`` fails with, which
-    must be the same at the default block size and at each of ``BLOCKS``."""
+    must be the same under each of the ``WAYS``, at the default block size
+    and at each of ``BLOCKS``."""
     found = {}
-    for block in (qps._BLOCK, *BLOCKS):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qps, "_BLOCK", block)
-            with pytest.raises(QpsParseError) as exc:
+    for way in WAYS:
+        for block in (qps._BLOCK, *BLOCKS):
+            with _reading(way, block), pytest.raises(QpsParseError) as exc:
                 parse(text)
-        d = exc.value.diagnostic
-        found[block] = (d.line, d.section, d.message)
+            d = exc.value.diagnostic
+            found[way, block] = (d.line, d.section, d.message)
     assert len(set(found.values())) == 1, found
-    return found[qps._BLOCK]
+    return found["numpy", qps._BLOCK]
+
+
+def _document(text):
+    """``parse_qps_document(text)``, which must read the same, warnings
+    included, under each of the ``WAYS`` and at each of ``BLOCKS``."""
+    with _reading("numpy"):
+        doc = parse_qps_document(text)
+    for way in WAYS:
+        for block in (qps._BLOCK, *BLOCKS):
+            with _reading(way, block):
+                _same_document(parse_qps_document(text), doc)
+    return doc
 
 
 FIXTURE_QP = """\
@@ -193,7 +233,7 @@ BOUNDS
  BV BND       X4
 ENDATA
 """
-        doc = parse_qps_document(text)
+        doc = _document(text)
         p = doc.to_problem()
         np.testing.assert_array_equal(p.bounds.lo, [-2.0, 1.5, -np.inf, 0.0])
         np.testing.assert_array_equal(p.bounds.hi, [3.0, 1.5, np.inf, 1.0])
@@ -247,7 +287,7 @@ class TestDiagnostics:
         assert "no N" in _diagnostic("NAME X\nROWS\n L R1\nENDATA\n")[2]
 
     def test_missing_endata_warns(self):
-        doc = parse_qps_document("NAME X\nROWS\n N OBJ\n")
+        doc = _document("NAME X\nROWS\n N OBJ\n")
         assert any(w.section == "ENDATA" for w in doc.warnings)
 
     def test_fortran_exponent_accepted(self):
@@ -480,8 +520,8 @@ class TestBulkPath:
         assert p.bounds.hi.tobytes() == q.bounds.hi.tobytes()
 
     def test_two_entry_lines_mixed_with_one_entry_lines(self):
-        p = parse_qps(MIXED)
-        _same_problem(p, parse_qps(MIXED_SPLIT))
+        p = _document(MIXED).to_problem()
+        _same_problem(p, _document(MIXED_SPLIT).to_problem())
         np.testing.assert_array_equal(p.objective.c, [1.5, 0.0, -2.0])
         np.testing.assert_array_equal([r.a for r in p.constraints],
                                       [[1.0, -1.0, 0.0], [2.0, 0.0, 1.0], [0.0, 0.5, 4.0]])
@@ -491,7 +531,7 @@ class TestBulkPath:
         text = (MIXED.replace("    X2        R1", "* a comment\n\n    X2        R1")
                 .replace("    X3        OBJ", "   * an indented comment\n  \t\n    X3        OBJ")
                 .replace("    X3        X1", "\n*\n    X3        X1"))
-        _same_problem(parse_qps(MIXED), parse_qps(text))
+        _same_problem(parse_qps(MIXED), _document(text).to_problem())
         # the lines after them keep their numbers
         bad = text.replace("    X3        X3        1.0", "    X3        X3        1.0x")
         assert _diagnostic(bad)[0] == bad.splitlines().index("    X3        X3        1.0x") + 1
@@ -519,7 +559,7 @@ QUADOBJ
     X1        X1        -1e16
 ENDATA
 """
-        p = parse_qps(text)
+        p = _document(text).to_problem()
         np.testing.assert_array_equal(p.constraints[0].a, [0.0, 1.0])
         np.testing.assert_array_equal(p.objective.c, [1.0, 1.0])
         np.testing.assert_array_equal(p.objective.Q, [[0.0, 0.0], [0.0, 0.0]])
@@ -549,13 +589,41 @@ ENDATA
         text = MIXED_SPLIT.replace(
             "    X2        R1", "    MARKER    'MARKER'    'INTORG'\n    X2        R1").replace(
             "    X3        OBJ", "    M2        MARKER      'INTEND'   extra\n    X3        OBJ")
-        doc = parse_qps_document(text)
+        doc = _document(text)
         lines = text.splitlines()
         assert [(w.line, w.section, w.message) for w in doc.warnings] == [
             (lines.index("    MARKER    'MARKER'    'INTORG'") + 1, "COLUMNS", "MARKER line ignored"),
             (lines.index("    M2        MARKER      'INTEND'   extra") + 1, "COLUMNS", "MARKER line ignored"),
         ]
         _same_problem(doc.to_problem(), parse_qps(MIXED_SPLIT))
+
+    def test_a_row_named_like_a_marker_keyword_keeps_its_entries_out(self):
+        # the handler reads 'COL MARKER VAL' as a MARKER line, even for a row named MARKER
+        text = MIXED_SPLIT.replace(" E  R3", " E  R3\n L  MARKER").replace(
+            "    X2        R3        0.5", "    X2        R3        0.5\n    X2        MARKER    3.0")
+        doc = _document(text)
+        assert [w.message for w in doc.warnings] == ["MARKER line ignored"]
+
+    def test_rows_and_columns_that_share_names(self):
+        # each section resolves its names in its own table: rows in COLUMNS, columns in QUADOBJ
+        text = """\
+NAME          SHARED
+ROWS
+ N  OBJ
+ L  B
+ L  A
+COLUMNS
+    A         OBJ       1.0       B         2.0
+    B         A         3.0
+QUADOBJ
+    A         A         1.0
+    B         A         0.5
+    B         B         2.0
+ENDATA
+"""
+        p = _document(text).to_problem()
+        np.testing.assert_array_equal([r.a for r in p.constraints], [[2.0, 0.0], [0.0, 3.0]])
+        np.testing.assert_array_equal(p.objective.Q, [[1.0, 0.5], [0.5, 2.0]])
 
     @pytest.mark.parametrize("field, token, message", [
         (2, "1.0.0", "malformed numeric field '1.0.0'"),
@@ -657,18 +725,19 @@ class TestBlocks:
     the cuts fall must change nothing it reads."""
 
     @pytest.mark.parametrize("block", BLOCKS)
-    def test_every_file_reads_the_same_at_any_block_size(self, block, monkeypatch, fixtures_dir):
+    def test_every_file_reads_the_same_at_any_block_size(self, block, fixtures_dir):
         texts = [FIXTURE_QP, EVERY_SECTION, MIXED, MIXED_SPLIT, TestQuadConventions.QUADOBJ,
                  TestQuadConventions.QMATRIX, EVERY_SECTION.replace("\n", "\r\n"),
                  EVERY_SECTION.replace("\n", "\f\n")]
         texts += [path.read_text() for path in sorted(fixtures_dir.glob("*.qps"))]
         texts.append(write_qps(make_problems.planted_instance(0, 120, 160)[0]))
         expected = [parse_qps_document(text) for text in texts]
-        monkeypatch.setattr(qps, "_BLOCK", block)
-        for text, doc in zip(texts, expected):
-            got = parse_qps_document(text)
-            _same_document(got, doc)
-            _same_problem(got.to_problem(), doc.to_problem())
+        for way in WAYS:
+            with _reading(way, block):
+                for text, doc in zip(texts, expected):
+                    got = parse_qps_document(text)
+                    _same_document(got, doc)
+                    _same_problem(got.to_problem(), doc.to_problem())
 
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("brk", ["\r\n", "\r", "\f", "\u2028"], ids=["crlf", "cr", "ff", "u2028"])
@@ -677,7 +746,7 @@ class TestBlocks:
         # lines of every length up to past the block size
         text = "".join("a" * k + brk + "\n" + brk for k in range(2 * block + 2)) + "end"
         monkeypatch.setattr(qps, "_BLOCK", block)
-        blocks = [lines for lines, _ in qps._blocks(text)]
+        blocks = [block.splitlines() for block in qps._blocks(text)]
         assert len(blocks) > 1
         assert [line for lines in blocks for line in lines] == text.splitlines()
 
@@ -685,8 +754,8 @@ class TestBlocks:
         text = MIXED.replace("    X3        X1", "    * an indented comment\n* a comment\n    X3        X1")
         monkeypatch.setattr(qps, "_BLOCK", 64)
         first, *later = qps._blocks(text)
-        assert not first[1] and any(has_comment for _, has_comment in later)
-        _same_document(parse_qps_document(text), parse_qps_document(MIXED))
+        assert "*" not in first and any("*" in block for block in later)
+        _same_document(_document(text), parse_qps_document(MIXED))
 
 
 def test_parse_peak_memory_stays_below_twice_the_text():
@@ -720,3 +789,184 @@ def test_parse_holds_one_copy_of_the_entries(monkeypatch):
                                      doc.quad_rows, doc.quad_cols, doc.quad_values))
     assert entries > 0.8 * kept
     assert peak < 1.3 * kept, f"peak {peak / kept:.2f}x what the parse keeps"
+
+
+def _outcome(text):
+    """What parsing ``text`` ends in: its problem's digest, or the ``(line,
+    section, message)`` it fails with."""
+    try:
+        return qps_digest.digest(parse_qps(text))
+    except QpsParseError as exc:
+        d = exc.diagnostic
+        return d.line, d.section, d.message
+
+
+class TestScanNumbers:
+    """The scan kernel converts a number token as ``float`` does, or refuses it to the Python handlers."""
+
+    @staticmethod
+    def _tokens():
+        rng = random.Random(7)
+        tokens = [f"{rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300):.17g}" for _ in range(400)]
+        # any bits that are a finite double, and subnormals
+        tokens += [repr(v) for v in np.frombuffer(rng.randbytes(8 * 200), dtype=np.float64).tolist()
+                   if math.isfinite(v)]
+        tokens += [f"{rng.random() * 2.0 ** -1022:.17g}" for _ in range(100)]
+        tokens += ["4.9406564584124654e-324", "2.4703282292062328e-324", "2.2250738585072011e-308",
+                   "1.7976931348623157e308", "-0.0", "+0", "0.", ".5", "5.", "+.5e+3", "1E-5", "00012",
+                   "1e-400", "-1e-400", "123456789012345678901234567890.5e-10"]
+        return tokens
+
+    @needs_cc
+    def test_converted_tokens_are_bitwise_float(self):
+        tokens = self._tokens()
+        data = "".join(f"    X1  R1  {token}\n" for token in tokens).encode()
+        scan = _kernels.QpsScan(len(tokens))
+        with _reading("c"):
+            assert _kernels.qps_scan(data, 0, "COLUMNS", scan) == 0
+        k = scan.out[2]
+        assert k == len(tokens)
+        assert scan.val[:k].tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+    REFUSED = ["1e400", "-1e999", "1_0", "1D3", "1d3", "inf", "-Infinity", "nan", "0x1p3", "1e", ".", "e5",
+               "1.2.3", "--1", "\u0661"]
+
+    @needs_cc
+    @pytest.mark.parametrize("token", REFUSED)
+    def test_the_scan_refuses_tokens_float_reads_otherwise(self, token):
+        with _reading("c"):
+            data = f"    X1  R1  {token}\n".encode()
+            assert _kernels.qps_scan(data, 0, "COLUMNS", _kernels.QpsScan(4)) == -1
+
+    @pytest.mark.parametrize("token", REFUSED)
+    def test_refused_tokens_end_as_the_python_reader_ends_them(self, token):
+        self._same_end(FIXTURE_QP.replace("    X2        C1        1.0", f"    X2        C1        {token}"))
+
+    @pytest.mark.parametrize("old, new", [
+        ("    X2        C1        1.0", "    X2\x1cC1        1.0"),  # a separator only str.split knows
+        ("    X2        C1        1.0", "    X2        C1\x1c1.0"),
+        ("    X2        C1        1.0", "    X\u00e9        C1        1.0"),  # a non-ASCII name
+        ("    X1        X1        1.0", "    X1        X\u00e9        1.0"),
+        ("    X2        C1        1.0", "    X2        C1        1.0\x0b"),
+        ("    X2        C1        1.0", "    X2        C1\r        1.0"),  # a line break only splitlines knows
+    ])
+    def test_refused_bytes_end_as_the_python_reader_ends_them(self, old, new):
+        self._same_end(FIXTURE_QP.replace(old, new))
+
+    @staticmethod
+    def _same_end(text):
+        ends = {}
+        for way in WAYS:
+            for block in (qps._BLOCK, *BLOCKS):
+                with _reading(way, block):
+                    ends[way, block] = _outcome(text)
+        assert len(set(ends.values())) == 1, ends
+
+
+@pytest.mark.parametrize("old, new", [
+    ("    X2        C1        1.0", "    X2        C9        1.0"),
+    ("    X1        OBJ       -1.0      C1        1.0", "    X1        OBJ       -1.0      C9        1.0"),
+    ("    RHS       C1        2.0", "    RHS       C9        2.0"),
+    ("    RHS       C1        2.0", "    RHS       C1        2.0\nRANGES\n    RNG       OBJ       1.0"),
+    ("    X2        X2        1.0", "    X9        X2        1.0"),
+    ("    X2        X2        1.0", "    X2        X9        1.0"),
+    ("QUADOBJ\n    X1        X1        1.0", "QMATRIX\n    X1        C1        1.0"),
+])
+def test_names_the_scan_leaves_unknown_end_as_the_python_reader_ends_them(old, new):
+    # the reader looks up the scan's name tokens, and refuses the lines when one is unknown
+    assert old in FIXTURE_QP
+    TestScanNumbers._same_end(FIXTURE_QP.replace(old, new))
+
+
+def _planted_file(tmp_path, n=120, m=160):
+    path = tmp_path / "planted.qps"
+    path.write_text(write_qps(make_problems.planted_instance(0, n, m)[0]))
+    return path
+
+
+def test_fixtures_and_a_planted_file_load_alike_every_way(tmp_path, fixtures_dir):
+    for path in [*sorted(fixtures_dir.glob("*.qps")), _planted_file(tmp_path)]:
+        digests = set()
+        for way in WAYS:
+            with _reading(way):
+                digests.add(qps_digest.digest(load_qps(path)))
+        assert len(digests) == 1, path.name
+
+
+@pytest.mark.parametrize("room", [1, 2, 5])
+def test_a_scan_out_of_room_goes_on_where_it_stopped(room, monkeypatch):
+    text = write_qps(make_problems.planted_instance(1, 12, 9)[0])
+    with _reading("numpy"):
+        expected = parse_qps_document(text)
+    monkeypatch.setattr(qps, "_SCAN_LINES", room)
+    for way in WAYS:
+        with _reading(way):
+            _same_document(parse_qps_document(text), expected)
+
+
+@needs_cc
+class TestScanKernel:
+    """What ``qps_scan`` reads under the c backend, and what it refuses."""
+
+    @staticmethod
+    def _scan(data, section, pos=0, room=64):
+        scan = _kernels.QpsScan(room)
+        with _reading("c"):
+            status = _kernels.qps_scan(data, pos, section, scan)
+        if status < 0:
+            return status
+        stop, lines, k, runs, after = scan.out.tolist()
+        return (status, (stop, after), scan.info[:lines].tolist(), scan.ia[:k].tolist(),
+                scan.ib[:k].tolist(), scan.val[:k].tolist(), scan.runs[:runs].tolist())
+
+    def test_columns_entries_runs_and_the_header_it_stops_at(self):
+        data = (b"    X1  OBJ 1.5  R1 -2\n\n  \t\n    X1  R2 3e1\r\n    X2\tR1 .25\n"
+                b"RHS  extra\n    RHS R1 1\n")
+        status, (stop, after), info, ia, ib, val, runs = self._scan(data, "COLUMNS")
+        assert status == 1 and data[stop:after] == b"RHS  extra\n"
+        assert info == [5, 0, 0, 3, 3, -1]
+        # the name tokens and the runs' first tokens, numbered as str.split() lists them
+        toks = data[:stop].split()
+        assert [toks[t] for t in ib] == [b"OBJ", b"R1", b"R2", b"R1"]
+        assert [toks[t] for t in runs] == [b"X1", b"X2"]
+        assert (ia, val) == ([0, 0, 0, 1], [1.5, -2.0, 30.0, 0.25])
+        # the next scan starts after the header line and reads to the end
+        assert self._scan(data, "RHS", pos=after)[:3] == (0, (len(data), len(data)), [3])
+
+    def test_quadratic_and_rhs_entries(self):
+        assert self._scan(b" X2 X1 -1\n X1 X1 2\n X1 X2 3", "QUADOBJ")[3:] == (
+            [0, 1, 1], [1, 4, 7], [-1.0, 2.0, 3.0], [0, 3])
+        assert self._scan(b" RHS OBJ 4 R2 5\n", "RHS")[3:] == ([0, 0], [1, 3], [4.0, 5.0], [0])
+
+    def test_other_sections_count_tokens_only(self):
+        data = b" N  OBJ\n L  R1 R2 R3 R4 R5 R6\n\nCOLUMNS\n"
+        assert self._scan(data, "ROWS")[:4] == (1, (len(data) - 8, len(data)), [2, 7, 0, -1], [])
+        assert self._scan(data, None) == self._scan(data, "ROWS")
+
+    def test_a_full_room_stops_before_the_next_line(self):
+        data = b" X1 R1 1\n X1 R2 2\n X2 R1 3\nRHS\n"
+        status, (stop, after), info, *_ = self._scan(data, "COLUMNS", room=2)
+        assert (status, stop, after, info) == (0, 18, 18, [3, 3])
+        # with room for the lines and not the header line, the header waits too
+        assert self._scan(data, "COLUMNS", room=3)[:3] == (0, (27, 27), [3, 3, 3])
+        assert self._scan(data, "COLUMNS", room=4)[:2] == (1, (27, 31))
+
+    @pytest.mark.parametrize("data, section", [
+        (b" X1 R1 1\x0b\n", "COLUMNS"), (b" X1 R1 1\x0c\n", "ROWS"), (b" X1\x1cR1 1\n", "COLUMNS"),
+        (b" X1 R1 1\r X1 R2 1\n", "COLUMNS"), (b" X1 R1 1\r", "COLUMNS"), (b" X1 R1 \x00\n", None),
+        (b" X1 R1 1\x7f\n", "COLUMNS"), (" X\u00e9 R1 1\n".encode(), "COLUMNS"),
+        (b" X1 R1 1\n* comment\n", "COLUMNS"), (b"   * comment\n", None), (b" X1 R1 *\n", "COLUMNS"),
+        (b" X1 R1 1\nRHS\x0b\n", "COLUMNS"),  # the header line it stops at is checked too
+        (b" X1 R1\n", "COLUMNS"), (b" X1 R1 1 R2\n", "RHS"), (b" X1 R1 1 R2 2 R1\n", "COLUMNS"),
+        (b" X1 X2 1 X1 1\n", "QUADOBJ"), (b" X1 R1 1D3\n", "COLUMNS"), (b" X1 R1 1e999\n", "COLUMNS"),
+    ])
+    def test_refusals(self, data, section):
+        assert self._scan(data, section) == -1
+
+    def test_the_lines_after_the_header_are_not_checked(self):
+        assert self._scan(b" X1 R1 1\nRHS\n\x0b\xff\n", "COLUMNS")[0] == 1
+
+
+def test_the_numpy_backend_scans_nothing():
+    with _reading("numpy"):
+        assert _kernels.qps_scan(b" X1 R1 1\n", 0, "COLUMNS", _kernels.QpsScan(4)) == -1

@@ -125,23 +125,25 @@ def test_csv_rows_are_named_by_their_first_two_fields():
     assert refactor_gate.differences(old, new).split("\n")[0] == "1 of 3 lines differ: P0/bis_cspm"
 
 
-def test_load_qps_peak_is_reported_for_both_trees():
+def test_load_qps_peak_and_time_are_reported_for_both_trees():
     assert refactor_gate.PEAK_RUN[0] in refactor_gate.GATE_SCRIPTS
-    line = refactor_gate.peak_report("abc123", "plant000.qps 1000000 5000000\n",
-                                     "plant000.qps 1000000 2500000\n")
-    assert line == ("load_qps traced peak, plant-art3 101: 5.00 MB (5.00x the text of plant000.qps) "
-                    "at abc123, 2.50 MB (2.50x the text of plant000.qps) here")
-    assert refactor_gate.peak_report("abc123", "exit 1: ImportError\n", "x 1 1\n").startswith(
-        "load_qps traced peak, plant-art3 101: 'exit 1: ImportError' at abc123")
+    line = refactor_gate.peak_report("abc123", "plant000.qps 1000000 5000000 30.5\n",
+                                     "plant000.qps 1000000 2500000 12.25\n")
+    assert line == ("load_qps traced peak and best of 20 times, plant-art3 101: "
+                    "5.00 MB (5.00x the text of plant000.qps), 30.50 ms at abc123; "
+                    "2.50 MB (2.50x the text of plant000.qps), 12.25 ms here")
+    assert refactor_gate.peak_report("abc123", "exit 1: ImportError\n", "x 1 1 1\n").startswith(
+        "load_qps traced peak and best of 20 times, plant-art3 101: 'exit 1: ImportError' at abc123")
 
 
-def test_qps_peak_prints_file_chars_and_peak():
+def test_qps_peak_prints_file_chars_peak_and_time():
     script = Path(__file__).parents[1] / "benchmarks" / "qps_peak.py"
     out = subprocess.run([sys.executable, str(script), "plant-cspm", "101"], capture_output=True,
                          text=True, check=True).stdout
-    name, chars, peak = out.split()
+    name, chars, peak, ms = out.split()
     assert name == "plant000.qps"
     assert 0 < int(chars) < int(peak)
+    assert float(ms) > 0
 
 
 def test_projections_are_summed_per_workload_for_both_trees():
