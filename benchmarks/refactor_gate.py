@@ -42,9 +42,10 @@ and the code lines of ``src/cfpopt/*.py`` (docstrings, comments and blank
 lines left out) at ``PARENT_REV`` and in the working tree: their total, then
 each module's, so that a change shows where its lines went, and the traced
 peak memory and the best of 20 thread times of ``load_qps`` on the seed-101
-plant-art3 ``PLANT000`` file (``qps_peak.py``) at ``PARENT_REV`` and in the
-working tree.  The summed projections, the false certificates, the code
-lines, the peak and the time are information: they never fail the gate (a
+plant-art3 ``PLANT000`` file (``qps_peak.py``), whole and split into read,
+parse and ``to_problem``, at ``PARENT_REV`` and in the working tree.  The
+summed projections, the false certificates, the code lines, the peak and
+the times are information: they never fail the gate (a
 changed ``soundness.py`` output does, as any differing run).  The exit
 status is 1 when any output differs, else 0.  The two trees run side by side,
 one process each; the parent gets its own kernel cache directory, so that its
@@ -278,13 +279,15 @@ def false_certificates(out: str) -> str:
 
 def peak_report(rev: str, old: str, new: str) -> str:
     """One line with the ``qps_peak.py`` outputs at ``rev`` and here: the
-    peak in MB and as a multiple of the file's length, and the best time; a
-    run that did not print ``FILE CHARS PEAK MS`` is shown as it ended."""
+    peak in MB and as a multiple of the file's length, and the best times; a
+    run that did not print ``FILE CHARS PEAK MS READ PARSE TO_PROBLEM`` is
+    shown as it ended."""
     def peak(out: str) -> str:
         try:
-            name, chars, nbytes, ms = out.split()
+            name, chars, nbytes, ms, read, parse, to_problem = out.split()
             return (f"{int(nbytes) / 1e6:.2f} MB ({int(nbytes) / int(chars):.2f}x the text of {name}), "
-                    f"{float(ms):.2f} ms")
+                    f"{float(ms):.2f} ms (read {float(read):.2f}, parse {float(parse):.2f}, "
+                    f"to_problem {float(to_problem):.2f})")
         except ValueError:
             return repr(out.strip())
 

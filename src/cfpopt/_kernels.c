@@ -6,8 +6,11 @@
  * order in every update, and every dot product summed left to right from
  * 0.0.  Build with -ffp-contract=off and without -ffast-math, so that no
  * multiply-add is fused and no sum is reordered.  cfp_qps_scan, at the end
- * of this file, reads QPS text; the sweep comments below do not concern it,
- * and its reference is the Python reader of cfpopt.qps.
+ * of this file, reads QPS text: it numbers each call's distinct name tokens
+ * in a hash table and converts the numbers as Python's float does, exactly
+ * in 64- and 128-bit integers where it can (number()).  The sweep comments
+ * below do not concern it, and its reference is the Python reader of
+ * cfpopt.qps.
  *
  * A is row-major m x n; lo, hi, norm2 and coord have m entries; q, xend and
  * x have n entries, and x is updated in place.  A moved row steps x by
@@ -280,74 +283,190 @@ static int next_token(const char **p, const char *end, const char **tok, int64_t
     return 1;
 }
 
+#ifdef __SIZEOF_INT128__
+__extension__ typedef unsigned __int128 u128;
+
+/* 10^0 .. 10^19 and 5^0 .. 5^27: the powers that fit in 64 bits */
+static const uint64_t POW10[20] = {
+    1ull, 10ull, 100ull, 1000ull, 10000ull, 100000ull, 1000000ull, 10000000ull, 100000000ull,
+    1000000000ull, 10000000000ull, 100000000000ull, 1000000000000ull, 10000000000000ull,
+    100000000000000ull, 1000000000000000ull, 10000000000000000ull, 100000000000000000ull,
+    1000000000000000000ull, 10000000000000000000ull};
+static const uint64_t POW5[28] = {
+    1ull, 5ull, 25ull, 125ull, 625ull, 3125ull, 15625ull, 78125ull, 390625ull, 1953125ull,
+    9765625ull, 48828125ull, 244140625ull, 1220703125ull, 6103515625ull, 30517578125ull,
+    152587890625ull, 762939453125ull, 3814697265625ull, 19073486328125ull, 95367431640625ull,
+    476837158203125ull, 2384185791015625ull, 11920928955078125ull, 59604644775390625ull,
+    298023223876953125ull, 1490116119384765625ull, 7450580596923828125ull};
+
+/* The double nearest to (m + f) * 2^b, ties to even, for an m > 0 and a
+ * fraction 0 <= f < 1 that is nonzero when sticky is set (m then has more
+ * than 53 bits); the result must be a normal double. */
+static double nearest(u128 m, int sticky, int64_t b)
+{
+    uint64_t hi = (uint64_t)(m >> 64), lo = (uint64_t)m;
+    int top = hi ? 128 - __builtin_clzll(hi) : 64 - __builtin_clzll(lo);
+    uint64_t mant;
+    if (top > 53) {
+        int drop = top - 53;
+        u128 rest = m & (((u128)1 << drop) - 1), half = (u128)1 << (drop - 1);
+        mant = (uint64_t)(m >> drop);
+        if (rest > half || (rest == half && (sticky || (mant & 1))))
+            mant++;
+        b += drop;
+        if (mant >> 53) {
+            mant >>= 1;
+            b++;
+        }
+    } else {
+        mant = lo << (53 - top);
+        b -= 53 - top;
+    }
+    /* mant is in [2^52, 2^53): the value is 1.f * 2^(b + 52) */
+    uint64_t bits = ((uint64_t)(b + 52 + 1023) << 52) | (mant & ((1ull << 52) - 1));
+    double v;
+    memcpy(&v, &bits, sizeof v);
+    return v;
+}
+#endif
+
 /* Sets *v to the value of the token s[0..n) and returns 1 when it reads
- * [+-]?(d+[.d*]|.d+)([eE][+-]?d+)?, strtod takes all of it and the value is
- * finite; else returns 0.  The byte after the token is a space, a tab, a
- * line break or the buffer's NUL, so strtod stops there. */
+ * [+-]?(d+[.d*]|.d+)([eE][+-]?d+)? to a finite value; else returns 0.  The
+ * value is the double nearest to the decimal's, as strtod and Python's float
+ * read it.  A token of w * 10^e, w an integer of at most 19 significant
+ * digits and -27 <= e <= 19, is converted exactly in integers (Clinger,
+ * "How to read floating point numbers accurately", PLDI 1990): w * 10^e
+ * rounded for e >= 0, else (w << S) / 5^-e with a sticky remainder; both
+ * land in the normal range.  Any other token goes to strtod, which must take
+ * all of it: the byte after the token is a space, a tab, a line break or the
+ * buffer's NUL, so it stops there. */
 static int number(const char *s, int64_t n, double *v)
 {
     const char *p = s, *e = s + n;
-    int64_t digits = 0;
+    int neg = 0;
+    int64_t digits = 0, sig = 0, scale = 0;
+    uint64_t w = 0;
     if (p < e && (*p == '+' || *p == '-'))
-        p++;
-    for (; p < e && *p >= '0' && *p <= '9'; p++)
-        digits++;
+        neg = *p++ == '-';
+    for (; p < e && *p >= '0' && *p <= '9'; p++, digits++)
+        if ((sig || *p != '0') && ++sig <= 19)
+            w = 10 * w + (uint64_t)(*p - '0');
     if (p < e && *p == '.')
-        for (p++; p < e && *p >= '0' && *p <= '9'; p++)
-            digits++;
+        for (p++; p < e && *p >= '0' && *p <= '9'; p++, digits++, scale--)
+            if ((sig || *p != '0') && ++sig <= 19)
+                w = 10 * w + (uint64_t)(*p - '0');
     if (digits == 0)
         return 0;
+    int64_t x = 0;
     if (p < e && (*p == 'e' || *p == 'E')) {
+        int xneg = 0;
         p++;
         if (p < e && (*p == '+' || *p == '-'))
-            p++;
-        const char *x = p;
-        while (p < e && *p >= '0' && *p <= '9')
-            p++;
-        if (p == x)
+            xneg = *p++ == '-';
+        const char *d = p;
+        for (; p < e && *p >= '0' && *p <= '9'; p++)
+            if (x < 100000)
+                x = 10 * x + (*p - '0');
+        if (p == d)
             return 0;
+        if (xneg)
+            x = -x;
     }
     if (p != e)
         return 0;
+#ifdef __SIZEOF_INT128__
+    int64_t e10 = x + scale;  /* the value is w * 10^e10 */
+    if (sig <= 19 && (w == 0 || (e10 >= -27 && e10 <= 19))) {
+        double a = 0.0;
+        if (w != 0 && e10 >= 0) {
+            a = nearest((u128)w * POW10[e10], 0, 0);
+        } else if (w != 0) {
+            /* with f = 5^-e10 and S = 63 + bits(f) - bits(w), the quotient q
+             * of w << S by f has 63 or 64 bits, and w * 10^e10 is
+             * (q + r / f) * 2^(e10 - S) */
+            uint64_t f = POW5[-e10];
+            int S = 63 + __builtin_clzll(w) - __builtin_clzll(f);
+            u128 num = (u128)w << S;
+            uint64_t q = (uint64_t)(num / f);
+            a = nearest(q, (uint64_t)num - q * f != 0, e10 - S);
+        }
+        *v = neg ? -a : a;
+        return 1;
+    }
+#else
+    (void)neg;  /* strtod reads the sign itself */
+#endif
     char *stop;
     *v = strtod(s, &stop);
     return stop == e && isfinite(*v);
 }
 
+/* The slot of the name token s[0..n) of buf in a name table: the slot that
+ * holds the name's id + 1, or the empty slot (0) where the name would go.
+ * The table has mask + 1 slots, a power of two at least twice the names it
+ * holds, and names[2 i], names[2 i + 1] are the span of the name with id i. */
+static uint64_t name_slot(const char *buf, const char *s, int64_t n, const int64_t *table,
+                          uint64_t mask, const int64_t *names)
+{
+    uint64_t h = 14695981039346656037ull;  /* FNV-1a */
+    for (int64_t i = 0; i < n; i++)
+        h = (h ^ (unsigned char)s[i]) * 1099511628211ull;
+    for (uint64_t j = (h ^ (h >> 32)) & mask;; j = (j + 1) & mask) {
+        int64_t id = table[j] - 1;
+        if (id < 0 || (names[2 * id + 1] - names[2 * id] == n
+                       && memcmp(buf + names[2 * id], s, (size_t)n) == 0))
+            return j;
+    }
+}
+
 /* Scan the lines of buf[pos..size) up to the first header line (one whose
- * first byte is not a space, a tab or a line break), or until info holds
- * cap lines.  buf[size] must be readable and not a digit (a Python bytes
- * object ends in a NUL).
+ * first byte is not a space, a tab or a line break), or until a room is
+ * full.  buf[size] must be readable and not a digit (a Python bytes object
+ * ends in a NUL).
  *
  * info[j] receives line j's token count (0 for a blank line), and -1 for
- * the header line the scan stops at.  The tokens before that line are
- * numbered from 0, as str.split() lists them.  In the modes but QPS_SKIP
- * each data line is converted to entries:
+ * the header line the scan stops at.  In the modes but QPS_SKIP each data
+ * line is converted to entries:
  *   QPS_PAIRS: 'FIRST NAME VAL [NAME VAL]' (COLUMNS, RHS, RANGES), one
  *     entry per pair;
  *   QPS_QUAD: 'FIRST NAME VAL' (QUADOBJ, QMATRIX), one entry.
- * An entry's ia is the run of its line's FIRST, ib the number of its NAME
- * token and val its value.  A run starts at each data line whose FIRST
- * differs from the line before's, and runs[r] receives the number of run
- * r's FIRST token.  Names are not resolved: the caller looks them up.
- * out[0] receives the offset where the scan stopped (the header line's
- * start, else the first line not scanned, or size), out[1] the number of
- * lines in info, out[2] of entries, out[3] of runs, and out[4] the offset
- * where the next scan starts (after the header line, else out[0]).
+ * An entry's ia is the run of its line's FIRST, ib the id of its NAME and
+ * val its value.  A run starts at each data line whose FIRST differs from
+ * the line before's, and runs[2 r], runs[2 r + 1] receive the span (start
+ * and end offsets in buf) of run r's FIRST.  The distinct NAME tokens are
+ * numbered from 0 in the order they first appear, through a hash table
+ * (table, with room for the least power of two at least 2 room slots), and
+ * names[2 i], names[2 i + 1] receive the span of the name with id i.  Names
+ * are not resolved: the caller looks them up.
+ *
+ * The rooms are cap lines, cap entries and room names.  The scan stops
+ * before a data line whose entries or new names would not fit, and refuses
+ * one that would not fit into an empty call.  out[0] receives the offset
+ * where the scan stopped (the header line's start, else the first line not
+ * scanned, or size), out[1] the number of lines in info, out[2] of entries,
+ * out[3] of runs, out[4] of names, and out[5] the offset where the next
+ * scan starts (after the header line, else out[0]).
  *
  * Returns 1 when it stopped at a header, 0 otherwise, and -1 when it
  * refuses: a byte that is not plain (see token_byte), a token count the
- * mode does not take or a value number() rejects.  A refused scan leaves
- * its outputs unspecified; the caller reads the lines another way.  ia, ib
- * and val need room for 2 cap entries, runs for cap. */
+ * mode does not take, a value number() rejects or a line too large for the
+ * rooms.  A refused scan leaves its outputs unspecified; the caller reads
+ * the lines another way.  info, ia, ib and val need room for cap entries,
+ * runs for 2 cap and names for 2 room. */
 int64_t cfp_qps_scan(const char *buf, int64_t size, int64_t pos, int64_t mode, int64_t cap,
-                     int64_t *info, int64_t *ia, int64_t *ib, double *val, int64_t *runs,
-                     int64_t *out)
+                     int64_t room, int64_t *info, int64_t *ia, int64_t *ib, double *val,
+                     int64_t *runs, int64_t *names, int64_t *table, int64_t *out)
 {
     const char *p = buf + pos, *end = buf + size;
     const char *prev = NULL;
-    int64_t prev_len = 0, lines = 0, tokens = 0, k = 0, r = 0;
+    int64_t prev_len = 0, lines = 0, k = 0, r = 0, count = 0;
     int header = 0, bad = 0;
+    uint64_t mask = 1;
+    while (mask < 2 * (uint64_t)room)
+        mask <<= 1;
+    if (mode != QPS_SKIP)
+        memset(table, 0, mask * sizeof *table);
+    mask--;
     while (p < end && !header && lines < cap) {
         const char *start = p;
         const char *tok[5];
@@ -367,32 +486,56 @@ int64_t cfp_qps_scan(const char *buf, int64_t size, int64_t pos, int64_t mode, i
         if (header) {
             info[lines++] = -1;
             out[0] = start - buf;
-            out[4] = p - buf;
+            out[5] = p - buf;
             break;
         }
-        info[lines++] = nt;
         if (mode != QPS_SKIP && nt > 0) {
             if (nt != 3 && (mode == QPS_QUAD || nt != 5))
                 return -1;
+            int64_t id[2], fresh = 0;
+            for (int64_t j = 1; j < nt; j += 2) {
+                id[j / 2] = table[name_slot(buf, tok[j], len[j], table, mask, names)] - 1;
+                fresh += id[j / 2] < 0;
+            }
+            if (k + nt / 2 > cap || count + fresh > room) {
+                if (k == 0)
+                    return -1;
+                p = start;
+                break;
+            }
             if (prev == NULL || prev_len != len[0] || memcmp(prev, tok[0], (size_t)len[0]) != 0) {
-                runs[r++] = tokens;
+                runs[2 * r] = tok[0] - buf;
+                runs[2 * r + 1] = tok[0] - buf + len[0];
+                r++;
                 prev = tok[0];
                 prev_len = len[0];
             }
             for (int64_t j = 1; j < nt; j += 2) {
                 if (!number(tok[j + 1], len[j + 1], &val[k]))
                     return -1;
+                if (id[j / 2] < 0) {
+                    /* a new name, unless it is the line's other name; its
+                     * slot may have been taken by that name */
+                    uint64_t at = name_slot(buf, tok[j], len[j], table, mask, names);
+                    if (table[at] == 0) {
+                        names[2 * count] = tok[j] - buf;
+                        names[2 * count + 1] = tok[j] - buf + len[j];
+                        table[at] = ++count;
+                    }
+                    id[j / 2] = table[at] - 1;
+                }
                 ia[k] = r - 1;
-                ib[k] = tokens + j;
+                ib[k] = id[j / 2];
                 k++;
             }
         }
-        tokens += nt;
+        info[lines++] = nt;
     }
     if (!header)
-        out[0] = out[4] = p - buf;
+        out[0] = out[5] = p - buf;
     out[1] = lines;
     out[2] = k;
     out[3] = r;
+    out[4] = count;
     return header;
 }

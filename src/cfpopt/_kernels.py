@@ -25,10 +25,12 @@ whole path (see :class:`Rows`).
 
 A third call, ``qps_scan``, reads QPS text for :mod:`cfpopt.qps`: the lines
 of a block up to the next section header, with the values of the COLUMNS,
-RHS, RANGES and quadratic entries converted and their name tokens numbered
-(see :class:`QpsScan`).  It refuses what is not plain, and the reader's
-Python path reads that.  Only ``c`` has a scan: under ``numpy`` it refuses
-every line, so the Python path, the reference, reads the whole text.
+RHS, RANGES and quadratic entries converted (exactly, to the value Python's
+``float`` reads) and the distinct name tokens of the call numbered through
+a small hash table (see :class:`QpsScan`).  It refuses what is not plain,
+and the reader's Python path reads that.  Only ``c`` has a scan: under
+``numpy`` it refuses every line, so the Python path, the reference, reads
+the whole text.
 
 Each call validates its arguments once for both backends, then calls the
 active backend's raw function: ``cfp_cspm_sweep``, ``cfp_art3_pass`` or
@@ -593,7 +595,7 @@ def _load_c() -> tuple:
     cspm, art3, scan = lib.cfp_cspm_sweep, lib.cfp_art3_pass, lib.cfp_qps_scan
     cspm.argtypes = (P,) * 10 + (I, I, D, D, P)
     art3.argtypes = (P,) * 10 + (I, I, P, I, D, P, P)
-    scan.argtypes = (S, I, I, I, I) + (P,) * 6
+    scan.argtypes = (S, I, I, I, I, I) + (P,) * 8
     cspm.restype = art3.restype = scan.restype = I
     return "c", cspm, art3, _c_arg, scan
 
@@ -707,34 +709,40 @@ def art3_pass(A, rows, x, tol, out, queue):
 
 
 class QpsScan:
-    """The outputs of ``qps_scan``, with room for ``lines`` lines a call.
+    """The outputs of ``qps_scan``, with room for ``lines`` lines and ``names`` distinct names a call.
 
     ``info`` holds each line's token count (-1 for the header line the scan
-    stopped at); ``ia``, ``ib`` and ``val`` the entries, two a line at
-    most: the run of the entry's first token, the number of its name token
-    and its value; ``runs`` the number of each run's first token; ``out``
-    the stop offset, the numbers of lines, entries and runs, and the offset
-    where the next scan starts.  The binding keeps the active backend's
-    arguments for the arrays, as :class:`Rows` does.
+    stopped at); ``ia``, ``ib`` and ``val`` the entries, as many as
+    ``lines``: the run of the entry's first token, the id of its name token
+    and its value; ``runs`` the span (start and end offsets) of each run's
+    first token; ``names`` the span of each distinct name token, by id;
+    ``table`` the kernel's hash table of the names; ``out`` the stop offset,
+    the numbers of lines, entries, runs and names, and the offset where the
+    next scan starts.  The binding keeps the active backend's arguments for
+    the arrays, as :class:`Rows` does.
     """
 
-    __slots__ = ("info", "ia", "ib", "val", "runs", "out", "_arg", "_outs")
+    __slots__ = ("info", "ia", "ib", "val", "runs", "names", "table", "out", "_arg", "_outs")
 
-    def __init__(self, lines: int):
-        if lines < 1:
-            raise ValueError("a scan needs room for at least one line")
-        self.info, self.runs = np.empty(lines, dtype=np.int64), np.empty(lines, dtype=np.int64)
-        self.ia, self.ib = np.empty(2 * lines, dtype=np.int64), np.empty(2 * lines, dtype=np.int64)
-        self.val = np.empty(2 * lines)
-        self.out = np.zeros(5, dtype=np.int64)
+    def __init__(self, lines: int, names: int):
+        if lines < 1 or names < 1:
+            raise ValueError("a scan needs room for at least one line and one name")
+        self.info = np.empty(lines, dtype=np.int64)
+        self.ia, self.ib = np.empty(lines, dtype=np.int64), np.empty(lines, dtype=np.int64)
+        self.val = np.empty(lines)
+        self.runs = np.empty(2 * lines, dtype=np.int64)
+        self.names = np.empty(2 * names, dtype=np.int64)
+        # the least power of two at least twice the names, as cfp_qps_scan sizes it
+        self.table = np.empty(1 << (2 * names - 1).bit_length(), dtype=np.int64)
+        self.out = np.zeros(6, dtype=np.int64)
         self._arg = None
 
     def _args(self, arg) -> list:
         """The kernel's room and output arguments, as ``arg`` converts them."""
         if arg is not self._arg:
             self._arg = arg
-            arrays = (self.info, self.ia, self.ib, self.val, self.runs, self.out)
-            self._outs = [arg(self.info.shape[0]), *map(arg, arrays)]
+            arrays = (self.info, self.ia, self.ib, self.val, self.runs, self.names, self.table, self.out)
+            self._outs = [arg(self.info.shape[0]), arg(self.names.shape[0] // 2), *map(arg, arrays)]
         return self._outs
 
 
@@ -743,14 +751,14 @@ def qps_scan(data: bytes, pos: int, section: str | None, scan: QpsScan) -> int:
 
     ``data`` is a run of whole lines, and ``pos`` a line's start.  For
     ``section`` COLUMNS, RHS, RANGES, QUADOBJ or QMATRIX the data lines
-    become entries, with their values converted and their names left to the
-    caller; for any other (None included) they are only counted.  Returns 1
-    when the scan stopped at a header line, 0 when it stopped at the end of
-    ``data`` or of the room in ``scan`` (the next scan starts at
-    ``scan.out[4]`` either way), and -1 when it refused the lines, which the
-    caller then reads another way: see ``cfp_qps_scan`` in ``_kernels.c``
-    for what each output holds and what is refused.  The numpy backend
-    refuses every line.
+    become entries, with their values converted and their distinct names
+    numbered, left to the caller to look up; for any other (None included)
+    they are only counted.  Returns 1 when the scan stopped at a header
+    line, 0 when it stopped at the end of ``data`` or of a room in ``scan``
+    (the next scan starts at ``scan.out[5]`` either way), and -1 when it
+    refused the lines, which the caller then reads another way: see
+    ``cfp_qps_scan`` in ``_kernels.c`` for what each output holds and what
+    is refused.  The numpy backend refuses every line.
     """
     *_, arg, scan_fn = _current()
     if not isinstance(data, bytes):

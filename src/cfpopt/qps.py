@@ -18,27 +18,34 @@ and an infinite value everywhere but in BOUNDS, where a lower bound of
 constraint row whose coefficients are all zero (or absent) is rejected at
 its ROWS line.
 
-The reader works a block at a time, not a line at a time: it walks the text
-in blocks of about ``_BLOCK`` characters, each cut just after a line feed, so
-that it holds the text plus one block's lines and tokens, never a list of all
-the lines.
+The text is a ``str`` or UTF-8 ``bytes``.  ASCII bytes are read as they are,
+so ``load_qps``, which hands over the file's bytes, makes no decoded copy of
+the file; other bytes are decoded first, so that a file that is not UTF-8
+fails before any of it is parsed.  One leading byte-order mark is skipped.
 
-Each ASCII block goes first to the scan kernel, ``qps_scan`` of
-:mod:`cfpopt._kernels` (``cfp_qps_scan`` in C; the numpy backend has no
-scan and reads every block by the Python path below).  It reads the
-block's lines up to the next header line, which the reader reads.  For the
-data lines of COLUMNS, RHS, RANGES and QUADOBJ/QMATRIX it converts the
-values and numbers the name tokens, which the reader looks up in its dicts
-over the block's ``str.split()``; it only counts the lines of the other
-sections, whose handlers then read them.  It reads only the plain case:
-lines of printable ASCII but ``*``, spaces and tabs, ended by ``\\n`` or
-``\\r\\n``; the token counts the section allows; and numbers
-``[+-]?(d+[.d*]|.d+)([eE][+-]?d+)?`` that ``strtod`` reads whole to a
-finite value, the same value ``float`` reads.  Anything else (a comment, a
-``D`` exponent, a MARKER line, a non-finite or malformed number), or a
-name the section's handler rejects, refuses the lines, and the rest of the
-block is read by the Python path, as a block that is not ASCII is from its
-start.
+The reader works a block at a time, not a line at a time: it walks the text
+in blocks of about ``_BLOCK`` characters (bytes, for bytes), each cut just
+after a line feed, so that it holds the text plus one block's lines and
+tokens, never a list of all the lines.
+
+Each ASCII block goes first, as bytes (a block of a ``str`` is encoded
+once), to the scan kernel, ``qps_scan`` of :mod:`cfpopt._kernels`
+(``cfp_qps_scan`` in C; the numpy backend has no scan and reads every block
+by the Python path below).  It reads the block's lines up to the next
+header line, which the reader reads.  For the data lines of COLUMNS, RHS,
+RANGES and QUADOBJ/QMATRIX it converts the values and numbers the distinct
+name tokens of each call; the reader decodes each distinct name once, looks
+it up in its dicts, and maps the entries to indices with a numpy index.  It
+only counts the lines of the other sections, whose handlers then read them.
+It reads only the plain case: lines of printable ASCII but ``*``, spaces
+and tabs, ended by ``\\n`` or ``\\r\\n``; the token counts the section
+allows; and finite numbers ``[+-]?(d+[.d*]|.d+)([eE][+-]?d+)?``, converted
+to the value ``float`` reads (exactly in integers for up to 19 significant
+digits and decimal exponents in [-27, 19], by ``strtod`` otherwise).
+Anything else (a comment, a ``D`` exponent, a MARKER line, a non-finite or
+malformed number), or a name the section's handler rejects, refuses the
+lines, and the rest of the block is read by the Python path, as a block
+that is not ASCII is from its start.
 
 The Python path is the reference and the only source of diagnostics and
 warnings: the data lines of each section in a block are tokenised, checked,
@@ -75,8 +82,10 @@ _SECTIONS = ("NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "QUADOBJ", "Q
 _QUADRATIC = ("QUADOBJ", "QMATRIX")
 _SCANNED = ("COLUMNS", "RHS", "RANGES", *_QUADRATIC)  # the sections whose entries the scan kernel converts
 _MARKERS = ("'MARKER'", "MARKER")
-_BLOCK = 1 << 16  # characters of text read at a time, up to the end of a line
-_SCAN_LINES = 512  # the lines a scan kernel call reads at most
+_BLOCK = 1 << 16  # characters (or bytes) of text read at a time, up to the end of a line
+_SCAN_LINES = 1536  # the lines a scan kernel call reads at most
+_SCAN_NAMES = 512  # the distinct name tokens a scan kernel call numbers at most
+_BOM = "\ufeff"  # a byte-order mark, skipped at the start of a text
 
 
 @dataclass(frozen=True)
@@ -223,6 +232,12 @@ def _fail_first(section: str, line_of, *faults):
         _fail(line_of[entry], section, message)
 
 
+def _spans(data: bytes, spans, count: int) -> list[str]:
+    """The ``count`` tokens of ``data`` whose start and end offsets ``spans`` lists in turn."""
+    spans = spans[:2 * count].tolist()
+    return [data[start:end].decode() for start, end in zip(spans[::2], spans[1::2])]
+
+
 def _fields(toks):
     """The 3-token lists ``toks`` as three tuples: first, second and third tokens."""
     return tuple(zip(*toks)) or ((), (), ())
@@ -286,16 +301,16 @@ def _numbers(tokens, rank: int, allow_inf: bool = False):
     return values, fault
 
 
-def _blocks(text: str):
-    """``text`` in blocks of about ``_BLOCK`` characters.
+def _blocks(text, pos: int = 0):
+    """``text[pos:]``, a ``str`` or ASCII ``bytes``, in blocks of about ``_BLOCK`` characters.
 
     Each block but the last ends just after a line feed, so no line break is
     cut in two (``\\r\\n`` included) and the blocks' lines are those of
-    ``text.splitlines()``.
+    ``text[pos:].splitlines()``.
     """
-    pos = 0
+    feed = "\n" if isinstance(text, str) else b"\n"
     while pos < len(text):
-        stop = text.find("\n", pos + _BLOCK) + 1 or len(text)
+        stop = text.find(feed, pos + _BLOCK) + 1 or len(text)
         yield text[pos:stop]
         pos = stop
 
@@ -338,14 +353,18 @@ class _Reader:
         self.entries = _Entries()  # the COLUMNS entries
         self.quad = _Entries()  # the quadratic entries
         # a scan that runs out of room stops, and the next goes on from there
-        self.scan = _kernels.QpsScan(_SCAN_LINES)
+        self.scan = _kernels.QpsScan(_SCAN_LINES, _SCAN_NAMES)
 
-    def read(self, text: str) -> QpsDocument:
+    def read(self, text) -> QpsDocument:
+        """Read ``text``, a ``str`` (after one leading byte-order mark, if any) or ASCII ``bytes``."""
         doc = self.doc
-        for block in _blocks(text):
-            done = self._scan(block) if block.isascii() else 0
+        for block in _blocks(text, 1 if isinstance(text, str) and text.startswith(_BOM) else 0):
+            # a str block is encoded once for the scan, unless it is not ASCII
+            data = block if isinstance(block, bytes) else block.encode() if block.isascii() else b""
+            done = self._scan(data)
             if done < len(block):
-                self._lines(block[done:])
+                rest = block[done:]
+                self._lines(rest if isinstance(rest, str) else rest.decode())
 
         if doc.objective_row is None:
             _fail(0, "ROWS", "no N (objective) row declared")
@@ -356,15 +375,14 @@ class _Reader:
         doc.quad_rows, doc.quad_cols, doc.quad_values = self.quad.arrays
         return doc
 
-    def _scan(self, block: str) -> int:
-        """Read the lines of the ASCII ``block`` with the scan kernel, up to
-        where it refuses them; returns that offset, or the block's length.
+    def _scan(self, data: bytes) -> int:
+        """Read the lines of the ASCII ``data`` with the scan kernel, up to
+        where it refuses them; returns that offset, or the length of ``data``.
 
         The kernel converts the values of the sections it knows, whose names
         are looked up here, and counts the others' lines, which the
         section's handler then reads; header lines are read here.
         """
-        data = block.encode("ascii")
         scan, pos = self.scan, 0
         while pos < len(data):
             # with a row named like a MARKER keyword, MARKER lines must reach the handler
@@ -372,48 +390,51 @@ class _Reader:
             status = _kernels.qps_scan(data, pos, section, scan)
             if status < 0:
                 return pos
-            stop, lines, k, runs, after = scan.out.tolist()
+            stop, lines, k, runs, distinct, after = scan.out.tolist()
             lines -= status  # the header line, if any, is read below
             if section in _SCANNED:
-                if k and not self._put_scanned(section, block[pos:stop].split(), k, runs):
+                if k and not self._put_scanned(section, data, k, runs, distinct):
                     return pos
             else:
                 data_lines = np.flatnonzero(scan.info[:lines]).tolist()
                 if data_lines:
-                    self.lines = block[pos:stop].splitlines()
+                    self.lines = data[pos:stop].decode().splitlines()
                     _HANDLERS[self.section](self, self.section, [self.offset + j + 1 for j in data_lines],
                                             [self.lines[j].split() for j in data_lines])
             self.offset += lines
             if status:
-                self._header(block[stop:after].split(), self.offset + 1)
+                self._header(data[stop:after].decode().split(), self.offset + 1)
                 self.offset += 1
             pos = after
         return pos
 
-    def _put_scanned(self, section, toks, k: int, runs: int) -> bool:
-        """Add the ``k`` entries of the last scan, whose tokens are ``toks``.
+    def _put_scanned(self, section, data: bytes, k: int, runs: int, distinct: int) -> bool:
+        """Add the ``k`` entries of the last scan of ``data``, with its ``runs``
+        runs and ``distinct`` names, each of which is looked up once.
 
         Returns False, and adds nothing, when a name is unknown (or, in
         RANGES, is the objective row), so that the handler reports it.
         """
         scan = self.scan
-        firsts = list(map(toks.__getitem__, scan.runs[:runs].tolist()))
-        names = list(map(toks.__getitem__, scan.ib[:k].tolist()))
-        values = scan.val[:k]
+        names = _spans(data, scan.names, distinct)
+        ib, values = scan.ib[:k], scan.val[:k]
         if section in _QUADRATIC:
-            firsts, cols = list(map(self.cols.get, firsts)), list(map(self.cols.get, names))
+            firsts = list(map(self.cols.get, _spans(data, scan.runs, runs)))
+            cols = list(map(self.cols.get, names))
             if None in firsts or None in cols:
                 return False
-            self.quad.append(np.array(firsts, dtype=np.intp)[scan.ia[:k]], cols, values)
+            self.quad.append(np.array(firsts, dtype=np.intp)[scan.ia[:k]], np.array(cols, dtype=np.intp)[ib],
+                             values)
             return True
         rows = list(map(self.rows.get, names))
         if None in rows or (section == "RANGES" and -1 in rows):
             return False
         if section == "COLUMNS":
-            cols = np.array([self.cols.setdefault(col, len(self.cols)) for col in firsts], dtype=np.intp)
-            self.entries.append(rows, cols[scan.ia[:k]], values)
+            cols = [self.cols.setdefault(col, len(self.cols)) for col in _spans(data, scan.runs, runs)]
+            self.entries.append(np.array(rows, dtype=np.intp)[ib], np.array(cols, dtype=np.intp)[scan.ia[:k]],
+                                values)
         else:
-            self._put_rhs(section, names, values.tolist())
+            self._put_rhs(section, list(map(names.__getitem__, ib.tolist())), values.tolist())
         return True
 
     def _lines(self, text: str) -> None:
@@ -608,29 +629,31 @@ _HANDLERS = {
 }
 
 
-def parse_qps_document(text: str) -> QpsDocument:
-    """Parse QPS text into its raw sections (see :class:`QpsDocument`)."""
+def parse_qps_document(text: str | bytes) -> QpsDocument:
+    """Parse QPS text, a ``str`` or UTF-8 ``bytes``, into its raw sections (see :class:`QpsDocument`).
+
+    ASCII bytes are read as they are; other bytes are decoded first, and
+    bytes that are not UTF-8 fail at the line of the first bad byte.  One
+    leading byte-order mark is skipped.
+    """
+    if isinstance(text, bytes) and not text.isascii():
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise QpsParseError(ParseDiagnostic(text.count(b"\n", 0, exc.start) + 1, "-",
+                                                f"not UTF-8 text: {exc.reason} at byte {exc.start}")) from None
     return _Reader().read(text)
 
 
-def parse_qps(text: str, name: str | None = None) -> Problem:
+def parse_qps(text: str | bytes, name: str | None = None) -> Problem:
     """Parse QPS text into a :class:`~cfpopt.model.Problem`."""
     return parse_qps_document(text).to_problem(name=name)
-
-
-def _read_text(path: Path) -> str:
-    data = path.read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise QpsParseError(ParseDiagnostic(data.count(b"\n", 0, exc.start) + 1, "-",
-                                            f"not UTF-8 text: {exc.reason} at byte {exc.start}")) from None
 
 
 def load_qps(path) -> Problem:
     """Parse a UTF-8 QPS file; the problem name falls back to the file stem."""
     path = Path(path)
-    doc = parse_qps_document(_read_text(path))
+    doc = parse_qps_document(path.read_bytes())
     return doc.to_problem(name=doc.name or path.stem)
 
 

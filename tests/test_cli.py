@@ -81,6 +81,12 @@ class TestSolve:
         row = _read_rows(tmp_path / "runs.csv")[0]
         assert abs(float(row["Q"])) < 1e-3
 
+    def test_qps_file_with_a_byte_order_mark(self, tmp_path, fixtures_dir, capsys):
+        path = tmp_path / "bom.qps"
+        path.write_bytes(b"\xef\xbb\xbf" + (fixtures_dir / "fix_qp1.qps").read_bytes())
+        assert main(["solve", "--variant", "ls_cspm", "--qps", str(path)]) == 0
+        assert "status       : case2-or-3" in capsys.readouterr().out
+
     def test_fstar_file_lookup(self, tmp_path, fixtures_dir):
         rc = main(["solve", "--qps", str(fixtures_dir / "fix_qp1.qps"),
                    "--variant", "ls_cspm",

@@ -1,5 +1,8 @@
+import codecs
 import contextlib
 import dataclasses
+import decimal
+import fractions
 import importlib.util
 import math
 import random
@@ -47,30 +50,43 @@ def _reading(way, block=None):
             _kernels.set_backend(saved)
 
 
+def _inputs(text):
+    """``text``, and for a str its UTF-8 bytes too, which must read the same."""
+    if not isinstance(text, str):
+        return [text]
+    try:
+        return [text, text.encode()]
+    except UnicodeEncodeError:  # a lone surrogate
+        return [text]
+
+
 def _diagnostic(text, parse=parse_qps):
     """The ``(line, section, message)`` that ``parse(text)`` fails with, which
-    must be the same under each of the ``WAYS``, at the default block size
-    and at each of ``BLOCKS``."""
+    must be the same for the text and its bytes, under each of the ``WAYS``,
+    at the default block size and at each of ``BLOCKS``."""
     found = {}
     for way in WAYS:
         for block in (qps._BLOCK, *BLOCKS):
-            with _reading(way, block), pytest.raises(QpsParseError) as exc:
-                parse(text)
-            d = exc.value.diagnostic
-            found[way, block] = (d.line, d.section, d.message)
+            for data in _inputs(text):
+                with _reading(way, block), pytest.raises(QpsParseError) as exc:
+                    parse(data)
+                d = exc.value.diagnostic
+                found[way, block, type(data)] = (d.line, d.section, d.message)
     assert len(set(found.values())) == 1, found
-    return found["numpy", qps._BLOCK]
+    return found["numpy", qps._BLOCK, type(text)]
 
 
 def _document(text):
     """``parse_qps_document(text)``, which must read the same, warnings
-    included, under each of the ``WAYS`` and at each of ``BLOCKS``."""
+    included, for the text and its bytes, under each of the ``WAYS`` and at
+    each of ``BLOCKS``."""
     with _reading("numpy"):
         doc = parse_qps_document(text)
     for way in WAYS:
         for block in (qps._BLOCK, *BLOCKS):
-            with _reading(way, block):
-                _same_document(parse_qps_document(text), doc)
+            for data in _inputs(text):
+                with _reading(way, block):
+                    _same_document(parse_qps_document(data), doc)
     return doc
 
 
@@ -710,6 +726,49 @@ class TestRejectedInput:
         assert message.startswith("not UTF-8 text: invalid continuation byte")
 
 
+class TestEncodings:
+    """What the reader takes besides ASCII text: bytes, a byte-order mark and any str."""
+
+    @pytest.mark.parametrize("text", [FIXTURE_QP, MIXED, EVERY_SECTION.replace("\n", "\r\n")],
+                             ids=["fixture", "mixed", "crlf"])
+    def test_a_leading_byte_order_mark_is_skipped(self, text, tmp_path):
+        # the str with the mark and its UTF-8 bytes, under each backend and at each block size
+        _same_document(_document("\ufeff" + text), parse_qps_document(text))
+        path = tmp_path / "bom.qps"
+        path.write_bytes(codecs.BOM_UTF8 + text.encode())
+        for way in WAYS:
+            with _reading(way):
+                _same_problem(load_qps(path), parse_qps(text))
+
+    def test_diagnostics_after_a_byte_order_mark_keep_their_numbers(self, tmp_path):
+        assert _diagnostic("\ufeff" + _with_line(5, " Q  C2")) == (5, "ROWS", "unknown row sense 'Q'")
+        # one mark is skipped, and a second one is text
+        assert _diagnostic("\ufeff\ufeff" + FIXTURE_QP) == (1, "-", "unknown section '\\ufeffNAME'")
+        # a UTF-8 fault counts its bytes from the start of the file, mark included
+        data = FIXTURE_QP.encode()
+        bad = data.index(b"X2 ")
+        path = tmp_path / "bom.qps"
+        path.write_bytes(codecs.BOM_UTF8 + data[:bad] + b"\xff" + data[bad:])
+        assert _diagnostic(path, load_qps) == (7, "-", f"not UTF-8 text: invalid start byte at byte {bad + 3}")
+
+    def test_a_utf8_fault_is_reported_before_an_earlier_fault(self, tmp_path):
+        # bytes are decoded before they are parsed, as a whole file always was
+        data = _with_line(5, " Q  C2").replace("    X1        X1        1.0", "    X1        X1        1.0\xe9")
+        data = data.encode("latin-1")
+        path = tmp_path / "late.qps"
+        path.write_bytes(data)
+        expected = (17, "-", "not UTF-8 text: invalid continuation byte at byte " + str(data.index(b"\xe9")))
+        assert _diagnostic(path, load_qps) == expected
+        assert _diagnostic(data) == expected
+
+    def test_a_str_with_a_lone_surrogate_reads_as_any_other_text(self):
+        # such a str has no UTF-8 bytes, and is read as text alone
+        doc = _document(FIXTURE_QP.replace("X2", "X\ud800"))
+        assert doc.col_order == ["X1", "X\ud800"]
+        text = FIXTURE_QP.replace("    X2        C1        1.0", "    X2        C\udc80        1.0")
+        assert _diagnostic(text) == (7, "COLUMNS", "undeclared row 'C\\udc80'")
+
+
 def _same_document(a, b):
     """Field-by-field equality of two documents, the arrays bit for bit."""
     for f in dataclasses.fields(QpsDocument):
@@ -726,18 +785,20 @@ class TestBlocks:
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_every_file_reads_the_same_at_any_block_size(self, block, fixtures_dir):
+        # each text, and its UTF-8 bytes, read as the text reads at the default block size
         texts = [FIXTURE_QP, EVERY_SECTION, MIXED, MIXED_SPLIT, TestQuadConventions.QUADOBJ,
                  TestQuadConventions.QMATRIX, EVERY_SECTION.replace("\n", "\r\n"),
-                 EVERY_SECTION.replace("\n", "\f\n")]
+                 EVERY_SECTION.replace("\n", "\f\n"), MIXED.replace("X3", "X\u00e93").replace("R2", "R\u00f82")]
         texts += [path.read_text() for path in sorted(fixtures_dir.glob("*.qps"))]
         texts.append(write_qps(make_problems.planted_instance(0, 120, 160)[0]))
         expected = [parse_qps_document(text) for text in texts]
         for way in WAYS:
             with _reading(way, block):
                 for text, doc in zip(texts, expected):
-                    got = parse_qps_document(text)
-                    _same_document(got, doc)
-                    _same_problem(got.to_problem(), doc.to_problem())
+                    for data in (text, text.encode()):
+                        got = parse_qps_document(data)
+                        _same_document(got, doc)
+                        _same_problem(got.to_problem(), doc.to_problem())
 
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("brk", ["\r\n", "\r", "\f", "\u2028"], ids=["crlf", "cr", "ff", "u2028"])
@@ -817,16 +878,114 @@ class TestScanNumbers:
                    "1e-400", "-1e-400", "123456789012345678901234567890.5e-10"]
         return tokens
 
-    @needs_cc
-    def test_converted_tokens_are_bitwise_float(self):
-        tokens = self._tokens()
+    @staticmethod
+    def _assert_bitwise_float(tokens):
+        """The c scan converts each of ``tokens`` to the bits of ``float(token)``."""
         data = "".join(f"    X1  R1  {token}\n" for token in tokens).encode()
-        scan = _kernels.QpsScan(len(tokens))
+        scan = _kernels.QpsScan(len(tokens), 1)
         with _reading("c"):
             assert _kernels.qps_scan(data, 0, "COLUMNS", scan) == 0
-        k = scan.out[2]
-        assert k == len(tokens)
-        assert scan.val[:k].tobytes() == np.array([float(t) for t in tokens]).tobytes()
+        assert scan.out[2] == len(tokens)
+        got = scan.val[:len(tokens)].view(np.int64).tolist()
+        want = np.array([float(t) for t in tokens]).view(np.int64).tolist()
+        assert [t for t, a, b in zip(tokens, got, want) if a != b] == []
+
+    @needs_cc
+    def test_converted_tokens_are_bitwise_float(self):
+        self._assert_bitwise_float(self._tokens())
+
+    @staticmethod
+    def _significands():
+        """Tokens of 1 to 19 significant digits, with and without a point, a sign and an exponent."""
+        rng = random.Random(11)
+        tokens = []
+        for d in range(1, 20):
+            for _ in range(40):
+                digits = str(rng.randrange(10 ** (d - 1), 10 ** d))
+                point = rng.randint(0, d)
+                token = rng.choice(["", "+", "-"]) + digits[:point] + "." + digits[point:]
+                tokens += [token, digits, f"{token}e{rng.randint(-40, 30)}", f"{digits}E+{rng.randint(0, 25)}"]
+        # values of the size that planted files hold, written as write_qps writes them
+        tokens += [f"{rng.uniform(-10, 10) * 10.0 ** rng.randint(-20, 20):.17g}" for _ in range(400)]
+        tokens += [repr(rng.uniform(-1, 1)) for _ in range(100)]
+        return tokens
+
+    ZEROS = ["000123", "0.000123", "123000", "123.000", "1230000000000000000", "0000000000000000000000001",
+             "1.000000000000000000", "1.0000000000000000000", "0012.3400e-2", "+.5", "-.5", "0e5", "-0.0",
+             "0", "-0", "+0.", "00.00", "0.0e-999", "-0e+999", "0e99999999999999999999", ".0000000000000001"]
+
+    @staticmethod
+    def _edges():
+        """Tokens whose exponent is on each side of each edge of the exact range, and 20-digit significands."""
+        tokens = []
+        for w in ("1", "7", "5", "12345678901234567", "9999999999999999999", "1000000000000000000",
+                  "4503599627370497", "18446744073709551615"[:19]):
+            for e in (-29, -28, -27, -26, 18, 19, 20, 21):
+                tokens += [f"{w}e{e}", f"-{w}e{e}"]
+        tokens += ["0." + "0" * 26 + "1", "0." + "0" * 27 + "1", "1" + "0" * 19, "1" + "0" * 20,
+                   "0.000000000000000000000000001234567890123456789"]
+        # values that round up to the next power of two
+        tokens += ["9007199254740991.5", "18014398509481983", "1.999999999999999999", "0.9999999999999999999",
+                   "3.999999999999999999e-27", "1.8446744073709551615e19"]
+        # 20 significant digits, which strtod converts, around the same edges
+        tokens += [f"{w}e{e}" for w in ("12345678901234567890", "99999999999999999999", "10000000000000000000",
+                                        "0.12345678901234567890") for e in (-28, -27, -8, 0, 19, 20)]
+        return tokens
+
+    @staticmethod
+    def _ties():
+        """Points halfway between adjacent doubles that fit in 19 significant digits."""
+        rng = random.Random(13)
+        ties = [decimal.Decimal(t) for t in ("9007199254740993", "9007199254740995", "4503599627370496.5",
+                                             "4503599627370497.5", "1125899906842624.125")]
+        for t in range(-3, 11):
+            for _ in range(30):
+                # halfway between m * 2^(t + 1) and (m + 1) * 2^(t + 1), for a 53-bit m
+                tie = decimal.Decimal(2 * rng.randrange(2 ** 52, 2 ** 53) + 1) * decimal.Decimal(2) ** t
+                if len(tie.as_tuple().digits) <= 19:
+                    ties.append(tie)
+        return ties
+
+    # 19-digit tokens within 1/4096 of an ulp above (the first eight) or below a tie
+    NEAR_TIES = ["8242608453558430821e-11", "3528610001915651051e-19", "8830022021456358910e-9",
+                 "7135565799121193118e-22", "2587379565483915993e-25", "9954353611164419912e-12",
+                 "2069941643205075323e-23", "6328916155010644161e-15", "4929496287072419533e-20",
+                 "5565657431977982167e-12", "8981254968377473842e-21", "3277738393402074890e-7"]
+
+    @classmethod
+    def _halfway(cls):
+        """The ties, each written three ways, their nearest 17-digit neighbours, and the near ties."""
+        ctx = decimal.Context(prec=17)
+        tokens = list(cls.NEAR_TIES)
+        for tie in cls._ties():
+            text = f"{tie:f}"
+            tokens += [text, f"-{tie:e}", text + ("0" if "." in text else ".0"),
+                       str(ctx.next_minus(tie)), str(ctx.next_plus(tie))]
+        return tokens
+
+    @needs_cc
+    @pytest.mark.parametrize("kind", ["significands", "zeros", "edges", "halfway"])
+    def test_exact_conversions_are_bitwise_float(self, kind):
+        tokens = {"significands": self._significands, "zeros": lambda: self.ZEROS, "edges": self._edges,
+                  "halfway": self._halfway}[kind]()
+        assert len(tokens) > 20
+        self._assert_bitwise_float(tokens)
+
+    @staticmethod
+    def _from_tie(exact):
+        """How far the positive rational ``exact`` lies above the tie nearest to it, in ulps."""
+        near = float(exact)
+        below = near if fractions.Fraction(near) < exact else math.nextafter(near, 0.0)
+        below, above = fractions.Fraction(below), fractions.Fraction(math.nextafter(below, math.inf))
+        return (exact - (below + above) / 2) / (above - below)
+
+    def test_the_ties_are_halfway_between_adjacent_doubles(self):
+        ties = self._ties()
+        assert len(ties) > 200
+        assert {self._from_tie(fractions.Fraction(tie)) for tie in ties} == {0}
+        near = [self._from_tie(fractions.Fraction(decimal.Decimal(t))) for t in self.NEAR_TIES]
+        assert all(0 < d < fractions.Fraction(1, 4096) for d in near[:8])
+        assert all(-fractions.Fraction(1, 4096) < d < 0 for d in near[8:])
 
     REFUSED = ["1e400", "-1e999", "1_0", "1D3", "1d3", "inf", "-Infinity", "nan", "0x1p3", "1e", ".", "e5",
                "1.2.3", "--1", "\u0661"]
@@ -836,7 +995,7 @@ class TestScanNumbers:
     def test_the_scan_refuses_tokens_float_reads_otherwise(self, token):
         with _reading("c"):
             data = f"    X1  R1  {token}\n".encode()
-            assert _kernels.qps_scan(data, 0, "COLUMNS", _kernels.QpsScan(4)) == -1
+            assert _kernels.qps_scan(data, 0, "COLUMNS", _kernels.QpsScan(4, 4)) == -1
 
     @pytest.mark.parametrize("token", REFUSED)
     def test_refused_tokens_end_as_the_python_reader_ends_them(self, token):
@@ -904,39 +1063,77 @@ def test_a_scan_out_of_room_goes_on_where_it_stopped(room, monkeypatch):
             _same_document(parse_qps_document(text), expected)
 
 
+@pytest.mark.parametrize("room", [1, 2, 5])
+def test_a_scan_out_of_names_goes_on_where_it_stopped(room, monkeypatch):
+    # a planted file's lines bring one name each, MIXED's two-entry lines two
+    monkeypatch.setattr(qps, "_SCAN_NAMES", room)
+    for text in (write_qps(make_problems.planted_instance(1, 12, 9)[0]), MIXED, EVERY_SECTION):
+        _document(text)
+
+
 @needs_cc
 class TestScanKernel:
     """What ``qps_scan`` reads under the c backend, and what it refuses."""
 
     @staticmethod
-    def _scan(data, section, pos=0, room=64):
-        scan = _kernels.QpsScan(room)
+    def _scan(data, section, pos=0, room=64, names=64):
+        """The status, the stop and next offsets, and the info, ia, ib, val,
+        run and name outputs, the spans as the tokens they mark; or -1."""
+        scan = _kernels.QpsScan(room, names)
         with _reading("c"):
             status = _kernels.qps_scan(data, pos, section, scan)
         if status < 0:
             return status
-        stop, lines, k, runs, after = scan.out.tolist()
+        stop, lines, k, runs, count, after = scan.out.tolist()
+        spans = [[data[a:b] for a, b in array[:2 * n].reshape(-1, 2).tolist()]
+                 for array, n in ((scan.runs, runs), (scan.names, count))]
         return (status, (stop, after), scan.info[:lines].tolist(), scan.ia[:k].tolist(),
-                scan.ib[:k].tolist(), scan.val[:k].tolist(), scan.runs[:runs].tolist())
+                scan.ib[:k].tolist(), scan.val[:k].tolist(), *spans)
 
     def test_columns_entries_runs_and_the_header_it_stops_at(self):
         data = (b"    X1  OBJ 1.5  R1 -2\n\n  \t\n    X1  R2 3e1\r\n    X2\tR1 .25\n"
                 b"RHS  extra\n    RHS R1 1\n")
-        status, (stop, after), info, ia, ib, val, runs = self._scan(data, "COLUMNS")
+        status, (stop, after), info, ia, ib, val, runs, names = self._scan(data, "COLUMNS")
         assert status == 1 and data[stop:after] == b"RHS  extra\n"
         assert info == [5, 0, 0, 3, 3, -1]
-        # the name tokens and the runs' first tokens, numbered as str.split() lists them
-        toks = data[:stop].split()
-        assert [toks[t] for t in ib] == [b"OBJ", b"R1", b"R2", b"R1"]
-        assert [toks[t] for t in runs] == [b"X1", b"X2"]
-        assert (ia, val) == ([0, 0, 0, 1], [1.5, -2.0, 30.0, 0.25])
-        # the next scan starts after the header line and reads to the end
-        assert self._scan(data, "RHS", pos=after)[:3] == (0, (len(data), len(data)), [3])
+        # each distinct name once, numbered as it first appears
+        assert (ib, names) == ([0, 1, 2, 1], [b"OBJ", b"R1", b"R2"])
+        assert (ia, runs, val) == ([0, 0, 0, 1], [b"X1", b"X2"], [1.5, -2.0, 30.0, 0.25])
+        # the next scan starts after the header line, reads to the end and numbers its names afresh
+        assert self._scan(data, "RHS", pos=after) == (0, (len(data), len(data)), [3], [0], [0], [1.0],
+                                                      [b"RHS"], [b"R1"])
 
     def test_quadratic_and_rhs_entries(self):
         assert self._scan(b" X2 X1 -1\n X1 X1 2\n X1 X2 3", "QUADOBJ")[3:] == (
-            [0, 1, 1], [1, 4, 7], [-1.0, 2.0, 3.0], [0, 3])
-        assert self._scan(b" RHS OBJ 4 R2 5\n", "RHS")[3:] == ([0, 0], [1, 3], [4.0, 5.0], [0])
+            [0, 1, 1], [0, 0, 1], [-1.0, 2.0, 3.0], [b"X2", b"X1"], [b"X1", b"X2"])
+        assert self._scan(b" RHS OBJ 4 R2 5\n", "RHS")[3:] == ([0, 0], [0, 1], [4.0, 5.0], [b"RHS"],
+                                                               [b"OBJ", b"R2"])
+
+    def test_names_are_told_apart_by_every_byte(self):
+        # names that share a prefix, or differ only in length, and a name that is also a first token
+        data = b" C R 1\n C R1 2 R12 3\n C R12 4\n C R 5 R2 6\n R1 R1 7\n R1 C 8 C 9\n"
+        *_, ia, ib, _, runs, names = self._scan(data, "COLUMNS")
+        assert names == [b"R", b"R1", b"R12", b"R2", b"C"]
+        assert ib == [0, 1, 2, 2, 0, 3, 1, 4, 4]
+        assert (runs, ia) == ([b"C", b"R1"], [0, 0, 0, 0, 0, 0, 1, 1, 1])
+
+    def test_many_names_in_any_order(self):
+        # a table near half full, so that many names share a probe sequence
+        rng = random.Random(5)
+        order = [rng.randrange(250) for _ in range(1000)]
+        data = "".join(f" C N{i} {i}\n" for i in order).encode()
+        *_, ib, val, _, names = self._scan(data, "COLUMNS", room=1000, names=256)
+        first = list(dict.fromkeys(order))
+        assert names == [f"N{i}".encode() for i in first]
+        assert [first[j] for j in ib] == order == val
+
+    def test_two_new_names_on_one_line(self):
+        # in a table of four slots, some of these pairs probe the same slot first
+        for i in range(64):
+            first, second = f"P{i}", f"Q{i * i}R"
+            data = f" C {first} 1 {second} 2\n C {second} 3\n".encode()
+            assert self._scan(data, "COLUMNS", names=2)[4:] == ([0, 1, 1], [1.0, 2.0, 3.0], [b"C"],
+                                                                [first.encode(), second.encode()])
 
     def test_other_sections_count_tokens_only(self):
         data = b" N  OBJ\n L  R1 R2 R3 R4 R5 R6\n\nCOLUMNS\n"
@@ -950,6 +1147,19 @@ class TestScanKernel:
         # with room for the lines and not the header line, the header waits too
         assert self._scan(data, "COLUMNS", room=3)[:3] == (0, (27, 27), [3, 3, 3])
         assert self._scan(data, "COLUMNS", room=4)[:2] == (1, (27, 31))
+        # a two-entry line needs room for two entries
+        assert self._scan(b" X1 R1 1\n X1 R2 2 R3 3\n", "COLUMNS", room=2)[:3] == (0, (9, 9), [3])
+
+    def test_a_full_name_room_stops_before_a_line_with_a_new_name(self):
+        data = b" X1 R1 1\n X1 R2 2\n X2 R1 3 R2 4\n X2 R3 5\n X3 R3 6\n"
+        # the known names R1 and R2 fit into a full room, the new R3 does not
+        assert self._scan(data, "COLUMNS", names=2)[:3] == (0, (32, 32), [3, 3, 5])
+        assert self._scan(data, "COLUMNS", names=3)[1] == (len(data), len(data))
+        assert self._scan(data, "COLUMNS", names=1)[:3] == (0, (9, 9), [3])
+        # a line with more new names than the room is refused
+        assert self._scan(data, "COLUMNS", pos=18, names=1) == -1
+        assert self._scan(b" X1 R1 1 R1 2\n", "COLUMNS", names=1) == -1
+        assert self._scan(b" X1 R1 1 R1 2\n", "COLUMNS", names=2)[4:] == ([0, 0], [1.0, 2.0], [b"X1"], [b"R1"])
 
     @pytest.mark.parametrize("data, section", [
         (b" X1 R1 1\x0b\n", "COLUMNS"), (b" X1 R1 1\x0c\n", "ROWS"), (b" X1\x1cR1 1\n", "COLUMNS"),
@@ -969,4 +1179,4 @@ class TestScanKernel:
 
 def test_the_numpy_backend_scans_nothing():
     with _reading("numpy"):
-        assert _kernels.qps_scan(b" X1 R1 1\n", 0, "COLUMNS", _kernels.QpsScan(4)) == -1
+        assert _kernels.qps_scan(b" X1 R1 1\n", 0, "COLUMNS", _kernels.QpsScan(4, 4)) == -1

@@ -127,11 +127,13 @@ def test_csv_rows_are_named_by_their_first_two_fields():
 
 def test_load_qps_peak_and_time_are_reported_for_both_trees():
     assert refactor_gate.PEAK_RUN[0] in refactor_gate.GATE_SCRIPTS
-    line = refactor_gate.peak_report("abc123", "plant000.qps 1000000 5000000 30.5\n",
-                                     "plant000.qps 1000000 2500000 12.25\n")
+    line = refactor_gate.peak_report("abc123", "plant000.qps 1000000 5000000 30.5 1.25 26 3.25\n",
+                                     "plant000.qps 1000000 2500000 12.25 0.5 8.5 3.25\n")
     assert line == ("load_qps traced peak and best of 20 times, plant-art3 101: "
-                    "5.00 MB (5.00x the text of plant000.qps), 30.50 ms at abc123; "
-                    "2.50 MB (2.50x the text of plant000.qps), 12.25 ms here")
+                    "5.00 MB (5.00x the text of plant000.qps), 30.50 ms (read 1.25, parse 26.00, "
+                    "to_problem 3.25) at abc123; "
+                    "2.50 MB (2.50x the text of plant000.qps), 12.25 ms (read 0.50, parse 8.50, "
+                    "to_problem 3.25) here")
     assert refactor_gate.peak_report("abc123", "exit 1: ImportError\n", "x 1 1 1\n").startswith(
         "load_qps traced peak and best of 20 times, plant-art3 101: 'exit 1: ImportError' at abc123")
 
@@ -140,10 +142,13 @@ def test_qps_peak_prints_file_chars_peak_and_time():
     script = Path(__file__).parents[1] / "benchmarks" / "qps_peak.py"
     out = subprocess.run([sys.executable, str(script), "plant-cspm", "101"], capture_output=True,
                          text=True, check=True).stdout
-    name, chars, peak, ms = out.split()
+    name, chars, peak, *times = out.split()
     assert name == "plant000.qps"
     assert 0 < int(chars) < int(peak)
-    assert float(ms) > 0
+    ms, read, parse, to_problem = map(float, times)
+    assert min(read, parse, to_problem) > 0
+    # each step's best is at most its share of the best whole call
+    assert read + parse + to_problem <= ms + 0.05
 
 
 def test_projections_are_summed_per_workload_for_both_trees():
