@@ -8,8 +8,9 @@ Builds the workload's QPS files at ``SEED`` through ``solvebench/workloads.py``
 (as ``cells.py`` does), loads each with ``load_qps`` and prints
 ``FILE SHA256`` per file.  The digest covers every array, interval, bound
 and name of the loaded ``Problem``: the raw float64 bytes of ``Q``, ``c``,
-the constant, each row's ``a``, ``lo`` and ``hi`` and the bound vectors, then
-the problem, variable and row names.  A change to the QPS reader that must
+the constant, each row's ``a``, ``lo``, ``hi`` and ``norm2``, the bound
+vectors and the same four of each row of ``problem.bounds.to_rows()`` (the
+box's coordinate rows), then the problem, variable and row names.  A change to the QPS reader that must
 give a bitwise-equal ``Problem`` is checked by running this on the old and
 the new code and diffing the output.  Only the planted workloads have QPS
 files; the others exit with status 2.
@@ -38,8 +39,10 @@ def digest(problem) -> str:
     obj = problem.objective
     floats(obj.Q, obj.c, obj.constant)
     for con in problem.constraints:
-        floats(con.a, con.lo, con.hi)
+        floats(con.a, con.lo, con.hi, con.norm2)
     floats(problem.bounds.lo, problem.bounds.hi)
+    for con in problem.bounds.to_rows():
+        floats(con.a, con.lo, con.hi, con.norm2)
     for name in [problem.name, *problem.var_names, *problem.row_names]:
         h.update(name.encode() + b"\0")
     return h.hexdigest()

@@ -12,6 +12,7 @@ Dense float64 storage throughout; this targets desk-scale problems
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,7 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
         v = v.reshape(1)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got array of shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     if n is not None and v.shape[0] != n:
         raise ValueError(f"dimension mismatch: expected {n}, got {v.shape[0]}")
@@ -120,11 +121,16 @@ class QuadraticFunction(ConvexFunction):
             raise ValueError("Q must be a square matrix")
         if Q.shape[0] != c.shape[0]:
             raise ValueError("Q and c dimensions disagree")
+        if not np.isfinite(Q).all():
+            raise ValueError("Q entries must be finite")
+        constant = float(constant)
+        if not math.isfinite(constant):
+            raise ValueError("constant must be finite")
         if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12):
             raise ValueError("Q must be symmetric")
         self.Q = Q
         self.c = c
-        self.constant = float(constant)
+        self.constant = constant
         self.n = c.shape[0]
 
     def value(self, x: np.ndarray) -> float:
@@ -151,13 +157,12 @@ class AffineConstraint(ConvexFunction):
         norm2 = float(a @ a)
         if norm2 <= 0.0:
             raise ValueError("constraint normal a must be nonzero")
-        lo = float(lo)
-        hi = float(hi)
-        if np.isnan(lo) or np.isnan(hi):
+        lo, hi = float(lo), float(hi)
+        if math.isnan(lo) or math.isnan(hi):
             raise ValueError("bounds must not be NaN")
         if lo > hi:
             raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-        if np.isinf(lo) and np.isinf(hi):
+        if math.isinf(lo) and math.isinf(hi):
             raise ValueError("at least one of lo, hi must be finite")
         self.a = a
         self.lo = lo
@@ -197,9 +202,9 @@ class AffineConstraint(ConvexFunction):
     def sense(self) -> str:
         if self.lo == self.hi:
             return "=="
-        if np.isinf(self.lo):
+        if math.isinf(self.lo):
             return "<="
-        if np.isinf(self.hi):
+        if math.isinf(self.hi):
             return ">="
         return "range"
 
@@ -381,16 +386,14 @@ class Bounds:
         object.__setattr__(self, "hi", hi)
 
     def contains(self, x: np.ndarray) -> bool:
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
+        return bool((x >= self.lo).all() and (x <= self.hi).all())
 
     def to_rows(self) -> list[AffineConstraint]:
         """One coordinate constraint per variable with any finite bound."""
         n = self.lo.shape[0]
-        rows = []
-        for j in range(n):
-            if np.isfinite(self.lo[j]) or np.isfinite(self.hi[j]):
-                rows.append(AffineConstraint.bound(j, n, self.lo[j], self.hi[j]))
-        return rows
+        lo, hi = self.lo.tolist(), self.hi.tolist()
+        return [AffineConstraint.bound(j, n, lo[j], hi[j])
+                for j in np.flatnonzero(np.isfinite(self.lo) | np.isfinite(self.hi)).tolist()]
 
 
 class Problem:

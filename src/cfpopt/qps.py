@@ -54,7 +54,7 @@ section's handler.  A check that fails on a block searches it for the first
 offending line, so a diagnostic names the same line a line-by-line reader
 would.  COLUMNS and quadratic entries are kept as index and value arrays,
 each grown a block at a time by reallocation (so one copy of them is held),
-and ``to_problem`` sums them into ``A``, ``c`` and ``Q`` with ``np.add.at``
+and ``to_problem`` sums them into ``A``, ``c`` and ``Q`` with ``np.bincount``
 in file order.
 """
 
@@ -158,11 +158,11 @@ class QpsDocument:
     def to_problem(self, name: str | None = None) -> Problem:
         n, m = len(self.col_order), len(self.row_order)
         # the objective row (index -1) is the last row of A, so that c sums
-        # its entries as the constraint rows do
-        A = np.zeros((m + 1, n))
-        # sums that overflow are rejected below, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add.at(A, (self.entry_rows, self.entry_cols), self.entry_values)
+        # its entries as the constraint rows do; bincount adds each
+        # position's entries in file order from 0.0, as np.add.at on zeros
+        # does, and an overflowing sum is rejected below, not warned about
+        A = np.bincount(self.entry_rows % (m + 1) * n + self.entry_cols, weights=self.entry_values,
+                        minlength=(m + 1) * n).reshape(m + 1, n)
         bad = np.argwhere(~np.isfinite(A))
         if bad.size:
             k, j = bad[0]
@@ -177,26 +177,23 @@ class QpsDocument:
             keep = np.column_stack([np.ones_like(i, dtype=bool), i != j]).ravel()
             i, j = np.column_stack([i, j]).ravel()[keep], np.column_stack([j, i]).ravel()[keep]
             v = np.repeat(v, 2)[keep]
-        Q = np.zeros((n, n))
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add.at(Q, (i, j), v)
+        Q = np.bincount(i * n + j, weights=v, minlength=n * n).reshape(n, n)
         bad = np.argwhere(~np.isfinite(Q))
         if bad.size:
             i, j = bad[0]
             _fail(0, self.quad_section, f"entries of columns {self.col_order[i]!r} and "
                   f"{self.col_order[j]!r} sum to a non-finite value")
-        if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12):
+        try:
+            objective = QuadraticFunction(Q, A[m], constant=-self.rhs_objective)
+        except ValueError:  # Q, c and the constant are finite: Q is not symmetric
             raise QpsParseError(ParseDiagnostic(0, self.quad_section or "QUADOBJ",
-                                                "assembled quadratic matrix is not symmetric"))
-        objective = QuadraticFunction(Q, A[m].copy(), constant=-self.rhs_objective)
+                                                "assembled quadratic matrix is not symmetric")) from None
 
         empty = np.flatnonzero(~A[:m].any(axis=1))
         if empty.size:
             k = empty[0]
             _fail(self.row_lines[k], "ROWS", f"row {self.row_order[k]!r} has no nonzero coefficient")
-        # copies, so that no row or c is a view that keeps all of A alive
-        constraints = [AffineConstraint(A[k].copy(), *self.interval(row))
-                       for k, row in enumerate(self.row_order)]
+        constraints = [AffineConstraint(A[k], *self.interval(row)) for k, row in enumerate(self.row_order)]
 
         lo = np.zeros(n)
         hi = np.full(n, np.inf)
@@ -707,13 +704,14 @@ def write_qps(problem: Problem, name: str | None = None) -> str:
     for s, r in zip(senses, rows):
         out.append(f" {s}  {r}")
 
+    # each column's lines, and each QUADOBJ row's, are joined into one
+    # string, so that the text is not also held as one string per line
     out.append("COLUMNS")
     for j, col in enumerate(cols):
         # always emit the objective coefficient so every variable is declared
-        out.append(f"    {col:<10}{'OBJ':<10}{_fmt(obj.c[j])}")
-        for i, con in enumerate(problem.constraints):
-            if con.a[j] != 0.0:
-                out.append(f"    {col:<10}{rows[i]:<10}{_fmt(con.a[j])}")
+        out.append("\n".join([f"    {col:<10}{'OBJ':<10}{_fmt(obj.c[j])}"] + [
+            f"    {col:<10}{rows[i]:<10}{_fmt(con.a[j])}"
+            for i, con in enumerate(problem.constraints) if con.a[j] != 0.0]))
 
     out.append("RHS")
     if obj.constant != 0.0:
@@ -753,11 +751,10 @@ def write_qps(problem: Problem, name: str | None = None) -> str:
         out.append("BOUNDS")
         out.extend(blines)
 
-    tri = [(i, j) for i in range(n) for j in range(i + 1) if obj.Q[i, j] != 0.0]
-    if tri:
-        out.append("QUADOBJ")
-        for i, j in tri:
-            out.append(f"    {cols[i]:<10}{cols[j]:<10}{_fmt(obj.Q[i, j])}")
+    quad = ["\n".join([f"    {cols[i]:<10}{cols[j]:<10}{_fmt(obj.Q[i, j])}"
+                        for j in range(i + 1) if obj.Q[i, j] != 0.0]) for i in range(n)]
+    if any(quad):
+        out += ["QUADOBJ", *filter(None, quad)]
 
     out.append("ENDATA")
     return "\n".join(out) + "\n"

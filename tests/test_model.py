@@ -376,6 +376,46 @@ class TestConstruction:
         with pytest.raises(ValueError):
             QuadraticFunction([[1.0, 2.0], [0.0, 1.0]], [0.0, 0.0])
 
+    @pytest.mark.parametrize("Q, constant, message", [
+        ([[np.inf, 0.0], [0.0, 1.0]], 0.0, "Q entries must be finite"),
+        ([[1.0, np.nan], [np.nan, 1.0]], 0.0, "Q entries must be finite"),  # not "symmetric"
+        ([[1.0, 0.0], [0.0, 1.0]], np.inf, "constant must be finite"),
+        ([[1.0, 0.0], [0.0, 1.0]], np.nan, "constant must be finite"),
+    ])
+    def test_q_and_constant_must_be_finite(self, Q, constant, message):
+        with pytest.raises(ValueError) as exc:
+            QuadraticFunction(Q, [0.0, 0.0], constant)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind", [float, np.float64, np.array], ids=["float", "numpy-scalar", "0-d-array"])
+    def test_bound_checks_do_not_depend_on_the_number_type(self, kind):
+        nan, inf = np.nan, np.inf
+        for lo, hi, message in [(nan, 1.0, "bounds must not be NaN"), (0.0, nan, "bounds must not be NaN"),
+                                (-inf, inf, "at least one of lo, hi must be finite"),
+                                (inf, inf, "at least one of lo, hi must be finite"),
+                                (-inf, -inf, "at least one of lo, hi must be finite"),
+                                (inf, 1.0, "empty interval: lo=inf > hi=1.0")]:
+            for make in (lambda lo, hi: AffineConstraint([1.0, 0.0], lo, hi),
+                         lambda lo, hi: AffineConstraint.bound(1, 2, lo, hi)):
+                with pytest.raises(ValueError) as exc:
+                    make(kind(lo), kind(hi))
+                assert str(exc.value) == message
+        for lo, hi, message in [(nan, 1.0, "bounds must not be NaN"), (0.0, nan, "bounds must not be NaN"),
+                                (inf, inf, "a lower bound of +inf or an upper bound of -inf empties the box"),
+                                (2.0, 1.0, "lower bound exceeds upper bound")]:
+            with pytest.raises(ValueError) as exc:
+                Bounds([kind(0.0), kind(lo)], [kind(1.0), kind(hi)])
+            assert str(exc.value) == message
+        rows = Bounds([kind(-inf), kind(0.0), kind(-inf)], [kind(inf), kind(inf), kind(2.5)]).to_rows()
+        assert [(r.lo, r.hi, r.sense) for r in rows] == [(0.0, inf, ">="), (-inf, 2.5, "<=")]
+        assert all(type(r.lo) is float and type(r.hi) is float for r in rows)
+
+    def test_box_contains_its_faces_and_not_nan(self):
+        box = Bounds([0.0, -np.inf], [1.0, 2.0])
+        assert box.contains(np.array([0.0, -1e300])) and box.contains(np.array([1.0, 2.0]))
+        assert not box.contains(np.array([1.5, 0.0])) and not box.contains(np.array([0.5, 2.5]))
+        assert not box.contains(np.array([np.nan, 0.0]))
+
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
             AffineConstraint.leq([0.0, 0.0], 1.0)

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import decimal
 import fractions
+import hashlib
 import importlib.util
 import math
 import random
@@ -430,6 +431,26 @@ class TestRoundTrip:
         np.testing.assert_array_equal(q.bounds.lo, [-np.inf])
         np.testing.assert_array_equal(q.bounds.hi, [np.inf])
 
+    def test_output_is_pinned(self, fixtures_dir, tmp_path, monkeypatch):
+        # the SHA-256 of the text written for the fixtures and of the planted
+        # benchmark files at seeds 101-110, which the benchmark writes with
+        # write_qps: a change to how the text is put together must not move a byte
+        root = Path(__file__).parents[1]
+        monkeypatch.syspath_prepend(str(root / "benchmarks"))
+        monkeypatch.syspath_prepend(str(root / "solvebench"))
+        import workloads
+
+        h = hashlib.sha256()
+        for path in sorted(fixtures_dir.glob("*.qps")):
+            h.update(write_qps(load_qps(path)).encode())
+        for name in ("plant-cspm", "plant-art3"):
+            for seed in range(101, 111):
+                workdir = tmp_path / f"{name}-{seed}"
+                workdir.mkdir()
+                for path in workloads.make_inputs(workloads.WORKLOADS[name], seed, workdir).files:
+                    h.update(path.read_bytes())
+        assert h.hexdigest() == "d0b4ebfe2b51143a00bd2e4677086b47aaf339d7b653affb9bd43970d147b231"
+
     def test_nonrepresentable_rejected(self):
         from cfpopt.model import CustomFunction
 
@@ -600,6 +621,52 @@ ENDATA
         assert p.constraints[0].a.tobytes() == a.tobytes()
         assert p.objective.c.tobytes() == c.tobytes()
         assert p.objective.Q.tobytes() == Q.tobytes()
+
+    @pytest.mark.parametrize("section", ["QUADOBJ", "QMATRIX"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_assembly_is_np_add_at_on_zeros_byte_for_byte(self, section, seed):
+        # few positions and many entries, so that most positions sum several
+        # values of mixed magnitude (their order shows in the bits), -0.0
+        # among them, and a quarter of the COLUMNS entries on the objective row
+        rng = np.random.default_rng(seed)
+        n, m, k = 6, 4, 400
+
+        def values(size):
+            v = rng.standard_normal(size) * 10.0 ** rng.integers(-18, 18, size)
+            v[rng.random(size) < 0.2] = -0.0
+            return v
+
+        # each row's first entry is nonzero, and the last column holds -0.0 entries only
+        rows = np.concatenate([np.arange(m), rng.integers(-1, m, k), np.arange(-1, m)])
+        cols = np.concatenate([np.arange(m) % n, rng.integers(0, n - 1, k), np.full(m + 1, n - 1)])
+        a_values = np.concatenate([np.ones(m), values(k), np.full(m + 1, -0.0)])
+        qi, qj, qv = rng.integers(0, n, k), rng.integers(0, n, k), values(k)
+        if section == "QMATRIX":
+            # both sides of each off-diagonal entry, the mirror right after it
+            keep = np.column_stack([np.ones(k, dtype=bool), qi != qj]).ravel()
+            qi, qj = np.column_stack([qi, qj]).ravel()[keep], np.column_stack([qj, qi]).ravel()[keep]
+            qv = np.repeat(qv, 2)[keep]
+        names = [f"R{r}" for r in range(m)]
+        doc = QpsDocument(name="ADD", objective_row="OBJ", row_order=names, row_lines=list(range(4, 4 + m)),
+                          row_sense=dict.fromkeys(names, "L"), col_order=[f"X{j}" for j in range(n)],
+                          entry_rows=rows, entry_cols=cols, entry_values=a_values,
+                          quad_rows=qi, quad_cols=qj, quad_values=qv, quad_section=section)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = doc.to_problem()
+
+        A = np.zeros((m + 1, n))
+        np.add.at(A, (rows, cols), a_values)  # row -1 is the objective row, A's last
+        Q = np.zeros((n, n))
+        if section == "QUADOBJ":  # each off-diagonal entry adds to both sides, in file order
+            ii, jj, vv = zip(*((a, b, v) for i, j, v in zip(qi, qj, qv)
+                               for a, b in ([(i, j), (j, i)] if i != j else [(i, j)])))
+            np.add.at(Q, (list(ii), list(jj)), list(vv))
+        else:
+            np.add.at(Q, (qi, qj), qv)
+        assert np.vstack([c.a for c in p.constraints] + [p.objective.c]).tobytes() == A.tobytes()
+        assert p.objective.Q.tobytes() == Q.tobytes()
+        assert not np.signbit(A[:, -1]).any()  # 0.0 + -0.0 is 0.0
 
     def test_marker_lines_warn(self):
         text = MIXED_SPLIT.replace(
