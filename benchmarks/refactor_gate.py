@@ -20,11 +20,12 @@ generator ``make_problems.py`` they share) against both sources:
 * ``soundness.py``, every variant's status, ``f_hat`` and certificate audit
   on QPs whose rows bind at the optimum, and on an unbounded LP.
 
-Then it runs ``cells.py`` for each workload at seed 101 in the working tree
-once more, under ``CFPOPT_BACKEND=numpy``, and compares the output with the
-tree's run of the same arguments under the caller's backend (``auto``, so
-``c`` wherever ``cc`` builds the library): the two backends must compute
-the same bits.
+Then it runs ``cells.py`` for each workload, and ``qps_digest.py`` for each
+planted workload, at seed 101 in the working tree once more, under
+``CFPOPT_BACKEND=numpy``, and compares the output with the tree's run of the
+same arguments under the caller's backend (``auto``, so ``c`` wherever
+``cc`` builds the library): the two backends must compute the same bits,
+and read the same problems (the numpy backend's QPS reader scans nothing).
 
 Each run prints ``same``, or the number of its differing lines, their keys
 (``problem/variant``, ``variant/metric`` for an aggregate CSV row) or digest
@@ -40,7 +41,9 @@ certificates per ``soundness.py`` family in both trees.  The gate ends
 with the ``git diff --numstat PARENT_REV -- src`` totals
 and the code lines of ``src/cfpopt/*.py`` (docstrings, comments and blank
 lines left out) at ``PARENT_REV`` and in the working tree: their total, then
-each module's, so that a change shows where its lines went, and the traced
+each module's, so that a change shows where its lines went, the code lines
+of ``src/cfpopt/_kernels.c`` (comments and blank lines left out) in both
+trees, and the traced
 peak memory and the best of 20 thread times of ``load_qps`` on the seed-101
 plant-art3 ``PLANT000`` file (``qps_peak.py``), whole and split into read,
 parse and ``to_problem``, at ``PARENT_REV`` and in the working tree.  The
@@ -58,6 +61,7 @@ import ast
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -91,7 +95,7 @@ def runs() -> list[tuple[str, ...]]:
 
 def backend_runs() -> list[tuple[str, ...]]:
     """The runs of :func:`runs` that the working tree repeats under the numpy backend."""
-    return [("cells.py", w, "101") for w in WORKLOADS]
+    return [("cells.py", w, "101") for w in WORKLOADS] + [("qps_digest.py", w, "101") for w in PLANTED]
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -248,6 +252,21 @@ def code_line_report(rev: str, old: dict[str, int], new: dict[str, int]) -> list
     return lines
 
 
+# a C comment, or a string or character literal, which may hold what looks like a comment
+_C_TOKEN = re.compile(r"""/\*.*?\*/|//[^\n]*|"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*'""", re.DOTALL)
+
+
+def c_code_lines(source: str) -> int:
+    """The lines of C ``source`` that hold code, not only comments or blanks."""
+    code = _C_TOKEN.sub(lambda m: "\n" * m[0].count("\n") if m[0][0] == "/" else m[0], source)
+    return sum(1 for line in code.splitlines() if line.strip())
+
+
+def kernel_code_line_report(rev: str, old: int, new: int) -> str:
+    """The code lines of ``src/cfpopt/_kernels.c`` at ``rev`` and here."""
+    return f"src/cfpopt/_kernels.c code lines: {old} at {rev}, {new} here (net {new - old:+d})"
+
+
 def total_projections(out: str) -> int | None:
     """The summed ``projections`` of a ``cells.py`` output's cells, or None when it has none."""
     cells = [c for c in map(cell, out.splitlines()) if c is not None and len(c) == len(CELL_FIELDS)]
@@ -331,6 +350,8 @@ def main(argv=None) -> int:
             diff = differences(new_outs[run], output(start(ROOT, run, numpy_env)))
             differs += report(" ".join(run) + " numpy", diff)
         old_code, new_code = module_code_lines(parent), module_code_lines(ROOT)
+        old_c, new_c = (c_code_lines((tree / "src" / "cfpopt" / "_kernels.c").read_text(encoding="utf-8"))
+                        for tree in (parent, ROOT))
         old_peak, new_peak = map(output, (start(parent, PEAK_RUN, old_env), start(ROOT, PEAK_RUN, new_env)))
     for name, (fell, rose) in moves.items():
         print(f"{name}: {fell} fell, {rose} rose")
@@ -341,6 +362,7 @@ def main(argv=None) -> int:
     added, deleted = numstat(rev)
     print(f"src/ against {rev}: +{added} -{deleted} (net {added - deleted:+d})")
     print("\n".join(code_line_report(rev, old_code, new_code)))
+    print(kernel_code_line_report(rev, old_c, new_c))
     print(peak_report(rev, old_peak, new_peak))
     print(f"{differs} of {len(runs()) + len(backend_runs())} runs differ")
     return 1 if differs else 0

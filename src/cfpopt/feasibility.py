@@ -311,9 +311,7 @@ class _StepAggregate:
         # are one call each
         self.windows = np.zeros((2 * n + 3, 1))
         self._views()
-        # the column of each window by its start sweep; per column its start
-        # sweep and the moves made before it
-        self.column_of: dict[int, int] = {}
+        # per column the start sweep of its window and the moves made before it
         self.starts: list[tuple[int, int] | None] = [None]
         # this sweep's [0, x_in - x_out, b, size, steps]: the last three are
         # the sums over its steps of mu (beta + tol), mu (|beta| + tol) and
@@ -350,16 +348,19 @@ class _StepAggregate:
         self.b_k = self.size_k = self.steps_k = 0.0
 
     def _open(self, k: int) -> None:
-        """Open the window that starts at sweep ``k``, in the column of the window that ends at it."""
-        col = self.column_of.pop(k - 2 * (k & -k), None) if k else 0
-        if col is None:  # no window ends: one column more
-            col = len(self.starts)
+        """Open the window that starts at sweep ``k``, in the column of the window that ends at it.
+
+        That window starts at ``s = k - 2 * lowbit(k)``, whose lowest set bit
+        is k's, so every window of a column starts at a sweep with the same
+        lowest set bit, and column ``lowbit(k).bit_length()`` holds them.
+        """
+        col = (k & -k).bit_length()  # 0 for the window that starts at sweep 0
+        if col == len(self.starts):  # the column's first window (k a power of two): one column more
             self.windows = np.hstack([self.windows, np.zeros((self.windows.shape[0], 1))])
             self._views()
             self.starts.append(None)
         else:
             self.windows[:, col] = 0.0
-        self.column_of[k] = col
         self.starts[col] = (k, self.moves)
 
     def end(self, x: np.ndarray, moves: int, sweeps: int, found: bool) -> bool:

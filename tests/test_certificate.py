@@ -225,11 +225,13 @@ def test_windows_follow_the_dyadic_starts():
         agg.add(1.0, 1.0, 1.0)
         agg.end(np.array([-float(k + 1)]), k + 1, k + 1, True)
         want = {0} | {(k >> j << j) - d for j in range(k.bit_length()) for d in (0, 1 << j)}
-        assert sorted(agg.column_of) == sorted(want), k
-        live = len(agg.column_of)
+        starts = [start for start, _ in agg.starts]
+        assert sorted(starts) == sorted(want), k
+        live = len(starts)
         assert agg.windows.shape[1] == live <= k.bit_length() + 1
         assert live <= 2 * math.log2(k + 1) + 1
-        for start, col in agg.column_of.items():
+        for col, start in enumerate(starts):
+            assert col == (start & -start).bit_length()
             assert agg.windows[1, col] == k + 1 - start  # c
             assert agg.windows[2, col] == k + 1 - start  # b
         if k < feasibility.DEFAULT_MAX_SWEEPS:

@@ -335,10 +335,11 @@ ENDATA
 """
 
 
-def _with_line(line_no, new):
-    """EVERY_SECTION with line ``line_no`` replaced by ``new``."""
+def _with_line(*changes):
+    """EVERY_SECTION with line ``line_no`` replaced by ``new``, for each ``line_no, new`` of ``changes``."""
     lines = EVERY_SECTION.split("\n")
-    lines[line_no - 1] = new
+    for line_no, new in zip(changes[::2], changes[1::2]):
+        lines[line_no - 1] = new
     return "\n".join(lines)
 
 
@@ -372,6 +373,32 @@ def _planted_columns_line_with_extra_token():
 def test_malformed_line_names_its_line_and_section(text, line_no, section, message):
     parse_qps(EVERY_SECTION)  # the base file itself is well formed
     assert _diagnostic(text() if callable(text) else text) == (line_no, section, message)
+
+
+@pytest.mark.parametrize("text, line_no, section, message", [
+    # two faults on one line: the value before the row, the first column before the value, the
+    # BOUNDS value before the column
+    (_with_line(8, "    X2        C9        1.0x"), 8, "COLUMNS", "malformed numeric field '1.0x'"),
+    (_with_line(8, "    X2        C9        nan"), 8, "COLUMNS", "non-finite numeric field 'nan'"),
+    (_with_line(17, "    X9        X1        1.0x"), 17, "QUADOBJ", "undeclared column 'X9'"),
+    (_with_line(14, " UP BND       X9        nan"), 14, "BOUNDS", "non-finite numeric field 'nan'"),
+    # a two-entry line: its entries in turn, each whole before the next
+    (_with_line(8, "    X2        C1        1.0       C9        1.0"), 8, "COLUMNS", "undeclared row 'C9'"),
+    (_with_line(8, "    X2        C9        1.0       C2        1.0x"), 8, "COLUMNS", "undeclared row 'C9'"),
+    (_with_line(10, "    RHS       C1        2.0       C2        1e999"), 10, "RHS",
+     "non-finite numeric field '1e999'"),
+    # a fault on a line before one with the wrong token count
+    (_with_line(7, "    X1        OBJ       -1.0      C9        1.0",
+                8, "    X2        C1        1.0       C2"), 7, "COLUMNS", "undeclared row 'C9'"),
+    (_with_line(4, " Q  C1", 5, " G  C2  C3"), 4, "ROWS", "unknown row sense 'Q'"),
+    # a box emptied before a later malformed line
+    (_with_line(14, " UP BND       X1        -1.0", 15, " FR BND"), 14, "BOUNDS",
+     "inconsistent bounds on 'X1': [0.0, -1.0]"),
+], ids=["columns value and row", "columns nan and row", "quadobj column and value", "bounds value and column",
+        "second entry", "first entry's row before second's value", "rhs second entry", "columns before a cut",
+        "rows before a cut", "bounds inconsistent before a cut"])
+def test_the_first_fault_in_file_order_is_reported(text, line_no, section, message):
+    assert _diagnostic(text) == (line_no, section, message)
 
 
 class TestRoundTrip:
@@ -538,7 +565,7 @@ ENDATA
 
 
 class TestBulkPath:
-    """The section-at-a-time reader against what each format feature means."""
+    """The reader against what each format feature means."""
 
     @pytest.mark.parametrize("i", range(4))
     def test_planted_round_trip_is_bitwise(self, i):
@@ -681,7 +708,7 @@ ENDATA
         _same_problem(doc.to_problem(), parse_qps(MIXED_SPLIT))
 
     def test_a_row_named_like_a_marker_keyword_keeps_its_entries_out(self):
-        # the handler reads 'COL MARKER VAL' as a MARKER line, even for a row named MARKER
+        # the reader takes 'COL MARKER VAL' for a MARKER line, even for a row named MARKER
         text = MIXED_SPLIT.replace(" E  R3", " E  R3\n L  MARKER").replace(
             "    X2        R3        0.5", "    X2        R3        0.5\n    X2        MARKER    3.0")
         doc = _document(text)
@@ -930,7 +957,7 @@ def _outcome(text):
 
 
 class TestScanNumbers:
-    """The scan kernel converts a number token as ``float`` does, or refuses it to the Python handlers."""
+    """The scan kernel converts a number token as ``float`` does, or refuses it to the Python reader."""
 
     @staticmethod
     def _tokens():

@@ -53,7 +53,8 @@ def test_counter_moves_count_the_cells_that_fell_and_rose():
 
 def test_numpy_runs_repeat_each_workloads_seed_101_cells_run():
     backend_runs = refactor_gate.backend_runs()
-    assert backend_runs == [("cells.py", w, "101") for w in ("plant-cspm", "plant-art3", "dose-cspm")]
+    assert backend_runs == ([("cells.py", w, "101") for w in ("plant-cspm", "plant-art3", "dose-cspm")]
+                            + [("qps_digest.py", w, "101") for w in ("plant-cspm", "plant-art3")])
     # each is compared with the tree's own run of the same arguments
     assert set(backend_runs) <= set(refactor_gate.runs())
 
@@ -105,6 +106,21 @@ def test_code_lines_are_reported_per_module_next_to_the_total(tmp_path):
         "  b.py                 0 at abc123,     1 here (net +1)",
         "  gone.py              4 at abc123,     0 here (net -4)",
     ]
+
+
+def test_c_code_lines_leave_out_comments_and_blanks():
+    source = """/* a comment
+   over two lines */
+int x;  // a comment after code counts
+
+static const char *s = "/* a string, not a comment */";
+/* a comment */ int y = '*';
+    // a comment alone does not count
+"""
+    # int x, the string's line and int y
+    assert refactor_gate.c_code_lines(source) == 3
+    assert refactor_gate.kernel_code_line_report("abc123", 541, 540) == (
+        "src/cfpopt/_kernels.c code lines: 541 at abc123, 540 here (net -1)")
 
 
 def test_cli_csvs_is_a_gate_run_without_wall_times():
