@@ -34,9 +34,9 @@ projections, obj_evals, outer_steps), so that a change to the counters alone
 reads as such, and the first differing pair as ``- old / + new``.  After the runs, one line per counter
 (``projections: 41 fell, 0 rose``) says in how many differing cells of all
 ``cells.py`` runs that counter fell and in how many it rose, one line per
-workload gives the summed ``projections`` of its seed-101 ``cells.py`` run
-(one pass of the benchmark's matrix) at ``PARENT_REV`` and here, so that a
-change to the counters alone reads directly, and one line gives the false
+workload gives the summed ``projections`` and ``obj_evals`` of its seed-101
+``cells.py`` run (one pass of the benchmark's matrix) at ``PARENT_REV`` and
+here, so that a change to the counters alone reads directly, and one line gives the false
 certificates per ``soundness.py`` family in both trees.  The gate ends
 with the ``git diff --numstat PARENT_REV -- src`` totals
 and the code lines of ``src/cfpopt/*.py`` (docstrings, comments and blank
@@ -47,7 +47,7 @@ trees, and the traced
 peak memory and the best of 20 thread times of ``load_qps`` on the seed-101
 plant-art3 ``PLANT000`` file (``qps_peak.py``), whole and split into read,
 parse and ``to_problem``, at ``PARENT_REV`` and in the working tree.  The
-summed projections, the false certificates, the code lines, the peak and
+summed counters, the false certificates, the code lines, the peak and
 the times are information: they never fail the gate (a
 changed ``soundness.py`` output does, as any differing run).  The exit
 status is 1 when any output differs, else 0.  The two trees run side by side,
@@ -267,20 +267,28 @@ def kernel_code_line_report(rev: str, old: int, new: int) -> str:
     return f"src/cfpopt/_kernels.c code lines: {old} at {rev}, {new} here (net {new - old:+d})"
 
 
-def total_projections(out: str) -> int | None:
-    """The summed ``projections`` of a ``cells.py`` output's cells, or None when it has none."""
+def counter_totals(out: str) -> dict[str, int] | None:
+    """The summed counters of a ``cells.py`` output's cells, by name, or None when it has none."""
     cells = [c for c in map(cell, out.splitlines()) if c is not None and len(c) == len(CELL_FIELDS)]
-    return sum(c[CELL_FIELDS.index("projections")] for c in cells) if cells else None
+    if not cells:
+        return None
+    return {name: sum(c[CELL_FIELDS.index(name)] for c in cells) for name in COUNTERS}
 
 
-def projection_report(rev: str, old_outs: dict, new_outs: dict) -> list[str]:
-    """Per workload, the summed projections of its seed-101 ``cells.py`` run at ``rev`` and here."""
+def counter_report(rev: str, old_outs: dict, new_outs: dict) -> list[str]:
+    """Per workload, the summed projections and obj_evals of its seed-101 ``cells.py`` run at
+    ``rev`` and here, on one line."""
     lines = []
     for workload in WORKLOADS:
         run = ("cells.py", workload, "101")
-        old, new = total_projections(old_outs[run]), total_projections(new_outs[run])
-        change = f" ({(new - old) / old:+.2%})" if old and new is not None else ""
-        lines.append(f"projections, {workload} 101: {old} at {rev}, {new} here{change}")
+        old, new = counter_totals(old_outs[run]), counter_totals(new_outs[run])
+        parts = []
+        for name in COUNTERS:
+            a = old[name] if old else None
+            b = new[name] if new else None
+            change = f" ({(b - a) / a:+.2%})" if a and b is not None else ""
+            parts.append(f"{a} at {rev}, {b} here{change}")
+        lines.append(f"projections, {workload} 101: {parts[0]}; obj_evals: {parts[1]}")
     return lines
 
 
@@ -355,7 +363,7 @@ def main(argv=None) -> int:
         old_peak, new_peak = map(output, (start(parent, PEAK_RUN, old_env), start(ROOT, PEAK_RUN, new_env)))
     for name, (fell, rose) in moves.items():
         print(f"{name}: {fell} fell, {rose} rose")
-    print("\n".join(projection_report(rev, old_outs, new_outs)))
+    print("\n".join(counter_report(rev, old_outs, new_outs)))
     sound = ("soundness.py",)
     print(f"soundness.py false certificates: {false_certificates(old_outs[sound])} at {rev}; "
           f"{false_certificates(new_outs[sound])} here")

@@ -31,6 +31,15 @@ interval width ``w``, is lambda = 1 + w / (2 v) in (1, 1.5) and adds a
 positive share, and the unrelaxed level visit (lambda = 1) adds
 ``v**2 / (2 |xi|**2)``.  So ART3+'s own steps prove its empty level sets.
 
+On a quadratic objective, ``f(x - s xi) = f(x) - s |xi|**2 + q s**2 / 2``
+with ``q = xi' Q xi``.  When ``|xi|**4 < 2 q v`` no point of that ray
+reaches the level, and the level visit steps to the ray's lowest point, ``s
+= |xi|**2 / q``, whatever the solver's lambda.  That is the step off the
+same linearisation with lambda = ``|xi|**4 / (q v)`` in (0, 2), so its
+share of the gap is positive too.  At a level below the objective's
+minimum, ``lambda v / |xi|**2`` grows as ``|xi|`` shrinks, and x overshoots
+the minimiser sweep after sweep; the ray-minimum step does not.
+
 Runs of affine constraints are packed into dense arrays and swept by the
 kernels in :mod:`cfpopt._kernels`; any other convex constraint is handled
 through its value/subgradient oracle.  The box, a solve's ``bounds``, is
@@ -80,7 +89,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .model import AffineConstraint, Bounds, ConvexFunction, Counters, Problem, as_vector
+from .model import AffineConstraint, Bounds, ConvexFunction, Counters, Problem, QuadraticFunction, as_vector
 
 __all__ = [
     "FeasibilityOutcome",
@@ -461,6 +470,8 @@ class _Sweeper:
         self.counters = counters
         self.level = objective if t < np.inf else None
         self.t = t
+        # a quadratic level's Q, for the ray-minimum step (see _visit)
+        self.curvature = objective.Q if isinstance(self.level, QuadraticFunction) else None
         self.moves = 0
         # _visit's test fails at every point: each computed f(x) is at least
         # lower_bound(), and rounding is monotone, so f(x) - t rounds to at least this
@@ -542,9 +553,13 @@ class _Sweeper:
         """Visit ``fn(x) <= 0``, or ``f(x) <= t`` for the objective ``fn`` when ``level``.
 
         Returns x and the violation v.  When ``v > tol``, x takes the
-        subgradient step ``lam * v / |xi|**2`` along ``-xi``, in place.  A vanishing
-        subgradient allows no step: at the level it makes x a minimiser of
-        f, so the level set is empty and ``empty`` is set; any other
+        subgradient step ``lam * v / |xi|**2`` along ``-xi``, in place; at a
+        quadratic level that this ray does not reach (``|xi|**4 < 2 q v``,
+        ``q = xi' Q xi`` finite and positive) it steps ``|xi|**2 / q``, to the
+        ray's lowest point, the step of relaxation ``|xi|**4 / (q v)`` in
+        (0, 2).  A vanishing subgradient allows no step: at the level it
+        makes x a minimiser of f, so the level set is empty and ``empty`` is
+        set; any other
         constraint raises :class:`ZeroSubgradientError`.  A NaN value, or a
         violated visit whose step is not finite, raises ``ValueError``
         before x changes: no pass can certify or prove anything past it.
@@ -564,6 +579,12 @@ class _Sweeper:
                 self.empty = True
                 return x, v
             coef = lam * v / norm2
+            if level and self.curvature is not None:
+                # f along -xi is f(x) - s |xi|^2 + q s^2 / 2: when that stays above
+                # the level, step to its lowest point
+                q = float(xi.dot(self.curvature.dot(xi)))
+                if 0.0 < q < math.inf and norm2 * norm2 < 2.0 * q * v:
+                    coef = norm2 / q
             if not (norm2 < math.inf and coef < math.inf):
                 raise ValueError(f"{'objective' if level else 'constraint'} {fn!r} gives a non-finite "
                                  f"step (violation {v}, |xi|^2 {norm2})")
@@ -614,7 +635,8 @@ class Art3Sweeper(_Sweeper):
     reloaded.  The point is certified feasible when a pass over the full list
     makes no move.  The level, when there is one, rides at the end of the
     queue (``level_queued``) and is visited by an unrelaxed subgradient
-    projection.
+    projection, or, at a quadratic level out of the ray's reach, by the step
+    to the ray's lowest point (see :meth:`_Sweeper._visit`).
 
     The rows, all affine, are the plan's one segment, bound as ``packed``
     for one screened ``art3_pass`` call per pass: a queued row the screen

@@ -93,7 +93,9 @@ def superiorized_solve(constraints, x0, solver, counters, history, bounds, objec
 
     Every objective value goes through ``counters.objective``, so an anchor
     at the point where the last sweep's level visit left x reuses that
-    visit's value instead of calling the oracle again.
+    visit's value instead of calling the oracle again.  A NaN anchor raises
+    ``ValueError``, as a level visit reading NaN does: no candidate could
+    pass against it.
     """
     cfg = solver.sup
     if objective is None and cfg.N > 0:
@@ -108,6 +110,8 @@ def superiorized_solve(constraints, x0, solver, counters, history, bounds, objec
         if exhausted:
             return x
         anchor = counters.objective(objective, x)
+        if anchor != anchor:  # every candidate would fail against it
+            raise ValueError(f"objective {objective!r} is NaN at the visit point")
         for _ in range(cfg.N):
             d = nonascending_direction(objective, x)
             # d is a unit or zero vector unless the subgradient holds an inf or

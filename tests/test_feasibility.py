@@ -16,8 +16,10 @@ from cfpopt.model import (
     Bounds,
     Counters,
     CustomFunction,
+    DoseModel,
     Problem,
     QuadraticFunction,
+    UnderdoseFunction,
 )
 from cfpopt.schemes import level_set_solve
 from cfpopt.superiorize import SuperiorizationConfig
@@ -228,9 +230,11 @@ class TestCfpWithLevel:
         out = cfp_with_level(p, -1.0, solver, x0=[0.0])
         assert not out.found
         assert out.infeasibility_certified
-        # from a generic start the same empty level set times out gracefully
+        # from a generic start the level's ray-minimum step lands on the
+        # minimizer (|xi|^4 = 1 < 2 q v = 5), and the next visit proves it
         out = cfp_with_level(p, -1.0, replace(solver, max_sweeps=100), x0=[0.5])
         assert not out.found
+        assert out.infeasibility_certified and out.sweeps == 2
 
     @pytest.mark.parametrize("solver", [SolverSpec("cspm", lam=1.0),
                                         SolverSpec("cspm", sup=SuperiorizationConfig(), lam=1.0)],
@@ -425,3 +429,70 @@ class TestNonFiniteOracles:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=r"constraint CustomFunction\(g\) gives a non-finite step"):
                 level_set_solve(p, x0=[1.0])
+
+
+class TestRayMinimumStep:
+    """A quadratic level that the subgradient ray does not reach is visited by a step to the ray's lowest point.
+
+    Along ``x - s xi``, ``f = 1/2 |x|^2`` is ``f(x) - s |xi|^2 + s^2 |xi|^2 / 2``
+    (``q = xi' Q xi = |xi|^2``): at x0 = (3, 4), ``f = 12.5`` and the ray's
+    lowest point, 0 at ``s = 1``, is below t = 5 but above t = -1.
+    """
+
+    BOX = Bounds([-10.0, -10.0], [10.0, 10.0])
+    X0 = (3.0, 4.0)
+    KINDS = ["cspm", "pocs", "art3+"]
+
+    @staticmethod
+    def lam(kind: str) -> float:
+        return 1.0 if kind == "art3+" else SolverSpec(kind).lam
+
+    def first_sweep(self, kind: str, f, t: float, x0=X0) -> np.ndarray:
+        return make_sweeper(SolverSpec(kind), [], Counters(), self.BOX, f, t).sweep(np.array(x0), 0)
+
+    @staticmethod
+    def subgradient_step(f, t: float, lam: float, x0) -> np.ndarray:
+        """The subgradient step ``lam v / |xi|^2`` along ``-xi``, computed as the sweeper computes it."""
+        x0 = np.array(x0)
+        xi = f.subgrad(x0)
+        return x0 - (lam * (f.value(x0) - t) / float(xi.dot(xi))) * xi
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_level_below_the_ray_steps_to_its_lowest_point(self, kind):
+        f = QuadraticFunction(np.eye(2), np.zeros(2))
+        history = []
+        out = cfp_solve([], self.X0, kind, bounds=self.BOX, objective=f, t=-1.0, history=history)
+        # |xi|^4 = 625 < 2 q v = 2 * 25 * 13.5: s = 25 / 25 lands on the minimiser
+        np.testing.assert_array_equal(history[0], [0.0, 0.0])
+        # where the next visit's zero subgradient proves the level set empty
+        assert out.infeasibility_certified and not out.found
+        assert (out.sweeps, out.moves) == (2, 1)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_level_the_ray_reaches_keeps_the_subgradient_step(self, kind):
+        f = QuadraticFunction(np.eye(2), np.zeros(2))
+        # v = 7.5: |xi|^4 = 625 >= 2 q v = 375
+        x = self.first_sweep(kind, f, 5.0)
+        x0 = np.array(self.X0)
+        np.testing.assert_array_equal(x, x0 - (self.lam(kind) * 7.5 / 25.0) * x0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("f, t", [
+        (QuadraticFunction(np.zeros((2, 2)), [1.0, 2.0]), 5.0),
+        (UnderdoseFunction(DoseModel(np.eye(2), target=(0, 1), prescription=10.0)), 1.0),
+    ], ids=["Q = 0", "underdose"])
+    def test_objectives_without_curvature_keep_the_subgradient_step(self, kind, f, t):
+        x = self.first_sweep(kind, f, t)
+        assert f.value(np.array(self.X0)) - t > 0.0
+        np.testing.assert_array_equal(x, self.subgradient_step(f, t, self.lam(kind), self.X0))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_an_overflowing_curvature_keeps_the_subgradient_step(self, kind):
+        # at x = (1e-290, 0), xi = (1e10, 1): |xi|^4 = 1e40 is finite, q = 1e300 * 1e20
+        # overflows; taken at face value, s = |xi|^2 / q would be 0 and x would not move
+        f = QuadraticFunction(np.diag([1e300, 0.0]), [0.0, 1.0])
+        x0 = (1e-290, 0.0)
+        with np.errstate(over="ignore"):
+            x = self.first_sweep(kind, f, -1.0, x0)
+        np.testing.assert_array_equal(x, self.subgradient_step(f, -1.0, self.lam(kind), x0))
+        assert x.tolist() != list(x0)

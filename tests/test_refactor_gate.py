@@ -167,16 +167,16 @@ def test_qps_peak_prints_file_chars_peak_and_time():
     assert read + parse + to_problem <= ms + 0.05
 
 
-def test_projections_are_summed_per_workload_for_both_trees():
-    assert refactor_gate.total_projections(OLD) == 35
-    assert refactor_gate.total_projections("a.qps 1f\n") is None
+def test_counters_are_summed_per_workload_for_both_trees():
+    assert refactor_gate.counter_totals(OLD) == {"projections": 35, "obj_evals": 7}
+    assert refactor_gate.counter_totals("a.qps 1f\n") is None
     old = {("cells.py", w, "101"): OLD for w in refactor_gate.WORKLOADS}
     new = dict(old)
-    new[("cells.py", "dose-cspm", "101")] = OLD.replace('"1.5", 20', '"1.5", 13')
-    assert refactor_gate.projection_report("abc123", old, new) == [
-        "projections, plant-cspm 101: 35 at abc123, 35 here (+0.00%)",
-        "projections, plant-art3 101: 35 at abc123, 35 here (+0.00%)",
-        "projections, dose-cspm 101: 35 at abc123, 28 here (-20.00%)",
+    new[("cells.py", "dose-cspm", "101")] = OLD.replace('"1.5", 20, 4', '"1.5", 13, 3')
+    assert refactor_gate.counter_report("abc123", old, new) == [
+        "projections, plant-cspm 101: 35 at abc123, 35 here (+0.00%); obj_evals: 7 at abc123, 7 here (+0.00%)",
+        "projections, plant-art3 101: 35 at abc123, 35 here (+0.00%); obj_evals: 7 at abc123, 7 here (+0.00%)",
+        "projections, dose-cspm 101: 35 at abc123, 28 here (-20.00%); obj_evals: 7 at abc123, 6 here (-14.29%)",
     ]
 
 

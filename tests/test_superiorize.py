@@ -216,6 +216,21 @@ class TestAlgorithmContract:
         assert trace == PerturbationTrace()
         assert counters.obj_evals == 1  # the anchor, which the level visit reuses
 
+    def test_nan_anchor_raises_at_once(self):
+        # f is NaN from x = 2 on: no candidate could pass against a NaN anchor, so
+        # the hook raises the level visit's error there instead of walking out
+        # the step sizes
+        calls = []
+
+        def value(x):
+            calls.append(x.copy())
+            return math.nan if x[0] >= 2.0 else float(x[0])
+
+        f = CustomFunction(value, lambda x: np.ones(1), name="nan")
+        with pytest.raises(ValueError, match=r"objective CustomFunction\(nan\) is NaN at the visit point"):
+            cfp_solve([], [5.0], SolverSpec(sup=SuperiorizationConfig(N=1)), objective=f, t=100.0)
+        assert len(calls) == 1
+
     def test_art3_base_operator(self):
         rows = [AffineConstraint.interval([1.0], 1.0, 4.0)]
         phi = QuadraticFunction([[2.0]], [0.0])
