@@ -20,8 +20,9 @@ evaluated, to ``out[:4]``: ``cspm_sweep`` to the binding's own ``out``,
 the state kept in the binding proves satisfied (see :func:`screen_rtol`) is
 skipped, with the same iterate, moves, kept rows and sums as a pass that
 evaluates every row.  A row with one nonzero entry is screened by how far
-its own coordinate has moved, any other row by the length of the solve's
-whole path (see :class:`Rows`).
+its own coordinate has moved, any other row by the length of x's whole path
+(see :class:`Rows`), both since the binding's state was last rebased: a
+scheme run keeps one binding for all its solves (:meth:`Rows.rebase`).
 
 A third call, ``qps_scan``, reads QPS text for :mod:`cfpopt.qps`: the lines
 of a block up to the next section header, with the values of the COLUMNS,
@@ -238,6 +239,36 @@ def screen_rtol(n: int, events: int) -> float:
     superiorization jumps), since the catch-up measures the change itself.
     A coordinate that is not finite makes a row's computed product NaN, so
     no screen is claimed once x leaves the finite numbers.
+
+    A scheme run keeps its bindings from one feasibility solve to the next,
+    and rebases their state at each later solve's start (:meth:`Rows.rebase`).
+    Two things make the seam sound.
+
+    * The jump.  A solve need not start where the last sweep left x: a
+      level test's outcome may come from elsewhere, an acceleration shift
+      moves the warm start, and after a failed solve the run starts the next
+      from its incumbent.  Before the rebase the caller adds the computed
+      length of the jump to P, as it adds a jump between sweeps, and each
+      binding's next call adds its coordinates' part to q in the catch-up.
+      So the jump is one more change of x, measured as Movement measures
+      any, whatever point the last solve returned.  The slack the last solve
+      left in ``path[2]`` covers it: each sweep's count reserves one jump
+      more than the sweep makes.
+    * The fold.  The argument above bounds, whether or not the test passes,
+      the computed left side L of a row's test from above: L exceeds the
+      exact violation v* where P (for a row of one column, q[j]) is current,
+      by at least the Evaluation term for that point, with L's own rounding
+      (The test) included.  So L, stored as the row's violation with 0 as its
+      path sum, where P and q restart, is a bound that needs no evaluation
+      term: write L = v* + D with D >= 0.  At the next test, the exact
+      violation at that point is L - D.  For a row of one column the
+      Evaluation step also bounds alpha |y_j| there, by m_i + |v*| <= m_i +
+      |L| + D.  The D terms then add at most 1.01 (K + 4) u D to the
+      magnitudes and take D off the violation, so their sum is not positive.
+      The rest holds as it stands, with K the updates since the rebase
+      (the count restarts with the solve), ``|x0|_2`` the new start's and P
+      from 0.  L is +inf for a row not yet evaluated, and NaN where v_i was
+      -inf; both fail every test, as before.
     """
     if n + events > 2**40:
         return math.inf
@@ -249,7 +280,7 @@ def _finite_abs(v: np.ndarray) -> np.ndarray:
 
 
 class Rows:
-    """Packed rows bound for the ``cspm_sweep`` or ``art3_pass`` calls of one solve, with their screen state.
+    """Packed rows bound for the ``cspm_sweep`` or ``art3_pass`` calls of a run's solves, with their screen state.
 
     ``A`` (m x n), ``lo``, ``hi`` and ``norm2`` are validated once, and
     every row must have ``lo_i <= hi_i`` (the sign of an ART3+ midline step
@@ -260,9 +291,10 @@ class Rows:
     ``|hi_i|`` plus a floor.
 
     A row has one of two screens (:func:`screen_rtol` proves both).  A row
-    with more than one nonzero entry reads the solve's path sum P:
-    ``path`` is the solve's float64[3], shared by all its bindings, holding
-    P, ``|x0|_2`` and the relative slack of the margin.  The kernels add
+    with more than one nonzero entry reads the path sum P: ``path`` is the
+    float64[3] shared by all the bindings of a solve (of a scheme run, whose
+    solves share them), holding P, ``|x0|_2`` and the relative slack of the
+    margin.  The kernels add
     ``coef * |a_i|_2`` to P for every row they move; the caller adds every
     other change of x, and sets the rest of ``path`` before the first
     sweep.  A row whose only nonzero entry is in column j (``coord[i] =
@@ -274,6 +306,8 @@ class Rows:
     help from the caller, and a box row whose coordinate has not moved stays
     screened however far the other coordinates go: the path screen's bound
     ``|a_i|_2 P`` is loose for it by about the square root of n.
+    :meth:`rebase` restarts P and ``q`` at a new solve's start, keeping what
+    each row's screen proves there.
 
     ``out`` is the float64[5] that ``cspm_sweep`` writes: the step sums,
     the number of rows evaluated and the largest violation among them.
@@ -340,6 +374,29 @@ class Rows:
                 raise ValueError("x must be writable: the kernels update it in place")
             self._x, self._head[9] = x, arg(x)
         return self._head
+
+    def rebase(self, P: float, x0n: float, rel: float) -> None:
+        """Fold each row's screen bound into its violation, and restart the row's path at zero.
+
+        ``P``, ``x0n`` and ``rel`` are the ``path`` the rows were last
+        screened with, P with every change of x since added.  Each row's
+        ``screen[i, 0]`` becomes the left side of its screen test (see
+        :func:`screen_rtol`), computed as :func:`_screen_row` computes it:
+        for a row with one nonzero entry in column j, from ``q[j]``, the
+        bound of its violation at ``xend``; for any other, from P, the bound
+        at the point P is current for.  Then ``screen[:, 1]`` and ``q`` are
+        zeroed, so the caller restarts P at 0 there; ``xend`` stays, and the
+        next call catches ``q`` up from it.
+        """
+        v, at, s, w, m = self.screen.T
+        path_rows = self.coord < 0
+        # q[j] for a row of column j, P for the others, whose coord is -1
+        Q = np.append(self.q, P)[self.coord]
+        bound = v + s * (Q - at)
+        bound += rel * (np.where(path_rows, w * (x0n + P), 0.0) + s * Q + np.abs(v) + m)
+        v[:] = bound
+        at[:] = 0.0
+        self.q[:] = 0.0
 
     def _grow(self, size: int) -> None:
         """Make the queue buffer ``size`` entries long."""

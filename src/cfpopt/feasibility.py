@@ -49,7 +49,10 @@ since (its own coordinate's path, for a row with one nonzero entry) prove it
 satisfied is skipped, with no change to any iterate (ART3+
 drops it from its work queue, as it would a row it found satisfied).  So a
 solve's ``projections`` counts rows evaluated; a row the screen proves
-satisfied is skipped.
+satisfied is skipped.  The solves of one scheme run share a
+:class:`RowPlan`: the rows are packed once per run, and a solve starts from
+the screens the last one left, rebased at its start, so a row need not be
+evaluated again in each solve to be skipped.
 
 The objective level ``f(x) <= t`` of the paper's scheme is a slot of the
 sweeper, not a constraint object: given the objective and a finite level,
@@ -68,9 +71,10 @@ call or superiorization step.
 :class:`SolverSpec` holds all its settings (solver kind, superiorization,
 relaxation, tolerance and time-out), and :func:`cfp_with_level` is its call
 for a problem's level test.  Each solve is one sweeper (:func:`make_sweeper`):
-its constructor plans the solve once for every kind (the row segments, the
-level slot, the step aggregate), its pass is the kind's projection rule, and
-its ``run`` is the one sweep/time-out loop.  A superiorized solve
+its constructor plans the solve once for every kind (the level slot, and the
+row segments and step aggregate, which it takes from the run's plan when the
+run has packed them), its pass is the kind's projection rule, and its
+``run`` is the one sweep/time-out loop.  A superiorized solve
 (:class:`SuperiorizationConfig`, see :mod:`cfpopt.superiorize`) perturbs
 toward smaller values of the objective the level reads, within the box the
 emptiness test reads.  This module owns the step rule: one CSPM sweep
@@ -93,6 +97,7 @@ from .model import AffineConstraint, Bounds, ConvexFunction, Counters, Problem, 
 
 __all__ = [
     "FeasibilityOutcome",
+    "RowPlan",
     "ZeroSubgradientError",
     "SolverSpec",
     "SuperiorizationConfig",
@@ -136,6 +141,9 @@ class FeasibilityOutcome:
     :meth:`~cfpopt.model.ConvexFunction.lower_bound` (at zero sweeps, before
     any work).  ``projections`` counts the rows evaluated and the oracle
     visits; a row the screen proves satisfied is skipped and not counted.
+    In a scheme run that screen carries over from the run's earlier solves
+    (see :class:`RowPlan`), so a solve's count depends on them, though its
+    ``x`` and verdict do not.
     """
 
     found: bool
@@ -315,22 +323,12 @@ class _StepAggregate:
         # gap: the minimum of c . y over the box, c . mid - |c| . half, less b
         self.gap_weights = np.concatenate([-0.5 * (hi - lo), 0.5 * (lo + hi), [-1.0]])
         self.tol = tol
-        # one column per window, [|c|, c, b, size, steps], every column live:
-        # the |c| and c blocks are contiguous, so their abs and the gaps' product
-        # are one call each
-        self.windows = np.zeros((2 * n + 3, 1))
-        self._views()
-        # per column the start sweep of its window and the moves made before it
-        self.starts: list[tuple[int, int] | None] = [None]
         # this sweep's [0, x_in - x_out, b, size, steps]: the last three are
         # the sums over its steps of mu (beta + tol), mu (|beta| + tol) and
         # mu |h|, gathered in b_k, size_k and steps_k; the middle one takes a
         # bound on |beta| for oracle steps
         self.sweep = np.zeros((2 * n + 3, 1))
         self.x_in, self.sums = self.sweep[n:2 * n, 0], self.sweep[2 * n:, 0]
-        self.b_k = self.size_k = self.steps_k = 0.0
-        self.moves = 0
-        self.x0x0 = 0.0
 
     def _views(self) -> None:
         """Bind the views of ``windows`` that every sweep reads."""
@@ -349,8 +347,19 @@ class _StepAggregate:
         return float(self.windows[2 * self.n, 0])
 
     def begin(self, x: np.ndarray, k: int) -> None:
-        """Open sweep ``k`` (0-based) from ``x``, and the window that starts at it."""
+        """Open sweep ``k`` (0-based) from ``x``, and the window that starts at it.
+
+        Sweep 0 starts a solve: the windows of any solve before it are dropped.
+        """
         if k == 0:
+            # one column per window, [|c|, c, b, size, steps], every column live:
+            # the |c| and c blocks are contiguous, so their abs and the gaps'
+            # product are one call each
+            self.windows = np.zeros((2 * self.n + 3, 1))
+            self._views()
+            # per column the start sweep of its window and the moves made before it
+            self.starts: list[tuple[int, int] | None] = [None]
+            self.moves = 0
             self.x0x0 = float(x @ x)
         self._open(k)
         self.x_in[:] = x
@@ -430,6 +439,52 @@ class _StepAggregate:
         return False
 
 
+class RowPlan:
+    """What the feasibility solves of one scheme run share: their rows, packed once, and where x was left.
+
+    The run's first solve builds it (see :class:`_Sweeper`): ``segments``,
+    the cyclic list and the box split into bound row runs
+    (:class:`cfpopt._kernels.Rows`, with their screen state) and oracle
+    constraints; ``aggregate``, the :class:`_StepAggregate` with the box's
+    constants (None without a box); and ``path``, the path sum state every
+    binding reads.  ``x`` is the point that state is current for: the
+    iterate of the last sweep, kept as a copy once a solve returns (None
+    before the first sweep).  Each later solve reads the rows' screens as
+    the last one left them: its first sweep adds the jump from ``x`` to its
+    own start to the path sum and rebases every screen there
+    (:meth:`rebase`), so a row that the last solve left proven satisfied,
+    and that nothing since has moved far enough to violate, is not
+    evaluated again.  A plan serves the solves of one problem with one
+    :class:`SolverSpec`, in turn; every solve without a plan gets a fresh
+    one.
+    """
+
+    __slots__ = ("segments", "aggregate", "path", "x")
+
+    def __init__(self):
+        self.segments = self.aggregate = self.x = None
+        self.path = np.zeros(3)
+
+    def rebase(self, x: np.ndarray) -> None:
+        """Start the screens' paths again at ``x``, a new solve's start, keeping what they prove.
+
+        The jump from ``self.x`` to ``x`` goes into the path sum, as a jump
+        between sweeps does; then each binding folds every row's screen bound
+        into its stored violation and zeroes its paths
+        (:meth:`cfpopt._kernels.Rows.rebase`), and the path sum restarts at
+        0.  The caller sets ``|x|_2`` and the slack for the new solve's
+        updates, as for a first solve.
+        """
+        path = self.path
+        jump = x - self.x
+        path[0] += math.sqrt(float(jump.dot(jump)))
+        P, x0n, rel = path.tolist()
+        for tag, seg in self.segments:
+            if tag == "rows":
+                seg.rebase(P, x0n, rel)
+        path[0] = 0.0
+
+
 class _Sweeper:
     """One feasibility solve: its plan, built once, and its sweep/time-out loop.
 
@@ -447,7 +502,9 @@ class _Sweeper:
     tol-feasible point.  ``updates`` is the most x updates one pass makes: a
     jump before it, a move per row, and one per oracle visit and the level.
 
-    The packed rows are bound once per solve (:func:`_pack`, to a
+    The segments and the aggregate come from ``plan`` (a :class:`RowPlan`;
+    a fresh one when None), built by its first solve: the packed rows are
+    bound once per scheme run (:func:`_pack`, to a
     :class:`cfpopt._kernels.Rows`) and screened: a kernel skips a row that
     its last evaluation and the path x has travelled since prove satisfied,
     and evaluates and counts only the others.  There are two screens.  A
@@ -460,11 +517,14 @@ class _Sweeper:
     superiorization perturbation).  That point is copied into the returned
     array, so every sweep updates the one array the kernels have bound; an
     iterate the sweeper returned must not be changed in place between
-    sweeps.
+    sweeps.  When the plan's last solve swept, the first sweep adds the
+    jump from where it left x and rebases the screens there
+    (:meth:`RowPlan.rebase`), and the solve leaves a copy of its last
+    iterate in the plan.
     """
 
     def __init__(self, solver: SolverSpec, constraints, counters: Counters, bounds: Bounds | None,
-                 objective: ConvexFunction | None, t: float):
+                 objective: ConvexFunction | None, t: float, plan: RowPlan | None = None):
         self.solver = solver
         self.tol = solver.tol
         self.counters = counters
@@ -476,12 +536,15 @@ class _Sweeper:
         # _visit's test fails at every point: each computed f(x) is at least
         # lower_bound(), and rounding is monotone, so f(x) - t rounds to at least this
         self.empty = self.level is not None and objective.lower_bound() - t > self.tol
-        self.aggregate = _StepAggregate(bounds, self.tol) if bounds is not None else None
+        plan = self.plan = plan if plan is not None else RowPlan()
+        if plan.segments is None:
+            plan.segments = _segment(constraints, bounds, plan.path)
+            plan.aggregate = _StepAggregate(bounds, self.tol) if bounds is not None else None
+        self.segments, self.aggregate = plan.segments, plan.aggregate
         # the path sum P, |x0|_2 and the margin's relative slack
-        self.path = np.zeros(3)
+        self.path = plan.path
         self.rtol_events = -1  # the update count path[2] holds for
         self.x_out = None
-        self.segments = _segment(constraints, bounds, self.path)
         # a jump at the start of a sweep and a move per visit
         self.updates = (1 + sum(seg.A.shape[0] if tag == "rows" else 1 for tag, seg in self.segments)
                         + (self.level is not None))
@@ -512,6 +575,7 @@ class _Sweeper:
                 history.append(x.copy())
             if self.certified or self.empty:
                 break
+        self.plan.x = x.copy()
         return FeasibilityOutcome(
             bool(self.certified), x, sweeps, counters.projections - proj0,
             counters.obj_evals - obj0, self.moves, infeasibility_certified=self.empty,
@@ -520,6 +584,10 @@ class _Sweeper:
     def sweep(self, x: np.ndarray, k: int) -> np.ndarray:
         path = self.path
         if k == 0:
+            if self.plan.x is not None:  # the run's last solve swept: carry its screens to x
+                self.plan.rebase(x)
+            # every sweep of the solve updates this array, so the screens stay current for it
+            self.plan.x = x
             path[1] = math.sqrt(float(x @ x))
         elif x is not self.x_out:
             jump = x - self.x_out
@@ -687,7 +755,7 @@ class Art3Sweeper(_Sweeper):
 
 def make_sweeper(solver: SolverSpec, constraints, counters: Counters,
                  bounds: Bounds | None = None, objective: ConvexFunction | None = None,
-                 t: float = np.inf):
+                 t: float = np.inf, plan: RowPlan | None = None):
     """Build the sweeping engine for one CFP solve, as ``solver`` says.
 
     ``bounds``, when given, is the box: the sweeps visit its coordinate rows
@@ -700,7 +768,8 @@ def make_sweeper(solver: SolverSpec, constraints, counters: Counters,
     any sweep, as does a level that is NaN or -inf.  A level ``t`` with
     ``objective.lower_bound() - t > tol`` is proven empty here, before any
     sweep: the sweeper's ``run`` returns ``infeasibility_certified`` at zero
-    sweeps.
+    sweeps.  ``plan``, when given, is the run's :class:`RowPlan`: the rows
+    it packed for an earlier solve of the same problem, with their screens.
     """
     t = float(t)
     if np.isnan(t) or t == -np.inf:
@@ -711,13 +780,13 @@ def make_sweeper(solver: SolverSpec, constraints, counters: Counters,
             if not isinstance(c, AffineConstraint):
                 raise ValueError(f"{solver.kind} requires affine (interval) constraints, got {c!r}")
     sweeper = Art3Sweeper if solver.kind == "art3+" else CyclicSweeper
-    return sweeper(solver, rows, counters, bounds, objective, t)
+    return sweeper(solver, rows, counters, bounds, objective, t, plan)
 
 
 def cfp_solve(constraints, x0, solver: SolverSpec | str = "cspm",
               counters: Counters | None = None, history: list | None = None,
               bounds: Bounds | None = None, objective: ConvexFunction | None = None,
-              t: float = np.inf, trace=None) -> FeasibilityOutcome:
+              t: float = np.inf, trace=None, plan: RowPlan | None = None) -> FeasibilityOutcome:
     """Seek a point of ``constraints`` (and of ``objective(x) <= t``) from ``x0``.
 
     The one feasibility solve, run as ``solver`` says (a bare kind takes the
@@ -730,7 +799,9 @@ def cfp_solve(constraints, x0, solver: SolverSpec | str = "cspm",
     perturbations in ``trace``.  ``bounds``, ``objective`` and ``t`` are as
     in :func:`make_sweeper`; ``bounds`` must have ``x0``'s length, and a
     solve needs constraints, a box or an objective.  ``history`` collects the
-    iterate of each sweep.
+    iterate of each sweep.  ``plan`` carries the packed rows and their
+    screens from one solve of a run to the next (see :class:`RowPlan`);
+    without it the solve packs its own.
     """
     if isinstance(solver, str):
         solver = SolverSpec(kind=solver)
@@ -745,21 +816,22 @@ def cfp_solve(constraints, x0, solver: SolverSpec | str = "cspm",
         from . import superiorize
 
         return superiorize.superiorized_solve(constraints, x0, solver, counters, history, bounds,
-                                              objective, t, trace)
-    return make_sweeper(solver, constraints, counters, bounds, objective, t).run(x0, history)
+                                              objective, t, trace, plan)
+    return make_sweeper(solver, constraints, counters, bounds, objective, t, plan).run(x0, history)
 
 
 def cfp_with_level(problem: Problem, t: float, solver: SolverSpec | str = "cspm",
                    x0=None, counters: Counters | None = None,
-                   history: list | None = None) -> FeasibilityOutcome:
+                   history: list | None = None, plan: RowPlan | None = None) -> FeasibilityOutcome:
     """Feasibility of the problem's constraints intersected with {f <= t}.
 
     The sweeper visits the level ``f(x) <= t`` after the problem's
     constraints and box on every pass; ``t = +inf`` leaves the level out,
     giving plain feasibility, solved by :func:`cfp_solve` as ``solver`` says.
     Objective values taken at the level are charged to
-    ``counters.obj_evals`` (see :meth:`Counters.objective`).
+    ``counters.obj_evals`` (see :meth:`Counters.objective`).  A scheme run
+    passes every test its one ``plan`` (see :class:`RowPlan`).
     """
     x0 = problem.start_point() if x0 is None else as_vector(x0, problem.n)
     return cfp_solve(problem.constraints, x0, solver, counters, history,
-                     problem.bounds, problem.objective, t)
+                     problem.bounds, problem.objective, t, plan=plan)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feasibility import _check_count, cfp_with_level
+from .feasibility import RowPlan, _check_count, cfp_with_level
 from .model import Counters, Problem, as_vector
 
 __all__ = [
@@ -226,13 +226,18 @@ def _start(problem: Problem, solver, x0, max_outer: int, counters: Counters):
     """``(solve, x, f(x))``: the level test ``solve(t, x)`` bound to the run's solver
     and the first feasible point (None, None when there is none).
 
-    A solve is a deterministic function of its level and warm start, so a test
-    that repeats the last one bitwise returns the last outcome without solving
-    or counting, as :meth:`Counters.objective` serves a repeated point.
+    Every test of the run shares one :class:`~cfpopt.feasibility.RowPlan`:
+    the problem's rows are packed for the first, and each later test starts
+    from the screens the last one left.  A test's point and verdict are a
+    deterministic function of its level and warm start (a screen skips only
+    rows that would not move x), so a test that repeats the last one bitwise
+    returns the last outcome without solving or counting, as
+    :meth:`Counters.objective` serves a repeated point.
     """
     _check_count("max_outer", max_outer, 0)
     x0 = problem.start_point() if x0 is None else as_vector(x0, problem.n)
     last = None
+    plan = RowPlan()
 
     def solve(t: float, x: np.ndarray):
         nonlocal last
@@ -240,7 +245,7 @@ def _start(problem: Problem, solver, x0, max_outer: int, counters: Counters):
         if last is not None and last[0] == key:
             return last[1]
         # the level stays the second positional argument: solvebench's tracer reads it there
-        out = cfp_with_level(problem, t, solver, x, counters=counters)
+        out = cfp_with_level(problem, t, solver, x, counters=counters, plan=plan)
         last = key, out
         return out
 

@@ -74,7 +74,7 @@ def nonascending_direction(fn: ConvexFunction, x: np.ndarray) -> np.ndarray:
 
 
 def superiorized_solve(constraints, x0, solver, counters, history, bounds, objective, t,
-                       trace) -> FeasibilityOutcome:
+                       trace, plan) -> FeasibilityOutcome:
     """:func:`~cfpopt.feasibility.cfp_solve`'s superiorized branch, with its arguments.
 
     The base solver ``solver.kind``'s sweep loop over ``constraints`` (and
@@ -100,7 +100,7 @@ def superiorized_solve(constraints, x0, solver, counters, history, bounds, objec
     cfg = solver.sup
     if objective is None and cfg.N > 0:
         raise ValueError("superiorization needs an objective when N > 0")
-    sweeper = make_sweeper(solver, constraints, counters, bounds, objective, t)
+    sweeper = make_sweeper(solver, constraints, counters, bounds, objective, t, plan)
     ell = -1
     exhausted = False
 

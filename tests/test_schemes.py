@@ -1,11 +1,13 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cfpopt import schemes
 from cfpopt.feasibility import FeasibilityOutcome, SolverSpec
-from cfpopt.harness import HarnessConfig, builtin_problems, run_variant
+from cfpopt.harness import VARIANTS, HarnessConfig, builtin_problems, run_variant
 from cfpopt.model import AffineConstraint, Bounds, Counters, CustomFunction, Problem, QuadraticFunction
 from cfpopt.schemes import (
     CASE1,
@@ -20,6 +22,11 @@ from cfpopt.schemes import (
     epsilon_update,
     level_set_solve,
 )
+
+_spec = importlib.util.spec_from_file_location(
+    "make_problems", Path(__file__).parents[1] / "benchmarks" / "make_problems.py")
+make_problems = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_problems)
 
 
 def simple_qp():
@@ -196,10 +203,10 @@ def scripted_level_tests(monkeypatch, script):
     calls = []
     solve = schemes.cfp_with_level
 
-    def scripted(problem, t, solver, x0, counters=None):
+    def scripted(problem, t, solver, x0, **kw):
         calls.append((t, x0.copy()))
         if t not in script:
-            return solve(problem, t, solver, x0, counters=counters)
+            return solve(problem, t, solver, x0, **kw)
         x = script[t]
         return FeasibilityOutcome(x is not None, x0.copy() if x is None else np.array(x), 1, 0, 0, 0)
 
@@ -420,3 +427,102 @@ class TestSchemeEdges:
         res = level_set_solve(p, x0=[0.0])
         assert res.case == CASE2_OR_3
         assert res.best_value < 0.1 + 1e-9
+
+
+def capped_dose():
+    """The bundled fluence-map problem with dense rows around its oracle cap: rows, oracle, rows, box."""
+    base = builtin_problems()["imrt_small"]
+    rows = [AffineConstraint.geq([1.0, 1.0, 1.0, 1.0], 0.5), *base.constraints,
+            AffineConstraint.leq([1.0, 0.0, 1.0, 0.0], 8.0)]
+    return Problem(base.objective, rows, bounds=base.bounds, name="capped_dose")
+
+
+def recorded_level_tests(monkeypatch):
+    """Record ``(t, found, certified, x)`` for every level test the schemes make."""
+    tests = []
+    solve = schemes.cfp_with_level
+
+    def recording(problem, t, *args, **kw):
+        out = solve(problem, t, *args, **kw)
+        tests.append((float(t).hex(), out.found, out.infeasibility_certified, out.x.tobytes()))
+        return out
+
+    monkeypatch.setattr(schemes, "cfp_with_level", recording)
+    return tests
+
+
+def run_cells(problems, config, variants):
+    """``{(problem, variant): (report or raised message, level tests)}`` for each cell."""
+    cells = {}
+    for problem in problems:
+        for variant in variants:
+            with pytest.MonkeyPatch.context() as m:
+                tests = recorded_level_tests(m)
+                try:
+                    cells[problem.name, variant] = run_variant(variant, problem, config), tests
+                except ValueError as exc:
+                    cells[problem.name, variant] = str(exc), tests
+    return cells
+
+
+class TestCarriedPlan:
+    """A scheme run packs its rows once and carries every row's screen across its
+    feasibility solves (``feasibility.RowPlan``): the same run as one whose every
+    solve packs its own, with no more projections."""
+
+    ACCEL = HarnessConfig(accel_c=10.0, accel_s=0.001, block=1)
+
+    @pytest.mark.parametrize("config", [HarnessConfig(max_outer=100), ACCEL], ids=["default", "accel"])
+    def test_same_run_as_fresh_plans(self, config, monkeypatch):
+        planted, _fstar = make_problems.planted_instance(0, 30, 40)
+        problems = [simple_qp(), planted, capped_dose()]
+        carried = run_cells(problems, config, VARIANTS)
+        monkeypatch.setattr(schemes, "RowPlan", lambda: None)  # every solve packs its own rows
+        fresh = run_cells(problems, config, VARIANTS)
+        saved = 0
+        for cell, (report, tests) in carried.items():
+            base, base_tests = fresh[cell]
+            assert tests == base_tests, cell  # every solve's level, verdict and point
+            if isinstance(base, str):  # ART3+ takes no oracle constraint
+                assert report == base, cell
+                continue
+            assert report.status == base.status, cell
+            assert repr(report.f_hat) == repr(base.f_hat), cell
+            assert (report.obj_evals, report.outer_steps) == (base.obj_evals, base.outer_steps), cell
+            assert report.projections <= base.projections, cell
+            saved += base.projections - report.projections
+        assert saved > 0
+
+    def test_a_jump_onto_a_violated_row_is_swept(self, monkeypatch):
+        # x0 + x1 >= 0, proven satisfied by the first solve at [3, 3]; the level
+        # test at 14.4 then returns [-3, -4], 7 below the row, and the level's
+        # steps (along (1, -1)) leave x0 + x1 where it is: only the row moves it back
+        row = AffineConstraint.geq([1.0, 1.0], 0.0)
+        problem = Problem(QuadraticFunction([[2.0, -2.0], [-2.0, 2.0]], [-8.0, 8.0], 16.0), [row])
+        assert problem.objective.value(np.array([3.0, 3.0])) == 16.0
+        scripted_level_tests(monkeypatch, {16.0 - 1.6: [-3.0, -4.0]})
+        tests = []
+        scripted = schemes.cfp_with_level
+
+        def recording(*args, **kw):
+            tests.append(scripted(*args, **kw))
+            return tests[-1]
+
+        monkeypatch.setattr(schemes, "cfp_with_level", recording)
+        res = level_set_solve(problem, x0=[3.0, 3.0], max_outer=2)
+        first, jump, after = tests[:3]
+        assert first.found and first.sweeps == 1
+        assert jump.x.tolist() == [-3.0, -4.0]
+        assert after.found and after.moves > 0
+        assert row.value(after.x) <= 1e-8
+        assert problem.max_violation(res.best_x) <= 1e-8
+
+    @pytest.mark.parametrize("variants", [("ls_cspm", "bis_art3+"), ("ls_sup_cspm", "bis_cspm")])
+    def test_runs_on_one_problem_count_alike_in_either_order(self, variants):
+        planted, _fstar = make_problems.planted_instance(1, 30, 40)
+        config = HarnessConfig(max_outer=100)
+        first = [run_variant(v, planted, config) for v in variants]
+        second = [run_variant(v, planted, config) for v in reversed(variants)][::-1]
+        for a, b in zip(first, second):
+            assert (a.status, repr(a.f_hat), a.projections, a.obj_evals, a.outer_steps) == \
+                (b.status, repr(b.f_hat), b.projections, b.obj_evals, b.outer_steps), a.variant
