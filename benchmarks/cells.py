@@ -8,7 +8,9 @@ Builds the workload's inputs at ``SEED`` through ``solvebench/workloads.py``,
 solves every problem x variant cell once with a harness config, and prints one
 JSON object that maps ``problem/variant`` to
 ``[status, repr(f_hat), projections, obj_evals, outer_steps]`` (or to
-``["raised", message]``).  A refactor that must not change results is checked
+``["raised", message]``), each problem's cells after ``problem/f_ref``, the
+``repr`` of the reference value the benchmark's audit judges its
+certificates against.  A refactor that must not change results is checked
 by running this on the old and the new code and diffing the output.
 
 ``VARIANTS`` is a comma-separated list of variant names, or ``all`` for the
@@ -48,7 +50,7 @@ def config(name: str):
 
 
 def cells(workload_name: str, seed: int, variants: list[str] | None = None,
-          config_name: str = "bench") -> dict[str, list]:
+          config_name: str = "bench") -> dict[str, list | str]:
     import workloads
     from cfpopt import harness
 
@@ -60,6 +62,7 @@ def cells(workload_name: str, seed: int, variants: list[str] | None = None,
         inputs = workloads.make_inputs(workload, seed, Path(tmp))
         for i in range(workload.instances):
             problem = workloads.setup(inputs, i)
+            out[f"{problem.name}/f_ref"] = repr(inputs.f_ref[problem.name])
             for variant in variants:
                 try:
                     r = harness.run_variant(variant, problem, cfg,

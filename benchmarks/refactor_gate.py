@@ -36,7 +36,11 @@ reads as such, and the first differing pair as ``- old / + new``.  After the run
 ``cells.py`` runs that counter fell and in how many it rose, one line per
 workload gives the summed ``projections`` and ``obj_evals`` of its seed-101
 ``cells.py`` run (one pass of the benchmark's matrix) at ``PARENT_REV`` and
-here, so that a change to the counters alone reads directly, and one line gives the false
+here, so that a change to the counters alone reads directly, one line per
+workload gives that run's tally of statuses and its false certificates in
+both trees (a ``case2-or-3`` cell whose ``f_hat`` exceeds the run's
+``f_ref`` by more than ``solvebench/audit.py``'s ``certificate_eps`` at the
+benchmark's config), and one line gives the false
 certificates per ``soundness.py`` family in both trees.  The gate ends
 with the ``git diff --numstat PARENT_REV -- src`` totals
 and the code lines of ``src/cfpopt/*.py`` (docstrings, comments and blank
@@ -47,7 +51,7 @@ trees, and the traced
 peak memory and the best of 20 thread times of ``load_qps`` on the seed-101
 plant-art3 ``PLANT000`` file (``qps_peak.py``), whole and split into read,
 parse and ``to_problem``, at ``PARENT_REV`` and in the working tree.  The
-summed counters, the false certificates, the code lines, the peak and
+summed counters, the statuses, the false certificates, the code lines, the peak and
 the times are information: they never fail the gate (a
 changed ``soundness.py`` output does, as any differing run).  The exit
 status is 1 when any output differs, else 0.  The two trees run side by side,
@@ -67,6 +71,7 @@ import subprocess
 import sys
 import tempfile
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -292,6 +297,61 @@ def counter_report(rev: str, old_outs: dict, new_outs: dict) -> list[str]:
     return lines
 
 
+def certificate_rule():
+    """``solvebench/audit.py``'s ``certificate_eps`` at the benchmark's config, as ``eps(variant, f_hat)``."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "solvebench"), str(ROOT / "benchmarks")]
+    import audit
+    import bench
+
+    return lambda variant, f_hat: audit.certificate_eps(variant, f_hat, bench.CONFIG)
+
+
+def certificates(out: str, eps) -> tuple[Counter, int, int] | None:
+    """The status tally of a ``cells.py`` output, its false certificates and its certificates.
+
+    A ``case2-or-3`` cell is a false certificate when its ``f_hat`` exceeds
+    its problem's ``f_ref`` by more than ``eps(variant, f_hat)``.  None when
+    the output is not a ``cells.py`` object.
+    """
+    try:
+        entries = json.loads(out)
+    except json.JSONDecodeError:
+        return None
+    f_ref = {key.split("/")[0]: float(v) for key, v in entries.items() if key.endswith("/f_ref")}
+    statuses, false, certs = Counter(), 0, 0
+    for key, value in entries.items():
+        if key.endswith("/f_ref"):
+            continue
+        problem, variant = key.split("/")
+        statuses[value[0]] += 1
+        if value[0] == "case2-or-3":
+            certs += 1
+            f_hat = float(value[1])
+            false += f_hat - f_ref[problem] > eps(variant, f_hat)
+    return statuses, false, certs
+
+
+def status_report(rev: str, old_outs: dict, new_outs: dict, eps) -> list[str]:
+    """Per workload, the statuses and false certificates of its seed-101 ``cells.py`` run at ``rev``
+    and here, on one line."""
+    def tally(out: str) -> tuple[str, str]:
+        found = certificates(out, eps)
+        if found is None:
+            last = repr((out.strip().splitlines() or [""])[-1])
+            return last, last
+        statuses, false, certs = found
+        return (", ".join(f"{name} {k}" for name, k in sorted(statuses.items())),
+                f"{false} of {certs}")
+
+    lines = []
+    for workload in WORKLOADS:
+        run = ("cells.py", workload, "101")
+        (old_status, old_false), (new_status, new_false) = tally(old_outs[run]), tally(new_outs[run])
+        lines.append(f"statuses, {workload} 101: {old_status} at {rev}; {new_status} here; "
+                     f"false certificates: {old_false} at {rev}, {new_false} here")
+    return lines
+
+
 def false_certificates(out: str) -> str:
     """The ``FAMILY: F false of C certificates`` totals of a ``soundness.py`` output, as
     ``FAMILY F/C`` joined by commas; the output's last line when it has none."""
@@ -364,6 +424,7 @@ def main(argv=None) -> int:
     for name, (fell, rose) in moves.items():
         print(f"{name}: {fell} fell, {rose} rose")
     print("\n".join(counter_report(rev, old_outs, new_outs)))
+    print("\n".join(status_report(rev, old_outs, new_outs, certificate_rule())))
     sound = ("soundness.py",)
     print(f"soundness.py false certificates: {false_certificates(old_outs[sound])} at {rev}; "
           f"{false_certificates(new_outs[sound])} here")

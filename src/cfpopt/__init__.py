@@ -46,6 +46,7 @@ from .qps import ParseDiagnostic, QpsDocument, QpsParseError, load_qps, parse_qp
 from .schemes import (
     CASE1,
     CASE2_OR_3,
+    CASE3,
     ITERATION_CAP,
     AccelerationConfig,
     BisectionConfig,

@@ -4,8 +4,10 @@ All solvers share the same outer contract: cycle over the constraint list in
 order, apply one projection step per violated constraint, and declare the
 point found only when a full pass measures violation <= tol for every
 constraint (sweep soundness).  A system that cannot be certified within
-``max_sweeps`` full sweeps times out, which callers treat as "no feasible
-point exists" (the time-out rule).
+``max_sweeps`` full sweeps times out, which the level-set schemes, and
+bisection on a quadratic objective, treat as "no feasible point exists" (the
+time-out rule); bisection on any other objective ends there instead (see
+:mod:`cfpopt.schemes`).
 
 Given the problem's bound box, every solver kind can also prove a system
 empty before the time-out.  Every step a solver takes moves x by ``-mu h``,
@@ -39,6 +41,25 @@ same linearisation with lambda = ``|xi|**4 / (q v)`` in (0, 2), so its
 share of the gap is positive too.  At a level below the objective's
 minimum, ``lambda v / |xi|**2`` grows as ``|xi|`` shrinks, and x overshoots
 the minimiser sweep after sweep; the ray-minimum step does not.
+
+Single steps zig-zag between two oracle sets whose surfaces meet at a small
+angle, closing on their intersection only as fast as that angle allows.  So
+an oracle visit (an oracle constraint, or the level) that is violated after
+a violated visit of another oracle function in the same solve may step off
+both cuts at once, the surrogate step of Kiwiel (Linear Algebra Appl. 215,
+1995) on the last two cuts.  The older cut ``xi_1 . y <= xi_1 . x^_1 -
+v_1`` is kept as ``xi_1``, ``xi_1 . x^_1`` and ``v_1``.  When the single
+step would leave x outside that cut's halfspace, x takes the lambda-relaxed
+projection onto the intersection of both cuts' halfspaces, ``x - lambda
+(mu_1 xi_1 + mu_2 xi_2)`` with ``mu = G^-1 r``, G the cuts' 2x2 Gram matrix
+and r their violations at x, provided both multipliers are nonnegative and
+``det G`` is not negligible; otherwise the step is the single one, and a
+ray-minimum step keeps its precedence.  The intersection holds every point
+of both sets, so the step is Fejer monotone as a single projection is, and
+each cut enters the Farkas sum with its own multiplier, so every
+certificate stands as before.  Its share of the gap is about ``(lambda -
+lambda**2 / 2) d**2``, d the distance from x to that intersection; d is at
+least ``v / |xi|``, so the share is at least the single step's.
 
 Runs of affine constraints are packed into dense arrays and swept by the
 kernels in :mod:`cfpopt._kernels`; any other convex constraint is handled
@@ -395,20 +416,17 @@ class _StepAggregate:
         self.size_k += size
         self.steps_k += steps
 
-    def add_linearization(self, x: np.ndarray, v: float, xi: np.ndarray, norm2: float, mu: float,
-                          level: float) -> None:
-        """Count an oracle step off ``xi . y <= xi . x - v + tol``.
+    def add_linearization(self, cut: _Cut, mu: float) -> None:
+        """Count an oracle step ``-mu * cut.xi`` off ``xi . y <= xi . x^ - v + tol``.
 
         That is the subgradient inequality of the visited function at the
-        visit point ``x``, where it is violated by ``v > tol`` and has
-        subgradient ``xi``.  ``level`` is ``|t|`` for the objective at level
-        t, whose violation ``f(x) - t`` rounds relative to |t| too, and 0 for
-        a constraint.
+        visit point x^, where it is violated by ``v > tol`` and has
+        subgradient ``xi`` (see :class:`_Cut`).
         """
-        at = float(xi.dot(x))
-        size = abs(at) + abs(v) + level
+        at, v = cut.at, cut.v
+        size = abs(at) + abs(v) + cut.level
         tol = self.tol
-        self.add(mu * (at - v + tol), mu * (size + tol), mu * math.sqrt(norm2))
+        self.add(mu * (at - v + tol), mu * (size + tol), mu * cut.norm)
 
     def empty(self, x: np.ndarray, moves: int, sweeps: int) -> bool:
         """True when, for some window, no point of the tol-widened box satisfies ``c . y <= b``."""
@@ -437,6 +455,57 @@ class _StepAggregate:
             if gap > margin:
                 return True
         return False
+
+
+class _Cut:
+    """A violated oracle visit's linearisation: ``xi . y <= at - v`` holds every point of its set.
+
+    ``fn`` is the visited function, ``xi`` a copy of its subgradient at the
+    visit point x^ (a function may hand out a buffer of its own, or x),
+    ``at`` is ``xi . x^``, ``v > tol`` the violation there, ``norm2`` and
+    ``norm`` are ``|xi|**2`` and ``|xi|``, and ``level`` is ``|t|`` for the
+    objective at level t, whose violation ``f(x^) - t`` rounds relative to
+    |t| too, and 0 for a constraint.
+    """
+
+    __slots__ = ("fn", "xi", "at", "v", "norm2", "norm", "level")
+
+    def __init__(self, fn, xi: np.ndarray, at: float, v: float, norm2: float, level: float):
+        self.fn, self.xi, self.at, self.v, self.level = fn, xi.copy(), at, v, level
+        self.norm2, self.norm = norm2, math.sqrt(norm2)
+
+
+# a Gram determinant at most this share of |xi_1|^2 |xi_2|^2 is negligible.  The
+# share is the squared sine of the cuts' angle; the multipliers round by about
+# 2^-53 over it, and the step's two terms cancel by the sine again, so above
+# the floor (an angle of about 1e-3) the step rounds by at most about 2^-23
+_GRAM_FLOOR = 2.0**-20
+
+
+def _pair_multipliers(older: _Cut, cut: _Cut, x: np.ndarray, coef: float) -> tuple[float, float] | None:
+    """The multipliers of the projection of ``x`` onto both cuts' zero-level halfspaces, or None.
+
+    ``cut`` was taken at ``x`` and ``coef`` is its single step.  With Gram
+    matrix ``G`` of the two subgradients and ``r`` their halfspaces'
+    violations at x, ``mu = G^-1 r`` gives the projection ``x - mu_1 xi_1 -
+    mu_2 xi_2`` onto the two boundaries' intersection, which is the
+    projection onto the halfspaces' intersection when both multipliers are
+    nonnegative.  None when the single step already satisfies the older
+    cut, a multiplier is negative or not finite, or the determinant is
+    negligible (see ``_GRAM_FLOOR``).
+    """
+    g = float(older.xi.dot(cut.xi))
+    r1 = float(older.xi.dot(x)) - (older.at - older.v)
+    if not r1 - coef * g > 0.0:
+        return None
+    n1, n2 = older.norm2, cut.norm2
+    det = n1 * n2 - g * g
+    if not det > _GRAM_FLOOR * (n1 * n2):
+        return None
+    mu1, mu2 = (n2 * r1 - g * cut.v) / det, (n1 * cut.v - g * r1) / det
+    if not (0.0 <= mu1 < math.inf and 0.0 <= mu2 < math.inf):
+        return None
+    return mu1, mu2
 
 
 class RowPlan:
@@ -512,7 +581,8 @@ class _Sweeper:
     reads how far its own coordinate has moved, which its binding measures
     itself at each kernel call.  Every other row reads the path sum
     ``path[0]``, which the sweeper keeps: it grows by ``coef * |h|`` for
-    every row, oracle and level step, and by ``|x_in - x_out|_2`` when a
+    every row, oracle and level step (by the step's length for a step off
+    two cuts, see :meth:`_visit`), and by ``|x_in - x_out|_2`` when a
     sweep starts from a point other than the one the last sweep returned (a
     superiorization perturbation).  That point is copied into the returned
     array, so every sweep updates the one array the kernels have bound; an
@@ -545,6 +615,7 @@ class _Sweeper:
         self.path = plan.path
         self.rtol_events = -1  # the update count path[2] holds for
         self.x_out = None
+        self.cut = None  # the solve's last violated oracle visit (see _visit)
         # a jump at the start of a sweep and a move per visit
         self.updates = (1 + sum(seg.A.shape[0] if tag == "rows" else 1 for tag, seg in self.segments)
                         + (self.level is not None))
@@ -625,12 +696,18 @@ class _Sweeper:
         quadratic level that this ray does not reach (``|xi|**4 < 2 q v``,
         ``q = xi' Q xi`` finite and positive) it steps ``|xi|**2 / q``, to the
         ray's lowest point, the step of relaxation ``|xi|**4 / (q v)`` in
-        (0, 2).  A vanishing subgradient allows no step: at the level it
-        makes x a minimiser of f, so the level set is empty and ``empty`` is
-        set; any other
-        constraint raises :class:`ZeroSubgradientError`.  A NaN value, or a
-        violated visit whose step is not finite, raises ``ValueError``
-        before x changes: no pass can certify or prove anything past it.
+        (0, 2).  Otherwise, when the solve's last violated oracle visit
+        (``cut``) was of another function and the step would violate that
+        visit's cut, x takes the ``lam``-relaxed projection onto both cuts'
+        halfspaces (:func:`_pair_multipliers`; see the module docstring):
+        each cut enters the aggregate with ``lam`` times its multiplier, and
+        the path sum grows by the length of the step, as for a jump.  The
+        visit's cut becomes ``cut`` either way.  A vanishing subgradient
+        allows no step: at the level it makes x a minimiser of f, so the
+        level set is empty and ``empty`` is set; any other constraint raises
+        :class:`ZeroSubgradientError`.  A NaN value, or a violated visit
+        whose step is not finite, raises ``ValueError`` before x changes: no
+        pass can certify or prove anything past it.
         """
         self.counters.projections += 1
         v = self.counters.objective(fn, x) - self.t if level else fn.value(x)
@@ -647,20 +724,37 @@ class _Sweeper:
                 self.empty = True
                 return x, v
             coef = lam * v / norm2
+            ray = False
             if level and self.curvature is not None:
                 # f along -xi is f(x) - s |xi|^2 + q s^2 / 2: when that stays above
                 # the level, step to its lowest point
                 q = float(xi.dot(self.curvature.dot(xi)))
-                if 0.0 < q < math.inf and norm2 * norm2 < 2.0 * q * v:
+                ray = 0.0 < q < math.inf and norm2 * norm2 < 2.0 * q * v
+                if ray:
                     coef = norm2 / q
             if not (norm2 < math.inf and coef < math.inf):
                 raise ValueError(f"{'objective' if level else 'constraint'} {fn!r} gives a non-finite "
                                  f"step (violation {v}, |xi|^2 {norm2})")
-            if self.aggregate is not None:
-                self.aggregate.add_linearization(x, v, xi, norm2, coef, abs(self.t) if level else 0.0)
-            x -= coef * xi
+            cut = _Cut(fn, xi, float(xi.dot(x)), v, norm2, abs(self.t) if level else 0.0)
+            older, self.cut = self.cut, cut
+            pair = None
+            if not ray and older is not None and older.fn is not fn:
+                pair = _pair_multipliers(older, cut, x, coef)
+            agg = self.aggregate
+            if pair is None:
+                if agg is not None:
+                    agg.add_linearization(cut, coef)
+                x -= coef * xi
+                self.path[0] += coef * cut.norm
+            else:
+                mu1, mu2 = lam * pair[0], lam * pair[1]
+                if agg is not None:
+                    agg.add_linearization(older, mu1)
+                    agg.add_linearization(cut, mu2)
+                step = mu1 * older.xi + mu2 * cut.xi
+                x -= step
+                self.path[0] += math.sqrt(float(step.dot(step)))
             self.moves += 1
-            self.path[0] += coef * math.sqrt(norm2)
         return x, v
 
 

@@ -10,18 +10,21 @@ share one acceleration rule: stalled levels warm-start the next solve from a
 negative-gradient shift of the incumbent, which never becomes the incumbent
 itself.
 
-Termination is classified into three cases: the very first feasibility
+Termination is classified into four cases: the very first feasibility
 solve already fails (``CASE1``); some later solve fails, certifying the
-previous point as eps-optimal (``CASE2_OR_3``); or the outer iteration cap
-is hit with every solve succeeding (``ITERATION_CAP``, no certificate).  A
-solve fails either with a proof that its level set is empty or by
-exhausting its sweep budget, which the time-out rule reads the same way.
-The proofs are three (see :mod:`cfpopt.feasibility`): the step multipliers
-of CSPM, POCS and ART3+ when the problem has a finite bound box; a violated
-level visit at a minimiser of the objective; and, before the first sweep, a
-level more than tol below the objective's ``lower_bound()``.  Proof and
-time-out lead to the same case, so the two theoretical sub-cases of
-``CASE2_OR_3`` are still reported jointly.
+previous point as eps-optimal (``CASE2_OR_3``); a bisection test on an
+objective that is not a :class:`~cfpopt.model.QuadraticFunction` times out
+without a proof (``CASE3``, no certificate: ``lower`` and ``upper`` are the
+bracket at the stop); or the outer iteration cap is hit before any of these
+(``ITERATION_CAP``, no certificate).  A solve fails either with a proof that
+its level set is empty or by exhausting its sweep budget.  The proofs are
+three (see :mod:`cfpopt.feasibility`): the step multipliers of CSPM, POCS
+and ART3+ when the problem has a finite bound box; a violated level visit at
+a minimiser of the objective; and, before the first sweep, a level more than
+tol below the objective's ``lower_bound()``.  The level-set schemes, and
+bisection on a quadratic objective, still read a time-out as a proof (the
+time-out rule), so the two theoretical sub-cases of ``CASE2_OR_3`` are
+reported jointly there.
 """
 
 from __future__ import annotations
@@ -32,11 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feasibility import RowPlan, _check_count, cfp_with_level
-from .model import Counters, Problem, as_vector
+from .model import Counters, Problem, QuadraticFunction, as_vector
 
 __all__ = [
     "CASE1",
     "CASE2_OR_3",
+    "CASE3",
     "ITERATION_CAP",
     "DEFAULT_MAX_OUTER",
     "EpsilonRule",
@@ -54,6 +58,7 @@ __all__ = [
 
 CASE1 = "case1"
 CASE2_OR_3 = "case2-or-3"
+CASE3 = "case3"
 ITERATION_CAP = "iteration-cap"
 DEFAULT_MAX_OUTER = 10_000
 
@@ -155,8 +160,10 @@ class SchemeResult:
     certificate, set only in ``CASE2_OR_3`` (the eps of the last accepted
     step, or gamma for bisection).  ``trace`` records ``(k, t, f)``, the
     next level and the incumbent value after step ``k`` (a failing level-set
-    step ends the run unrecorded), and ``level_steps`` is the number of
-    level-constrained feasibility attempts.
+    step, and a bisection test that ends the run in ``CASE3``, end it
+    unrecorded), and ``level_steps`` is the number of level-constrained
+    feasibility attempts.  ``lower`` and ``upper`` are a bisection run's
+    bracket when it stopped.
     """
 
     case: str
@@ -324,9 +331,14 @@ def bisection_solve(problem: Problem, solver="cspm", x0=None, cfg: BisectionConf
     """Bracket the optimal value and halve the bracket by feasibility tests.
 
     After an initial plain feasibility solve sets ``f_hi = f(x^0)``, each
-    step tests the level ``t = (f_lo + f_hi)/2``: failure (time-out) raises
-    ``f_lo`` to ``t``; a found point becomes the incumbent, lowering
-    ``f_hi`` to its value, only when that value is below ``f_hi``.  A found
+    step tests the level ``t = (f_lo + f_hi)/2``: a test that proves its
+    level set empty raises ``f_lo`` to ``t``; a found point becomes the
+    incumbent, lowering ``f_hi`` to its value, only when that value is below
+    ``f_hi``.  A test that times out proves nothing, and on an objective
+    that is not a :class:`~cfpopt.model.QuadraticFunction` it ends the run
+    in ``CASE3``, with no certificate and the bracket as it stood.  On a
+    quadratic objective it still raises ``f_lo``, the paper's time-out rule,
+    until a proven dual bound replaces it.  A found
     value is at most ``t`` plus the solver's tolerance, so with a tolerance
     below ``gamma/2`` a found point is kept out only in a crossed bracket
     (``f_lo > f_hi``, after a time-out read as a proof or from a lower
@@ -355,6 +367,9 @@ def bisection_solve(problem: Problem, solver="cspm", x0=None, cfg: BisectionConf
     gamma = cfg.gamma
 
     warm_start = _warm_starts(problem, accel, rule, counters)
+    # a QP's time-out is still read as a proof, until a proven bound from the
+    # QP's dual (ROADMAP item 2, Stage B) takes its place; then this goes
+    timeout_is_proof = isinstance(problem.objective, QuadraticFunction)
     t = 0.5 * (f_lo + f_hi)
     trace = [(0, t, f_hi)]
     k = 0
@@ -368,8 +383,10 @@ def bisection_solve(problem: Problem, solver="cspm", x0=None, cfg: BisectionConf
             fx = _objective(problem, out.x, counters, f"at step {k}")
             if fx < f_hi:
                 x, f_hi = out.x, fx
-        else:
+        elif out.infeasibility_certified or timeout_is_proof:
             f_lo = t
+        else:
+            return SchemeResult(CASE3, x, f_hi, None, k, trace, counters, lower=f_lo, upper=f_hi)
         t = 0.5 * (f_lo + f_hi)
         trace.append((k, t, f_hi))
 

@@ -496,3 +496,109 @@ class TestRayMinimumStep:
             x = self.first_sweep(kind, f, -1.0, x0)
         np.testing.assert_array_equal(x, self.subgradient_step(f, -1.0, self.lam(kind), x0))
         assert x.tolist() != list(x0)
+
+
+def linear(a, b: float, name: str) -> CustomFunction:
+    """``a . y - b`` through the oracle interface, so that its visits are oracle visits."""
+    a = np.array(a, dtype=float)
+    return CustomFunction(lambda y: float(a @ y) - b, lambda y: a.copy(), name=name)
+
+
+def disc(center, radius: float, name: str) -> CustomFunction:
+    """``|y - center|^2 - radius^2``: at most 0 on the disc."""
+    c = np.array(center, dtype=float)
+    return CustomFunction(lambda y: float((y - c) @ (y - c)) - radius**2, lambda y: 2.0 * (y - c), name=name)
+
+
+class TestTwoCutStep:
+    """A violated oracle visit after one of another function may project onto both cuts at once.
+
+    With ``g1 = y_0`` and ``g2 = y_1 - y_0`` from (1, 2), the first visit
+    steps to ``(1 - lam, 2)``, and the single step off ``g2``'s cut would
+    leave ``y_0 > 0``: the two cuts meet at the origin, the vertex of the
+    feasible wedge, and x takes the relaxed projection onto it.
+    """
+
+    BOX = Bounds([-10.0, -10.0], [10.0, 10.0])
+    WEDGE = (linear([1.0, 0.0], 0.0, "g1"), linear([-1.0, 1.0], 0.0, "g2"))
+
+    @staticmethod
+    def first_sweep(constraints, x0, lam=1.5, bounds=None, objective=None, t=np.inf):
+        sweeper = make_sweeper(SolverSpec("cspm", lam=lam), constraints, Counters(), bounds, objective, t)
+        return sweeper, sweeper.sweep(np.array(x0, dtype=float), 0)
+
+    @pytest.mark.parametrize("lam, expected", [(1.0, [0.0, 0.0]), (1.5, [0.25, -1.0])])
+    def test_the_step_is_the_relaxed_projection_onto_both_cuts(self, lam, expected):
+        # lam = 1: x1 = (0, 2) lands on the vertex; lam = 1.5: x1 = (-0.5, 2), whose
+        # projection onto both cuts is the origin too, and x1 + 1.5 (0 - x1) = (0.25, -1)
+        _, x = self.first_sweep(self.WEDGE, [1.0, 2.0], lam)
+        np.testing.assert_array_equal(x, expected)
+
+    def test_the_step_matches_the_closed_form_at_a_generic_point(self):
+        a1, b1, a2, b2 = np.array([2.0, 0.5]), 0.3, np.array([-1.2, 1.1]), -0.2
+        x0, lam = np.array([1.3, 2.1]), 1.5
+        x1 = x0 - lam * (a1 @ x0 - b1) / (a1 @ a1) * a1
+        single = x1 - lam * (a2 @ x1 - b2) / (a2 @ a2) * a2
+        assert a1 @ single - b1 > 0.0  # the single step would violate the older cut
+        vertex = np.linalg.solve(np.array([a1, a2]), [b1, b2])
+        _, x = self.first_sweep([linear(a1, b1, "g1"), linear(a2, b2, "g2")], x0, lam)
+        np.testing.assert_allclose(x, x1 + lam * (vertex - x1), rtol=1e-13, atol=1e-13)
+
+    def test_both_cuts_enter_the_aggregate_with_their_multipliers(self):
+        # steps: 1.5 (1, 0) off g1, then 2.25 (1, 0) and 3 (-1, 1) off the two cuts,
+        # each cut's halfspace tight at its visit (beta = at - v = 0)
+        sweeper, x = self.first_sweep(self.WEDGE, [1.0, 2.0], bounds=self.BOX)
+        agg = sweeper.aggregate
+        np.testing.assert_array_equal(agg.c, [0.75, 3.0])
+        assert agg.b == pytest.approx(6.75 * agg.tol)
+        np.testing.assert_array_equal(x, [0.25, -1.0])
+        assert sweeper.moves == 2
+
+    @pytest.mark.parametrize("constraints, x0, lam, objective, t, expected", [
+        # x1 = (-0.5, 2); the single step 1.125 (1, 1) off g2 = y_0 + y_1 keeps y_0 <= 0
+        ((linear([1.0, 0.0], 0.0, "g1"), linear([1.0, 1.0], 0.0, "g2")), [1.0, 2.0], 1.5, None, np.inf,
+         [-1.625, 0.875]),
+        # the row y_0 >= 0.75 moves x1 = (-0.5, 1) back to (1.375, 1), across g1's cut; the
+        # single step 1.78125 (1, 1) off g2 satisfies that cut again, though both
+        # multipliers of the projection onto the two cuts, 0.375 and 1, are nonnegative
+        ((linear([1.0, 0.0], 0.0, "g1"), AffineConstraint.geq([1.0, 0.0], 0.75),
+          linear([1.0, 1.0], 0.0, "g2")), [1.0, 1.0], 1.5, None, np.inf, [-0.40625, -0.78125]),
+        # parallel cuts (y_0 <= 0 and y_0 >= 1): a zero Gram determinant
+        ((linear([1.0, 0.0], 0.0, "g1"), linear([-1.0, 0.0], -1.0, "g2")), [0.5, 0.0], 1.5, None, np.inf,
+         [1.625, 0.0]),
+        # a quadratic level out of its ray's reach keeps the step to the ray's lowest point,
+        # (0, 0), though that leaves the older cut y_0 <= -1 violated and the projection onto
+        # both cuts has multipliers 9.5 / 16 and 9.5 / 16
+        ((linear([1.0, 0.0], -1.0, "g1"),), [3.0, 4.0], 1.0, QuadraticFunction(np.eye(2), np.zeros(2)),
+         -1.0, [0.0, 0.0]),
+    ], ids=["older cut kept", "older cut kept after a row", "parallel cuts", "ray minimum"])
+    def test_the_single_step_is_taken_bit_for_bit_otherwise(self, constraints, x0, lam, objective, t,
+                                                            expected):
+        _, x = self.first_sweep(constraints, x0, lam, objective=objective, t=t)
+        np.testing.assert_array_equal(x, expected)
+
+    @pytest.mark.parametrize("x0", [[0.3, 2.0], [0.0, 2.5], [2.0, -1.0], [-2.5, 2.5]])
+    @pytest.mark.parametrize("lam", [1.0, 1.5, 1.9])
+    def test_disjoint_discs_in_a_box_are_certified_empty(self, x0, lam):
+        discs = [disc([-1.0, 0.0], 0.5, "a"), disc([1.0, 0.0], 0.5, "b")]
+        out = cfp_solve(discs, x0, SolverSpec("cspm", lam=lam), bounds=Bounds([-3.0, -3.0], [3.0, 3.0]))
+        assert out.infeasibility_certified and not out.found
+        assert out.sweeps <= 20
+
+    @pytest.mark.parametrize("as_level", [False, True], ids=["constraints", "constraint and level"])
+    @pytest.mark.parametrize("x0", [[0.3, 2.0], [0.0, 2.5]])
+    def test_discs_meeting_at_a_small_angle_are_found_in_few_sweeps(self, x0, as_level):
+        # radius 1.001 about (-1, 0) and (1, 0): a lens 0.002 wide, whose edges meet at
+        # about 5 degrees; single steps zig-zag between them for 558 sweeps from either start
+        r = 1.001
+        a, b = disc([-1.0, 0.0], r, "a"), disc([1.0, 0.0], r, "b")
+        box = Bounds([-3.0, -3.0], [3.0, 3.0])
+        if as_level:
+            # the level |y - (-1, 0)|^2 <= r^2 is disc a
+            f = CustomFunction(lambda y: a.value(y) + r**2, a.subgrad, name="f")
+            out = cfp_solve([b], x0, bounds=box, objective=f, t=r**2)
+        else:
+            out = cfp_solve([a, b], x0, bounds=box)
+        assert out.found
+        assert out.sweeps <= 20
+        assert max(a.value(out.x), b.value(out.x)) <= SolverSpec().tol

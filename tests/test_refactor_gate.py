@@ -1,9 +1,11 @@
 """The refactor gate names every cell a change moves, not only the first, and counts code lines.
 
-It also repeats runs under the numpy backend, which must match the default backend's bits.
+It also repeats runs under the numpy backend, which must match the default backend's bits, and
+reports each workload's statuses and false certificates.
 """
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -191,3 +193,42 @@ def test_soundness_is_a_gate_run_with_its_false_certificates_reported():
     diff = refactor_gate.differences(out, out.replace("holds", "FALSE"))
     assert diff.split("\n")[0] == "1 of 3 lines differ: full/RS000/ls_cspm"
 
+
+
+def test_statuses_and_false_certificates_are_reported_per_workload_for_both_trees():
+    out = OLD.replace('{\n', '{\n "P0/f_ref": "0.5",\n "P1/f_ref": "2.0",\n')
+    # certificates that hold within eps = 0.6: P0/ls_cspm (1.0) does, P0/bis_cspm (1.5) does not
+    eps = lambda variant, f_hat: 0.6  # noqa: E731
+    statuses, false, certs = refactor_gate.certificates(out, eps)
+    assert statuses == {"case2-or-3": 2, "case1": 1}
+    assert (false, certs) == (1, 2)
+    # the benchmark's audit judges the bisection cell against gamma, the level-set cell against eps(f)
+    rule = refactor_gate.certificate_rule()
+    assert rule("bis_cspm", 1.5) == 1e-5
+    assert rule("ls_cspm", 1.0) == 0.1
+    assert refactor_gate.certificates("exit 1: ImportError\n", eps) is None
+    old = {("cells.py", w, "101"): out for w in refactor_gate.WORKLOADS}
+    new = dict(old)
+    new[("cells.py", "dose-cspm", "101")] = out.replace('["case2-or-3", "1.5"', '["case3", "1.5"')
+    new[("cells.py", "plant-art3", "101")] = "exit 1: ImportError\n"
+    assert refactor_gate.status_report("abc123", old, new, eps) == [
+        "statuses, plant-cspm 101: case1 1, case2-or-3 2 at abc123; case1 1, case2-or-3 2 here; "
+        "false certificates: 1 of 2 at abc123, 1 of 2 here",
+        "statuses, plant-art3 101: case1 1, case2-or-3 2 at abc123; 'exit 1: ImportError' here; "
+        "false certificates: 1 of 2 at abc123, 'exit 1: ImportError' here",
+        "statuses, dose-cspm 101: case1 1, case2-or-3 2 at abc123; case1 1, case2-or-3 1, case3 1 here; "
+        "false certificates: 1 of 2 at abc123, 0 of 1 here",
+    ]
+
+
+def test_cells_lead_each_problem_with_its_reference_value():
+    script = Path(__file__).parents[1] / "benchmarks" / "cells.py"
+    out = subprocess.run([sys.executable, str(script), "dose-cspm", "101", "ls_sup_cspm"],
+                         capture_output=True, text=True, check=True).stdout
+    entries = json.loads(out)
+    assert list(entries) == ["DOSE000/f_ref", "DOSE000/ls_sup_cspm", "DOSE001/f_ref", "DOSE001/ls_sup_cspm"]
+    assert float(entries["DOSE000/f_ref"]) > 0.0
+    # a reference value is no cell: it counts in no counter total
+    assert refactor_gate.counter_totals(out) == {
+        name: sum(entries[k][refactor_gate.CELL_FIELDS.index(name)] for k in entries if "f_ref" not in k)
+        for name in refactor_gate.COUNTERS}

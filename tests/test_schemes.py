@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cfpopt
 from cfpopt import schemes
 from cfpopt.feasibility import FeasibilityOutcome, SolverSpec
 from cfpopt.harness import VARIANTS, HarnessConfig, builtin_problems, run_variant
@@ -12,6 +13,7 @@ from cfpopt.model import AffineConstraint, Bounds, Counters, CustomFunction, Pro
 from cfpopt.schemes import (
     CASE1,
     CASE2_OR_3,
+    CASE3,
     ITERATION_CAP,
     AccelerationConfig,
     BisectionConfig,
@@ -355,6 +357,50 @@ class TestBisection:
         res = crossed_bisection(max_outer=6, accel=AccelerationConfig(c=10.0, s=0.001, block=1))
         assert perturbed == [[2.0], [1.0]]
         assert res.trace[2:] == [(k, 1.5, 1.0) for k in range(2, 7)]
+
+
+def square(bounds=None):
+    """``min x^2 s.t. x >= 1`` with the objective behind the oracle interface, not a QP."""
+    f = CustomFunction(lambda x: float(x[0] * x[0]), lambda x: 2.0 * x, name="square")
+    return Problem(f, [AffineConstraint.geq([1.0], 1.0)], bounds=bounds, fstar=1.0, name="square")
+
+
+class TestHonestBisection:
+    """Bisection on an objective that is not a QP ends at its first unproven time-out; a QP's does not."""
+
+    # from x0 = 2 (f = 4) over [0, 4]: the test at 2 finds x = 1.5 (f = 2.25), and the
+    # test at 1.125 times out
+    SCRIPT = {2.0: [1.5], 1.125: None}
+
+    def test_a_time_out_ends_a_non_qp_run_in_case3(self, monkeypatch):
+        calls = scripted_level_tests(monkeypatch, self.SCRIPT)
+        res = bisection_solve(square(), x0=[2.0], cfg=BisectionConfig(f_lower=0.0))
+        assert [t for t, _x in calls] == [np.inf, 2.0, 1.125]
+        assert res.case == CASE3 == cfpopt.CASE3 == "case3"
+        assert res.epsilon is None
+        assert (res.lower, res.upper) == (0.0, 2.25)  # the time-out left f_lo where it was
+        assert (res.best_x.tolist(), res.best_value) == ([1.5], 2.25)
+        assert res.level_steps == 2
+        assert res.trace == [(0, 2.0, 4.0), (1, 1.125, 2.25)]
+
+    def test_a_qp_still_reads_the_time_out_as_a_proof(self, monkeypatch):
+        scripted_level_tests(monkeypatch, self.SCRIPT)
+        res = bisection_solve(simple_qp(), x0=[2.0], cfg=BisectionConfig(f_lower=0.0), max_outer=2)
+        assert res.case == ITERATION_CAP
+        assert (res.lower, res.upper) == (1.125, 2.25)
+        assert res.trace == [(0, 2.0, 4.0), (1, 1.125, 2.25), (2, 1.6875, 2.25)]
+
+    def test_a_non_qp_run_without_proofs_ends_in_case3(self):
+        # without a box no solve can prove its level set empty
+        res = bisection_solve(square(), x0=[2.0], cfg=BisectionConfig(f_lower=0.0))
+        assert res.case == CASE3 and res.epsilon is None
+        assert res.lower == 0.0 <= res.upper == res.best_value
+
+    def test_a_non_qp_run_whose_failures_are_proven_still_certifies(self):
+        res = bisection_solve(square(Bounds([-3.0], [3.0])), x0=[2.0], cfg=BisectionConfig(f_lower=0.0))
+        assert res.case == CASE2_OR_3
+        assert res.epsilon == 1e-5
+        assert res.lower <= 1.0 <= res.upper <= res.lower + 1e-5
 
 
 @pytest.mark.parametrize("solve", [level_set_solve, accelerated_level_set_solve, bisection_solve])
