@@ -59,7 +59,6 @@ from .schemes import (
     level_set_solve,
 )
 from .superiorize import (
-    PerturbationTrace,
     SuperiorizationConfig,
     nonascending_direction,
 )

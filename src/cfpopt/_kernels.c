@@ -424,9 +424,7 @@ static uint64_t name_slot(const char *buf, const char *s, int64_t n, const int64
  * full.  buf[size] must be readable and not a digit (a Python bytes object
  * ends in a NUL).
  *
- * info[j] receives line j's token count (0 for a blank line), and -1 for
- * the header line the scan stops at.  In the modes but QPS_SKIP each data
- * line is converted to entries:
+ * In the modes but QPS_SKIP each data line is converted to entries:
  *   QPS_PAIRS: 'FIRST NAME VAL [NAME VAL]' (COLUMNS, RHS, RANGES), one
  *     entry per pair;
  *   QPS_QUAD: 'FIRST NAME VAL' (QUADOBJ, QMATRIX), one entry.
@@ -443,18 +441,19 @@ static uint64_t name_slot(const char *buf, const char *s, int64_t n, const int64
  * before a data line whose entries or new names would not fit, and refuses
  * one that would not fit into an empty call.  out[0] receives the offset
  * where the scan stopped (the header line's start, else the first line not
- * scanned, or size), out[1] the number of lines in info, out[2] of entries,
- * out[3] of runs, out[4] of names, and out[5] the offset where the next
- * scan starts (after the header line, else out[0]).
+ * scanned, or size), out[1] the number of lines scanned (the header line
+ * among them), out[2] of entries, out[3] of runs, out[4] of names, and
+ * out[5] the offset where the next scan starts (after the header line,
+ * else out[0]).
  *
  * Returns 1 when it stopped at a header, 0 otherwise, and -1 when it
  * refuses: a byte that is not plain (see token_byte), a token count the
  * mode does not take, a value number() rejects or a line too large for the
  * rooms.  A refused scan leaves its outputs unspecified; the caller reads
- * the lines another way.  info, ia, ib and val need room for cap entries,
+ * the lines another way.  ia, ib and val need room for cap entries,
  * runs for 2 cap and names for 2 room. */
 int64_t cfp_qps_scan(const char *buf, int64_t size, int64_t pos, int64_t mode, int64_t cap,
-                     int64_t room, int64_t *info, int64_t *ia, int64_t *ib, double *val,
+                     int64_t room, int64_t *ia, int64_t *ib, double *val,
                      int64_t *runs, int64_t *names, int64_t *table, int64_t *out)
 {
     const char *p = buf + pos, *end = buf + size;
@@ -484,7 +483,7 @@ int64_t cfp_qps_scan(const char *buf, int64_t size, int64_t pos, int64_t mode, i
         if (bad)
             return -1;
         if (header) {
-            info[lines++] = -1;
+            lines++;
             out[0] = start - buf;
             out[5] = p - buf;
             break;
@@ -529,7 +528,7 @@ int64_t cfp_qps_scan(const char *buf, int64_t size, int64_t pos, int64_t mode, i
                 k++;
             }
         }
-        info[lines++] = nt;
+        lines++;
     }
     if (!header)
         out[0] = out[5] = p - buf;

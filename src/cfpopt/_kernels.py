@@ -652,7 +652,7 @@ def _load_c() -> tuple:
     cspm, art3, scan = lib.cfp_cspm_sweep, lib.cfp_art3_pass, lib.cfp_qps_scan
     cspm.argtypes = (P,) * 10 + (I, I, D, D, P)
     art3.argtypes = (P,) * 10 + (I, I, P, I, D, P, P)
-    scan.argtypes = (S, I, I, I, I, I) + (P,) * 8
+    scan.argtypes = (S, I, I, I, I, I) + (P,) * 7
     cspm.restype = art3.restype = scan.restype = I
     return "c", cspm, art3, _c_arg, scan
 
@@ -768,23 +768,21 @@ def art3_pass(A, rows, x, tol, out, queue):
 class QpsScan:
     """The outputs of ``qps_scan``, with room for ``lines`` lines and ``names`` distinct names a call.
 
-    ``info`` holds each line's token count (-1 for the header line the scan
-    stopped at); ``ia``, ``ib`` and ``val`` the entries, as many as
-    ``lines``: the run of the entry's first token, the id of its name token
-    and its value; ``runs`` the span (start and end offsets) of each run's
-    first token; ``names`` the span of each distinct name token, by id;
-    ``table`` the kernel's hash table of the names; ``out`` the stop offset,
-    the numbers of lines, entries, runs and names, and the offset where the
-    next scan starts.  The binding keeps the active backend's arguments for
-    the arrays, as :class:`Rows` does.
+    ``ia``, ``ib`` and ``val`` hold the entries, as many as ``lines``: the
+    run of the entry's first token, the id of its name token and its value;
+    ``runs`` the span (start and end offsets) of each run's first token;
+    ``names`` the span of each distinct name token, by id; ``table`` the
+    kernel's hash table of the names; ``out`` the stop offset, the numbers
+    of lines, entries, runs and names, and the offset where the next scan
+    starts.  The binding keeps the active backend's arguments for the
+    arrays, as :class:`Rows` does.
     """
 
-    __slots__ = ("info", "ia", "ib", "val", "runs", "names", "table", "out", "_arg", "_outs")
+    __slots__ = ("ia", "ib", "val", "runs", "names", "table", "out", "_arg", "_outs")
 
     def __init__(self, lines: int, names: int):
         if lines < 1 or names < 1:
             raise ValueError("a scan needs room for at least one line and one name")
-        self.info = np.empty(lines, dtype=np.int64)
         self.ia, self.ib = np.empty(lines, dtype=np.int64), np.empty(lines, dtype=np.int64)
         self.val = np.empty(lines)
         self.runs = np.empty(2 * lines, dtype=np.int64)
@@ -798,8 +796,8 @@ class QpsScan:
         """The kernel's room and output arguments, as ``arg`` converts them."""
         if arg is not self._arg:
             self._arg = arg
-            arrays = (self.info, self.ia, self.ib, self.val, self.runs, self.names, self.table, self.out)
-            self._outs = [arg(self.info.shape[0]), arg(self.names.shape[0] // 2), *map(arg, arrays)]
+            arrays = (self.ia, self.ib, self.val, self.runs, self.names, self.table, self.out)
+            self._outs = [arg(self.ia.shape[0]), arg(self.names.shape[0] // 2), *map(arg, arrays)]
         return self._outs
 
 

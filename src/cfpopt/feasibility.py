@@ -95,14 +95,17 @@ for a problem's level test.  Each solve is one sweeper (:func:`make_sweeper`):
 its constructor plans the solve once for every kind (the level slot, and the
 row segments and step aggregate, which it takes from the run's plan when the
 run has packed them), its pass is the kind's projection rule, and its
-``run`` is the one sweep/time-out loop.  A superiorized solve
-(:class:`SuperiorizationConfig`, see :mod:`cfpopt.superiorize`) perturbs
-toward smaller values of the objective the level reads, within the box the
-emptiness test reads.  This module owns the step rule: one CSPM sweep
-over a single set is the relaxed (subgradient) projection onto it, lambda in
-(0, 2); :class:`ZeroSubgradientError` flags a violated constraint that admits
-no step, and an oracle visit that reads a NaN value or would take a
-non-finite step raises ``ValueError`` before x moves.
+``run`` is the one sweep/time-out loop, with one hook before each sweep.  A
+superiorized solve (:class:`SuperiorizationConfig`, see
+:mod:`cfpopt.superiorize`) perturbs there, toward smaller values of the
+objective the level reads, within the box the emptiness test reads.  A solve
+returns only its outcome; its iterates and perturbations are watched from
+outside, by rebinding :func:`make_sweeper` and wrapping its sweeper's
+``run`` and ``sweep``.  This module owns the step rule: one CSPM sweep over
+a single set is the relaxed (subgradient) projection onto it, lambda in (0,
+2); :class:`ZeroSubgradientError` flags a violated constraint that admits no
+step, and an oracle visit that reads a NaN value or would take a non-finite
+step raises ``ValueError`` before x moves.
 """
 
 from __future__ import annotations
@@ -621,14 +624,15 @@ class _Sweeper:
                         + (self.level is not None))
         self.certified = self.updates == 1
 
-    def run(self, x0: np.ndarray, history: list | None, before_sweep=None) -> FeasibilityOutcome:
+    def run(self, x0: np.ndarray, before_sweep=None) -> FeasibilityOutcome:
         """The sweep/time-out loop of every feasibility solve, from ``x0``.
 
         Sweeps until one certifies every constraint within tolerance (found),
         the sweeps prove the system empty, or the solve times out after
         ``max_sweeps`` sweeps.  ``before_sweep(x, k)``, when given, maps the
         iterate just before sweep ``k``; superiorization perturbs it there.
-        ``history`` collects the iterate of each sweep.
+        It is the loop's one hook; the iterate of each sweep is what
+        :meth:`sweep` returns.
         """
         counters = self.counters
         x = x0.copy()
@@ -642,8 +646,6 @@ class _Sweeper:
                 x = before_sweep(x, k)
             x = self.sweep(x, k)
             sweeps = k + 1
-            if history is not None:
-                history.append(x.copy())
             if self.certified or self.empty:
                 break
         self.plan.x = x.copy()
@@ -878,9 +880,9 @@ def make_sweeper(solver: SolverSpec, constraints, counters: Counters,
 
 
 def cfp_solve(constraints, x0, solver: SolverSpec | str = "cspm",
-              counters: Counters | None = None, history: list | None = None,
-              bounds: Bounds | None = None, objective: ConvexFunction | None = None,
-              t: float = np.inf, trace=None, plan: RowPlan | None = None) -> FeasibilityOutcome:
+              counters: Counters | None = None, *, bounds: Bounds | None = None,
+              objective: ConvexFunction | None = None, t: float = np.inf,
+              plan: RowPlan | None = None) -> FeasibilityOutcome:
     """Seek a point of ``constraints`` (and of ``objective(x) <= t``) from ``x0``.
 
     The one feasibility solve, run as ``solver`` says (a bare kind takes the
@@ -889,13 +891,12 @@ def cfp_solve(constraints, x0, solver: SolverSpec | str = "cspm",
     same iterates), or ART3+ over interval rows (``art3+``; a sweep is one
     pass over its work queue).  With ``solver.sup`` set it is
     :func:`cfpopt.superiorize.superiorized_solve`, which perturbs toward
-    smaller ``objective`` values within ``bounds`` and records its
-    perturbations in ``trace``.  ``bounds``, ``objective`` and ``t`` are as
-    in :func:`make_sweeper`; ``bounds`` must have ``x0``'s length, and a
-    solve needs constraints, a box or an objective.  ``history`` collects the
-    iterate of each sweep.  ``plan`` carries the packed rows and their
-    screens from one solve of a run to the next (see :class:`RowPlan`);
-    without it the solve packs its own.
+    smaller ``objective`` values within ``bounds``.  ``bounds``,
+    ``objective`` and ``t`` are as in :func:`make_sweeper`; ``bounds`` must
+    have ``x0``'s length, and a solve needs constraints, a box or an
+    objective.  ``plan`` carries the packed rows and their screens from one
+    solve of a run to the next (see :class:`RowPlan`); without it the solve
+    packs its own.
     """
     if isinstance(solver, str):
         solver = SolverSpec(kind=solver)
@@ -909,14 +910,13 @@ def cfp_solve(constraints, x0, solver: SolverSpec | str = "cspm",
     if solver.sup is not None:
         from . import superiorize
 
-        return superiorize.superiorized_solve(constraints, x0, solver, counters, history, bounds,
-                                              objective, t, trace, plan)
-    return make_sweeper(solver, constraints, counters, bounds, objective, t, plan).run(x0, history)
+        return superiorize.superiorized_solve(constraints, x0, solver, counters, bounds, objective, t, plan)
+    return make_sweeper(solver, constraints, counters, bounds, objective, t, plan).run(x0)
 
 
 def cfp_with_level(problem: Problem, t: float, solver: SolverSpec | str = "cspm",
-                   x0=None, counters: Counters | None = None,
-                   history: list | None = None, plan: RowPlan | None = None) -> FeasibilityOutcome:
+                   x0=None, counters: Counters | None = None, *,
+                   plan: RowPlan | None = None) -> FeasibilityOutcome:
     """Feasibility of the problem's constraints intersected with {f <= t}.
 
     The sweeper visits the level ``f(x) <= t`` after the problem's
@@ -927,5 +927,5 @@ def cfp_with_level(problem: Problem, t: float, solver: SolverSpec | str = "cspm"
     passes every test its one ``plan`` (see :class:`RowPlan`).
     """
     x0 = problem.start_point() if x0 is None else as_vector(x0, problem.n)
-    return cfp_solve(problem.constraints, x0, solver, counters, history,
-                     problem.bounds, problem.objective, t, plan=plan)
+    return cfp_solve(problem.constraints, x0, solver, counters, bounds=problem.bounds,
+                     objective=problem.objective, t=t, plan=plan)

@@ -27,7 +27,6 @@ and is swept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .model import ConvexFunction
 
 __all__ = [
     "SuperiorizationConfig",
-    "PerturbationTrace",
     "nonascending_direction",
 ]
 
@@ -44,19 +42,6 @@ __all__ = [
 # solve; the inner loop would otherwise never terminate once no candidate is
 # acceptable
 _BETA_FLOOR = 1e-300
-
-
-@dataclass
-class PerturbationTrace:
-    """Record of the perturbation history of one superiorized solve.
-
-    ``accepted`` holds (outer step k, global index l, step size beta, point z,
-    objective anchor) per accepted perturbation; ``rejected`` counts discarded
-    candidates.
-    """
-
-    accepted: list = field(default_factory=list)
-    rejected: int = 0
 
 
 def nonascending_direction(fn: ConvexFunction, x: np.ndarray) -> np.ndarray:
@@ -73,17 +58,16 @@ def nonascending_direction(fn: ConvexFunction, x: np.ndarray) -> np.ndarray:
     return -xi / norm
 
 
-def superiorized_solve(constraints, x0, solver, counters, history, bounds, objective, t,
-                       trace, plan) -> FeasibilityOutcome:
+def superiorized_solve(constraints, x0, solver, counters, bounds, objective, t, plan) -> FeasibilityOutcome:
     """:func:`~cfpopt.feasibility.cfp_solve`'s superiorized branch, with its arguments.
 
     The base solver ``solver.kind``'s sweep loop over ``constraints`` (and
     the level ``objective(x) <= t`` when ``t`` is finite, see
-    :func:`make_sweeper`), with a pre-sweep hook: per outer iteration,
-    ``solver.sup.N`` accepted perturbation steps that do not increase
-    ``objective`` and keep x in the box ``bounds``, then one sweep.  Once the
-    global step index passes the step-size floor, or a direction is not
-    finite, the hook perturbs no more.
+    :func:`make_sweeper`), with a pre-sweep hook, the sweeper's one
+    ``before_sweep``: per outer iteration, ``solver.sup.N`` accepted
+    perturbation steps that do not increase ``objective`` and keep x in the
+    box ``bounds``, then one sweep.  Once the global step index passes the
+    step-size floor, or a direction is not finite, the hook perturbs no more.
     Termination follows the base solver's contract: found once a full sweep
     certifies every constraint within ``solver.tol``, proven empty once the
     sweeps' steps certify it (every solver kind, given the bound box
@@ -128,12 +112,8 @@ def superiorized_solve(constraints, x0, solver, counters, history, bounds, objec
                 z = x + beta * d
                 if ((bounds is None or bounds.contains(z))
                         and counters.objective(objective, z) <= anchor):
-                    if trace is not None:
-                        trace.accepted.append((k, ell, beta, z.copy(), anchor))
                     x = z
                     break
-                if trace is not None:
-                    trace.rejected += 1
         return x
 
-    return sweeper.run(x0, history, perturb if cfg.N > 0 else None)
+    return sweeper.run(x0, perturb if cfg.N > 0 else None)

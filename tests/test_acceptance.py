@@ -41,7 +41,7 @@ from cfpopt.schemes import (
     counterexample_run,
     level_set_solve,
 )
-from cfpopt.superiorize import PerturbationTrace, SuperiorizationConfig
+from cfpopt.superiorize import SuperiorizationConfig
 
 
 def _pass(num: int, text: str) -> None:
@@ -112,7 +112,7 @@ def test_criterion_03_bisection_gamma_optimality():
     _pass(3, "bracket width, accuracy and step counts within bounds")
 
 
-def test_criterion_04_fejer_monotonicity():
+def test_criterion_04_fejer_monotonicity(solves):
     rng = np.random.default_rng(2024)
     lams = (0.5, 1.0, 1.5, 1.9)
     for trial in range(100):
@@ -128,9 +128,8 @@ def test_criterion_04_fejer_monotonicity():
                                       float(center @ center) - radius2))
         x0 = rng.standard_normal(n) * 5.0
         lam = lams[trial % len(lams)]
-        hist = []
-        cfp_solve(cons, x0, SolverSpec(lam=lam, max_sweeps=40), history=hist)
-        dists = [float(np.linalg.norm(x - z)) for x in hist]
+        cfp_solve(cons, x0, SolverSpec(lam=lam, max_sweeps=40))
+        dists = [float(np.linalg.norm(x - z)) for x in solves[-1].iterates]
         prev = float(np.linalg.norm(x0 - z))
         for d in dists:
             assert d <= prev + 1e-9
@@ -201,17 +200,18 @@ def test_criterion_05_subgradient_oracles():
     _pass(5, "1000 subgradient-inequality checks per kind; smooth gradients match FD")
 
 
-def test_criterion_06_superiorization_contract():
+def test_criterion_06_superiorization_contract(solves):
     phi = QuadraticFunction([[2.0]], [0.0])
     cons = [AffineConstraint.geq([1.0], 1.0)]
 
     # (a) merit safety, exact
-    trace = PerturbationTrace()
     cfp_solve(cons, [5.0], SolverSpec(sup=SuperiorizationConfig(N=3, a=0.9), lam=1.0, max_sweeps=500),
-              objective=phi, trace=trace)
-    assert trace.accepted
-    for _k, _ell, _beta, z, anchor in trace.accepted:
-        assert phi.value(z) <= anchor
+              objective=phi)
+    assert any(len(path) > 1 for path in solves[-1].hooks)
+    for x, *accepted in solves[-1].hooks:
+        anchor = phi.value(x)
+        for z in accepted:
+            assert phi.value(z) <= anchor
 
     # (b) N = 0 reproduces the base solver bitwise
     rng = np.random.default_rng(5)
@@ -220,11 +220,11 @@ def test_criterion_06_superiorization_contract():
                  for a in rng.standard_normal((6, 4))]
     x0 = rng.standard_normal(4) * 4
     c1, c2 = Counters(), Counters()
-    h1, h2 = [], []
-    base = cfp_solve(rand_cons, x0, SolverSpec(lam=1.5), counters=c1, history=h1)
+    base = cfp_solve(rand_cons, x0, SolverSpec(lam=1.5), counters=c1)
     sup0 = cfp_solve(rand_cons, x0, SolverSpec(sup=SuperiorizationConfig(N=0, a=0.5), lam=1.5,
                                                max_sweeps=1000),
-                     counters=c2, history=h2, objective=phi)
+                     counters=c2, objective=phi)
+    h1, h2 = (solve.iterates for solve in solves[-2:])
     assert base.x.tobytes() == sup0.x.tobytes()
     assert c1 == c2 and base.sweeps == sup0.sweeps
     assert all(a_.tobytes() == b_.tobytes() for a_, b_ in zip(h1, h2))
@@ -249,7 +249,7 @@ def test_criterion_06_superiorization_contract():
     _pass(6, "merit safety, N=0 bitwise, resilience, superiority (1 vs 25)")
 
 
-def test_criterion_07_pocs_cspm_coincidence():
+def test_criterion_07_pocs_cspm_coincidence(solves):
     rng = np.random.default_rng(11)
     for seed in range(10):
         rng = np.random.default_rng(seed)
@@ -258,9 +258,9 @@ def test_criterion_07_pocs_cspm_coincidence():
         cons = [AffineConstraint.leq(a, float(a @ z) + 0.05)
                 for a in rng.standard_normal((int(rng.integers(2, 9)), n))]
         x0 = rng.standard_normal(n) * 3
-        h1, h2 = [], []
-        o1 = cfp_solve(cons, x0, SolverSpec(lam=1.5), history=h1)
-        o2 = cfp_solve(cons, x0, SolverSpec("pocs", lam=1.5), history=h2)
+        o1 = cfp_solve(cons, x0, SolverSpec(lam=1.5))
+        o2 = cfp_solve(cons, x0, SolverSpec("pocs", lam=1.5))
+        h1, h2 = (solve.iterates for solve in solves[-2:])
         assert o1.found == o2.found and len(h1) == len(h2)
         for xa, xb in zip(h1, h2):
             np.testing.assert_allclose(xa, xb, rtol=0, atol=1e-12)

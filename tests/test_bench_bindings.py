@@ -12,14 +12,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfpopt import feasibility, harness, qps, superiorize
+from cfpopt import _kernels, feasibility, harness, qps, schemes, superiorize
 from cfpopt.feasibility import SolverSpec, cfp_with_level
 from cfpopt.model import AffineConstraint, Bounds, Problem, QuadraticFunction
 from cfpopt.superiorize import SuperiorizationConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# every name Tracer.install rebinds but the model oracles
 BINDINGS = [
+    (_kernels, "cspm_sweep"),
+    (_kernels, "art3_pass"),
+    (schemes, "cfp_with_level"),
     (superiorize, "make_sweeper"),
     (superiorize, "superiorized_solve"),
     (superiorize, "nonascending_direction"),
@@ -29,6 +33,7 @@ BINDINGS = [
     (harness, "bisection_solve"),
     (qps, "parse_qps_document"),
     (qps.QpsDocument, "to_problem"),
+    (harness, "emit_report"),
 ]
 
 
@@ -60,6 +65,8 @@ def test_superiorized_solve_is_traced_and_restored(tracer_class):
         tracer.uninstall()
     assert out.found
     assert tracer.calls["schemes.run"][0] == 2
+    # the tracer reads each level test's level from cfp_with_level's second positional argument
+    assert tracer.count["schemes.level_tests"] > 0
     for name in ("superiorize.solve", "superiorize.direction", "feasibility.setup"):
         assert tracer.calls[name][0] > 0, name
     for owner, attr in BINDINGS:

@@ -24,7 +24,7 @@ from cfpopt.feasibility import SolverSpec, cfp_with_level, make_sweeper
 from cfpopt.harness import HarnessConfig, builtin_problems, run_variant
 from cfpopt.model import (AffineConstraint, Bounds, Counters, DoseModel, PNormFunction, Problem,
                           QuadraticFunction, UnderdoseFunction)
-from cfpopt.superiorize import PerturbationTrace, SuperiorizationConfig
+from cfpopt.superiorize import SuperiorizationConfig
 
 _spec = importlib.util.spec_from_file_location(
     "make_problems", Path(__file__).parents[1] / "benchmarks" / "make_problems.py")
@@ -297,7 +297,7 @@ def test_lower_bound_certifies_just_past_the_tolerance(kind, solver):
     np.testing.assert_array_equal(past.x, x0)
 
 
-def test_zero_sweep_solve_calls_no_oracle_and_no_perturbation():
+def test_zero_sweep_solve_calls_no_oracle_and_no_perturbation(solves):
     calls = []
 
     class Counted(UnderdoseFunction):
@@ -310,12 +310,10 @@ def test_zero_sweep_solve_calls_no_oracle_and_no_perturbation():
             return super().subgrad(x)
 
     objective = Counted(DoseModel(np.eye(2), target=(0, 1)))
-    trace = PerturbationTrace()
     out = feasibility.cfp_solve([], [0.5, 0.5], SolverSpec(sup=SuperiorizationConfig(N=3)),
-                                bounds=Bounds(np.zeros(2), np.ones(2)), objective=objective, t=-0.5,
-                                trace=trace)
+                                bounds=Bounds(np.zeros(2), np.ones(2)), objective=objective, t=-0.5)
     assert out.infeasibility_certified and out.sweeps == 0
-    assert calls == [] and trace == PerturbationTrace()
+    assert calls == [] and all(len(path) == 1 for path in solves[0].hooks)
 
 
 def test_lower_bound_changes_no_result(monkeypatch):

@@ -79,7 +79,7 @@ class TestCspm:
         with pytest.raises(ZeroSubgradientError):
             cfp_solve([bad], [0.0])
 
-    def test_fejer_distances_nonincreasing(self):
+    def test_fejer_distances_nonincreasing(self, solves):
         rng = np.random.default_rng(42)
         n = 4
         z = rng.standard_normal(n)  # feasible anchor by construction
@@ -88,10 +88,8 @@ class TestCspm:
             a = rng.standard_normal(n)
             cons.append(AffineConstraint.leq(a, float(a @ z) + abs(rng.standard_normal())))
         for lam in (0.5, 1.0, 1.5, 1.9):
-            hist = []
-            cfp_solve(cons, rng.standard_normal(n) * 5, SolverSpec(lam=lam, max_sweeps=50),
-                      history=hist)
-            dists = [np.linalg.norm(x - z) for x in hist]
+            cfp_solve(cons, rng.standard_normal(n) * 5, SolverSpec(lam=lam, max_sweeps=50))
+            dists = [np.linalg.norm(x - z) for x in solves[-1].iterates]
             for d0, d1 in zip(dists, dists[1:]):
                 assert d1 <= d0 + 1e-9
 
@@ -113,7 +111,7 @@ class TestPocs:
         with pytest.raises(ValueError):
             cfp_solve([ball], [0.0, 0.0], "pocs")
 
-    def test_identical_iterates_with_cspm(self):
+    def test_identical_iterates_with_cspm(self, solves):
         rng = np.random.default_rng(9)
         cons = []
         z = rng.standard_normal(5)
@@ -121,9 +119,9 @@ class TestPocs:
             a = rng.standard_normal(5)
             cons.append(AffineConstraint.leq(a, float(a @ z) + 0.1))
         x0 = rng.standard_normal(5) * 3
-        h1, h2 = [], []
-        o1 = cfp_solve(cons, x0, SolverSpec(lam=1.5), history=h1)
-        o2 = cfp_solve(cons, x0, SolverSpec("pocs", lam=1.5), history=h2)
+        o1 = cfp_solve(cons, x0, SolverSpec(lam=1.5))
+        o2 = cfp_solve(cons, x0, SolverSpec("pocs", lam=1.5))
+        h1, h2 = (solve.iterates for solve in solves)
         assert o1.found and o2.found
         assert len(h1) == len(h2)
         for a_, b_ in zip(h1, h2):
@@ -319,13 +317,13 @@ class TestBoxRows:
                                       [CUT, AffineConstraint.bound(0, 2, 0.0, 2.0)],
                                       [CUT, AffineConstraint.bound(1, 2, 0.0, 1.5)]],
                              ids=["missing", "not last", "other bounds", "other coordinate"])
-    def test_box_swept_after_any_rows(self, kind, rows):
+    def test_box_swept_after_any_rows(self, kind, rows, solves):
         # whatever coordinate rows the list holds, bounds= sweeps the box
         # after them, as if its own row trailed the list
-        h1, h2 = [], []
         spec = SolverSpec(kind, max_sweeps=500)
-        o1 = cfp_solve([self.CUT, *rows], [3.0, -4.0], spec, bounds=self.BOX, history=h1)
-        o2 = cfp_solve([self.CUT, *rows, *self.BOX.to_rows()], [3.0, -4.0], spec, history=h2)
+        o1 = cfp_solve([self.CUT, *rows], [3.0, -4.0], spec, bounds=self.BOX)
+        o2 = cfp_solve([self.CUT, *rows, *self.BOX.to_rows()], [3.0, -4.0], spec)
+        h1, h2 = (solve.iterates for solve in solves)
         assert o1.found
         assert np.all(o1.x >= self.BOX.lo - spec.tol) and np.all(o1.x <= self.BOX.hi + spec.tol)
         assert (o1.sweeps, o1.projections, o1.moves) == (o2.sweeps, o2.projections, o2.moves)
@@ -346,7 +344,7 @@ class TestBoxRows:
         np.testing.assert_array_equal(packed.norm2, [2.0, 1.0])
 
     @pytest.mark.parametrize("kind", ["cspm", "pocs", "art3+"])
-    def test_bounds_sweep_as_their_rows(self, kind):
+    def test_bounds_sweep_as_their_rows(self, kind, solves):
         # a 6-row, 4-column system with one free column: the box given as
         # bounds= runs the iterates of the box given as its trailing rows
         rng = np.random.default_rng(7)
@@ -354,9 +352,9 @@ class TestBoxRows:
         rows = [AffineConstraint.interval(a, -0.5, 0.5) if kind == "art3+"
                 else AffineConstraint.leq(a, 0.5) for a in rng.standard_normal((6, 4))]
         x0 = rng.standard_normal(4) * 3.0
-        h1, h2 = [], []
-        o1 = cfp_solve(rows, x0, SolverSpec(kind, max_sweeps=200), bounds=box, history=h1)
-        o2 = cfp_solve([*rows, *box.to_rows()], x0, SolverSpec(kind, max_sweeps=200), history=h2)
+        o1 = cfp_solve(rows, x0, SolverSpec(kind, max_sweeps=200), bounds=box)
+        o2 = cfp_solve([*rows, *box.to_rows()], x0, SolverSpec(kind, max_sweeps=200))
+        h1, h2 = (solve.iterates for solve in solves)
         assert o1.found and o2.found
         assert (o1.sweeps, o1.projections, o1.moves) == (o2.sweeps, o2.projections, o2.moves)
         assert len(h1) == len(h2)
@@ -458,12 +456,11 @@ class TestRayMinimumStep:
         return x0 - (lam * (f.value(x0) - t) / float(xi.dot(xi))) * xi
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_a_level_below_the_ray_steps_to_its_lowest_point(self, kind):
+    def test_a_level_below_the_ray_steps_to_its_lowest_point(self, kind, solves):
         f = QuadraticFunction(np.eye(2), np.zeros(2))
-        history = []
-        out = cfp_solve([], self.X0, kind, bounds=self.BOX, objective=f, t=-1.0, history=history)
+        out = cfp_solve([], self.X0, kind, bounds=self.BOX, objective=f, t=-1.0)
         # |xi|^4 = 625 < 2 q v = 2 * 25 * 13.5: s = 25 / 25 lands on the minimiser
-        np.testing.assert_array_equal(history[0], [0.0, 0.0])
+        np.testing.assert_array_equal(solves[0].iterates[0], [0.0, 0.0])
         # where the next visit's zero subgradient proves the level set empty
         assert out.infeasibility_certified and not out.found
         assert (out.sweeps, out.moves) == (2, 1)

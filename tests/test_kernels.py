@@ -48,14 +48,13 @@ def test_both_backends_available():
 
 @needs_cc
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_cspm_backend_agreement(seed, restore_backend):
+def test_cspm_backend_agreement(seed, restore_backend, solves):
     rows, x0 = _random_system(seed)
     results = {}
     for backend in ("c", "numpy"):
         _kernels.set_backend(backend)
-        hist = []
-        out = cfp_solve(rows, x0, SolverSpec(lam=1.5, max_sweeps=300), history=hist)
-        results[backend] = (out, hist)
+        out = cfp_solve(rows, x0, SolverSpec(lam=1.5, max_sweeps=300))
+        results[backend] = (out, solves[-1].iterates)
     a, ha = results["c"]
     b, hb = results["numpy"]
     assert a.found == b.found
@@ -318,7 +317,7 @@ def test_screen_skips_a_slack_just_above_its_margin(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 @pytest.mark.parametrize("kind", ["cspm", "art3+"])
-def test_solves_equal_unscreened(backend, kind, monkeypatch):
+def test_solves_equal_unscreened(backend, kind, monkeypatch, solves):
     # a superiorized solve over rows (for CSPM with an oracle constraint
     # among them), the box and the level: every iterate as with the
     # unscreened kernel, fewer projections
@@ -339,11 +338,10 @@ def test_solves_equal_unscreened(backend, kind, monkeypatch):
     runs = []
     for kernel in (getattr(_kernels, name), reference):
         monkeypatch.setattr(_kernels, name, kernel)
-        history = []
-        out = cfp_solve(rows, x0, spec, history=history, bounds=box, objective=objective, t=6.0)
-        runs.append((out, history))
-    (out, history), (ref, ref_history) = runs
-    assert [x.tobytes() for x in history] == [x.tobytes() for x in ref_history]
+        out = cfp_solve(rows, x0, spec, bounds=box, objective=objective, t=6.0)
+        runs.append((out, solves[-1].iterates))
+    (out, iterates), (ref, ref_iterates) = runs
+    assert [x.tobytes() for x in iterates] == [x.tobytes() for x in ref_iterates]
     assert (out.found, out.infeasibility_certified, out.sweeps, out.moves, out.obj_evals) == (
         ref.found, ref.infeasibility_certified, ref.sweeps, ref.moves, ref.obj_evals)
     assert out.sweeps > 10 and out.projections < share * ref.projections

@@ -1171,8 +1171,9 @@ class TestScanKernel:
 
     @staticmethod
     def _scan(data, section, pos=0, room=64, names=64):
-        """The status, the stop and next offsets, and the info, ia, ib, val,
-        run and name outputs, the spans as the tokens they mark; or -1."""
+        """The status, the stop and next offsets, the number of lines, and the
+        ia, ib, val, run and name outputs, the spans as the tokens they mark;
+        or -1."""
         scan = _kernels.QpsScan(room, names)
         with _reading("c"):
             status = _kernels.qps_scan(data, pos, section, scan)
@@ -1181,20 +1182,20 @@ class TestScanKernel:
         stop, lines, k, runs, count, after = scan.out.tolist()
         spans = [[data[a:b] for a, b in array[:2 * n].reshape(-1, 2).tolist()]
                  for array, n in ((scan.runs, runs), (scan.names, count))]
-        return (status, (stop, after), scan.info[:lines].tolist(), scan.ia[:k].tolist(),
+        return (status, (stop, after), lines, scan.ia[:k].tolist(),
                 scan.ib[:k].tolist(), scan.val[:k].tolist(), *spans)
 
     def test_columns_entries_runs_and_the_header_it_stops_at(self):
         data = (b"    X1  OBJ 1.5  R1 -2\n\n  \t\n    X1  R2 3e1\r\n    X2\tR1 .25\n"
                 b"RHS  extra\n    RHS R1 1\n")
-        status, (stop, after), info, ia, ib, val, runs, names = self._scan(data, "COLUMNS")
+        status, (stop, after), lines, ia, ib, val, runs, names = self._scan(data, "COLUMNS")
         assert status == 1 and data[stop:after] == b"RHS  extra\n"
-        assert info == [5, 0, 0, 3, 3, -1]
+        assert lines == 6  # the header line among them
         # each distinct name once, numbered as it first appears
         assert (ib, names) == ([0, 1, 2, 1], [b"OBJ", b"R1", b"R2"])
         assert (ia, runs, val) == ([0, 0, 0, 1], [b"X1", b"X2"], [1.5, -2.0, 30.0, 0.25])
         # the next scan starts after the header line, reads to the end and numbers its names afresh
-        assert self._scan(data, "RHS", pos=after) == (0, (len(data), len(data)), [3], [0], [0], [1.0],
+        assert self._scan(data, "RHS", pos=after) == (0, (len(data), len(data)), 1, [0], [0], [1.0],
                                                       [b"RHS"], [b"R1"])
 
     def test_quadratic_and_rhs_entries(self):
@@ -1231,25 +1232,25 @@ class TestScanKernel:
 
     def test_other_sections_count_tokens_only(self):
         data = b" N  OBJ\n L  R1 R2 R3 R4 R5 R6\n\nCOLUMNS\n"
-        assert self._scan(data, "ROWS")[:4] == (1, (len(data) - 8, len(data)), [2, 7, 0, -1], [])
+        assert self._scan(data, "ROWS")[:4] == (1, (len(data) - 8, len(data)), 4, [])
         assert self._scan(data, None) == self._scan(data, "ROWS")
 
     def test_a_full_room_stops_before_the_next_line(self):
         data = b" X1 R1 1\n X1 R2 2\n X2 R1 3\nRHS\n"
-        status, (stop, after), info, *_ = self._scan(data, "COLUMNS", room=2)
-        assert (status, stop, after, info) == (0, 18, 18, [3, 3])
+        status, (stop, after), lines, *_ = self._scan(data, "COLUMNS", room=2)
+        assert (status, stop, after, lines) == (0, 18, 18, 2)
         # with room for the lines and not the header line, the header waits too
-        assert self._scan(data, "COLUMNS", room=3)[:3] == (0, (27, 27), [3, 3, 3])
+        assert self._scan(data, "COLUMNS", room=3)[:3] == (0, (27, 27), 3)
         assert self._scan(data, "COLUMNS", room=4)[:2] == (1, (27, 31))
         # a two-entry line needs room for two entries
-        assert self._scan(b" X1 R1 1\n X1 R2 2 R3 3\n", "COLUMNS", room=2)[:3] == (0, (9, 9), [3])
+        assert self._scan(b" X1 R1 1\n X1 R2 2 R3 3\n", "COLUMNS", room=2)[:3] == (0, (9, 9), 1)
 
     def test_a_full_name_room_stops_before_a_line_with_a_new_name(self):
         data = b" X1 R1 1\n X1 R2 2\n X2 R1 3 R2 4\n X2 R3 5\n X3 R3 6\n"
         # the known names R1 and R2 fit into a full room, the new R3 does not
-        assert self._scan(data, "COLUMNS", names=2)[:3] == (0, (32, 32), [3, 3, 5])
+        assert self._scan(data, "COLUMNS", names=2)[:3] == (0, (32, 32), 3)
         assert self._scan(data, "COLUMNS", names=3)[1] == (len(data), len(data))
-        assert self._scan(data, "COLUMNS", names=1)[:3] == (0, (9, 9), [3])
+        assert self._scan(data, "COLUMNS", names=1)[:3] == (0, (9, 9), 1)
         # a line with more new names than the room is refused
         assert self._scan(data, "COLUMNS", pos=18, names=1) == -1
         assert self._scan(b" X1 R1 1 R1 2\n", "COLUMNS", names=1) == -1

@@ -10,6 +10,7 @@ from cfpopt import schemes
 from cfpopt.feasibility import FeasibilityOutcome, SolverSpec
 from cfpopt.harness import VARIANTS, HarnessConfig, builtin_problems, run_variant
 from cfpopt.model import AffineConstraint, Bounds, Counters, CustomFunction, Problem, QuadraticFunction
+from cfpopt.qps import parse_qps
 from cfpopt.schemes import (
     CASE1,
     CASE2_OR_3,
@@ -401,6 +402,30 @@ class TestHonestBisection:
         assert res.case == CASE2_OR_3
         assert res.epsilon == 1e-5
         assert res.lower <= 1.0 <= res.upper <= res.lower + 1e-5
+
+
+# min x s.t. x <= 1 with x free: no optimum, so no certificate holds
+UNBOUNDED_LP = """\
+NAME          UNBOUNDED
+ROWS
+ N  OBJ
+ L  C1
+COLUMNS
+    X1        OBJ       1.0        C1        1.0
+RHS
+    RHS       C1        1.0
+BOUNDS
+ FR BND       X1
+ENDATA
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="bisection's default lower bound, 0.0 here, closes the bracket "
+                   "at once; ROADMAP items 2 (Stage B, Part B) and 5 own the fix")
+@pytest.mark.parametrize("variant", ["bis_cspm", "bis_art3+", "bis_sup_cspm"])
+def test_bisection_certifies_no_optimum_of_an_unbounded_lp(variant):
+    assert run_variant(variant, parse_qps(UNBOUNDED_LP)).status != CASE2_OR_3
 
 
 @pytest.mark.parametrize("solve", [level_set_solve, accelerated_level_set_solve, bisection_solve])

@@ -12,7 +12,7 @@ from cfpopt.model import (
     Problem,
     QuadraticFunction,
 )
-from cfpopt.superiorize import PerturbationTrace, SuperiorizationConfig, nonascending_direction
+from cfpopt.superiorize import SuperiorizationConfig, nonascending_direction
 
 
 def norm2_fn(n=2):
@@ -46,17 +46,17 @@ class TestStepSizes:
         cfg = SuperiorizationConfig(N=1, a=0.5)
         assert cfg.a**3 == pytest.approx(0.125)
 
-    def test_first_candidate_accepted(self):
+    def test_first_candidate_accepted(self, solves):
         # phi = ||x||^2 at (1,0), d = (-1,0), beta = eta_0 = 1 -> z = (0,0)
         phi = norm2_fn()
         cons = [AffineConstraint.leq([1.0, 0.0], 5.0)]
-        trace = PerturbationTrace()
         cfp_solve(cons, [1.0, 0.0], SolverSpec(sup=SuperiorizationConfig(N=1, a=0.5), max_sweeps=1),
-                  objective=phi, trace=trace)
-        k, ell, beta, z, anchor = trace.accepted[0]
-        assert (k, ell, beta) == (0, 0, 1.0)
+                  objective=phi)
+        # one step, in the hook before sweep 0, of beta = a**0: the first candidate
+        x, z = solves[0].hooks[0]
+        assert np.linalg.norm(z - x) == 1.0
         np.testing.assert_allclose(z, [0.0, 0.0])
-        assert anchor == pytest.approx(1.0)
+        assert phi.value(x) == pytest.approx(1.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -71,26 +71,27 @@ class TestAlgorithmContract:
     def cfp(self):
         return [AffineConstraint.geq([1.0], 1.0)]
 
-    def test_merit_safety_exact(self):
+    def test_merit_safety_exact(self, solves):
         phi = QuadraticFunction([[2.0]], [0.0])
-        trace = PerturbationTrace()
         cfp_solve(self.cfp(), [5.0], SolverSpec(sup=SuperiorizationConfig(N=3, a=0.9), lam=1.0,
-                                                max_sweeps=500), objective=phi, trace=trace)
-        assert trace.accepted
-        for _k, _ell, _beta, z, anchor in trace.accepted:
-            assert phi.value(z) <= anchor  # exact, no tolerance
+                                                max_sweeps=500), objective=phi)
+        assert any(len(path) > 1 for path in solves[0].hooks)
+        for x, *accepted in solves[0].hooks:
+            anchor = phi.value(x)
+            for z in accepted:
+                assert phi.value(z) <= anchor  # exact, no tolerance
 
-    def test_global_step_index_monotone(self):
+    def test_global_step_index_monotone(self, solves):
         phi = QuadraticFunction([[2.0]], [0.0])
-        trace = PerturbationTrace()
         cfp_solve(self.cfp(), [5.0], SolverSpec(sup=SuperiorizationConfig(N=2, a=0.9), lam=1.0,
-                                                max_sweeps=500), objective=phi, trace=trace)
-        ells = [rec[1] for rec in trace.accepted]
-        betas = [rec[2] for rec in trace.accepted]
-        assert all(e1 > e0 for e0, e1 in zip(ells, ells[1:]))
+                                                max_sweeps=500), objective=phi)
+        # beta = a**l with 0 < a < 1: l strictly rises as beta strictly falls
+        betas = [float(np.linalg.norm(z - x)) for path in solves[0].hooks
+                 for x, z in zip(path, path[1:])]
+        assert len(betas) > 1
         assert all(b1 < b0 for b0, b1 in zip(betas, betas[1:]))
 
-    def test_n_zero_reproduces_base_bitwise(self):
+    def test_n_zero_reproduces_base_bitwise(self, solves):
         rng = np.random.default_rng(23)
         z = rng.standard_normal(4)
         cons = []
@@ -99,11 +100,11 @@ class TestAlgorithmContract:
             cons.append(AffineConstraint.leq(a, float(a @ z) + 0.05))
         x0 = rng.standard_normal(4) * 4
         c1, c2 = Counters(), Counters()
-        h1, h2 = [], []
-        base = cfp_solve(cons, x0, SolverSpec(lam=1.5, max_sweeps=500), counters=c1, history=h1)
+        base = cfp_solve(cons, x0, SolverSpec(lam=1.5, max_sweeps=500), counters=c1)
         sup = cfp_solve(cons, x0, SolverSpec(sup=SuperiorizationConfig(N=0, a=0.5), lam=1.5,
                                              max_sweeps=500),
-                        counters=c2, history=h2, objective=norm2_fn(4))
+                        counters=c2, objective=norm2_fn(4))
+        h1, h2 = (solve.iterates for solve in solves)
         assert base.found == sup.found
         assert base.sweeps == sup.sweeps
         assert base.x.tobytes() == sup.x.tobytes()
@@ -135,17 +136,17 @@ class TestAlgorithmContract:
                                                  max_sweeps=1000), objective=phi)
             assert base.found and sup.found
 
-    def test_domain_membership_enforced(self):
+    def test_domain_membership_enforced(self, solves):
         phi = QuadraticFunction([[2.0]], [0.0])
         box = Bounds([0.5], [10.0])
-        trace = PerturbationTrace()
         cfg = SuperiorizationConfig(N=1, a=0.5)
         cfp_solve(self.cfp(), [5.0], SolverSpec(sup=cfg, lam=1.0, max_sweeps=200),
-                  bounds=box, objective=phi, trace=trace)
-        for _k, _ell, _beta, z, _anchor in trace.accepted:
-            assert box.contains(z)
+                  bounds=box, objective=phi)
+        for _x, *accepted in solves[0].hooks:
+            for z in accepted:
+                assert box.contains(z)
 
-    def test_dead_inner_loop_guard(self):
+    def test_dead_inner_loop_guard(self, solves):
         # a merit whose value grows in every direction candidate except zero
         # steps: rejects everything, so the step index races to underflow.
         # From x = 0 every candidate 0 + 0.5**ell, ell = 0..996, is positive,
@@ -156,14 +157,16 @@ class TestAlgorithmContract:
             name="hostile",
         )
         cfg = SuperiorizationConfig(N=1, a=0.5)
-        trace = PerturbationTrace()
+        counters = Counters()
         out = cfp_solve(self.cfp(), [0.0], SolverSpec(sup=cfg, lam=1.0, max_sweeps=3),
-                        objective=hostile, trace=trace)
+                        counters, objective=hostile)
         assert out.found  # exits the dead loop and still sweeps
-        assert trace.accepted == []
-        assert trace.rejected == 997
+        assert all(len(path) == 1 for path in solves[0].hooks)
+        # the first hook's anchor and its 997 rejected candidates; the later
+        # hooks, past the floor, evaluate nothing
+        assert counters.obj_evals == 1 + 997
 
-    def test_perturbation_stops_once_steps_exhausted(self):
+    def test_perturbation_stops_once_steps_exhausted(self, solves):
         # the hostile merit along x[0] rejects every candidate while x[1]
         # cycles between two contradictory rows, so the global step index
         # passes the floor in the first outer step and the solve times out
@@ -179,13 +182,14 @@ class TestAlgorithmContract:
 
         hostile = CustomFunction(value, subgrad, name="hostile")
         cons = [AffineConstraint.leq([0.0, 1.0], -1.0), AffineConstraint.geq([0.0, 1.0], 1.0)]
-        trace = PerturbationTrace()
         out = cfp_solve(cons, [0.0, 0.0], SolverSpec(sup=SuperiorizationConfig(N=1, a=0.5), lam=1.0,
-                                                     max_sweeps=50), objective=hostile, trace=trace)
+                                                     max_sweeps=50), objective=hostile)
         assert out.timed_out and out.sweeps == 50
-        assert not trace.accepted and 0.5 ** (trace.rejected + 1) < 1e-300
-        # one anchor and one direction, in outer step 0 only
-        assert calls == {"value": 1 + trace.rejected, "subgrad": 1}
+        # one anchor and one direction, in outer step 0 only: every other value
+        # call is a rejected candidate
+        rejected = calls["value"] - 1
+        assert all(len(path) == 1 for path in solves[0].hooks) and 0.5 ** (rejected + 1) < 1e-300
+        assert calls["subgrad"] == 1
 
     @staticmethod
     def exp800():
@@ -194,26 +198,25 @@ class TestAlgorithmContract:
         return CustomFunction(lambda x: float(np.exp(800.0 * x[0])),
                               lambda x: 800.0 * np.exp(800.0 * x), name="exp800")
 
-    def test_non_finite_direction_stops_perturbing(self):
+    def test_non_finite_direction_stops_perturbing(self, solves):
         # the direction is -inf / inf = nan, a candidate no box holds: the hook
         # stops at once, and the level visit's own check then raises
-        trace = PerturbationTrace()
+        counters = Counters()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite step"):
-                cfp_solve([], [1.0], SolverSpec(sup=SuperiorizationConfig(N=1)),
-                          bounds=Bounds([-10.0], [10.0]), objective=self.exp800(), t=5.0,
-                          trace=trace)
-        assert trace == PerturbationTrace()
+                cfp_solve([], [1.0], SolverSpec(sup=SuperiorizationConfig(N=1)), counters,
+                          bounds=Bounds([-10.0], [10.0]), objective=self.exp800(), t=5.0)
+        assert [len(path) for path in solves[0].hooks] == [1]
+        assert counters.obj_evals == 1  # the anchor, which the level visit reuses
 
-    def test_overflowing_subgradient_under_a_level_that_holds_still_solves(self):
-        trace, counters = PerturbationTrace(), Counters()
+    def test_overflowing_subgradient_under_a_level_that_holds_still_solves(self, solves):
+        counters = Counters()
         with np.errstate(over="ignore", invalid="ignore"):
             out = cfp_solve([AffineConstraint.geq([1.0], 0.5)], [0.885],
                             SolverSpec(sup=SuperiorizationConfig(N=1)), counters,
-                            bounds=Bounds([-10.0], [10.0]), objective=self.exp800(), t=1e308,
-                            trace=trace)
+                            bounds=Bounds([-10.0], [10.0]), objective=self.exp800(), t=1e308)
         assert out.found and out.sweeps == 1 and out.x.tolist() == [0.885]
-        assert trace == PerturbationTrace()
+        assert all(len(path) == 1 for path in solves[0].hooks)
         assert counters.obj_evals == 1  # the anchor, which the level visit reuses
 
     def test_nan_anchor_raises_at_once(self):
@@ -258,7 +261,7 @@ class TestAlgorithmContract:
         assert out.infeasibility_certified and not out.found
         assert out.sweeps == 1
 
-    def test_perturbation_across_a_satisfied_row_is_swept(self):
+    def test_perturbation_across_a_satisfied_row_is_swept(self, solves):
         # rows y0 <= 1/4, then y1 >= 1/64, from y = (-1, 0), superiorizing
         # f = -y0: the perturbation before sweep 0 steps y0 to 0, where the
         # first row holds with slack 1/4, and sweep 0 moves only y1, by 3/128.
@@ -266,17 +269,16 @@ class TestAlgorithmContract:
         # that jump as path and evaluate the first row, which steps y0 by
         # 1.5 * 1/4 to 1/8
         rows = [AffineConstraint.leq([1.0, 0.0], 0.25), AffineConstraint.geq([0.0, 1.0], 2.0**-6)]
-        trace, history, counters = PerturbationTrace(), [], Counters()
-        out = cfp_solve(rows, [-1.0, 0.0], SolverSpec(sup=SuperiorizationConfig(N=1)), counters,
-                        history, Bounds([-10.0, -10.0], [10.0, 10.0]),
-                        QuadraticFunction(np.zeros((2, 2)), [-1.0, 0.0]), trace=trace)
-        assert [(k, z.tolist()) for k, _, _, z, _ in trace.accepted[:2]] == [
-            (0, [0.0, 0.0]), (1, [0.5, 1.5 * 2.0**-6])]
-        assert history[0].tolist() == [0.0, 1.5 * 2.0**-6]
-        assert history[1].tolist() == [0.125, 1.5 * 2.0**-6]
+        out = cfp_solve(rows, [-1.0, 0.0], SolverSpec(sup=SuperiorizationConfig(N=1)),
+                        bounds=Bounds([-10.0, -10.0], [10.0, 10.0]),
+                        objective=QuadraticFunction(np.zeros((2, 2)), [-1.0, 0.0]))
+        hooks, iterates = solves[0].hooks, solves[0].iterates
+        assert [z.tolist() for _x, z in hooks[:2]] == [[0.0, 0.0], [0.5, 1.5 * 2.0**-6]]
+        assert iterates[0].tolist() == [0.0, 1.5 * 2.0**-6]
+        assert iterates[1].tolist() == [0.125, 1.5 * 2.0**-6]
         assert out.found and out.x[0] <= 0.25 + 1e-8
 
-    def test_art3_perturbation_across_a_satisfied_row_is_swept(self):
+    def test_art3_perturbation_across_a_satisfied_row_is_swept(self, solves):
         # the ART3+ twin: the same rows, start and objective.  Pass 0, from
         # y0 = 0, drops the first row (slack 1/4) and reflects y1 to 1/32;
         # pass 1 runs the queue [1] alone, from y0 = 1/2.  Pass 2 refills the
@@ -284,14 +286,13 @@ class TestAlgorithmContract:
         # and evaluate the first row, whose reflection steps y0 by 2 * 1/2
         # to -1/4
         rows = [AffineConstraint.leq([1.0, 0.0], 0.25), AffineConstraint.geq([0.0, 1.0], 2.0**-6)]
-        trace, history, counters = PerturbationTrace(), [], Counters()
         out = cfp_solve(rows, [-1.0, 0.0], SolverSpec("art3+", sup=SuperiorizationConfig(N=1)),
-                        counters, history, Bounds([-10.0, -10.0], [10.0, 10.0]),
-                        QuadraticFunction(np.zeros((2, 2)), [-1.0, 0.0]), trace=trace)
-        assert [(k, z.tolist()) for k, _, _, z, _ in trace.accepted[:3]] == [
-            (0, [0.0, 0.0]), (1, [0.5, 2.0**-5]), (2, [0.75, 2.0**-5])]
-        assert [x.tolist() for x in history[:3]] == [[0.0, 2.0**-5], [0.5, 2.0**-5],
-                                                     [-0.25, 2.0**-5]]
+                        bounds=Bounds([-10.0, -10.0], [10.0, 10.0]),
+                        objective=QuadraticFunction(np.zeros((2, 2)), [-1.0, 0.0]))
+        hooks, iterates = solves[0].hooks, solves[0].iterates
+        assert [z.tolist() for _x, z in hooks[:3]] == [[0.0, 0.0], [0.5, 2.0**-5], [0.75, 2.0**-5]]
+        assert [x.tolist() for x in iterates[:3]] == [[0.0, 2.0**-5], [0.5, 2.0**-5],
+                                                      [-0.25, 2.0**-5]]
         assert out.found and out.x[0] <= 0.25 + 1e-8
 
 
